@@ -1,0 +1,294 @@
+"""The execution-backend contract: where a ready task's body runs.
+
+Everything above "a worker runs one ready task and reports completion"
+(tracker, renaming, scheduler, blocking conditions) is
+:class:`~repro.core.runtime.SmpssRuntime` and the same for every
+backend; everything below it is an :class:`ExecutionBackend`, built by
+:func:`make_backend`.  The member table, the never-raises rule and the
+one-redispatch policy are specified in ``docs/execution_backends.md``
+("Backend contract").
+"""
+
+from __future__ import annotations
+
+import threading
+from time import perf_counter
+from typing import Callable, Optional
+
+from .invocation import resolve_call_values
+
+__all__ = [
+    "ExecutionBackend",
+    "Link",
+    "RemoteBackend",
+    "ThreadBackend",
+    "make_backend",
+]
+
+
+class ExecutionBackend:
+    """What the runtime needs from the thing that runs task bodies."""
+
+    #: ``True``: bodies run outside the calling thread.  The main thread
+    #: then *waits* at blocking conditions instead of helping (a body on
+    #: the master would hold the GIL the proxy threads' bookkeeping
+    #: needs), and the remote end — not the runtime — emits the task's
+    #: start/end trace events.
+    remote = False
+    #: Workers lost / tasks re-dispatched so far.
+    deaths = 0
+    redispatched = 0
+    #: Scheduler placement hook ``task -> thread index or None``;
+    #: ``None`` keeps the scheduler's default placement.
+    placement: Optional[Callable] = None
+
+    def start(self) -> int:
+        """Bring the workers up; returns how many worker threads
+        (indices ``1..n``) the owner must drive."""
+
+        raise NotImplementedError
+
+    def stop(self) -> None:
+        """Release every worker and channel.  Never raises; safe on a
+        backend whose :meth:`start` failed half-way."""
+
+    def run(self, task, thread: int) -> tuple[Optional[BaseException], float]:
+        """Execute *task* for worker *thread*; ``(cause, duration)``.
+        Never raises: ``cause`` is ``None`` or the exception to wrap in
+        a ``TaskExecutionError``."""
+
+        raise NotImplementedError
+
+    def liveness(self) -> list[dict]:
+        """One ``{"slot", "alive", ...}`` row per worker: display data
+        (health watchdog, serve ``/health``), never control flow."""
+
+        return []
+
+    @property
+    def worker_pids(self) -> list[Optional[int]]:
+        return [row.get("pid") for row in self.liveness()]
+
+    # Residency seams: only a backend that leaves data remote cares.
+    def barrier_sync(self) -> None:
+        """Bring every datum home before the barrier's write-back."""
+
+    def fetch_version(self, version) -> None:
+        """Make the master copy of *version*'s storage current."""
+
+
+class ThreadBackend(ExecutionBackend):
+    """Bodies run right on the calling worker thread (the paper's layout)."""
+
+    def __init__(self, num_workers: int, tracer=None, sanitizer=None,
+                 tls=None):
+        self.num_workers = num_workers
+        self._trace = tracer
+        self._sanitizer = sanitizer
+        #: ``tls.in_task`` is set while a body runs on that thread, so
+        #: task calls made from inside tasks execute inline.
+        self._tls = tls if tls is not None else threading.local()
+
+    def start(self) -> int:
+        return self.num_workers
+
+    def run(self, task, thread: int) -> tuple[Optional[BaseException], float]:
+        if self._trace is not None:
+            self._trace.task_start(task, thread)
+        t0 = perf_counter()
+        sanitizer = self._sanitizer
+        cause = None
+        tls = self._tls
+        tls.in_task = True
+        try:
+            values = resolve_call_values(task, sanitizer)
+            task.definition.func(*values)
+        except BaseException as exc:  # noqa: BLE001 - reported at barrier
+            cause = exc
+            if sanitizer is not None:
+                cause = sanitizer.translate(task, exc, thread) or exc
+        else:
+            if sanitizer is not None:
+                sanitizer.finish(task, thread)
+        finally:
+            tls.in_task = False
+        return cause, perf_counter() - t0
+
+    def liveness(self) -> list[dict]:
+        return [
+            {"slot": slot, "alive": True}
+            for slot in range(1, self.num_workers + 1)
+        ]
+
+
+class Link:
+    """The master half of one proxy thread's channel to its remote end
+    (driven by that one thread, so it needs no lock)."""
+
+    def __init__(self, slot: int, **ends):
+        self.slot = slot
+        #: Request counter; a reply is matched to its request by it.
+        self.seq = 0
+        #: Definition keys the remote end has already been taught.
+        self.sent_defs: set = set()
+        #: 1 + how many times the remote end has been replaced.
+        self.generation = 1
+        #: The transport's own attributes (a process, a socket, ...).
+        self.__dict__.update(ends)
+
+    def renewed(self) -> None:
+        """A fresh remote end is behind this link: it knows nothing."""
+
+        self.generation += 1
+        self.sent_defs = set()
+
+
+class RemoteBackend(ExecutionBackend):
+    """Dispatch / death / one-redispatch, written once.
+
+    A subclass owns its transport.  It sets ``lost_error`` and
+    ``remote_error`` (its structured error classes), ``refusals`` (what
+    its hooks raise for a task that cannot be shipped — returned as the
+    ``cause``, link untouched) and ``link_errors`` (what ``_exchange``
+    raises when the remote end is gone), and implements
+    ``_encode(task, values, link) -> request``,
+    ``_definition_payload(definition)``,
+    ``_exchange(link, seq, key, payload, task, request) -> (err,
+    duration, events, result)``, ``_land(link, values, request,
+    result)``, ``_revive(link)`` (fresh remote end + ``link.renewed()``,
+    or raise ``lost_error``) and ``_describe(link) -> str``.
+    """
+
+    remote = True
+    lost_error: type = RuntimeError
+    remote_error: type = RuntimeError
+    refusals: tuple = ()
+    link_errors: tuple = ()
+
+    def __init__(self, deaths_metric: str, redispatch_metric: str, *,
+                 metrics, tracer=None, ring_capacity: int = 1 << 16,
+                 on_dispatch: Optional[Callable] = None):
+        #: Merged-timeline sink for the remote ends' piggy-backed trace
+        #: events; ``None``: tracing is off and they record nothing.
+        self._tracer = tracer
+        self._ring_capacity = ring_capacity
+        #: ``on_dispatch(task, thread)`` as a task leaves: the remote
+        #: task_start event only ships back *with* the reply, so a live
+        #: dashboard would otherwise see the task leave the queue only
+        #: once it was already done.
+        self._on_dispatch = on_dispatch
+        self._metrics = metrics
+        self._m_deaths = metrics.counter(deaths_metric)
+        self._m_redispatch = metrics.counter(redispatch_metric)
+        #: ``_links[thread - 1]`` is worker *thread*'s link.
+        self._links: list = []
+
+    @property
+    def deaths(self) -> int:
+        return self._m_deaths.value
+
+    @property
+    def redispatched(self) -> int:
+        return self._m_redispatch.value
+
+    def run(self, task, thread: int) -> tuple[Optional[BaseException], float]:
+        try:
+            return self._dispatch(task, self._links[thread - 1])
+        except BaseException as exc:  # noqa: BLE001 - reported at barrier
+            # Not an expected failure but a master-side bug; it must
+            # still surface at the barrier — a proxy thread dying
+            # silently would leave the runtime's running count stuck
+            # and hang the main thread forever.
+            return exc, 0.0
+
+    def _dispatch(self, task, link: Link):
+        if self._on_dispatch is not None:
+            self._on_dispatch(task, link.slot)
+        values = resolve_call_values(task)
+        definition = task.definition
+        key = id(definition)  # stable for the master's lifetime
+        attempts = 0
+        while True:
+            try:
+                request = self._encode(task, values, link)
+                payload = (
+                    None if key in link.sent_defs
+                    else self._definition_payload(definition)
+                )
+                link.seq += 1
+                err, duration, events, result = self._exchange(
+                    link, link.seq, key, payload, task, request)
+            except self.refusals as exc:
+                return exc, 0.0
+            except self.link_errors as exc:
+                who = self._describe(link)
+                self._link_died(link, exc)
+                attempts += 1
+                lost = None
+                if attempts > 1:
+                    lost = self.lost_error(
+                        f"{who} died while running task #{task.task_id} "
+                        f"{task.name!r}, which had already been "
+                        f"re-dispatched once; giving up"
+                    )
+                try:
+                    # Also after giving up: later tasks on this proxy
+                    # thread need a live remote end.
+                    self._revive(link)
+                except self.lost_error as unrevivable:
+                    return lost or unrevivable, 0.0
+                if lost is not None:
+                    return lost, 0.0
+                self._m_redispatch.inc()
+                continue
+            link.sent_defs.add(key)
+            if events and self._tracer is not None:
+                # Proxy-thread context: events land in this thread's
+                # ring buffer and merge by timestamp with everyone else.
+                self._tracer.ingest(events)
+            if err is not None:
+                return self.remote_error(*err), duration
+            self._land(link, values, request, result)
+            return None, duration
+
+    def _link_died(self, link: Link, exc: BaseException) -> None:
+        """Count one lost remote end."""
+
+        self._m_deaths.inc()
+
+
+def make_backend(config, *, metrics, tracer=None, on_dispatch=None,
+                 sanitizer=None, tls=None) -> ExecutionBackend:
+    """The (unstarted) backend ``config.backend`` names.
+
+    This is the one name -> factory table: nothing else in core (or
+    serve) names a backend module.  mp and dist sit above core in the
+    layering, so their entries import lazily.  *tracer* is the
+    merged-timeline tracer, or ``None`` when tracing is off; the other
+    arguments are what the individual backends take instead of a
+    reference to their owner.
+    """
+
+    remote = {
+        "metrics": metrics, "tracer": tracer, "on_dispatch": on_dispatch,
+        "ring_capacity": config.trace_buffer_size,
+    }
+
+    def threads():
+        return ThreadBackend(
+            config.num_workers, tracer=tracer, sanitizer=sanitizer, tls=tls)
+
+    def processes():
+        from ..mp.executor import ProcessBackend
+
+        return ProcessBackend(config.num_workers, **remote)
+
+    def cluster():
+        from ..dist.manager import ClusterBackend
+
+        return ClusterBackend(
+            config.nodes, connect_timeout=config.dist_connect_timeout,
+            write_through=config.dist_write_through, **remote)
+
+    return {"threads": threads, "processes": processes,
+            "cluster": cluster}[config.backend]()

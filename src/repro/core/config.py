@@ -65,8 +65,6 @@ class RuntimeConfig:
     #: durations, analysis/barrier overhead, queue depths).  Much
     #: cheaper than tracing; on by default.
     metrics: bool = True
-    #: Copy final renamed versions back into user objects at barriers.
-    write_back_on_barrier: bool = True
     #: Access sanitizer (repro.check dynamic layer): execute task bodies
     #: against read-only guards on non-written numpy parameters and
     #: write-track declared outputs.  Debugging mode, off by default.
@@ -97,10 +95,6 @@ class RuntimeConfig:
     #: data).  ``False`` (default): outputs stay resident on the
     #: producing node until a barrier or a remote consumer fetches them.
     dist_write_through: bool = False
-    #: Feed the scheduler the locality-aware placement hook (prefer the
-    #: node holding the most input bytes; idle fallback).  Disable to
-    #: measure placement's effect in ablations.
-    dist_placement: bool = True
     #: Live inspection & control (:mod:`repro.live`): serve graph-delta
     #: events and accept pause/step/breakpoint commands while the run is
     #: in flight.  Implies ``trace=True`` (the event plane is a tap on
@@ -146,9 +140,13 @@ class RuntimeConfig:
     constants: dict = field(default_factory=dict)
 
     def fill_num_workers(self) -> None:
-        """Resolve ``num_workers=None`` to the machine's free cores."""
+        """Resolve ``num_workers=None`` to the machine's free cores.
 
-        if self.num_workers is None:
+        Not for a fleet of node agents: that is sized by the slots the
+        agents advertise, known once the runtime has connected.
+        """
+
+        if self.num_workers is None and not self.nodes:
             self.num_workers = max(1, (os.cpu_count() or 2) - 1)
 
 

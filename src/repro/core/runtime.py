@@ -16,16 +16,19 @@ practical parallel runtime for array-heavy tasks; the performance
 :mod:`repro.sim`, which drives the same scheduler code over virtual
 cores.
 
-With ``backend="processes"`` (:mod:`repro.mp`) the same worker threads
-become *proxy threads*: they pop tasks from the same scheduler under
-the same locks, but each forwards the task body to a dedicated
-long-lived worker process and blocks — GIL released — for the reply.
-Dependency analysis, renaming, regions, the memory limit, and all
-completion bookkeeping are untouched; pure-Python task bodies gain
-true multi-core parallelism.  In that mode the main thread never runs
-task bodies itself (its help would serialise the proxies on the master
-GIL); at a blocking condition it simply waits for completions, keeping
-the paper's blocking/unblocking semantics.
+*Where* a ready task's body runs is an
+:class:`~repro.core.backend.ExecutionBackend`'s business, chosen by the
+``backend`` knob through :func:`~repro.core.backend.make_backend`; this
+module knows no backend by name.  Under a *remote* backend the same
+worker threads become *proxy threads*: they pop tasks from the same
+scheduler under the same locks, but each forwards the task body to a
+worker elsewhere (a forked process, a node agent) and blocks — GIL
+released — for the reply.  Dependency analysis, renaming, regions, the
+memory limit, and all completion bookkeeping are untouched.  In that
+mode the main thread never runs task bodies itself (its help would
+serialise the proxies on the master GIL); at a blocking condition it
+simply waits for completions, keeping the paper's blocking/unblocking
+semantics.
 
 Locking discipline (the fast-path submission engine):
 
@@ -47,45 +50,20 @@ ways on every fine-grained completion.
 from __future__ import annotations
 
 import threading
-import warnings
 from time import perf_counter
 from typing import Callable, Optional
 
 from . import api as _api
-from .config import RuntimeConfig as _RuntimeConfig
-from .config import resolve_config
+from .backend import ExecutionBackend, make_backend
+from .config import RuntimeConfig, resolve_config
 from .dependencies import DependencyTracker, TrackerConfig
 from .graph import TaskGraph
-from .invocation import plan_for, resolve_call_values
+from .invocation import plan_for
 from .scheduler import SmpssScheduler  # noqa: F401  (re-export convenience)
 from .task import TaskInstance, TaskState, reset_task_ids
 from .tracing import NullTracer, ThreadLocalTracer
 
 __all__ = ["SmpssRuntime", "TaskExecutionError"]
-
-_DEPRECATED_HOMES = {
-    "RuntimeConfig": ("repro.core.config", _RuntimeConfig),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``RuntimeConfig`` moved to ``repro.core.config``.
-
-    ``from repro.core.runtime import RuntimeConfig`` keeps working but
-    warns; import it from ``repro`` / ``repro.core`` / the new module.
-    """
-
-    if name in _DEPRECATED_HOMES:
-        home, obj = _DEPRECATED_HOMES[name]
-        warnings.warn(
-            f"importing {name} from repro.core.runtime is deprecated; "
-            f"use {home}.{name} (also re-exported from repro and "
-            f"repro.core)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return obj
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TaskExecutionError(RuntimeError):
@@ -98,7 +76,8 @@ class TaskExecutionError(RuntimeError):
 
 
 class SmpssRuntime:
-    """Threaded execution backend; also the user-facing entry point.
+    """The master: task graph, scheduler, worker threads; also the
+    user-facing entry point.
 
     Usage::
 
@@ -117,7 +96,7 @@ class SmpssRuntime:
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        config: Optional[_RuntimeConfig] = None,
+        config: Optional[RuntimeConfig] = None,
         **overrides,
     ):
         if num_workers is not None:
@@ -128,10 +107,7 @@ class SmpssRuntime:
                 )
             overrides["num_workers"] = num_workers
         self.config = resolve_config(config, overrides, runtime="SmpssRuntime")
-        if self.config.backend != "cluster":
-            # Cluster fleets are sized by the agents' advertised slots
-            # (known once start() has connected), not by this machine.
-            self.config.fill_num_workers()
+        self.config.fill_num_workers()
 
         self.tracer = (
             ThreadLocalTracer(capacity=self.config.trace_buffer_size)
@@ -167,11 +143,11 @@ class SmpssRuntime:
         self._sched_lock = threading.Lock()
         self._sched_cv = threading.Condition(self._sched_lock)
         self._main_cv = threading.Condition(self._sched_lock)
-        self._main_waiting = False
+        self._main_parked = False
         self._running = 0
         #: Worker threads currently blocked in ``cv.wait()`` (the live
         #: dashboard's "parked" count; main-thread waiting is the
-        #: separate ``_main_waiting`` flag).
+        #: separate ``_main_parked`` flag).
         self._parked = 0
         #: Per-thread task currently executing (``None`` when idle).
         #: Written only by the owning thread; readers (live snapshots)
@@ -195,16 +171,8 @@ class SmpssRuntime:
         #: so task calls made from inside tasks execute inline ("SMPSs
         #: treats task calls inside tasks as normal function calls").
         self._tls = threading.local()
-        #: The remote-execution backend behind the proxy threads:
-        #: repro.mp.ProcessBackend (backend="processes") or
-        #: repro.dist.ClusterBackend (backend="cluster"); None for
-        #: threads.  Both satisfy the same run()/stop()/liveness()
-        #: contract, so _execute/_main_wait/health treat them alike.
-        self._mp = None
-        #: The same object as _mp when it is a ClusterBackend — the
-        #: residency-specific call sites (barrier sync, wait_on fetch)
-        #: key off this narrower alias.
-        self._cluster = None
+        #: Where task bodies run (repro.core.backend); built by start().
+        self.backend: Optional[ExecutionBackend] = None
 
     def in_task_body(self) -> bool:
         try:
@@ -230,31 +198,6 @@ class SmpssRuntime:
             ),
             tracer=self.tracer,
         )
-        if self.config.backend == "cluster":
-            # Imported here, not at module level: dist sits above core.
-            # Connected before the scheduler exists because the fleet's
-            # slot count *is* num_workers, and before the proxy threads
-            # so a failed dial aborts start() cleanly.
-            from ..dist.manager import ClusterBackend
-
-            cluster = ClusterBackend(self)
-            try:
-                cluster.start()
-            except BaseException:
-                cluster.stop()
-                raise
-            self._cluster = cluster
-            self._mp = cluster
-            self.config.num_workers = cluster.num_slots
-            self.tracker.residency_fetch = cluster.fetch_version
-        num_threads = self.config.num_workers + 1  # + the main thread
-        self.scheduler = self.config.scheduler_factory(num_threads, tracer=self.tracer)
-        if self._cluster is not None and self.config.dist_placement:
-            self.scheduler.placement = self._cluster.placement
-        # Per-submission constants, hoisted out of the hot loop.
-        self._constants = self.config.constants
-        self._max_pending = self.config.max_pending_tasks
-        self._mem_limit = self.config.memory_limit_bytes
         if self.config.sanitize:
             # Imported here, not at module level: check sits above core.
             from ..check.sanitize import Sanitizer
@@ -263,37 +206,47 @@ class SmpssRuntime:
                 tracer=self.tracer or None,
                 metrics=self.metrics if self._metrics_on else None,
             )
+        self.backend = make_backend(
+            self.config, metrics=self.metrics, tracer=self._trace,
+            on_dispatch=self._notify_dispatch if self.config.live else None,
+            sanitizer=self.sanitizer, tls=self._tls,
+        )
+        try:
+            # Started (forked, connected) *before* the proxy threads
+            # exist and before the runtime goes on the api stack, so
+            # forked children start from a quiet single-threaded image
+            # and a failed dial aborts start() cleanly; and before the
+            # scheduler exists, because a fleet's size is only known
+            # once it is up.
+            self.config.num_workers = self.backend.start()
+        except BaseException:
+            self.backend.stop()
+            raise
+        self.tracker.residency_fetch = self.backend.fetch_version
+        num_threads = self.config.num_workers + 1  # + the main thread
+        self.scheduler = self.config.scheduler_factory(num_threads, tracer=self.tracer)
+        self.scheduler.placement = self.backend.placement
+        # Per-submission constants, hoisted out of the hot loop.
+        self._constants = self.config.constants
+        self._max_pending = self.config.max_pending_tasks
+        self._mem_limit = self.config.memory_limit_bytes
         self._stop = False
         self._failure = None
-        if self.config.backend == "processes":
-            # Imported here, not at module level: mp sits above core.
-            from ..mp.executor import ProcessBackend
-
-            # Fork the worker processes *before* the proxy threads
-            # exist and before the runtime goes on the api stack, so
-            # each child starts from a quiet single-threaded image.
-            self._mp = ProcessBackend(self)
-            try:
-                self._mp.start(self.config.num_workers)
-            except BaseException:
-                self._mp.stop()
-                self._mp = None
-                raise
         self._current = [None] * num_threads
         self._parked = 0
         if self.config.live:
             # Imported here, not at module level: live sits above core.
-            # Started after the mp fork (the server thread must not be
-            # duplicated into worker processes) and before the proxy /
+            # Started after the backend (the server thread must not be
+            # duplicated into forked workers) and before the proxy /
             # worker threads, so no dispatch escapes a paused start.
             from ..live.session import LiveSession
 
             self.live = LiveSession(self)
         if self.config.health:
             # Imported here, not at module level: obs sits above core.
-            # Started after the mp fork (the watchdog thread must not
-            # be duplicated into worker processes) and before the
-            # worker threads, so the first sample sees a live runtime.
+            # Started after the backend (the watchdog thread must not
+            # be duplicated into forked workers) and before the worker
+            # threads, so the first sample sees a live runtime.
             from ..obs.health import HealthMonitor
 
             self.health = HealthMonitor(self)
@@ -330,14 +283,11 @@ class SmpssRuntime:
             for thread in self._threads:
                 thread.join()
             self._threads.clear()
-            if self._mp is not None:
-                # After the proxies have joined no task is in flight;
-                # stop() never raises, so shared memory owned by arenas
-                # is unlinked on their own lifecycle, and every child is
-                # reaped even when we got here through an exception.
-                self._mp.stop()
-                self._mp = None
-                self._cluster = None
+            # After the workers have joined no task is in flight; stop()
+            # never raises, so every child is reaped and every socket
+            # closed even when we got here through an exception.  The
+            # stopped backend stays readable (deaths, for report()).
+            self.backend.stop()
             if self.health is not None:
                 # Stopped only after workers have joined: the watchdog
                 # keeps observing through the final barrier — the very
@@ -441,17 +391,14 @@ class SmpssRuntime:
             self._m_barrier.observe(perf_counter() - t0)
         if self._failure is not None:
             raise self._failure
-        if self._cluster is not None:
-            # Pull every master-stale datum home and settle the
-            # residency map *before* write_back_all copies renamed
-            # buffers into user objects — the runtime is quiescent here
-            # (nothing pending), so no dispatch races this sync.
-            self._cluster.barrier_sync()
+        # Pull every master-stale datum home *before* write_back_all
+        # copies renamed buffers into user objects — the runtime is
+        # quiescent here (nothing pending), so no dispatch races this.
+        self.backend.barrier_sync()
         with self._tracker_lock:
-            if self.config.write_back_on_barrier:
-                count = self.tracker.write_back_all()
-                if self.tracer:
-                    self.tracer.write_back(count)
+            count = self.tracker.write_back_all()
+            if self.tracer:
+                self.tracer.write_back(count)
             self.tracker.reset()
         if self.tracer:
             self.tracer.barrier_exit()
@@ -491,10 +438,9 @@ class SmpssRuntime:
             self.wait_for(producer)
             if self.tracer:
                 self.tracer.wait_on_exit()
-        if self._cluster is not None:
-            # wait_on reads on the main program's thread: the finished
-            # producer may have left the bytes resident on its node.
-            self._cluster.fetch_version(version)
+        # wait_on reads on the main program's thread: the finished
+        # producer may have left the bytes resident elsewhere.
+        self.backend.fetch_version(version)
         return version.resolve_storage()
 
     # ------------------------------------------------------------------
@@ -524,24 +470,24 @@ class SmpssRuntime:
     def _main_help(self, predicate: Callable[[], bool]) -> None:
         """Run tasks on the main thread while *predicate* holds.
 
-        Under the process backend the main thread waits instead of
+        Under a remote backend the main thread waits instead of
         helping: running a pure-Python body here would hold the master
         GIL and starve the proxy threads' completion bookkeeping, which
-        is exactly the serial overhead that backend exists to remove.
+        is exactly the serial overhead such a backend exists to remove.
         """
 
-        if self._mp is not None:
-            return self._main_wait(predicate)
+        helps = not self.backend.remote
         while True:
             task = None
             with self._sched_lock:
                 while True:
                     if self._failure is not None or not predicate():
                         return
-                    task = self.scheduler.pop(0)
-                    if task is not None:
-                        self._running += 1
-                        break
+                    if helps:
+                        task = self.scheduler.pop(0)
+                        if task is not None:
+                            self._running += 1
+                            break
                     if self._running == 0 and not self.scheduler.has_ready():
                         # Workers update the graph (tracker lock) before
                         # the scheduler (this lock), so running == 0
@@ -551,99 +497,39 @@ class SmpssRuntime:
                         if self.graph.pending_count > 0:
                             raise self._stalled()
                         return
-                    self._main_waiting = True
+                    self._main_parked = True
                     try:
                         self._main_cv.wait()
                     finally:
-                        self._main_waiting = False
+                        self._main_parked = False
             self._execute(task, 0)
-
-    def _main_wait(self, predicate: Callable[[], bool]) -> None:
-        """Sleep until *predicate* clears (process backend's main loop).
-
-        Same stall detection as :meth:`_main_help`: proxies update the
-        graph (tracker lock) before the scheduler (this lock), so
-        ``running == 0`` with nothing ready means every completion is
-        visible and remaining pending tasks are a genuine stall.
-        """
-
-        with self._sched_lock:
-            while True:
-                if self._failure is not None or not predicate():
-                    return
-                if self._running == 0 and not self.scheduler.has_ready():
-                    if self.graph.pending_count > 0:
-                        raise self._stalled()
-                    return
-                self._main_waiting = True
-                try:
-                    self._main_cv.wait()
-                finally:
-                    self._main_waiting = False
 
     def _stalled(self) -> RuntimeError:
         """The unified "runtime stalled" error (see repro.obs.health).
 
-        Both main-thread blocking loops detect the same condition —
-        pending tasks, nothing ready, nothing running — and used to
-        raise their own copies of a bare ``RuntimeError``.  The health
-        module now builds one enriched error (blocked-task wait chains
-        appended, flight recorder dumped when a monitor is attached);
-        the message prefix and ``RuntimeError`` ancestry are unchanged.
+        The main-thread blocking loop detected pending tasks with
+        nothing ready and nothing running.  The health module builds
+        the enriched error (blocked-task wait chains appended, flight
+        recorder dumped when a monitor is attached).
         """
 
         from ..obs.health import stalled_error
 
         return stalled_error(self)
 
+    def _notify_dispatch(self, task: TaskInstance, thread: int) -> None:
+        """A remote backend's ``on_dispatch`` hook (``live=True`` only);
+        late-bound because the live session starts after the backend."""
+
+        self.live.notify_dispatch(task, thread)
+
     def _execute(self, task: TaskInstance, thread: int) -> None:
         trace = self._trace
         metrics_on = self._metrics_on
-        mp = self._mp
-        remote = mp is not None and thread != 0
-        failure: Optional[TaskExecutionError] = None
-        duration = 0.0
-        t_end = 0.0
+        backend = self.backend
         self._current[thread] = task
-        if remote:
-            # Proxy path: the worker process records its own
-            # task_start/task_end events (same monotonic clock, same
-            # thread index) and ships them back with the reply, so the
-            # master must not emit a duplicate pair here.
-            # mp.run returns expected failures (remote exception, lost
-            # worker, unserialisable arguments) as `cause`; anything it
-            # *raises* is a master-side bug, which must still surface
-            # at the barrier — a proxy thread dying silently would
-            # leave `_running` stuck and hang the main thread forever.
-            try:
-                cause, duration = mp.run(task, thread)
-            except BaseException as exc:  # noqa: BLE001 - reported at barrier
-                cause = exc
-            if cause is not None:
-                failure = TaskExecutionError(task, cause)
-        else:
-            if trace is not None:
-                trace.task_start(task, thread)
-            t0 = perf_counter() if metrics_on else 0.0
-            sanitizer = self.sanitizer
-            self._tls.in_task = True
-            try:
-                values = resolve_call_values(task, sanitizer)
-                task.definition.func(*values)
-            except BaseException as exc:  # noqa: BLE001 - reported at barrier
-                if sanitizer is not None:
-                    translated = sanitizer.translate(task, exc, thread)
-                    if translated is not None:
-                        exc = translated
-                failure = TaskExecutionError(task, exc)
-            else:
-                if sanitizer is not None:
-                    sanitizer.finish(task, thread)
-            finally:
-                self._tls.in_task = False
-            if metrics_on:
-                t_end = perf_counter()
-                duration = t_end - t0
+        cause, duration = backend.run(task, thread)
+        failure = None if cause is None else TaskExecutionError(task, cause)
         task.executed_by = thread
         self._current[thread] = None
         with self._tracker_lock:
@@ -658,11 +544,10 @@ class SmpssRuntime:
             # recorder's scalar races are benign telemetry.  Keeping
             # this off the scheduler lock keeps the health layer out of
             # the serialized completion path (the <5% overhead pin).
-            # health=True implies metrics, so duration/t_end are real;
-            # remote completions reuse the dispatch clock.
+            # health=True implies metrics, so duration is real.
             flight.note_task(
                 task.task_id, task.definition.name, thread,
-                perf_counter() if remote else t_end, duration,
+                perf_counter(), duration,
             )
         with self._sched_lock:
             if metrics_on:
@@ -681,7 +566,10 @@ class SmpssRuntime:
             self.tasks_executed += 1
             if failure is not None and self._failure is None:
                 self._failure = failure
-            if trace is not None and not remote:
+            if trace is not None and not backend.remote:
+                # A remote worker records its own task_start/task_end
+                # (same monotonic clock, same thread index) and ships
+                # them back with the reply: no duplicate pair here.
                 trace.task_end(task, thread)
             # Batched wakeups.  Workers: one notify per released
             # successor (the completing thread re-pops without sleeping,
@@ -694,7 +582,7 @@ class SmpssRuntime:
                 self._sched_cv.notify_all()
             elif newly_ready:
                 self._sched_cv.notify(len(newly_ready))
-            if self._main_waiting:
+            if self._main_parked:
                 self._main_cv.notify()
 
     # ------------------------------------------------------------------

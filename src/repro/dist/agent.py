@@ -13,9 +13,9 @@ speaking the frame protocol (:mod:`repro.net.frames`):
 Every dispatch connection is served by its own thread.  In the default
 threads mode the task body runs right on that thread (numpy kernels
 release the GIL, so slots genuinely overlap); with ``--processes``
-each dispatch connection lazily forks a dedicated worker process via
-the mp backend's :func:`~repro.mp.worker.worker_main` and relays, so
-pure-Python bodies get real cores too.
+each dispatch connection lazily forks a dedicated
+:class:`~repro.mp.executor.WorkerProcess` (the mp backend's own
+worker primitive) and relays, so pure-Python bodies get real cores too.
 
 The **store** is the agent half of the residency protocol: a dict of
 ``key -> (content_version, object)`` plus a condition variable.  A
@@ -43,6 +43,9 @@ from typing import Any, Optional
 import numpy as np
 
 from ..core.tracing import EventKind, TraceEvent
+from ..mp.encoding import apply_writebacks
+from ..mp.executor import WorkerDied, WorkerProcess
+from ..mp.worker import task_message
 from ..net.client import NetClosed, NetTimeout
 from ..net.frames import recv_frame, send_frame
 from ..net.protocol import format_address, parse_address
@@ -122,65 +125,6 @@ class _AgentStore:
                 elif isinstance(obj, (bytes, bytearray)):
                     nbytes += len(obj)
             return {"entries": len(self._data), "resident_bytes": nbytes}
-
-
-class _MpFleetWorker:
-    """One forked mp worker behind one dispatch connection."""
-
-    def __init__(self, slot: int, trace: bool, ring: int):
-        import multiprocessing
-
-        from ..mp.worker import MSG_READY, worker_main
-
-        self._ctx = multiprocessing.get_context("fork")
-        parent, child = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=worker_main, args=(child, slot, trace, ring),
-            name=f"repro-dist-worker-{slot}", daemon=True,
-        )
-        proc.start()
-        child.close()
-        self.proc = proc
-        self.conn = parent
-        self.seq = 0
-        self.sent_defs: set = set()
-        if not parent.poll(30.0):
-            self.close()
-            raise RuntimeError(f"dist mp worker for slot {slot} did not start")
-        msg = pickle.loads(parent.recv_bytes())
-        if msg[0] != MSG_READY:  # pragma: no cover - protocol guard
-            self.close()
-            raise RuntimeError("dist mp worker bad handshake")
-
-    def run(self, def_key, def_payload, task_id, name, values, wb_specs):
-        """Relay one task; returns ``(err, wb_values, duration, events)``."""
-
-        from ..mp.worker import MSG_DONE, MSG_TASK
-
-        self.seq += 1
-        payload = None if def_key in self.sent_defs else def_payload
-        msg = (MSG_TASK, self.seq, def_key, payload, task_id, name,
-               [("v", v) for v in values], wb_specs)
-        self.conn.send_bytes(pickle.dumps(msg, protocol=PROTOCOL))
-        self.sent_defs.add(def_key)
-        reply = pickle.loads(self.conn.recv_bytes())
-        if reply[0] != MSG_DONE or reply[1] != self.seq:
-            raise EOFError("dist mp worker protocol desync")
-        _tag, _seq, err, wb_values, duration, events = reply
-        return err, wb_values, duration, events
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:
-            pass
-        proc = self.proc
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stubborn child
-                proc.kill()
-                proc.join(timeout=2.0)
 
 
 class AgentServer:
@@ -416,7 +360,9 @@ class AgentServer:
         ring = int(hello.get("ring", 1 << 16))
         send_frame(conn, {"k": "ok", "slot": slot})
         events: deque = deque(maxlen=max(ring, 2))
-        worker: Optional[_MpFleetWorker] = None
+        #: This connection's worker process (``--processes`` only):
+        #: forked at the first task, replaced after it dies.
+        local: list[WorkerProcess] = []
         try:
             while True:
                 try:
@@ -428,29 +374,17 @@ class AgentServer:
                     return
                 if kind != "task":
                     continue
-                if worker is None and self.processes:
-                    try:
-                        worker = _MpFleetWorker(slot, trace, ring)
-                    except Exception as exc:
-                        reply = {"err": format_remote_error(exc), "ret": [],
-                                 "duration": 0.0, "events": [],
-                                 "store": self.store.stats()}
-                        send_frame(conn, {"k": "done", "seq": header.get("seq")},
-                                   pickle.dumps(reply, protocol=PROTOCOL))
-                        continue
-                msg = pickle.loads(payload)
-                reply = self._run_task(msg, sid, slot, trace, events, worker)
-                if worker is not None and reply.pop("_worker_dead", False):
-                    worker.close()
-                    worker = None
+                seq = header.get("seq")
+                reply = self._run_task(pickle.loads(payload), sid, slot, seq,
+                                       trace, ring, events, local)
                 try:
-                    send_frame(conn, {"k": "done", "seq": header.get("seq")},
+                    send_frame(conn, {"k": "done", "seq": seq},
                                pickle.dumps(reply, protocol=PROTOCOL))
                 except (NetClosed, ConnectionError, OSError):
                     return
         finally:
-            if worker is not None:
-                worker.close()
+            for worker in local:
+                worker.kill()
 
     def _resolve_func(self, sid: str, def_key, def_payload):
         # Cache key includes the session id: def_key is id()-based on
@@ -498,33 +432,37 @@ class AgentServer:
                 raise RuntimeError(f"unknown value spec tag {tag!r}")
         return values
 
-    def _run_task(self, msg: dict, sid: str, slot: int, trace: bool,
-                  events: deque, worker: Optional[_MpFleetWorker]) -> dict:
+    def _run_task(self, msg: dict, sid: str, slot: int, seq, trace: bool,
+                  ring: int, events: deque, local: list) -> dict:
         task_id = msg.get("task_id", -1)
         name = msg.get("name", "")
         err = None
         ret_out: list = []
         duration = 0.0
-        worker_dead = False
         clock = perf_counter
         try:
             values = self._resolve_values(msg["values"])
-            if worker is not None:
+            if self.processes:
                 # mp-fleet mode: the worker records its own start/end
                 # events; relay, then land the written values back into
                 # the agent-local objects (store copies / allocations).
+                if not local:
+                    local.append(WorkerProcess(slot, trace, ring))
                 wb_specs = [
                     (pos, None if sl is None else slices_from_spec(sl))
                     for pos, sl in msg.get("writes", ())
                 ]
-                func = None
                 try:
-                    err, wb_values, duration, wevents = worker.run(
-                        msg["def_key"], msg.get("def_payload"), task_id,
-                        name, values, wb_specs,
-                    )
-                except (EOFError, OSError, BrokenPipeError) as exc:
-                    worker_dead = True
+                    # The master's own per-link sequence number and
+                    # define-once payload pass straight through: this
+                    # worker is that link's remote end.
+                    err, wb_values, duration, wevents = local[0].request(
+                        seq, task_message(
+                            seq, msg["def_key"], msg.get("def_payload"),
+                            task_id, name, [("v", v) for v in values],
+                            wb_specs))
+                except WorkerDied as exc:
+                    local.pop().kill()
                     raise RuntimeError(
                         f"agent-local worker for slot {slot} died while "
                         f"running task #{task_id} {name!r}"
@@ -532,8 +470,6 @@ class AgentServer:
                 if trace and wevents:
                     events.extend(wevents)
                 if err is None and wb_values:
-                    from ..mp.encoding import apply_writebacks
-
                     apply_writebacks(wb_specs, wb_values, values)
             else:
                 func = self._resolve_func(sid, msg["def_key"],
@@ -574,13 +510,9 @@ class AgentServer:
                 ))
         drained = list(events)
         events.clear()
-        reply = {
+        return {
             "err": err,
             "ret": ret_out,
             "duration": duration,
             "events": drained,
-            "store": self.store.stats(),
         }
-        if worker_dead:
-            reply["_worker_dead"] = True
-        return reply

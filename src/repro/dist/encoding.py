@@ -48,7 +48,6 @@ import numpy as np
 from ..mp.encoding import (  # noqa: F401  (re-exported for dist users)
     PROTOCOL,
     RemoteTaskError,
-    definition_key,
     definition_payload,
     format_remote_error,
     resolve_definition_func,

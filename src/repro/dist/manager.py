@@ -1,12 +1,13 @@
 """Master-side cluster backend: dispatch, residency, placement, recovery.
 
 :class:`ClusterBackend` is the third execution backend, behind the same
-proxy-thread contract as :class:`~repro.mp.executor.ProcessBackend`:
-the master keeps the paper's entire task-graph machinery — dependency
-tracker, renaming, scheduler, memory limit — byte-identical, and each
-worker thread becomes a proxy that forwards the task body to a remote
-**node agent** (:mod:`repro.dist.agent`) over one persistent socket per
-slot, blocking until the ``done`` frame.
+contract (:mod:`repro.core.backend`) as
+:class:`~repro.mp.executor.ProcessBackend`: the master keeps the
+paper's entire task-graph machinery — dependency tracker, renaming,
+scheduler, memory limit — byte-identical, and each worker thread
+becomes a proxy that forwards the task body to a remote **node agent**
+(:mod:`repro.dist.agent`) over one persistent socket per slot, blocking
+until the ``done`` frame.
 
 What is genuinely new versus the process backend is the **datum
 residency** layer (:mod:`repro.dist.residency`):
@@ -22,11 +23,13 @@ residency** layer (:mod:`repro.dist.residency`):
   node already holding the most input bytes (cf. the Myrmics/COMPSs
   locality schedulers in PAPERS.md), falling back to normal stealing.
 
-Failure contract mirrors the process backend: a dead agent is detected
-by its sockets dying; its in-flight tasks are re-dispatched exactly
-once to surviving nodes (slots remap, so the proxy threads never
-change); resident data that died with the node is re-fetched from the
-master copy when current, and otherwise raises
+The failure policy is :class:`~repro.core.backend.RemoteBackend`'s (one
+automatic re-dispatch, then :class:`~repro.dist.encoding.AgentLostError`);
+this module's half: a dead agent is detected by its sockets dying and
+counted once however many of its slots notice; a dead node's slots
+remap to surviving nodes (so the proxy threads never change); resident
+data that died with the node is re-fetched from the master copy when
+current, and otherwise raises
 :class:`~repro.dist.encoding.DistDataLossError` — run with
 ``dist_write_through=True`` when agents are expected to die.
 """
@@ -40,7 +43,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..core.invocation import resolve_call_values
+from ..core.backend import Link, RemoteBackend
 from ..core.renaming import StorageKind
 from ..net.client import NetClosed, NetTimeout
 from ..net.frames import FrameError, recv_frame, send_frame
@@ -54,7 +57,6 @@ from .encoding import (
     SCALAR_TYPES,
     apply_blob,
     alloc_meta,
-    definition_key,
     definition_payload,
     encode_blob,
     slices_from_spec,
@@ -95,54 +97,37 @@ class _Node:
         self.tasks_run = 0
 
 
-class _SlotLink:
-    """One dispatch socket: the remote half of one proxy thread.
-
-    Driven by exactly one proxy thread, so it needs no lock; after the
-    owning node dies the same thread remaps the link to a survivor
-    (``generation`` counts remaps, mirroring mp worker respawns).
-    """
-
-    __slots__ = ("slot", "node", "conn", "generation", "sent_defs", "seq")
-
-    def __init__(self, slot: int, node: _Node, conn):
-        self.slot = slot
-        self.node = node
-        self.conn = conn
-        self.generation = 1
-        self.sent_defs: set = set()
-        self.seq = 0
+#: What a dead agent's socket raises, on whichever side notices.
+_NET_ERRORS = (NetClosed, NetTimeout, FrameError, ConnectionError, OSError,
+               EOFError)
 
 
-class ClusterBackend:
+class ClusterBackend(RemoteBackend):
     """Executes task bodies on remote node agents (see module docstring)."""
 
-    def __init__(self, runtime):
-        self._runtime = runtime
-        config = runtime.config
-        self._addresses = list(config.nodes or ())
-        self._connect_timeout = config.dist_connect_timeout
-        self._write_through = bool(config.dist_write_through)
-        self._trace_on = bool(config.trace)
-        self._ring_capacity = config.trace_buffer_size
-        self._tracer = runtime.tracer if runtime.tracer else None
+    lost_error = AgentLostError
+    remote_error = RemoteTaskError
+    refusals = (DistSerializationError, DistDataLossError, AgentLostError)
+    link_errors = _NET_ERRORS
+
+    def __init__(self, nodes, connect_timeout: float = 10.0,
+                 write_through: bool = False, **wiring):
+        super().__init__(
+            "dist.agent_deaths", "dist.redispatched_tasks", **wiring)
+        metrics = self._metrics
+        self._addresses = list(nodes or ())
+        self._connect_timeout = connect_timeout
+        self._write_through = bool(write_through)
         self.sid = uuid.uuid4().hex[:12]
         self._residency = ResidencyMap(self.sid)
         self._nodes: list[_Node] = []
         self._by_name: dict[str, _Node] = {}
-        #: slot id -> link; index 0 unused (the main thread never
-        #: dispatches remotely under a remote backend).
-        self._slots: list[Optional[_SlotLink]] = []
         self._death_lock = threading.Lock()
         self._remap_rr = 0
         self._stopped = False
-        self.num_slots = 0
-        metrics = runtime.metrics
         self._m_bytes = metrics.counter("dist.bytes_moved")
         self._m_hits = metrics.counter("dist.cache_hits")
         self._m_misses = metrics.counter("dist.cache_misses")
-        self._m_deaths = metrics.counter("dist.agent_deaths")
-        self._m_redispatch = metrics.counter("dist.redispatched_tasks")
         self._g_resident: dict[str, Any] = {}
         self._g_tasks: dict[str, Any] = {}
         self._g_alive: dict[str, Any] = {}
@@ -150,11 +135,14 @@ class ClusterBackend:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def start(self) -> int:
+        """Connect to every agent; the fleet's slot count is the number
+        of worker threads the runtime drives."""
+
         if not self._addresses:
             raise TypeError("backend='cluster' needs at least one node")
         self._stopped = False
-        metrics = self._runtime.metrics
+        metrics = self._metrics
         slot = 1
         for index, address in enumerate(self._addresses):
             node = _Node(index, address)
@@ -186,18 +174,20 @@ class ClusterBackend:
             self._g_alive[node.name] = metrics.gauge(
                 "dist.node_alive", node=node.name)
             self._g_alive[node.name].set(1)
-        self.num_slots = slot - 1
-        self._slots = [None] * (self.num_slots + 1)
         for node in self._nodes:
             for slot_id in node.slot_ids:
-                self._slots[slot_id] = _SlotLink(
-                    slot_id, node, self._open_dispatch(node, slot_id))
+                # One dispatch socket per slot; after its node dies the
+                # driving thread remaps the link to a survivor.
+                self._links.append(Link(
+                    slot_id, node=node,
+                    conn=self._open_dispatch(node, slot_id)))
+        return slot - 1
 
     def _open_dispatch(self, node: _Node, slot: int):
         sock = connect(node.address, timeout=self._connect_timeout)
         send_frame(sock, {
             "k": "hello", "role": "dispatch", "sid": self.sid,
-            "slot": slot, "trace": self._trace_on,
+            "slot": slot, "trace": self._tracer is not None,
             "ring": self._ring_capacity,
         })
         reply, _ = recv_frame(sock, timeout=self._connect_timeout)
@@ -220,8 +210,8 @@ class ClusterBackend:
         if self._stopped:
             return
         self._stopped = True
-        for link in self._slots:
-            if link is None or link.conn is None:
+        for link in self._links:
+            if link.conn is None:
                 continue
             try:
                 send_frame(link.conn, {"k": "bye"})
@@ -250,127 +240,77 @@ class ClusterBackend:
             node.control = None
 
     # ------------------------------------------------------------------
-    # dispatch
+    # the transport half of RemoteBackend's dispatch policy
     # ------------------------------------------------------------------
-    def run(self, task, slot: int) -> tuple[Optional[BaseException], float]:
-        """Execute *task* on the agent behind *slot*; ``(cause, duration)``.
+    def _definition_payload(self, definition):
+        try:
+            return definition_payload(definition)
+        except Exception as exc:
+            raise DistSerializationError(
+                f"task {definition.name!r}: definition cannot cross "
+                f"to an agent ({exc})"
+            ) from exc
 
-        Same contract as :meth:`ProcessBackend.run`: expected failures
-        come back as ``cause`` — :class:`RemoteTaskError` (the body
-        raised), :class:`DistSerializationError` (arguments cannot
-        cross), :class:`DistDataLossError` (an input's only copy died
-        with an agent), :class:`AgentLostError` (two agent deaths on
-        one task, or no agents left).
-        """
-
-        link = self._slots[slot]
-        live = self._runtime.live
-        if live is not None:
-            live.notify_dispatch(task, slot)
-        values = resolve_call_values(task)
-        attempts = 0
+    def _exchange(self, link: Link, seq: int, key, payload, task,
+                  request):
+        msg, _commits = request
+        msg["def_key"] = key
+        msg["def_payload"] = payload
+        msg["task_id"] = task.task_id
+        msg["name"] = task.name
+        try:
+            blob = pickle.dumps(msg, protocol=PROTOCOL)
+        except Exception as exc:
+            raise DistSerializationError(
+                f"task {task.name!r}: arguments are not picklable "
+                f"({exc!r}); use ndarray/list/bytearray data or "
+                f"backend='threads'"
+            ) from exc
+        send_frame(link.conn, {"k": "task", "seq": seq}, blob)
         while True:
-            node = link.node
-            if node.dead:
-                try:
-                    self._remap_slot(link)
-                except AgentLostError as exc:
-                    return exc, 0.0
-                node = link.node
-            try:
-                msg, commits = self._encode_task(task, values, node)
-            except (DistSerializationError, DistDataLossError) as exc:
-                return exc, 0.0
-            key = definition_key(task.definition)
-            if key in link.sent_defs:
-                def_payload = None
-            else:
-                try:
-                    def_payload = definition_payload(task.definition)
-                except Exception as exc:
-                    return (
-                        DistSerializationError(
-                            f"task {task.name!r}: definition cannot cross "
-                            f"to an agent ({exc})"
-                        ),
-                        0.0,
-                    )
-            msg["def_key"] = key
-            msg["def_payload"] = def_payload
-            msg["task_id"] = task.task_id
-            msg["name"] = task.name
-            try:
-                blob = pickle.dumps(msg, protocol=PROTOCOL)
-            except Exception as exc:
-                return (
-                    DistSerializationError(
-                        f"task {task.name!r}: arguments are not picklable "
-                        f"({exc!r}); use ndarray/list/bytearray data or "
-                        f"backend='threads'"
-                    ),
-                    0.0,
-                )
-            link.seq += 1
-            seq = link.seq
-            try:
-                send_frame(link.conn, {"k": "task", "seq": seq}, blob)
-                link.sent_defs.add(key)
-                while True:
-                    header, rblob = recv_frame(link.conn)
-                    if header.get("k") == "done" and header.get("seq") == seq:
-                        break
-                reply = pickle.loads(rblob)
-            except (NetClosed, NetTimeout, FrameError, ConnectionError,
-                    OSError, EOFError) as exc:
-                attempts += 1
-                self._note_death(node, exc)
-                if attempts > 1:
-                    return (
-                        AgentLostError(
-                            f"agent {node.name} ({node.address}) died while "
-                            f"running task #{task.task_id} {task.name!r}, "
-                            f"which had already been re-dispatched once; "
-                            f"giving up"
-                        ),
-                        0.0,
-                    )
-                try:
-                    self._remap_slot(link)
-                except AgentLostError as exc2:
-                    return exc2, 0.0
-                self._m_redispatch.inc()
-                continue
-            err = reply.get("err")
-            events = reply.get("events")
-            if events and self._tracer is not None:
-                self._tracer.ingest(events)
-            duration = reply.get("duration", 0.0)
-            if err is not None:
-                return RemoteTaskError(*err), duration
-            for pos, sl_spec, meta, payload in reply.get("ret", ()):
-                apply_blob(
-                    values[pos], meta, payload,
-                    None if sl_spec is None else slices_from_spec(sl_spec),
-                )
-                self._m_bytes.inc(len(payload))
-            residency = self._residency
-            for entry, v_after, master_too in commits:
-                residency.commit_write(
-                    entry, node.name, v_after, master_too=master_too)
-            node.tasks_run += 1
-            self._g_tasks[node.name].set(node.tasks_run)
-            return None, duration
+            header, rblob = recv_frame(link.conn)
+            if header.get("k") == "done" and header.get("seq") == seq:
+                break
+        reply = pickle.loads(rblob)
+        return (reply.get("err"), reply.get("duration", 0.0),
+                reply.get("events"), reply.get("ret", ()))
+
+    def _land(self, link: Link, values: list, request, ret) -> None:
+        for pos, sl_spec, meta, payload in ret:
+            apply_blob(
+                values[pos], meta, payload,
+                None if sl_spec is None else slices_from_spec(sl_spec),
+            )
+            self._m_bytes.inc(len(payload))
+        node = link.node
+        residency = self._residency
+        _msg, commits = request
+        for entry, v_after, master_too in commits:
+            residency.commit_write(
+                entry, node.name, v_after, master_too=master_too)
+        node.tasks_run += 1
+        self._g_tasks[node.name].set(node.tasks_run)
+
+    def _link_died(self, link: Link, exc: BaseException) -> None:
+        self._note_death(link.node, exc)
+
+    def _describe(self, link: Link) -> str:
+        return f"agent {link.node.name} ({link.node.address})"
 
     # ------------------------------------------------------------------
     # encoding (the residency decisions happen here)
     # ------------------------------------------------------------------
-    def _encode_task(self, task, values: list, node: _Node):
-        """Build the task message for *node*; returns ``(msg, commits)``.
+    def _encode(self, task, values: list, link: Link):
+        """Build the task message for *link*'s node; ``(msg, commits)``.
 
         ``commits`` is ``[(entry, v_after, master_too), ...]`` — the
         residency bookkeeping to apply once the agent reports success.
         """
 
+        if link.node.dead:
+            # Noticed by a sibling slot or a fetch while this link idled.
+            self._revive(link)
+        node = link.node
         residency = self._residency
         positions = task.definition.positions
         write_through = self._write_through
@@ -581,8 +521,7 @@ class ClusterBackend:
                         "timeout": _CONTROL_TIMEOUT - 10.0,
                     })
                     header, payload = recv_frame(node.control)
-            except (NetClosed, NetTimeout, FrameError, ConnectionError,
-                    OSError) as exc:
+            except _NET_ERRORS as exc:
                 self._note_death(node, exc)
                 continue
             if not header.get("found"):
@@ -630,8 +569,7 @@ class ClusterBackend:
                 with node.control_lock:
                     send_frame(node.control, {"k": "evict", "keys": keys})
                     recv_frame(node.control)
-            except (NetClosed, NetTimeout, FrameError, ConnectionError,
-                    OSError) as exc:
+            except _NET_ERRORS as exc:
                 self._note_death(node, exc)
         residency.generation += 1
         totals = residency.resident_bytes_by_node()
@@ -655,7 +593,7 @@ class ClusterBackend:
             except Exception:
                 pass
 
-    def _remap_slot(self, link: _SlotLink) -> None:
+    def _revive(self, link: Link) -> None:
         """Point a dead node's slot at a surviving agent (same slot id,
         fresh socket) so its proxy thread keeps draining the scheduler."""
 
@@ -678,15 +616,13 @@ class ClusterBackend:
             self._remap_rr += 1
             try:
                 conn = self._open_dispatch(node, link.slot)
-            except (NetClosed, NetTimeout, FrameError, ConnectionError,
-                    OSError) as exc:
+            except _NET_ERRORS as exc:
                 last_exc = exc
                 self._note_death(node, exc)
                 continue
             link.node = node
             link.conn = conn
-            link.generation += 1
-            link.sent_defs = set()
+            link.renewed()
             return
         raise AgentLostError(
             f"no surviving agent would accept slot {link.slot}: {last_exc}"
@@ -741,36 +677,15 @@ class ClusterBackend:
     # introspection
     # ------------------------------------------------------------------
     def liveness(self) -> list[dict]:
-        """Per-slot liveness, same shape as the mp backend's (the
-        health watchdog and serve /health consume both identically)."""
+        """Per-slot liveness, the mp backend's shape plus ``node``."""
 
-        out = []
-        for link in self._slots[1:]:
-            if link is None:
-                continue
-            out.append({
+        return [
+            {
                 "slot": link.slot,
                 "pid": link.node.pid,
                 "alive": not link.node.dead,
                 "generation": link.generation,
                 "node": link.node.name,
-            })
-        return out
-
-    @property
-    def worker_pids(self) -> list[Optional[int]]:
-        return [link.node.pid for link in self._slots[1:] if link is not None]
-
-    def nodes_snapshot(self) -> list[dict]:
-        """Telemetry for CLI/debugging: one dict per configured node."""
-
-        totals = self._residency.resident_bytes_by_node()
-        return [
-            {
-                "name": node.name, "address": node.address,
-                "slots": node.slots, "pid": node.pid,
-                "alive": not node.dead, "tasks_run": node.tasks_run,
-                "resident_bytes": totals.get(node.name, 0),
             }
-            for node in self._nodes
+            for link in self._links
         ]

@@ -147,7 +147,7 @@ class LiveSession:
         state.update(
             running=rt._running,
             parked=rt._parked,
-            main_waiting=rt._main_waiting,
+            main_waiting=rt._main_parked,
             ready=scheduler.ready_count,
             pending=rt.graph.pending_count if rt.graph is not None else 0,
             executed=rt.tasks_executed,

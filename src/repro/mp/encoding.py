@@ -35,7 +35,6 @@ __all__ = [
     "MpSerializationError",
     "WorkerLostError",
     "RemoteTaskError",
-    "definition_key",
     "definition_payload",
     "resolve_definition_func",
     "encode_values",
@@ -94,12 +93,6 @@ def format_remote_error(exc: BaseException) -> tuple:
 # ---------------------------------------------------------------------------
 # task definitions
 # ---------------------------------------------------------------------------
-
-def definition_key(definition) -> int:
-    """Stable per-definition cache key (valid for the master's lifetime)."""
-
-    return id(definition)
-
 
 def definition_payload(definition) -> tuple:
     """How a worker locates the task function.

@@ -1,4 +1,4 @@
-"""Master-side process pool: dispatch, death detection, recovery.
+"""Master-side process pool: worker processes behind the backend contract.
 
 The process backend keeps the paper's master/worker split intact: the
 master's :class:`~repro.core.runtime.SmpssRuntime` still owns the
@@ -10,18 +10,14 @@ pipe, blocking (GIL released) until the reply.  Completion bookkeeping
 then proceeds on the proxy thread unchanged, so every structural
 feature of the runtime works identically under both backends.
 
-Robustness contract (ISSUE: dead-worker recovery):
-
-* worker death is detected via ``Process.sentinel`` — ``connection.wait``
-  watches the pipe and the sentinel together, so a SIGKILL mid-task
-  wakes the proxy immediately instead of hanging a recv;
-* a task lost to a dead worker is re-dispatched exactly once to a
-  freshly forked replacement; a second loss raises
-  :class:`~repro.mp.encoding.WorkerLostError`, which the runtime wraps
-  in the ordinary :class:`~repro.core.runtime.TaskExecutionError`
-  naming the task;
-* deaths and re-dispatches are counted in the runtime's metrics
-  registry (``mp.worker_deaths`` / ``mp.redispatched_tasks``).
+The dispatch / death / one-redispatch policy is
+:class:`~repro.core.backend.RemoteBackend`'s.  This module's own is
+:class:`WorkerProcess` — fork + ready handshake + request + kill of one
+:func:`~repro.mp.worker.worker_main` child (also what backs a
+``--processes`` slot of a :mod:`repro.dist` agent) — and the pipe
+transport: death is detected via ``Process.sentinel``, which
+``connection.wait`` watches together with the pipe, so a SIGKILL
+mid-task wakes the proxy immediately instead of hanging a recv.
 """
 
 from __future__ import annotations
@@ -32,14 +28,13 @@ import threading
 from multiprocessing import connection as _mpc
 from typing import Optional
 
-from ..core.invocation import resolve_call_values
+from ..core.backend import Link, RemoteBackend
 from .encoding import (
     PROTOCOL,
     MpSerializationError,
     RemoteTaskError,
     WorkerLostError,
     apply_writebacks,
-    definition_key,
     definition_payload,
     encode_values,
     writeback_specs,
@@ -49,11 +44,11 @@ from .worker import (
     MSG_DONE,
     MSG_READY,
     MSG_STOP,
-    MSG_TASK,
+    task_message,
     worker_main,
 )
 
-__all__ = ["ProcessBackend"]
+__all__ = ["ProcessBackend", "WorkerDied", "WorkerProcess"]
 
 #: Seconds to wait for a freshly forked worker's ready handshake.
 _HANDSHAKE_TIMEOUT = 30.0
@@ -61,108 +56,131 @@ _HANDSHAKE_TIMEOUT = 30.0
 _GOODBYE_TIMEOUT = 5.0
 
 
-class _WorkerDied(Exception):
-    """Internal signal: the pipe/sentinel says the worker is gone."""
+class WorkerDied(Exception):
+    """The pipe/sentinel says the worker process is gone."""
 
 
-class _Worker:
-    """One worker process and its pipe (slot = proxy-thread index)."""
+class WorkerProcess:
+    """One forked :func:`worker_main` child and the master end of its pipe.
 
-    __slots__ = ("slot", "proc", "conn", "sent_defs", "seq", "generation")
-
-    def __init__(self, slot: int):
-        self.slot = slot
-        self.proc = None
-        self.conn = None
-        self.sent_defs: set = set()
-        self.seq = 0
-        #: incremented per (re)spawn; visible in error messages.
-        self.generation = 0
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.proc.pid if self.proc is not None else None
-
-
-class ProcessBackend:
-    """Executes task bodies in forked worker processes.
-
-    Created (and workers forked) in ``SmpssRuntime.start()`` *before*
-    the proxy threads exist and before the runtime is pushed on the api
-    stack — so children start from a quiet interpreter.  Respawns after
-    a death necessarily fork from a threaded master; the worker entry
-    point neutralises all inherited runtime state first thing.
+    Forked from a quiet single-threaded image when the owner can arrange
+    it; respawns after a death necessarily fork from a threaded master,
+    so the worker entry point neutralises all inherited runtime state
+    first thing.
     """
 
-    def __init__(self, runtime):
-        self._runtime = runtime
-        self._ctx = multiprocessing.get_context("fork")
-        self._trace_on = bool(runtime.config.trace)
-        self._ring_capacity = runtime.config.trace_buffer_size
-        self._tracer = runtime.tracer if runtime.tracer else None
-        self._workers: list[_Worker] = []
-        self._spawn_lock = threading.Lock()
-        metrics = runtime.metrics
-        self._m_deaths = metrics.counter("mp.worker_deaths")
-        self._m_redispatch = metrics.counter("mp.redispatched_tasks")
-        self._stopped = False
+    __slots__ = ("slot", "proc", "conn")
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self, num_workers: int) -> None:
-        self._stopped = False
-        self._workers = [_Worker(slot) for slot in range(1, num_workers + 1)]
-        for worker in self._workers:
-            self._spawn(worker)
-
-    def _spawn(self, worker: _Worker) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
+    def __init__(self, slot: int, trace: bool, ring_capacity: int):
+        ctx = multiprocessing.get_context("fork")
+        self.slot = slot
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
             target=worker_main,
-            args=(child_conn, worker.slot, self._trace_on, self._ring_capacity),
-            name=f"repro-mp-worker-{worker.slot}",
+            args=(child_conn, slot, trace, ring_capacity),
+            name=f"repro-mp-worker-{slot}",
             daemon=True,
         )
-        proc.start()
+        self.proc.start()
         child_conn.close()  # our copy; the child keeps its end open
-        worker.proc = proc
-        worker.conn = parent_conn
-        worker.sent_defs.clear()
-        worker.generation += 1
-        if not parent_conn.poll(_HANDSHAKE_TIMEOUT):
-            self._kill(worker)
+        if not self.conn.poll(_HANDSHAKE_TIMEOUT):
+            self.kill()
             raise WorkerLostError(
-                f"worker {worker.slot} (pid {proc.pid}) did not come up "
+                f"worker {slot} (pid {self.pid}) did not come up "
                 f"within {_HANDSHAKE_TIMEOUT:.0f}s"
             )
-        msg = pickle.loads(parent_conn.recv_bytes())
+        msg = pickle.loads(self.conn.recv_bytes())
         if msg[0] != MSG_READY:  # pragma: no cover - protocol guard
-            self._kill(worker)
+            self.kill()
             raise WorkerLostError(
-                f"worker {worker.slot} sent {msg[0]!r} instead of a ready "
+                f"worker {slot} sent {msg[0]!r} instead of a ready "
                 f"handshake"
             )
 
-    def _kill(self, worker: _Worker) -> None:
-        if worker.conn is not None:
+    @property
+    def pid(self) -> Optional[int]:
+        return self.proc.pid
+
+    def request(self, seq: int, data: bytes) -> tuple:
+        """Send one :func:`~repro.mp.worker.task_message`, block for its
+        reply; ``(err, wb_values, duration, events)``.
+
+        Raises :class:`WorkerDied` when the worker is gone.
+        """
+
+        conn = self.conn
+        try:
+            conn.send_bytes(data)
+        except OSError as exc:  # died between tasks: nobody reads the pipe
+            raise WorkerDied from exc
+        sentinel = self.proc.sentinel
+        while True:
+            ready = _mpc.wait([conn, sentinel])
+            if conn in ready:
+                try:
+                    reply = pickle.loads(conn.recv_bytes())
+                except Exception as exc:  # EOF, or a torn final message
+                    raise WorkerDied from exc
+                if reply[0] == MSG_DONE and reply[1] == seq:
+                    return reply[2:]
+                continue  # unexpected/stale message: keep waiting
+            # Sentinel fired with no pipe data: the child is gone, but
+            # drain any bytes that raced the death before giving up.
+            if conn.poll(0):
+                continue
+            raise WorkerDied
+
+    def kill(self) -> None:
+        """Leave the child dead and the pipe closed; never raises."""
+
+        if self.conn is not None:
             try:
-                worker.conn.close()
+                self.conn.close()
             except Exception:
                 pass
-            worker.conn = None
-        proc = worker.proc
-        if proc is not None and proc.is_alive():
+            self.conn = None
+        proc = self.proc
+        if proc.is_alive():
             proc.terminate()
             proc.join(timeout=2.0)
             if proc.is_alive():  # pragma: no cover - stubborn child
                 proc.kill()
                 proc.join(timeout=2.0)
 
-    def _respawn(self, worker: _Worker) -> None:
-        with self._spawn_lock:
-            self._kill(worker)
-            self._spawn(worker)
+
+class ProcessBackend(RemoteBackend):
+    """Executes task bodies in forked worker processes.
+
+    The owner calls :meth:`start` (which forks) *before* its proxy
+    threads exist and before a runtime is pushed on the api stack — so
+    children start from a quiet interpreter.
+    """
+
+    lost_error = WorkerLostError
+    remote_error = RemoteTaskError
+    refusals = (MpSerializationError,)
+    link_errors = (WorkerDied,)
+
+    def __init__(self, num_workers: int, **wiring):
+        super().__init__(
+            "mp.worker_deaths", "mp.redispatched_tasks", **wiring)
+        self.num_workers = num_workers
+        self._spawn_lock = threading.Lock()
+        self._stopped = False
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> int:
+        self._stopped = False
+        self._links = []
+        for slot in range(1, self.num_workers + 1):
+            self._links.append(Link(slot, process=self._spawn(slot)))
+        return self.num_workers
+
+    def _spawn(self, slot: int) -> WorkerProcess:
+        return WorkerProcess(
+            slot, self._tracer is not None, self._ring_capacity)
 
     def stop(self) -> None:
         """Graceful shutdown: stop message, goodbye trace flush, join.
@@ -174,170 +192,78 @@ class ProcessBackend:
         if self._stopped:
             return
         self._stopped = True
-        for worker in self._workers:
-            conn = worker.conn
-            if conn is None:
+        workers = [link.process for link in self._links]
+        self._links = []
+        for worker in workers:
+            if worker.conn is None:
                 continue
             try:
-                conn.send_bytes(pickle.dumps((MSG_STOP,), protocol=PROTOCOL))
+                worker.conn.send_bytes(
+                    pickle.dumps((MSG_STOP,), protocol=PROTOCOL))
             except Exception:
                 continue
-        for worker in self._workers:
-            conn = worker.conn
-            if conn is None:
-                continue
+        for worker in workers:
             try:
-                if conn.poll(_GOODBYE_TIMEOUT):
-                    msg = pickle.loads(conn.recv_bytes())
+                if worker.conn is not None and worker.conn.poll(_GOODBYE_TIMEOUT):
+                    msg = pickle.loads(worker.conn.recv_bytes())
                     if msg[0] == MSG_BYE and msg[1] and self._tracer is not None:
                         self._tracer.ingest(msg[1])
             except Exception:
                 pass
-        for worker in self._workers:
-            proc = worker.proc
-            if proc is not None:
-                proc.join(timeout=2.0)
-            self._kill(worker)
-        self._workers = []
+            worker.proc.join(timeout=2.0)
+            worker.kill()
 
     # ------------------------------------------------------------------
-    # dispatch
+    # the transport half of RemoteBackend's dispatch policy
     # ------------------------------------------------------------------
-    def run(self, task, slot: int) -> tuple[Optional[BaseException], float]:
-        """Execute *task* on worker *slot*; return ``(cause, duration)``.
+    def _encode(self, task, values: list, link: Link):
+        return encode_values(task, values), writeback_specs(task, values)
 
-        ``cause`` is ``None`` on success, or the exception the runtime
-        should wrap in a :class:`TaskExecutionError` — a
-        :class:`RemoteTaskError` (the body raised), a
-        :class:`MpSerializationError` (arguments cannot ship), or a
-        :class:`WorkerLostError` (two worker deaths on one task, or an
-        unrevivable worker).
-        """
+    def _definition_payload(self, definition):
+        return definition_payload(definition)
 
-        worker = self._workers[slot - 1]
-        live = self._runtime.live
-        if live is not None:
-            # The worker-side task_start only ships back *with* the
-            # reply; without this, a live dashboard would never see a
-            # task leave the queue until it was already done.
-            live.notify_dispatch(task, slot)
-        values = resolve_call_values(task)
+    def _exchange(self, link: Link, seq: int, key, payload, task, request):
+        enc_values, wb_specs = request
         try:
-            enc_values = encode_values(task, values)
-            wb_specs = writeback_specs(task, values)
-        except MpSerializationError as exc:
-            return exc, 0.0
-        key = definition_key(task.definition)
-        attempts = 0
-        while True:
-            payload = None
-            if key not in worker.sent_defs:
-                try:
-                    payload = definition_payload(task.definition)
-                except MpSerializationError as exc:
-                    return exc, 0.0
-            worker.seq += 1
-            seq = worker.seq
-            msg = (MSG_TASK, seq, key, payload, task.task_id, task.name,
-                   enc_values, wb_specs)
-            try:
-                data = pickle.dumps(msg, protocol=PROTOCOL)
-            except Exception as exc:
-                return (
-                    MpSerializationError(
-                        f"task {task.name!r}: arguments are not picklable "
-                        f"({exc!r}); pass arena-backed arrays or use "
-                        f"backend='threads'"
-                    ),
-                    0.0,
-                )
-            try:
-                worker.conn.send_bytes(data)
-                worker.sent_defs.add(key)
-                reply = self._await_reply(worker, seq)
-            except _WorkerDied:
-                attempts += 1
-                self._m_deaths.inc()
-                lost_pid = worker.pid
-                if attempts > 1:
-                    cause = WorkerLostError(
-                        f"worker {worker.slot} (pid {lost_pid}) died while "
-                        f"running task #{task.task_id} {task.name!r}, which "
-                        f"had already been re-dispatched once; giving up"
-                    )
-                    self._try_respawn(worker)
-                    return cause, 0.0
-                try:
-                    self._respawn(worker)
-                except WorkerLostError as exc:
-                    return exc, 0.0
-                self._m_redispatch.inc()
-                continue
-            _tag, _seq, err, wb_values, duration, events = reply
-            if events and self._tracer is not None:
-                # Proxy-thread context: events land in this thread's
-                # ring buffer and merge by timestamp with everyone else.
-                self._tracer.ingest(events)
-            if err is not None:
-                return RemoteTaskError(*err), duration
-            apply_writebacks(wb_specs, wb_values, values)
-            return None, duration
+            data = task_message(seq, key, payload, task.task_id, task.name,
+                                enc_values, wb_specs)
+        except Exception as exc:
+            raise MpSerializationError(
+                f"task {task.name!r}: arguments are not picklable "
+                f"({exc!r}); pass arena-backed arrays or use "
+                f"backend='threads'"
+            ) from exc
+        err, wb_values, duration, events = link.process.request(seq, data)
+        return err, duration, events, wb_values
 
-    def _try_respawn(self, worker: _Worker) -> None:
-        """Best-effort revival so later tasks on this slot can proceed."""
+    def _land(self, link: Link, values: list, request, wb_values) -> None:
+        _enc_values, wb_specs = request
+        apply_writebacks(wb_specs, wb_values, values)
 
-        try:
-            self._respawn(worker)
-        except WorkerLostError:
-            pass
+    def _revive(self, link: Link) -> None:
+        with self._spawn_lock:
+            link.process.kill()
+            link.process = self._spawn(link.slot)
+        link.renewed()
 
-    def _await_reply(self, worker: _Worker, seq: int) -> tuple:
-        conn = worker.conn
-        sentinel = worker.proc.sentinel
-        while True:
-            ready = _mpc.wait([conn, sentinel])
-            if conn in ready:
-                try:
-                    reply = pickle.loads(conn.recv_bytes())
-                except (EOFError, OSError) as exc:
-                    raise _WorkerDied from exc
-                except Exception as exc:  # pragma: no cover - protocol guard
-                    raise _WorkerDied from exc
-                if reply[0] == MSG_DONE and reply[1] == seq:
-                    return reply
-                continue  # unexpected/stale message: keep waiting
-            # Sentinel fired with no pipe data: the child is gone, but
-            # drain any bytes that raced the death before giving up.
-            if conn.poll(0):
-                continue
-            raise _WorkerDied
+    def _describe(self, link: Link) -> str:
+        return f"worker {link.slot} (pid {link.process.pid})"
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def worker_pids(self) -> list[Optional[int]]:
-        return [worker.pid for worker in self._workers]
-
     def liveness(self) -> list[dict]:
-        """Per-slot worker liveness, the health watchdog's feed.
+        """``generation`` > 1: the slot was respawned after a death;
+        ``alive`` is the OS-level :meth:`Process.is_alive` (a dead, not
+        yet respawned worker shows up here before the next dispatch to
+        its slot notices).  Lock-free snapshot."""
 
-        ``generation`` > 1 means the slot has been respawned after a
-        death; ``alive`` is the OS-level :meth:`Process.is_alive` (a
-        dead-but-not-yet-respawned worker shows up here before the next
-        dispatch to that slot notices).  Lock-free snapshot — the list
-        is display data for :mod:`repro.obs.health`, never control flow.
-        """
-
-        out = []
-        for worker in self._workers:
-            proc = worker.proc
-            out.append(
-                {
-                    "slot": worker.slot,
-                    "pid": worker.pid,
-                    "alive": bool(proc is not None and proc.is_alive()),
-                    "generation": worker.generation,
-                }
-            )
-        return out
+        return [
+            {
+                "slot": link.slot,
+                "pid": link.process.pid,
+                "alive": link.process.proc.is_alive(),
+                "generation": link.generation,
+            }
+            for link in self._links
+        ]

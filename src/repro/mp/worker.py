@@ -32,7 +32,7 @@ from .encoding import (
     resolve_definition_func,
 )
 
-__all__ = ["worker_main"]
+__all__ = ["task_message", "worker_main"]
 
 #: message tags (master -> worker)
 MSG_TASK = "task"
@@ -41,6 +41,17 @@ MSG_STOP = "stop"
 MSG_READY = "ready"
 MSG_DONE = "done"
 MSG_BYE = "bye"
+
+
+def task_message(seq: int, def_key, def_payload, task_id: int,
+                 task_name: str, enc_values: list, wb_specs: list) -> bytes:
+    """The master's half of the task message :func:`worker_main` unpacks."""
+
+    return pickle.dumps(
+        (MSG_TASK, seq, def_key, def_payload, task_id, task_name,
+         enc_values, wb_specs),
+        protocol=PROTOCOL,
+    )
 
 
 def _neutralise_inherited_state() -> None:

@@ -386,7 +386,7 @@ def runtime_report(runtime, title: str = "runtime report") -> str:
             lines.extend(quantile_lines)
         if len(lines) > 1:
             text += "\n" + "\n".join(lines)
-        backend = _backend_health_lines(runtime, snap)
+        backend = _backend_health_lines(runtime)
         if backend:
             text += "\nbackend health:\n" + "\n".join(backend)
     return text
@@ -420,27 +420,25 @@ def _task_duration_quantiles(metrics) -> list[str]:
     return sorted(lines)
 
 
-def _backend_health_lines(runtime, snap: dict) -> list[str]:
+def _backend_health_lines(runtime) -> list[str]:
     """The "backend health" report section.
 
-    Surfaces the mp robustness counters (worker deaths, redispatches —
-    recorded since the process backend landed, but never shown) plus
-    worker liveness and any health-watchdog findings.
+    Surfaces the backend's robustness counters (worker deaths,
+    redispatches) and worker liveness, read through the backend
+    contract, plus any health-watchdog findings.
     """
 
     lines = []
-    deaths = snap.get("mp.worker_deaths")
-    redispatched = snap.get("mp.redispatched_tasks")
-    if deaths is not None or redispatched is not None:
-        mp = getattr(runtime, "_mp", None)
+    backend = getattr(runtime, "backend", None)
+    if backend is not None and backend.remote:
+        liveness = backend.liveness()
         alive_bit = ""
-        if mp is not None:
-            liveness = mp.liveness()
+        if liveness:
             alive = sum(1 for w in liveness if w["alive"])
             alive_bit = f"  workers alive: {alive}/{len(liveness)}"
         lines.append(
-            f"  mp: worker_deaths={deaths or 0}  "
-            f"redispatched_tasks={redispatched or 0}{alive_bit}"
+            f"  workers: worker_deaths={backend.deaths}  "
+            f"redispatched_tasks={backend.redispatched}{alive_bit}"
         )
     monitor = getattr(runtime, "health", None)
     if monitor is not None:

@@ -11,7 +11,7 @@ module centralises that logic:
   ``health=True`` runtime knob, that samples scheduler/tracker state
   every ``health_interval`` seconds and raises structured
   :class:`Finding`\\ s for global stalls, suspected deadlocks, worker
-  starvation, queue imbalance, and mp-worker death spikes.  Every
+  starvation, queue imbalance, and worker death spikes.  Every
   anomaly triggers a flight-recorder dump
   (:class:`repro.obs.flightrec.FlightRecorder`), as does ``SIGUSR1``
   or an explicit :meth:`HealthMonitor.dump` call.
@@ -21,8 +21,8 @@ module centralises that logic:
   decision behind each version, and the task (and worker) currently
   holding each datum.
 * :func:`stalled_error` — the single source of the "runtime stalled"
-  error both :meth:`SmpssRuntime._main_help` and ``_main_wait`` now
-  raise, enriched with the same wait chains.
+  error :meth:`SmpssRuntime._main_help` raises, enriched with the same
+  wait chains.
 
 Detection thresholds are class attributes on :class:`HealthMonitor`
 (periods, not seconds, so they scale with ``health_interval``); the
@@ -321,7 +321,8 @@ class HealthMonitor:
     IMBALANCE_PERIODS = 5
     IMBALANCE_MIN_DEPTH = 8
     IMBALANCE_SHARE = 0.75
-    #: mp worker deaths within the rolling window that count as a spike.
+    #: Worker deaths (any remote backend: mp processes, cluster agents)
+    #: within the rolling window that count as a spike.
     DEATH_SPIKE = 2
     DEATH_WINDOW = 10
     #: Wait chains collected per anomaly / findings retained.
@@ -478,14 +479,12 @@ class HealthMonitor:
             "paused": paused,
             "last_completion_age": age,
         }
-        mp = getattr(runtime, "_mp", None)
-        if mp is not None:
-            liveness = mp.liveness()
-            alive = sum(1 for w in liveness if w["alive"])
+        backend = runtime.backend
+        if backend.remote:
+            alive = sum(1 for w in backend.liveness() if w["alive"])
             runtime.metrics.gauge("mp.workers_alive").set(alive)
             sample["mp_workers_alive"] = alive
-            deaths = runtime.metrics.counter("mp.worker_deaths").value
-            self._death_history.append(deaths)
+            self._death_history.append(backend.deaths)
             del self._death_history[: -self.DEATH_WINDOW]
         self.last_sample = sample
         self.recorder.note_snapshot(sample)
@@ -568,7 +567,7 @@ class HealthMonitor:
             if finding is not None:
                 new_findings.append(finding)
 
-        # -- mp worker death spike -------------------------------------
+        # -- worker death spike ----------------------------------------
         if len(self._death_history) >= 2:
             delta = self._death_history[-1] - self._death_history[0]
             if delta >= self.DEATH_SPIKE:

@@ -1,6 +1,8 @@
 """The shared worker fleet behind the task-graph service.
 
-One engine owns W workers (thread or mp backend) and executes *jobs*:
+One engine owns W workers (behind the same
+:class:`~repro.core.backend.ExecutionBackend` contract the in-process
+runtime uses: threads or mp processes) and executes *jobs*:
 whole task-graph submissions, each analysed into a private
 :class:`~repro.core.sharding.GraphDomain` whose lock stripe is picked
 by datum-address hash.  Independent tenants — and independent data
@@ -28,11 +30,12 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Callable, Optional
 
+from ..core.backend import make_backend
+from ..core.config import RuntimeConfig
 from ..core.dependencies import TrackerConfig
-from ..core.invocation import plan_for, resolve_call_values
+from ..core.invocation import plan_for
 from ..core.sharding import DEFAULT_NUM_SHARDS, GraphDomain, ShardSet
 from ..obs.metrics import MetricsRegistry
 from . import protocol as sp
@@ -151,18 +154,17 @@ class ServeEngine:
         self._m_queue_depth = self.metrics.gauge("serve.queue_depth")
         self.metrics.gauge("serve.workers").set(workers)
         self.metrics.gauge("serve.shards").set(shards)
-        # ProcessBackend duck-types its owning runtime: it only reads
-        # config.trace/trace_buffer_size, tracer, live, and metrics —
-        # the engine presents that surface directly.
-        self.config = SimpleNamespace(trace=False, trace_buffer_size=64)
-        self.tracer = None
-        self.live = None
-        self._mp = None
-        if backend == "processes":
-            from ..mp.executor import ProcessBackend
-
-            self._mp = ProcessBackend(self)
-            self._mp.start(workers)
+        self._backend = make_backend(
+            RuntimeConfig(backend=backend, num_workers=workers),
+            metrics=self.metrics,
+        )
+        try:
+            # Before the worker threads exist: forked children start
+            # from a quiet image.
+            self._backend.start()
+        except BaseException:
+            self._backend.stop()
+            raise
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, args=(i,),
@@ -345,17 +347,7 @@ class ServeEngine:
                 skip = job.cancelled
             failure: Optional[BaseException] = None
             if not skip:
-                if self._mp is not None:
-                    try:
-                        failure, _duration = self._mp.run(task, idx + 1)
-                    except BaseException as exc:  # noqa: BLE001
-                        failure = exc
-                else:
-                    try:
-                        values = resolve_call_values(task)
-                        task.definition.func(*values)
-                    except BaseException as exc:  # noqa: BLE001
-                        failure = exc
+                failure, _duration = self._backend.run(task, idx + 1)
             self._task_done(job, task, failure=failure, skipped=skip)
 
     def _task_done(self, job: GraphJob, task, failure, skipped: bool) -> None:
@@ -462,8 +454,7 @@ class ServeEngine:
             self._cv.notify_all()
         for thread in self._threads:
             thread.join(timeout=10.0)
-        if self._mp is not None:
-            self._mp.stop()
+        self._backend.stop()
         # Fail whatever never ran so no waiter hangs on a dead fleet.
         for job, _task in leftovers:
             with self._cv:
@@ -483,16 +474,14 @@ class ServeEngine:
     def liveness(self) -> list[dict]:
         """Per-worker liveness for ``/health``.
 
-        Under the process backend this is the mp backend's own per-slot
-        view (pid, OS-level alive, respawn generation); under threads
-        it reports each worker thread's :meth:`Thread.is_alive`.
+        The backend's own per-slot view (under processes: pid, OS-level
+        alive, respawn generation); a slot is alive only while the
+        engine thread driving it is too.
         """
 
-        if self._mp is not None:
-            return self._mp.liveness()
         return [
-            {"slot": i + 1, "alive": thread.is_alive()}
-            for i, thread in enumerate(self._threads)
+            {**row, "alive": row["alive"] and thread.is_alive()}
+            for row, thread in zip(self._backend.liveness(), self._threads)
         ]
 
     def state(self) -> dict:

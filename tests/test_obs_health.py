@@ -211,6 +211,40 @@ class TestWedgeDetection:
         )
 
 
+class TestWorkerDeathSpike:
+    def test_spike_is_read_through_the_backend_contract(self, tmp_path):
+        """Any remote backend whose ``deaths`` climbs trips the finding
+        — the watchdog reads the contract, not the ``mp.*`` counter, so
+        cluster agent deaths (``dist.agent_deaths``) count too."""
+
+        from repro.core.backend import ExecutionBackend
+
+        class FakeFleet(ExecutionBackend):
+            remote = True
+            deaths = 0
+
+            def liveness(self):
+                return [{"slot": 1, "alive": True},
+                        {"slot": 2, "alive": False}]
+
+        with SmpssRuntime(
+            num_workers=1, health=True, health_interval=5.0,
+            health_dump_dir=str(tmp_path),
+        ) as rt:
+            real, rt.backend = rt.backend, FakeFleet()
+            try:
+                assert rt.health.check_now() == []
+                assert rt.health.last_sample["mp_workers_alive"] == 1
+                rt.backend.deaths = 1
+                assert rt.health.check_now() == []  # one death: no spike
+                rt.backend.deaths = 2
+                kinds = [f.kind for f in rt.health.check_now()]
+            finally:
+                rt.backend = real
+        assert kinds == ["worker_death_spike"]
+        assert rt.metrics.counter("mp.worker_deaths").value == 0
+
+
 class TestExplainer:
     def test_explain_blocked_and_wait_chain(self, tmp_path):
         flag = str(tmp_path / "flag")

@@ -1,14 +1,16 @@
-"""The redesigned public surface: snapshot, config knobs, wait_on, shims.
+"""The redesigned public surface: snapshot, config knobs, wait_on, structure.
 
 PR 4 unified the API around the fast-path submission engine:
 ``wait_on`` became first-class, all three runtimes construct through
-one validated :class:`~repro.core.config.RuntimeConfig` path, moved
-names grew :class:`DeprecationWarning` shims, and the ``repro``
-top-level namespace froze.  These tests pin each of those contracts.
+one validated :class:`~repro.core.config.RuntimeConfig` path, and the
+``repro`` top-level namespace froze.  These tests pin each of those
+contracts, plus the structural rule that the runtime reaches execution
+backends only through ``repro.core.backend``.
 """
 
+import ast
+import dataclasses
 import inspect
-import warnings
 
 import numpy as np
 import pytest
@@ -184,49 +186,59 @@ class TestConfigConstruction:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims for moved names
+# Structure: the runtime knows no execution backend by name
 # ---------------------------------------------------------------------------
 
-class TestDeprecationShims:
-    def test_shim_table_is_audited(self):
-        """Every surviving shim is deliberate: the table holds exactly
-        the moved names still referenced in the wild (PR 9 audit —
-        unreferenced shims were deleted, referenced ones stay tested)."""
+def _backend_imports(module, inside=None):
+    """Line numbers where *module* imports repro.mp / repro.dist,
+    optionally only those outside the function named *inside*."""
 
+    tree = ast.parse(inspect.getsource(module))
+    allowed = set()
+    if inside is not None:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == inside:
+                allowed = {id(n) for n in ast.walk(node)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if id(node) not in allowed and any(
+            part in ("mp", "dist") for name in names for part in name.split(".")
+        ):
+            hits.append(node.lineno)
+    return hits
+
+
+class TestRuntimeKnowsNoBackend:
+    def test_runtime_source_has_no_backend_literal(self):
         import repro.core.runtime as runtime_mod
 
-        assert sorted(runtime_mod._DEPRECATED_HOMES) == ["RuntimeConfig"]
+        tree = ast.parse(inspect.getsource(runtime_mod))
+        strings = {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert not strings & {"threads", "processes", "cluster"}
 
-    def test_every_surviving_shim_warns_and_resolves(self):
-        import importlib
-
+    def test_backends_are_imported_only_by_the_factory_table(self):
+        import repro.core.backend as backend_mod
         import repro.core.runtime as runtime_mod
+        import repro.serve.engine as engine_mod
 
-        for name, (home, obj) in runtime_mod._DEPRECATED_HOMES.items():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                shimmed = getattr(runtime_mod, name)
-            # The shim hands out the SAME object as the new home.
-            assert shimmed is obj
-            assert getattr(importlib.import_module(home), name) is obj
-            assert any(
-                issubclass(w.category, DeprecationWarning)
-                and home in str(w.message)
-                for w in caught
-            ), name
+        assert _backend_imports(runtime_mod) == []
+        assert _backend_imports(engine_mod) == []
+        assert _backend_imports(backend_mod, inside="make_backend") == []
+        assert _backend_imports(backend_mod) != []  # the table itself
 
-    def test_runtimeconfig_old_home_warns_and_works(self):
-        import repro.core.runtime as runtime_mod
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = runtime_mod.RuntimeConfig
-        assert shimmed is RuntimeConfig
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.core.config" in str(w.message)
-            for w in caught
-        )
+    def test_config_field_count_is_pinned(self):
+        # Every field doubles the configurations tests must cover:
+        # adding one is a deliberate act that updates this number.
+        assert len(dataclasses.fields(RuntimeConfig)) == 24
 
     def test_unknown_name_in_runtime_module_still_fails(self):
         import repro.core.runtime as runtime_mod

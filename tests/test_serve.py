@@ -238,6 +238,37 @@ class TestServedParity:
                     hm_local[i][j].tobytes() == hm_served[i][j].tobytes()
                 ), (i, j)
 
+    @pytest.mark.mp
+    def test_cholesky_parity_on_process_workers(self):
+        """The same fleet behind ``backend="processes"``: bodies run in
+        forked workers, results stay bitwise, and ``/health`` reports
+        each slot's worker pid through the shared backend contract."""
+
+        hm_local = HyperMatrix.random_spd(4, 8, seed=3)
+        hm_served = hm_local.copy()
+        cholesky_hyper(hm_local)  # no runtime: the sequential oracle
+        d = ServeDaemon("tcp:127.0.0.1:0", workers=2, backend="processes")
+        try:
+            with connect(d.address, tenant="procs") as rt:
+                cholesky_hyper(hm_served)
+                rt.barrier()
+            host = d.address.split(":", 1)[1]
+            health = json.loads(urllib.request.urlopen(
+                f"http://{host}/health", timeout=10
+            ).read())
+        finally:
+            d.close()
+        for i in range(4):
+            for j in range(i + 1):
+                assert (
+                    hm_local[i][j].tobytes() == hm_served[i][j].tobytes()
+                ), (i, j)
+        rows = health["worker_liveness"]
+        assert [w["slot"] for w in rows] == [1, 2]
+        assert all(w["alive"] and w["pid"] > 0 for w in rows)
+        assert len({w["pid"] for w in rows}) == 2
+        assert health["workers_alive"] == 2
+
     def test_multisort_parity(self, daemon):
         rng = np.random.default_rng(2)
         data = rng.standard_normal(2048)
