@@ -8,7 +8,7 @@ criterion is a throughput *ratio*: two concurrent sessions must reach
 >= 1.5x the graphs/sec of one session on a >= 4-worker fleet.
 
 The ratio assertion only runs on hosts with enough cores to express
-concurrency (4 workers + N clients + the asyncio loop need >= 5); on
+concurrency (4 workers + N clients + the connection readers need >= 5); on
 smaller hosts the run still regenerates the figure — with every
 client's results verified against the sequential oracle inside the
 experiment — and records ``cpu_count`` in extras so the committed

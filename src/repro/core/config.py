@@ -110,8 +110,6 @@ class RuntimeConfig:
     #: Start with the dispatch gate paused, so a client can attach and
     #: watch the graph grow before anything executes.
     live_start_paused: bool = False
-    #: Seconds between periodic metrics snapshots on the event stream.
-    live_snapshot_interval: float = 0.25
     #: Always-on runtime health (:mod:`repro.obs.health`): a watchdog
     #: thread samples scheduler/tracker state every ``health_interval``
     #: seconds, detects stalls / starvation / queue imbalance / worker

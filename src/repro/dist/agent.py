@@ -43,19 +43,18 @@ from typing import Any, Optional
 import numpy as np
 
 from ..core.tracing import EventKind, TraceEvent
-from ..mp.encoding import apply_writebacks
+from ..mp.encoding import apply_writebacks, resolve_definition_func
 from ..mp.executor import WorkerDied, WorkerProcess
 from ..mp.worker import task_message
 from ..net.client import NetClosed, NetTimeout
+from ..net.codec import PROTOCOL, format_remote_error
 from ..net.frames import recv_frame, send_frame
 from ..net.protocol import format_address, parse_address
 from .encoding import (
-    PROTOCOL,
     alloc_from_meta,
+    apply_blob,
     decode_blob,
     encode_blob,
-    format_remote_error,
-    resolve_definition_func,
     slices_from_spec,
 )
 
@@ -424,9 +423,8 @@ class AgentServer:
                 _tag, meta, parts = spec
                 obj = alloc_from_meta(meta)
                 for sl_spec, part_meta, part_payload in parts:
-                    obj[slices_from_spec(sl_spec)] = decode_blob(
-                        part_meta, part_payload
-                    )
+                    apply_blob(obj, part_meta, part_payload,
+                               slices_from_spec(sl_spec))
                 values.append(obj)
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown value spec tag {tag!r}")
@@ -491,12 +489,10 @@ class AgentServer:
                 for pos, key, v_after in msg.get("out", ()):
                     self.store.put(key, v_after, values[pos])
                 for pos, sl_spec in msg.get("ret", ()):
-                    obj = values[pos]
+                    part = values[pos]
                     if sl_spec is not None:
-                        part = obj[slices_from_spec(sl_spec)]
-                        meta, payload = encode_blob(part)
-                    else:
-                        meta, payload = encode_blob(obj)
+                        part = part[slices_from_spec(sl_spec)]
+                    meta, payload = encode_blob(part)
                     ret_out.append((pos, sl_spec, meta, payload))
                 self.tasks_run += 1
         except BaseException as exc:  # noqa: BLE001 - shipped to master

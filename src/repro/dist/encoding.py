@@ -16,8 +16,9 @@ as a tiny reference, not as bytes.  Five value-spec forms:
     sibling slot).
 ``("d", key, version, meta, payload)``
     Data ship: store ``decode_blob(meta, payload)`` under *key* at
-    *version*, then use it.  This is the cache-miss path the
-    ``dist.bytes_moved`` counter measures.
+    *version*, then use it (the ``(meta, payload)`` blob and how it
+    lands are :mod:`repro.net.codec`'s, re-exported here).  This is the
+    cache-miss path the ``dist.bytes_moved`` counter measures.
 ``("f", key, meta)``
     Fresh output: allocate storage agent-side from *meta* alone —
     renamed OUTPUT buffers have no content worth moving.
@@ -39,18 +40,18 @@ to an untrusted network (see ``docs/distributed.md``).
 
 from __future__ import annotations
 
-import pickle
 import zlib
 from typing import Any, Optional
 
 import numpy as np
 
-from ..mp.encoding import (  # noqa: F401  (re-exported for dist users)
-    PROTOCOL,
-    RemoteTaskError,
-    definition_payload,
-    format_remote_error,
-    resolve_definition_func,
+from ..mp.encoding import RemoteTaskError
+from ..net.codec import (  # noqa: F401  (the blob half of the format)
+    apply_blob,
+    decode_blob,
+    encode_blob,
+    slices_from_spec,
+    slices_spec,
 )
 
 __all__ = [
@@ -95,47 +96,8 @@ class DistDataLossError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# blobs
+# remote allocation
 # ---------------------------------------------------------------------------
-
-def encode_blob(obj: Any) -> tuple[dict, bytes]:
-    """``(meta, payload)`` for one value's content.
-
-    ndarrays ship as raw C-contiguous bytes plus dtype/shape (no pickle
-    framing around the bulk data); everything else pickles.  Structured
-    and object dtypes take the pickle path — ``dtype.str`` cannot
-    round-trip them.
-    """
-
-    if isinstance(obj, np.ndarray) and obj.dtype.names is None \
-            and not obj.dtype.hasobject:
-        arr = np.ascontiguousarray(obj)
-        meta = {"t": "nd", "dtype": arr.dtype.str, "shape": list(arr.shape)}
-        return meta, arr.tobytes()
-    return {"t": "pkl"}, pickle.dumps(obj, protocol=PROTOCOL)
-
-
-def decode_blob(meta: dict, payload: bytes) -> Any:
-    """Inverse of :func:`encode_blob`; ndarrays come back writable."""
-
-    if meta["t"] == "nd":
-        arr = np.frombuffer(payload, dtype=np.dtype(meta["dtype"]))
-        return arr.reshape(tuple(meta["shape"])).copy()
-    return pickle.loads(payload)
-
-
-def apply_blob(target: Any, meta: dict, payload: bytes,
-               slices: Optional[tuple] = None) -> None:
-    """Land returned content in *target* (optionally a region of it)."""
-
-    value = decode_blob(meta, payload)
-    if slices is not None:
-        target[slices] = value
-    elif isinstance(target, np.ndarray):
-        target[...] = value
-    else:  # list / bytearray
-        target[:] = value
-
 
 def alloc_meta(obj: Any) -> dict:
     """How an agent allocates storage shaped like *obj* locally."""
@@ -165,20 +127,6 @@ def alloc_from_meta(meta: dict) -> Any:
     if meta["t"] == "list":
         return [None] * meta["n"]
     return bytearray(meta["n"])
-
-
-# ---------------------------------------------------------------------------
-# region slices
-# ---------------------------------------------------------------------------
-
-def slices_spec(slices: tuple) -> tuple:
-    """JSON/pickle-stable form of a tuple of :class:`slice` objects."""
-
-    return tuple((s.start, s.stop, s.step) for s in slices)
-
-
-def slices_from_spec(spec) -> tuple:
-    return tuple(slice(a, b, c) for a, b, c in spec)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,12 @@ import numpy as np
 
 from ..core.backend import Link, RemoteBackend
 from ..core.renaming import StorageKind
+from ..mp.encoding import definition_payload, opaque_positions
 from ..net.client import NetClosed, NetTimeout
+from ..net.codec import PROTOCOL
 from ..net.frames import FrameError, recv_frame, send_frame
 from ..net.protocol import connect, connect_retry
 from .encoding import (
-    PROTOCOL,
     AgentLostError,
     DistDataLossError,
     DistSerializationError,
@@ -57,7 +58,6 @@ from .encoding import (
     SCALAR_TYPES,
     apply_blob,
     alloc_meta,
-    definition_payload,
     encode_blob,
     slices_from_spec,
     slices_spec,
@@ -431,7 +431,7 @@ class ClusterBackend(RemoteBackend):
             specs[pos] = self._content_spec(entry, node)
 
         # -- everything else ships inline.
-        opaque = self._opaque_positions(task)
+        opaque = opaque_positions(task)
         for pos in range(n):
             if specs[pos] is not None:
                 continue
@@ -468,17 +468,6 @@ class ClusterBackend(RemoteBackend):
         self._m_bytes.inc(len(payload))
         self._residency.record_copy(entry, node.name)
         return ("d", entry.key, entry.version, meta, payload)
-
-    @staticmethod
-    def _opaque_positions(task) -> frozenset:
-        from ..core.task import Direction
-
-        positions = task.definition.positions
-        return frozenset(
-            positions[spec.name]
-            for spec in task.definition.params
-            if spec.direction is Direction.OPAQUE and spec.name in positions
-        )
 
     # ------------------------------------------------------------------
     # residency plumbing (fetch home, barrier, death)

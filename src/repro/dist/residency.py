@@ -132,10 +132,6 @@ class ResidencyMap:
                 return entry
             return None
 
-    def by_key(self, key: str) -> Optional[ResidencyEntry]:
-        with self._lock:
-            return self._by_key.get(key)
-
     def entries(self) -> list[ResidencyEntry]:
         with self._lock:
             return list(self._by_key.values())

@@ -250,8 +250,8 @@ def main(argv=None) -> int:
     )
     attach.add_argument("--timeout", type=float, default=10.0,
                         help="per-read socket timeout (seconds)")
-    # Must stay below the server's live_snapshot_interval (0.25 s by
-    # default): a wider window never sees the stream go quiet.
+    # Must stay below the server's live.session.SNAPSHOT_INTERVAL
+    # (0.25 s): a wider window never sees the stream go quiet.
     attach.add_argument("--settle", type=float, default=0.2,
                         help="initial stream drain window (seconds)")
     replay = sub.add_parser("replay", help="replay a saved recording")

@@ -29,23 +29,17 @@ __all__ = ["LiveServer"]
 class LiveServer(Server):
     """Bind, accept, fan out deltas, and route commands.
 
-    *handler* is ``fn(cmd: dict) -> dict`` returning the ``data`` for a
-    successful ack (raise ``ValueError`` for a command error).  *hello*
-    is the dict sent (with ``ev: hello`` added) as every connection's
-    first record.
+    *handler* is ``fn(cmd: dict, conn) -> dict`` returning the ``data``
+    for a successful ack (raise ``ValueError`` for a command error; the
+    live plane keeps no per-connection state, so *conn* goes unused).
+    *hello* is the dict sent (with ``ev: hello`` added) as every
+    connection's first record.
     """
 
     def __init__(
         self,
         address: str,
-        handler: Callable[[dict], dict],
+        handler: Callable[[dict, object], dict],
         hello: Optional[dict] = None,
-        http_responder: Optional[Callable] = None,
     ):
-        super().__init__(
-            address,
-            handler,
-            hello=hello,
-            http_responder=http_responder,
-            name="repro-live",
-        )
+        super().__init__(address, handler, hello=hello, name="repro-live")

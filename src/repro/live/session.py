@@ -14,7 +14,7 @@ A :class:`LiveSession` is created by ``SmpssRuntime.start()`` when the
 * the **event plane** — a publisher thread that drains the deque,
   converts events to graph deltas (:func:`protocol.event_to_delta`),
   and fans them out through a :class:`~repro.live.server.LiveServer`,
-  interleaving a metrics snapshot every ``live_snapshot_interval``
+  interleaving a metrics snapshot every :data:`SNAPSHOT_INTERVAL`
   seconds.
 
 The session is also the in-process debugger handle::
@@ -44,6 +44,11 @@ from .server import LiveServer
 
 __all__ = ["LiveSession"]
 
+#: Seconds between periodic metrics snapshots on the event stream.  A
+#: client's drain window must stay below it (``repro live attach
+#: --settle`` defaults to 0.2) or the stream never looks quiet.
+SNAPSHOT_INTERVAL = 0.25
+
 
 class LiveSession:
     """Control + event plane for one running :class:`SmpssRuntime`."""
@@ -51,7 +56,6 @@ class LiveSession:
     def __init__(self, runtime):
         self._runtime = runtime
         config = runtime.config
-        self._interval = config.live_snapshot_interval
         self._tmpdir = None
         address = config.live_address
         if address is None:
@@ -208,7 +212,7 @@ class LiveSession:
     # ------------------------------------------------------------------
     # command routing (server reader threads land here)
     # ------------------------------------------------------------------
-    def _handle_command(self, command: dict) -> dict:
+    def _handle_command(self, command: dict, conn) -> dict:
         cmd = command.get("cmd")
         if cmd == "pause":
             self.pause()
@@ -253,7 +257,7 @@ class LiveSession:
                 server.publish(self._snapshot_record(), retain=False)
                 return
             now = time.monotonic()
-            if now - last_snapshot >= self._interval:
+            if now - last_snapshot >= SNAPSHOT_INTERVAL:
                 server.publish(self._snapshot_record(), retain=False)
                 last_snapshot = now
             # The tap is a bare deque.append (no wakeup — nothing

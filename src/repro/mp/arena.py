@@ -74,7 +74,8 @@ class ArenaHandle(NamedTuple):
 
 
 def _buffer_address(shm: shared_memory.SharedMemory) -> int:
-    return np.frombuffer(shm.buf, dtype=np.uint8).__array_interface__["data"][0]
+    probe = np.ndarray((1,), dtype=np.uint8, buffer=shm.buf)
+    return probe.__array_interface__["data"][0]
 
 
 class SharedArena:

@@ -14,7 +14,8 @@ encoded call values, write-back specs)``:
   send back because the master's dependency semantics treat them as
   written — whole renamed buffers, lists/bytearrays, or the declared
   region slice of a region-mode access.  Arena-backed values never
-  need write-back.
+  need write-back; the rest land in the master's storage by the shared
+  rule (:func:`repro.net.codec.land`).
 
 Everything here runs master-side except :func:`decode_values` /
 :func:`collect_writebacks`, which the worker calls; keeping both ends
@@ -24,11 +25,18 @@ of the format in one module keeps them from drifting apart.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.task import Direction, TaskInstance
+from ..net.codec import (
+    PROTOCOL,
+    definition_address,
+    land,
+    resolve_address,
+    slices_spec,
+)
 from .arena import attach_handle, handle_of
 
 __all__ = [
@@ -41,11 +49,9 @@ __all__ = [
     "decode_values",
     "writeback_specs",
     "collect_writebacks",
+    "opaque_positions",
     "apply_writebacks",
-    "format_remote_error",
 ]
-
-PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Value tags on the wire.
 _ARENA = "a"
@@ -80,16 +86,6 @@ class RemoteTaskError(RuntimeError):
         return base
 
 
-def format_remote_error(exc: BaseException) -> tuple:
-    import traceback
-
-    return (
-        type(exc).__name__,
-        str(exc),
-        "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # task definitions
 # ---------------------------------------------------------------------------
@@ -108,13 +104,11 @@ def definition_payload(definition) -> tuple:
     when neither works the task cannot run on the process backend.
     """
 
-    func = definition.func
-    module = getattr(func, "__module__", None)
-    qualname = getattr(func, "__qualname__", None)
-    if module and qualname and "<locals>" not in qualname:
-        return ("n", module, qualname)
+    address = definition_address(definition.func)
+    if address is not None:
+        return ("n", *address)
     try:
-        return ("p", pickle.dumps(func, protocol=PROTOCOL))
+        return ("p", pickle.dumps(definition.func, protocol=PROTOCOL))
     except Exception as exc:
         raise MpSerializationError(
             f"task {definition.name!r}: function is not reachable by "
@@ -130,11 +124,7 @@ def resolve_definition_func(payload: tuple):
     if payload[0] == "p":
         return pickle.loads(payload[1])
     _tag, module_name, qualname = payload
-    import importlib
-
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
+    obj = resolve_address(module_name, qualname)
     sequential = getattr(obj, "sequential", None)
     if sequential is not None and callable(sequential):
         return sequential
@@ -164,13 +154,13 @@ def encode_values(task: TaskInstance, values: list) -> list:
     """
 
     encoded: list = []
-    opaque_positions = _opaque_positions(task)
+    opaque = opaque_positions(task)
     for pos, value in enumerate(values):
         handle = handle_of(value)
         if handle is not None:
             encoded.append((_ARENA, handle))
             continue
-        if pos in opaque_positions and isinstance(value, np.ndarray):
+        if pos in opaque and isinstance(value, np.ndarray):
             raise MpSerializationError(
                 f"task {task.name!r}: opaque ndarray parameter "
                 f"{task.definition.param_names[pos]!r} is not arena-backed; "
@@ -182,7 +172,11 @@ def encode_values(task: TaskInstance, values: list) -> list:
     return encoded
 
 
-def _opaque_positions(task: TaskInstance) -> frozenset:
+def opaque_positions(task: TaskInstance) -> frozenset:
+    """Call positions of *task*'s OPAQUE parameters (the ones the
+    tracker ignores, so a remote write through them is never copied
+    home)."""
+
     positions = task.definition.positions
     return frozenset(
         positions[spec.name]
@@ -229,9 +223,7 @@ def writeback_specs(task: TaskInstance, values: list) -> list:
         slices: Optional[tuple] = None
         if access.region is not None:
             slices = access.region.to_slices()
-        dedup = (pos, None if slices is None else tuple(
-            (s.start, s.stop, s.step) for s in slices
-        ))
+        dedup = (pos, None if slices is None else slices_spec(slices))
         if dedup in seen:
             continue
         seen.add(dedup)
@@ -272,10 +264,4 @@ def apply_writebacks(specs: list, payloads: list, values: list) -> None:
     """
 
     for (pos, slices), payload in zip(specs, payloads):
-        target = values[pos]
-        if slices is not None:
-            target[slices] = payload
-        elif isinstance(target, np.ndarray):
-            target[...] = payload
-        else:  # list / bytearray
-            target[:] = payload
+        land(values[pos], payload, slices)

@@ -29,8 +29,8 @@ from multiprocessing import connection as _mpc
 from typing import Optional
 
 from ..core.backend import Link, RemoteBackend
+from ..net.codec import PROTOCOL
 from .encoding import (
-    PROTOCOL,
     MpSerializationError,
     RemoteTaskError,
     WorkerLostError,

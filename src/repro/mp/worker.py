@@ -24,11 +24,10 @@ from collections import deque
 from time import perf_counter
 
 from ..core.tracing import EventKind, TraceEvent
+from ..net.codec import PROTOCOL, format_remote_error
 from .encoding import (
-    PROTOCOL,
     collect_writebacks,
     decode_values,
-    format_remote_error,
     resolve_definition_func,
 )
 

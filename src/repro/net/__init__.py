@@ -5,12 +5,19 @@ served and consumed by one :class:`Server`/:class:`Client` pair.  The
 live inspection plane (:mod:`repro.live`), the Prometheus exposition
 endpoint (:mod:`repro.obs`), and the task-graph service
 (:mod:`repro.serve`) are all thin wrappers over this module; none of
-them owns sockets of its own.
+them owns sockets of its own: each hands the server one
+``handler(command, conn)``, *conn* being the per-connection context a
+stateful service (serve) keeps its tenant on.
 
 The server optionally *sniffs* the first bytes of each connection and
 hands plain HTTP ``GET``/``HEAD`` requests to an ``http_responder``
 callback, so one port can serve both the JSON-lines protocol and a
 browser/Prometheus scrape.
+
+Bulk data rides :mod:`~repro.net.frames`; what a datum's content looks
+like inside a frame (or base64'd onto a JSON line) and how it lands
+back in the caller's object is :mod:`~repro.net.codec`, the one datum
+codec every backend shares.
 
 Addresses take two forms: ``tcp:HOST:PORT`` (PORT ``0`` binds an
 ephemeral port; the server reports the real one) or a filesystem path,

@@ -164,11 +164,12 @@ class Client:
     # ------------------------------------------------------------------
     # commands
     # ------------------------------------------------------------------
-    def command(self, cmd: str, **fields) -> dict:
-        """Send a command; block for its ack; return the ack's data.
+    def request(self, cmd: str, **fields) -> dict:
+        """Send a command; block for its ack; return the whole ack
+        (``ok`` plus ``data`` or a possibly structured ``error``).
 
         Events that arrive before the ack are buffered for
-        :meth:`recv`.  A ``not ok`` ack raises ``RuntimeError``.
+        :meth:`recv`.
         """
 
         sock = self._sock
@@ -182,12 +183,19 @@ class Client:
         while True:
             reply = self._recv_raw(self.timeout)
             if reply.get("ev") == "ack" and reply.get("seq") == seq:
-                if not reply.get("ok"):
-                    raise RuntimeError(
-                        f"command {cmd!r} failed: {reply.get('error')}"
-                    )
-                return reply.get("data", {})
+                return reply
             self._pending.append(reply)
+
+    def command(self, cmd: str, **fields) -> dict:
+        """:meth:`request`, returning only the ack's data; a ``not ok``
+        ack raises ``RuntimeError`` with the error flattened."""
+
+        reply = self.request(cmd, **fields)
+        if not reply.get("ok"):
+            raise RuntimeError(
+                f"command {cmd!r} failed: {reply.get('error')}"
+            )
+        return reply.get("data", {})
 
     # ------------------------------------------------------------------
     # lifecycle

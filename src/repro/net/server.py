@@ -9,6 +9,11 @@ goes only to that client.
 Publishing happens on the *caller's* thread — a slow or dead client
 never blocks the owner, only the publisher, and a client whose socket
 errors is dropped.
+
+A handler may block for as long as its command takes (the task-graph
+service parks a connection's reader on a running graph): only that
+connection waits, and the peer's disconnect is then noticed when the
+ack cannot be written.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .protocol import encode, decode, format_address, parse_address
@@ -26,28 +32,36 @@ __all__ = ["Server"]
 class Server:
     """Bind, accept, fan out records, and route commands.
 
-    *handler* is ``fn(cmd: dict) -> dict`` returning the ``data`` for a
-    successful ack (raise ``ValueError`` for a command error).  *hello*
-    is the dict sent (with ``ev: hello`` added) as every connection's
-    first record.  *name* prefixes the accept/reader thread names so
-    the owning subsystem stays identifiable in thread dumps.
+    *handler* is ``fn(cmd: dict, conn) -> dict`` returning the ``data``
+    for a successful ack.  *conn* is the connection's context: a blank
+    namespace the server creates per accepted connection, on which a
+    stateful owner keeps what it learns about the peer (stateless
+    owners ignore it).  A raised exception becomes the ack's ``error``:
+    its ``to_wire()`` dict when it has one, else ``str(exc)``.
+    *on_disconnect* is ``fn(conn)``, called exactly once per connection
+    when it ends, whoever ended it.  *hello* is the dict sent (with
+    ``ev: hello`` added) as every connection's first record.  *name*
+    prefixes the accept/reader thread names so the owning subsystem
+    stays identifiable in thread dumps.
     """
 
     def __init__(
         self,
         address: str,
-        handler: Callable[[dict], dict],
+        handler: Callable[[dict, SimpleNamespace], dict],
         hello: Optional[dict] = None,
-        http_responder: Optional[Callable] = None,
+        http_responder: Optional[Callable[[str], bytes]] = None,
+        on_disconnect: Optional[Callable[[SimpleNamespace], None]] = None,
         name: str = "repro-net",
     ):
         self._handler = handler
+        self._on_disconnect = on_disconnect
         self._hello = dict(hello or {})
         self._hello["ev"] = "hello"
         self._name = name
-        #: Optional ``fn(handler, path) -> bytes`` serving plain HTTP
-        #: GETs (the health exposition endpoint passes its Prometheus
-        #: router here).  When set, the hello/backlog replay is
+        #: Optional ``fn(path) -> bytes`` serving plain HTTP GETs (the
+        #: health exposition endpoint passes its Prometheus router
+        #: here).  When set, the hello/backlog replay is
         #: *deferred* until the first client bytes identify the
         #: protocol — an HTTP client must not receive JSON lines ahead
         #: of its response.  ``None`` (every live session) keeps the
@@ -81,7 +95,6 @@ class Server:
         self._wlocks: dict[socket.socket, threading.Lock] = {}
         self._history: list[bytes] = []
         self._closed = False
-        self._threads: list[threading.Thread] = []
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"{name}-accept", daemon=True
         )
@@ -163,22 +176,27 @@ class Server:
                         continue
                 self._clients.append(client)
                 self._wlocks[client] = threading.Lock()
-            reader = threading.Thread(
+            threading.Thread(
                 target=self._client_loop,
                 args=(client,),
                 name=f"{self._name}-client",
                 daemon=True,
-            )
-            self._threads.append(reader)
-            reader.start()
+            ).start()
 
     def _client_loop(self, client: socket.socket) -> None:
-        buffer = b""
+        conn = SimpleNamespace()
+        try:
+            self._serve_client(client, conn)
+        finally:
+            self._drop(client)
+            if self._on_disconnect is not None:
+                self._on_disconnect(conn)
+
+    def _serve_client(self, client: socket.socket, conn) -> None:
+        buffer: Optional[bytes] = b""
         if self._http_responder is not None:
-            handled, buffer = self._sniff_http(client)
-            if handled:
-                return
-        while True:
+            buffer = self._sniff_http(client)
+        while buffer is not None:
             # Drain complete lines first: the protocol sniff may have
             # buffered the client's first command already, and a recv
             # before processing it would deadlock a request/reply
@@ -190,25 +208,23 @@ class Server:
                     continue
                 if command.get("cmd") == "detach":
                     self._send(client, encode({"ev": "bye"}))
-                    self._drop(client)
                     return
-                self._send(client, encode(self._run(command)))
+                self._send(client, encode(self._run(command, conn)))
             try:
                 chunk = client.recv(65536)
             except OSError:
                 chunk = b""
             if not chunk:
-                self._drop(client)
                 return
             buffer += chunk
 
-    def _sniff_http(self, client: socket.socket) -> tuple[bool, bytes]:
+    def _sniff_http(self, client: socket.socket) -> Optional[bytes]:
         """Identify the client's protocol from its first bytes.
 
-        Returns ``(True, b"")`` after serving (and closing) an HTTP
-        ``GET``/``HEAD``; otherwise sends the deferred hello + backlog
-        replay and returns ``(False, buffered_bytes)`` for the JSON
-        loop to continue with.
+        Returns ``None`` after serving an HTTP ``GET``/``HEAD`` (or when
+        the peer is gone); otherwise sends the deferred hello + backlog
+        replay and returns the buffered bytes for the JSON loop to
+        continue with.
         """
 
         buffer = b""
@@ -218,8 +234,7 @@ class Server:
             except OSError:
                 chunk = b""
             if not chunk:
-                self._drop(client)
-                return True, b""
+                return None
             buffer += chunk
         if buffer.startswith(b"GET ") or buffer.startswith(b"HEAD "):
             # Drain the request head (best effort; one request per
@@ -238,7 +253,7 @@ class Server:
             parts = request_line.split()
             path = parts[1] if len(parts) > 1 else "/"
             try:
-                response = self._http_responder(self._handler, path)
+                response = self._http_responder(path)
             except Exception as exc:  # noqa: BLE001 - report, don't die
                 body = str(exc).encode("utf-8", "replace")
                 response = (
@@ -247,40 +262,27 @@ class Server:
                     b"Content-Length: " + str(len(body)).encode() +
                     b"\r\nConnection: close\r\n\r\n" + body
                 )
-            lock = self._wlocks.get(client)
-            try:
-                if lock is not None:
-                    with lock:
-                        client.sendall(response)
-            except OSError:
-                pass
-            self._drop(client)
-            return True, b""
+            self._send(client, response)
+            return None
         # JSON-lines client: deliver the deferred hello + backlog now.
         with self._lock:
             backlog = list(self._history)
-        try:
-            lock = self._wlocks.get(client)
-            if lock is not None:
-                with lock:
-                    client.sendall(encode(self._hello) + b"".join(backlog))
-        except OSError:
-            self._drop(client)
-            return True, b""
-        return False, buffer
+        self._send(client, encode(self._hello) + b"".join(backlog))
+        return buffer
 
-    def _run(self, command: dict) -> dict:
+    def _run(self, command: dict, conn) -> dict:
         ack = {
             "ev": "ack",
             "seq": command.get("seq"),
             "cmd": command.get("cmd"),
         }
         try:
-            ack["data"] = self._handler(command)
+            ack["data"] = self._handler(command, conn)
             ack["ok"] = True
         except Exception as exc:  # noqa: BLE001 - reported to the client
             ack["ok"] = False
-            ack["error"] = str(exc)
+            to_wire = getattr(exc, "to_wire", None)
+            ack["error"] = str(exc) if to_wire is None else to_wire()
         return ack
 
     # ------------------------------------------------------------------
@@ -310,9 +312,18 @@ class Server:
                 pass
             client.close()
         try:
+            # Closing a listening socket does not interrupt a blocked
+            # accept() on Linux; shutting it down does.  Without this
+            # the accept thread — and the listening port — outlive
+            # close() until a stray connection arrives.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._sock.close()
         except OSError:
             pass
+        self._accept_thread.join(timeout=5.0)
         if self._unix_path is not None:
             try:
                 os.unlink(self._unix_path)

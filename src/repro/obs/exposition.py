@@ -237,7 +237,7 @@ class ExpositionServer:
             address,
             self._handle,
             hello={"service": "repro.obs.health"},
-            http_responder=http_response_for,
+            http_responder=self._http_response,
             name="repro-obs",
         )
         self.address = self._server.address
@@ -261,7 +261,7 @@ class ExpositionServer:
             registry = default_metrics()
         return render_registry(registry)
 
-    def _handle(self, command: dict) -> dict:
+    def _handle(self, command: dict, conn) -> dict:
         cmd = command.get("cmd")
         if cmd == "metrics":
             return {"content_type": CONTENT_TYPE, "text": self.metrics_text()}
@@ -276,6 +276,19 @@ class ExpositionServer:
         if cmd == "ping":
             return {"service": "repro.obs.health"}
         raise ValueError(f"unknown command {cmd!r}")
+
+    def _http_response(self, path: str) -> bytes:
+        """GET routing: ``/health`` answers the health state as JSON,
+        anything else the metrics page (a raised error becomes the
+        transport's 500)."""
+
+        if path.startswith("/health"):
+            state = self._handle({"cmd": "health"}, None)
+            body = json.dumps(state, default=str)
+            return build_http_response(
+                "200 OK", "application/json", body.encode("utf-8"))
+        return build_http_response(
+            "200 OK", CONTENT_TYPE, self.metrics_text().encode("utf-8"))
 
     @property
     def client_count(self) -> int:
@@ -338,28 +351,3 @@ def build_http_response(status: str, content_type: str, body: bytes) -> bytes:
         f"Connection: close\r\n\r\n"
     ).encode("latin-1")
     return head + body
-
-
-# Historical internal name.
-_http_body_parts = build_http_response
-
-
-def http_response_for(handler, path: str) -> bytes:
-    """Shared GET routing for the transport layer: ``/health`` answers
-    the health state as JSON, anything else the metrics page."""
-
-    cmd = "health" if path.startswith("/health") else "metrics"
-    try:
-        data = handler({"cmd": cmd, "http": True})
-    except Exception as exc:  # noqa: BLE001 - reported to the client
-        return _http_body_parts(
-            "500 Internal Server Error", "text/plain",
-            str(exc).encode("utf-8", "replace"),
-        )
-    if cmd == "health":
-        body = json.dumps(data, default=str).encode("utf-8")
-        return _http_body_parts("200 OK", "application/json", body)
-    body = data.get("text", "").encode("utf-8")
-    return _http_body_parts(
-        "200 OK", data.get("content_type", CONTENT_TYPE), body
-    )

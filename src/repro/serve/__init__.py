@@ -9,15 +9,18 @@ the service, with results written back bitwise-identically.
 
 Layout:
 
-* :mod:`~repro.serve.daemon` — the asyncio front door (sessions,
-  ``/metrics``, ``/metrics/<tenant>``, ``/health`` over one port);
+* :mod:`~repro.serve.daemon` — the front door: one
+  :class:`repro.net.Server` (sessions, ``/metrics``,
+  ``/metrics/<tenant>``, ``/health`` over one port, a thread per
+  connection) in front of the engine;
 * :mod:`~repro.serve.engine` — the shared fleet: sharded dependency
   tracking (one lock per shard, tenants on different shards never
   contend) and per-tenant admission control (graph-size, memory,
   in-flight caps → 429-style :class:`GraphRejected`);
 * :mod:`~repro.serve.session` — the client: deferred-batch submission
   over the JSON-lines wire;
-* :mod:`~repro.serve.protocol` — datum/value/task encodings;
+* :mod:`~repro.serve.protocol` — value/task encodings, and datums as
+  the shared :mod:`repro.net.codec` blob on a JSON line;
 * :mod:`~repro.serve.errors` — the structured error taxonomy.
 
 Run a daemon with ``python -m repro serve tcp:127.0.0.1:7070`` and see

@@ -1,17 +1,18 @@
-"""The asyncio front door of the task-graph service.
+"""The front door of the task-graph service.
 
 One daemon owns one :class:`~repro.serve.engine.ServeEngine` (the
-worker fleet) and accepts any number of concurrent client sessions.
-Each connection is a coroutine, so a session awaiting a long graph
-never blocks another tenant's submissions — the engine executes jobs
-on its own threads and completions are bridged back into the loop
-with ``call_soon_threadsafe``.
+worker fleet) and one :class:`repro.net.Server` (the socket, the
+JSON-lines framing, the first-bytes HTTP sniff, the acks) and accepts
+any number of concurrent client sessions.  The transport gives every
+connection its own reader thread, so a ``run`` simply submits its graph
+and blocks that thread until the job is done — a session waiting on a
+long graph never delays another tenant's submissions, and there is one
+concurrency model (threads) from the socket to the task body.
 
-The wire surface is the shared JSON-lines protocol with the same
-first-bytes HTTP sniffing as the exposition endpoint: ``curl
-http://host:port/metrics`` (all tenants), ``/metrics/<tenant>`` (one
-tenant's series), and ``/health`` (fleet + tenant state as JSON) work
-against the same port the sessions use.
+The wire surface is the shared JSON-lines protocol plus plain HTTP on
+the same port: ``curl http://host:port/metrics`` (all tenants),
+``/metrics/<tenant>`` (one tenant's series), and ``/health`` (fleet +
+tenant state as JSON).
 
 Admission control is per tenant and rejection-based (429-style): the
 engine's caps turn the paper's §III blocking conditions into
@@ -21,26 +22,21 @@ clients can branch on ``code`` and retry.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
 import time
 from typing import Optional
 
-from ..net.protocol import (
-    PROTOCOL_VERSION,
-    decode,
-    encode,
-    format_address,
-    parse_address,
-)
+from ..net.protocol import PROTOCOL_VERSION
+from ..net.server import Server
 from ..obs.exposition import (
     CONTENT_TYPE,
     build_http_response,
     render_registry,
 )
 from .engine import ServeEngine, ServiceLimits
-from .errors import GraphRejected, ServeError
+from .errors import ServeError
+from .protocol import SERVE_PROTOCOL_VERSION
 
 __all__ = ["ServeDaemon", "filter_page_by_tenant"]
 
@@ -78,19 +74,12 @@ class _WireError(ServeError):
         super().__init__(str(error.get("message", "graph failed")))
         self.wire = error
 
-
-class _Connection:
-    """Per-connection state: its tenant and its in-flight jobs."""
-
-    __slots__ = ("tenant", "jobs")
-
-    def __init__(self):
-        self.tenant: Optional[str] = None
-        self.jobs: set = set()
+    def to_wire(self) -> dict:
+        return self.wire
 
 
 class ServeDaemon:
-    """Bind, accept, admit, execute; one fleet, many tenants."""
+    """Admit, execute, expose; one fleet, many tenants."""
 
     def __init__(
         self,
@@ -107,123 +96,58 @@ class ServeDaemon:
             limits=limits, metrics=metrics,
         )
         self._t0 = time.monotonic()
-        self._loop = asyncio.new_event_loop()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-serve-loop",
-            daemon=True,
-        )
-        self._thread.start()
-        self.address = asyncio.run_coroutine_threadsafe(
-            self._bind(address), self._loop
-        ).result(timeout=10.0)
-
-    async def _bind(self, address: str) -> str:
-        parsed = parse_address(address)
-        if parsed[0] == "tcp":
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=parsed[1], port=parsed[2]
+        self._closed = threading.Event()
+        try:
+            self._server = Server(
+                address,
+                self._handle,
+                hello={
+                    "service": "repro.serve",
+                    "version": PROTOCOL_VERSION,
+                    "workers": self.engine.num_workers,
+                    "backend": self.engine.backend,
+                    "shards": len(self.engine.shards),
+                },
+                http_responder=self._http_response,
+                on_disconnect=self._disconnected,
+                name="repro-serve",
             )
-            port = self._server.sockets[0].getsockname()[1]
-            return format_address(("tcp", parsed[1], port))
-        self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=parsed[1]
-        )
-        return parsed[1]
+        except BaseException:
+            self.engine.shutdown()
+            raise
+        self.address = self._server.address
 
     # ------------------------------------------------------------------
-    # connections
+    # commands (each runs on its connection's reader thread)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        conn = _Connection()
+    def _handle(self, record: dict, conn) -> dict:
         try:
-            buffer = b""
-            while len(buffer) < 5:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                buffer += chunk
-            if buffer.startswith(b"GET ") or buffer.startswith(b"HEAD "):
-                await self._serve_http(reader, writer, buffer)
-                return
-            # JSON-lines session: deliver the deferred hello.
-            writer.write(encode(self._hello()))
-            await writer.drain()
-            while True:
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    record = decode(line)
-                    if record is None:
-                        continue
-                    if record.get("cmd") == "detach":
-                        writer.write(encode({"ev": "bye"}))
-                        await writer.drain()
-                        return
-                    ack = await self._run_command(conn, record)
-                    writer.write(encode(ack))
-                    await writer.drain()
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                buffer += chunk
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            # A client gone mid-graph must not stall the fleet or leak
-            # its tenant's accounting: abandon whatever it left behind.
-            for job in list(conn.jobs):
-                self.engine.abandon(job)
-            conn.jobs.clear()
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
-
-    def _hello(self) -> dict:
-        return {
-            "service": "repro.serve",
-            "version": PROTOCOL_VERSION,
-            "workers": self.engine.num_workers,
-            "backend": self.engine.backend,
-            "shards": len(self.engine.shards),
-        }
-
-    # ------------------------------------------------------------------
-    # commands
-    # ------------------------------------------------------------------
-    async def _run_command(self, conn: _Connection, record: dict) -> dict:
-        ack = {
-            "ev": "ack",
-            "seq": record.get("seq"),
-            "cmd": record.get("cmd"),
-        }
-        try:
-            ack["data"] = await self._dispatch(conn, record)
-            ack["ok"] = True
-        except GraphRejected as exc:
-            ack["ok"] = False
-            ack["error"] = exc.to_wire()
-        except _WireError as exc:
-            ack["ok"] = False
-            ack["error"] = exc.wire
-        except ServeError as exc:
-            ack["ok"] = False
-            ack["error"] = {"code": "error", "message": str(exc)}
+            return self._dispatch(record, conn)
+        except ServeError:
+            raise
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            ack["ok"] = False
-            ack["error"] = {
+            raise _WireError({
                 "code": "internal",
                 "message": f"{type(exc).__name__}: {exc}",
-            }
-        return ack
+            }) from exc
 
-    async def _dispatch(self, conn: _Connection, record: dict) -> dict:
+    def _dispatch(self, record: dict, conn) -> dict:
         cmd = record.get("cmd")
         if cmd == "open":
             tenant = record.get("tenant")
             if not tenant or not isinstance(tenant, str):
                 raise ServeError("open requires a tenant name")
+            version = record.get("version")
+            if version != SERVE_PROTOCOL_VERSION:
+                raise _WireError({
+                    "code": "version_mismatch",
+                    "message": (
+                        f"client speaks serve protocol {version!r}; this "
+                        f"daemon speaks {SERVE_PROTOCOL_VERSION}"
+                    ),
+                    "client": version,
+                    "server": SERVE_PROTOCOL_VERSION,
+                })
             conn.tenant = tenant
             self.engine.tenant(tenant)
             return {
@@ -233,49 +157,30 @@ class ServeDaemon:
                 "backend": self.engine.backend,
                 "shards": len(self.engine.shards),
             }
+        tenant = getattr(conn, "tenant", None)
         if cmd == "run":
-            if conn.tenant is None:
+            if tenant is None:
                 raise ServeError("run before open: no tenant bound")
-            return await self._run_graph(conn, record)
+            return self._run_graph(tenant, record, conn)
         if cmd == "metrics":
-            text = render_registry(self.engine.metrics)
-            tenant = record.get("tenant")
-            if tenant:
-                text = filter_page_by_tenant(text, str(tenant))
-            return {"content_type": CONTENT_TYPE, "text": text}
+            return {
+                "content_type": CONTENT_TYPE,
+                "text": self._metrics_page(record.get("tenant")),
+            }
         if cmd == "health":
             return self._health()
         if cmd == "ping":
-            return {"service": "repro.serve", "tenant": conn.tenant}
+            return {"service": "repro.serve", "tenant": tenant}
         raise ServeError(f"unknown command {cmd!r}")
 
-    async def _run_graph(self, conn: _Connection, record: dict) -> dict:
-        spec = {
-            "tasks": record.get("tasks") or [],
-            "data": record.get("data") or {},
-            "constants": record.get("constants") or {},
-        }
-        loop = asyncio.get_running_loop()
-        # Admission + decode + dependency analysis are CPU work; keep
-        # them off the event loop so other tenants' submissions are
-        # never queued behind one tenant's big graph.
-        job = await loop.run_in_executor(
-            None, self.engine.submit_graph, conn.tenant, spec
-        )
-        conn.jobs.add(job)
-        future = loop.create_future()
-
-        def _done(finished_job):
-            def _resolve():
-                if not future.cancelled():
-                    future.set_result(finished_job)
-            loop.call_soon_threadsafe(_resolve)
-
-        job.add_done_callback(_done)
-        try:
-            await future
-        finally:
-            conn.jobs.discard(job)
+    def _run_graph(self, tenant: str, record: dict, conn) -> dict:
+        # The run record *is* the graph spec (tasks/data/constants).
+        job = self.engine.submit_graph(tenant, record)
+        # A connection has one graph in flight: its reader thread is
+        # parked right here until the job finalizes.
+        conn.job = job
+        job.done.wait()
+        conn.job = None
         if job.error is not None:
             raise _WireError(job.error)
         return {
@@ -283,6 +188,13 @@ class ServeDaemon:
             "tasks": job.task_count,
             "seconds": job.seconds,
         }
+
+    def _disconnected(self, conn) -> None:
+        # A client gone mid-graph must not stall the fleet or leak its
+        # tenant's accounting: abandon whatever it left behind.
+        job = getattr(conn, "job", None)
+        if job is not None:
+            self.engine.abandon(job)
 
     def _health(self) -> dict:
         state = self.engine.state()
@@ -293,38 +205,19 @@ class ServeDaemon:
         state["workers_alive"] = sum(1 for w in liveness if w.get("alive"))
         return state
 
-    # ------------------------------------------------------------------
-    # HTTP
-    # ------------------------------------------------------------------
-    async def _serve_http(self, reader, writer, buffer: bytes) -> None:
-        while b"\r\n\r\n" not in buffer and len(buffer) < 65536:
-            chunk = await reader.read(65536)
-            if not chunk:
-                break
-            buffer += chunk
-        request_line = buffer.split(b"\r\n", 1)[0].decode("latin-1", "replace")
-        parts = request_line.split()
-        path = parts[1] if len(parts) > 1 else "/"
-        try:
-            response = self._http_response(path)
-        except Exception as exc:  # noqa: BLE001 - reported to the client
-            response = build_http_response(
-                "500 Internal Server Error", "text/plain",
-                str(exc).encode("utf-8", "replace"),
-            )
-        writer.write(response)
-        await writer.drain()
+    def _metrics_page(self, tenant) -> str:
+        text = render_registry(self.engine.metrics)
+        if tenant:
+            text = filter_page_by_tenant(text, str(tenant))
+        return text
 
     def _http_response(self, path: str) -> bytes:
         if path.startswith("/health"):
             body = json.dumps(self._health(), default=str).encode("utf-8")
             return build_http_response("200 OK", "application/json", body)
         if path.startswith("/metrics"):
-            text = render_registry(self.engine.metrics)
             rest = path[len("/metrics"):].strip("/")
-            if rest:
-                tenant = rest.split("/", 1)[0]
-                text = filter_page_by_tenant(text, tenant)
+            text = self._metrics_page(rest.split("/", 1)[0])
             return build_http_response(
                 "200 OK", CONTENT_TYPE, text.encode("utf-8")
             )
@@ -340,28 +233,18 @@ class ServeDaemon:
         """Block the calling thread until :meth:`close` (CLI mode)."""
 
         try:
-            self._thread.join()
+            self._closed.wait()
         except KeyboardInterrupt:
             self.close()
 
     def close(self) -> None:
-        if self._closed:
+        if self._closed.is_set():
             return
-        self._closed = True
-
-        async def _shut():
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-
-        try:
-            asyncio.run_coroutine_threadsafe(
-                _shut(), self._loop
-            ).result(timeout=10.0)
-        except Exception:  # noqa: BLE001 - teardown best effort
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
+        self._closed.set()
+        # Sockets first: every session — including one blocked on a
+        # graph still running — sees the stream end now, not after the
+        # fleet has drained.
+        self._server.close()
         self.engine.shutdown()
 
     def __enter__(self) -> "ServeDaemon":

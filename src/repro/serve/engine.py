@@ -26,17 +26,17 @@ with no extra bookkeeping.
 from __future__ import annotations
 
 import threading
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.backend import make_backend
 from ..core.config import RuntimeConfig
 from ..core.dependencies import TrackerConfig
 from ..core.invocation import plan_for
 from ..core.sharding import DEFAULT_NUM_SHARDS, GraphDomain, ShardSet
+from ..net.codec import format_remote_error
 from ..obs.metrics import MetricsRegistry
 from . import protocol as sp
 from .errors import GraphRejected, ServeError
@@ -96,7 +96,7 @@ class GraphJob:
     __slots__ = (
         "tenant", "domain", "data", "nbytes", "task_count",
         "outstanding", "cancelled", "discard", "finalized",
-        "error", "results", "seconds", "done", "_callbacks", "_t0",
+        "error", "results", "seconds", "done", "_t0",
     )
 
     def __init__(self, tenant: _TenantState, domain: GraphDomain,
@@ -113,15 +113,9 @@ class GraphJob:
         self.error: Optional[dict] = None
         self.results: Optional[dict] = None
         self.seconds = 0.0
+        #: Set at finalize; a submitter blocks on it for the outcome.
         self.done = threading.Event()
-        self._callbacks: list[Callable] = []
         self._t0 = perf_counter()
-
-    def add_done_callback(self, fn: Callable[["GraphJob"], None]) -> None:
-        if self.done.is_set():
-            fn(self)
-        else:
-            self._callbacks.append(fn)
 
 
 class ServeEngine:
@@ -185,10 +179,6 @@ class ServeEngine:
                 state = _TenantState(name, self.metrics)
                 self._tenants[name] = state
             return state
-
-    def tenant_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._tenants)
 
     def reject(self, tenant_name: str, exc: GraphRejected) -> GraphRejected:
         """Record one shed submission in the tenant's metrics."""
@@ -354,18 +344,15 @@ class ServeEngine:
         newly_ready: list = []
         pending = -1
         if failure is not None:
+            exc_type, message, remote_traceback = format_remote_error(failure)
             job.error = job.error or {
                 "code": "task_failed",
                 "message": (
                     f"task {task.definition.name!r} raised "
-                    f"{type(failure).__name__}: {failure}"
+                    f"{exc_type}: {message}"
                 ),
                 "task": task.definition.name,
-                "traceback": "".join(
-                    traceback.format_exception(
-                        type(failure), failure, failure.__traceback__
-                    )
-                ),
+                "traceback": remote_traceback,
             }
         elif not skipped:
             job.tenant.m_tasks.inc()
@@ -418,12 +405,6 @@ class ServeEngine:
             tenant.m_bytes.set(tenant.bytes_held)
             self._jobs.discard(job)
         job.done.set()
-        callbacks, job._callbacks = job._callbacks, []
-        for callback in callbacks:
-            try:
-                callback(job)
-            except Exception:  # noqa: BLE001 - observer must not kill worker
-                pass
 
     # ------------------------------------------------------------------
     # cancellation / lifecycle

@@ -14,6 +14,12 @@ __all__ = ["ServeError", "GraphRejected", "RemoteGraphError"]
 class ServeError(RuntimeError):
     """Any failure of the serve surface (protocol, session, daemon)."""
 
+    def to_wire(self) -> dict:
+        """The dict this error crosses the wire as (the transport puts
+        it in the ack's ``error``); subclasses add their own fields."""
+
+        return {"code": "error", "message": str(self)}
+
 
 class GraphRejected(ServeError):
     """Admission control shed this submission (429-style; retryable).

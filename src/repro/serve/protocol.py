@@ -14,9 +14,12 @@ and its ack returns every datum's post-barrier bytes::
     {"results": {datum_id: datum_payload, ...},
      "tasks": N, "seconds": s}
 
-Datum payloads are exact: ndarrays ship dtype/shape plus the raw
-C-order buffer (base64), so a round trip is bitwise; container types
-(list/bytearray/dict) ship pickled.  Task *definitions* are referenced
+A datum payload is the shared blob of :mod:`repro.net.codec` — its
+meta dict (``"t": "nd"`` with dtype/shape for plain ndarrays,
+``"t": "pkl"`` for containers and structured/object arrays) with the
+payload bytes base64'd onto the JSON line under ``"b64"`` — so a round
+trip is bitwise and results land in place by the same rule as on every
+other backend.  Task *definitions* are referenced
 by module/qualname — the same registration rule as the mp backend —
 and resolved server-side to the ``@css_task`` wrapper, whose
 ``.definition`` carries the full pragma (directions, regions,
@@ -29,12 +32,19 @@ ships pickled.
 from __future__ import annotations
 
 import base64
-import importlib
 import pickle
 from typing import Any
 
 import numpy as np
 
+from ..net.codec import (
+    PROTOCOL,
+    apply_blob,
+    decode_blob,
+    definition_address,
+    encode_blob,
+    resolve_address,
+)
 from .errors import ServeError
 
 __all__ = [
@@ -44,13 +54,14 @@ __all__ = [
     "write_back_into",
     "encode_value",
     "decode_value",
-    "datum_nbytes",
     "definition_ref",
     "resolve_definition",
     "is_datum",
 ]
 
-SERVE_PROTOCOL_VERSION = 1
+#: Checked at ``open``: 2 = datum payloads tagged by the shared blob
+#: meta (``"t"``), where 1 had serve's own ``"k"`` tags.
+SERVE_PROTOCOL_VERSION = 2
 
 #: Tracked (shipped-by-reference) container types the session can
 #: write results back into in place.  Mirrors the tracker's by-value
@@ -74,70 +85,28 @@ def _b64(raw: bytes) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
-
-
 def encode_datum(obj: Any) -> dict:
     """Exact payload for one tracked datum."""
 
-    if isinstance(obj, np.ndarray):
-        return {
-            "k": "nd",
-            "dtype": obj.dtype.str,
-            "shape": list(obj.shape),
-            "b64": _b64(obj.tobytes(order="C")),
-        }
-    if isinstance(obj, (list, bytearray, dict)):
-        return {"k": "py", "b64": _b64(pickle.dumps(obj, protocol=4))}
-    raise ServeError(
-        f"cannot ship tracked datum of type {type(obj).__name__}: the "
-        f"serve surface supports ndarray, list, bytearray, and dict "
-        f"(results must be writable back in place)"
-    )
+    if not isinstance(obj, _DATUM_TYPES):
+        raise ServeError(
+            f"cannot ship tracked datum of type {type(obj).__name__}: the "
+            f"serve surface supports ndarray, list, bytearray, and dict "
+            f"(results must be writable back in place)"
+        )
+    payload, raw = encode_blob(obj)
+    payload["b64"] = _b64(raw)
+    return payload
 
 
 def decode_datum(payload: dict) -> Any:
-    kind = payload.get("k")
-    if kind == "nd":
-        raw = _unb64(payload["b64"])
-        arr = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-        # frombuffer returns a read-only view over the decoded bytes;
-        # tasks write into their arrays, so materialise a private copy.
-        return arr.reshape(payload["shape"]).copy()
-    if kind == "py":
-        return pickle.loads(_unb64(payload["b64"]))
-    raise ServeError(f"unknown datum payload kind {kind!r}")
+    return decode_blob(payload, base64.b64decode(payload["b64"]))
 
 
 def write_back_into(target: Any, payload: dict) -> None:
     """Apply a result payload into the client's original object."""
 
-    value = decode_datum(payload)
-    if isinstance(target, np.ndarray):
-        target[...] = value
-    elif isinstance(target, (list, bytearray)):
-        target[:] = value
-    elif isinstance(target, dict):
-        target.clear()
-        target.update(value)
-    else:
-        raise ServeError(
-            f"cannot write result back into {type(target).__name__}"
-        )
-
-
-def datum_nbytes(obj: Any) -> int:
-    """Admission-control size estimate for one datum."""
-
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, bytearray):
-        return len(obj)
-    try:
-        return len(pickle.dumps(obj, protocol=4))
-    except Exception:  # noqa: BLE001 - sizing only; shipping will re-raise
-        return 0
+    apply_blob(target, payload, base64.b64decode(payload["b64"]))
 
 
 def encode_value(value: Any) -> dict:
@@ -148,7 +117,7 @@ def encode_value(value: Any) -> dict:
         # NaN/Infinity extensions), so the round trip is exact.
         return {"v": value}
     try:
-        return {"p": _b64(pickle.dumps(value, protocol=4))}
+        return {"p": _b64(pickle.dumps(value, protocol=PROTOCOL))}
     except Exception as exc:  # noqa: BLE001 - reported to the caller
         raise ServeError(
             f"argument of type {type(value).__name__} is not "
@@ -160,7 +129,7 @@ def decode_value(spec: dict) -> Any:
     if "v" in spec:
         return spec["v"]
     if "p" in spec:
-        return pickle.loads(_unb64(spec["p"]))
+        return pickle.loads(base64.b64decode(spec["p"]))
     raise ServeError(f"unknown value spec {spec!r}")
 
 
@@ -172,16 +141,14 @@ def definition_ref(definition) -> list:
     identical pragma.
     """
 
-    func = definition.func
-    module = getattr(func, "__module__", None)
-    qualname = getattr(func, "__qualname__", "")
-    if not module or "<locals>" in qualname:
+    address = definition_address(definition.func)
+    if address is None:
         raise ServeError(
             f"task {definition.name!r} is not addressable by "
             f"module/qualname (defined inside a function?); served "
             f"execution requires module-level @css_task definitions"
         )
-    return [module, qualname]
+    return list(address)
 
 
 def resolve_definition(ref) -> Any:
@@ -189,18 +156,11 @@ def resolve_definition(ref) -> Any:
 
     module_name, qualname = ref
     try:
-        obj: Any = importlib.import_module(module_name)
-    except ImportError as exc:
+        obj = resolve_address(module_name, qualname)
+    except (ImportError, AttributeError) as exc:
         raise ServeError(
-            f"cannot import task module {module_name!r}: {exc}"
+            f"cannot resolve task {module_name}.{qualname}: {exc}"
         ) from exc
-    for part in qualname.split("."):
-        try:
-            obj = getattr(obj, part)
-        except AttributeError as exc:
-            raise ServeError(
-                f"cannot resolve task {module_name}.{qualname}: {exc}"
-            ) from exc
     definition = getattr(obj, "definition", None)
     if definition is None:
         raise ServeError(

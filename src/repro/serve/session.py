@@ -34,7 +34,6 @@ from typing import Optional
 
 from ..core import api as _api
 from ..net.client import Client
-from ..net.protocol import encode as wire_encode
 from . import protocol as sp
 from .errors import GraphRejected, RemoteGraphError, ServeError
 
@@ -57,28 +56,15 @@ def _default_tenant() -> str:
 
 
 class _Transport(Client):
-    """JSON-lines client that keeps structured errors structured.
-
-    The generic :meth:`Client.command` flattens an error to a string;
-    the serve protocol ships dict errors (code/status/detail), so the
-    session needs the full ack.
-    """
+    """The session's JSON-lines client.  The serve protocol ships dict
+    errors (code/status/detail), so it reads whole acks
+    (:meth:`Client.request`) where :meth:`Client.command` would flatten
+    the error to a string."""
 
     def rpc(self, cmd: str, **fields) -> dict:
-        sock = self._sock
-        if sock is None:
+        if self._sock is None:
             raise ServeError("session transport already closed")
-        self._seq += 1
-        seq = self._seq
-        record = {"cmd": cmd, "seq": seq}
-        record.update(fields)
-        sock.sendall(wire_encode(record))
-        while True:
-            reply = self._recv_raw(self.timeout)
-            if reply.get("ev") == "ack" and reply.get("seq") == seq:
-                return reply
-            # hellos and notes arrive interleaved; park them.
-            self._pending.append(reply)
+        return self.request(cmd, **fields)
 
 
 class ServeSession:
@@ -268,23 +254,21 @@ class ServeSession:
     # ------------------------------------------------------------------
     # service introspection
     # ------------------------------------------------------------------
-    def ping(self) -> dict:
+    def _query(self, cmd: str) -> dict:
         if self._transport is None:
             raise ServeError("session is not started")
-        ack = self._transport.rpc("ping")
+        ack = self._transport.rpc(cmd)
         if not ack.get("ok"):
             raise self._error_from(ack.get("error"))
         return ack.get("data", {})
+
+    def ping(self) -> dict:
+        return self._query("ping")
 
     def service_state(self) -> dict:
         """The daemon's health view (tenants, queue depth, limits)."""
 
-        if self._transport is None:
-            raise ServeError("session is not started")
-        ack = self._transport.rpc("health")
-        if not ack.get("ok"):
-            raise self._error_from(ack.get("error"))
-        return ack.get("data", {})
+        return self._query("health")
 
     # ------------------------------------------------------------------
     @staticmethod

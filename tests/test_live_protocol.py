@@ -220,7 +220,7 @@ class TestServerFraming:
 
         server = LiveServer(
             "tcp:127.0.0.1:0",
-            lambda command: {"cmd": command.get("cmd")},
+            lambda command, conn: {"cmd": command.get("cmd")},
             hello={"version": 1},
         )
         total = 3000

@@ -9,6 +9,7 @@ directly).
 """
 
 import threading
+import time
 
 import pytest
 
@@ -57,7 +58,7 @@ class TestExtractionContract:
 
 class TestStandaloneServer:
     def _serve(self, **kwargs):
-        def handler(command):
+        def handler(command, conn):
             if command.get("cmd") == "echo":
                 return {"echo": command.get("value")}
             raise ValueError(f"unknown command {command.get('cmd')!r}")
@@ -104,7 +105,7 @@ class TestStandaloneServer:
         # With an http_responder the hello only lands after the first
         # client bytes identify the protocol — expect_hello=False plus
         # a first command is the JSON-lines handshake.
-        def responder(handler, path):
+        def responder(path):
             body = b"hi"
             return (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
                     b"Connection: close\r\n\r\n" + body)
@@ -127,7 +128,7 @@ class TestStandaloneServer:
     def test_http_get_served_on_same_port(self):
         import socket as socketmod
 
-        def responder(handler, path):
+        def responder(path):
             body = path.encode()
             head = (f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n"
                     f"Connection: close\r\n\r\n").encode()
@@ -165,6 +166,63 @@ class TestStandaloneServer:
                     client.recv(timeout=5.0)
         finally:
             client.close()
+
+    @pytest.mark.parametrize("kind", ["tcp", "unix"])
+    def test_close_stops_accepting(self, kind, tmp_path):
+        """Closing a listening socket does not wake a blocked accept()
+        on Linux: without the listener shutdown the accept thread — and
+        for tcp the listening port — outlived close()."""
+
+        address = ("tcp:127.0.0.1:0" if kind == "tcp"
+                   else str(tmp_path / "net.sock"))
+        server = Server(address, lambda cmd, conn: {}, name="repro-closing")
+        net.connect(server.address, timeout=5.0).close()  # it listens
+        server.close()
+        assert not [
+            t for t in threading.enumerate()
+            if t.name == "repro-closing-accept" and t.is_alive()
+        ]
+        with pytest.raises(OSError):
+            net.connect(server.address, timeout=2.0)
+
+    def test_connection_context_disconnect_and_wire_shaped_errors(self):
+        class Shaped(Exception):
+            def to_wire(self):
+                return {"code": "shaped", "detail": 7}
+
+        gone = []
+
+        def handler(command, conn):
+            if command["cmd"] == "name":
+                conn.name = command["value"]
+            elif command["cmd"] == "boom":
+                raise Shaped("flattened if it crossed as str")
+            return {"name": conn.name}
+
+        server = Server(
+            "tcp:127.0.0.1:0", handler, on_disconnect=gone.append
+        )
+        try:
+            a = Client(server.address, timeout=5.0)
+            b = Client(server.address, timeout=5.0)
+            a.command("name", value="a")
+            b.command("name", value="b")
+            # Each connection kept its own context across commands.
+            assert a.command("recall") == {"name": "a"}
+            assert b.command("recall") == {"name": "b"}
+            a._sock.sendall(net.encode({"cmd": "boom", "seq": 99}))
+            ack = a.wait_for(lambda r: r.get("seq") == 99, timeout=5.0)
+            assert ack["ok"] is False
+            assert ack["error"] == {"code": "shaped", "detail": 7}
+            a.detach()  # orderly
+            b.close()   # abrupt
+            deadline = time.monotonic() + 5.0
+            while len(gone) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            server.close()
+        time.sleep(0.05)  # a second callback would have fired by now
+        assert sorted(conn.name for conn in gone) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +291,7 @@ class TestConnectRetry:
 
     def test_client_exposes_connect_knobs(self):
         server = Server(
-            "tcp:127.0.0.1:0", lambda cmd: {"ok": True},
+            "tcp:127.0.0.1:0", lambda cmd, conn: {"ok": True},
             hello={"service": "test"},
         )
         try:

@@ -11,6 +11,7 @@ backends only through ``repro.core.backend``.
 import ast
 import dataclasses
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -238,13 +239,63 @@ class TestRuntimeKnowsNoBackend:
     def test_config_field_count_is_pinned(self):
         # Every field doubles the configurations tests must cover:
         # adding one is a deliberate act that updates this number.
-        assert len(dataclasses.fields(RuntimeConfig)) == 24
+        assert len(dataclasses.fields(RuntimeConfig)) == 23
 
     def test_unknown_name_in_runtime_module_still_fails(self):
         import repro.core.runtime as runtime_mod
 
         with pytest.raises(AttributeError):
             runtime_mod.never_existed
+
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def _imported_modules(path):
+    """Top-level names of every module *path* imports."""
+
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add((node.module or "").split(".")[0])
+    return names
+
+
+def _modules_containing(text, *packages):
+    return sorted(
+        str(path.relative_to(SRC))
+        for package in packages
+        for path in (SRC / package).glob("*.py")
+        if text in path.read_text()
+    )
+
+
+class TestOneServerOneCodec:
+    """One concurrency model, one socket server, one datum codec."""
+
+    def test_nothing_imports_asyncio(self):
+        assert [
+            str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if "asyncio" in _imported_modules(path)
+        ] == []
+
+    def test_serve_daemon_owns_no_socket(self):
+        path = SRC / "serve" / "daemon.py"
+        assert not _imported_modules(path) & {"socket", "asyncio"}
+        called = {
+            node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+        }
+        assert not called & {"bind", "accept", "listen"}
+
+    def test_content_decode_and_landing_rule_have_one_home(self):
+        wire = ("net", "mp", "dist", "serve")
+        assert _modules_containing("np.frombuffer", *wire) == ["net/codec.py"]
+        assert _modules_containing(
+            "isinstance(target, np.ndarray)", *wire
+        ) == ["net/codec.py"]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.core.sharding import (
     address_hash,
     shard_index,
 )
+from repro.net import NetClosed
 from repro.net.protocol import connect as raw_connect
 from repro.net.protocol import decode as wire_decode
 from repro.net.protocol import encode as wire_encode
@@ -42,6 +43,7 @@ from repro.serve import (
     RemoteGraphError,
     ServeDaemon,
     ServeEngine,
+    ServeError,
     ServiceLimits,
     connect,
 )
@@ -74,6 +76,12 @@ def boom_t(a):
     raise ValueError("deliberate task failure")
 
 
+@css_task("inout(rec)")
+def scale_records_t(rec):
+    rec["w"] *= 2.0
+    rec["n"] += 1
+
+
 #: Gate for in-flight tests: tasks park here until the test opens it.
 _GATE = threading.Event()
 
@@ -89,6 +97,29 @@ def daemon():
     d = ServeDaemon("tcp:127.0.0.1:0", workers=2, shards=4)
     yield d
     d.close()
+
+
+def _raw_ack(sock, record):
+    """Send one command on a raw socket; return its ack."""
+
+    sock.sendall(wire_encode(record))
+    buffer = b""
+    while True:
+        chunk = sock.recv(65536)
+        assert chunk, "daemon closed before acking"
+        buffer += chunk
+        while b"\n" in buffer:
+            line, buffer = buffer.split(b"\n", 1)
+            reply = wire_decode(line)
+            if reply and reply.get("ev") == "ack":
+                return reply
+
+
+def _serve_threads():
+    return [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("repro-serve-") and t.is_alive()
+    ]
 
 
 def _drain_tenant(engine, name, timeout=10.0):
@@ -164,10 +195,22 @@ class TestWireCodecs:
             np.arange(6, dtype=np.int16).reshape(2, 3),
             np.array([np.nan, np.inf, -0.0]),
             np.zeros(0, dtype=np.float32),
+            # dtype.str cannot describe these two: they must pickle.
+            np.array([(1, 2.5), (3, -0.0)], dtype=[("n", "<i4"), ("w", "<f8")]),
+            np.array([1, "two", None, (3, 4)], dtype=object),
+            rng.standard_normal((6, 4))[::2, 1::2],  # non-contiguous view
+            np.array(2.5),                           # 0-d
         ):
-            back = sp.decode_datum(sp.encode_datum(arr))
-            assert back.dtype == arr.dtype and back.shape == arr.shape
-            assert back.tobytes() == arr.tobytes()
+            payload = json.loads(json.dumps(sp.encode_datum(arr)))
+            back = sp.decode_datum(payload)
+            target = np.empty_like(arr)
+            sp.write_back_into(target, payload)
+            for got in (back, target):
+                assert got.dtype == arr.dtype and got.shape == arr.shape
+                if arr.dtype.hasobject:  # raw bytes are pointers
+                    assert got.tolist() == arr.tolist()
+                else:
+                    assert got.tobytes() == arr.tobytes()
             assert back.flags.writeable
 
     def test_container_roundtrip_and_in_place_write_back(self):
@@ -285,6 +328,16 @@ class TestServedParity:
             copy_t(src, dst)
             rt.barrier()
         assert (dst == src).all()
+
+    def test_structured_array_crosses_and_lands_in_place(self, daemon):
+        dtype = np.dtype([("n", "<i4"), ("w", "<f8")])
+        served = np.array([(1, 0.5), (2, -0.0), (3, np.nan)], dtype=dtype)
+        oracle = served.copy()
+        scale_records_t(oracle)  # no runtime active: the sequential call
+        with connect(daemon.address, tenant="records") as rt:
+            scale_records_t(served)
+            rt.barrier()
+        assert served.tobytes() == oracle.tobytes()
 
     def test_exit_flushes_pending_batch(self, daemon):
         a = np.zeros(4)
@@ -501,19 +554,10 @@ class TestAdmissionControl:
         arr = np.zeros(2)
         sock = raw_connect(daemon.address, timeout=10.0)
         try:
-            sock.sendall(wire_encode(
-                {"cmd": "open", "seq": 1, "tenant": "dropper"}
-            ))
-            buffer = b""
-            opened = False
-            while not opened:
-                buffer += sock.recv(65536)
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    record = wire_decode(line)
-                    if record and record.get("ev") == "ack":
-                        assert record["ok"]
-                        opened = True
+            assert _raw_ack(sock, {
+                "cmd": "open", "seq": 1, "tenant": "dropper",
+                "version": sp.SERVE_PROTOCOL_VERSION,
+            })["ok"]
             sock.sendall(wire_encode({
                 "cmd": "run", "seq": 2,
                 "tasks": [
@@ -562,24 +606,73 @@ class TestErrors:
     def test_run_before_open_is_rejected(self, daemon):
         sock = raw_connect(daemon.address, timeout=10.0)
         try:
-            sock.sendall(wire_encode(
-                {"cmd": "run", "seq": 1, "tasks": [], "data": {}}
-            ))
-            buffer = b""
-            while True:
-                buffer += sock.recv(65536)
-                done = False
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    record = wire_decode(line)
-                    if record and record.get("ev") == "ack":
-                        assert not record["ok"]
-                        assert "open" in record["error"]["message"]
-                        done = True
-                if done:
-                    break
+            ack = _raw_ack(
+                sock, {"cmd": "run", "seq": 1, "tasks": [], "data": {}}
+            )
+            assert not ack["ok"]
+            assert "open" in ack["error"]["message"]
         finally:
             sock.close()
+
+    def test_other_protocol_version_is_rejected_at_open(self, daemon):
+        sock = raw_connect(daemon.address, timeout=10.0)
+        try:
+            for version in (sp.SERVE_PROTOCOL_VERSION - 1, None):
+                ack = _raw_ack(sock, {
+                    "cmd": "open", "seq": 1, "tenant": "old",
+                    "version": version,
+                })
+                assert not ack["ok"]
+                assert ack["error"]["code"] == "version_mismatch"
+                assert ack["error"]["server"] == sp.SERVE_PROTOCOL_VERSION
+            # Nothing was bound: the connection still has no tenant.
+            ack = _raw_ack(sock, {"cmd": "run", "seq": 2, "tasks": []})
+            assert "open" in ack["error"]["message"]
+        finally:
+            sock.close()
+
+    def test_close_with_a_graph_in_flight_fails_the_session_fast(self):
+        """The session blocked in barrier() must see the stream end at
+        once — not sit out its 120 s read timeout — and nothing of the
+        daemon may outlive close()."""
+
+        daemon = ServeDaemon("tcp:127.0.0.1:0", workers=1, shards=2)
+        _GATE.clear()
+        outcome = []
+
+        def session():
+            a = np.zeros(2)
+            try:
+                with connect(daemon.address, tenant="closer") as rt:
+                    gated_bump_t(a)
+                    rt.barrier()
+            except Exception as exc:  # noqa: BLE001 - the assertion below
+                outcome.append(exc)
+
+        client = threading.Thread(target=session, daemon=True)
+        closer = threading.Thread(target=daemon.close)
+        try:
+            client.start()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                t = daemon.engine.state()["tenants"].get("closer")
+                if t is not None and t["inflight"] == 1:
+                    break
+                time.sleep(0.01)
+            closer.start()  # blocks in the fleet join until the gate opens
+            client.join(2.0)
+            assert not client.is_alive(), "session hung on a closed daemon"
+            assert isinstance(outcome[0], (NetClosed, ServeError))
+        finally:
+            _GATE.set()
+        closer.join(10.0)
+        assert not closer.is_alive()
+        tenant = daemon.engine.state()["tenants"]["closer"]
+        assert tenant["inflight"] == 0 and tenant["bytes_held"] == 0
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline and _serve_threads():
+            time.sleep(0.01)
+        assert _serve_threads() == []
 
     def test_empty_barrier_is_local_noop(self, daemon):
         with connect(daemon.address) as rt:
