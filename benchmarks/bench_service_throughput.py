@@ -2,9 +2,9 @@
 
 Not a figure from the paper — the figure the service architecture
 implies: one daemon, N concurrent client sessions, graphs/sec as N
-grows.  The sharded dependency tracker is what keeps independent
-tenants from contending on one analysis lock, so the acceptance
-criterion is a throughput *ratio*: two concurrent sessions must reach
+grows.  Every submission is analysed in a private dependency domain
+with its own lock, so independent tenants share nothing but the
+fleet, and the acceptance criterion is a throughput *ratio*: two concurrent sessions must reach
 >= 1.5x the graphs/sec of one session on a >= 4-worker fleet.
 
 The ratio assertion only runs on hosts with enough cores to express

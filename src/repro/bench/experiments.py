@@ -811,18 +811,17 @@ def service_throughput(
     tasks_per_graph: int = 8,
     n: int = 48,
     workers: int = 4,
-    shards: int = 16,
     seed: int = 0,
 ) -> FigureResult:
     """Graphs/sec served at N concurrent client sessions.
 
-    One :class:`~repro.serve.ServeDaemon` (W thread workers, S tracker
-    shards) serves every point; each client thread opens its own
-    tenant session and submits ``graphs_per_client`` graphs of
-    ``tasks_per_graph`` independent gemm tasks over its own data, so
-    tenants share nothing but the fleet.  Series: absolute graphs/sec
-    (higher is better) and the throughput ratio over the 1-client run
-    — the ratio is the portable sharding-decontention signal, the
+    One :class:`~repro.serve.ServeDaemon` (W thread workers) serves
+    every point; each client thread opens its own tenant session and
+    submits ``graphs_per_client`` graphs of ``tasks_per_graph``
+    independent gemm tasks over its own data, so tenants share nothing
+    but the fleet.  Series: absolute graphs/sec (higher is better) and
+    the throughput ratio over the 1-client run — the ratio is the
+    portable signal that tenants do not serialise each other, the
     absolute number is host-bound.  Every client verifies its results
     against a sequential oracle, so throughput never counts wrong
     answers.
@@ -841,9 +840,7 @@ def service_throughput(
         oracle += a0 @ b0
 
     throughput: list[float] = []
-    with ServeDaemon(
-        "tcp:127.0.0.1:0", workers=workers, shards=shards
-    ) as daemon:
+    with ServeDaemon("tcp:127.0.0.1:0", workers=workers) as daemon:
         for num_clients in clients:
             errors: list = []
             start_gate = _threading.Event()
@@ -885,8 +882,7 @@ def service_throughput(
 
     fig = FigureResult(
         "Service throughput",
-        f"Concurrent tenants on one {workers}-worker fleet "
-        f"({shards} tracker shards, gemm n={n})",
+        f"Concurrent tenants on one {workers}-worker fleet (gemm n={n})",
         "concurrent clients",
         "graphs/sec (higher is better)",
         list(clients),
@@ -898,7 +894,6 @@ def service_throughput(
     )
     fig.extras["cpu_count"] = _os.cpu_count()
     fig.extras["workers"] = workers
-    fig.extras["shards"] = shards
     fig.notes.append(
         f"host cpu_count={_os.cpu_count()}; every client's results "
         f"verified against the sequential oracle before counting"

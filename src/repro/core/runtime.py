@@ -30,21 +30,12 @@ serialise the proxies on the master GIL); at a blocking condition it
 simply waits for completions, keeping the paper's blocking/unblocking
 semantics.
 
-Locking discipline (the fast-path submission engine):
-
-* ``_tracker_lock`` serialises the dependency subsystem — tracker
-  analysis on the main thread and graph completion on workers.  Holding
-  it never blocks on the scheduler.
-* ``_sched_cv`` (its own condition variable) serialises the ready
-  lists, the running-task count, and all sleeping/wakeup traffic.
-
-Main-thread analysis therefore never contends with worker pop/steal
-traffic: a submission takes the tracker lock while workers take only
-the scheduler lock, and the two meet only for the brief ready-list
-push.  Completions batch their "last dependence removed" wakeups — one
-``notify(k)`` for the ``k`` released successors instead of a
-``notify_all`` per task — so an N-worker runtime is not stampeded N
-ways on every fine-grained completion.
+The execute/complete path itself — pop, run, complete in the task's
+dependency domain, release successors, targeted wake-ups — and its
+locking discipline live in :mod:`repro.core.execution`; this class is
+that :class:`~repro.core.execution.WorkerLoop` over a single
+:class:`~repro.core.execution.GraphDomain`, plus what only a program's
+main thread does: submission, the blocking conditions, helping.
 """
 
 from __future__ import annotations
@@ -54,9 +45,10 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from . import api as _api
-from .backend import ExecutionBackend, make_backend
+from .backend import make_backend
 from .config import RuntimeConfig, resolve_config
 from .dependencies import DependencyTracker, TrackerConfig
+from .execution import GraphDomain, TaskExecutionError, WorkerLoop
 from .graph import TaskGraph
 from .invocation import plan_for
 from .scheduler import SmpssScheduler  # noqa: F401  (re-export convenience)
@@ -66,16 +58,7 @@ from .tracing import NullTracer, ThreadLocalTracer
 __all__ = ["SmpssRuntime", "TaskExecutionError"]
 
 
-class TaskExecutionError(RuntimeError):
-    """A task body raised; re-raised on the main thread at the barrier."""
-
-    def __init__(self, task: TaskInstance, cause: BaseException):
-        super().__init__(f"task #{task.task_id} {task.name!r} raised: {cause!r}")
-        self.task = task
-        self.__cause__ = cause
-
-
-class SmpssRuntime:
+class SmpssRuntime(WorkerLoop):
     """The master: task graph, scheduler, worker threads; also the
     user-facing entry point.
 
@@ -114,65 +97,38 @@ class SmpssRuntime:
             if self.config.trace
             else NullTracer()
         )
-        #: Falsy tracers (NullTracer) normalised to None: hot paths pay
-        #: a plain ``is not None`` check, not a ``__bool__`` call.
-        self._trace = self.tracer if self.tracer else None
         # Imported here, not at module level: obs sits above core in the
         # layering (it imports core.tracing/core.analysis).
         from ..obs.metrics import MetricsRegistry
 
         self.metrics = MetricsRegistry()
         self._metrics_on = self.config.metrics
-        self._task_hists: dict = {}
+        # Falsy tracers (NullTracer) normalised to None: hot paths pay
+        # a plain ``is not None`` check, not a ``__bool__`` call.
+        super().__init__(
+            metrics=self.metrics if self._metrics_on else None,
+            tracer=self.tracer if self.tracer else None,
+        )
         self._m_analysis = self.metrics.histogram("analysis_seconds")
         self._m_barrier = self.metrics.histogram("barrier_wait_seconds")
-        self._m_ready_depth = self.metrics.histogram("ready_queue_depth")
+        #: The program's one dependency domain (built by start());
+        #: ``graph``, ``tracker`` and ``_tracker_lock`` are its members,
+        #: kept under the names observers read.
+        self.domain: GraphDomain = None  # type: ignore[assignment]
         self.graph: TaskGraph = None  # type: ignore[assignment]
         self.tracker: DependencyTracker = None  # type: ignore[assignment]
-        self.scheduler = None
-        self._threads: list[threading.Thread] = []
-        #: Dependency-subsystem lock: tracker analysis + graph completion.
-        self._tracker_lock = threading.Lock()
-        #: Scheduler lock: ready lists, running count, wakeup traffic.
-        #: Two conditions share it so wakeups are targeted — workers
-        #: sleep on ``_sched_cv`` (woken ``notify(k)`` per batch of k
-        #: released tasks), the main thread sleeps on ``_main_cv``
-        #: (woken once per completion, and only while actually waiting,
-        #: because its blocking predicates — barrier, window, memory
-        #: limit, ``wait_for`` — can flip on any completion).
-        self._sched_lock = threading.Lock()
-        self._sched_cv = threading.Condition(self._sched_lock)
-        self._main_cv = threading.Condition(self._sched_lock)
-        self._main_parked = False
-        self._running = 0
-        #: Worker threads currently blocked in ``cv.wait()`` (the live
-        #: dashboard's "parked" count; main-thread waiting is the
-        #: separate ``_main_parked`` flag).
-        self._parked = 0
-        #: Per-thread task currently executing (``None`` when idle).
-        #: Written only by the owning thread; readers (live snapshots)
-        #: take a racy but self-consistent-enough glance.
-        self._current: list = []
+        self._tracker_lock: threading.Lock = None  # type: ignore[assignment]
         #: repro.live.LiveSession when config.live, else None.
         self.live = None
         #: repro.obs.health.HealthMonitor when config.health, else None.
         self.health = None
-        #: The health monitor's flight recorder (``None`` when health is
-        #: off): the completion path appends one plain tuple per task,
-        #: under the scheduler lock it already holds.
-        self._flight = None
-        self._stop = False
-        self._failure: Optional[TaskExecutionError] = None
         self._started = False
-        self.tasks_executed = 0
         #: repro.check.Sanitizer when config.sanitize, else None.
         self.sanitizer = None
         #: Per-thread flag: set while a task body runs on that thread,
         #: so task calls made from inside tasks execute inline ("SMPSs
         #: treats task calls inside tasks as normal function calls").
         self._tls = threading.local()
-        #: Where task bodies run (repro.core.backend); built by start().
-        self.backend: Optional[ExecutionBackend] = None
 
     def in_task_body(self) -> bool:
         try:
@@ -187,17 +143,19 @@ class SmpssRuntime:
         if self._started:
             raise RuntimeError("runtime already started")
         reset_task_ids()
-        self.graph = TaskGraph(
-            keep_finished=self.config.keep_graph, tracer=self.tracer
-        )
-        self.tracker = DependencyTracker(
-            self.graph,
-            config=TrackerConfig(
+        self.domain = GraphDomain(
+            tracker_config=TrackerConfig(
                 enable_renaming=self.config.enable_renaming,
                 rename_inout=self.config.rename_inout,
             ),
             tracer=self.tracer,
+            keep_finished=self.config.keep_graph,
+            # Only a memory limit needs buffers back before the barrier.
+            release_eagerly=self.config.memory_limit_bytes is not None,
         )
+        self.graph = self.domain.graph
+        self.tracker = self.domain.tracker
+        self._tracker_lock = self.domain.lock
         if self.config.sanitize:
             # Imported here, not at module level: check sits above core.
             from ..check.sanitize import Sanitizer
@@ -206,22 +164,15 @@ class SmpssRuntime:
                 tracer=self.tracer or None,
                 metrics=self.metrics if self._metrics_on else None,
             )
-        self.backend = make_backend(
+        # Started (forked, connected) *before* the proxy threads exist
+        # and before the runtime goes on the api stack, so a failed dial
+        # aborts start() cleanly; and before the scheduler exists,
+        # because a fleet's size is only known once it is up.
+        self.config.num_workers = self.start_backend(make_backend(
             self.config, metrics=self.metrics, tracer=self._trace,
             on_dispatch=self._notify_dispatch if self.config.live else None,
             sanitizer=self.sanitizer, tls=self._tls,
-        )
-        try:
-            # Started (forked, connected) *before* the proxy threads
-            # exist and before the runtime goes on the api stack, so
-            # forked children start from a quiet single-threaded image
-            # and a failed dial aborts start() cleanly; and before the
-            # scheduler exists, because a fleet's size is only known
-            # once it is up.
-            self.config.num_workers = self.backend.start()
-        except BaseException:
-            self.backend.stop()
-            raise
+        ))
         self.tracker.residency_fetch = self.backend.fetch_version
         num_threads = self.config.num_workers + 1  # + the main thread
         self.scheduler = self.config.scheduler_factory(num_threads, tracer=self.tracer)
@@ -230,10 +181,6 @@ class SmpssRuntime:
         self._constants = self.config.constants
         self._max_pending = self.config.max_pending_tasks
         self._mem_limit = self.config.memory_limit_bytes
-        self._stop = False
-        self._failure = None
-        self._current = [None] * num_threads
-        self._parked = 0
         if self.config.live:
             # Imported here, not at module level: live sits above core.
             # Started after the backend (the server thread must not be
@@ -253,13 +200,7 @@ class SmpssRuntime:
             self._flight = self.health.recorder
             self.health.start()
         self._started = True
-        for idx in range(1, num_threads):
-            thread = threading.Thread(
-                target=self._worker_loop, args=(idx,), name=f"smpss-worker-{idx}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+        self.start_workers("smpss-worker")
         _api.push_runtime(self)
         return self
 
@@ -276,18 +217,7 @@ class SmpssRuntime:
             if run_barrier:
                 self.barrier()
         finally:
-            with self._sched_lock:
-                self._stop = True
-                self._sched_cv.notify_all()
-                self._main_cv.notify_all()
-            for thread in self._threads:
-                thread.join()
-            self._threads.clear()
-            # After the workers have joined no task is in flight; stop()
-            # never raises, so every child is reaped and every socket
-            # closed even when we got here through an exception.  The
-            # stopped backend stays readable (deaths, for report()).
-            self.backend.stop()
+            self.stop_workers()
             if self.health is not None:
                 # Stopped only after workers have joined: the watchdog
                 # keeps observing through the final barrier — the very
@@ -334,33 +264,21 @@ class SmpssRuntime:
     def submit(self, definition, args: tuple, kwargs: dict) -> TaskInstance:
         if not self._started:
             raise RuntimeError("runtime is not started")
-        if self._failure is not None:
-            raise self._failure
+        if self.domain.failure is not None:
+            raise self.domain.failure
         plan = definition._invocation_plan
         if plan is None:
             plan = plan_for(definition)
         task = plan.instantiate(args, kwargs, self._constants)
         metrics_on = self._metrics_on
         t0 = perf_counter() if metrics_on else 0.0
-        with self._tracker_lock:
-            self.tracker.analyze(task)
-            # Decide readiness while still holding the tracker lock:
-            # read outside it, this would race a worker completing the
-            # task's last predecessor in the window between analysis and
-            # the check — both sides would push, and the task would run
-            # twice.  Completions mutate num_pending_deps only under
-            # this lock, so the capture is consistent: a task with
-            # pending deps here is (or will be) in a predecessor's
-            # successor set and gets released by exactly one completion.
-            ready_now = task.num_pending_deps == 0
+        ready_now = self.domain.analyze(task)
         if metrics_on:
             self._m_analysis.observe(perf_counter() - t0)
         if self._trace is not None:
             self._trace.task_added(task)
         if ready_now:
-            with self._sched_lock:
-                self.scheduler.push_new(task)
-                self._sched_cv.notify()
+            self.release((task,))
         if self.graph.pending_count > self._max_pending:
             # Graph-size blocking condition: behave as a worker.
             self._main_help(
@@ -389,18 +307,15 @@ class SmpssRuntime:
         self._main_help(lambda: self.graph.pending_count > 0)
         if self._metrics_on:
             self._m_barrier.observe(perf_counter() - t0)
-        if self._failure is not None:
-            raise self._failure
+        if self.domain.failure is not None:
+            raise self.domain.failure
         # Pull every master-stale datum home *before* write_back_all
         # copies renamed buffers into user objects — the runtime is
         # quiescent here (nothing pending), so no dispatch races this.
         self.backend.barrier_sync()
-        with self._tracker_lock:
-            count = self.tracker.write_back_all()
-            if self.tracer:
-                self.tracer.write_back(count)
-            self.tracker.reset()
+        count = self.domain.write_back()
         if self.tracer:
+            self.tracer.write_back(count)
             self.tracer.barrier_exit()
         if self._metrics_on:
             self._sync_metrics()
@@ -411,8 +326,8 @@ class SmpssRuntime:
         """Block (helping) until one specific task instance finishes."""
 
         self._main_help(lambda: task.state is not TaskState.FINISHED)
-        if self._failure is not None:
-            raise self._failure
+        if self.domain.failure is not None:
+            raise self.domain.failure
 
     def acquire(self, obj):
         """Wait for the latest version of *obj* and return its storage.
@@ -446,27 +361,6 @@ class SmpssRuntime:
     # ------------------------------------------------------------------
     # execution machinery
     # ------------------------------------------------------------------
-    def _worker_loop(self, idx: int) -> None:
-        cv = self._sched_cv
-        scheduler = self.scheduler
-        while True:
-            task = None
-            with cv:
-                while not self._stop:
-                    if self._failure is None:
-                        task = scheduler.pop(idx)
-                    if task is not None:
-                        self._running += 1
-                        break
-                    self._parked += 1
-                    try:
-                        cv.wait()
-                    finally:
-                        self._parked -= 1
-                if task is None:
-                    return
-            self._execute(task, idx)
-
     def _main_help(self, predicate: Callable[[], bool]) -> None:
         """Run tasks on the main thread while *predicate* holds.
 
@@ -481,7 +375,7 @@ class SmpssRuntime:
             task = None
             with self._sched_lock:
                 while True:
-                    if self._failure is not None or not predicate():
+                    if self.domain.failure is not None or not predicate():
                         return
                     if helps:
                         task = self.scheduler.pop(0)
@@ -522,68 +416,6 @@ class SmpssRuntime:
         late-bound because the live session starts after the backend."""
 
         self.live.notify_dispatch(task, thread)
-
-    def _execute(self, task: TaskInstance, thread: int) -> None:
-        trace = self._trace
-        metrics_on = self._metrics_on
-        backend = self.backend
-        self._current[thread] = task
-        cause, duration = backend.run(task, thread)
-        failure = None if cause is None else TaskExecutionError(task, cause)
-        task.executed_by = thread
-        self._current[thread] = None
-        with self._tracker_lock:
-            newly_ready = self.graph.complete(task)
-            if self._mem_limit is not None:
-                self.tracker.release_after(task)
-        flight = self._flight
-        if flight is not None:
-            # One tuple per completion into the bounded ring, outside
-            # both runtime locks: the deque append is GIL-atomic,
-            # busy[thread] has this worker as its only writer, and the
-            # recorder's scalar races are benign telemetry.  Keeping
-            # this off the scheduler lock keeps the health layer out of
-            # the serialized completion path (the <5% overhead pin).
-            # health=True implies metrics, so duration is real.
-            flight.note_task(
-                task.task_id, task.definition.name, thread,
-                perf_counter(), duration,
-            )
-        with self._sched_lock:
-            if metrics_on:
-                name = task.definition.name
-                hist = self._task_hists.get(name)
-                if hist is None:
-                    hist = self.metrics.histogram(
-                        "task_duration_seconds", task=name
-                    )
-                    self._task_hists[name] = hist
-                hist.observe(duration)
-                self._m_ready_depth.observe(self.scheduler.ready_count)
-            if newly_ready:
-                self.scheduler.push_ready_batch(newly_ready, thread)
-            self._running -= 1
-            self.tasks_executed += 1
-            if failure is not None and self._failure is None:
-                self._failure = failure
-            if trace is not None and not backend.remote:
-                # A remote worker records its own task_start/task_end
-                # (same monotonic clock, same thread index) and ships
-                # them back with the reply: no duplicate pair here.
-                trace.task_end(task, thread)
-            # Batched wakeups.  Workers: one notify per released
-            # successor (the completing thread re-pops without sleeping,
-            # so the batch need not over-wake) — or a broadcast on
-            # failure so everyone drains.  Main thread: a single
-            # targeted notify, and only while it is actually sleeping —
-            # its blocking predicates (barrier, graph window, memory
-            # limit, wait_for) can flip on any completion.
-            if self._failure is not None:
-                self._sched_cv.notify_all()
-            elif newly_ready:
-                self._sched_cv.notify(len(newly_ready))
-            if self._main_parked:
-                self._main_cv.notify()
 
     # ------------------------------------------------------------------
     # introspection

@@ -221,6 +221,7 @@ class TaskInstance:
         "predecessors",
         "successors",
         "executed_by",
+        "domain",
         "reads",
         "writes",
         "sanitizer_state",
@@ -255,6 +256,9 @@ class TaskInstance:
         # --- runtime bookkeeping --------------------------------------
         #: worker index that executed the task (-1: not yet / main 0)
         self.executed_by = -1
+        #: the GraphDomain that analysed this instance (where the worker
+        #: loop completes it); None for runtimes with a graph of their own
+        self.domain = None
         #: versions this instance reads / writes (dependency engine)
         self.reads: list = []
         self.writes: list = []

@@ -91,9 +91,15 @@ def connect(spec: str, timeout: Optional[float] = None) -> socket.socket:
         )
     else:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        if timeout is not None:
-            sock.settimeout(timeout)
-        sock.connect(parsed[1])
+        try:
+            if timeout is not None:
+                sock.settimeout(timeout)
+            sock.connect(parsed[1])
+        except BaseException:
+            # create_connection closes its own failed attempts; this
+            # socket is ours to close, not the garbage collector's.
+            sock.close()
+            raise
     return sock
 
 

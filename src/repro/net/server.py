@@ -12,8 +12,8 @@ errors is dropped.
 
 A handler may block for as long as its command takes (the task-graph
 service parks a connection's reader on a running graph): only that
-connection waits, and the peer's disconnect is then noticed when the
-ack cannot be written.
+connection waits.  Nobody is reading the socket meanwhile, so a handler
+that cares whether its peer is still there asks ``conn.peer_gone()``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,18 @@ from .protocol import encode, decode, format_address, parse_address
 __all__ = ["Server"]
 
 
+def _peer_gone(client: socket.socket) -> bool:
+    """Has the peer closed its end?  A non-blocking peek: bytes waiting
+    (a pipelined command) or nothing yet both mean it is still there."""
+
+    try:
+        return not client.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+
+
 class Server:
     """Bind, accept, fan out records, and route commands.
 
@@ -36,10 +48,11 @@ class Server:
     for a successful ack.  *conn* is the connection's context: a blank
     namespace the server creates per accepted connection, on which a
     stateful owner keeps what it learns about the peer (stateless
-    owners ignore it).  A raised exception becomes the ack's ``error``:
-    its ``to_wire()`` dict when it has one, else ``str(exc)``.
-    *on_disconnect* is ``fn(conn)``, called exactly once per connection
-    when it ends, whoever ended it.  *hello* is the dict sent (with
+    owners ignore it); its one preset member is ``peer_gone()``, a
+    non-blocking check that the peer has closed its end.  A raised
+    exception becomes the ack's ``error``: its ``to_wire()`` dict when
+    it has one, else ``str(exc)``.
+    *hello* is the dict sent (with
     ``ev: hello`` added) as every connection's first record.  *name*
     prefixes the accept/reader thread names so the owning subsystem
     stays identifiable in thread dumps.
@@ -51,11 +64,9 @@ class Server:
         handler: Callable[[dict, SimpleNamespace], dict],
         hello: Optional[dict] = None,
         http_responder: Optional[Callable[[str], bytes]] = None,
-        on_disconnect: Optional[Callable[[SimpleNamespace], None]] = None,
         name: str = "repro-net",
     ):
         self._handler = handler
-        self._on_disconnect = on_disconnect
         self._hello = dict(hello or {})
         self._hello["ev"] = "hello"
         self._name = name
@@ -184,13 +195,11 @@ class Server:
             ).start()
 
     def _client_loop(self, client: socket.socket) -> None:
-        conn = SimpleNamespace()
+        conn = SimpleNamespace(peer_gone=lambda: _peer_gone(client))
         try:
             self._serve_client(client, conn)
         finally:
             self._drop(client)
-            if self._on_disconnect is not None:
-                self._on_disconnect(conn)
 
     def _serve_client(self, client: socket.socket, conn) -> None:
         buffer: Optional[bytes] = b""

@@ -13,10 +13,11 @@ Layout:
   :class:`repro.net.Server` (sessions, ``/metrics``,
   ``/metrics/<tenant>``, ``/health`` over one port, a thread per
   connection) in front of the engine;
-* :mod:`~repro.serve.engine` — the shared fleet: sharded dependency
-  tracking (one lock per shard, tenants on different shards never
-  contend) and per-tenant admission control (graph-size, memory,
-  in-flight caps → 429-style :class:`GraphRejected`);
+* :mod:`~repro.serve.engine` — admission control (per-tenant
+  graph-size, memory, in-flight caps → 429-style
+  :class:`GraphRejected`) and per-graph private dependency domains,
+  executed by the worker loop the in-process runtime runs on
+  (:mod:`repro.core.execution`);
 * :mod:`~repro.serve.session` — the client: deferred-batch submission
   over the JSON-lines wire;
 * :mod:`~repro.serve.protocol` — value/task encodings, and datums as

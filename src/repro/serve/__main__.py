@@ -31,10 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="fleet size (default 4)"
     )
     parser.add_argument(
-        "--shards", type=int, default=16,
-        help="dependency-tracker lock shards (default 16)",
-    )
-    parser.add_argument(
         "--backend", choices=("threads", "processes"), default="threads",
         help="worker execution backend (default threads)",
     )
@@ -67,14 +63,12 @@ def main(argv: list[str] | None = None) -> int:
     daemon = ServeDaemon(
         args.address,
         workers=args.workers,
-        shards=args.shards,
         backend=args.backend,
         limits=limits,
     )
     print(
         f"serving task graphs on {daemon.address} "
-        f"({args.workers} {args.backend} workers, {args.shards} shards; "
-        "Ctrl-C to stop)",
+        f"({args.workers} {args.backend} workers; Ctrl-C to stop)",
         flush=True,
     )
     try:

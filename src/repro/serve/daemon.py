@@ -7,7 +7,10 @@ any number of concurrent client sessions.  The transport gives every
 connection its own reader thread, so a ``run`` simply submits its graph
 and blocks that thread until the job is done — a session waiting on a
 long graph never delays another tenant's submissions, and there is one
-concurrency model (threads) from the socket to the task body.
+concurrency model (threads) from the socket to the task body.  While it
+waits, the thread keeps an eye on its peer: a client that hangs up
+mid-graph has the graph abandoned at once, not when it would have
+finished.
 
 The wire surface is the shared JSON-lines protocol plus plain HTTP on
 the same port: ``curl http://host:port/metrics`` (all tenants),
@@ -39,6 +42,9 @@ from .errors import ServeError
 from .protocol import SERVE_PROTOCOL_VERSION
 
 __all__ = ["ServeDaemon", "filter_page_by_tenant"]
+
+#: How often a connection blocked on its running graph looks for EOF.
+PEER_CHECK_SECONDS = 0.05
 
 
 def filter_page_by_tenant(text: str, tenant: str) -> str:
@@ -86,14 +92,13 @@ class ServeDaemon:
         address: str,
         *,
         workers: int = 4,
-        shards: int = 16,
         backend: str = "threads",
         limits: Optional[ServiceLimits] = None,
         metrics=None,
     ):
         self.engine = ServeEngine(
-            workers=workers, shards=shards, backend=backend,
-            limits=limits, metrics=metrics,
+            workers=workers, backend=backend, limits=limits,
+            metrics=metrics,
         )
         self._t0 = time.monotonic()
         self._closed = threading.Event()
@@ -106,10 +111,8 @@ class ServeDaemon:
                     "version": PROTOCOL_VERSION,
                     "workers": self.engine.num_workers,
                     "backend": self.engine.backend,
-                    "shards": len(self.engine.shards),
                 },
                 http_responder=self._http_response,
-                on_disconnect=self._disconnected,
                 name="repro-serve",
             )
         except BaseException:
@@ -126,10 +129,9 @@ class ServeDaemon:
         except ServeError:
             raise
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            raise _WireError({
-                "code": "internal",
-                "message": f"{type(exc).__name__}: {exc}",
-            }) from exc
+            raise ServeError(
+                f"{type(exc).__name__}: {exc}", code="internal"
+            ) from exc
 
     def _dispatch(self, record: dict, conn) -> dict:
         cmd = record.get("cmd")
@@ -155,7 +157,6 @@ class ServeDaemon:
                 "limits": self.engine.limits.to_wire(),
                 "workers": self.engine.num_workers,
                 "backend": self.engine.backend,
-                "shards": len(self.engine.shards),
             }
         tenant = getattr(conn, "tenant", None)
         if cmd == "run":
@@ -177,10 +178,14 @@ class ServeDaemon:
         # The run record *is* the graph spec (tasks/data/constants).
         job = self.engine.submit_graph(tenant, record)
         # A connection has one graph in flight: its reader thread is
-        # parked right here until the job finalizes.
-        conn.job = job
-        job.done.wait()
-        conn.job = None
+        # parked right here until the job finalizes, waking only to
+        # check that somebody is still there to read the results.  A
+        # client gone mid-graph must not keep the fleet busy or hold
+        # its tenant's accounting: the rest of its graph is abandoned.
+        while not job.done.wait(PEER_CHECK_SECONDS):
+            if conn.peer_gone():
+                self.engine.abandon(job)
+                raise ServeError("client disconnected mid-graph")
         if job.error is not None:
             raise _WireError(job.error)
         return {
@@ -189,20 +194,13 @@ class ServeDaemon:
             "seconds": job.seconds,
         }
 
-    def _disconnected(self, conn) -> None:
-        # A client gone mid-graph must not stall the fleet or leak its
-        # tenant's accounting: abandon whatever it left behind.
-        job = getattr(conn, "job", None)
-        if job is not None:
-            self.engine.abandon(job)
-
     def _health(self) -> dict:
         state = self.engine.state()
         state["uptime_seconds"] = time.monotonic() - self._t0
         state["service"] = "repro.serve"
-        liveness = self.engine.liveness()
-        state["worker_liveness"] = liveness
-        state["workers_alive"] = sum(1 for w in liveness if w.get("alive"))
+        state["workers_alive"] = sum(
+            1 for w in state["worker_liveness"] if w.get("alive")
+        )
         return state
 
     def _metrics_page(self, tenant) -> str:

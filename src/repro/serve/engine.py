@@ -1,14 +1,15 @@
 """The shared worker fleet behind the task-graph service.
 
-One engine owns W workers (behind the same
-:class:`~repro.core.backend.ExecutionBackend` contract the in-process
-runtime uses: threads or mp processes) and executes *jobs*:
-whole task-graph submissions, each analysed into a private
-:class:`~repro.core.sharding.GraphDomain` whose lock stripe is picked
-by datum-address hash.  Independent tenants — and independent data
-within a tenant — therefore never contend on one tracker lock; only
-submissions over colliding stripes serialise their analysis, and the
-actual task execution always interleaves freely across the fleet.
+One engine admits *jobs* — whole task-graph submissions — decodes each
+into a private :class:`~repro.core.execution.GraphDomain` (its own
+graph, tracker and lock, so no two submissions ever contend on
+dependency state) and hands the ready tasks to a
+:class:`~repro.core.execution.WorkerLoop`: the same W-worker
+execute/complete path, behind the same
+:class:`~repro.core.backend.ExecutionBackend` contract (threads or mp
+processes), that the in-process runtime runs on.  The engine itself
+creates no thread and owns no ready queue; the loop tells it when a
+job's domain has drained, which is where the job finalizes.
 
 Admission control implements the paper's §III blocking conditions as
 per-tenant backpressure: where the in-process runtime *blocks* the
@@ -26,7 +27,6 @@ with no extra bookkeeping.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
@@ -34,8 +34,9 @@ from typing import Optional
 from ..core.backend import make_backend
 from ..core.config import RuntimeConfig
 from ..core.dependencies import TrackerConfig
+from ..core.execution import GraphDomain, TaskExecutionError, WorkerLoop
 from ..core.invocation import plan_for
-from ..core.sharding import DEFAULT_NUM_SHARDS, GraphDomain, ShardSet
+from ..core.scheduler import CentralQueueScheduler
 from ..net.codec import format_remote_error
 from ..obs.metrics import MetricsRegistry
 from . import protocol as sp
@@ -95,7 +96,6 @@ class GraphJob:
 
     __slots__ = (
         "tenant", "domain", "data", "nbytes", "task_count",
-        "outstanding", "cancelled", "discard", "finalized",
         "error", "results", "seconds", "done", "_t0",
     )
 
@@ -106,10 +106,6 @@ class GraphJob:
         self.data = data          # datum_id -> server-side object
         self.nbytes = nbytes
         self.task_count = task_count
-        self.outstanding = 0      # tasks queued-or-running
-        self.cancelled = False
-        self.discard = False      # client gone; drop the results
-        self.finalized = False
         self.error: Optional[dict] = None
         self.results: Optional[dict] = None
         self.seconds = 0.0
@@ -119,12 +115,11 @@ class GraphJob:
 
 
 class ServeEngine:
-    """W workers, one ready queue, S tracker-lock stripes."""
+    """Admission control and per-job bookkeeping over one worker loop."""
 
     def __init__(
         self,
         workers: int = 4,
-        shards: int = DEFAULT_NUM_SHARDS,
         backend: str = "threads",
         limits: Optional[ServiceLimits] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -136,38 +131,25 @@ class ServeEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.backend = backend
         self.num_workers = workers
-        self.shards = ShardSet(shards)
         self._tracker_config = tracker_config or TrackerConfig()
         self._definitions: dict[tuple, object] = {}
         self._tenants: dict[str, _TenantState] = {}
-        self._jobs: set[GraphJob] = set()
+        #: Jobs admitted and not yet finalized, by domain; leaving this
+        #: map (under the lock) is what makes a finalize happen once.
+        self._jobs: dict[GraphDomain, GraphJob] = {}
         self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._queue: deque = deque()
         self._stop = False
         self._m_queue_depth = self.metrics.gauge("serve.queue_depth")
         self.metrics.gauge("serve.workers").set(workers)
-        self.metrics.gauge("serve.shards").set(shards)
-        self._backend = make_backend(
+        loop = self._loop = WorkerLoop()
+        loop.start_backend(make_backend(
             RuntimeConfig(backend=backend, num_workers=workers),
             metrics=self.metrics,
-        )
-        try:
-            # Before the worker threads exist: forked children start
-            # from a quiet image.
-            self._backend.start()
-        except BaseException:
-            self._backend.stop()
-            raise
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, args=(i,),
-                name=f"repro-serve-worker-{i}", daemon=True,
-            )
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        ))
+        # One FIFO for the whole fleet: graphs are served in arrival
+        # order, whichever tenant sent them.
+        loop.scheduler = CentralQueueScheduler(workers + 1)
+        loop.start_workers("repro-serve-worker")
 
     # ------------------------------------------------------------------
     # tenants
@@ -221,8 +203,6 @@ class ServeEngine:
             (len(p.get("b64", "")) * 3) // 4 for p in data_specs.values()
         )
         with self._lock:
-            if self._stop:
-                raise ServeError("engine is shut down")
             if tenant.inflight >= limits.max_inflight:
                 over = GraphRejected(
                     "queue_full",
@@ -265,33 +245,30 @@ class ServeEngine:
                 self._instantiate(task_spec, data, constants)
                 for task_spec in task_specs
             ]
-        except Exception:
+            domain = GraphDomain(
+                tracker_config=self._tracker_config,
+                on_drained=self._finalize,
+            )
+            job = GraphJob(tenant, domain, data, nbytes, len(tasks))
+            # Nothing of this domain runs until release() below, so a
+            # task ready at its own analysis is still ready after the
+            # whole batch.
+            ready = [task for task in tasks if domain.analyze(task)]
             with self._lock:
-                tenant.inflight -= 1
-                tenant.bytes_held -= nbytes
-                tenant.m_inflight.set(tenant.inflight)
-                tenant.m_bytes.set(tenant.bytes_held)
+                if self._stop:
+                    raise ServeError("engine is shut down")
+                self._jobs[domain] = job
+        except Exception:
+            # Anything between admit and enqueue — a malformed spec, an
+            # access pattern the tracker refuses — gives the slot back.
+            self._release_admission(tenant, nbytes)
             raise
-
-        domain = GraphDomain(
-            self.shards.shard_for(id(obj) for obj in data.values()),
-            tracker_config=self._tracker_config,
-        )
-        job = GraphJob(tenant, domain, data, nbytes, len(tasks))
         tenant.m_submitted.inc()
-        ready = domain.analyze_batch(tasks)
-        finalize = False
-        with self._cv:
-            self._jobs.add(job)
-            if not tasks:
-                job.finalized = finalize = True
-            else:
-                job.outstanding = len(ready)
-                self._queue.extend((job, task) for task in ready)
-                self._m_queue_depth.set(len(self._queue))
-                self._cv.notify(len(ready))
-        if finalize:
-            self._finalize(job)
+        if tasks:
+            self._loop.release(ready)
+            self._queue_depth()
+        else:
+            self._finalize(domain)
         return job
 
     def _instantiate(self, task_spec: dict, data: dict, constants: dict):
@@ -323,147 +300,88 @@ class ServeEngine:
         return plan.instantiate(tuple(args), {}, merged)
 
     # ------------------------------------------------------------------
-    # execution
+    # finalize / cancellation / lifecycle
     # ------------------------------------------------------------------
-    def _worker_loop(self, idx: int) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._stop:
-                    self._cv.wait()
-                if self._stop:
-                    return
-                job, task = self._queue.popleft()
-                self._m_queue_depth.set(len(self._queue))
-                skip = job.cancelled
-            failure: Optional[BaseException] = None
-            if not skip:
-                failure, _duration = self._backend.run(task, idx + 1)
-            self._task_done(job, task, failure=failure, skipped=skip)
+    def _release_admission(self, tenant: _TenantState, nbytes: int) -> None:
+        with self._lock:
+            tenant.inflight -= 1
+            tenant.bytes_held -= nbytes
+            tenant.m_inflight.set(tenant.inflight)
+            tenant.m_bytes.set(tenant.bytes_held)
 
-    def _task_done(self, job: GraphJob, task, failure, skipped: bool) -> None:
-        newly_ready: list = []
-        pending = -1
-        if failure is not None:
-            exc_type, message, remote_traceback = format_remote_error(failure)
-            job.error = job.error or {
-                "code": "task_failed",
-                "message": (
-                    f"task {task.definition.name!r} raised "
-                    f"{exc_type}: {message}"
-                ),
-                "task": task.definition.name,
-                "traceback": remote_traceback,
-            }
-        elif not skipped:
-            job.tenant.m_tasks.inc()
-            newly_ready, pending = job.domain.complete(task)
-        finalize = False
-        with self._cv:
-            if failure is not None or self._stop:
-                # A stopping engine has no workers left to run the
-                # successors this completion would release.
-                job.cancelled = True
-            job.outstanding -= 1
-            if newly_ready and not job.cancelled:
-                job.outstanding += len(newly_ready)
-                self._queue.extend((job, t) for t in newly_ready)
-                self._m_queue_depth.set(len(self._queue))
-                self._cv.notify(len(newly_ready))
-            if not job.finalized:
-                if job.cancelled:
-                    finalize = job.outstanding == 0
-                else:
-                    finalize = pending == 0
-                job.finalized = job.finalized or finalize
-        if finalize:
-            self._finalize(job)
+    def _finalize(self, domain: GraphDomain) -> None:
+        """The domain has drained (or will never run): publish its job's
+        outcome once and give the tenant its admission slot back."""
 
-    def _finalize(self, job: GraphJob) -> None:
+        with self._lock:
+            job = self._jobs.pop(domain, None)
+        if job is None:
+            return
         tenant = job.tenant
-        if job.error is None and not job.cancelled:
-            job.domain.write_back()
-            if not job.discard:
-                job.results = {
-                    datum_id: sp.encode_datum(obj)
-                    for datum_id, obj in job.data.items()
-                }
+        failure = domain.failure
+        if failure is None:
+            domain.write_back()
+            job.results = {
+                datum_id: sp.encode_datum(obj)
+                for datum_id, obj in job.data.items()
+            }
             tenant.m_completed.inc()
+            tenant.m_tasks.inc(job.task_count)
         else:
-            if job.error is None:
+            if isinstance(failure, TaskExecutionError):
+                name = failure.task.definition.name
+                exc_type, message, remote_traceback = format_remote_error(
+                    failure.__cause__
+                )
                 job.error = {
-                    "code": "cancelled",
-                    "message": "submission abandoned before completion",
+                    "code": "task_failed",
+                    "message": f"task {name!r} raised {exc_type}: {message}",
+                    "task": name,
+                    "traceback": remote_traceback,
                 }
+            else:
+                job.error = failure.to_wire()
             tenant.m_failed.inc()
         job.seconds = perf_counter() - job._t0
         tenant.m_seconds.observe(job.seconds)
-        self.shards.release(job.domain.shard)
-        with self._lock:
-            tenant.inflight -= 1
-            tenant.bytes_held -= job.nbytes
-            tenant.m_inflight.set(tenant.inflight)
-            tenant.m_bytes.set(tenant.bytes_held)
-            self._jobs.discard(job)
+        self._queue_depth()
+        self._release_admission(tenant, job.nbytes)
         job.done.set()
 
-    # ------------------------------------------------------------------
-    # cancellation / lifecycle
-    # ------------------------------------------------------------------
     def abandon(self, job: GraphJob) -> None:
-        """The submitting client is gone: drop the job's results and
+        """The submitting client is gone: stop the job's graph and
         release its tenant accounting without stalling the fleet.
 
         Tasks already running finish (their effects stay private to
-        the job's domain); queued tasks are skipped; the domain — the
-        tenant's shard state — is released at finalize as usual.
+        the job's domain); queued ones are retired unrun, and the job
+        finalizes as ``cancelled`` — no results are encoded — when the
+        last of them has been.
         """
 
-        finalize = False
-        with self._cv:
-            job.cancelled = True
-            job.discard = True
-            if not job.finalized and job.outstanding == 0:
-                job.finalized = finalize = True
-        if finalize:
-            self._finalize(job)
+        job.domain.fail(ServeError(
+            "submission abandoned before completion", code="cancelled"
+        ))
 
     def shutdown(self) -> None:
-        with self._cv:
+        with self._lock:
             self._stop = True
-            leftovers = list(self._queue)
-            self._queue.clear()
-            self._cv.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-        self._backend.stop()
+        self._loop.stop_workers(timeout=10.0)
         # Fail whatever never ran so no waiter hangs on a dead fleet.
-        for job, _task in leftovers:
-            with self._cv:
-                if job.finalized:
-                    continue
-                job.cancelled = True
-                job.error = job.error or {
-                    "code": "shutdown",
-                    "message": "engine shut down before the graph ran",
-                }
-                job.finalized = True
-            self._finalize(job)
+        with self._lock:
+            leftovers = list(self._jobs)
+        for domain in leftovers:
+            domain.fail(ServeError(
+                "engine shut down before the graph ran", code="shutdown"
+            ))
+            self._finalize(domain)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def liveness(self) -> list[dict]:
-        """Per-worker liveness for ``/health``.
-
-        The backend's own per-slot view (under processes: pid, OS-level
-        alive, respawn generation); a slot is alive only while the
-        engine thread driving it is too.
-        """
-
-        return [
-            {**row, "alive": row["alive"] and thread.is_alive()}
-            for row, thread in zip(self._backend.liveness(), self._threads)
-        ]
+    def _queue_depth(self) -> int:
+        depth = self._loop.scheduler.ready_count
+        self._m_queue_depth.set(depth)
+        return depth
 
     def state(self) -> dict:
         with self._lock:
@@ -476,13 +394,12 @@ class ServeEngine:
                 }
                 for name, t in sorted(self._tenants.items())
             }
-            queue_depth = len(self._queue)
         return {
             "workers": self.num_workers,
             "backend": self.backend,
-            "shards": len(self.shards),
-            "queue_depth": queue_depth,
+            "queue_depth": self._queue_depth(),
+            "live_graphs": len(self._jobs),
+            "worker_liveness": self._loop.liveness(),
             "limits": self.limits.to_wire(),
             "tenants": tenants,
-            "shard_stats": self.shards.stats(),
         }

@@ -14,11 +14,15 @@ __all__ = ["ServeError", "GraphRejected", "RemoteGraphError"]
 class ServeError(RuntimeError):
     """Any failure of the serve surface (protocol, session, daemon)."""
 
+    def __init__(self, message: str, code: str = "error"):
+        super().__init__(message)
+        self.code = code
+
     def to_wire(self) -> dict:
         """The dict this error crosses the wire as (the transport puts
         it in the ack's ``error``); subclasses add their own fields."""
 
-        return {"code": "error", "message": str(self)}
+        return {"code": self.code, "message": str(self)}
 
 
 class GraphRejected(ServeError):
@@ -31,8 +35,7 @@ class GraphRejected(ServeError):
     """
 
     def __init__(self, code: str, message: str, **detail):
-        super().__init__(message)
-        self.code = code
+        super().__init__(message, code)
         self.status = 429
         self.detail = detail
 

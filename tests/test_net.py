@@ -8,8 +8,11 @@ still resolve, and the generic Server/Client pair works standalone
 directly).
 """
 
+import gc
+import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -185,7 +188,7 @@ class TestStandaloneServer:
         with pytest.raises(OSError):
             net.connect(server.address, timeout=2.0)
 
-    def test_connection_context_disconnect_and_wire_shaped_errors(self):
+    def test_connection_context_peer_gone_and_wire_shaped_errors(self):
         class Shaped(Exception):
             def to_wire(self):
                 return {"code": "shaped", "detail": 7}
@@ -197,32 +200,39 @@ class TestStandaloneServer:
                 conn.name = command["value"]
             elif command["cmd"] == "boom":
                 raise Shaped("flattened if it crossed as str")
-            return {"name": conn.name}
+            elif command["cmd"] == "linger":
+                # A handler blocked on long work: nobody reads the
+                # socket, so it has to ask whether its peer is there.
+                deadline = time.monotonic() + 5.0
+                while not conn.peer_gone() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                gone.append(conn.name)
+            return {"name": conn.name, "gone": conn.peer_gone()}
 
-        server = Server(
-            "tcp:127.0.0.1:0", handler, on_disconnect=gone.append
-        )
+        server = Server("tcp:127.0.0.1:0", handler)
         try:
             a = Client(server.address, timeout=5.0)
             b = Client(server.address, timeout=5.0)
             a.command("name", value="a")
             b.command("name", value="b")
             # Each connection kept its own context across commands.
-            assert a.command("recall") == {"name": "a"}
-            assert b.command("recall") == {"name": "b"}
+            assert a.command("recall") == {"name": "a", "gone": False}
+            assert b.command("recall") == {"name": "b", "gone": False}
             a._sock.sendall(net.encode({"cmd": "boom", "seq": 99}))
             ack = a.wait_for(lambda r: r.get("seq") == 99, timeout=5.0)
             assert ack["ok"] is False
             assert ack["error"] == {"code": "shaped", "detail": 7}
-            a.detach()  # orderly
-            b.close()   # abrupt
+            b._sock.sendall(net.encode({"cmd": "linger", "seq": 100}))
+            time.sleep(0.05)
+            assert gone == []  # connected and silent is not gone
+            b.close()          # abrupt, mid-command
             deadline = time.monotonic() + 5.0
-            while len(gone) < 2 and time.monotonic() < deadline:
+            while not gone and time.monotonic() < deadline:
                 time.sleep(0.01)
+            assert gone == ["b"]
+            assert a.command("recall") == {"name": "a", "gone": False}
         finally:
             server.close()
-        time.sleep(0.05)  # a second callback would have fired by now
-        assert sorted(conn.name for conn in gone) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +240,22 @@ class TestStandaloneServer:
 # ---------------------------------------------------------------------------
 
 class TestConnectRetry:
+    @pytest.mark.parametrize("kind", ["tcp", "unix"])
+    def test_refused_connect_leaks_no_socket(self, kind, tmp_path):
+        if kind == "tcp":
+            spec = "tcp:127.0.0.1:1"  # reserved port: nothing listens
+        else:
+            spec = str(tmp_path / "dead.sock")
+            dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            dead.bind(spec)  # the path exists, nobody listens on it
+            dead.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                net.connect(spec, timeout=1.0)
+            gc.collect()  # an unclosed socket warns when collected
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
     def test_gives_up_after_bounded_attempts(self):
         from repro.net import connect_retry
 

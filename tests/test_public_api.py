@@ -4,8 +4,9 @@ PR 4 unified the API around the fast-path submission engine:
 ``wait_on`` became first-class, all three runtimes construct through
 one validated :class:`~repro.core.config.RuntimeConfig` path, and the
 ``repro`` top-level namespace froze.  These tests pin each of those
-contracts, plus the structural rule that the runtime reaches execution
-backends only through ``repro.core.backend``.
+contracts, plus the structural rules that the runtime reaches execution
+backends only through ``repro.core.backend`` and that one worker loop
+(``repro.core.execution``) executes every task.
 """
 
 import ast
@@ -296,6 +297,70 @@ class TestOneServerOneCodec:
         assert _modules_containing(
             "isinstance(target, np.ndarray)", *wire
         ) == ["net/codec.py"]
+
+
+class TestOneWorkerLoop:
+    """Section III's execution rule is written once, in repro.core,
+    and both the runtime and the serve engine run on it."""
+
+    def _backend_run_callers(self):
+        """``path:function`` of every ``<...backend>.run(...)`` call."""
+
+        hits = set()
+        for path in SRC.rglob("*.py"):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if not (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "run"):
+                        continue
+                    receiver = node.func.value
+                    name = getattr(receiver, "attr", None) or getattr(
+                        receiver, "id", "")
+                    if "backend" in name:
+                        hits.add(f"{path.relative_to(SRC)}:{func.name}")
+        return sorted(hits)
+
+    def test_one_worker_loop_under_src(self):
+        assert [
+            str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if "def _worker_loop" in path.read_text()
+        ] == ["core/execution.py"]
+
+    def test_backend_run_is_invoked_from_one_place(self):
+        assert self._backend_run_callers() == ["core/execution.py:_execute"]
+
+    def test_runtime_and_engine_both_reach_that_loop(self):
+        from repro.core.execution import WorkerLoop
+        from repro.serve import ServeEngine
+
+        assert SmpssRuntime._worker_loop is WorkerLoop._worker_loop
+        assert SmpssRuntime._execute is WorkerLoop._execute
+        engine = ServeEngine(workers=1)
+        try:
+            assert type(engine._loop) is WorkerLoop
+        finally:
+            engine.shutdown()
+
+    def test_serve_engine_owns_no_thread_queue_or_condition(self):
+        path = SRC / "serve" / "engine.py"
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        imported = {
+            alias.name for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names
+        }
+        assert not (names | attrs | imported) & {"Thread", "deque", "Condition"}
+
+    def test_no_tracker_lock_stripes_anywhere(self):
+        assert [
+            str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if "shard" in path.read_text().lower()
+            or "shard" in path.name.lower()
+        ] == []
 
 
 # ---------------------------------------------------------------------------

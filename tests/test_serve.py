@@ -1,18 +1,19 @@
-"""The task-graph service: sharding, wire codecs, sessions, admission.
+"""The task-graph service: domains, wire codecs, sessions, admission.
 
 PR 9's tentpole is ``repro.serve`` — a daemon owning one worker fleet
 that serves whole-graph submissions from many concurrent tenants.
 These tests pin, bottom-up:
 
-* the lock-striping primitives (``repro.core.sharding``);
+* the per-graph dependency domain (``repro.core.execution``);
 * the wire codecs (bitwise datum round trips, definition refs);
 * the session↔daemon loop: ``connect()`` mirroring the local runtime
   with bitwise-identical results on the bundled apps;
 * the api-stack redesign that makes concurrent sessions legal while
   keeping in-process runtimes exclusive;
 * admission-control edges: graph-size cap mid-submission, per-tenant
-  memory cap, queue-full backpressure, and client disconnect with
-  tasks in flight (shard state released, fleet not stalled);
+  memory cap, queue-full backpressure, a graph the tracker refuses,
+  and client disconnect with tasks in flight (the rest of the graph
+  never runs, accounting released, fleet not stalled);
 * the per-tenant ``/metrics`` and ``/health`` HTTP surface.
 """
 
@@ -28,12 +29,8 @@ from repro import SmpssRuntime, css_task, wait_on
 from repro.apps.cholesky import cholesky_hyper
 from repro.apps.multisort import multisort, sequential_sort
 from repro.blas.hypermatrix import HyperMatrix
-from repro.core.sharding import (
-    GraphDomain,
-    ShardSet,
-    address_hash,
-    shard_index,
-)
+from repro.core.execution import GraphDomain
+from repro.core.invocation import plan_for
 from repro.net import NetClosed
 from repro.net.protocol import connect as raw_connect
 from repro.net.protocol import decode as wire_decode
@@ -82,19 +79,50 @@ def scale_records_t(rec):
     rec["n"] += 1
 
 
+@css_task("input(a)")
+def read_t(a):
+    pass
+
+
+@css_task("output(a)")
+def fill_t(a):
+    a[...] = 2.0
+
+
+@css_task("inout(a{0..1})")
+def region_bump_t(a):
+    a[0:2] += 1.0
+
+
 #: Gate for in-flight tests: tasks park here until the test opens it.
 _GATE = threading.Event()
+#: How many gated bodies have started (incremented under the GIL).
+_GATED_STARTED = []
 
 
 @css_task("inout(a)")
 def gated_bump_t(a):
+    _GATED_STARTED.append(1)
     _GATE.wait(10.0)
     a += 1.0
 
 
+def _graph_spec(arr, *task_fns):
+    """One datum, *arr*, and one single-argument task per *task_fns*
+    over it, in order."""
+
+    return {
+        "tasks": [
+            {"def": sp.definition_ref(fn.definition), "args": [{"d": "d0"}]}
+            for fn in task_fns
+        ],
+        "data": {"d0": sp.encode_datum(arr)},
+    }
+
+
 @pytest.fixture
 def daemon():
-    d = ServeDaemon("tcp:127.0.0.1:0", workers=2, shards=4)
+    d = ServeDaemon("tcp:127.0.0.1:0", workers=2)
     yield d
     d.close()
 
@@ -135,52 +163,43 @@ def _drain_tenant(engine, name, timeout=10.0):
 
 
 # ---------------------------------------------------------------------------
-# lock striping
+# the per-graph dependency domain
 # ---------------------------------------------------------------------------
 
-class TestSharding:
-    def test_address_hash_is_deterministic_64bit(self):
-        assert address_hash(12345) == address_hash(12345)
-        assert 0 <= address_hash(12345) < (1 << 64)
-        # Allocator-aligned addresses (low bits equal) must still
-        # spread: 64 consecutive 16-byte-aligned ids over 16 stripes.
-        stripes = {shard_index([0x7F0000 + 16 * i], 16) for i in range(64)}
-        assert len(stripes) > 8
-
-    def test_shard_index_is_order_independent(self):
-        keys = [id(object()) for _ in range(5)]
-        assert shard_index(keys, 16) == shard_index(reversed(keys), 16)
-        assert 0 <= shard_index(keys, 7) < 7
-
-    def test_shardset_accounting(self):
-        shards = ShardSet(4)
-        a = shards.shard_for([1, 2, 3])
-        b = shards.shard_for([1, 2, 3])
-        assert a is b  # same data -> same stripe, deterministically
-        assert a.domains == 2 and a.acquisitions == 2
-        shards.release(a)
-        assert a.domains == 1
-        stats = shards.stats()
-        assert stats["num_shards"] == 4
-        assert sum(stats["live_domains"]) == 1
-
-    def test_graph_domain_is_private(self):
-        shards = ShardSet(2)
+class TestGraphDomain:
+    def test_domains_over_the_same_array_share_nothing(self):
         arr = np.zeros(4)
-        plan_args = (gemm_t.definition, bump_t.definition)
-        del plan_args  # domains only need tasks; build two independent
-        from repro.core.invocation import plan_for
+        d1, d2 = GraphDomain(), GraphDomain()
+        plan = plan_for(bump_t.definition)
+        first = [plan.instantiate((arr,), {}, {}) for _ in range(2)]
+        other = plan.instantiate((arr,), {}, {})
+        # Within one domain the second writer waits for the first ...
+        assert [d1.analyze(t) for t in first] == [True, False]
+        # ... but version chains never leak between domains: another
+        # domain's writer of the very same array is ready at once,
+        assert d2.analyze(other) is True
+        assert other.domain is d2 and first[0].domain is d1
+        assert d2.graph.pending_count == 1 and d1.graph.pending_count == 2
+        # and so are the locks: holding one never blocks the other.
+        assert d1.lock is not d2.lock
+        with d1.lock:
+            assert d2.complete(other) == ([], True)
 
-        d1 = GraphDomain(shards.shard_for([id(arr)]))
-        d2 = GraphDomain(shards.shard_for([id(arr)]))
-        t1 = plan_for(bump_t.definition).instantiate((arr,), {}, {})
-        t2 = plan_for(bump_t.definition).instantiate((arr,), {}, {})
-        ready1 = d1.analyze_batch([t1])
-        ready2 = d2.analyze_batch([t2])
-        # Same datum, same stripe — but version chains never leak
-        # between domains: both see their task immediately ready.
-        assert ready1 == [t1] and ready2 == [t2]
-        assert d1.shard is d2.shard
+    def test_lock_is_released_between_calls(self):
+        arr = np.zeros(4)
+        domain = GraphDomain()
+        plan = plan_for(bump_t.definition)
+        tasks = [plan.instantiate((arr,), {}, {}) for _ in range(2)]
+        for task in tasks:
+            domain.analyze(task)
+            assert not domain.lock.locked()
+        assert domain.complete(tasks[0]) == ([tasks[1]], False)
+        assert not domain.lock.locked()
+        domain.fail(RuntimeError("stop"))
+        assert not domain.lock.locked()
+        assert domain.complete(tasks[1]) == ([], True)
+        domain.write_back()
+        assert not domain.lock.locked()
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +450,7 @@ class TestConcurrentSessions:
 class TestAdmissionControl:
     def test_graph_size_cap_hit_mid_submission(self):
         with ServeDaemon(
-            "tcp:127.0.0.1:0", workers=1, shards=2,
+            "tcp:127.0.0.1:0", workers=1,
             limits=ServiceLimits(max_graph_tasks=3),
         ) as daemon:
             a = np.zeros(4)
@@ -454,7 +473,7 @@ class TestAdmissionControl:
 
     def test_per_tenant_memory_cap(self):
         with ServeDaemon(
-            "tcp:127.0.0.1:0", workers=1, shards=2,
+            "tcp:127.0.0.1:0", workers=1,
             limits=ServiceLimits(max_tenant_bytes=1024),
         ) as daemon:
             big = np.zeros(4096)
@@ -467,18 +486,9 @@ class TestAdmissionControl:
             assert exc_info.value.detail["bytes"] >= big.nbytes
 
     def test_queue_full_backpressure_and_other_tenant_unaffected(self):
-        engine = ServeEngine(
-            workers=1, shards=2, limits=ServiceLimits(max_inflight=1)
-        )
+        engine = ServeEngine(workers=1, limits=ServiceLimits(max_inflight=1))
         _GATE.clear()
-        arr = np.zeros(2)
-        spec = {
-            "tasks": [{
-                "def": sp.definition_ref(gated_bump_t.definition),
-                "args": [{"d": "d0"}],
-            }],
-            "data": {"d0": sp.encode_datum(arr)},
-        }
+        spec = _graph_spec(np.zeros(2), gated_bump_t)
         try:
             job = engine.submit_graph("full", spec)
             with pytest.raises(GraphRejected) as exc_info:
@@ -486,15 +496,9 @@ class TestAdmissionControl:
             assert exc_info.value.code == "queue_full"
             # Backpressure is PER TENANT: a different tenant's
             # submission is admitted while "full" is saturated.
-            other = np.zeros(2)
-            other_spec = {
-                "tasks": [{
-                    "def": sp.definition_ref(bump_t.definition),
-                    "args": [{"d": "d0"}],
-                }],
-                "data": {"d0": sp.encode_datum(other)},
-            }
-            other_job = engine.submit_graph("light", other_spec)
+            other_job = engine.submit_graph(
+                "light", _graph_spec(np.zeros(2), bump_t)
+            )
             _GATE.set()
             assert job.done.wait(10.0)
             assert other_job.done.wait(10.0)
@@ -506,52 +510,60 @@ class TestAdmissionControl:
             _GATE.set()
             engine.shutdown()
 
-    def test_abandon_with_tasks_in_flight_releases_state(self):
-        engine = ServeEngine(workers=1, shards=2)
-        _GATE.clear()
-        arr = np.zeros(2)
-        spec = {
-            "tasks": [
-                {
-                    "def": sp.definition_ref(gated_bump_t.definition),
-                    "args": [{"d": "d0"}],
-                }
-                for _ in range(3)
-            ],
-            "data": {"d0": sp.encode_datum(arr)},
-        }
+    def test_refused_graph_gives_its_admission_slot_back(self):
+        """A graph the tracker refuses *after* admission (a region
+        access to an array whose current version was renamed) must not
+        leak the tenant's in-flight slot or its bytes."""
+
+        limits = ServiceLimits(max_inflight=2)
+        engine = ServeEngine(workers=1, limits=limits)
+        refused = _graph_spec(np.zeros(4), read_t, fill_t, region_bump_t)
         try:
-            job = engine.submit_graph("ghost", spec)
+            for _ in range(limits.max_inflight + 1):
+                with pytest.raises(Exception, match="renamed buffer"):
+                    engine.submit_graph("sloppy", refused)
+            state = engine.state()
+            assert state["tenants"]["sloppy"]["inflight"] == 0
+            assert state["tenants"]["sloppy"]["bytes_held"] == 0
+            assert state["live_graphs"] == 0
+            good = engine.submit_graph("sloppy", _graph_spec(np.zeros(4), bump_t))
+            assert good.done.wait(10.0) and good.error is None
+            assert sp.decode_datum(good.results["d0"]).tolist() == [1.0] * 4
+        finally:
+            engine.shutdown()
+
+    def test_abandon_with_tasks_in_flight_releases_state(self):
+        engine = ServeEngine(workers=1)
+        _GATE.clear()
+        try:
+            job = engine.submit_graph(
+                "ghost", _graph_spec(np.zeros(2), *[gated_bump_t] * 3)
+            )
             engine.abandon(job)  # client disconnected mid-graph
             _GATE.set()
             assert job.done.wait(10.0)
             assert job.results is None  # discarded, never encoded
-            assert job.error["code"] in ("cancelled", "task_failed")
+            assert job.error["code"] == "cancelled"
             tenant = _drain_tenant(engine, "ghost")
             assert tenant["inflight"] == 0
-            stats = engine.state()["shard_stats"]
-            assert sum(stats["live_domains"]) == 0
+            assert engine.state()["live_graphs"] == 0
             # The fleet is alive: a fresh tenant's graph completes.
-            ok = np.zeros(2)
-            ok_spec = {
-                "tasks": [{
-                    "def": sp.definition_ref(bump_t.definition),
-                    "args": [{"d": "d0"}],
-                }],
-                "data": {"d0": sp.encode_datum(ok)},
-            }
-            ok_job = engine.submit_graph("alive", ok_spec)
+            ok_job = engine.submit_graph(
+                "alive", _graph_spec(np.zeros(2), bump_t)
+            )
             assert ok_job.done.wait(10.0) and ok_job.error is None
         finally:
             _GATE.set()
             engine.shutdown()
 
     def test_client_disconnect_over_the_wire(self, daemon):
-        """Drop the socket with tasks in flight: the daemon must
-        abandon the tenant's jobs and keep serving everyone else."""
+        """Drop the socket with tasks in flight: the rest of the graph
+        never runs, the job ends cancelled and counts as failed, and
+        the daemon keeps serving everyone else."""
 
         _GATE.clear()
-        arr = np.zeros(2)
+        del _GATED_STARTED[:]
+        registry = daemon.engine.metrics
         sock = raw_connect(daemon.address, timeout=10.0)
         try:
             assert _raw_ack(sock, {
@@ -560,27 +572,32 @@ class TestAdmissionControl:
             })["ok"]
             sock.sendall(wire_encode({
                 "cmd": "run", "seq": 2,
-                "tasks": [
-                    {
-                        "def": sp.definition_ref(gated_bump_t.definition),
-                        "args": [{"d": "d0"}],
-                    }
-                    for _ in range(3)
-                ],
-                "data": {"d0": sp.encode_datum(arr)},
+                **_graph_spec(np.zeros(2), *[gated_bump_t] * 5),
             }))
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                t = daemon.engine.state()["tenants"].get("dropper")
-                if t is not None and t["inflight"] == 1:
-                    break
+            while time.monotonic() < deadline and not _GATED_STARTED:
                 time.sleep(0.01)
-            else:
-                raise AssertionError("submission never reached the engine")
+            assert _GATED_STARTED, "the graph never started running"
         finally:
-            sock.close()  # gone, with the graph gated and in flight
+            sock.close()  # gone, with the first task gated mid-body
+        # The daemon notices on its own, while the body is still
+        # blocked: nothing the test does below tells it.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not daemon.engine._jobs:
+            time.sleep(0.01)
+        (job,) = daemon.engine._jobs.values()
+        while time.monotonic() < deadline and job.domain.failure is None:
+            time.sleep(0.01)
+        assert job.domain.failure, "disconnect mid-graph was not noticed"
         _GATE.set()
         _drain_tenant(daemon.engine, "dropper")
+        assert job.error["code"] == "cancelled" and job.results is None
+        # Only the body that was already running ever ran.
+        assert len(_GATED_STARTED) == 1
+        assert registry.counter(
+            "serve.graphs_failed", tenant="dropper").value == 1
+        assert registry.counter(
+            "serve.graphs_completed", tenant="dropper").value == 0
         # The fleet serves the next tenant as if nothing happened.
         a = np.zeros(2)
         with connect(daemon.address, tenant="survivor") as rt:
@@ -636,7 +653,7 @@ class TestErrors:
         once — not sit out its 120 s read timeout — and nothing of the
         daemon may outlive close()."""
 
-        daemon = ServeDaemon("tcp:127.0.0.1:0", workers=1, shards=2)
+        daemon = ServeDaemon("tcp:127.0.0.1:0", workers=1)
         _GATE.clear()
         outcome = []
 
