@@ -69,7 +69,8 @@ class GraphDomain:
     lock, by the worker whose completion left it with nothing pending —
     exactly once for a domain that is fully analysed before any of its
     tasks is released.  *release_eagerly* frees dead renamed buffers at every
-    completion instead of at :meth:`write_back`.
+    completion instead of at :meth:`write_back`.  ``executed`` counts
+    the tasks whose body actually ran.
     """
 
     def __init__(
@@ -91,6 +92,7 @@ class GraphDomain:
         self.release_eagerly = release_eagerly
         self.on_drained = on_drained
         self.failure: Optional[BaseException] = None
+        self.executed = 0
 
     def analyze(self, task: TaskInstance) -> bool:
         """Add *task* to the domain; ``True`` when it is ready now.
@@ -110,15 +112,19 @@ class GraphDomain:
             return task.num_pending_deps == 0
 
     def complete(
-        self, task: TaskInstance, failure: Optional[BaseException] = None
+        self, task: TaskInstance, failure: Optional[BaseException] = None,
+        ran: bool = True,
     ) -> tuple[list, bool]:
-        """Retire *task*; ``(newly_ready, drained)``.
+        """Retire *task* (``ran=False``: unrun, its domain had failed);
+        ``(newly_ready, drained)``.
 
         A *failure* is recorded before the successors are released, so
         none of them can be dispatched ahead of it.
         """
 
         with self.lock:
+            if ran:
+                self.executed += 1
             if failure is not None and self.failure is None:
                 self.failure = failure
             newly_ready = self.graph.complete(task)
@@ -145,10 +151,10 @@ class GraphDomain:
 class WorkerLoop:
     """Worker threads executing ready tasks of any number of domains.
 
-    The owner supplies a started :class:`~repro.core.backend.
-    ExecutionBackend` (``backend``), a scheduler sized for its workers
-    plus thread 0 (``scheduler``), and the domains: it analyses tasks
-    into a :class:`GraphDomain`, hands the ready ones to
+    The owner composes one and supplies, at :meth:`start_backend`, an
+    :class:`~repro.core.backend.ExecutionBackend` and the scheduler to
+    build once the fleet's size is known; then the domains: it analyses
+    tasks into a :class:`GraphDomain`, hands the ready ones to
     :meth:`release`, and the loop does the rest.  Thread 0 is the
     owner's own thread; it may call :meth:`_execute` on a task it
     popped itself (the runtime's main-thread helping).
@@ -159,8 +165,8 @@ class WorkerLoop:
     """
 
     def __init__(self, metrics=None, tracer=None):
+        #: Both ``None`` until :meth:`start_backend`.
         self.scheduler = None
-        #: Where task bodies run (repro.core.backend).
         self.backend = None
         self._task_metrics = metrics
         self._task_hists: dict = {}
@@ -192,31 +198,34 @@ class WorkerLoop:
         self._current: list = []
         #: The health monitor's flight recorder (``None`` when health is
         #: off): the completion path appends one plain tuple per task.
-        self._flight = None
+        self.flight = None
         self._stop = False
         self.tasks_executed = 0
 
-    def start_backend(self, backend) -> int:
-        """Adopt *backend* and bring its workers up; returns how many.
-        No loop thread exists yet, so forked children start from a
-        quiet image; a start that fails half-way is stopped again."""
+    def start_backend(self, backend, make_scheduler) -> int:
+        """Bring *backend*'s ``n`` workers up and build the scheduler,
+        ``make_scheduler(n + 1)`` (thread 0 is the owner's); returns
+        ``n``.  No loop thread exists yet, so forked children start
+        from a quiet image; a start that fails half-way is stopped
+        again."""
 
-        self.backend = backend
         try:
-            return backend.start()
+            workers = backend.start()
         except BaseException:
             backend.stop()
             raise
+        self.backend = backend
+        self.scheduler = make_scheduler(workers + 1)
+        self._current = [None] * (workers + 1)
+        return workers
 
     def start_workers(self, name: str) -> None:
         """One thread per backend worker: indices ``1..n`` of the
         scheduler's ``n + 1`` threads, named ``<name>-<index>``."""
 
-        num_threads = self.scheduler.num_threads
         self._stop = False
-        self._current = [None] * num_threads
         self._threads = []
-        for idx in range(1, num_threads):
+        for idx in range(1, self.scheduler.num_threads):
             thread = threading.Thread(
                 target=self._worker_loop, args=(idx,), name=f"{name}-{idx}",
                 daemon=True,
@@ -291,8 +300,8 @@ class WorkerLoop:
                 failure = TaskExecutionError(task, cause)
             task.executed_by = thread
             self._current[thread] = None
-        newly_ready, drained = domain.complete(task, failure)
-        flight = self._flight
+        newly_ready, drained = domain.complete(task, failure, ran)
+        flight = self.flight
         if ran and flight is not None:
             # One tuple per completion into the bounded ring, outside
             # both locks: the deque append is GIL-atomic,

@@ -32,10 +32,11 @@ semantics.
 
 The execute/complete path itself — pop, run, complete in the task's
 dependency domain, release successors, targeted wake-ups — and its
-locking discipline live in :mod:`repro.core.execution`; this class is
-that :class:`~repro.core.execution.WorkerLoop` over a single
-:class:`~repro.core.execution.GraphDomain`, plus what only a program's
-main thread does: submission, the blocking conditions, helping.
+locking discipline live in :mod:`repro.core.execution`; this class
+drives one :class:`~repro.core.execution.WorkerLoop` over a single
+:class:`~repro.core.execution.GraphDomain`, and adds what only a
+program's main thread does: submission, the blocking conditions,
+helping.
 """
 
 from __future__ import annotations
@@ -58,7 +59,14 @@ from .tracing import NullTracer, ThreadLocalTracer
 __all__ = ["SmpssRuntime", "TaskExecutionError"]
 
 
-class SmpssRuntime(WorkerLoop):
+def _loop_tap(name: str) -> property:
+    """One of the worker loop's counters or flags, readable on the
+    runtime where the health and live observers look for it."""
+
+    return property(lambda self: getattr(self._loop, name))
+
+
+class SmpssRuntime:
     """The master: task graph, scheduler, worker threads; also the
     user-facing entry point.
 
@@ -105,10 +113,17 @@ class SmpssRuntime(WorkerLoop):
         self._metrics_on = self.config.metrics
         # Falsy tracers (NullTracer) normalised to None: hot paths pay
         # a plain ``is not None`` check, not a ``__bool__`` call.
-        super().__init__(
+        self._trace = self.tracer if self.tracer else None
+        loop = self._loop = WorkerLoop(
             metrics=self.metrics if self._metrics_on else None,
-            tracer=self.tracer if self.tracer else None,
+            tracer=self._trace,
         )
+        self._sched_lock = loop._sched_lock
+        self._sched_cv = loop._sched_cv
+        self._main_cv = loop._main_cv
+        #: Set by start(): where task bodies run (repro.core.backend),
+        #: the ready lists, and the per-thread running task.
+        self.backend = self.scheduler = self._current = None
         self._m_analysis = self.metrics.histogram("analysis_seconds")
         self._m_barrier = self.metrics.histogram("barrier_wait_seconds")
         #: The program's one dependency domain (built by start());
@@ -129,6 +144,11 @@ class SmpssRuntime(WorkerLoop):
         #: so task calls made from inside tasks execute inline ("SMPSs
         #: treats task calls inside tasks as normal function calls").
         self._tls = threading.local()
+
+    _running = _loop_tap("_running")
+    _parked = _loop_tap("_parked")
+    _main_parked = _loop_tap("_main_parked")
+    tasks_executed = _loop_tap("tasks_executed")
 
     def in_task_body(self) -> bool:
         try:
@@ -168,14 +188,20 @@ class SmpssRuntime(WorkerLoop):
         # and before the runtime goes on the api stack, so a failed dial
         # aborts start() cleanly; and before the scheduler exists,
         # because a fleet's size is only known once it is up.
-        self.config.num_workers = self.start_backend(make_backend(
-            self.config, metrics=self.metrics, tracer=self._trace,
-            on_dispatch=self._notify_dispatch if self.config.live else None,
-            sanitizer=self.sanitizer, tls=self._tls,
-        ))
+        loop = self._loop
+        self.config.num_workers = loop.start_backend(
+            make_backend(
+                self.config, metrics=self.metrics, tracer=self._trace,
+                on_dispatch=self._notify_dispatch if self.config.live else None,
+                sanitizer=self.sanitizer, tls=self._tls,
+            ),
+            # Workers + the main thread.
+            lambda n: self.config.scheduler_factory(n, tracer=self.tracer),
+        )
+        self.backend = loop.backend
+        self.scheduler = loop.scheduler
+        self._current = loop._current
         self.tracker.residency_fetch = self.backend.fetch_version
-        num_threads = self.config.num_workers + 1  # + the main thread
-        self.scheduler = self.config.scheduler_factory(num_threads, tracer=self.tracer)
         self.scheduler.placement = self.backend.placement
         # Per-submission constants, hoisted out of the hot loop.
         self._constants = self.config.constants
@@ -197,10 +223,10 @@ class SmpssRuntime(WorkerLoop):
             from ..obs.health import HealthMonitor
 
             self.health = HealthMonitor(self)
-            self._flight = self.health.recorder
+            loop.flight = self.health.recorder
             self.health.start()
         self._started = True
-        self.start_workers("smpss-worker")
+        loop.start_workers("smpss-worker")
         _api.push_runtime(self)
         return self
 
@@ -217,14 +243,14 @@ class SmpssRuntime(WorkerLoop):
             if run_barrier:
                 self.barrier()
         finally:
-            self.stop_workers()
+            self._loop.stop_workers()
             if self.health is not None:
                 # Stopped only after workers have joined: the watchdog
                 # keeps observing through the final barrier — the very
                 # window where a wedged program needs it.
                 self.health.stop()
                 self.health = None
-                self._flight = None
+                self._loop.flight = None
             if self.live is not None:
                 self.live.close()
                 self.live = None
@@ -278,7 +304,7 @@ class SmpssRuntime(WorkerLoop):
         if self._trace is not None:
             self._trace.task_added(task)
         if ready_now:
-            self.release((task,))
+            self._loop.release((task,))
         if self.graph.pending_count > self._max_pending:
             # Graph-size blocking condition: behave as a worker.
             self._main_help(
@@ -353,6 +379,10 @@ class SmpssRuntime(WorkerLoop):
             self.wait_for(producer)
             if self.tracer:
                 self.tracer.wait_on_exit()
+        if self.domain.failure is not None:
+            # A failed domain retires its queued tasks unrun, so a
+            # FINISHED producer need not have produced anything.
+            raise self.domain.failure
         # wait_on reads on the main program's thread: the finished
         # producer may have left the bytes resident elsewhere.
         self.backend.fetch_version(version)
@@ -370,6 +400,7 @@ class SmpssRuntime(WorkerLoop):
         is exactly the serial overhead such a backend exists to remove.
         """
 
+        loop = self._loop
         helps = not self.backend.remote
         while True:
             task = None
@@ -380,9 +411,9 @@ class SmpssRuntime(WorkerLoop):
                     if helps:
                         task = self.scheduler.pop(0)
                         if task is not None:
-                            self._running += 1
+                            loop._running += 1
                             break
-                    if self._running == 0 and not self.scheduler.has_ready():
+                    if loop._running == 0 and not self.scheduler.has_ready():
                         # Workers update the graph (tracker lock) before
                         # the scheduler (this lock), so running == 0
                         # here means every completion is fully visible:
@@ -391,12 +422,12 @@ class SmpssRuntime(WorkerLoop):
                         if self.graph.pending_count > 0:
                             raise self._stalled()
                         return
-                    self._main_parked = True
+                    loop._main_parked = True
                     try:
                         self._main_cv.wait()
                     finally:
-                        self._main_parked = False
-            self._execute(task, 0)
+                        loop._main_parked = False
+            loop._execute(task, 0)
 
     def _stalled(self) -> RuntimeError:
         """The unified "runtime stalled" error (see repro.obs.health).

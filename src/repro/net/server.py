@@ -31,7 +31,10 @@ __all__ = ["Server"]
 
 def _peer_gone(client: socket.socket) -> bool:
     """Has the peer closed its end?  A non-blocking peek: bytes waiting
-    (a pipelined command) or nothing yet both mean it is still there."""
+    (a pipelined command) or nothing yet both mean it is still there.
+    End-of-stream means gone — a peer that only half-closed
+    (``shutdown(SHUT_WR)``) looks the same from here, so a client that
+    wants its ack keeps its write side open."""
 
     try:
         return not client.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)

@@ -204,6 +204,7 @@ class ServeDaemon:
         return state
 
     def _metrics_page(self, tenant) -> str:
+        self.engine.queue_depth()
         text = render_registry(self.engine.metrics)
         if tenant:
             text = filter_page_by_tenant(text, str(tenant))

@@ -141,15 +141,17 @@ class ServeEngine:
         self._stop = False
         self._m_queue_depth = self.metrics.gauge("serve.queue_depth")
         self.metrics.gauge("serve.workers").set(workers)
-        loop = self._loop = WorkerLoop()
-        loop.start_backend(make_backend(
-            RuntimeConfig(backend=backend, num_workers=workers),
-            metrics=self.metrics,
-        ))
+        self._loop = WorkerLoop()
         # One FIFO for the whole fleet: graphs are served in arrival
         # order, whichever tenant sent them.
-        loop.scheduler = CentralQueueScheduler(workers + 1)
-        loop.start_workers("repro-serve-worker")
+        self._loop.start_backend(
+            make_backend(
+                RuntimeConfig(backend=backend, num_workers=workers),
+                metrics=self.metrics,
+            ),
+            CentralQueueScheduler,
+        )
+        self._loop.start_workers("repro-serve-worker")
 
     # ------------------------------------------------------------------
     # tenants
@@ -266,7 +268,6 @@ class ServeEngine:
         tenant.m_submitted.inc()
         if tasks:
             self._loop.release(ready)
-            self._queue_depth()
         else:
             self._finalize(domain)
         return job
@@ -319,6 +320,8 @@ class ServeEngine:
             return
         tenant = job.tenant
         failure = domain.failure
+        # Bodies that ran, whatever became of the graph.
+        tenant.m_tasks.inc(domain.executed)
         if failure is None:
             domain.write_back()
             job.results = {
@@ -326,7 +329,6 @@ class ServeEngine:
                 for datum_id, obj in job.data.items()
             }
             tenant.m_completed.inc()
-            tenant.m_tasks.inc(job.task_count)
         else:
             if isinstance(failure, TaskExecutionError):
                 name = failure.task.definition.name
@@ -344,7 +346,6 @@ class ServeEngine:
             tenant.m_failed.inc()
         job.seconds = perf_counter() - job._t0
         tenant.m_seconds.observe(job.seconds)
-        self._queue_depth()
         self._release_admission(tenant, job.nbytes)
         job.done.set()
 
@@ -378,7 +379,10 @@ class ServeEngine:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def _queue_depth(self) -> int:
+    def queue_depth(self) -> int:
+        """Ready tasks not yet popped, sampled now (every reader of the
+        ``serve.queue_depth`` gauge samples through here first)."""
+
         depth = self._loop.scheduler.ready_count
         self._m_queue_depth.set(depth)
         return depth
@@ -397,7 +401,7 @@ class ServeEngine:
         return {
             "workers": self.num_workers,
             "backend": self.backend,
-            "queue_depth": self._queue_depth(),
+            "queue_depth": self.queue_depth(),
             "live_graphs": len(self._jobs),
             "worker_liveness": self._loop.liveness(),
             "limits": self.limits.to_wire(),

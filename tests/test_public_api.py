@@ -13,6 +13,7 @@ import ast
 import dataclasses
 import inspect
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro import (
     RecordingRuntime,
     RuntimeConfig,
     SmpssRuntime,
+    TaskExecutionError,
     barrier,
     css_task,
     wait_on,
@@ -336,11 +338,17 @@ class TestOneWorkerLoop:
         from repro.core.execution import WorkerLoop
         from repro.serve import ServeEngine
 
-        assert SmpssRuntime._worker_loop is WorkerLoop._worker_loop
-        assert SmpssRuntime._execute is WorkerLoop._execute
+        # One shape: each owner composes a loop; neither inherits its
+        # start/stop/release surface.
+        assert not issubclass(SmpssRuntime, WorkerLoop)
+        assert not hasattr(SmpssRuntime, "release")
+        with SmpssRuntime(num_workers=1) as rt:
+            assert type(rt._loop) is WorkerLoop
+            assert rt.scheduler is rt._loop.scheduler
         engine = ServeEngine(workers=1)
         try:
             assert type(engine._loop) is WorkerLoop
+            assert engine._loop.scheduler.num_threads == 2
         finally:
             engine.shutdown()
 
@@ -418,6 +426,26 @@ class TestWaitOn:
             _copy_into(src, dst)  # WAW: second write renames dst
             latest = wait_on(dst)
             assert (np.asarray(latest) == src).all()
+
+    def test_after_a_failure_never_returns_unproduced_data(self):
+        """A failed graph's queued tasks are retired unrun; wait_on a
+        datum whose producer was among them must raise, not hand back
+        whatever was in the buffer."""
+
+        @css_task("inout(a)")
+        def boom(a):
+            raise ValueError("boom")
+
+        a = np.zeros(2)
+        b = np.zeros(2)
+        with pytest.raises(TaskExecutionError, match="boom"):
+            with SmpssRuntime(num_workers=1):
+                boom(a)
+                _bump(b)
+                time.sleep(0.3)  # the worker fails a, then retires b's writer
+                wait_on(b)
+                pytest.fail("wait_on returned data that was never produced")
+        assert (b == 0.0).all()
 
     def test_inside_task_body_is_noop(self):
         seen = []

@@ -598,6 +598,9 @@ class TestAdmissionControl:
             "serve.graphs_failed", tenant="dropper").value == 1
         assert registry.counter(
             "serve.graphs_completed", tenant="dropper").value == 0
+        # ... and it is counted, though its graph never completed.
+        assert registry.counter(
+            "serve.tasks_executed", tenant="dropper").value == 1
         # The fleet serves the next tenant as if nothing happened.
         a = np.zeros(2)
         with connect(daemon.address, tenant="survivor") as rt:
@@ -734,6 +737,43 @@ class TestHttpSurface:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(f"http://{host}/nope", timeout=10)
         assert exc_info.value.code == 404
+
+    def test_queue_depth_is_sampled_by_the_scrape(self, daemon):
+        """Four independent gated tasks on two workers: two run, two
+        wait — and /metrics says so although no graph has been
+        submitted or finalized since the workers popped."""
+
+        def depth():
+            host = daemon.address.split(":", 1)[1]
+            page = urllib.request.urlopen(
+                f"http://{host}/metrics", timeout=10
+            ).read().decode()
+            (line,) = [
+                ln for ln in page.splitlines()
+                if ln.startswith("repro_serve_queue_depth")
+            ]
+            return float(line.split()[-1])
+
+        _GATE.clear()
+        del _GATED_STARTED[:]
+        ref = sp.definition_ref(gated_bump_t.definition)
+        try:
+            job = daemon.engine.submit_graph("deep", {
+                "tasks": [
+                    {"def": ref, "args": [{"d": f"d{i}"}]} for i in range(4)
+                ],
+                "data": {
+                    f"d{i}": sp.encode_datum(np.zeros(2)) for i in range(4)
+                },
+            })
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and len(_GATED_STARTED) < 2:
+                time.sleep(0.01)
+            assert depth() == 2
+        finally:
+            _GATE.set()
+        assert job.done.wait(10.0) and job.error is None
+        assert depth() == 0
 
     def test_health_command_over_session(self, daemon):
         with connect(daemon.address, tenant="probe") as rt:
