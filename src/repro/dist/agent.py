@@ -49,7 +49,7 @@ from ..mp.worker import task_message
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import PROTOCOL, format_remote_error
 from ..net.frames import recv_frame, send_frame
-from ..net.protocol import format_address, parse_address
+from ..net.protocol import hang_up, listen, tune
 from .encoding import (
     alloc_from_meta,
     apply_blob,
@@ -162,24 +162,8 @@ class AgentServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "AgentServer":
-        parsed = parse_address(self.requested_address)
-        if parsed[0] == "tcp":
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((parsed[1], parsed[2]))
-            host, port = sock.getsockname()[:2]
-            self.address = format_address(("tcp", parsed[1], port))
-        else:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                os.unlink(parsed[1])
-            except OSError:
-                pass
-            sock.bind(parsed[1])
-            self._unix_path = parsed[1]
-            self.address = parsed[1]
-        sock.listen(64)
-        self._listener = sock
+        self._listener, self.address, self._unix_path = listen(
+            self.requested_address)
         self._closing.clear()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-dist-agent-accept",
@@ -198,31 +182,14 @@ class AgentServer:
         """Shut the agent down: stop accepting, drop every connection."""
 
         self._closing.set()
-        listener = self._listener
-        self._listener = None
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
+        listener, self._listener = self._listener, None
+        unix_path, self._unix_path = self._unix_path, None
+        hang_up(listener, unix_path)
         with self._conn_lock:
             conns = list(self._conns)
             self._conns.clear()
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._unix_path is not None:
-            try:
-                os.unlink(self._unix_path)
-            except OSError:
-                pass
-            self._unix_path = None
+            hang_up(conn)
 
     #: Sudden-death alias used by the failure tests: from the master's
     #: point of view an agent whose sockets all vanish at once is
@@ -250,27 +217,21 @@ class AgentServer:
                 conn, _addr = listener.accept()
             except OSError:
                 return
+            tune(conn)
             with self._conn_lock:
                 if self._closing.is_set():
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+                    hang_up(conn)
                     return
                 self._conns.add(conn)
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._serve_conn, args=(conn,),
                 name="repro-dist-agent-conn", daemon=True,
-            )
-            thread.start()
+            ).start()
 
     def _drop_conn(self, conn: socket.socket) -> None:
         with self._conn_lock:
             self._conns.discard(conn)
-        try:
-            conn.close()
-        except OSError:
-            pass
+        hang_up(conn)
 
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
@@ -307,9 +268,8 @@ class AgentServer:
             try:
                 if kind == "fetch":
                     self._handle_fetch(conn, header)
-                elif kind == "evict":
+                elif kind == "evict":  # one-way: keys are never reused
                     store.evict(header.get("keys", ()))
-                    send_frame(conn, {"k": "ok"})
                 elif kind == "release":
                     dropped = store.release(str(header.get("sid", "")) + ":")
                     send_frame(conn, {"k": "ok", "dropped": dropped})

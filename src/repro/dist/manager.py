@@ -49,7 +49,7 @@ from ..mp.encoding import definition_payload, opaque_positions
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import PROTOCOL
 from ..net.frames import FrameError, recv_frame, send_frame
-from ..net.protocol import connect, connect_retry
+from ..net.protocol import connect, connect_retry, hang_up
 from .encoding import (
     AgentLostError,
     DistDataLossError,
@@ -97,6 +97,16 @@ class _Node:
         self.tasks_run = 0
 
 
+def _master_storage(version):
+    """The master-side object holding *version*'s content, or ``None``
+    when it never materialised here (nor was it ever dispatched)."""
+
+    root = version.root
+    if root.kind is StorageKind.INITIAL:
+        return version.datum.base
+    return root._storage
+
+
 #: What a dead agent's socket raises, on whichever side notices.
 _NET_ERRORS = (NetClosed, NetTimeout, FrameError, ConnectionError, OSError,
                EOFError)
@@ -128,6 +138,7 @@ class ClusterBackend(RemoteBackend):
         self._m_bytes = metrics.counter("dist.bytes_moved")
         self._m_hits = metrics.counter("dist.cache_hits")
         self._m_misses = metrics.counter("dist.cache_misses")
+        self._g_entries = metrics.gauge("dist.residency_entries")
         self._g_resident: dict[str, Any] = {}
         self._g_tasks: dict[str, Any] = {}
         self._g_alive: dict[str, Any] = {}
@@ -146,9 +157,7 @@ class ClusterBackend(RemoteBackend):
         slot = 1
         for index, address in enumerate(self._addresses):
             node = _Node(index, address)
-            sock = connect_retry(
-                address, timeout=self._connect_timeout, attempts=5,
-            )
+            sock = connect_retry(address, timeout=self._connect_timeout)
             send_frame(sock, {"k": "hello", "role": "control",
                               "sid": self.sid})
             reply, _ = recv_frame(sock, timeout=self._connect_timeout)
@@ -217,10 +226,7 @@ class ClusterBackend(RemoteBackend):
                 send_frame(link.conn, {"k": "bye"})
             except Exception:
                 pass
-            try:
-                link.conn.close()
-            except Exception:
-                pass
+            hang_up(link.conn)
             link.conn = None
         for node in self._nodes:
             sock = node.control
@@ -233,10 +239,7 @@ class ClusterBackend(RemoteBackend):
                     send_frame(sock, {"k": "bye"})
                 except Exception:
                     pass
-            try:
-                sock.close()
-            except Exception:
-                pass
+            hang_up(sock)
             node.control = None
 
     # ------------------------------------------------------------------
@@ -401,16 +404,12 @@ class ClusterBackend(RemoteBackend):
                 )
             entry = residency.ensure(storage, version.storage_is_base())
             residency.verify(entry)
-            reads_back = pos in read_positions
-            if not reads_back and entry.version == 0 \
-                    and version.root.kind is StorageKind.FRESH:
-                # Renamed OUTPUT: content is junk, ship the shape only.
-                specs[pos] = ("f", entry.key, alloc_meta(storage))
-            elif not reads_back:
-                # Overwritten in place: old content equally dead.
-                specs[pos] = ("f", entry.key, alloc_meta(storage))
-            else:
+            if pos in read_positions:
                 specs[pos] = self._content_spec(entry, node)
+            else:
+                # A renamed OUTPUT's content is junk and one overwritten
+                # in place equally dead: ship the shape only.
+                specs[pos] = ("f", entry.key, alloc_meta(storage))
             v_after = entry.version + 1
             out.append((pos, entry.key, v_after))
             writes_specs.append((pos, None))
@@ -482,40 +481,41 @@ class ClusterBackend(RemoteBackend):
         master-side (they were never dispatched either).
         """
 
-        root = version.root
-        if root.kind is StorageKind.INITIAL:
-            storage = version.datum.base
-        else:
-            storage = root._storage
-        if storage is None:
-            return
-        entry = self._residency.get(storage)
-        if entry is None:
-            return
-        if not entry.master_current():
+        storage = _master_storage(version)
+        entry = None if storage is None else self._residency.get(storage)
+        if entry is not None and not entry.master_current():
             self._fetch_home(entry)
+
+    def _control(self, name: str, request: dict,
+                 reply: bool = True) -> tuple[dict, bytes]:
+        """One request on node *name*'s control channel and, if it has
+        one, its reply; empty when the node is or turns out to be dead."""
+
+        node = self._by_name.get(name)
+        try:
+            if node is not None and not node.dead:
+                with node.control_lock:
+                    send_frame(node.control, request)
+                    if reply:
+                        return recv_frame(node.control)
+        except _NET_ERRORS as exc:
+            self._note_death(node, exc)
+        return {}, b""
 
     def _fetch_home(self, entry) -> None:
         """Pull *entry*'s current bytes from a holder into the master copy."""
 
+        obj = entry.obj
+        if obj is None:
+            return  # the user dropped it: nobody is left to read it
         for name in entry.holders():
-            node = self._by_name.get(name)
-            if node is None or node.dead:
-                continue
-            try:
-                with node.control_lock:
-                    send_frame(node.control, {
-                        "k": "fetch", "key": entry.key,
-                        "version": entry.version,
-                        "timeout": _CONTROL_TIMEOUT - 10.0,
-                    })
-                    header, payload = recv_frame(node.control)
-            except _NET_ERRORS as exc:
-                self._note_death(node, exc)
-                continue
+            header, payload = self._control(name, {
+                "k": "fetch", "key": entry.key, "version": entry.version,
+                "timeout": _CONTROL_TIMEOUT - 10.0,
+            })
             if not header.get("found"):
                 continue
-            apply_blob(entry.obj, header["meta"], payload)
+            apply_blob(obj, header["meta"], payload)
             self._m_bytes.inc(len(payload))
             self._residency.mark_master_current(entry)
             return
@@ -531,36 +531,23 @@ class ClusterBackend(RemoteBackend):
 
         Fetches every master-stale datum home (the barrier's write-back
         pass then copies renamed storage into user objects exactly as
-        under the threads backend), then evicts everything except
-        user-owned base arrays — renamed buffers die with the barrier,
-        and the surviving base entries are what makes a *second*
-        submission of the same graph cheap (their remote copies are
-        still valid unless :meth:`ResidencyMap.verify` catches a
-        master-side mutation).
+        under the threads backend), then evicts, here and on the agents,
+        everything except the user-owned arrays the user still holds
+        (:meth:`ResidencyMap.doomed`) — renamed buffers die with the
+        barrier, arrays the user dropped died before it, and the
+        surviving entries are what makes a *second* submission of the
+        same graph cheap (their remote copies are still valid unless
+        :meth:`ResidencyMap.verify` catches a master-side mutation).
         """
 
         residency = self._residency
-        entries = residency.entries()
-        for entry in entries:
+        for entry in residency.entries():
             if not entry.master_current():
                 self._fetch_home(entry)
-        doomed = [
-            entry for entry in entries
-            if not (entry.is_base
-                    and isinstance(entry.obj, (np.ndarray, bytearray)))
-        ]
-        by_node = residency.evict(doomed)
-        for name, keys in by_node.items():
-            node = self._by_name.get(name)
-            if node is None or node.dead:
-                continue
-            try:
-                with node.control_lock:
-                    send_frame(node.control, {"k": "evict", "keys": keys})
-                    recv_frame(node.control)
-            except _NET_ERRORS as exc:
-                self._note_death(node, exc)
+        for name, keys in residency.evict(residency.doomed()).items():
+            self._control(name, {"k": "evict", "keys": keys}, reply=False)
         residency.generation += 1
+        self._g_entries.set(len(residency))
         totals = residency.resident_bytes_by_node()
         for node in self._nodes:
             self._g_resident[node.name].set(totals.get(node.name, 0))
@@ -575,12 +562,7 @@ class ClusterBackend(RemoteBackend):
         self._m_deaths.inc()
         self._g_alive[node.name].set(0)
         self._residency.drop_node(node.name)
-        sock = node.control
-        if sock is not None:
-            try:
-                sock.close()
-            except Exception:
-                pass
+        hang_up(node.control)
 
     def _revive(self, link: Link) -> None:
         """Point a dead node's slot at a surviving agent (same slot id,
@@ -592,13 +574,8 @@ class ClusterBackend(RemoteBackend):
                 f"all {len(self._nodes)} agent(s) are gone; cannot re-home "
                 f"slot {link.slot}"
             )
-        old = link.conn
-        if old is not None:
-            try:
-                old.close()
-            except Exception:
-                pass
-            link.conn = None
+        hang_up(link.conn)
+        link.conn = None
         last_exc: Optional[Exception] = None
         for _ in range(len(survivors)):
             node = survivors[self._remap_rr % len(survivors)]
@@ -629,25 +606,15 @@ class ClusterBackend(RemoteBackend):
         scheduler → residency, network never happens here).
         """
 
-        objs = []
-        for name, version in task.reads:
-            if version.datum.region_mode:
-                continue
-            root = version.root
-            if root.kind is StorageKind.INITIAL:
-                storage = version.datum.base
-            else:
-                storage = root._storage
-            if storage is not None:
-                objs.append(storage)
-        for name, version in task.writes:
-            if version.datum.region_mode:
-                continue
-            root = version.root
-            if root.kind is StorageKind.INITIAL:
-                storage = version.datum.base
-                if storage is not None:
-                    objs.append(storage)
+        objs = [
+            _master_storage(version) for _name, version in task.reads
+            if not version.datum.region_mode
+        ] + [
+            version.datum.base for _name, version in task.writes
+            if not version.datum.region_mode
+            and version.root.kind is StorageKind.INITIAL
+        ]
+        objs = [obj for obj in objs if obj is not None]
         if not objs:
             return None
         totals = self._residency.node_bytes(objs)

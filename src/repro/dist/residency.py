@@ -14,14 +14,18 @@ storage buffer that has crossed to a node at least once, one
   holds the current bytes; dispatching there ships a reference instead
   of content (the ``dist.cache_hits`` path).
 
-Entries hold **strong references** to their storage objects: the entry
-key stays valid for exactly as long as the object is alive, so Python
-recycling an ``id()`` can never alias two objects onto one wire key.
-The flip side is an obligation to *evict* — the barrier policy in
-:meth:`ClusterBackend.barrier_sync` drops every entry whose buffer
-dies with the barrier (renamed buffers) and keeps only user-owned
-arrays, whose cached copies give repeat submissions their bytes-moved
-win.
+The map never keeps a user's array alive.  A user-owned ``ndarray``
+is held by **weak reference**: while the user keeps it, its remote
+copies give repeat submissions their bytes-moved win; once the user
+drops it, the weakref callback queues the entry's key (and does nothing
+else — the collector can fire it on any thread, even under this map's
+own lock) and :meth:`ResidencyMap.doomed` hands the entry to the next
+barrier for eviction here and on the agents.  Everything else — renamed
+buffers, which die with the barrier anyway, and ``bytearray``/``list``
+objects, which cannot be weakly referenced — is held strongly and
+evicted at every barrier.  Either way Python recycling an ``id()`` can
+never alias two objects onto one wire key: a strong entry pins its
+object, and a dead weak reference is identical to nothing.
 
 Surviving entries are re-verified once per barrier generation with an
 adler32 content checksum (:func:`~repro.dist.encoding.content_checksum`):
@@ -39,6 +43,8 @@ either).
 from __future__ import annotations
 
 import threading
+import weakref
+from collections import deque
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -52,13 +58,19 @@ class ResidencyEntry:
     """Residency state of one storage buffer (see module docstring)."""
 
     __slots__ = (
-        "key", "obj", "is_base", "version", "master_version", "copies",
-        "last_writer", "nbytes", "checksum", "checked_gen", "lost",
+        "key", "oid", "weak", "_ref", "is_base", "version", "master_version",
+        "copies", "last_writer", "nbytes", "checksum", "checked_gen", "lost",
     )
 
-    def __init__(self, key: str, obj: Any, is_base: bool, nbytes: int):
+    def __init__(self, key: str, obj: Any, is_base: bool, nbytes: int,
+                 dead: deque):
         self.key = key
-        self.obj = obj
+        self.oid = id(obj)
+        #: User-owned ndarrays are only *referenced*; when one dies its
+        #: key is queued on *dead* and :attr:`obj` reads ``None``.
+        self.weak = is_base and isinstance(obj, np.ndarray)
+        self._ref = weakref.ref(obj, lambda _ref: dead.append(key)) \
+            if self.weak else (lambda: obj)
         self.is_base = is_base
         self.version = 0
         self.master_version = 0
@@ -70,6 +82,10 @@ class ResidencyEntry:
         #: Every copy of the current version died with its node and the
         #: master is stale: the content is unrecoverable (lazy mode).
         self.lost = False
+
+    @property
+    def obj(self) -> Any:
+        return self._ref()
 
     def master_current(self) -> bool:
         return self.master_version == self.version
@@ -105,6 +121,9 @@ class ResidencyMap:
         self._by_id: dict[int, ResidencyEntry] = {}
         self._by_key: dict[str, ResidencyEntry] = {}
         self._serial = 0
+        #: Keys of weakly-held entries whose object died, appended by
+        #: the weakref callbacks, drained by :meth:`doomed`.
+        self._dead: deque = deque()
         #: Barrier generation; bumped by the barrier policy so entry
         #: checksums are re-verified at most once per generation.
         self.generation = 0
@@ -119,7 +138,8 @@ class ResidencyMap:
                 return entry
             self._serial += 1
             entry = ResidencyEntry(
-                f"{self.sid}:{self._serial}", obj, is_base, _size_of(obj)
+                f"{self.sid}:{self._serial}", obj, is_base, _size_of(obj),
+                self._dead,
             )
             self._by_id[id(obj)] = entry
             self._by_key[entry.key] = entry
@@ -149,8 +169,8 @@ class ResidencyMap:
         Returns ``True`` when the cached copies are still valid.  A
         checksum mismatch means the master object was mutated outside
         any task since the copies were recorded: the entry rolls to a
-        new content version with no holders, so the next dispatch
-        re-ships current bytes.
+        new content version, which no node holds (the recorded copies
+        are all older now), so the next dispatch re-ships current bytes.
         """
 
         with self._lock:
@@ -164,7 +184,6 @@ class ResidencyMap:
                 return True
             entry.version += 1
             entry.master_version = entry.version
-            entry.copies.clear()
             entry.checksum = current
             entry.lost = False
             return False
@@ -190,7 +209,9 @@ class ResidencyMap:
 
         with self._lock:
             entry.version = v_after
-            entry.copies = {node: v_after}
+            # Older copies elsewhere stay recorded (as stale): eviction
+            # must reach every node whose store still holds the key.
+            entry.copies[node] = v_after
             entry.last_writer = node
             entry.lost = False
             entry.nbytes = _size_of(entry.obj)
@@ -225,6 +246,16 @@ class ResidencyMap:
                     lost.append(entry)
         return lost
 
+    def doomed(self) -> list[ResidencyEntry]:
+        """Entries whose lifetime ends at this barrier: every strongly
+        held one, and the weakly held ones whose object has died since
+        the last call (see module docstring)."""
+
+        with self._lock:
+            keys = [self._dead.popleft() for _ in range(len(self._dead))]
+            gone = [self._by_key[k] for k in keys if k in self._by_key]
+            return gone + [e for e in self._by_key.values() if not e.weak]
+
     def evict(self, entries: Iterable[ResidencyEntry]) -> dict[str, list[str]]:
         """Remove *entries*; returns ``{node: [keys...]}`` so the
         caller can tell each agent to drop its copies."""
@@ -234,9 +265,8 @@ class ResidencyMap:
             for entry in entries:
                 if self._by_key.pop(entry.key, None) is None:
                     continue
-                cached = self._by_id.get(id(entry.obj))
-                if cached is entry:
-                    del self._by_id[id(entry.obj)]
+                if self._by_id.get(entry.oid) is entry:
+                    del self._by_id[entry.oid]
                 for node in entry.copies:
                     by_node.setdefault(node, []).append(entry.key)
         return by_node

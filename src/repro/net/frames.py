@@ -16,6 +16,15 @@ sequence number); the payload is whatever bytes the two ends agreed on
 (:mod:`repro.dist`) is the first user: every master<->agent hop is one
 frame in each direction.
 
+A frame costs **one syscall and no timer**: prefix, header and payload
+leave in a single gather write (``sendmsg``), so a small frame is one
+TCP segment and a large payload is never copied into a joined buffer.
+Two writes per frame would make the request -> reply dist protocol
+write-write-read, which Nagle holds back until the peer's delayed ACK
+(~40 ms each way); every TCP socket ``repro.net`` makes also carries
+``TCP_NODELAY`` (:func:`repro.net.protocol.tune`), so the tail of a
+frame larger than the socket buffer does not wait either.
+
 Frames are point-to-point between trusted processes (payloads may be
 pickled), the same trust model as :mod:`repro.mp`'s pipes — never
 expose an agent port to an untrusted network.
@@ -50,17 +59,26 @@ class FrameError(ConnectionError):
     """The peer sent bytes that are not a frame."""
 
 
-def send_frame(sock: socket.socket, header: dict, payload: bytes = b"") -> None:
-    """Write one frame; raises :class:`NetClosed` on a dead socket."""
+def send_frame(sock: socket.socket, header: dict, payload=b"") -> None:
+    """Write one frame; raises :class:`NetClosed` on a dead socket.
+
+    *payload* is any contiguous bytes-like object (``bytes``,
+    ``bytearray``, ``memoryview``); it is gathered, never copied.
+    """
 
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    body = memoryview(payload).cast("B")
+    pending = [memoryview(_PREFIX.pack(len(head), len(body)) + head), body]
     try:
-        # One sendall for the fixed part keeps small frames in one
-        # segment; the payload (possibly huge) goes separately so no
-        # concatenation copy of array content is ever made.
-        sock.sendall(_PREFIX.pack(len(head), len(payload)) + head)
-        if payload:
-            sock.sendall(payload)
+        while pending:
+            # The kernel may take any prefix of the gather list (a
+            # payload beyond the socket buffer, a signal): drop what
+            # went out whole, trim the buffer it stopped in, go again.
+            sent = sock.sendmsg(pending)
+            while pending and sent >= len(pending[0]):
+                sent -= len(pending.pop(0))
+            if pending:
+                pending[0] = pending[0][sent:]
     except OSError as exc:
         raise NetClosed(f"peer gone while sending frame: {exc}") from None
 
@@ -83,7 +101,7 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
         except OSError as exc:
             raise NetClosed(str(exc)) from None
         if not chunk:
-            raise NetClosed("peer closed mid-frame" if chunks or remaining != n
+            raise NetClosed("peer closed mid-frame" if chunks
                             else "peer closed the connection")
         chunks.append(chunk)
         remaining -= len(chunk)

@@ -19,8 +19,10 @@ which means a unix-domain socket.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import time
+from contextlib import suppress
 from typing import Callable, Optional
 
 __all__ = [
@@ -29,6 +31,9 @@ __all__ = [
     "decode",
     "parse_address",
     "format_address",
+    "tune",
+    "listen",
+    "hang_up",
     "connect",
     "connect_retry",
 ]
@@ -75,6 +80,63 @@ def format_address(parsed: tuple) -> str:
     return parsed[1]
 
 
+def tune(sock: socket.socket) -> socket.socket:
+    """The one place a connected or accepted socket is tuned:
+    ``TCP_NODELAY`` on TCP (every protocol here is request -> reply, so
+    a held-back small write is a stall, never a saving); a unix-domain
+    socket has no Nagle and is left alone."""
+
+    if sock.family != socket.AF_UNIX:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def hang_up(sock: Optional[socket.socket],
+            unix_path: Optional[str] = None) -> None:
+    """Shut down and close *sock*, unlink *unix_path*; never raises
+    (teardown paths).  The shutdown is what ends the connection for a
+    peer — or a thread blocked in ``accept``/``recv`` — even while a
+    forked child still holds a copy of the descriptor."""
+
+    if sock is not None:
+        with suppress(OSError):
+            sock.shutdown(socket.SHUT_RDWR)
+        with suppress(OSError):
+            sock.close()
+    if unix_path is not None:
+        with suppress(OSError):
+            os.unlink(unix_path)
+
+
+def listen(spec: str) -> tuple:
+    """Server-side bind + listen on an address spec.
+
+    Returns ``(sock, address, unix_path)``: *address* is the spec
+    clients connect to (the real port when the spec asked for ``0``),
+    *unix_path* the socket file the owner unlinks on close (``None``
+    for TCP).  A stale unix socket file is replaced.
+    """
+
+    parsed = parse_address(spec)
+    if parsed[0] == "tcp":
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        target, unix_path = (parsed[1], parsed[2]), None
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    else:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        target = unix_path = parsed[1]
+        hang_up(None, unix_path)  # a stale socket file, if any
+    try:
+        sock.bind(target)
+        sock.listen()
+    except BaseException:
+        sock.close()
+        raise
+    if unix_path is None:
+        spec = format_address(("tcp", parsed[1], sock.getsockname()[1]))
+    return sock, spec, unix_path
+
+
 def connect(spec: str, timeout: Optional[float] = None) -> socket.socket:
     """Client-side connect to a server address spec.
 
@@ -86,9 +148,9 @@ def connect(spec: str, timeout: Optional[float] = None) -> socket.socket:
 
     parsed = parse_address(spec)
     if parsed[0] == "tcp":
-        sock = socket.create_connection(
+        sock = tune(socket.create_connection(
             (parsed[1], parsed[2]), timeout=timeout
-        )
+        ))
     else:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:

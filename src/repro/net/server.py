@@ -18,13 +18,12 @@ that cares whether its peer is still there asks ``conn.peer_gone()``.
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .protocol import encode, decode, format_address, parse_address
+from .protocol import decode, encode, hang_up, listen, tune
 
 __all__ = ["Server"]
 
@@ -81,25 +80,7 @@ class Server:
         #: of its response.  ``None`` (every live session) keeps the
         #: original send-hello-on-accept behaviour.
         self._http_responder = http_responder
-        parsed = parse_address(address)
-        self._unix_path: Optional[str] = None
-        if parsed[0] == "tcp":
-            self._sock = socket.create_server(
-                (parsed[1], parsed[2]), reuse_port=False
-            )
-            host, port = self._sock.getsockname()[:2]
-            self.address = format_address(("tcp", parsed[1], port))
-        else:
-            path = parsed[1]
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.bind(path)
-            self._sock.listen()
-            self._unix_path = path
-            self.address = path
+        self._sock, self.address, self._unix_path = listen(address)
         self._lock = threading.Lock()
         self._clients: list[socket.socket] = []
         #: Per-client write locks: the publisher thread (events) and the
@@ -150,10 +131,7 @@ class Server:
             if client in self._clients:
                 self._clients.remove(client)
             self._wlocks.pop(client, None)
-        try:
-            client.close()
-        except OSError:
-            pass
+        hang_up(client)
 
     @property
     def client_count(self) -> int:
@@ -169,6 +147,7 @@ class Server:
                 client, _addr = self._sock.accept()
             except OSError:
                 return  # listening socket closed
+            tune(client)
             with self._lock:
                 if self._closed:
                     client.close()
@@ -318,26 +297,10 @@ class Server:
                     client.sendall(bye)
             except OSError:
                 pass
-            try:
-                client.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            client.close()
-        try:
-            # Closing a listening socket does not interrupt a blocked
-            # accept() on Linux; shutting it down does.  Without this
-            # the accept thread — and the listening port — outlive
-            # close() until a stray connection arrives.
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+            hang_up(client)
+        # Closing a listening socket does not interrupt a blocked
+        # accept() on Linux; shutting it down does.  Without that the
+        # accept thread — and the listening port — outlive close()
+        # until a stray connection arrives.
+        hang_up(self._sock, self._unix_path)
         self._accept_thread.join(timeout=5.0)
-        if self._unix_path is not None:
-            try:
-                os.unlink(self._unix_path)
-            except OSError:
-                pass

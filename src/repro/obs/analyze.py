@@ -371,7 +371,7 @@ def runtime_report(runtime, title: str = "runtime report") -> str:
                 f"max {depth['max']:.0f}"
             )
         for name, value in snap.items():
-            if name.startswith("renaming."):
+            if name.startswith(("renaming.", "dist.")):
                 lines.append(f"  {name}: {value}")
         scheduler_bits = [
             f"{key.split('.', 1)[1]}={value}"

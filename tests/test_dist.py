@@ -8,6 +8,7 @@ locality-aware placement, one automatic re-dispatch after an agent
 death, structured data-loss errors in lazy mode — pinned down here.
 """
 
+import gc
 import threading
 import time
 
@@ -66,6 +67,11 @@ def boom_t(a):
 @css_task("opaque(ctx) inout(a)")
 def opaque_t(ctx, a):
     a += 1
+
+
+@css_task("inout(buf)")
+def bump_bytes_t(buf):
+    buf[0] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +228,101 @@ class TestResidencyCache:
             for entry in residency.entries():
                 assert entry.is_base
                 assert entry.obj is a
+
+    def test_dropped_array_is_evicted_here_and_on_its_holder(self, agents):
+        rng = np.random.default_rng(23)
+        a, b, c = rng.random((48, 48)), rng.random((48, 48)), np.empty((48, 48))
+        with cluster(agents) as rt:
+            backend, residency = rt.backend, rt.backend._residency
+            mul_t(a, b, c)
+            rt.barrier()
+            assert len(residency) == 3          # the user holds all three
+            key, (holder,) = residency.get(a).key, residency.get(a).copies
+            store = agents[int(holder[1:])].store
+            assert key in store._data
+            sent = []
+            control = backend._control
+            backend._control = lambda name, request, **kw: (
+                sent.append((name, request)), control(name, request, **kw))[1]
+            del a
+            gc.collect()    # the finished graph is cyclic: see docs
+            rt.barrier()
+            assert (holder, {"k": "evict", "keys": [key]}) in sent
+            backend._control(holder, {"k": "ping"})   # evict has no reply
+            assert key not in store._data
+            assert len(residency) == 2
+            # The gauge that makes a residency leak visible.
+            assert "dist.residency_entries: 2" in rt.report()
+            assert "repro_dist_residency_entries 2" in render_registry(
+                rt.metrics)
+            assert np.array_equal(c, residency.get(c).obj)
+
+    def test_fresh_arrays_every_round_leave_map_and_stores_flat(self, agents):
+        rng = np.random.default_rng(29)
+        fixed = [rng.random((48, 48)) for _ in range(4)]
+        per_round = 2 + 4 + 1                   # fresh inputs, outputs, acc
+        sizes = []
+        with cluster(agents) as rt:
+            backend = rt.backend
+            for _ in range(50):
+                fresh = [rng.random((48, 48)) for _ in range(2)]
+                outs = [np.empty((48, 48)) for _ in range(4)]
+                acc = np.zeros((48, 48))
+                for a, b, c in zip(fixed, (fresh + fresh), outs):
+                    mul_t(a, b, c)
+                    accum_t(c, acc)
+                rt.barrier()
+                assert np.allclose(acc, sum(
+                    a * b for a, b in zip(fixed, fresh + fresh)))
+                del fresh, outs, acc, a, b, c
+                # A finished graph is a reference cycle (task <-> version
+                # <-> datum), so a dropped array dies at the next cycle
+                # collection, not at ``del``: collect, so that "next
+                # barrier" means the next one.
+                gc.collect()
+                sizes.append((len(backend._residency), [
+                    backend._control(n, {"k": "ping"})[0]["store"]["entries"]
+                    for n in ("n0", "n1")
+                ]))
+        (first, first_stores), (last, last_stores) = sizes[4], sizes[-1]
+        assert abs(last - first) <= per_round, sizes
+        assert last <= len(fixed) + 2 * per_round, sizes
+        for before, after in zip(first_stores, last_stores):
+            assert abs(after - before) <= per_round, sizes
+
+    def test_kept_arrays_stay_resident_while_dropped_ones_go(self, agents):
+        rng = np.random.default_rng(31)
+        A = [rng.random((32, 32)) for _ in range(4)]
+        B = [rng.random((32, 32)) for _ in range(4)]
+        with cluster(agents) as rt:
+            hits = rt.metrics.counter("dist.cache_hits")
+            keys, gained = [], []
+            for _ in range(4):
+                before = hits.value
+                acc = np.zeros((32, 32))
+                for a, b in zip(A, B):
+                    c = np.empty((32, 32))
+                    mul_t(a, b, c)
+                    accum_t(c, acc)
+                rt.barrier()
+                del acc, c
+                gc.collect()
+                gained.append(hits.value - before)
+                keys.append([rt.backend._residency.get(x).key for x in A + B])
+        assert keys[0] == keys[1] == keys[2] == keys[3]   # never re-registered
+        # Round 1 ships A and B; every later round finds them resident.
+        assert all(later > gained[0] for later in gained[1:]), gained
+
+    def test_unweakrefable_base_objects_are_evicted_at_the_barrier(self, agents):
+        buf = bytearray(16)
+        with cluster(agents) as rt:
+            for expected in (1, 2):
+                bump_bytes_t(buf)
+                rt.barrier()
+                assert buf[0] == expected
+                assert len(rt.backend._residency) == 0
+        for agent in agents:
+            assert agent.store.stats()["entries"] == 0
 
     def test_acquire_fetches_lazy_output_home(self, agents):
         a = np.zeros((8, 8))

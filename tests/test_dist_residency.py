@@ -1,15 +1,19 @@
-"""Unit tests for the residency map, dist wire encoding, and frames.
+"""Unit tests for the residency map and the dist wire encoding.
 
 These pin down the master-side invariants the distributed backend's
 correctness rests on: version-chain behaviour under WAR/WAW renaming
 (a renamed datum must never resolve to a stale resident copy), the
-strong-reference key discipline (no ``id()`` aliasing), barrier
-eviction policy, checksum-based invalidation of out-of-band mutation,
-and data-loss detection when a node dies holding the only copy.
+key discipline (no ``id()`` aliasing), the lifetime rule (the map
+never keeps a user's array alive; what the barrier evicts),
+checksum-based invalidation of out-of-band mutation, and data-loss
+detection when a node dies holding the only copy.  The frame tests
+live in ``tests/test_net.py``.
 """
 
-import socket
+import gc
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +30,6 @@ from repro.dist.encoding import (
     slices_spec,
 )
 from repro.dist.residency import ResidencyMap
-from repro.net.frames import FrameError, recv_frame, send_frame
 
 pytestmark = pytest.mark.dist
 
@@ -46,12 +49,13 @@ class TestResidencyMap:
         assert rmap.ensure(b, True) is not entry
 
     def test_id_reuse_cannot_alias_entries(self):
-        # The map holds strong refs: as long as an entry exists its
-        # object is alive, so a new object can never reuse that id.
+        # A user array is held weakly: once it is gone a new object
+        # may reuse its id, and must still get an entry of its own (a
+        # dead reference is identical to nothing).
         rmap = ResidencyMap("s")
         a = np.zeros(8)
         entry = rmap.ensure(a, True)
-        del a  # the entry keeps the array alive
+        del a  # the array dies here; its entry waits for the barrier
         b = np.zeros(8)
         other = rmap.ensure(b, True)
         assert other is not entry
@@ -66,6 +70,10 @@ class TestResidencyMap:
         rmap.commit_write(entry, "n1", 1, master_too=False)
         assert entry.version == 1
         assert entry.holders() == ["n1"]          # n0's copy is stale
+        # ...and still recorded, so eviction reaches n0's store too.
+        assert rmap.evict([entry]) == {"n0": [entry.key], "n1": [entry.key]}
+        entry = rmap.ensure(a, True)
+        rmap.commit_write(entry, "n1", 1, master_too=False)
         assert not entry.master_current()          # lazy output
         rmap.mark_master_current(entry)
         assert entry.master_current()
@@ -93,7 +101,8 @@ class TestResidencyMap:
         a[0] = 99.0  # out-of-band mutation between barriers
         assert rmap.verify(entry) is False
         assert entry.version == 2      # new content version
-        assert entry.copies == {}      # remote copies invalidated
+        assert entry.holders() == []   # remote copies invalidated...
+        assert entry.copies == {"n0": 1}    # ...but still known, for evict
         # Re-verify in the same generation is a no-op (cached).
         assert rmap.verify(entry) is True
 
@@ -143,6 +152,123 @@ class TestResidencyMap:
         totals = rmap.node_bytes([a, b])
         assert totals == {"n0": a.nbytes + b.nbytes}
 
+    # -- lifetime: the map never keeps a user's array alive -------------
+
+    def test_dropped_base_array_is_doomed_at_the_next_barrier(self):
+        rmap = ResidencyMap("s")
+        kept, dropped = np.zeros(4), np.zeros(4)
+        ek = rmap.ensure(kept, True)
+        ed = rmap.ensure(dropped, True)
+        rmap.record_copy(ed, "n1")
+        assert rmap.doomed() == []          # both alive: nothing to evict
+        del dropped
+        gc.collect()
+        assert ed.obj is None and len(rmap) == 2   # queued, not yet reaped
+        doomed = rmap.doomed()
+        assert doomed == [ed]
+        assert rmap.evict(doomed) == {"n1": [ed.key]}
+        assert len(rmap) == 1 and rmap.get(kept) is ek
+        assert rmap.doomed() == []          # the queue was drained
+
+    def test_strongly_held_entries_are_doomed_at_every_barrier(self):
+        # Renamed buffers die with the barrier; bytearray/list cannot
+        # be weakly referenced, so they go the same way.
+        rmap = ResidencyMap("s")
+        base, renamed = np.zeros(4), np.zeros(4)
+        blob, items = bytearray(8), [1, 2]
+        rmap.ensure(base, True)
+        strong = [rmap.ensure(renamed, False), rmap.ensure(blob, True),
+                  rmap.ensure(items, True)]
+        assert [e.weak for e in rmap.entries()] == [True, False, False, False]
+        assert rmap.doomed() == strong
+        del renamed
+        gc.collect()
+        assert strong[0].obj is not None    # pinned until evicted
+
+    def test_reused_id_keeps_the_new_entry_when_the_dead_one_is_evicted(self):
+        rmap = ResidencyMap("s")
+        a = np.zeros(8)
+        old = rmap.ensure(a, True)
+        oid = id(a)
+        del a
+        gc.collect()
+        # Force the aliasing case whatever the allocator does: a new
+        # entry registered under the dead entry's id.
+        b = np.zeros(8)
+        new = rmap.ensure(b, True)
+        rmap._by_id[oid] = new
+        rmap.evict(rmap.doomed())
+        assert rmap._by_id[oid] is new and old.key not in rmap._by_key
+
+    def test_weakref_callback_under_the_map_lock_corrupts_nothing(self):
+        # The collector may fire callbacks on any thread at any
+        # allocation — here inside drop_node's iteration, map lock held.
+        rmap = ResidencyMap("s")
+        arrays = [np.zeros(4) for _ in range(64)]
+        entries = [rmap.ensure(a, True) for a in arrays]
+        for entry in entries:
+            rmap.commit_write(entry, "n0", 1, master_too=False)
+
+        class Collecting(dict):
+            def values(self):
+                for i, value in enumerate(super().values()):
+                    if i == 8 and len(arrays) == 64:
+                        del arrays[::2]     # 32 arrays die mid-iteration
+                        gc.collect()
+                    yield value
+
+        rmap._by_key = Collecting(rmap._by_key)
+        lost = rmap.drop_node("n0")
+        assert len(arrays) == 32 and lost == entries and len(rmap) == 64
+        doomed = rmap.doomed()
+        assert doomed == entries[::2]
+        rmap.evict(doomed)
+        assert rmap.entries() == entries[1::2]
+        assert all(rmap.get(a) is e for a, e in zip(arrays, entries[1::2]))
+
+    def test_arrays_dying_on_many_threads_while_barriers_reap(self):
+        # Weakref callbacks fire on whichever thread drops the last
+        # reference; the barrier thread drains their queue meanwhile.
+        # More threads than cores, a short switch interval, bounded.
+        rmap = ResidencyMap("s")
+        kept = [np.zeros(4) for _ in range(16)]
+        for a in kept:
+            rmap.ensure(a, True)
+        stop = threading.Event()
+        made, errors = [0] * 6, []
+
+        def churn(slot):
+            try:
+                while not stop.is_set():
+                    a = np.zeros(4)
+                    rmap.record_copy(rmap.ensure(a, True), f"n{slot % 2}")
+                    made[slot] += 1
+                    del a               # dies here, on this thread
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=churn, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            evicted = 0
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                evicted += sum(map(len, rmap.evict(rmap.doomed()).values()))
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for t in threads:
+                t.join(10.0)
+        assert not errors and not any(t.is_alive() for t in threads)
+        evicted += sum(map(len, rmap.evict(rmap.doomed()).values()))
+        # Every dropped array was reaped exactly once; the kept ones stay.
+        assert evicted == sum(made) > 0
+        assert all(rmap.get(a).obj is a for a in kept) and len(rmap) == 16
+        assert len(rmap._by_id) == 16
+
 
 # ---------------------------------------------------------------------------
 # blob / spec encoding
@@ -191,48 +317,3 @@ class TestEncoding:
         assert content_checksum(a) != c1
         assert content_checksum(np.array([object()], dtype=object)) is None
         assert content_checksum(bytearray(b"xy")) is not None
-
-
-# ---------------------------------------------------------------------------
-# frames
-# ---------------------------------------------------------------------------
-
-def _socketpair():
-    return socket.socketpair()
-
-
-class TestFrames:
-    def test_roundtrip_header_and_payload(self):
-        a, b = _socketpair()
-        try:
-            payload = np.arange(1000, dtype=np.float64).tobytes()
-            t = threading.Thread(
-                target=send_frame, args=(a, {"k": "data", "n": 1}, payload))
-            t.start()
-            header, got = recv_frame(b, timeout=5.0)
-            t.join()
-            assert header == {"k": "data", "n": 1}
-            assert got == payload
-        finally:
-            a.close()
-            b.close()
-
-    def test_empty_payload(self):
-        a, b = _socketpair()
-        try:
-            send_frame(a, {"k": "ping"})
-            header, got = recv_frame(b, timeout=5.0)
-            assert header == {"k": "ping"} and got == b""
-        finally:
-            a.close()
-            b.close()
-
-    def test_garbage_prefix_is_a_frame_error(self):
-        a, b = _socketpair()
-        try:
-            a.sendall(b"\xff" * 8 + b"junk")
-            with pytest.raises(FrameError):
-                recv_frame(b, timeout=5.0)
-        finally:
-            a.close()
-            b.close()

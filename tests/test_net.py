@@ -5,19 +5,30 @@ through their wrappers; this file pins the extraction contract itself —
 the wrapper classes ARE the shared ones, the historical import paths
 still resolve, and the generic Server/Client pair works standalone
 (including deferred-hello servers, which no wrapper exercises
-directly).
+directly) — and the binary frame layer: what a frame is, that writing
+one survives any partial send, and that no socket ``repro.net`` makes
+or accepts waits on a Nagle/delayed-ACK timer.
 """
 
 import gc
 import socket
+import struct
 import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import repro.net as net
 from repro.net import Client, NetClosed, NetTimeout, Server
+from repro.net.frames import (
+    MAX_HEADER_BYTES,
+    FrameError,
+    recv_frame,
+    send_frame,
+)
+from repro.net.protocol import listen, tune
 
 pytestmark = pytest.mark.live
 
@@ -330,3 +341,223 @@ class TestConnectRetry:
             client.close()
         finally:
             server.close()
+
+
+# ---------------------------------------------------------------------------
+# frames
+# ---------------------------------------------------------------------------
+
+class _Trickle:
+    """A socket whose ``sendmsg`` takes at most *k* bytes per call."""
+
+    def __init__(self, sock, k):
+        self.sock, self.k, self.calls = sock, k, 0
+
+    def sendmsg(self, buffers):
+        data = b"".join(bytes(b) for b in buffers)[:self.k]
+        self.sock.sendall(data)
+        self.calls += 1
+        return len(data)
+
+
+@pytest.fixture
+def pair():
+    a, b = socket.socketpair()
+    yield a, b
+    a.close()
+    b.close()
+
+
+@pytest.mark.dist
+class TestFrames:
+    def test_roundtrip_header_and_payload(self, pair):
+        a, b = pair
+        payload = np.arange(1000, dtype=np.float64).tobytes()
+        t = threading.Thread(
+            target=send_frame, args=(a, {"k": "data", "n": 1}, payload))
+        t.start()
+        header, got = recv_frame(b, timeout=5.0)
+        t.join()
+        assert header == {"k": "data", "n": 1}
+        assert got == payload
+
+    def test_empty_payload(self, pair):
+        a, b = pair
+        send_frame(a, {"k": "ping"})
+        header, got = recv_frame(b, timeout=5.0)
+        assert header == {"k": "ping"} and got == b""
+
+    def test_garbage_prefix_is_a_frame_error(self, pair):
+        a, b = pair
+        a.sendall(b"\xff" * 8 + b"junk")
+        with pytest.raises(FrameError):
+            recv_frame(b, timeout=5.0)
+
+    def test_a_frame_is_one_gather_write(self, pair):
+        a, b = pair
+        whole = _Trickle(a, 1 << 20)
+        send_frame(whole, {"k": "data"}, b"x" * 4096)
+        assert whole.calls == 1
+        assert recv_frame(b, timeout=5.0) == ({"k": "data"}, b"x" * 4096)
+
+    # 8-byte prefix, 12-byte header, 300-byte payload: a send that
+    # stops inside each part, and one that stops on every boundary.
+    @pytest.mark.parametrize("k", [3, 8, 13, 20, 150, 319])
+    def test_partial_send_continues_where_it_stopped(self, pair, k):
+        a, b = pair
+        payload = bytes(range(256)) + b"tail" * 11
+        slow = _Trickle(a, k)
+        send_frame(slow, {"k": "data"}, payload)
+        assert slow.calls == -(-(8 + 12 + 300) // k)
+        assert recv_frame(b, timeout=5.0) == ({"k": "data"}, payload)
+        send_frame(a, {"k": "next"})            # the stream is still framed
+        assert recv_frame(b, timeout=5.0) == ({"k": "next"}, b"")
+
+    def test_payload_beyond_the_socket_buffer_against_a_slow_reader(self):
+        listener, address, _ = listen("tcp:127.0.0.1:0")
+        a = net.connect(address, timeout=5.0)
+        b, _addr = listener.accept()
+        try:
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            payload = np.random.default_rng(0).bytes(3 << 20)
+            got = []
+
+            def reader():
+                time.sleep(0.2)                 # the sender fills up first
+                got.append(recv_frame(b, timeout=10.0))
+
+            t = threading.Thread(target=reader)
+            t.start()
+            send_frame(a, {"k": "big"}, payload)
+            t.join(10.0)
+            assert got == [({"k": "big"}, payload)]
+        finally:
+            for sock in (a, b, listener):
+                sock.close()
+
+    @pytest.mark.parametrize("wrap", [
+        bytes, bytearray, memoryview,
+        lambda raw: memoryview(np.frombuffer(raw).reshape(5, -1)),
+    ], ids=["bytes", "bytearray", "memoryview", "memoryview-2d-float64"])
+    def test_any_contiguous_bytes_like_payload(self, pair, wrap):
+        a, b = pair
+        raw = np.arange(100.0).tobytes()
+        send_frame(a, {"k": "data"}, wrap(raw))
+        assert recv_frame(b, timeout=5.0) == ({"k": "data"}, raw)
+
+    def test_eof_mid_frame_is_net_closed(self, pair):
+        a, b = pair
+        a.sendall(struct.pack("!II", 2, 100) + b"{}" + b"only ten b")
+        a.close()
+        with pytest.raises(NetClosed, match="mid-frame"):
+            recv_frame(b, timeout=5.0)
+
+    def test_stalled_read_is_net_timeout(self, pair):
+        a, b = pair
+        a.sendall(struct.pack("!II", 2, 100) + b"{}" + b"only ten b")
+        with pytest.raises(NetTimeout, match="90 byte"):
+            recv_frame(b, timeout=0.1)
+
+    def test_oversized_prefix_is_a_frame_error(self, pair):
+        a, b = pair
+        a.sendall(struct.pack("!II", MAX_HEADER_BYTES + 1, 0))
+        with pytest.raises(FrameError, match="implausible"):
+            recv_frame(b, timeout=5.0)
+
+    def test_send_to_a_closed_peer_is_net_closed(self, pair):
+        a, b = pair
+        b.close()
+        with pytest.raises(NetClosed):
+            for _ in range(64):                 # first write may be buffered
+                send_frame(a, {"k": "data"}, b"x" * 65536)
+
+
+def _nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+def _wait_for(what, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not what():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+@pytest.mark.dist
+class TestNoTimers:
+    def test_request_reply_over_tcp_does_not_stall(self):
+        """Header + 16 kB payload each way, 100 times.  Two writes per
+        frame without TCP_NODELAY cost a Nagle/delayed-ACK wait (~40 ms)
+        per direction: about 8 s here, against milliseconds."""
+
+        listener, address, _ = listen("tcp:127.0.0.1:0")
+        payload = b"p" * 16384
+
+        def echo():
+            conn, _addr = listener.accept()
+            with tune(conn):
+                for _ in range(100):
+                    header, body = recv_frame(conn, timeout=10.0)
+                    send_frame(conn, {"k": "done", "seq": header["seq"]}, body)
+
+        t = threading.Thread(target=echo)
+        t.start()
+        sock = net.connect(address, timeout=5.0)
+        try:
+            t0 = time.perf_counter()
+            for seq in range(100):
+                send_frame(sock, {"k": "task", "seq": seq}, payload)
+                header, body = recv_frame(sock, timeout=10.0)
+                assert header["seq"] == seq and body == payload
+            elapsed = time.perf_counter() - t0
+        finally:
+            sock.close()
+            t.join(10.0)
+            listener.close()
+        assert elapsed < 1.0, f"100 exchanges took {elapsed:.2f} s"
+
+    def test_server_sets_nodelay_on_both_ends(self):
+        server = Server("tcp:127.0.0.1:0", lambda cmd, conn: {})
+        sock = net.connect(server.address, timeout=5.0)
+        try:
+            assert _nodelay(sock)
+            _wait_for(lambda: server.client_count == 1)
+            assert _nodelay(server._clients[0])
+        finally:
+            sock.close()
+            server.close()
+
+    def test_agent_sets_nodelay_on_both_ends(self):
+        from repro.dist.agent import AgentServer
+
+        with AgentServer("tcp:127.0.0.1:0", slots=1) as agent:
+            sock = net.connect(agent.address, timeout=5.0)
+            try:
+                assert _nodelay(sock)
+                _wait_for(lambda: agent._conns)
+                assert all(_nodelay(conn) for conn in agent._conns)
+            finally:
+                sock.close()
+
+    def test_unix_sockets_are_left_alone(self, tmp_path):
+        listener, address, unix_path = listen(str(tmp_path / "n.sock"))
+        sock = net.connect(address, timeout=5.0)
+        conn, _addr = listener.accept()
+        try:
+            assert address == unix_path
+            assert tune(conn) is conn            # must not raise
+            send_frame(sock, {"k": "ping"})
+            assert recv_frame(conn, timeout=5.0) == ({"k": "ping"}, b"")
+        finally:
+            for s in (sock, conn, listener):
+                s.close()
+
+    def test_listen_replaces_a_stale_unix_socket_file(self, tmp_path):
+        path = tmp_path / "stale.sock"
+        path.write_bytes(b"")
+        listener, address, _ = listen(str(path))
+        try:
+            net.connect(address, timeout=5.0).close()
+        finally:
+            listener.close()
