@@ -138,8 +138,8 @@ def test_health_watchdog_overhead_under_five_percent():
     compares the two costs directly, each measured the stable way:
 
     * the per-task cost of the full submission→execution→completion
-      pipeline, min-of-N over 300-task batches (the quantity
-      ``micro_submission_throughput`` gates);
+      pipeline, min-of-N over 300-task batches (what the e2e
+      ``stream_whole`` workload measures at scale);
     * the measured cost of one ``note_task`` call, averaged over a
       tight loop (deterministic to a few ns).
 
@@ -204,29 +204,6 @@ def test_threaded_runtime_task_overhead(benchmark):
         return a[0]
 
     assert benchmark(run_batch) == 300
-
-
-def test_submission_throughput_tasks_per_sec(benchmark):
-    """End-to-end tasks/sec of the submission fast path, both shapes.
-
-    The same measurement backs the committed ``micro`` figure baseline
-    (``repro.bench compare`` gates it); here it rides along with the
-    other microbenchmarks so a local ``pytest benchmarks/`` run shows
-    the tasks/sec figure directly in ``extra_info``.
-    """
-
-    from repro.bench.experiments import _submission_rate_once
-
-    def run_both():
-        return {
-            "chain-1": _submission_rate_once("chain-1", 1000, 2),
-            "fanout-64": _submission_rate_once("fanout-64", 1000, 2),
-        }
-
-    rates = benchmark.pedantic(run_both, rounds=3, iterations=1)
-    for variant, rate in rates.items():
-        benchmark.extra_info[f"{variant}_tasks_per_sec"] = round(rate)
-        assert rate > 0
 
 
 def test_simulator_event_throughput(benchmark):

@@ -7,17 +7,18 @@ drivers in ``benchmarks/`` call these entry points.
 
 On top of the figures sits the continuous-benchmarking layer
 (``docs/benchmarking.md``): :mod:`~repro.bench.registry` knows how to
-run each figure (with ``--repeat`` aggregation and provenance),
-:mod:`~repro.bench.stats` supplies the robust statistics and
-noise-aware thresholds, and :mod:`~repro.bench.compare` gates a run
-against the committed baselines under ``benchmarks/baselines/``.
+run each figure and stamps its provenance, and
+:mod:`~repro.bench.compare` gates a run against the committed
+baselines under ``benchmarks/baselines/``.  Everything here is virtual
+time — deterministic, identical on any host.  Wall-clock throughput,
+latency and memory of the real execution paths are measured by
+``benchmarks/e2e`` (``BENCHMARK.json``), not here.
 """
 
 from .compare import compare_against_baselines, compare_figures
 from .harness import FigureResult, Series
 from .provenance import SCHEMA_VERSION, collect_provenance
-from .registry import run_figure_once, run_figure_repeated
-from .stats import aggregate_figures, iqr, median, noise_threshold, quantile
+from .registry import run_figure
 from . import experiments
 
 __all__ = [
@@ -26,13 +27,7 @@ __all__ = [
     "experiments",
     "SCHEMA_VERSION",
     "collect_provenance",
-    "run_figure_once",
-    "run_figure_repeated",
-    "aggregate_figures",
-    "median",
-    "quantile",
-    "iqr",
-    "noise_threshold",
+    "run_figure",
     "compare_figures",
     "compare_against_baselines",
 ]

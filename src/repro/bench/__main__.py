@@ -6,16 +6,16 @@ Usage::
     python -m repro.bench fig11
     python -m repro.bench fig14 --quick --chart
     python -m repro.bench all --quick
-    python -m repro.bench fig11 --quick --repeat 5 --save out/
+    python -m repro.bench fig11 --quick --save out/
     python -m repro.bench compare --baseline benchmarks/baselines --quick
 
-``--repeat N`` runs each figure N times and reports per-point medians
-(IQR kept as the spread estimate); ``--save`` stamps a provenance
-block (git sha, host, versions, repeat count) into the JSON so the
-file is committable as a baseline.  ``compare`` is the CI gate: it
-re-runs every figure with a committed baseline and exits non-zero when
-a point regresses beyond the noise-aware threshold.  See
-``docs/benchmarking.md``.
+Every figure is a deterministic virtual-time simulation, so one run is
+the figure.  ``--save`` stamps a provenance block (git sha, host,
+versions, scale, seed) into the JSON so the file is committable as a
+baseline.  ``compare`` is the CI gate: it re-runs every figure with a
+committed baseline and exits non-zero when a point falls more than 5 %
+below it.  Wall-clock numbers for the real execution paths come from
+``benchmarks/e2e``, not from here.  See ``docs/benchmarking.md``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ import time
 
 from ..obs.metrics import reset_default_metrics
 from . import experiments as E
-from .registry import FIGURES, QUICK_PARAMS, run_figure_repeated
-
-# Back-compat aliases (pre-registry spelling used by older callers).
-_FIGURES = FIGURES
-_QUICK_PARAMS = QUICK_PARAMS
+from .registry import FIGURES, run_figure, stamp_provenance
 
 
 def _run_figure(
@@ -39,7 +35,6 @@ def _run_figure(
     quick: bool,
     chart: bool,
     save: str | None = None,
-    repeats: int = 1,
     seed: int | None = None,
 ) -> None:
     # Fresh process-default registry per figure: every runtime the
@@ -47,7 +42,7 @@ def _run_figure(
     # accumulated snapshot lands next to the figure's data files.
     registry = reset_default_metrics()
     start = time.perf_counter()
-    fig = run_figure_repeated(key, quick=quick, repeats=repeats, seed=seed)
+    fig = run_figure(key, quick=quick, seed=seed)
     elapsed = time.perf_counter() - start
     print(fig.table())
     if chart:
@@ -57,6 +52,7 @@ def _run_figure(
         import os
 
         os.makedirs(save, exist_ok=True)
+        stamp_provenance(fig, key, quick, seed)
         path = os.path.join(save, f"{key}.csv")
         fig.save(path)
         fig.save(os.path.join(save, f"{key}.json"))
@@ -75,8 +71,7 @@ def _run_figure(
                 default=str,
             )
         print(f"  saved {path} / .json / .metrics.json")
-    suffix = f", {repeats} repeats" if repeats > 1 else ""
-    print(f"  [{elapsed:.1f}s{suffix}]")
+    print(f"  [{elapsed:.1f}s]")
     print()
 
 
@@ -94,11 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chart", action="store_true", help="ASCII charts too")
     parser.add_argument("--save", metavar="DIR", help="write CSV/JSON files here")
     parser.add_argument(
-        "--repeat", type=int, default=None, metavar="N",
-        help="run each figure N times; report per-point medians with IQR "
-             "spread (default 1, or 3 for 'compare')",
-    )
-    parser.add_argument(
         "--seed", type=int, default=None,
         help="seed for input-data-dependent figures (recorded in provenance)",
     )
@@ -112,23 +102,10 @@ def main(argv: list[str] | None = None) -> int:
         help="(compare) comma-separated figure keys, default: all baselines",
     )
     parser.add_argument(
-        "--min-rel", type=float, default=0.05, metavar="FRAC",
-        help="(compare) floor relative threshold (default 0.05)",
-    )
-    parser.add_argument(
-        "--noise-k", type=float, default=3.0, metavar="K",
-        help="(compare) IQR multiple added to the threshold (default 3.0)",
-    )
-    parser.add_argument(
         "--update", action="store_true",
         help="(compare) rewrite the baselines from this run instead of gating",
     )
     args = parser.parse_args(argv)
-
-    if args.repeat is not None and args.repeat < 1:
-        print("--repeat must be >= 1", file=sys.stderr)
-        return 2
-    repeats = args.repeat or 1
 
     if args.target == "list":
         print("available: fig05, " + ", ".join(FIGURES)
@@ -143,10 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         return compare_against_baselines(
             args.baseline,
             quick=args.quick,
-            repeats=args.repeat or 3,
             seed=args.seed if args.seed is not None else 0,
-            min_rel=args.min_rel,
-            noise_k=args.noise_k,
             figures=args.figures.split(",") if args.figures else None,
             update=args.update,
         )
@@ -162,12 +136,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.target == "all":
         for key in FIGURES:
-            _run_figure(key, args.quick, args.chart, args.save,
-                        repeats, args.seed)
+            _run_figure(key, args.quick, args.chart, args.save, args.seed)
         return 0
     if args.target in FIGURES:
-        _run_figure(args.target, args.quick, args.chart, args.save,
-                    repeats, args.seed)
+        _run_figure(args.target, args.quick, args.chart, args.save, args.seed)
         return 0
     print(f"unknown target {args.target!r}; try 'list'", file=sys.stderr)
     return 1

@@ -1,16 +1,19 @@
 """The continuous-benchmarking gate: current run vs committed baseline.
 
 A baseline is a ``BENCH_<figure>.json`` file (a ``FigureResult``
-document with provenance and per-point IQR spread) committed under
-``benchmarks/baselines/``.  ``repro.bench compare --baseline <dir>``
-re-runs every figure that has a baseline file, compares medians
-point-by-point with a noise-aware threshold
-(:func:`repro.bench.stats.noise_threshold`), and exits non-zero when
-any point regresses beyond it.  Improvements never fail the gate; they
-are listed so a PR that speeds something up can say so with numbers.
+document with provenance) committed under ``benchmarks/baselines/``.
+``repro.bench compare --baseline <dir>`` re-runs every figure that has
+a baseline file, compares point-by-point, and exits non-zero when any
+point falls more than :data:`REGRESSION_FLOOR` below its baseline.
+Improvements never fail the gate; they are listed so a PR that moves a
+figure can say so with numbers.
 
-Direction matters: most figures plot Gflops or speedup (higher is
-better), but a time-like ylabel flips the comparison.
+One direction, one threshold: every registered figure is a
+deterministic virtual-time simulation plotting Gflops or speedup, so
+higher is better (:func:`repro.bench.registry.run_figure` refuses a
+figure that reads otherwise) and an unchanged tree reproduces its
+baseline exactly — the floor only decides how large a deliberate
+model change must be before it has to re-record the baseline.
 """
 
 from __future__ import annotations
@@ -23,27 +26,22 @@ from .registry import (
     FIGURES,
     baseline_filename,
     figure_key_for_baseline,
-    run_figure_repeated,
+    run_figure,
+    stamp_provenance,
 )
-from .stats import noise_threshold
 
 __all__ = [
     "PointComparison",
     "FigureComparison",
-    "lower_is_better",
+    "REGRESSION_FLOOR",
     "compare_figures",
     "render_comparison",
     "load_baselines",
     "compare_against_baselines",
 ]
 
-#: ylabel fragments that mean "smaller numbers are better".
-_TIME_LIKE = ("time", "seconds", "second", "latency", "overhead", "(s)")
-
-
-def lower_is_better(fig: FigureResult) -> bool:
-    label = fig.ylabel.lower()
-    return any(fragment in label for fragment in _TIME_LIKE)
+#: Relative drop below the baseline that fails the gate.
+REGRESSION_FLOOR = 0.05
 
 
 @dataclass
@@ -54,18 +52,20 @@ class PointComparison:
     x: object
     baseline: float
     current: float
-    #: relative change, signed so that positive always means *worse*
-    rel_worse: float
-    #: noise-aware relative threshold for this point
-    threshold: float
+
+    @property
+    def rel_change(self) -> float:
+        """Signed relative change; negative is worse."""
+
+        return (self.current - self.baseline) / abs(self.baseline)
 
     @property
     def regressed(self) -> bool:
-        return self.rel_worse > self.threshold
+        return self.rel_change < -REGRESSION_FLOOR
 
     @property
     def improved(self) -> bool:
-        return -self.rel_worse > self.threshold
+        return self.rel_change > REGRESSION_FLOOR
 
 
 @dataclass
@@ -89,15 +89,10 @@ class FigureComparison:
 
 
 def compare_figures(
-    key: str,
-    baseline: FigureResult,
-    current: FigureResult,
-    min_rel: float = 0.05,
-    noise_k: float = 3.0,
+    key: str, baseline: FigureResult, current: FigureResult
 ) -> FigureComparison:
-    """Point-by-point comparison of two figures with noise thresholds."""
+    """Point-by-point comparison of two figures."""
 
-    sign = 1.0 if lower_is_better(baseline) else -1.0
     x_base = list(baseline.x)
     x_cur = list(current.x)
     points: list[PointComparison] = []
@@ -108,34 +103,15 @@ def compare_figures(
         if cur is None:
             skipped.append(f"series {series.label!r} missing from current run")
             continue
-        spread_base = baseline.spread.get(series.label, [0.0] * len(x_base))
-        spread_cur = current.spread.get(series.label, [0.0] * len(x_cur))
         for bi, x in enumerate(x_base):
             if x not in x_cur:
                 skipped.append(f"{series.label} @ {x}: no current point")
                 continue
-            ci = x_cur.index(x)
-            base_v, cur_v = series.values[bi], cur.values[ci]
+            base_v, cur_v = series.values[bi], cur.values[x_cur.index(x)]
             if base_v == 0:
                 skipped.append(f"{series.label} @ {x}: zero baseline")
                 continue
-            rel_worse = sign * (cur_v - base_v) / abs(base_v)
-            points.append(
-                PointComparison(
-                    series.label,
-                    x,
-                    base_v,
-                    cur_v,
-                    rel_worse,
-                    noise_threshold(
-                        base_v,
-                        spread_base[bi] if bi < len(spread_base) else 0.0,
-                        spread_cur[ci] if ci < len(spread_cur) else 0.0,
-                        min_rel=min_rel,
-                        noise_k=noise_k,
-                    ),
-                )
-            )
+            points.append(PointComparison(series.label, x, base_v, cur_v))
     for series in current.series:
         if not any(s.label == series.label for s in baseline.series):
             skipped.append(f"series {series.label!r} new in current run")
@@ -153,31 +129,31 @@ def render_comparison(cmp: FigureComparison) -> str:
             f"sha {str(prov.get('git_sha'))[:12]}  "
             f"host {prov.get('hostname')}  "
             f"python {prov.get('python')}  "
-            f"repeats {prov.get('repeats')}  "
             f"scale {prov.get('scale')}  "
             f"recorded {prov.get('timestamp_iso')}"
         )
-    direction = "lower is better" if lower_is_better(cmp.baseline) else "higher is better"
-    lines.append(f"  ({cmp.baseline.ylabel}; {direction})")
-    for p in sorted(cmp.points, key=lambda p: -p.rel_worse):
+    lines.append(
+        f"  ({cmp.baseline.ylabel}; higher is better, "
+        f"threshold {REGRESSION_FLOOR * 100:.0f}%)"
+    )
+    for p in sorted(cmp.points, key=lambda p: p.rel_change):
         if p.regressed:
             verdict = "REGRESSED"
         elif p.improved:
             verdict = "improved"
         else:
             verdict = "ok"
-        delta_pct = (p.current - p.baseline) / abs(p.baseline) * 100.0
         lines.append(
             f"  {verdict:9s} {p.series:28s} @ {str(p.x):>6s}: "
             f"{p.baseline:10.3f} -> {p.current:<10.3f} "
-            f"({delta_pct:+.1f}%, threshold {p.threshold * 100:.1f}%)"
+            f"({p.rel_change * 100.0:+.1f}%)"
         )
     for note in cmp.skipped:
         lines.append(f"  skipped: {note}")
     n_reg, n_imp = len(cmp.regressions), len(cmp.improvements)
     lines.append(
         f"  {len(cmp.points)} points: {n_reg} regressed, "
-        f"{n_imp} improved, {len(cmp.points) - n_reg - n_imp} within noise"
+        f"{n_imp} improved, {len(cmp.points) - n_reg - n_imp} within threshold"
     )
     return "\n".join(lines)
 
@@ -200,10 +176,7 @@ def load_baselines(baseline_dir: str) -> dict[str, tuple[str, FigureResult]]:
 def compare_against_baselines(
     baseline_dir: str,
     quick: bool = True,
-    repeats: int = 3,
     seed: int | None = 0,
-    min_rel: float = 0.05,
-    noise_k: float = 3.0,
     figures: list[str] | None = None,
     update: bool = False,
     echo=print,
@@ -229,13 +202,14 @@ def compare_against_baselines(
 
     failed = False
     for key in keys:
-        current = run_figure_repeated(key, quick=quick, repeats=repeats, seed=seed)
+        current = run_figure(key, quick=quick, seed=seed)
         if update:
             os.makedirs(baseline_dir, exist_ok=True)
             path = os.path.join(baseline_dir, baseline_filename(key))
+            stamp_provenance(current, key, quick, seed)
             current.save(path)
             echo(f"recorded baseline {path} "
-                 f"(repeats={repeats}, scale={'quick' if quick else 'paper'})")
+                 f"(scale={'quick' if quick else 'paper'})")
             continue
         if key not in baselines:
             echo(f"{key}: no baseline file in {baseline_dir!r}; skipping")
@@ -247,9 +221,7 @@ def compare_against_baselines(
         if base_scale and base_scale != cur_scale:
             echo(f"WARNING: {key} baseline recorded at scale "
                  f"{base_scale!r} but comparing at {cur_scale!r}")
-        cmp = compare_figures(
-            key, baseline, current, min_rel=min_rel, noise_k=noise_k
-        )
+        cmp = compare_figures(key, baseline, current)
         echo(render_comparison(cmp))
         echo("")
         if cmp.regressions:

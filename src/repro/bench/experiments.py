@@ -9,13 +9,10 @@ via ``n=8192``.  See EXPERIMENTS.md for paper-vs-measured notes.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..apps import cholesky, matmul, multisort, nqueens, strassen
 from ..blas.hypermatrix import HyperMatrix
-from ..core import SmpssRuntime, barrier, css_task
 from ..core.recorder import record_program
 from ..sim import (
     ALTIX_32,
@@ -44,8 +41,6 @@ __all__ = [
     "fig14_multisort",
     "fig15_nqueens",
     "fig16_nqueens_scalability",
-    "backend_scaling",
-    "micro_submission_throughput",
     "text_task_counts",
     "THREAD_SWEEP",
 ]
@@ -339,8 +334,7 @@ def fig14_multisort(
 
 def _nqueens_times(n: int, task_levels: int, threads) -> dict[str, list[float]]:
     # The N Queens input is just the board size, so Figures 15/16 are
-    # fully deterministic — nothing to seed (noted for the --repeat /
-    # baseline-gate workflow, which assumes repeats are comparable).
+    # fully deterministic — nothing to seed.
     # Virtual per-node cost derived from the paper's ~250 us task
     # granularity guidance (section I) so overhead-to-work ratios stay
     # faithful at Python-searchable board sizes.
@@ -444,567 +438,3 @@ def text_task_counts() -> dict:
     out["recorded_flat_N8"] = prog.task_count
     out["formula_flat_N8"] = cholesky.flat_task_count(8)["total"]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Microbenchmark: submission throughput of the fast-path engine
-# ---------------------------------------------------------------------------
-
-@css_task("inout(a)")
-def _micro_chain_task(a):  # noqa: ARG001 - empty body: measures the runtime
-    pass
-
-
-@css_task("input(src) output(dst)")
-def _micro_fan_task(src, dst):  # noqa: ARG001
-    pass
-
-
-def _python_speed_mops(iters: int = 150_000, repeats: int = 3) -> float:
-    """Host calibration: Mops/s of a fixed pure-Python dict/loop probe.
-
-    The submission hot path is interpreter-bound (attribute access,
-    dict lookups, function calls), so its throughput on a given host
-    tracks this probe.  Dividing tasks/sec by the probe rate gives a
-    host-portable number that a committed baseline can gate.
-    """
-
-    d: dict = {}
-    get = d.get
-    best = 0.0
-    for _ in range(max(repeats, 1)):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(iters):
-            d[i & 1023] = i
-            acc += get(i & 1023, 0)
-        dt = time.perf_counter() - t0
-        best = max(best, iters / dt / 1e6)
-    return best
-
-
-def _submission_rate_once(variant: str, tasks: int, num_workers: int) -> float:
-    """tasks/sec for one run of an empty-body submission stream."""
-
-    if variant == "chain-1":
-        a = np.zeros(64, np.float32)
-        with SmpssRuntime(num_workers=num_workers):
-            t0 = time.perf_counter()
-            for _ in range(tasks):
-                _micro_chain_task(a)
-            barrier()
-            dt = time.perf_counter() - t0
-    elif variant == "fanout-64":
-        src = np.zeros(64, np.float32)
-        dsts = [np.zeros(64, np.float32) for _ in range(64)]
-        with SmpssRuntime(num_workers=num_workers):
-            t0 = time.perf_counter()
-            for i in range(tasks):
-                _micro_fan_task(src, dsts[i & 63])
-            barrier()
-            dt = time.perf_counter() - t0
-    else:  # pragma: no cover - registry keeps variants in sync
-        raise ValueError(f"unknown variant {variant!r}")
-    return tasks / dt
-
-
-def micro_submission_throughput(
-    tasks: int = 4000,
-    inner_repeats: int = 3,
-    num_workers: int = 2,
-) -> FigureResult:
-    """Submission throughput (tasks/sec) of empty-body task streams.
-
-    Not a paper figure: this gates the runtime's own task_add overhead
-    (the cost section VI's block-size discussion is about) through the
-    same baseline machinery as the figure benchmarks.  Two dependency
-    shapes: ``chain-1`` (every task inout on one datum — a pure serial
-    chain) and ``fanout-64`` (one shared input, 64 round-robin outputs
-    — wide with renaming).  The gated series is normalised by
-    :func:`_python_speed_mops` so a baseline recorded on one host
-    remains meaningful on another; raw tasks/sec land in ``extras``.
-    """
-
-    variants = ["chain-1", "fanout-64"]
-    mops = _python_speed_mops()
-    rates = {
-        v: max(
-            _submission_rate_once(v, tasks, num_workers)
-            for _ in range(max(inner_repeats, 1))
-        )
-        for v in variants
-    }
-    fig = FigureResult(
-        "Microbench",
-        f"Task submission throughput, empty bodies "
-        f"(n={tasks}, {num_workers} workers)",
-        "dependency shape",
-        "normalised throughput (tasks per Mop of host Python)",
-        variants,
-    )
-    fig.add("smpss runtime", [rates[v] / mops for v in variants])
-    fig.extras["tasks_per_second"] = {v: rates[v] for v in variants}
-    fig.extras["calibration_mops"] = mops
-    fig.extras["tasks"] = tasks
-    fig.extras["num_workers"] = num_workers
-    fig.notes.append(
-        "raw: "
-        + ", ".join(f"{v} {rates[v]:,.0f} tasks/s" for v in variants)
-        + f"; host probe {mops:.1f} Mops/s"
-    )
-    return fig
-
-
-# ---------------------------------------------------------------------------
-# backend_scaling — threads vs processes on pure-Python kernels
-# ---------------------------------------------------------------------------
-#
-# The figure the paper cannot show but its design implies: with task
-# bodies that never release the GIL, the threaded backend is capped at
-# 1x whatever the worker count, while the process backend (repro.mp)
-# scales with cores.  Kernels below are deliberate pure-Python loops
-# (tolist in, scalar arithmetic, assign back); every accumulation chain
-# is an inout dependency chain, so execution order per block is fixed by
-# the graph and results are bitwise identical across backends and
-# worker counts — asserted on every run.
-
-@css_task("input(a, b) inout(c)")
-def _py_gemm_t(a, b, c):
-    """c += a @ b, pure-Python inner loops (holds the GIL throughout)."""
-
-    al, bl, cl = a.tolist(), b.tolist(), c.tolist()
-    inner = len(bl)
-    cols = len(bl[0])
-    for ai, ci in zip(al, cl):
-        for k in range(inner):
-            aik = ai[k]
-            if aik != 0.0:
-                bk = bl[k]
-                for j in range(cols):
-                    ci[j] += aik * bk[j]
-    c[...] = cl
-
-
-@css_task("input(a, b) inout(c)")
-def _py_gemm_nt_t(a, b, c):
-    """c -= a @ b.T, pure-Python (the Cholesky trailing update)."""
-
-    al, bl, cl = a.tolist(), b.tolist(), c.tolist()
-    inner = len(al[0])
-    for ai, ci in zip(al, cl):
-        for j, bj in enumerate(bl):
-            s = 0.0
-            for k in range(inner):
-                s += ai[k] * bj[k]
-            ci[j] -= s
-    c[...] = cl
-
-
-@css_task("inout(a)")
-def _py_potrf_t(a):
-    """Unblocked lower Cholesky of one tile, pure-Python."""
-
-    al = a.tolist()
-    n = len(al)
-    for j in range(n):
-        s = al[j][j]
-        row_j = al[j]
-        for k in range(j):
-            s -= row_j[k] * row_j[k]
-        d = s ** 0.5
-        row_j[j] = d
-        for i in range(j + 1, n):
-            row_i = al[i]
-            s = row_i[j]
-            for k in range(j):
-                s -= row_i[k] * row_j[k]
-            row_i[j] = s / d
-    for i in range(n):
-        for j in range(i + 1, n):
-            al[i][j] = 0.0
-    a[...] = al
-
-
-@css_task("input(l) inout(b)")
-def _py_trsm_t(l, b):
-    """b := b @ inv(l).T for a lower-triangular tile l, pure-Python."""
-
-    ll, bl = l.tolist(), b.tolist()
-    n = len(ll)
-    for row in bl:
-        for j in range(n):
-            s = row[j]
-            lj = ll[j]
-            for k in range(j):
-                s -= row[k] * lj[k]
-            row[j] = s / lj[j]
-    b[...] = bl
-
-
-@css_task("input(a) inout(c)")
-def _py_syrk_t(a, c):
-    """c -= a @ a.T (full tile, keeps the kernel simple), pure-Python."""
-
-    al, cl = a.tolist(), c.tolist()
-    inner = len(al[0])
-    for ai, ci in zip(al, cl):
-        for j, aj in enumerate(al):
-            s = 0.0
-            for k in range(inner):
-                s += ai[k] * aj[k]
-            ci[j] -= s
-    c[...] = cl
-
-
-def _block_views(matrix, block: int):
-    """Stable tile views, created once — the dependency tracker keys
-    data by object identity, so every submission must reuse these."""
-
-    nb = matrix.shape[0] // block
-    return [
-        [
-            matrix[i * block:(i + 1) * block, j * block:(j + 1) * block]
-            for j in range(nb)
-        ]
-        for i in range(nb)
-    ]
-
-
-def _submit_blocked_matmul(av, bv, cv) -> None:
-    nb = len(av)
-    for i in range(nb):
-        for j in range(nb):
-            for k in range(nb):
-                _py_gemm_t(av[i][k], bv[k][j], cv[i][j])
-
-
-def _submit_blocked_cholesky(wv) -> None:
-    nb = len(wv)
-    for k in range(nb):
-        _py_potrf_t(wv[k][k])
-        for i in range(k + 1, nb):
-            _py_trsm_t(wv[k][k], wv[i][k])
-        for i in range(k + 1, nb):
-            _py_syrk_t(wv[i][k], wv[i][i])
-            for j in range(k + 1, i):
-                _py_gemm_nt_t(wv[i][k], wv[j][k], wv[i][j])
-
-
-def _timed_run(submit, backend: str, workers: int) -> float:
-    """One timed pass: runtime startup (thread spawn / process fork)
-    excluded, submission + execution + barrier included."""
-
-    with SmpssRuntime(
-        num_workers=workers, backend=backend, rename_inout=False
-    ) as rt:
-        t0 = time.perf_counter()
-        submit()
-        rt.barrier()
-        return time.perf_counter() - t0
-
-
-def backend_scaling(
-    n: int = 192,
-    block: int = 48,
-    workers: tuple = (1, 2, 4),
-    seed: int = 0,
-) -> FigureResult:
-    """Threads vs processes at 1/2/4 workers on pure-Python kernels.
-
-    Series are speedups over the 1-worker threaded run of the same app
-    (higher is better).  On a single-core host both backends flatline
-    near 1x (processes slightly below: pipe round-trips cost more than
-    a thread handoff) — the committed baseline records whatever the
-    recording host could honestly measure, and ``extras['cpu_count']``
-    says what that was.
-    """
-
-    import os as _os
-
-    from ..mp.arena import SharedArena
-
-    if n % block != 0:
-        raise ValueError("n must be a multiple of block")
-    rng = np.random.default_rng(seed)
-    times: dict = {}
-    with SharedArena() as arena:
-        # matmul operands; cholesky gets a well-conditioned SPD matrix.
-        a = arena.array(rng.standard_normal((n, n)))
-        b = arena.array(rng.standard_normal((n, n)))
-        c = arena.zeros((n, n))
-        spd = rng.standard_normal((n, n))
-        spd = spd @ spd.T + n * np.eye(n)
-        work = arena.zeros((n, n))
-        av, bv, cv = _block_views(a, block), _block_views(b, block), _block_views(c, block)
-        wv = _block_views(work, block)
-
-        apps = {
-            "matmul": (
-                lambda: _submit_blocked_matmul(av, bv, cv),
-                lambda: c.__setitem__(..., 0.0),
-                c,
-            ),
-            "cholesky": (
-                lambda: _submit_blocked_cholesky(wv),
-                lambda: work.__setitem__(..., spd),
-                work,
-            ),
-        }
-        for app, (submit, reset, out) in apps.items():
-            snapshots: dict = {}
-            for w in workers:
-                for backend in ("threads", "processes"):
-                    reset()
-                    times[(app, backend, w)] = _timed_run(submit, backend, w)
-                    snapshots[(backend, w)] = out.copy()
-                if not np.array_equal(
-                    snapshots[("threads", w)], snapshots[("processes", w)]
-                ):
-                    raise AssertionError(
-                        f"{app}: backends disagree bitwise at {w} workers"
-                    )
-            if app == "cholesky":
-                factor = np.tril(snapshots[("threads", workers[0])])
-                if not np.allclose(factor @ factor.T, spd, atol=1e-8 * n):
-                    raise AssertionError("cholesky kernels produced a wrong factor")
-
-    fig = FigureResult(
-        "Backend scaling",
-        f"Pure-Python kernels, threads vs processes (n={n}, block={block})",
-        "workers",
-        "speedup vs 1-worker threads (higher is better)",
-        list(workers),
-    )
-    for app in ("matmul", "cholesky"):
-        base = times[(app, "threads", workers[0])]
-        for backend in ("threads", "processes"):
-            fig.add(
-                f"{app} {backend}",
-                [base / times[(app, backend, w)] for w in workers],
-            )
-    fig.extras["seconds"] = {
-        f"{app}/{backend}/{w}": times[(app, backend, w)]
-        for (app, backend, w) in times
-    }
-    fig.extras["cpu_count"] = _os.cpu_count()
-    fig.extras["n"] = n
-    fig.extras["block"] = block
-    fig.notes.append(
-        f"host cpu_count={_os.cpu_count()}; bitwise backend parity asserted "
-        f"per worker count; startup (fork/spawn) excluded from timings"
-    )
-    return fig
-
-
-# ---------------------------------------------------------------------------
-# Service throughput (PR 9): concurrent tenants on one shared fleet
-# ---------------------------------------------------------------------------
-
-@css_task("input(a, b) inout(c)")
-def _service_gemm_t(a, b, c):
-    c += a @ b
-
-
-def service_throughput(
-    clients: tuple = (1, 2, 4),
-    graphs_per_client: int = 12,
-    tasks_per_graph: int = 8,
-    n: int = 48,
-    workers: int = 4,
-    seed: int = 0,
-) -> FigureResult:
-    """Graphs/sec served at N concurrent client sessions.
-
-    One :class:`~repro.serve.ServeDaemon` (W thread workers) serves
-    every point; each client thread opens its own tenant session and
-    submits ``graphs_per_client`` graphs of ``tasks_per_graph``
-    independent gemm tasks over its own data, so tenants share nothing
-    but the fleet.  Series: absolute graphs/sec (higher is better) and
-    the throughput ratio over the 1-client run — the ratio is the
-    portable signal that tenants do not serialise each other, the
-    absolute number is host-bound.  Every client verifies its results
-    against a sequential oracle, so throughput never counts wrong
-    answers.
-    """
-
-    import os as _os
-    import threading as _threading
-
-    from ..serve import ServeDaemon, connect as _serve_connect
-
-    rng = np.random.default_rng(seed)
-    a0 = rng.standard_normal((n, n))
-    b0 = rng.standard_normal((n, n))
-    oracle = np.zeros((n, n))
-    for _ in range(tasks_per_graph):
-        oracle += a0 @ b0
-
-    throughput: list[float] = []
-    with ServeDaemon("tcp:127.0.0.1:0", workers=workers) as daemon:
-        for num_clients in clients:
-            errors: list = []
-            start_gate = _threading.Event()
-
-            def run_client(index: int) -> None:
-                try:
-                    a, b = a0.copy(), b0.copy()
-                    c = np.zeros((n, n))
-                    with _serve_connect(
-                        daemon.address, tenant=f"bench-{num_clients}-{index}"
-                    ) as rt:
-                        start_gate.wait(30.0)
-                        for _ in range(graphs_per_client):
-                            c[...] = 0.0
-                            for _ in range(tasks_per_graph):
-                                _service_gemm_t(a, b, c)
-                            rt.barrier()
-                    if not np.allclose(c, oracle):
-                        raise AssertionError(
-                            f"client {index}: served result diverged"
-                        )
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-
-            threads = [
-                _threading.Thread(target=run_client, args=(i,))
-                for i in range(num_clients)
-            ]
-            for thread in threads:
-                thread.start()
-            t0 = time.perf_counter()
-            start_gate.set()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - t0
-            if errors:
-                raise errors[0]
-            throughput.append(num_clients * graphs_per_client / elapsed)
-
-    fig = FigureResult(
-        "Service throughput",
-        f"Concurrent tenants on one {workers}-worker fleet (gemm n={n})",
-        "concurrent clients",
-        "graphs/sec (higher is better)",
-        list(clients),
-    )
-    fig.add("graphs/sec", throughput)
-    fig.add(
-        "throughput vs 1 client",
-        [t / throughput[0] for t in throughput],
-    )
-    fig.extras["cpu_count"] = _os.cpu_count()
-    fig.extras["workers"] = workers
-    fig.notes.append(
-        f"host cpu_count={_os.cpu_count()}; every client's results "
-        f"verified against the sequential oracle before counting"
-    )
-    return fig
-
-
-# ---------------------------------------------------------------------------
-# Distributed throughput (PR 10): residency cache over repeat submissions
-# ---------------------------------------------------------------------------
-
-@css_task("input(a, b) output(c)")
-def _dist_mul_t(a, b, c):
-    np.multiply(a, b, out=c)
-
-
-@css_task("input(c) inout(acc)")
-def _dist_accum_t(c, acc):
-    acc += c
-
-
-def dist_throughput(
-    submissions: int = 4,
-    tiles: int = 8,
-    n: int = 96,
-    nodes: int = 2,
-    slots: int = 2,
-    seed: int = 0,
-) -> FigureResult:
-    """Bytes shipped and tasks/sec per repeat submission on a cluster.
-
-    Two localhost node agents serve one master; the workload multiplies
-    ``tiles`` fixed input pairs and accumulates, ``submissions`` times
-    in a row inside one session.  The first submission pays to ship
-    every input to the nodes; later ones reference the resident copies
-    (``dist.cache_hits``), so the per-submission ``dist.bytes_moved``
-    delta must drop — that drop is the figure, and the experiment
-    asserts it outright along with a numpy oracle on the final result.
-    Absolute tasks/sec is host- and loopback-bound; the bytes series is
-    the portable signal.
-    """
-
-    import os as _os
-
-    from ..dist import AgentServer
-
-    rng = np.random.default_rng(seed)
-    A = [rng.standard_normal((n, n)) for _ in range(tiles)]
-    B = [rng.standard_normal((n, n)) for _ in range(tiles)]
-    oracle = np.zeros((n, n))
-    for a, b in zip(A, B):
-        oracle += a * b
-
-    servers = [
-        AgentServer("tcp:127.0.0.1:0", slots=slots).start()
-        for _ in range(nodes)
-    ]
-    bytes_per_sub: list[float] = []
-    hits_per_sub: list[float] = []
-    rate_per_sub: list[float] = []
-    try:
-        with SmpssRuntime(
-            backend="cluster", nodes=[s.address for s in servers]
-        ) as rt:
-            m = rt.metrics
-            acc = None
-            for _ in range(submissions):
-                b0 = m.counter("dist.bytes_moved").value
-                h0 = m.counter("dist.cache_hits").value
-                t0 = time.perf_counter()
-                acc = np.zeros((n, n))
-                for a, b in zip(A, B):
-                    c = np.empty((n, n))
-                    _dist_mul_t(a, b, c)
-                    _dist_accum_t(c, acc)
-                rt.barrier()
-                elapsed = time.perf_counter() - t0
-                bytes_per_sub.append(
-                    (m.counter("dist.bytes_moved").value - b0) / 1e6
-                )
-                hits_per_sub.append(m.counter("dist.cache_hits").value - h0)
-                rate_per_sub.append(2 * tiles / elapsed)
-            if not np.allclose(acc, oracle):
-                raise AssertionError("cluster result diverged from oracle")
-    finally:
-        for server in servers:
-            server.close()
-
-    if not all(b < bytes_per_sub[0] for b in bytes_per_sub[1:]):
-        raise AssertionError(
-            f"residency cache bought nothing: bytes/submission "
-            f"{bytes_per_sub}"
-        )
-
-    fig = FigureResult(
-        "Distributed residency throughput",
-        f"{nodes} localhost agents x {slots} slots, {tiles} gemm tiles "
-        f"(n={n}) per submission",
-        "submission",
-        "MB shipped (lower is better)",
-        list(range(1, submissions + 1)),
-    )
-    fig.add("MB moved", bytes_per_sub)
-    fig.add("cache hits", hits_per_sub)
-    fig.add("tasks/sec", rate_per_sub)
-    fig.extras["cpu_count"] = _os.cpu_count()
-    fig.extras["nodes"] = nodes
-    fig.extras["slots"] = slots
-    fig.notes.append(
-        f"host cpu_count={_os.cpu_count()}; final accumulator verified "
-        f"against the numpy oracle; submissions after the first must "
-        f"ship fewer bytes (asserted)"
-    )
-    return fig

@@ -33,12 +33,9 @@ class FigureResult:
     #: free-form extras (task counts, utilisations, ...) — not
     #: serialised (keys may be tuples)
     extras: dict = field(default_factory=dict)
-    #: run provenance (git sha, host, versions, repeats) — see
+    #: run provenance (git sha, host, versions, scale, seed) — see
     #: :func:`repro.bench.provenance.collect_provenance`
     provenance: dict = field(default_factory=dict)
-    #: per-series per-point spread (IQR across ``--repeat`` runs),
-    #: filled by :func:`repro.bench.stats.aggregate_figures`
-    spread: dict = field(default_factory=dict)
 
     def add(self, label: str, values: Sequence[float]) -> Series:
         if len(values) != len(self.x):
@@ -126,7 +123,7 @@ class FigureResult:
         return buffer.getvalue()
 
     def to_json(self) -> str:
-        """JSON document with axes, series, notes, provenance, spread."""
+        """JSON document with axes, series, notes, provenance."""
 
         import json
 
@@ -141,8 +138,6 @@ class FigureResult:
         }
         if self.provenance:
             doc["provenance"] = self.provenance
-        if self.spread:
-            doc["spread"] = self.spread
         return json.dumps(doc, indent=2)
 
     @classmethod
@@ -157,7 +152,6 @@ class FigureResult:
             list(doc.get("x", [])),
             notes=list(doc.get("notes", [])),
             provenance=dict(doc.get("provenance", {})),
-            spread={k: list(v) for k, v in doc.get("spread", {}).items()},
         )
         for label, values in doc.get("series", {}).items():
             fig.add(label, values)

@@ -4,7 +4,7 @@ A committed baseline is only trustworthy if it says where it came from.
 Every ``FigureResult`` saved by ``repro.bench`` (and every
 ``*.metrics.json`` next to it) carries a provenance block: schema
 version, git commit, host, interpreter and numpy versions, timestamp,
-repeat count and scale.  ``repro.bench compare`` prints the baseline's
+scale and seed.  ``repro.bench compare`` prints the baseline's
 provenance so a CI failure names the commit it is being judged against.
 """
 
@@ -48,7 +48,6 @@ def _numpy_version() -> str | None:
 
 
 def collect_provenance(
-    repeats: int = 1,
     scale: str = "paper",
     seed: int | None = None,
     **extra,
@@ -71,7 +70,6 @@ def collect_provenance(
         "timestamp_iso": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(now)
         ),
-        "repeats": int(repeats),
         "scale": scale,
     }
     if seed is not None:

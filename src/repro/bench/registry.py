@@ -13,15 +13,14 @@ import inspect
 
 from . import experiments as _experiments
 from .provenance import collect_provenance
-from .stats import aggregate_figures
 
 __all__ = [
     "FIGURES",
     "QUICK_PARAMS",
     "baseline_filename",
     "figure_key_for_baseline",
-    "run_figure_once",
-    "run_figure_repeated",
+    "run_figure",
+    "stamp_provenance",
 ]
 
 #: figure key -> experiment function name in :mod:`repro.bench.experiments`.
@@ -33,10 +32,6 @@ FIGURES = {
     "fig14": "fig14_multisort",
     "fig15": "fig15_nqueens",
     "fig16": "fig16_nqueens_scalability",
-    "micro": "micro_submission_throughput",
-    "backend": "backend_scaling",
-    "service": "service_throughput",
-    "dist": "dist_throughput",
 }
 
 #: Reduced-scale parameters for ``--quick`` (laptop/CI smoke runs).
@@ -48,13 +43,13 @@ QUICK_PARAMS = {
     "fig14": dict(n=1 << 18, quicksize=1 << 13, threads=(1, 2, 4, 8)),
     "fig15": dict(n=9, threads=(1, 2, 4, 8)),
     "fig16": dict(n=9, threads=(1, 2, 4, 8)),
-    "micro": dict(tasks=1500, inner_repeats=2),
-    "backend": dict(n=64, block=32, workers=(1, 2, 4)),
-    "service": dict(
-        clients=(1, 2), graphs_per_client=5, tasks_per_graph=4, n=24
-    ),
-    "dist": dict(submissions=3, tiles=4, n=48, nodes=2, slots=2),
 }
+
+
+#: ylabel fragments of a smaller-is-better quantity.  The gate has one
+#: direction (every paper figure plots Gflops or speedup); costs in
+#: seconds belong to ``benchmarks/e2e``, not in this registry.
+_COST_LIKE = ("time", "second", "latency", "overhead", "(s)", "lower is better")
 
 
 def baseline_filename(key: str) -> str:
@@ -76,47 +71,35 @@ def figure_key_for_baseline(filename: str) -> str | None:
     return None
 
 
-def run_figure_once(key: str, quick: bool = False, seed: int | None = None):
+def run_figure(key: str, quick: bool = False, seed: int | None = None):
     """Run one figure's experiment function and return its FigureResult.
 
     *seed* is forwarded only to experiment functions that declare a
     ``seed`` parameter (the input-data-dependent figures); the purely
-    structural simulations ignore it.
+    structural simulations ignore it.  Every registered figure is a
+    virtual-time simulation, so one run is the figure: the same numbers
+    on any host, any number of times.
     """
 
     func = getattr(_experiments, FIGURES[key])
     params = dict(QUICK_PARAMS[key]) if quick else {}
-    if seed is not None:
-        try:
-            accepts_seed = "seed" in inspect.signature(func).parameters
-        except (TypeError, ValueError):
-            accepts_seed = False
-        if accepts_seed:
-            params["seed"] = seed
-    return func(**params)
+    if seed is not None and "seed" in inspect.signature(func).parameters:
+        params["seed"] = seed
+    fig = func(**params)
+    if any(fragment in fig.ylabel.lower() for fragment in _COST_LIKE):
+        raise ValueError(
+            f"{key}: ylabel {fig.ylabel!r} reads as lower-is-better; "
+            "repro.bench gates higher-is-better figures only"
+        )
+    return fig
 
 
-def run_figure_repeated(
-    key: str,
-    quick: bool = False,
-    repeats: int = 1,
-    seed: int | None = None,
-):
-    """Run a figure ``repeats`` times, aggregate, stamp provenance.
+def stamp_provenance(fig, key: str, quick: bool, seed: int | None) -> None:
+    """Record where *fig*'s numbers came from, before it is written out
+    (``--save`` files and ``compare --update`` baselines)."""
 
-    The result's series hold per-point medians across the repeats and
-    ``spread`` holds the per-point IQR (zero for the deterministic
-    simulated figures); ``provenance`` records where the numbers came
-    from so the figure is committable as a baseline.
-    """
-
-    repeats = max(int(repeats), 1)
-    runs = [run_figure_once(key, quick=quick, seed=seed) for _ in range(repeats)]
-    fig = aggregate_figures(runs) if len(runs) > 1 else runs[0]
     fig.provenance = collect_provenance(
-        repeats=repeats,
         scale="quick" if quick else "paper",
         seed=seed,
         figure=key,
     )
-    return fig

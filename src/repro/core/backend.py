@@ -287,8 +287,7 @@ def make_backend(config, *, metrics, tracer=None, on_dispatch=None,
         from ..dist.manager import ClusterBackend
 
         return ClusterBackend(
-            config.nodes, connect_timeout=config.dist_connect_timeout,
-            write_through=config.dist_write_through, **remote)
+            config.nodes, write_through=config.dist_write_through, **remote)
 
     return {"threads": threads, "processes": processes,
             "cluster": cluster}[config.backend]()

@@ -87,9 +87,6 @@ class RuntimeConfig:
     #: Worker count is derived from the agents' advertised slots, so
     #: ``num_workers`` must be left unset.
     nodes: Optional[list] = None
-    #: Per-attempt dial timeout for agent connections (the manager
-    #: retries with bounded backoff on top of this).
-    dist_connect_timeout: float = 10.0
     #: ``True``: every whole-object write returns to the master with the
     #: task's reply (higher traffic, but an agent death never loses
     #: data).  ``False`` (default): outputs stay resident on the

@@ -70,6 +70,9 @@ __all__ = ["ClusterBackend"]
 #: array; dispatch channels have NO timeout — tasks take as long as
 #: they take, and death is detected by the socket dying, not a clock).
 _CONTROL_TIMEOUT = 120.0
+#: Per-attempt dial + hello timeout for agent connections
+#: (``connect_retry`` adds bounded backoff on top of this).
+_CONNECT_TIMEOUT = 10.0
 
 _SHIPPABLE = (np.ndarray, list, bytearray)
 
@@ -120,13 +123,11 @@ class ClusterBackend(RemoteBackend):
     refusals = (DistSerializationError, DistDataLossError, AgentLostError)
     link_errors = _NET_ERRORS
 
-    def __init__(self, nodes, connect_timeout: float = 10.0,
-                 write_through: bool = False, **wiring):
+    def __init__(self, nodes, write_through: bool = False, **wiring):
         super().__init__(
             "dist.agent_deaths", "dist.redispatched_tasks", **wiring)
         metrics = self._metrics
         self._addresses = list(nodes or ())
-        self._connect_timeout = connect_timeout
         self._write_through = bool(write_through)
         self.sid = uuid.uuid4().hex[:12]
         self._residency = ResidencyMap(self.sid)
@@ -157,10 +158,10 @@ class ClusterBackend(RemoteBackend):
         slot = 1
         for index, address in enumerate(self._addresses):
             node = _Node(index, address)
-            sock = connect_retry(address, timeout=self._connect_timeout)
+            sock = connect_retry(address, timeout=_CONNECT_TIMEOUT)
             send_frame(sock, {"k": "hello", "role": "control",
                               "sid": self.sid})
-            reply, _ = recv_frame(sock, timeout=self._connect_timeout)
+            reply, _ = recv_frame(sock, timeout=_CONNECT_TIMEOUT)
             if reply.get("k") != "hello" or "slots" not in reply:
                 sock.close()
                 raise ConnectionError(
@@ -193,13 +194,13 @@ class ClusterBackend(RemoteBackend):
         return slot - 1
 
     def _open_dispatch(self, node: _Node, slot: int):
-        sock = connect(node.address, timeout=self._connect_timeout)
+        sock = connect(node.address, timeout=_CONNECT_TIMEOUT)
         send_frame(sock, {
             "k": "hello", "role": "dispatch", "sid": self.sid,
             "slot": slot, "trace": self._tracer is not None,
             "ring": self._ring_capacity,
         })
-        reply, _ = recv_frame(sock, timeout=self._connect_timeout)
+        reply, _ = recv_frame(sock, timeout=_CONNECT_TIMEOUT)
         if reply.get("k") != "ok":
             sock.close()
             raise ConnectionError(

@@ -33,7 +33,6 @@ from typing import Optional
 
 from ..core.backend import make_backend
 from ..core.config import RuntimeConfig
-from ..core.dependencies import TrackerConfig
 from ..core.execution import GraphDomain, TaskExecutionError, WorkerLoop
 from ..core.invocation import plan_for
 from ..core.scheduler import CentralQueueScheduler
@@ -123,7 +122,6 @@ class ServeEngine:
         backend: str = "threads",
         limits: Optional[ServiceLimits] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracker_config: Optional[TrackerConfig] = None,
     ):
         if backend not in ("threads", "processes"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -131,7 +129,6 @@ class ServeEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.backend = backend
         self.num_workers = workers
-        self._tracker_config = tracker_config or TrackerConfig()
         self._definitions: dict[tuple, object] = {}
         self._tenants: dict[str, _TenantState] = {}
         #: Jobs admitted and not yet finalized, by domain; leaving this
@@ -247,10 +244,7 @@ class ServeEngine:
                 self._instantiate(task_spec, data, constants)
                 for task_spec in task_specs
             ]
-            domain = GraphDomain(
-                tracker_config=self._tracker_config,
-                on_drained=self._finalize,
-            )
+            domain = GraphDomain(on_drained=self._finalize)
             job = GraphJob(tenant, domain, data, nbytes, len(tasks))
             # Nothing of this domain runs until release() below, so a
             # task ready at its own analysis is still ready after the

@@ -1,10 +1,10 @@
-"""The repro.bench CLI: --save/--quick/--repeat/--seed and the compare gate.
+"""The repro.bench CLI: --save/--quick/--seed and the compare gate.
 
 A synthetic millisecond-cheap figure is injected into the registry so
-the CLI paths (repeat aggregation, provenance stamping, baseline
-recording, regression/improvement exit codes) are exercised without
-running real simulations.  One test at the end runs a real quick-mode
-figure against the committed baselines as the acceptance check.
+the CLI paths (provenance stamping, baseline recording,
+regression/improvement exit codes) are exercised without running real
+simulations.  The last class runs every registered quick-mode figure
+against its committed baseline as the acceptance check.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench import experiments as E
 from repro.bench import registry
-from repro.bench.compare import compare_figures, lower_is_better
+from repro.bench.compare import compare_figures
 from repro.bench.harness import FigureResult
 
 pytestmark = pytest.mark.bench
@@ -24,15 +24,14 @@ pytestmark = pytest.mark.bench
 def fake_figure(monkeypatch):
     """Register a cheap synthetic figure 'figt' controlled by `state`."""
 
-    state = {"factor": 1.0, "jitter": [0.0], "calls": 0, "seeds": []}
+    state = {"factor": 1.0, "calls": 0, "seeds": [], "ylabel": "Gflops"}
 
     def figtest_synthetic(seed=None):
         state["seeds"].append(seed)
-        jit = state["jitter"][state["calls"] % len(state["jitter"])]
         state["calls"] += 1
-        fig = FigureResult("Figure T", "synthetic", "threads", "Gflops", [1, 2])
-        fig.add("SMPSs", [10.0 * state["factor"] + jit,
-                          20.0 * state["factor"] + jit])
+        fig = FigureResult(
+            "Figure T", "synthetic", "threads", state["ylabel"], [1, 2])
+        fig.add("SMPSs", [10.0 * state["factor"], 20.0 * state["factor"]])
         return fig
 
     monkeypatch.setitem(registry.FIGURES, "figt", "figtest_synthetic")
@@ -49,18 +48,16 @@ def _main(argv):
 
 class TestRepeatAndSave:
     def test_save_stamps_provenance_and_spread(self, fake_figure, tmp_path, capsys):
-        fake_figure["jitter"] = [0.0, 3.0, 1.0]  # median of {10,13,11} = 11
-        assert _main(["figt", "--quick", "--repeat", "3",
-                      "--save", str(tmp_path)]) == 0
-        assert fake_figure["calls"] == 3
+        assert _main(["figt", "--quick", "--save", str(tmp_path)]) == 0
+        assert fake_figure["calls"] == 1
         doc = json.loads((tmp_path / "figt.json").read_text())
-        assert doc["series"]["SMPSs"][0] == pytest.approx(11.0)
-        assert doc["spread"]["SMPSs"][0] == pytest.approx(1.5)  # IQR of {10,11,13}
+        assert doc["series"]["SMPSs"] == [10.0, 20.0]
+        assert "spread" not in doc  # one run is the figure: no IQR block
         prov = doc["provenance"]
-        assert prov["repeats"] == 3 and prov["scale"] == "quick"
+        assert prov["scale"] == "quick" and "repeats" not in prov
         assert prov["figure"] == "figt"
         metrics = json.loads((tmp_path / "figt.metrics.json").read_text())
-        assert metrics["provenance"]["repeats"] == 3
+        assert metrics["provenance"]["figure"] == "figt"
         assert (tmp_path / "figt.csv").exists()
 
     def test_seed_forwarded_and_recorded(self, fake_figure, tmp_path, capsys):
@@ -68,9 +65,6 @@ class TestRepeatAndSave:
         assert fake_figure["seeds"] == [42]
         doc = json.loads((tmp_path / "figt.json").read_text())
         assert doc["provenance"]["seed"] == 42
-
-    def test_repeat_zero_rejected(self, fake_figure, capsys):
-        assert _main(["figt", "--repeat", "0"]) == 2
 
     def test_single_run_default(self, fake_figure, capsys):
         assert _main(["figt"]) == 0
@@ -85,7 +79,7 @@ class TestRepeatAndSave:
 class TestCompareGate:
     def _record(self, tmp_path):
         assert _main(["compare", "--baseline", str(tmp_path), "--quick",
-                      "--repeat", "2", "--figures", "figt", "--update"]) == 0
+                      "--figures", "figt", "--update"]) == 0
         path = tmp_path / "BENCH_figtest_synthetic.json"
         assert path.exists()
         return path
@@ -94,7 +88,7 @@ class TestCompareGate:
         path = self._record(tmp_path)
         doc = json.loads(path.read_text())
         assert doc["provenance"]["scale"] == "quick"
-        assert doc["provenance"]["repeats"] == 2
+        assert doc["provenance"]["seed"] == 0
 
     def test_unchanged_run_exits_zero(self, fake_figure, tmp_path, capsys):
         self._record(tmp_path)
@@ -119,22 +113,6 @@ class TestCompareGate:
         assert _main(["compare", "--baseline", str(tmp_path), "--quick"]) == 0
         assert "improved" in capsys.readouterr().out
 
-    def test_min_rel_is_tunable(self, fake_figure, tmp_path, capsys):
-        self._record(tmp_path)
-        fake_figure["factor"] = 0.97
-        assert _main(["compare", "--baseline", str(tmp_path), "--quick",
-                      "--min-rel", "0.01"]) == 1
-
-    def test_noisy_baseline_widens_threshold(self, fake_figure, tmp_path, capsys):
-        # Baseline recorded with heavy jitter -> IQR dominates the floor.
-        fake_figure["jitter"] = [0.0, 4.0, 2.0]
-        assert _main(["compare", "--baseline", str(tmp_path), "--quick",
-                      "--repeat", "3", "--figures", "figt", "--update"]) == 0
-        fake_figure["jitter"] = [0.0]
-        fake_figure["factor"] = 0.90  # -10%: fails the floor but not 3*IQR
-        assert _main(["compare", "--baseline", str(tmp_path), "--quick",
-                      "--repeat", "1"]) == 0
-
     def test_missing_baseline_dir_fails(self, fake_figure, tmp_path, capsys):
         assert _main(["compare", "--baseline", str(tmp_path / "nope")]) == 1
 
@@ -147,22 +125,12 @@ class TestCompareGate:
 
 
 class TestCompareUnits:
-    def test_lower_is_better_heuristic(self):
-        gflops = FigureResult("f", "t", "x", "Gflops", [1])
-        seconds = FigureResult("f", "t", "x", "run time (s)", [1])
-        assert not lower_is_better(gflops)
-        assert lower_is_better(seconds)
-
-    def test_time_figure_regresses_upward(self):
-        base = FigureResult("f", "t", "x", "seconds", [1])
-        base.add("runtime", [10.0])
-        cur = FigureResult("f", "t", "x", "seconds", [1])
-        cur.add("runtime", [12.0])
-        cmp = compare_figures("f", base, cur)
-        assert cmp.points[0].regressed
-        faster = FigureResult("f", "t", "x", "seconds", [1])
-        faster.add("runtime", [8.0])
-        assert compare_figures("f", base, faster).points[0].improved
+    def test_cost_like_ylabel_is_refused_not_guessed(self, fake_figure):
+        # The gate has one direction; a figure that would need the
+        # other fails loudly instead of being judged upside down.
+        fake_figure["ylabel"] = "run time (s)"
+        with pytest.raises(ValueError, match="lower-is-better"):
+            registry.run_figure("figt", quick=True)
 
     def test_schema_drift_is_skipped_not_fatal(self):
         base = FigureResult("f", "t", "x", "Gflops", [1, 2])
@@ -181,19 +149,25 @@ class TestCommittedBaselines:
     )
 
     def test_baseline_files_are_committed_and_self_describing(self):
-        for name in ("BENCH_fig11_cholesky_scaling.json",
-                     "BENCH_fig12_matmul_scaling.json"):
+        for key in registry.FIGURES:
+            name = registry.baseline_filename(key)
             path = os.path.join(self.BASELINE_DIR, name)
             assert os.path.exists(path), f"missing committed baseline {name}"
-            fig = FigureResult.load(path)
-            assert fig.provenance.get("git_sha")
-            assert fig.provenance.get("scale") == "quick"
-            assert fig.provenance.get("repeats", 0) >= 3
-            assert fig.spread  # IQR recorded (all-zero for simulated figures)
+            prov = FigureResult.load(path).provenance
+            assert prov.get("git_sha")
+            assert prov.get("scale") == "quick"
+            assert prov.get("seed") == 0
+            assert prov.get("figure") == key
 
-    def test_quick_fig11_matches_committed_baseline(self, capsys):
-        """The acceptance check: an unchanged tree passes the gate."""
+    @pytest.mark.parametrize("key", sorted(registry.FIGURES))
+    def test_quick_figure_reproduces_committed_baseline(self, key):
+        """The acceptance check: the figures are virtual time, so an
+        unchanged tree reproduces every baseline value exactly."""
 
-        assert _main(["compare", "--baseline", self.BASELINE_DIR, "--quick",
-                      "--repeat", "1", "--figures", "fig11"]) == 0
-        assert "0 regressed" in capsys.readouterr().out
+        baseline = FigureResult.load(
+            os.path.join(self.BASELINE_DIR, registry.baseline_filename(key))
+        )
+        current = registry.run_figure(key, quick=True, seed=0)
+        assert current.x == baseline.x
+        assert ({s.label: s.values for s in current.series}
+                == {s.label: s.values for s in baseline.series})

@@ -1,4 +1,4 @@
-"""Robust statistics, provenance, and figure aggregation for --repeat."""
+"""Provenance and the saved-figure round trip."""
 
 import json
 
@@ -6,88 +6,21 @@ import pytest
 
 from repro.bench.harness import FigureResult
 from repro.bench.provenance import SCHEMA_VERSION, collect_provenance, git_revision
-from repro.bench.stats import (
-    aggregate_figures,
-    iqr,
-    median,
-    noise_threshold,
-    quantile,
-)
 
 pytestmark = pytest.mark.bench
 
 
-class TestQuantiles:
-    def test_median_odd_even(self):
-        assert median([3, 1, 2]) == 2
-        assert median([4, 1, 2, 3]) == pytest.approx(2.5)
-
-    def test_quantile_interpolates(self):
-        assert quantile([0, 10], 0.25) == pytest.approx(2.5)
-        assert quantile([5], 0.99) == 5
-
-    def test_quantile_empty_raises(self):
-        with pytest.raises(ValueError):
-            quantile([], 0.5)
-
-    def test_iqr(self):
-        assert iqr([1.0]) == 0.0
-        assert iqr([1, 2, 3, 4]) == pytest.approx(1.5)
-
-
-class TestNoiseThreshold:
-    def test_floor_applies_for_deterministic_runs(self):
-        assert noise_threshold(10.0, 0.0, 0.0) == pytest.approx(0.05)
-
-    def test_widens_with_spread(self):
-        # 3 * (0.5 + 0.5) / 10 = 0.3 > the 5% floor
-        assert noise_threshold(10.0, 0.5, 0.5) == pytest.approx(0.3)
-
-    def test_zero_baseline_never_flags(self):
-        assert noise_threshold(0.0, 1.0, 1.0) == float("inf")
-
-
-def _fig(values, spread=None):
+def _fig(values):
     fig = FigureResult("figX", "t", "threads", "Gflops", [1, 2])
     fig.add("SMPSs", values)
-    if spread is not None:
-        fig.spread["SMPSs"] = spread
     return fig
-
-
-class TestAggregateFigures:
-    def test_median_and_iqr_per_point(self):
-        agg = aggregate_figures([_fig([10, 20]), _fig([12, 24]), _fig([11, 22])])
-        assert agg.get("SMPSs").values == pytest.approx([11.0, 22.0])
-        assert agg.spread["SMPSs"] == pytest.approx([1.0, 2.0])
-
-    def test_single_run_zero_spread(self):
-        agg = aggregate_figures([_fig([10, 20])])
-        assert agg.spread["SMPSs"] == [0.0, 0.0]
-
-    def test_mismatched_axes_rejected(self):
-        other = FigureResult("figX", "t", "threads", "Gflops", [1, 4])
-        other.add("SMPSs", [1, 2])
-        with pytest.raises(ValueError):
-            aggregate_figures([_fig([10, 20]), other])
-
-    def test_mismatched_series_rejected(self):
-        other = FigureResult("figX", "t", "threads", "Gflops", [1, 2])
-        other.add("Other", [1, 2])
-        with pytest.raises(ValueError):
-            aggregate_figures([_fig([10, 20]), other])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_figures([])
 
 
 class TestProvenance:
     def test_collect_is_json_safe_and_complete(self):
-        prov = collect_provenance(repeats=5, scale="quick", seed=7, figure="fig11")
+        prov = collect_provenance(scale="quick", seed=7, figure="fig11")
         json.dumps(prov)  # must not raise
         assert prov["schema"] == SCHEMA_VERSION
-        assert prov["repeats"] == 5
         assert prov["scale"] == "quick"
         assert prov["seed"] == 7
         assert prov["figure"] == "fig11"
@@ -106,14 +39,19 @@ class TestProvenance:
 
 class TestFigureRoundTrip:
     def test_provenance_and_spread_survive_save_load(self, tmp_path):
-        fig = _fig([10, 20], spread=[0.5, 1.0])
-        fig.provenance = collect_provenance(repeats=3, scale="quick")
+        fig = _fig([10, 20])
+        fig.provenance = collect_provenance(scale="quick")
         path = tmp_path / "f.json"
         fig.save(str(path))
+        # Files saved before the IQR block was retired carry one; they
+        # must keep loading, and the block is simply not read.
+        doc = json.loads(path.read_text())
+        doc["spread"] = {"SMPSs": [0.5, 1.0]}
+        path.write_text(json.dumps(doc))
         loaded = FigureResult.load(str(path))
+        assert not hasattr(loaded, "spread")
         assert loaded.get("SMPSs").values == [10, 20]
-        assert loaded.spread["SMPSs"] == [0.5, 1.0]
-        assert loaded.provenance["repeats"] == 3
+        assert loaded.provenance["scale"] == "quick"
         assert loaded.provenance["schema"] == SCHEMA_VERSION
 
     def test_legacy_json_without_provenance_loads(self, tmp_path):
@@ -122,4 +60,4 @@ class TestFigureRoundTrip:
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps(doc))
         loaded = FigureResult.load(str(path))
-        assert loaded.provenance == {} and loaded.spread == {}
+        assert loaded.provenance == {}

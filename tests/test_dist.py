@@ -201,6 +201,7 @@ class TestResidencyCache:
             second = m.counter("dist.bytes_moved").value - first
             hits2 = m.counter("dist.cache_hits").value - hits1
         assert np.array_equal(r1, r2)
+        assert np.allclose(r1, sum(a * b for a, b in zip(A, B)))
         assert second < first      # A/B resident from the first round
         assert hits2 > 0
 

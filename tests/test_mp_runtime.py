@@ -22,6 +22,9 @@ from repro import (
     arena_array,
     css_task,
 )
+from repro.apps.cholesky import cholesky_hyper
+from repro.apps.matmul import matmul_dense
+from repro.blas.hypermatrix import HyperMatrix
 from repro.core.config import resolve_config
 from repro.mp import (
     MpSerializationError,
@@ -156,6 +159,17 @@ def _run_cholesky(backend, spd):
         return np.array(w)
 
 
+def _run_blocked(backend, program, *matrices):
+    """A multi-tile app on copies of *matrices*; returns the last one's
+    dense image (the app's output operand)."""
+
+    work = [hm.copy() for hm in matrices]
+    with SmpssRuntime(num_workers=2, backend=backend) as rt:
+        program(*work)
+        rt.barrier()
+    return work[-1].to_dense()
+
+
 class TestBackendParity:
     def test_matmul_bitwise_identical(self):
         rng = np.random.default_rng(7)
@@ -167,6 +181,12 @@ class TestBackendParity:
         expect = np.zeros_like(a)
         _sequential_gemm_chain(a, b, expect, 4)
         assert np.allclose(processes, expect)
+        # blocked: 27 gemm tiles, nine 3-deep accumulation chains
+        hms = (HyperMatrix.random(3, 8, seed=1), HyperMatrix.random(3, 8, seed=2),
+               HyperMatrix.zeros(3, 8))
+        blocked = _run_blocked("processes", matmul_dense, *hms)
+        assert np.array_equal(_run_blocked("threads", matmul_dense, *hms), blocked)
+        assert np.allclose(blocked, hms[0].to_dense() @ hms[1].to_dense(), atol=1e-4)
 
     def test_cholesky_bitwise_identical(self):
         rng = np.random.default_rng(11)
@@ -176,6 +196,12 @@ class TestBackendParity:
         processes = _run_cholesky("processes", spd)
         assert np.array_equal(threads, processes)
         assert np.allclose(processes @ processes.T, spd)
+        # blocked: the Fig. 4 graph (potrf / trsm / syrk / gemm tiles)
+        hm = HyperMatrix.random_spd(4, 8, seed=3)
+        blocked = _run_blocked("processes", cholesky_hyper, hm)
+        assert np.array_equal(_run_blocked("threads", cholesky_hyper, hm), blocked)
+        factor = np.tril(blocked)
+        assert np.allclose(factor @ factor.T, hm.to_dense(), atol=1e-3)
 
     def test_dependency_chain_order(self):
         with SharedArena() as arena:

@@ -5,8 +5,9 @@ PR 4 unified the API around the fast-path submission engine:
 one validated :class:`~repro.core.config.RuntimeConfig` path, and the
 ``repro`` top-level namespace froze.  These tests pin each of those
 contracts, plus the structural rules that the runtime reaches execution
-backends only through ``repro.core.backend`` and that one worker loop
-(``repro.core.execution``) executes every task.
+backends only through ``repro.core.backend``, that one worker loop
+(``repro.core.execution``) executes every task, and that
+``repro.bench`` measures virtual time only.
 """
 
 import ast
@@ -242,7 +243,7 @@ class TestRuntimeKnowsNoBackend:
     def test_config_field_count_is_pinned(self):
         # Every field doubles the configurations tests must cover:
         # adding one is a deliberate act that updates this number.
-        assert len(dataclasses.fields(RuntimeConfig)) == 23
+        assert len(dataclasses.fields(RuntimeConfig)) == 22
 
     def test_unknown_name_in_runtime_module_still_fails(self):
         import repro.core.runtime as runtime_mod
@@ -369,6 +370,45 @@ class TestOneWorkerLoop:
             if "shard" in path.read_text().lower()
             or "shard" in path.name.lower()
         ] == []
+
+
+class TestOneMeasurementSystem:
+    """``repro.bench`` holds the virtual-time paper figures and nothing
+    that reads a clock; wall-clock numbers for the real execution paths
+    belong to ``benchmarks/e2e``."""
+
+    def test_experiments_touch_no_clock_and_no_real_backend(self):
+        source = (SRC / "bench" / "experiments.py").read_text()
+        assert "SmpssRuntime" not in source
+        tree = ast.parse(source)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules.add("." * node.level + (node.module or ""))
+        assert "time" not in modules
+        assert not [
+            m for m in modules
+            if m.lstrip(".").removeprefix("repro.").split(".")[0]
+            in ("serve", "dist", "mp")
+        ]
+
+    def test_every_registered_figure_has_a_baseline_and_no_other_exists(self):
+        from repro.bench.registry import FIGURES, baseline_filename
+
+        baselines = SRC.parents[1] / "benchmarks" / "baselines"
+        assert {p.name for p in baselines.glob("BENCH_*.json")} == {
+            baseline_filename(key) for key in FIGURES
+        }
+
+    def test_bench_has_no_stats_module(self):
+        import importlib.util
+
+        import repro.bench
+
+        assert not hasattr(repro.bench, "stats")
+        assert importlib.util.find_spec("repro.bench.stats") is None
 
 
 # ---------------------------------------------------------------------------
