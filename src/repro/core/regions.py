@@ -84,12 +84,14 @@ class Region:
         mismatch still aliases).
         """
 
-        if self.ndim != other.ndim:
+        if len(self.intervals) != len(other.intervals):
             return True
         for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals):
-            if (alo, ahi) == FULL_DIM or (blo, bhi) == FULL_DIM:
-                continue
-            if ahi < blo or bhi < alo:
+            # FULL_DIM's upper bound is below every lower bound, so the
+            # sentinel only needs ruling out once the bounds look disjoint.
+            if (ahi < blo or bhi < alo) and (
+                (alo, ahi) != FULL_DIM and (blo, bhi) != FULL_DIM
+            ):
                 return False
         return True
 

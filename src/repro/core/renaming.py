@@ -35,6 +35,8 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .task import TaskState
+
 __all__ = [
     "DataAdapter",
     "AdapterRegistry",
@@ -350,8 +352,6 @@ class Version:
 
     def pending_readers(self) -> list:
         """Readers whose task has not finished yet; prunes the rest."""
-
-        from .task import TaskState
 
         still = [t for t in self.readers if t.state is not TaskState.FINISHED]
         self.readers = still

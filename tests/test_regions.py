@@ -1,8 +1,13 @@
-"""Tests for array regions (section V.A) — geometry and properties."""
+"""Tests for array regions (section V.A) — geometry, properties, and the
+per-datum interval index the dependency engine looks overlaps up in."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro import css_task
+from repro.core.dependencies import TrackedDatum
+from repro.core.recorder import RecordingRuntime
 from repro.core.regions import FULL_DIM, Region, RegionError
 
 
@@ -156,3 +161,104 @@ def test_element_count_matches_slices(r):
     assert r.element_count() == hi - lo + 1
     sl = r.to_slices()[0]
     assert sl.stop - sl.start == r.element_count()
+
+
+# ---------------------------------------------------------------------------
+# The per-datum interval index of the dependency engine
+# ---------------------------------------------------------------------------
+
+# Mostly narrow intervals, some arbitrary ones, one very wide, the sentinel.
+narrow = st.tuples(st.integers(0, 60), st.integers(0, 4)).map(
+    lambda t: (t[0], t[0] + t[1])
+)
+bound = st.one_of(narrow, narrow, interval, st.just((0, 10_000)), st.just(FULL_DIM))
+chain_key = st.one_of(
+    st.none(),
+    st.tuples(bound).map(Region),
+    st.tuples(bound, bound).map(Region),
+)
+query = st.lists(bound, min_size=1, max_size=3).map(lambda b: Region(tuple(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(chain_key, max_size=40), st.lists(query, min_size=1, max_size=6))
+def test_index_finds_exactly_the_chains_a_scan_finds(keys, queries):
+    datum = TrackedDatum(object(), None)
+    for key in keys:  # duplicates land on the chain already there
+        datum.whole_chain() if key is None else datum.chain_for(key)
+    assert len(datum.chains) == len(set(keys))
+    for q in queries:
+        scan = [c for c in datum.chains.values() if c.key is None or c.key.overlaps(q)]
+        found = datum.overlapping(q)
+        assert len(found) == len(scan)
+        assert {id(c) for c in found} == {id(c) for c in scan}
+
+
+@css_task("inout(data{lo..hi})")
+def touch(data, lo, hi):  # noqa: ARG001
+    pass
+
+
+@css_task("inout(data)")
+def touch_all(data):  # noqa: ARG001
+    pass
+
+
+def test_region_lookup_scaling_pin(monkeypatch):
+    """1 000 disjoint tiles: an access tests its neighbours, not every chain.
+
+    A count of ``Region.overlaps`` calls, not a timing — it means the
+    same on any host (CI runs it in the bench-gate job).
+    """
+
+    calls = []
+    exact = Region.overlaps
+    monkeypatch.setattr(
+        Region, "overlaps", lambda a, b: calls.append(1) or exact(a, b)
+    )
+    data = np.zeros(8000)
+    with RecordingRuntime(execute="skip") as rt:
+        first = [touch(data, 8 * i, 8 * i + 7) for i in range(1000)]
+        calls.clear()
+        second = [touch(data, 8 * i, 8 * i + 7) for i in range(1000)]
+    assert len(calls) <= 3 * 1000
+    assert len(rt.tracker.datum_for(data).chains) == 1000
+    # ... and it still found the one chain that matters.
+    assert all(b.predecessors == {a} for a, b in zip(first, second))
+
+
+def test_whole_object_access_after_region_accesses_sees_every_chain():
+    @css_task("output(m{r..r}{})")
+    def row(m, r):  # noqa: ARG001
+        pass
+
+    @css_task("output(m{}{c..c})")
+    def column(m, c):  # noqa: ARG001
+        pass
+
+    vector, matrix = np.zeros(40), np.zeros((40, 40))
+    with RecordingRuntime(execute="skip"):
+        tiles = [touch(vector, 8 * i, 8 * i + 7) for i in range(5)]
+        whole = touch_all(vector)
+        assert whole.predecessors == set(tiles)
+        assert touch(vector, 16, 23).predecessors == {whole}
+
+        rows = [row(matrix, r) for r in range(0, 40, 3)]
+        columns = [column(matrix, c) for c in range(0, 40, 3)]
+        assert columns[0].predecessors == set(rows)
+        # Each column write displaced every row write, so the columns
+        # are the last writers of all 28 chains.
+        assert touch_all(matrix).predecessors == set(columns)
+
+
+def test_barrier_clears_the_index_with_the_chains():
+    data = np.zeros(64)
+    with RecordingRuntime(execute="eager") as rt:
+        for i in range(8):
+            touch(data, 8 * i, 8 * i + 7)
+        rt.barrier()
+        assert not rt.tracker.is_tracked(data)
+        wide = touch(data, 0, 63)
+        assert not wide.predecessors  # nothing survives the barrier
+        after = touch(data, 8, 15)
+        assert after.predecessors == {wide}  # and the new index works
