@@ -5,8 +5,8 @@
 can be paused, stepped one dispatch at a time, and told to hold tasks
 of a given type at a breakpoint — while the dependency graph is still
 growing.  This example drives it all in-process through the ``rt.live``
-handle (the ``python -m repro.live attach`` CLI speaks to the same
-session over a socket; ``python -m repro.live replay`` walks a
+handle (the ``python -m repro live attach`` CLI speaks to the same
+session over a socket; ``python -m repro live replay`` walks a
 recording through the same dashboard offline).
 
 The script:
@@ -54,7 +54,7 @@ def main() -> None:
     with rt:
         live = rt.live
         print(f"live session listening at {live.address}")
-        print("  (another terminal could: python -m repro.live attach "
+        print("  (another terminal could: python -m repro live attach "
               f"{live.address})\n")
 
         # Submission is synchronous, so with the scheduler paused the

@@ -10,7 +10,7 @@ and the virtual Altix), then walks the observability workflow:
 * ``write_chrome_trace`` — a Perfetto-loadable JSON timeline;
 * ``analyze_events(load_chrome_trace(...))`` — the same report
   recomputed offline from the exported file (what the
-  ``python -m repro.obs report trace.json`` CLI does);
+  ``python -m repro obs report trace.json`` CLI does);
 * ``tracer.to_paraver()`` — the paper's own Paraver ``.prv`` format
   (section VII.A);
 * the classic section VII analyses (parallelism profile, load
@@ -60,7 +60,7 @@ def threaded_trace() -> None:
         print(f"\n   offline re-analysis of {os.path.basename(path)}: "
               f"{offline.total_tasks} tasks, "
               f"makespan {offline.makespan * 1e3:.2f}ms "
-              "(also: python -m repro.obs report trace.json)")
+              "(also: python -m repro obs report trace.json)")
 
 
 def simulated_trace() -> None:

@@ -16,7 +16,7 @@ change).  ``repro.obs.diff`` attributes the makespan delta:
 
 The same reports come from the CLI on exported traces::
 
-    python -m repro.obs diff before.trace.json after.trace.json
+    python -m repro obs diff before.trace.json after.trace.json
 
 Run:  python examples/trace_diff.py
 """
@@ -91,7 +91,7 @@ def main() -> None:
         print(f"\nexports (in a temp dir, deleted on exit):")
         for path in (a_path, b_path, sbs, dot):
             print(f"  {os.path.basename(path):22s} {os.path.getsize(path)} bytes")
-        print("the CLI equivalent:  python -m repro.obs diff "
+        print("the CLI equivalent:  python -m repro obs diff "
               "a.trace.json b.trace.json --dot path_diff.dot")
 
 

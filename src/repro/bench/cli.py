@@ -2,12 +2,12 @@
 
 Usage::
 
-    python -m repro.bench list
-    python -m repro.bench fig11
-    python -m repro.bench fig14 --quick --chart
-    python -m repro.bench all --quick
-    python -m repro.bench fig11 --quick --save out/
-    python -m repro.bench compare --baseline benchmarks/baselines --quick
+    python -m repro bench list
+    python -m repro bench fig11
+    python -m repro bench fig14 --quick --chart
+    python -m repro bench all --quick
+    python -m repro bench fig11 --quick --save out/
+    python -m repro bench compare --baseline benchmarks/baselines --quick
 
 Every figure is a deterministic virtual-time simulation, so one run is
 the figure.  ``--save`` stamps a provenance block (git sha, host,
@@ -77,7 +77,7 @@ def _run_figure(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
+        prog="python -m repro bench",
         description="Regenerate figures from the SMPSs paper's evaluation.",
     )
     parser.add_argument(
@@ -144,9 +144,3 @@ def main(argv: list[str] | None = None) -> int:
     print(f"unknown target {args.target!r}; try 'list'", file=sys.stderr)
     return 1
 
-
-if __name__ == "__main__":
-    from repro.__main__ import deprecation_note
-
-    deprecation_note("repro.bench", "bench")
-    raise SystemExit(main())

@@ -4,11 +4,11 @@ Three layers (see ``docs/static_analysis.md``):
 
 * **static, per task** — an AST linter cross-checking each task's
   directionality clauses against its body (:func:`lint_source`,
-  :func:`lint_file`, :func:`lint_paths`; ``python -m repro.check lint``);
+  :func:`lint_file`, :func:`lint_paths`; ``python -m repro lint``);
 * **static, whole program** — an abstract interpreter over the driver
   that extracts the task-graph skeleton and reports cross-submission
   hazards (:func:`flow_source`, :func:`flow_file`, :func:`flow_paths`;
-  ``python -m repro.check flow``);
+  ``python -m repro flow``);
 * **dynamic** — a runtime sanitizer (``SmpssRuntime(sanitize=True)``)
   wrapping numpy arguments in access-guarded views so undeclared writes
   fail fast with the task and parameter named, and unwritten outputs

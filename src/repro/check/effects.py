@@ -42,23 +42,9 @@ class SymRegion:
     def full(cls, ndim: int = 1) -> "SymRegion":
         return cls(((Interval.const(0), TOP),) * ndim)
 
-    @classmethod
-    def from_region(cls, region: Region) -> "SymRegion":
-        dims = []
-        for lo, hi in region.intervals:
-            if (lo, hi) == FULL_DIM:
-                dims.append((Interval.const(0), TOP))
-            else:
-                dims.append((Interval.const(lo), Interval.const(hi)))
-        return cls(tuple(dims))
-
     @property
     def ndim(self) -> int:
         return len(self.dims)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.to_region() is not None
 
     def to_region(self) -> Optional[Region]:
         """The exact runtime region, or ``None`` when any bound is
@@ -87,14 +73,6 @@ class SymRegion:
                 return False
         return True
 
-    def hull(self, other: "SymRegion") -> "SymRegion":
-        if self.ndim != other.ndim:
-            return SymRegion.full(max(self.ndim, other.ndim))
-        return SymRegion(tuple(
-            (alo.join(blo), ahi.join(bhi))
-            for (alo, ahi), (blo, bhi) in zip(self.dims, other.dims)
-        ))
-
     def __str__(self) -> str:
         region = self.to_region()
         if region is not None:
@@ -110,14 +88,6 @@ class Access:
     direction: Direction
     #: ``None`` = the whole object (no region specifier).
     region: Optional[SymRegion] = None
-
-    @property
-    def reads(self) -> bool:
-        return self.direction.reads
-
-    @property
-    def writes(self) -> bool:
-        return self.direction.writes
 
 
 def _as_abstract_int(value):
@@ -157,15 +127,6 @@ class TaskEffect:
             constants=dict(constants or {}),
             high_priority=pragma.high_priority,
         )
-
-    def directions_of(self, param: str) -> set[Direction]:
-        return {s.direction for s in self.pragma.specs_for(param)}
-
-    def position_of(self, param: str) -> Optional[int]:
-        try:
-            return self.param_names.index(param)
-        except ValueError:
-            return None
 
     def footprint(
         self,

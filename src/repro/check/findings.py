@@ -132,10 +132,6 @@ class Finding:
         if not self.severity:
             object.__setattr__(self, "severity", rule_severity(self.rule))
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity == ERROR
-
     def location(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import ast
 import importlib.util
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -2276,6 +2275,3 @@ def flow_paths(
         findings.extend(flow_file(f, options=options).findings)
     return findings
 
-
-def render_graph_json(result: FlowResult) -> str:
-    return json.dumps(result.graph.to_json_dict(), indent=2)

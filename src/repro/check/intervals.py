@@ -23,9 +23,9 @@ The domain is the classic one:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
-__all__ = ["Interval", "TOP", "eval_expr_ast"]
+__all__ = ["Interval", "TOP"]
 
 
 def _neg(v: Optional[int]) -> Optional[int]:
@@ -187,40 +187,3 @@ class Interval:
 
 TOP = Interval(None, None)
 
-
-def eval_expr_ast(node: tuple, env: Mapping[str, object]) -> Interval:
-    """Evaluate a :class:`repro.core.pragma.Expr` AST over intervals.
-
-    *env* maps names to ints or :class:`Interval`; a missing name (or a
-    non-integer value) evaluates to :data:`TOP` — the analyzer prefers
-    imprecision over a wrong bound.
-    """
-
-    kind = node[0]
-    if kind == "int":
-        return Interval.const(node[1])
-    if kind == "name":
-        value = env.get(node[1])
-        if isinstance(value, Interval):
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            return TOP
-        return Interval.const(value)
-    if kind == "unary":
-        operand = eval_expr_ast(node[2], env)
-        return -operand if node[1] == "-" else operand
-    if kind == "binop":
-        op = node[1]
-        left = eval_expr_ast(node[2], env)
-        right = eval_expr_ast(node[3], env)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left // right
-        if op == "%":
-            return left % right
-    return TOP

@@ -98,10 +98,6 @@ class SuppressionIndex:
             file_rules |= line_rules.get(idx, set())
         return cls(line_rules, file_rules)
 
-    @property
-    def file_rules(self) -> frozenset[str]:
-        return frozenset(self._file_rules)
-
     def rules_for_line(self, line: int) -> frozenset[str]:
         return frozenset(self._line_rules.get(line, ()))
 

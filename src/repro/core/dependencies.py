@@ -240,6 +240,16 @@ class DependencyTracker:
     def is_tracked(self, obj: Any) -> bool:
         return id(obj) in self._data
 
+    def current_version(self, obj: Any) -> Optional[Version]:
+        """The whole-object chain's current version of *obj* — what
+        every runtime's ``acquire`` (``wait_on``) waits for and reads —
+        or ``None`` when *obj* has no whole-object chain (untracked, or
+        only ever accessed by region)."""
+
+        datum = self._data.get(id(obj))
+        chain = None if datum is None else datum.chains.get(None)
+        return None if chain is None else chain.current
+
     @property
     def tracked_count(self) -> int:
         return len(self._data)

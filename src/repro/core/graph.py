@@ -18,11 +18,41 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .task import TaskInstance, TaskState
 
-__all__ = ["TaskGraph", "EdgeKind", "GraphStats"]
+__all__ = ["TaskGraph", "EdgeKind", "GraphStats", "longest_path"]
+
+
+def longest_path(order, preds, weight) -> tuple[dict, dict]:
+    """The forward longest-path pass every critical-path figure uses.
+
+    *order* iterates the nodes of a DAG topologically, ``preds(node)``
+    its predecessors (ones missing from *order* — already retired —
+    count as finished at 0) and ``weight(node)`` its cost.  Returns
+    ``(finish, best_pred)``: the weight of the heaviest path ending at,
+    and including, each node, and the predecessor that path comes
+    through (``None`` at a root; the first one *preds* yields among
+    equals).
+    """
+
+    finish: dict = {}
+    best_pred: dict = {}
+    for node in order:
+        start, chosen = 0, None
+        for pred in preds(node):
+            pred_finish = finish.get(pred, 0)
+            if pred_finish > start:
+                start, chosen = pred_finish, pred
+        finish[node] = start + weight(node)
+        best_pred[node] = chosen
+    return finish, best_pred
+
+
+_PREDS = attrgetter("predecessors")
+_TASK_ID = attrgetter("task_id")
 
 
 class EdgeKind:
@@ -175,26 +205,14 @@ class TaskGraph:
     def critical_path_length(self) -> int:
         """Longest chain of tasks (unit weights); requires keep_finished."""
 
-        depth: dict[int, int] = {}
-        for task in self:  # iteration is in id (= topological) order
-            best = 0
-            for pred in task.predecessors:
-                best = max(best, depth.get(pred.task_id, 0))
-            depth[task.task_id] = best + 1
-        return max(depth.values(), default=0)
+        finish, _ = longest_path(self, _PREDS, lambda _task: 1)
+        return max(finish.values(), default=0)
 
     def weighted_critical_path(self, weight) -> float:
         """Longest path with per-task weights ``weight(task) -> float``."""
 
-        finish: dict[int, float] = {}
-        best = 0.0
-        for task in self:
-            start = 0.0
-            for pred in task.predecessors:
-                start = max(start, finish.get(pred.task_id, 0.0))
-            finish[task.task_id] = start + weight(task)
-            best = max(best, finish[task.task_id])
-        return best
+        finish, _ = longest_path(self, _PREDS, weight)
+        return max(finish.values(), default=0.0)
 
     def critical_path_tasks(self, weight=None) -> list[TaskInstance]:
         """The tasks on (one) longest path, in execution order.
@@ -208,23 +226,14 @@ class TaskGraph:
 
         if weight is None:
             weight = lambda _task: 1.0  # noqa: E731
-        finish: dict[int, float] = {}
-        best_pred: dict[int, Optional[TaskInstance]] = {}
-        tail: Optional[TaskInstance] = None
-        for task in self:  # id order = topological
-            start, chosen = 0.0, None
-            for pred in sorted(task.predecessors, key=lambda t: t.task_id):
-                pred_finish = finish.get(pred.task_id, 0.0)
-                if pred_finish > start:
-                    start, chosen = pred_finish, pred
-            finish[task.task_id] = start + weight(task)
-            best_pred[task.task_id] = chosen
-            if tail is None or finish[task.task_id] > finish[tail.task_id]:
-                tail = task
+        finish, best_pred = longest_path(
+            self, lambda t: sorted(t.predecessors, key=_TASK_ID), weight
+        )
+        tail = max(finish, key=finish.get, default=None)
         path: list[TaskInstance] = []
         while tail is not None:
             path.append(tail)
-            tail = best_pred[tail.task_id]
+            tail = best_pred[tail]
         path.reverse()
         return path
 
@@ -248,15 +257,10 @@ class TaskGraph:
         parallelism available once the level above retires.
         """
 
-        depth: dict[int, int] = {}
-        for task in self:  # id order = topological
-            best = -1
-            for pred in task.predecessors:
-                best = max(best, depth.get(pred.task_id, -1))
-            depth[task.task_id] = best + 1
+        finish, _ = longest_path(self, _PREDS, lambda _task: 1)
         levels: dict[int, list[TaskInstance]] = {}
-        for task in self:
-            levels.setdefault(depth[task.task_id], []).append(task)
+        for task, depth in finish.items():
+            levels.setdefault(depth - 1, []).append(task)
         lines = []
         for level in sorted(levels):
             tasks = levels[level]
@@ -269,21 +273,6 @@ class TaskGraph:
     def to_dot(self) -> str:
         """GraphViz dot text with one colour per task type (Figure 5)."""
 
-        palette = [
-            "lightblue", "lightgreen", "salmon", "gold", "plum",
-            "lightgrey", "orange", "cyan",
-        ]
-        colours: dict[str, str] = {}
-        lines = ["digraph tasks {", "  node [style=filled];"]
-        for task in self:
-            colour = colours.setdefault(
-                task.name, palette[len(colours) % len(palette)]
-            )
-            lines.append(
-                f'  t{task.task_id} [label="{task.task_id}", fillcolor={colour}];'
-            )
-        for pred, succ, kind in sorted(self.edges()):
-            style = "" if kind == EdgeKind.TRUE else ' [style=dashed]'
-            lines.append(f"  t{pred} -> t{succ}{style};")
-        lines.append("}")
-        return "\n".join(lines)
+        from ..obs.export import graph_to_dot
+
+        return graph_to_dot(self, highlight_critical=False)

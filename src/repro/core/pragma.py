@@ -27,9 +27,10 @@ pointer types to infer it from).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .task import Direction
 
@@ -94,30 +95,27 @@ def _tokenize(text: str) -> list[_Token]:
 
 @dataclass(frozen=True)
 class Expr:
-    """A parsed bound/dimension expression.
+    """A parsed bound/dimension expression, compiled at parse time.
 
-    Stored as a tiny AST of nested tuples:
-
-    * ``("int", value)``
-    * ``("name", identifier)``
-    * ``("unary", op, operand)``
-    * ``("binop", op, left, right)``
+    :func:`_compile` turns the parser's tree into one tree of closures
+    ``fn(env, load)``; ``load(value, name, source)`` is what a name's
+    *env* value passes through — the only point where the integer and
+    the abstract evaluation differ.
     """
 
-    ast: tuple
     source: str
+    _fn: Callable = field(compare=False, repr=False)
+    _names: frozenset = field(compare=False, repr=False)
 
     def evaluate(self, env: dict) -> int:
         """Evaluate against *env* (parameter name -> value)."""
 
-        return _eval_ast(self.ast, env, self.source)
+        return self._fn(env, _as_int)
 
-    def names(self) -> set[str]:
+    def names(self) -> frozenset:
         """All identifiers referenced by the expression."""
 
-        found: set[str] = set()
-        _collect_names(self.ast, found)
-        return found
+        return self._names
 
     def evaluate_symbolic(self, env: dict):
         """Evaluate over an arbitrary arithmetic domain.
@@ -130,90 +128,10 @@ class Expr:
         under loop variables it has summarized rather than unrolled.
         """
 
-        return _eval_symbolic(self.ast, env, self.source)
+        return self._fn(env, _as_is)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.source
-
-
-def _eval_ast(ast: tuple, env: dict, source: str):
-    kind = ast[0]
-    if kind == "int":
-        return ast[1]
-    if kind == "name":
-        try:
-            value = env[ast[1]]
-        except KeyError:
-            raise PragmaError(
-                f"expression {source!r} references unknown parameter {ast[1]!r}"
-            ) from None
-        return _as_int(value, ast[1], source)
-    if kind == "unary":
-        operand = _eval_ast(ast[2], env, source)
-        return -operand if ast[1] == "-" else +operand
-    if kind == "binop":
-        op = ast[1]
-        left = _eval_ast(ast[2], env, source)
-        right = _eval_ast(ast[3], env, source)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise PragmaError(f"division by zero evaluating {source!r}")
-            # C99 integer division truncates toward zero.
-            q = abs(left) // abs(right)
-            return q if (left >= 0) == (right >= 0) else -q
-        if op == "%":
-            if right == 0:
-                raise PragmaError(f"division by zero evaluating {source!r}")
-            return left - right * _eval_ast(("binop", "/", ("int", left), ("int", right)), env, source)
-    raise PragmaError(f"corrupt expression AST for {source!r}")  # pragma: no cover
-
-
-def _eval_symbolic(ast: tuple, env: dict, source: str):
-    """Evaluate an expression AST with domain-supplied arithmetic.
-
-    Integer operands keep C99 semantics (delegating to
-    :func:`_eval_ast`); anything else uses the operand's own operators,
-    so abstract domains (intervals) flow through transparently.
-    """
-
-    kind = ast[0]
-    if kind == "int":
-        return ast[1]
-    if kind == "name":
-        try:
-            return env[ast[1]]
-        except KeyError:
-            raise PragmaError(
-                f"expression {source!r} references unknown parameter {ast[1]!r}"
-            ) from None
-    if kind == "unary":
-        operand = _eval_symbolic(ast[2], env, source)
-        return -operand if ast[1] == "-" else +operand
-    if kind == "binop":
-        op = ast[1]
-        left = _eval_symbolic(ast[2], env, source)
-        right = _eval_symbolic(ast[3], env, source)
-        if isinstance(left, int) and isinstance(right, int):
-            return _eval_ast(
-                ("binop", op, ("int", left), ("int", right)), env, source
-            )
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left / right
-        if op == "%":
-            return left % right
-    raise PragmaError(f"corrupt expression AST for {source!r}")  # pragma: no cover
 
 
 def _as_int(value, name: str, source: str) -> int:
@@ -226,15 +144,73 @@ def _as_int(value, name: str, source: str) -> int:
     return as_int
 
 
-def _collect_names(ast: tuple, out: set) -> None:
+def _as_is(value, name: str, source: str):
+    return value
+
+
+def _c99_div(left, right, source: str):
+    """``/``: C99 truncation toward zero on ints; an abstract operand
+    (an interval) brings its own over-approximating operator."""
+
+    if not (isinstance(left, int) and isinstance(right, int)):
+        return left / right
+    if right == 0:
+        raise PragmaError(f"division by zero evaluating {source!r}")
+    q = abs(left) // abs(right)
+    return q if (left >= 0) == (right >= 0) else -q
+
+
+def _c99_mod(left, right, source: str):
+    if not (isinstance(left, int) and isinstance(right, int)):
+        return left % right
+    return left - right * _c99_div(left, right, source)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _compile(ast: tuple, source: str, names: set) -> Callable:
+    """The closure ``fn(env, load)`` of one parser node — ``("int", v)``,
+    ``("name", id)``, ``("unary", op, x)`` or ``("binop", op, l, r)`` —
+    adding every identifier met to *names*."""
+
     kind = ast[0]
+    if kind == "int":
+        value = ast[1]
+        return lambda env, load: value
     if kind == "name":
-        out.add(ast[1])
-    elif kind == "unary":
-        _collect_names(ast[2], out)
-    elif kind == "binop":
-        _collect_names(ast[2], out)
-        _collect_names(ast[3], out)
+        name = ast[1]
+        names.add(name)
+
+        def lookup(env, load):
+            try:
+                value = env[name]
+            except KeyError:
+                raise PragmaError(
+                    f"expression {source!r} references unknown parameter {name!r}"
+                ) from None
+            return load(value, name, source)
+
+        return lookup
+    if kind == "unary":
+        operand = _compile(ast[2], source, names)
+        if ast[1] == "-":
+            return lambda env, load: -operand(env, load)
+        return lambda env, load: +operand(env, load)
+    op = ast[1]
+    left = _compile(ast[2], source, names)
+    right = _compile(ast[3], source, names)
+    if op in _ARITHMETIC:
+        apply = _ARITHMETIC[op]
+        return lambda env, load: apply(left(env, load), right(env, load))
+    divide = _c99_div if op == "/" else _c99_mod
+    return lambda env, load: divide(left(env, load), right(env, load), source)
+
+
+def _expr(ast: tuple, source: str) -> Expr:
+    names: set[str] = set()
+    fn = _compile(ast, source, names)
+    return Expr(source, fn, frozenset(names))
 
 
 class _ExprParser:
@@ -313,7 +289,7 @@ def parse_expression(text: str) -> Expr:
     if parser.i != len(tokens):
         stray = tokens[parser.i]
         raise PragmaError(f"trailing input {stray.text!r} in expression {text!r}")
-    return Expr(ast, text)
+    return _expr(ast, text)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +398,6 @@ class ParsedPragma:
 
     def specs_for(self, name: str) -> list[ParamSpec]:
         return [p for p in self.params if p.name == name]
-
-    @property
-    def declared_names(self) -> list[str]:
-        seen: list[str] = []
-        for p in self.params:
-            if p.name not in seen:
-                seen.append(p.name)
-        return seen
 
 
 _DIRECTIONS = {
@@ -540,7 +508,7 @@ class _PragmaParser:
                 f"expected {closing!r} at position {close_tok.pos} in {self.text!r}"
             )
         source = " ".join(t.text for t in self.tokens[start : self.i - 1])
-        return Expr(ast, source)
+        return _expr(ast, source)
 
     def _region(self) -> RegionSpec:
         tok = self.peek()
@@ -568,7 +536,7 @@ class _PragmaParser:
         ast = parser.parse()
         self.i = parser.i
         source = " ".join(t.text for t in self.tokens[start : self.i])
-        return Expr(ast, source)
+        return _expr(ast, source)
 
     def _validate(self, pragma: ParsedPragma) -> None:
         directions: dict[str, set[Direction]] = {}

@@ -88,7 +88,7 @@ class RecordedProgram:
         """Topology + submission stream as plain data.
 
         Task bodies and argument values are *not* serialised — a saved
-        recording replays scheduling (``python -m repro.live replay``),
+        recording replays scheduling (``python -m repro live replay``),
         it does not re-execute computation.  Requires ``keep_graph``
         (the default for recordings): a retired graph has no edges left
         to save.
@@ -237,15 +237,13 @@ class RecordingRuntime:
     def acquire(self, obj):
         """Latest storage of *obj* (eager mode already produced it)."""
 
-        if self.execute == "eager" and self.tracker.is_tracked(obj):
-            datum = self.tracker.datum_for(obj)
-            chain = datum.chains.get(None)
-            if chain is not None:
-                if chain.current.producer is not None:
-                    # The replayer must block the main thread here.
-                    self.events.append(("wait", chain.current.producer))
-                return chain.current.resolve_storage()
-        return obj
+        version = self.tracker.current_version(obj)
+        if self.execute != "eager" or version is None:
+            return obj
+        if version.producer is not None:
+            # The replayer must block the main thread here.
+            self.events.append(("wait", version.producer))
+        return version.resolve_storage()
 
     # -- recording session --------------------------------------------------
     def __enter__(self) -> "RecordingRuntime":

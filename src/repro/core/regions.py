@@ -49,10 +49,6 @@ class Region:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def from_bounds(cls, *pairs: Tuple[int, int]) -> "Region":
-        return cls(tuple(pairs))
-
-    @classmethod
     def full(cls, ndim: int = 1) -> "Region":
         """A region covering every element of an *ndim*-dimensional array."""
 
@@ -126,26 +122,6 @@ class Region:
             if hi < lo:
                 return None
             out.append((lo, hi))
-        return Region(tuple(out))
-
-    def hull(self, other: "Region") -> "Region":
-        """Smallest hyper-rectangle containing both regions.
-
-        This is the symbolic-execution hook used by ``repro.check.flow``
-        when it summarizes a loop it does not fully unroll: the
-        footprints of the folded iterations collapse into their bounding
-        box, which over-approximates every concrete access.  A rank
-        mismatch degrades to a FULL region — a safe superset of both.
-        """
-
-        if self.ndim != other.ndim:
-            return Region.full(max(self.ndim, other.ndim))
-        out = []
-        for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals):
-            if (alo, ahi) == FULL_DIM or (blo, bhi) == FULL_DIM:
-                out.append(FULL_DIM)
-            else:
-                out.append((min(alo, blo), max(ahi, bhi)))
         return Region(tuple(out))
 
     def element_count(self) -> Optional[int]:

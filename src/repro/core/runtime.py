@@ -365,14 +365,10 @@ class SmpssRuntime:
         """
 
         with self._tracker_lock:
-            if not self.tracker.is_tracked(obj):
-                return obj
-            datum = self.tracker.datum_for(obj)
-            chain = datum.chains.get(None)
-            if chain is None:
-                return obj
-            version = chain.current
-            producer = version.producer
+            version = self.tracker.current_version(obj)
+        if version is None:
+            return obj
+        producer = version.producer
         if producer is not None and producer.state is not TaskState.FINISHED:
             if self.tracer:
                 self.tracer.wait_on_enter()
@@ -500,10 +496,14 @@ class SmpssRuntime:
             self._sync_metrics()
         return {
             "tasks_executed": self.tasks_executed,
-            "graph": self.graph.stats if self.graph else None,
-            "scheduler": self.scheduler.stats if self.scheduler else None,
+            # `is not None`: a graph with no live task is falsy (__len__).
+            "graph": self.graph.stats if self.graph is not None else None,
+            "scheduler": (
+                self.scheduler.stats if self.scheduler is not None else None
+            ),
             "renamed_buffers": (
-                self.tracker.total_renamed_buffers if self.tracker else 0
+                self.tracker.total_renamed_buffers
+                if self.tracker is not None else 0
             ),
             "metrics": self.metrics.snapshot(),
         }

@@ -342,7 +342,7 @@ class SmpssScheduler:
             if target is None:
                 self.main.append(task)
             else:
-                self.locals[target].append(task)
+                self._own(target).append(task)
                 self.stats.placed += 1
         self.stats.pushed_new += 1
         self._ready_count += 1
@@ -350,41 +350,24 @@ class SmpssScheduler:
             self.tracer.task_ready(task)
 
     def push_unlocked(self, task: TaskInstance, thread: int) -> None:
-        """A task whose last dependency was removed by *thread*.
+        """A task whose last dependency was removed by *thread*: the
+        one-task case of :meth:`push_ready_batch`."""
 
-        High-priority tasks are "scheduled as soon as possible
-        independently of any locality consideration", so they go to the
-        global high list; others go to the unlocking thread's own list.
-        """
-
-        task.state = TaskState.READY
-        if task.high_priority:
-            self.high.append(task)
-        else:
-            target = None
-            if self.placement is not None:
-                target = self.placement(task)
-            if target is None:
-                self.locals[thread].append(task)
-            else:
-                self.locals[target].append(task)
-                if target != thread:
-                    self.stats.placed += 1
-        self.stats.pushed_unlocked += 1
-        self._ready_count += 1
-        if self.tracer:
-            self.tracer.task_ready(task, thread)
+        self.push_ready_batch((task,), thread)
 
     def push_ready_batch(self, tasks, thread: int) -> None:
         """All tasks released by one completion on *thread*, together.
 
-        Semantically ``push_unlocked`` per task; a single entry point
-        lets the threaded runtime insert a whole completion's worth of
-        unlocked successors under one scheduler-lock acquisition and
-        pairs with its batched ``notify(len(tasks))`` wakeup.
+        High-priority tasks are "scheduled as soon as possible
+        independently of any locality consideration", so they go to the
+        global high list; others go to the unlocking thread's own list.
+        A single entry point lets the threaded runtime insert a whole
+        completion's worth of unlocked successors under one
+        scheduler-lock acquisition and pairs with its batched
+        ``notify(len(tasks))`` wakeup.
         """
 
-        own = self.locals[thread]
+        own = self._own(thread)
         high = self.high
         stats = self.stats
         tracer = self.tracer
@@ -400,13 +383,18 @@ class SmpssScheduler:
                 if target is None:
                     own.append(task)
                 else:
-                    self.locals[target].append(task)
+                    self._own(target).append(task)
                     if target != thread:
                         stats.placed += 1
             if tracer:
                 tracer.task_ready(task, thread)
         stats.pushed_unlocked += len(tasks)
         self._ready_count += len(tasks)
+
+    def _own(self, thread: int) -> deque:
+        """The list tasks unlocked by (or placed on) *thread* go to."""
+
+        return self.locals[thread]
 
     # ------------------------------------------------------------------
     # selection
@@ -473,12 +461,15 @@ class SmpssScheduler:
                 self.stats.steals += 1
                 self.stats.steals_by_thief[thread] += 1
                 self.stats.steals_by_victim[victim] += 1
-                task = queue.popleft()
+                task = self._steal_from(queue)
                 if self.tracer:
                     self.tracer.steal(task, thief=thread, victim=victim)
                 return task
         self.stats.failed_steals += 1
         return None
+
+    #: Which end of the victim's deque a thief takes: FIFO, see above.
+    _steal_from = staticmethod(deque.popleft)
 
     # ------------------------------------------------------------------
     # inspection
@@ -530,111 +521,29 @@ class HotStealScheduler(SmpssScheduler):
     choice can be measured (``benchmarks/bench_ablations.py``).
     """
 
-    def _select(self, thread: int):
-        if self.high:
-            self.stats.pops_high += 1
-            return self.high.popleft()
-        own = self.locals[thread]
-        if own:
-            self.stats.pops_local += 1
-            return own.pop()
-        if self.main:
-            self.stats.pops_main += 1
-            return self.main.popleft()
-        for offset in range(1, self.num_threads):
-            victim = (thread + offset) % self.num_threads
-            queue = self.locals[victim]
-            if queue:
-                self.stats.steals += 1
-                self.stats.steals_by_thief[thread] += 1
-                self.stats.steals_by_victim[victim] += 1
-                task = queue.pop()  # LIFO end: the victim's hot task
-                if self.tracer:
-                    self.tracer.steal(task, thief=thread, victim=victim)
-                return task
-        self.stats.failed_steals += 1
-        return None
+    _steal_from = staticmethod(deque.pop)
 
 
-class CentralQueueScheduler:
+class CentralQueueScheduler(SmpssScheduler):
     """Ablation: a single global FIFO ready queue, no locality lists.
 
     Models the CellSs / SuperMatrix organisation the paper contrasts
     with in section VII ("SuperMatrix has a central ready queue", "CellSs
-    has a unique queue and does not employ work-stealing").  Exposes the
-    same interface as :class:`SmpssScheduler` so both runtimes accept it.
+    has a unique queue and does not employ work-stealing").  The same
+    push/pop/gate code as :class:`SmpssScheduler` with no per-thread
+    lists: every normal-priority task goes to, and comes from, ``main``.
     """
 
     def __init__(self, num_threads: int, tracer=None):
-        self.num_threads = num_threads
-        self.high: deque[TaskInstance] = deque()
-        self.queue: deque[TaskInstance] = deque()
-        self.stats = SchedulerStats()
-        self.tracer = tracer if tracer else None  # see SmpssScheduler
-        self.gate: Optional[DispatchGate] = None  # see SmpssScheduler
-        self._ready_count = 0
+        super().__init__(num_threads, tracer)
+        self.locals = []
 
-    def push_new(self, task: TaskInstance) -> None:
-        task.state = TaskState.READY
-        (self.high if task.high_priority else self.queue).append(task)
-        self.stats.pushed_new += 1
-        self._ready_count += 1
-        if self.tracer:
-            self.tracer.task_ready(task)
+    def _own(self, thread: int) -> deque:
+        return self.main
 
-    def push_unlocked(self, task: TaskInstance, thread: int) -> None:
-        task.state = TaskState.READY
-        (self.high if task.high_priority else self.queue).append(task)
-        self.stats.pushed_unlocked += 1
-        self._ready_count += 1
-        if self.tracer:
-            self.tracer.task_ready(task, thread)
-
-    def push_ready_batch(self, tasks, thread: int) -> None:
-        """Interface parity with :meth:`SmpssScheduler.push_ready_batch`."""
-
-        for task in tasks:
-            self.push_unlocked(task, thread)
-
-    def pop(self, thread: int) -> Optional[TaskInstance]:
-        source = self.high if self.high else self.queue
+    def _select(self, thread: int) -> Optional[TaskInstance]:
+        source = self.high or self.main
         if not source:
-            self.stats.failed_pops += 1
-            self.stats.failed_pops_by_thread[thread] += 1
             return None
-        gate = self.gate
-        if gate is not None:  # engaged-only slot; see SmpssScheduler.pop
-            if not gate.admit():
-                return None
-            task = source.popleft()
-            if gate.should_hold(task):
-                self.high.appendleft(task)  # next dispatch; see SmpssScheduler
-                return None
-        else:
-            task = source.popleft()
-        task.state = TaskState.RUNNING
-        self._ready_count -= 1
         self.stats.pops_main += 1
-        self.stats.pops_by_thread[thread] += 1
-        return task
-
-    @property
-    def ready_count(self) -> int:
-        return self._ready_count
-
-    def has_ready(self) -> bool:
-        return self._ready_count > 0
-
-    def queue_depths(self) -> dict:
-        """See :meth:`SmpssScheduler.queue_depths` (no per-thread lists)."""
-
-        return {
-            "high": len(self.high),
-            "main": len(self.queue),
-            "locals": [],
-        }
-
-    def queue_imbalance(self) -> tuple[int, float]:
-        """A central queue cannot be imbalanced; interface parity."""
-
-        return (0, 0.0)
+        return source.popleft()  # FIFO, whichever thread asks

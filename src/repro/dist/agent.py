@@ -42,10 +42,9 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..core.tracing import EventKind, TraceEvent
 from ..mp.encoding import apply_writebacks, resolve_definition_func
 from ..mp.executor import WorkerDied, WorkerProcess
-from ..mp.worker import task_message
+from ..mp.worker import run_body, task_message
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import PROTOCOL, format_remote_error
 from ..net.frames import recv_frame, send_frame
@@ -195,11 +194,6 @@ class AgentServer:
     #: point of view an agent whose sockets all vanish at once is
     #: indistinguishable from a SIGKILLed process.
     kill = close
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        thread = self._accept_thread
-        if thread is not None:
-            thread.join(timeout)
 
     def __enter__(self) -> "AgentServer":
         return self.start()
@@ -397,7 +391,6 @@ class AgentServer:
         err = None
         ret_out: list = []
         duration = 0.0
-        clock = perf_counter
         try:
             values = self._resolve_values(msg["values"])
             if self.processes:
@@ -432,19 +425,8 @@ class AgentServer:
             else:
                 func = self._resolve_func(sid, msg["def_key"],
                                           msg.get("def_payload"))
-                if trace:
-                    events.append(TraceEvent(
-                        time=clock(), kind=EventKind.TASK_START,
-                        task_id=task_id, task_name=name, thread=slot,
-                    ))
-                t0 = clock()
-                func(*values)
-                duration = clock() - t0
-                if trace:
-                    events.append(TraceEvent(
-                        time=clock(), kind=EventKind.TASK_END,
-                        task_id=task_id, task_name=name, thread=slot,
-                    ))
+                duration = run_body(func, values, task_id, name, slot,
+                                    events if trace else None)
             if err is None:
                 for pos, key, v_after in msg.get("out", ()):
                     self.store.put(key, v_after, values[pos])
@@ -458,12 +440,6 @@ class AgentServer:
         except BaseException as exc:  # noqa: BLE001 - shipped to master
             err = format_remote_error(exc)
             ret_out = []
-            if trace:
-                events.append(TraceEvent(
-                    time=clock(), kind=EventKind.TASK_END,
-                    task_id=task_id, task_name=name, thread=slot,
-                    extra=("error",),
-                ))
         drained = list(events)
         events.clear()
         return {

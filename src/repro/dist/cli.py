@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import signal
-import sys
 import threading
 
 from ..net.frames import recv_frame, send_frame
@@ -99,6 +98,3 @@ def main(argv: list[str] | None = None) -> int:
         server.close()
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -7,9 +7,9 @@ attachable debugging for the SMPSs runtime:
 * ``SmpssRuntime(live=True)`` installs a dispatch gate (pause /
   resume / step(n) / task-boundary breakpoints) and serves the run as
   a JSON-lines stream of graph deltas over a unix or TCP socket;
-* ``python -m repro.live attach <addr>`` renders the terminal
+* ``python -m repro live attach <addr>`` renders the terminal
   dashboard and drives the gate;
-* ``python -m repro.live replay <recording>`` replays a saved
+* ``python -m repro live replay <recording>`` replays a saved
   :class:`~repro.core.recorder.RecordedProgram` through the very same
   dashboard, with ``step``/``back`` time travel.
 

@@ -2,11 +2,11 @@
 
 Usage::
 
-    python -m repro.live attach /tmp/repro-live-x/live.sock
-    python -m repro.live attach tcp:127.0.0.1:4242 \\
+    python -m repro live attach /tmp/repro-live-x/live.sock
+    python -m repro live attach tcp:127.0.0.1:4242 \\
         --script "state; break spotrf_t; step 5; clear; resume; wait-done"
-    python -m repro.live replay cholesky.recording.json
-    python -m repro.live replay cholesky.recording.json \\
+    python -m repro live replay cholesky.recording.json
+    python -m repro live replay cholesky.recording.json \\
         --script "step 10; render; back 3; run"
 
 ``attach`` connects to a runtime started with ``live=True`` (its bound
@@ -238,7 +238,7 @@ def _run_replay(args, out=sys.stdout) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.live",
+        prog="python -m repro live",
         description="Attach to a live run, or replay a recording.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,9 +266,3 @@ def main(argv=None) -> int:
         return _run_attach(args)
     return _run_replay(args)
 
-
-if __name__ == "__main__":
-    from repro.__main__ import deprecation_note
-
-    deprecation_note("repro.live", "live")
-    raise SystemExit(main())

@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+from ..core.graph import longest_path
+
 __all__ = ["DashboardState", "render"]
 
 #: Task-state lattice: a delta may only move a task forward (duplicate
@@ -150,17 +152,17 @@ class DashboardState:
             by_thread.get(idx) for idx in range(max(by_thread) + 1)
         ]
 
+    def _task_preds(self, task_id: int):
+        return self._preds.get(task_id, ())
+
     def critical_path_depth(self) -> int:
         """Unit-weight longest chain over every edge seen so far."""
 
         if not self._depth_dirty:
             return self._depth
-        depth: dict[int, int] = {}
-        for task_id in sorted(self.tasks):  # id order = topological
-            best = 0
-            for pred in self._preds.get(task_id, ()):
-                best = max(best, depth.get(pred, 0))
-            depth[task_id] = best + 1
+        depth, _ = longest_path(
+            sorted(self.tasks), self._task_preds, lambda _task_id: 1
+        )
         self._depth = max(depth.values(), default=0)
         self._depth_dirty = False
         return self._depth
@@ -178,15 +180,11 @@ class DashboardState:
         mean = (
             sum(durations.values()) / len(durations) if durations else 0.0
         )
-        finish: dict[int, float] = {}
-        best = 0.0
-        for task_id in sorted(self.tasks):
-            start = 0.0
-            for pred in self._preds.get(task_id, ()):
-                start = max(start, finish.get(pred, 0.0))
-            finish[task_id] = start + durations.get(task_id, mean)
-            best = max(best, finish[task_id])
-        return best
+        finish, _ = longest_path(
+            sorted(self.tasks), self._task_preds,
+            lambda task_id: durations.get(task_id, mean),
+        )
+        return max(finish.values(), default=0.0)
 
     def to_events(self) -> list:
         """Reconstruct START/END :class:`TraceEvent` pairs for the

@@ -170,10 +170,6 @@ class ReplayEngine:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def done_count(self) -> int:
-        return len(self._done)
-
-    @property
     def remaining(self) -> int:
         return len(self.recording.tasks) - len(self._done)
 

@@ -31,7 +31,7 @@ from .encoding import (
     resolve_definition_func,
 )
 
-__all__ = ["task_message", "worker_main"]
+__all__ = ["task_message", "run_body", "worker_main"]
 
 #: message tags (master -> worker)
 MSG_TASK = "task"
@@ -51,6 +51,35 @@ def task_message(seq: int, def_key, def_payload, task_id: int,
          enc_values, wb_specs),
         protocol=PROTOCOL,
     )
+
+
+def run_body(func, values, task_id: int, name: str, slot: int, events) -> float:
+    """Run one task body off the master; returns its duration.
+
+    The one place a remote body (an mp worker's, a dist agent slot's)
+    is timed and traced: with *events* not ``None`` (tracing on) a
+    ``TASK_START``/``TASK_END`` pair for thread *slot* is appended
+    around the call — the end marked ``("error",)`` when the body
+    raises, which it then does to the caller.
+    """
+
+    def mark(kind: str, *extra) -> None:
+        if events is not None:
+            events.append(TraceEvent(
+                time=perf_counter(), kind=kind, task_id=task_id,
+                task_name=name, thread=slot, extra=extra,
+            ))
+
+    mark(EventKind.TASK_START)
+    try:
+        t0 = perf_counter()
+        func(*values)
+        duration = perf_counter() - t0
+    except BaseException:
+        mark(EventKind.TASK_END, "error")
+        raise
+    mark(EventKind.TASK_END)
+    return duration
 
 
 def _neutralise_inherited_state() -> None:
@@ -111,7 +140,6 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
     segment_cache: dict = {}
     func_cache: dict = {}
     events: deque = deque(maxlen=max(int(ring_capacity), 2))
-    clock = perf_counter
 
     def send(msg: tuple) -> None:
         conn.send_bytes(pickle.dumps(msg, protocol=PROTOCOL))
@@ -143,28 +171,11 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
                         def_payload
                     )
                 values = decode_values(enc_values, segment_cache)
-                if trace:
-                    events.append(TraceEvent(
-                        time=clock(), kind=EventKind.TASK_START,
-                        task_id=task_id, task_name=task_name, thread=slot,
-                    ))
-                t0 = clock()
-                func(*values)
-                duration = clock() - t0
-                if trace:
-                    events.append(TraceEvent(
-                        time=clock(), kind=EventKind.TASK_END,
-                        task_id=task_id, task_name=task_name, thread=slot,
-                    ))
+                duration = run_body(func, values, task_id, task_name, slot,
+                                    events if trace else None)
                 wb_values = collect_writebacks(wb_specs, values)
             except BaseException as exc:  # noqa: BLE001 - shipped to master
                 err = format_remote_error(exc)
-                if trace:
-                    events.append(TraceEvent(
-                        time=clock(), kind=EventKind.TASK_END,
-                        task_id=task_id, task_name=task_name, thread=slot,
-                        extra=("error",),
-                    ))
             try:
                 send((MSG_DONE, seq, err, wb_values, duration, drain_events()))
             except (BrokenPipeError, OSError):

@@ -118,7 +118,10 @@ def recv_frame(
     """
 
     if timeout is not None:
-        sock.settimeout(timeout)
+        try:
+            sock.settimeout(timeout)
+        except OSError as exc:  # closed under us (EBADF): same contract
+            raise NetClosed(str(exc)) from None
     prefix = recv_exact(sock, _PREFIX.size)
     head_len, payload_len = _PREFIX.unpack(prefix)
     if head_len > MAX_HEADER_BYTES or payload_len > MAX_PAYLOAD_BYTES:

@@ -36,6 +36,7 @@ __all__ = [
     "hang_up",
     "connect",
     "connect_retry",
+    "build_http_response",
 ]
 
 PROTOCOL_VERSION = 1
@@ -202,3 +203,16 @@ def connect_retry(
     raise ConnectionError(
         f"could not connect to {spec!r} after {attempts} attempt(s): {last}"
     )
+
+
+def build_http_response(status: str, content_type: str, body: bytes) -> bytes:
+    """One complete ``Connection: close`` HTTP response (used by every
+    surface that serves plain GETs over the shared transport)."""
+
+    head = (
+        f"HTTP/1.1 {status}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: close\r\n\r\n"
+    ).encode("latin-1")
+    return head + body

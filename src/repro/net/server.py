@@ -23,7 +23,7 @@ import threading
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .protocol import decode, encode, hang_up, listen, tune
+from .protocol import build_http_response, decode, encode, hang_up, listen, tune
 
 __all__ = ["Server"]
 
@@ -246,12 +246,9 @@ class Server:
             try:
                 response = self._http_responder(path)
             except Exception as exc:  # noqa: BLE001 - report, don't die
-                body = str(exc).encode("utf-8", "replace")
-                response = (
-                    b"HTTP/1.1 500 Internal Server Error\r\n"
-                    b"Content-Type: text/plain\r\n"
-                    b"Content-Length: " + str(len(body)).encode() +
-                    b"\r\nConnection: close\r\n\r\n" + body
+                response = build_http_response(
+                    "500 Internal Server Error", "text/plain",
+                    str(exc).encode("utf-8", "replace"),
                 )
             self._send(client, response)
             return None

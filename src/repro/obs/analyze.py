@@ -14,7 +14,7 @@ overhead wall) are computed here directly:
 
 Works over a live :class:`~repro.core.tracing.Tracer` (threaded or
 virtual time) or over an exported Chrome trace JSON (the
-``python -m repro.obs report trace.json`` path), so post-mortem
+``python -m repro obs report trace.json`` path), so post-mortem
 analysis does not need the producing process.
 """
 
@@ -87,9 +87,6 @@ class TraceReport:
         if not self.locality_candidates:
             return 0.0
         return self.locality_hits / self.locality_candidates
-
-    def busy_time_by_thread(self) -> dict[int, float]:
-        return {tid: usage.busy for tid, usage in self.threads.items()}
 
 
 def analyze_events(
@@ -195,7 +192,7 @@ def analyze_tracer(
 
 
 # ---------------------------------------------------------------------------
-# Chrome trace loading (the ``python -m repro.obs report`` path)
+# Chrome trace loading (the ``python -m repro obs report`` path)
 # ---------------------------------------------------------------------------
 
 _INSTANT_NAME_TO_KIND = {

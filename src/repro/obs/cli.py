@@ -2,23 +2,24 @@
 
 Usage::
 
-    python -m repro.obs report trace.json             # full text report
-    python -m repro.obs report trace.json --threads 4
-    python -m repro.obs diff A.trace.json B.trace.json
-    python -m repro.obs diff A.trace.json B.trace.json --dot d.dot \\
+    python -m repro obs report trace.json             # full text report
+    python -m repro obs report trace.json --threads 4
+    python -m repro obs diff A.trace.json B.trace.json
+    python -m repro obs diff A.trace.json B.trace.json --dot d.dot \\
         --chrome side_by_side.json
-    python -m repro.obs diff A.metrics.json B.metrics.json
-    python -m repro.obs diff figA.json figB.json
-    python -m repro.obs serve tcp:0.0.0.0:9184                # live
-    python -m repro.obs serve tcp:0.0.0.0:9184 --metrics-json saved.json
-    python -m repro.obs scrape tcp:127.0.0.1:9184             # one page
-    python -m repro.obs scrape tcp:127.0.0.1:9184 --health    # findings
+    python -m repro obs diff A.metrics.json B.metrics.json
+    python -m repro obs diff figA.json figB.json
+    python -m repro obs serve tcp:0.0.0.0:9184                # live
+    python -m repro obs serve tcp:0.0.0.0:9184 --metrics-json saved.json
+    python -m repro obs scrape tcp:127.0.0.1:9184             # one page
+    python -m repro obs scrape tcp:127.0.0.1:9184 --health    # findings
 
 ``diff`` auto-detects what the two files are: Chrome trace JSONs get
 the full makespan-delta attribution (per-task-type shifts with
 bootstrap CIs, critical-path composition change, scheduler behaviour);
 ``*.metrics.json`` snapshots get per-series deltas; saved
-``FigureResult`` JSONs get per-point deltas; ``repro.staticgraph`` /
+``FigureResult`` JSONs get the ``bench compare`` table (A as the
+baseline); ``repro.staticgraph`` /
 ``repro.recording`` documents get a task/edge/stream structural diff
 (exit 1 when the graphs diverge — the static-vs-recorded validation
 loop of ``repro.check flow``).  ``--kind`` overrides the detection.
@@ -118,8 +119,13 @@ def _run_diff(args) -> int:
         graph_diff = D.diff_task_graphs(docs[0], docs[1])
         print(D.render_graph_diff(graph_diff, label_a, label_b))
         return 0 if graph_diff.identical else 1
-    print(D.render_figure_diff(D.diff_figures(docs[0], docs[1]),
-                               label_a, label_b))
+    # Figures: the table `repro bench compare` gates on (A = baseline).
+    from ..bench.compare import compare_figures, render_comparison
+    from ..bench.harness import FigureResult
+
+    fig_a, fig_b = (FigureResult.from_dict(doc) for doc in docs)
+    print(render_comparison(
+        compare_figures(f"{label_a} -> {label_b}", fig_a, fig_b)))
     return 0
 
 
@@ -168,7 +174,7 @@ def _run_scrape(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs",
+        prog="python -m repro obs",
         description="Analyze and diff exported SMPSs traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,9 +264,3 @@ def main(argv: list[str] | None = None) -> int:
         return _run_diff(args)
     return 1
 
-
-if __name__ == "__main__":
-    from repro.__main__ import deprecation_note
-
-    deprecation_note("repro.obs", "obs")
-    raise SystemExit(main())

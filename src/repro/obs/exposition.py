@@ -8,7 +8,7 @@ the same socket:
 
 * the JSON-lines protocol every other live surface speaks —
   ``{"cmd": "metrics", "seq": 1}`` answered with the text in the ack
-  (what :func:`scrape` and ``python -m repro.obs scrape`` use);
+  (what :func:`scrape` and ``python -m repro obs scrape`` use);
 * a plain HTTP ``GET`` — the server sniffs the first bytes of a
   connection, so ``curl http://host:port/metrics`` (or a Prometheus
   scrape target) works against the same port.  ``GET /health`` returns
@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import json
 import re
-import socket
 from typing import Optional
 
+from ..net.client import Client
+from ..net.protocol import build_http_response
+from ..net.server import Server
 from .metrics import (
     CounterMetric,
     GaugeMetric,
@@ -42,7 +44,6 @@ __all__ = [
     "CONTENT_TYPE",
     "render_registry",
     "render_snapshot",
-    "build_http_response",
     "ExpositionServer",
     "scrape",
 ]
@@ -214,7 +215,7 @@ class ExpositionServer:
     runtime's mirrored gauges and the health monitor's utilization
     gauges first), an explicit *registry*, or — with neither — the
     process-wide default registry.  A *snapshot* dict serves a saved
-    metrics file instead (the ``python -m repro.obs serve`` offline
+    metrics file instead (the ``python -m repro obs serve`` offline
     mode).
     """
 
@@ -230,9 +231,6 @@ class ExpositionServer:
         self._monitor = monitor
         self._registry = registry
         self._snapshot = snapshot
-        from ..net.server import Server  # local import: obs must not
-        # hard-depend on the transport at module import time
-
         self._server = Server(
             address,
             self._handle,
@@ -290,10 +288,6 @@ class ExpositionServer:
         return build_http_response(
             "200 OK", CONTENT_TYPE, self.metrics_text().encode("utf-8"))
 
-    @property
-    def client_count(self) -> int:
-        return self._server.client_count
-
     def close(self) -> None:
         self._server.close()
 
@@ -307,47 +301,7 @@ def scrape(address: str, timeout: float = 5.0, command: str = "metrics"):
     HTTP client against the same address.
     """
 
-    from ..net.protocol import connect, decode, encode
-
-    sock = connect(address, timeout=timeout)
-    try:
-        sock.sendall(encode({"cmd": command, "seq": 1}))
-        buffer = b""
-        while True:
-            try:
-                chunk = sock.recv(65536)
-            except socket.timeout as exc:
-                raise TimeoutError(
-                    f"no ack from {address} within {timeout}s"
-                ) from exc
-            if not chunk:
-                raise ConnectionError(
-                    f"server at {address} closed before answering"
-                )
-            buffer += chunk
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                record = decode(line)
-                if record is None:
-                    continue
-                if record.get("ev") == "ack" and record.get("seq") == 1:
-                    if not record.get("ok"):
-                        raise RuntimeError(
-                            f"scrape failed: {record.get('error')}"
-                        )
-                    return record.get("data", {})
-    finally:
-        sock.close()
-
-
-def build_http_response(status: str, content_type: str, body: bytes) -> bytes:
-    """One complete ``Connection: close`` HTTP response (used by every
-    surface that serves plain GETs over the shared transport)."""
-
-    head = (
-        f"HTTP/1.1 {status}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
-    ).encode("latin-1")
-    return head + body
+    # The endpoint also answers plain HTTP, so it sniffs the protocol
+    # from our first bytes and sends its hello only after them.
+    with Client(address, timeout=timeout, expect_hello=False) as client:
+        return client.command(command)

@@ -109,12 +109,6 @@ class FlightRecorder:
                                   thread=thread))
         return out
 
-    def recent(self, n: Optional[int] = None) -> list[tuple]:
-        """The newest *n* completion tuples (all, if ``None``)."""
-
-        items = list(self._ring)
-        return items if n is None else items[-n:]
-
     def snapshots(self) -> list[dict]:
         """The retained watchdog snapshots, oldest first."""
 

@@ -30,13 +30,9 @@ import threading
 import time
 from typing import Optional
 
-from ..net.protocol import PROTOCOL_VERSION
+from ..net.protocol import PROTOCOL_VERSION, build_http_response
 from ..net.server import Server
-from ..obs.exposition import (
-    CONTENT_TYPE,
-    build_http_response,
-    render_registry,
-)
+from ..obs.exposition import CONTENT_TYPE, render_registry
 from .engine import ServeEngine, ServiceLimits
 from .errors import ServeError
 from .protocol import SERVE_PROTOCOL_VERSION

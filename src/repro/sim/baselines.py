@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..apps.tasks import _legal, count_completions_cached
-from ..core.graph import TaskGraph
+from ..core.graph import TaskGraph, longest_path
 from ..core.scheduler import CentralQueueScheduler, SmpssScheduler
 from ..core.task import TaskDefinition, TaskInstance, reset_task_ids
 from . import calibration as cal
@@ -34,7 +34,6 @@ __all__ = [
     "build_multisort_dag",
     "build_nqueens_dag",
     "scheduler_for_model",
-    "sequential_multisort_time",
     "sequential_nqueens_time",
 ]
 
@@ -84,15 +83,16 @@ class DagTemplate:
 
     def critical_path(self) -> float:
         # Topological by construction: parents are created before
-        # children in every builder here, so a forward pass suffices.
-        finish = [0.0] * len(self.nodes)
+        # children in every builder here, so index order suffices.
         incoming: dict[int, list[int]] = {}
         for pred, succ in self.edges:
             incoming.setdefault(succ, []).append(pred)
-        for idx, (_name, duration) in enumerate(self.nodes):
-            start = max((finish[p] for p in incoming.get(idx, ())), default=0.0)
-            finish[idx] = start + duration
-        return max(finish, default=0.0)
+        finish, _ = longest_path(
+            range(len(self.nodes)),
+            lambda idx: incoming.get(idx, ()),
+            lambda idx: self.nodes[idx][1],
+        )
+        return max(finish.values(), default=0.0)
 
     def build(self) -> TaskGraph:
         reset_task_ids()
@@ -131,12 +131,6 @@ def _sort_cost(n: int) -> float:
 
 def _merge_cost(n: int) -> float:
     return cal.MERGE_COST_PER_ELEMENT * n
-
-
-def sequential_multisort_time(n: int) -> float:
-    """The sequential baseline: one quicksort over the whole array."""
-
-    return _sort_cost(n)
 
 
 def build_multisort_dag(

@@ -133,16 +133,12 @@ class SimulatedRuntime:
         self._help_while(lambda: task.state is not TaskState.FINISHED)
 
     def acquire(self, obj):
-        if self.tracker.is_tracked(obj):
-            datum = self.tracker.datum_for(obj)
-            chain = datum.chains.get(None)
-            if chain is not None and chain.current.producer is not None:
-                producer = chain.current.producer
-                if producer.state is not TaskState.FINISHED:
-                    self.wait_for(producer)
-                if self.execute_bodies:
-                    return chain.current.resolve_storage()
-        return obj
+        version = self.tracker.current_version(obj)
+        if version is None or version.producer is None:
+            return obj
+        if version.producer.state is not TaskState.FINISHED:
+            self.wait_for(version.producer)
+        return version.resolve_storage() if self.execute_bodies else obj
 
     # ------------------------------------------------------------------
     # main-thread helping (the section III blocking conditions)

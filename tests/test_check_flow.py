@@ -30,7 +30,7 @@ from repro.check import (
     flow_paths,
     flow_source,
 )
-from repro.check.__main__ import main as check_main
+from repro.check.cli import main as check_main
 
 pytestmark = pytest.mark.flow
 
@@ -220,6 +220,45 @@ class TestRules:
         assert [row[1] for row in doc["tasks"]] == ["p", "c", "p"]
         assert doc["edges"] == [[1, 2, "true"]]  # rename kills WAR/WAW
         assert doc["renames"] == 1
+
+    @pytest.mark.parametrize("max_unroll, tiles, summarized", [
+        (128, 8, False),    # unrolled: eight concrete tile regions
+        (4, 1, True),       # folded: k is the interval [0, 7]
+    ])
+    def test_region_bound_over_a_summarized_loop_variable(
+            self, max_unroll, tiles, summarized):
+        """A loop past the unroll budget binds its variable to an
+        interval and the tile bound ``k/2*8+k%2*4`` is evaluated over
+        it ([0, 28]..[3, 31]): the reader of {28..31} may overlap and
+        gets its edge, the reader of {32..35} is provably disjoint."""
+
+        from repro.check.flow import FlowOptions
+
+        result = flow_snippet(
+            "@css_task('inout(a{k/2*8+k%2*4..k/2*8+k%2*4+3}) input(k)')\n"
+            "def tile(a, k):\n"
+            "    pass\n"
+            "@css_task('input(a{32..35})')\n"
+            "def read_beyond(a):\n"
+            "    pass\n"
+            "@css_task('input(a{28..31})')\n"
+            "def read_last(a):\n"
+            "    pass\n"
+            "with SmpssRuntime() as rt:\n"
+            "    a = np.zeros(64)\n"
+            "    for k in range(8):\n"
+            "        tile(a, k)\n"
+            "    read_beyond(a)\n"
+            "    read_last(a)\n",
+            options=FlowOptions(max_unroll=max_unroll),
+        )
+        graph = result.graph
+        assert result.findings == []
+        assert graph.truncated is summarized
+        assert [t.summarized for t in graph.tasks] == \
+            [summarized] * tiles + [False, False]
+        # Only the last tile feeds read_last; nothing feeds read_beyond.
+        assert sorted(graph.edges.items()) == [((tiles, tiles + 2), "true")]
 
 
 # ---------------------------------------------------------------------------

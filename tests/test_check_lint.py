@@ -18,7 +18,7 @@ from repro.check import (
     render_json,
     render_text,
 )
-from repro.check.__main__ import main as check_main
+from repro.check.cli import main as check_main
 
 pytestmark = pytest.mark.check
 

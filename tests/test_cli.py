@@ -1,9 +1,9 @@
 """The unified ``python -m repro`` front door (PR 9 satellite).
 
-One dispatcher routes to every tool; the historical per-module forms
-stay working as aliases.  These tests call the in-process ``main()``
-so they are cheap, plus one subprocess check that the alias note lands
-on stderr without perturbing stdout or the exit code.
+One dispatcher routes to every tool and is the only way in: the
+per-module ``python -m repro.X`` forms are gone.  These tests call the
+in-process ``main()`` so they are cheap, plus two subprocess checks —
+the old form fails, the one form runs with a clean stderr.
 """
 
 import subprocess
@@ -22,7 +22,8 @@ class TestDispatcher:
     def test_help_exits_zero(self, capsys):
         assert main(["help"]) == 0
         out = capsys.readouterr().out
-        for command in ("lint", "flow", "obs", "bench", "live", "serve"):
+        for command in ("lint", "flow", "obs", "bench", "live", "serve",
+                        "dist", "compile"):
             assert command in out
 
     def test_version(self, capsys):
@@ -70,19 +71,19 @@ class TestDispatcher:
 
 
 class TestLegacyAliases:
-    def test_legacy_form_notes_and_still_works(self):
+    def test_legacy_form_is_gone(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.check", "rules"],
             capture_output=True, text=True, timeout=120,
         )
-        assert proc.returncode == 0
-        assert "python -m repro" in proc.stderr  # the alias note
-        assert "input-write" in proc.stdout  # behaviour unchanged
+        assert proc.returncode != 0
+        assert "cannot be directly executed" in proc.stderr
 
     def test_unified_form_has_no_note(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--help"],
+            [sys.executable, "-m", "repro", "check", "rules"],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
-        assert "alias" not in proc.stderr
+        assert proc.stderr == ""
+        assert "input-write" in proc.stdout  # the legacy test's stdout check

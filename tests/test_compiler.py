@@ -228,7 +228,7 @@ class TestExecution:
         assert (c == 2.0).all()
 
     def test_cli_translate(self, tmp_path, capsys):
-        from repro.compiler.__main__ import main
+        from repro.compiler.cli import main
 
         path = tmp_path / "prog.py"
         path.write_text(SIMPLE)
@@ -237,7 +237,7 @@ class TestExecution:
         assert "@__css_task__" in out
 
     def test_cli_output_file(self, tmp_path):
-        from repro.compiler.__main__ import main
+        from repro.compiler.cli import main
 
         src = tmp_path / "prog.py"
         src.write_text(SIMPLE)
@@ -246,7 +246,7 @@ class TestExecution:
         assert "@__css_task__" in dst.read_text()
 
     def test_cli_error_reporting(self, tmp_path, capsys):
-        from repro.compiler.__main__ import main
+        from repro.compiler.cli import main
 
         path = tmp_path / "bad.py"
         path.write_text("#pragma css task nope(a)\ndef f(a):\n    pass\n")
@@ -255,11 +255,11 @@ class TestExecution:
 
 
 class TestCliErrorPaths:
-    """``python -m repro.compiler`` must fail like a compiler: exit
+    """``python -m repro compile`` must fail like a compiler: exit
     code 1, message on stderr, and a faithful file:line location."""
 
     def _main(self):
-        from repro.compiler.__main__ import main
+        from repro.compiler.cli import main
 
         return main
 

@@ -38,7 +38,7 @@ class TestAppRunners:
 
 class TestCompilerRun:
     def test_cli_run_mode(self, tmp_path, capsys):
-        from repro.compiler.__main__ import main
+        from repro.compiler.cli import main
 
         path = tmp_path / "prog.py"
         path.write_text(

@@ -223,31 +223,31 @@ class TestParaverExport:
 
 class TestBenchCli:
     def test_list(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.cli import main
 
         assert main(["list"]) == 0
         assert "fig11" in capsys.readouterr().out
 
     def test_fig05(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.cli import main
 
         assert main(["fig05"]) == 0
         out = capsys.readouterr().out
         assert "56 tasks" in out
 
     def test_counts(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.cli import main
 
         assert main(["counts"]) == 0
         assert "374272" in capsys.readouterr().out.replace(",", "")
 
     def test_quick_figure(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.cli import main
 
         assert main(["fig12", "--quick"]) == 0
         assert "Figure 12" in capsys.readouterr().out
 
     def test_unknown(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.cli import main
 
         assert main(["fig99"]) == 1

@@ -393,6 +393,17 @@ class TestFrames:
         with pytest.raises(FrameError):
             recv_frame(b, timeout=5.0)
 
+    def test_closed_socket_is_net_closed_not_ebadf(self, pair):
+        # A connection hung up under its reader (an agent closing while
+        # `_serve_conn` loops): the contract is NetClosed, with or
+        # without a timeout to set first.
+        _a, b = pair
+        b.close()
+        with pytest.raises(NetClosed):
+            recv_frame(b, timeout=5.0)
+        with pytest.raises(NetClosed):
+            recv_frame(b)
+
     def test_a_frame_is_one_gather_write(self, pair):
         a, b = pair
         whole = _Trickle(a, 1 << 20)

@@ -14,7 +14,7 @@ from repro.obs import (
     runtime_report,
     write_chrome_trace,
 )
-from repro.obs.__main__ import main as obs_main
+from repro.obs.cli import main as obs_main
 
 pytestmark = pytest.mark.obs
 

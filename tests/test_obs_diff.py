@@ -18,12 +18,10 @@ from repro.obs.diff import (
     bootstrap_mean_delta,
     collect_task_durations,
     critical_chain,
-    diff_figures,
     diff_metrics,
     diff_task_graphs,
     diff_to_dot,
     diff_traces,
-    render_figure_diff,
     render_graph_diff,
     render_metrics_diff,
     render_trace_diff,
@@ -184,17 +182,6 @@ class TestMetricsAndFigureDiff:
         text = render_metrics_diff(list(deltas.values()))
         assert "steals" in text
 
-    def test_figure_diff_per_point(self):
-        fig_a = FigureResult("f", "t", "threads", "Gflops", [1, 2])
-        fig_a.add("SMPSs", [10.0, 20.0])
-        fig_b = FigureResult("f", "t", "threads", "Gflops", [1, 2])
-        fig_b.add("SMPSs", [10.0, 15.0])
-        deltas = diff_figures(fig_a, fig_b)
-        assert len(deltas) == 2
-        worst = max(deltas, key=lambda d: abs(d.delta))
-        assert worst.x == 2 and worst.delta == pytest.approx(-5.0)
-        assert "SMPSs" in render_figure_diff(deltas)
-
 
 def _static_doc(**overrides):
     doc = {
@@ -256,7 +243,7 @@ class TestGraphDiff:
         assert diff.kind_changes == [(1, 2, "true", "anti")]
 
     def test_flow_cli_wrapper_unwrapped(self):
-        # `python -m repro.check flow --format json` wraps the skeleton.
+        # `python -m repro flow --format json` wraps the skeleton.
         wrapped = {"findings": [], "graph": _static_doc()}
         diff = diff_task_graphs(wrapped, _recording_doc())
         assert diff.identical
@@ -287,7 +274,7 @@ class TestDiffCli:
         return str(a), str(b)
 
     def test_trace_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a, b = self._write_traces(tmp_path)
         assert main(["diff", a, b, "--boot", "100"]) == 0
@@ -296,7 +283,7 @@ class TestDiffCli:
         assert "entered the path" in out
 
     def test_trace_diff_cli_exports(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a, b = self._write_traces(tmp_path)
         dot = tmp_path / "diff.dot"
@@ -307,7 +294,7 @@ class TestDiffCli:
         assert json.loads(chrome.read_text())["otherData"]["runs"]
 
     def test_metrics_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a = tmp_path / "a.metrics.json"
         b = tmp_path / "b.metrics.json"
@@ -317,7 +304,7 @@ class TestDiffCli:
         assert "steals" in capsys.readouterr().out
 
     def test_figure_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         fig = FigureResult("figX", "t", "threads", "Gflops", [1, 2])
         fig.add("SMPSs", [1.0, 2.0])
@@ -327,10 +314,12 @@ class TestDiffCli:
         fig.series[0].values = [1.0, 1.5]
         b.write_text(fig.to_json())
         assert main(["diff", str(a), str(b)]) == 0
-        assert "figure diff" in capsys.readouterr().out
+        out = capsys.readouterr().out  # the `bench compare` table
+        assert "REGRESSED" in out and "2.000 -> 1.500" in out
+        assert "2 points: 1 regressed" in out
 
     def test_mismatched_kinds_rejected(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a, _ = self._write_traces(tmp_path)
         fig = tmp_path / "fig.json"
@@ -338,13 +327,13 @@ class TestDiffCli:
         assert main(["diff", a, str(fig)]) == 1
 
     def test_missing_file(self, tmp_path):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         assert main(["diff", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope2.json")]) == 1
 
     def test_graph_diff_cli(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.cli import main
 
         a = tmp_path / "static.json"
         b = tmp_path / "recorded.json"

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.check.intervals import TOP, Interval
 from repro.core.pragma import (
     PragmaError,
     parse_expression,
@@ -208,6 +209,46 @@ class TestExpressions:
         with pytest.raises(PragmaError, match="division by zero"):
             parse_expression("1/0").evaluate({})
 
+    # One compiled closure tree serves both evaluators: ints keep C99
+    # semantics whichever one is asked.
+    @pytest.mark.parametrize("source, env, expected", [
+        ("-7/2", {}, -3),
+        ("7/-2", {}, -3),
+        ("-7/-2", {}, 3),
+        ("-7%3", {}, -1),       # sign follows the dividend, as in C99
+        ("7%-3", {}, 1),
+        ("+n-(-n)", {"n": 4}, 8),
+        ("(n+1)*n/2", {"n": 9}, 45),
+    ])
+    def test_c99_on_both_evaluators(self, source, env, expected):
+        expr = parse_expression(source)
+        assert expr.evaluate(env) == expected
+        assert expr.evaluate_symbolic(env) == expected
+
+    @pytest.mark.parametrize("source, env, message, symbolic_too", [
+        ("x+1", {}, "expression 'x+1' references unknown parameter 'x'", True),
+        ("1/(n-n)", {"n": 3}, "division by zero evaluating '1/(n-n)'", True),
+        ("5%z", {"z": 0}, "division by zero evaluating '5%z'", True),
+        ("n+1", {"n": "abc"},
+         "parameter 'n' used in expression 'n+1' is not an integer", False),
+    ])
+    def test_error_messages(self, source, env, message, symbolic_too):
+        expr = parse_expression(source)
+        with pytest.raises(PragmaError) as info:
+            expr.evaluate(env)
+        assert str(info.value) == message
+        if symbolic_too:
+            with pytest.raises(PragmaError) as info:
+                expr.evaluate_symbolic(env)
+            assert str(info.value) == message
+
+    def test_evaluate_coerces_integer_likes(self):
+        import numpy as np
+
+        expr = parse_expression("n/2")
+        assert expr.evaluate({"n": np.int64(-7)}) == -3
+        assert type(expr.evaluate({"n": np.int64(-7)})) is int
+
     def test_names_collection(self):
         assert parse_expression("i+2*quarter-1").names() == {"i", "quarter"}
 
@@ -235,3 +276,56 @@ class TestExpressions:
         r = parse_expression("n%d").evaluate(env)
         assert q * den + r == num
         assert abs(r) < den
+
+
+class TestSymbolicEvaluation:
+    """``Expr.evaluate_symbolic`` over :class:`repro.check.Interval`
+    operands — the abstract half of the one compiled expression."""
+
+    I = Interval.from_range(0, 8)       # [0, 7]
+    J = Interval(-1, 2)
+
+    @pytest.mark.parametrize("source, expected", [
+        ("i+3", Interval(3, 10)),
+        ("3+i", Interval(3, 10)),
+        ("i-2", Interval(-2, 5)),
+        ("10-i", Interval(3, 10)),
+        ("-i", Interval(-7, 0)),
+        ("+i", Interval(0, 7)),
+        ("i*j", Interval(-7, 14)),
+        ("2*i", Interval(0, 14)),
+        ("i/2", Interval(0, 3)),
+        ("(0-i)/2", Interval(-4, 0)),   # covers truncation and flooring
+        ("i/j", TOP),                   # the divisor may be zero
+        ("i%4", Interval(0, 3)),
+        ("(0-i)%4", Interval(-3, 3)),
+        ("i%j", TOP),                   # only a constant modulus is bounded
+        ("i/2*8+i%2*4+3", Interval(3, 31)),
+    ])
+    def test_interval_operands(self, source, expected):
+        expr = parse_expression(source)
+        got = expr.evaluate_symbolic({"i": self.I, "j": self.J})
+        assert got == expected
+        # Soundness: every concrete evaluation lies inside the interval.
+        for i in range(0, 8):
+            for j in range(-1, 3):
+                try:
+                    value = expr.evaluate({"i": i, "j": j})
+                except PragmaError:     # a concrete division by zero
+                    continue
+                assert got.contains(value), (i, j, value)
+
+    def test_from_range_and_join(self):
+        assert Interval.from_range(10, 0, -3) == Interval(1, 10)
+        with pytest.raises(ValueError, match="empty range"):
+            Interval.from_range(3, 3)
+        assert Interval(0, 3).join(Interval(5, 9)) == Interval(0, 9)
+        assert Interval(0, 3).join(Interval(None, 1)) == Interval(None, 3)
+        assert not Interval(None, 4).contains(5)
+        assert str(Interval(None, 4)) == "[-inf, 4]"
+
+    def test_symbolic_region_bounds(self):
+        spec = parse_pragma("inout(a{i*4:4})").params[0].regions[0]
+        lo, hi = spec.symbolic_bounds({"i": self.I})
+        assert (lo, hi) == (Interval(0, 28), Interval(3, 31))
+        assert spec.symbolic_bounds({"i": 2}) == spec.bounds({"i": 2}) == (8, 11)

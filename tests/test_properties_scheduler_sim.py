@@ -76,6 +76,76 @@ def test_scheduler_conservation(factory, ops):
     assert scheduler.ready_count == 0
 
 
+class _ListModel:
+    """The ablation schedulers as they were written out before they
+    shared :class:`SmpssScheduler`'s code: plain lists, one branch per
+    rule.  ``steal_end`` is the index a thief takes from a victim's
+    list (``None``: there are no per-thread lists, one global FIFO)."""
+
+    def __init__(self, num_threads, steal_end):
+        self.high, self.main = [], []
+        self.locals = [[] for _ in range(num_threads)]
+        self.steal_end = steal_end
+
+    def push_new(self, task):
+        (self.high if task.high_priority else self.main).append(task)
+
+    def push_unlocked(self, task, thread):
+        if task.high_priority:
+            self.high.append(task)
+        elif self.steal_end is None:
+            self.main.append(task)
+        else:
+            self.locals[thread].append(task)
+
+    def pop(self, thread):
+        if self.high:
+            return self.high.pop(0)
+        if self.steal_end is not None and self.locals[thread]:
+            return self.locals[thread].pop()
+        if self.main:
+            return self.main.pop(0)
+        if self.steal_end is not None:
+            n = len(self.locals)
+            for offset in range(1, n):
+                victim = self.locals[(thread + offset) % n]
+                if victim:
+                    return victim.pop(self.steal_end)
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=op_strategy, hp_unlocks=st.lists(st.booleans(), max_size=60))
+@pytest.mark.parametrize("factory, steal_end", [
+    (SmpssScheduler, 0),
+    (HotStealScheduler, -1),
+    (CentralQueueScheduler, None),
+])
+def test_pop_order_matches_the_written_out_policy(
+        factory, steal_end, ops, hp_unlocks):
+    """Every pop returns the very task the list model returns, on any
+    push/pop script (unlocked tasks may be high-priority too)."""
+
+    reset_task_ids()
+    scheduler = factory(num_threads=4)
+    model = _ListModel(4, steal_end)
+    hp_unlocks = iter(hp_unlocks)
+    for op in ops:
+        if op[0] == "new":
+            task = make_task(hp=op[1])
+            scheduler.push_new(task)
+            model.push_new(task)
+        elif op[0] == "unlock":
+            task = make_task(hp=next(hp_unlocks, False))
+            scheduler.push_unlocked(task, thread=op[1])
+            model.push_unlocked(task, op[1])
+        else:
+            assert scheduler.pop(op[1]) is model.pop(op[1])
+    for thread in (0, 1, 2, 3) * len(ops):
+        assert scheduler.pop(thread) is model.pop(thread)
+    assert scheduler.ready_count == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(0, 3), min_size=1, max_size=30),

@@ -75,6 +75,10 @@ class TestBasics:
             rt.barrier()
             stats = rt.stats()
         assert stats["tasks_executed"] == 1
+        # After the barrier the graph holds no live task (keep_graph is
+        # off), which makes it falsy — its stats must still be there.
+        assert stats["graph"].total_tasks == 1
+        assert stats["scheduler"].pushed_new == 1
 
 
 class TestRenamingSemantics:

@@ -97,6 +97,49 @@ class TestNullTracer:
         assert NullTracer().events == []
 
 
+class TestRenameAndWaitOnEvents:
+    def test_war_rename_and_blocking_wait_on_are_traced(self):
+        """A traced run with a WAR rename and a ``wait_on`` that really
+        blocks: the three event kinds no other traced test produces."""
+
+        from repro import wait_on
+        from repro.obs.analyze import analyze_events
+
+        main_is_waiting = threading.Event()
+
+        @css_task("input(src) output(dst)")
+        def slow_copy(src, dst):
+            assert main_is_waiting.wait(30)
+            dst[...] = src
+
+        @css_task("output(a)")
+        def overwrite(a):
+            a[...] = 7.0
+
+        def listener(event):
+            if event.kind == EventKind.WAIT_ON_ENTER:
+                main_is_waiting.set()
+
+        src, dst = np.ones(4), np.zeros(4)
+        rt = SmpssRuntime(num_workers=2, trace=True)
+        with rt:
+            rt.tracer.listener = listener
+            slow_copy(src, dst)     # a reader of src, pending until ...
+            overwrite(src)          # ... after this WAR write: renamed
+            latest = wait_on(dst)   # blocks: slow_copy waits for *us*
+            assert (np.asarray(latest) == 1.0).all()
+            rt.barrier()
+        assert (src == 7.0).all()
+        counts = rt.tracer.counts()
+        assert counts[EventKind.RENAME] == 1
+        assert counts[EventKind.WAIT_ON_ENTER] == 1
+        assert counts[EventKind.WAIT_ON_EXIT] == 1
+        rename = rt.tracer.of_kind(EventKind.RENAME)[0]
+        assert rename.task_name == "overwrite"
+        assert rename.extra == ("ndarray", "fresh")
+        assert analyze_events(rt.tracer.events).renames == 1
+
+
 class TestTaskReadyThread:
     def test_task_ready_records_releasing_thread(self):
         class _Task:
