@@ -101,14 +101,6 @@ _task_counter = itertools.count(1)
 _counter_lock = threading.Lock()
 
 
-def _next_task_id() -> int:
-    # itertools.count.__next__ is atomic at the C level, so the id
-    # allocation itself needs no lock — this is on the per-submission
-    # hot path.  (Submission is main-thread-only anyway; the atomicity
-    # covers stray instantiations from tests/benchmarks.)
-    return next(_task_counter)
-
-
 def reset_task_ids() -> None:
     """Restart instance numbering (used by tests and the recorder).
 

@@ -14,8 +14,8 @@ hands plain HTTP ``GET``/``HEAD`` requests to an ``http_responder``
 callback, so one port can serve both the JSON-lines protocol and a
 browser/Prometheus scrape.
 
-Bulk data rides :mod:`~repro.net.frames`; what a datum's content looks
-like inside a frame (or base64'd onto a JSON line) and how it lands
+Bulk data rides :mod:`~repro.net.frames`, alone or attached to a JSON
+line; what a datum's content looks like inside a frame and how it lands
 back in the caller's object is :mod:`~repro.net.codec`, the one datum
 codec every backend shares.
 

@@ -12,17 +12,10 @@ from __future__ import annotations
 import socket
 from typing import Callable, Optional
 
-from .protocol import connect_retry, decode, encode
+from .frames import RecordReader, encode_record, send_record
+from .protocol import NetClosed, NetTimeout, connect_retry, encode, hang_up
 
 __all__ = ["Client", "NetTimeout", "NetClosed"]
-
-
-class NetTimeout(TimeoutError):
-    """No record arrived within the requested window."""
-
-
-class NetClosed(ConnectionError):
-    """The server ended the stream (``bye``) or dropped the socket."""
 
 
 class Client:
@@ -62,7 +55,7 @@ class Client:
             backoff_base=backoff_base,
             backoff_max=backoff_max,
         )
-        self._buffer = b""
+        self._reader = RecordReader(self._sock)
         self._pending: list[dict] = []
         self._seq = 0
         self._closed = False
@@ -87,33 +80,17 @@ class Client:
         return self._recv_raw(self.timeout if timeout is None else timeout)
 
     def _recv_raw(self, timeout: float) -> dict:
-        sock = self._sock
-        if sock is None:
+        if self._sock is None:
             raise NetClosed("connection already closed")
-        sock.settimeout(timeout)
-        while True:
-            while b"\n" in self._buffer:
-                line, self._buffer = self._buffer.split(b"\n", 1)
-                record = decode(line)
-                if record is None:
-                    continue
-                if record.get("ev") == "bye":
-                    self.close()
-                    raise NetClosed("server ended the stream")
-                return record
-            try:
-                chunk = sock.recv(65536)
-            except (TimeoutError, socket.timeout):
-                raise NetTimeout(
-                    f"no record within {timeout:.1f}s from {self.address}"
-                ) from None
-            except OSError as exc:
-                self.close()
-                raise NetClosed(str(exc)) from None
-            if not chunk:
-                self.close()
-                raise NetClosed("server closed the connection")
-            self._buffer += chunk
+        try:
+            record = self._reader.read(timeout)
+        except ConnectionError:
+            self.close()
+            raise
+        if record.get("ev") == "bye":
+            self.close()
+            raise NetClosed("server ended the stream")
+        return record
 
     def drain(self, idle: float = 0.2, limit: int = 100000) -> list[dict]:
         """Collect records until the stream goes quiet for *idle*
@@ -133,9 +110,7 @@ class Client:
         while len(records) < limit:
             try:
                 records.append(self.recv(timeout=idle))
-            except NetTimeout:
-                break
-            except NetClosed:
+            except (NetTimeout, NetClosed):
                 break
         return records
 
@@ -168,8 +143,10 @@ class Client:
         """Send a command; block for its ack; return the whole ack
         (``ok`` plus ``data`` or a possibly structured ``error``).
 
-        Events that arrive before the ack are buffered for
-        :meth:`recv`.
+        A ``frames`` field (a list of ``(meta, payload)`` blobs) leaves
+        as binary attachments behind the line, and an ack's attachments
+        come back under the same key.  Events that arrive before the ack
+        are buffered for :meth:`recv`.
         """
 
         sock = self._sock
@@ -179,7 +156,7 @@ class Client:
         seq = self._seq
         record = {"cmd": cmd, "seq": seq}
         record.update(fields)
-        sock.sendall(encode(record))
+        send_record(sock, *encode_record(record))
         while True:
             reply = self._recv_raw(self.timeout)
             if reply.get("ev") == "ack" and reply.get("seq") == seq:
@@ -214,11 +191,7 @@ class Client:
     def close(self) -> None:
         self._closed = True
         sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        hang_up(sock)
 
     def __enter__(self) -> "Client":
         return self

@@ -3,9 +3,9 @@ back, and lands in the caller's storage.
 
 A **blob** is exactly a frame's ``(header-meta, payload)`` pair
 (:mod:`repro.net.frames`): the cluster backend ships it as a frame, the
-serve wire base64s the payload onto a JSON line beside the meta, and the
-process backend lands pickled write-backs through the same in-place
-rule.  Every boundary a datum crosses decides these five things here and
+serve wire attaches it as a frame to a JSON line, and the process
+backend lands pickled write-backs through the same in-place rule.
+Every boundary a datum crosses decides these five things here and
 nowhere else:
 
 * the **content format** — plain ndarrays as raw C-order bytes plus

@@ -1,8 +1,8 @@
 """Length-prefixed binary frames for bulk data transport.
 
 The JSON-lines protocol (:mod:`repro.net.protocol`) is the right wire
-for commands and events, but array content must not be base64'd
-through it.  A **frame** carries a small JSON header plus an opaque
+for commands and events, but array content must not be spelled out in
+a JSON string.  A **frame** carries a small JSON header plus an opaque
 binary payload::
 
     +---------------+----------------+------------------+-----------+
@@ -13,8 +13,11 @@ binary payload::
 The header names what the payload is (``kind``, blob metadata, a task
 sequence number); the payload is whatever bytes the two ends agreed on
 — ndarray content, a pickled task message.  The distributed backend
-(:mod:`repro.dist`) is the first user: every master<->agent hop is one
-frame in each direction.
+(:mod:`repro.dist`) makes every master<->agent hop one frame in each
+direction.  A JSON-lines surface with bulk data to move (the task-graph
+service) **attaches** frames to a record instead: a line that says
+``"frames": N`` is followed by N frames, each a datum blob of
+:mod:`repro.net.codec` (:func:`send_record`, :class:`RecordReader`).
 
 A frame costs **one syscall and no timer**: prefix, header and payload
 leave in a single gather write (``sendmsg``), so a small frame is one
@@ -35,12 +38,15 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Optional
+from typing import Optional, Sequence
 
-from .client import NetClosed, NetTimeout
+from .protocol import NetClosed, NetTimeout, decode, encode
 
 __all__ = [
     "FrameError",
+    "RecordReader",
+    "encode_record",
+    "send_record",
     "send_frame",
     "recv_frame",
     "recv_exact",
@@ -50,7 +56,8 @@ __all__ = [
 
 _PREFIX = struct.Struct("!II")
 
-#: Guard rails against a corrupt/foreign peer, not real limits.
+#: Guard rails against a corrupt/foreign peer, not real limits.  A
+#: record's line counts as a header.
 MAX_HEADER_BYTES = 16 << 20
 MAX_PAYLOAD_BYTES = 4 << 30
 
@@ -138,3 +145,105 @@ def recv_frame(
         raise FrameError("frame header must be a JSON object")
     payload = recv_exact(sock, payload_len)
     return header, payload
+
+
+def encode_record(record: dict) -> tuple[bytes, Sequence]:
+    """``(line, attachments)`` of one record.  In memory a record's
+    ``frames`` is a list of ``(meta, payload)`` blobs; on the wire the
+    line carries their count and the blobs follow it as frames."""
+
+    frames = record.get("frames")
+    if frames is not None:
+        record = dict(record, frames=len(frames))
+    return encode(record), frames or ()
+
+
+def send_record(sock: socket.socket, line: bytes, frames: Sequence = ()) -> None:
+    """Write one encoded record.  Where several threads write to *sock*
+    the caller holds its write lock across the call, so nothing splices
+    between a line and the attachments it announced."""
+
+    sock.sendall(line)
+    for meta, payload in frames:
+        send_frame(sock, meta, payload)
+
+
+class RecordReader:
+    """The inbound half of a JSON-lines connection: buffer, line,
+    decode, attachments.  Lines are read in gulps, so bytes past the
+    newline are usually buffered; :meth:`recv` serves those before the
+    socket, which lets :func:`recv_frame` parse a record's attachments
+    from this object exactly as it parses frames from a socket."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buffer = b""  # everything received and not yet handed on,
+        self._pos = 0       # from this offset
+
+    def recv(self, n: int) -> bytes:
+        chunk = self._buffer[self._pos:self._pos + n]
+        self._pos += len(chunk)
+        return chunk or self._sock.recv(n)
+
+    def _fill(self) -> None:
+        try:
+            chunk = self._sock.recv(65536)
+        except (TimeoutError, socket.timeout):
+            raise NetTimeout(
+                f"no record within {self._sock.gettimeout()}s") from None
+        except OSError as exc:
+            raise NetClosed(str(exc)) from None
+        if not chunk:
+            raise NetClosed("peer closed the connection")
+        self._buffer = self._buffer[self._pos:] + chunk
+        self._pos = 0
+
+    def peek(self, n: int) -> bytes:
+        """The next *n* bytes, left unconsumed (a protocol sniff)."""
+
+        while len(self._buffer) - self._pos < n:
+            self._fill()
+        return self._buffer[self._pos:self._pos + n]
+
+    def until(self, mark: bytes, limit: int = MAX_HEADER_BYTES) -> bytes:
+        """Consume through the next *mark*; the bytes before it.
+        :class:`FrameError` once more than *limit* bytes hold none."""
+
+        while True:
+            end = self._buffer.find(mark, self._pos)
+            if end >= 0:
+                found = self._buffer[self._pos:end]
+                self._pos = end + len(mark)
+                return found
+            if len(self._buffer) - self._pos > limit:
+                raise FrameError(f"no {mark!r} within {limit} bytes")
+            self._fill()
+
+    def read(self, timeout: Optional[float] = None) -> dict:
+        """Next record, its ``frames`` count replaced by the blobs that
+        followed the line; blank and unparseable lines are skipped.
+
+        :class:`NetTimeout` when no whole line arrives in *timeout*
+        (``None``: the socket's own) — the partial line is kept, the call
+        can be repeated; :class:`NetClosed` at end of stream, and when an
+        attachment stalls (its head is consumed, the stream is lost);
+        :class:`FrameError` for a line or count beyond the guard rails.
+        """
+
+        if timeout is not None:
+            self._sock.settimeout(timeout)
+        record = None
+        while record is None:
+            record = decode(self.until(b"\n"))
+        count = record.get("frames")
+        if count is not None:
+            # Each frame brings an 8-byte prefix: a count whose prefixes
+            # alone outweigh any header is not a record's.
+            if type(count) is not int \
+                    or not 0 <= count * _PREFIX.size <= MAX_HEADER_BYTES:
+                raise FrameError(f"implausible attachment count {count!r}")
+            try:
+                record["frames"] = [recv_frame(self) for _ in range(count)]
+            except NetTimeout as exc:
+                raise NetClosed(f"record lost mid-attachment: {exc}") from None
+        return record

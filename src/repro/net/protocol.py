@@ -27,6 +27,8 @@ from typing import Callable, Optional
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "NetTimeout",
+    "NetClosed",
     "encode",
     "decode",
     "parse_address",
@@ -40,6 +42,14 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+
+class NetTimeout(TimeoutError):
+    """No record arrived within the requested window."""
+
+
+class NetClosed(ConnectionError):
+    """The server ended the stream (``bye``) or dropped the socket."""
 
 
 def encode(record: dict) -> bytes:

@@ -23,7 +23,8 @@ import threading
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .protocol import build_http_response, decode, encode, hang_up, listen, tune
+from .frames import RecordReader, encode_record, send_record
+from .protocol import build_http_response, encode, hang_up, listen, tune
 
 __all__ = ["Server"]
 
@@ -47,7 +48,10 @@ class Server:
     """Bind, accept, fan out records, and route commands.
 
     *handler* is ``fn(cmd: dict, conn) -> dict`` returning the ``data``
-    for a successful ack.  *conn* is the connection's context: a blank
+    for a successful ack; a command's binary attachments arrive as its
+    ``frames`` (a list of ``(meta, payload)`` blobs), and a ``frames``
+    entry in the returned data leaves as the ack's.
+    *conn* is the connection's context: a blank
     namespace the server creates per accepted connection, on which a
     stateful owner keeps what it learns about the peer (stateless
     owners ignore it); its one preset member is ``peer_gone()``, a
@@ -86,7 +90,8 @@ class Server:
         #: Per-client write locks: the publisher thread (events) and the
         #: client's reader thread (command acks) both write to the same
         #: socket, and two concurrent ``sendall`` calls may interleave
-        #: *partial* writes — silently corrupting the line framing.
+        #: *partial* writes — silently corrupting the line framing — or
+        #: splice a line between an ack and its attachments.
         self._wlocks: dict[socket.socket, threading.Lock] = {}
         self._history: list[bytes] = []
         self._closed = False
@@ -116,13 +121,13 @@ class Server:
         for client in clients:
             self._send(client, line)
 
-    def _send(self, client: socket.socket, line: bytes) -> None:
+    def _send(self, client: socket.socket, line: bytes, frames=()) -> None:
         lock = self._wlocks.get(client)
         if lock is None:
             return  # concurrently dropped; nothing to write to
         try:
             with lock:
-                client.sendall(line)
+                send_record(client, line, frames)
         except OSError:
             self._drop(client)
 
@@ -178,85 +183,50 @@ class Server:
 
     def _client_loop(self, client: socket.socket) -> None:
         conn = SimpleNamespace(peer_gone=lambda: _peer_gone(client))
+        # One reader owns every byte received: what the protocol sniff
+        # looks at may already be the client's whole first command, and
+        # a recv before processing it would deadlock a request/reply
+        # client waiting for its ack.
+        reader = RecordReader(client)
         try:
-            self._serve_client(client, conn)
-        finally:
-            self._drop(client)
-
-    def _serve_client(self, client: socket.socket, conn) -> None:
-        buffer: Optional[bytes] = b""
-        if self._http_responder is not None:
-            buffer = self._sniff_http(client)
-        while buffer is not None:
-            # Drain complete lines first: the protocol sniff may have
-            # buffered the client's first command already, and a recv
-            # before processing it would deadlock a request/reply
-            # client waiting for its ack.
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                command = decode(line)
-                if command is None:
-                    continue
+            if self._http_responder is not None \
+                    and not self._sniff_http(client, reader):
+                return
+            while True:
+                command = reader.read()
                 if command.get("cmd") == "detach":
                     self._send(client, encode({"ev": "bye"}))
                     return
-                self._send(client, encode(self._run(command, conn)))
-            try:
-                chunk = client.recv(65536)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                return
-            buffer += chunk
+                self._send(client, *encode_record(self._run(command, conn)))
+        except OSError:
+            pass  # peer gone, or bytes that are not this protocol
+        finally:
+            self._drop(client)
 
-    def _sniff_http(self, client: socket.socket) -> Optional[bytes]:
-        """Identify the client's protocol from its first bytes.
+    def _sniff_http(self, client: socket.socket, reader: RecordReader) -> bool:
+        """Identify the client's protocol from its first bytes: serve an
+        HTTP ``GET``/``HEAD`` and return False, or send the deferred
+        hello + backlog replay and return True (a JSON-lines client)."""
 
-        Returns ``None`` after serving an HTTP ``GET``/``HEAD`` (or when
-        the peer is gone); otherwise sends the deferred hello + backlog
-        replay and returns the buffered bytes for the JSON loop to
-        continue with.
-        """
-
-        buffer = b""
-        while len(buffer) < 5:
-            try:
-                chunk = client.recv(65536)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                return None
-            buffer += chunk
-        if buffer.startswith(b"GET ") or buffer.startswith(b"HEAD "):
-            # Drain the request head (best effort; one request per
-            # connection, Connection: close semantics).
-            while b"\r\n\r\n" not in buffer and len(buffer) < 65536:
-                try:
-                    chunk = client.recv(65536)
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                buffer += chunk
-            request_line = buffer.split(b"\r\n", 1)[0].decode(
-                "latin-1", "replace"
+        if not reader.peek(5).startswith((b"GET ", b"HEAD ")):
+            with self._lock:
+                backlog = list(self._history)
+            self._send(client, encode(self._hello) + b"".join(backlog))
+            return True
+        # One request per connection (Connection: close semantics); its
+        # head is read to the end so the close cannot reset the socket
+        # over unread bytes before the response is delivered.
+        head = reader.until(b"\r\n\r\n", 65536)
+        parts = head.split(b"\r\n", 1)[0].decode("latin-1", "replace").split()
+        try:
+            response = self._http_responder(parts[1] if len(parts) > 1 else "/")
+        except Exception as exc:  # noqa: BLE001 - report, don't die
+            response = build_http_response(
+                "500 Internal Server Error", "text/plain",
+                str(exc).encode("utf-8", "replace"),
             )
-            parts = request_line.split()
-            path = parts[1] if len(parts) > 1 else "/"
-            try:
-                response = self._http_responder(path)
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                response = build_http_response(
-                    "500 Internal Server Error", "text/plain",
-                    str(exc).encode("utf-8", "replace"),
-                )
-            self._send(client, response)
-            return None
-        # JSON-lines client: deliver the deferred hello + backlog now.
-        with self._lock:
-            backlog = list(self._history)
-        self._send(client, encode(self._hello) + b"".join(backlog))
-        return buffer
+        self._send(client, response)
+        return False
 
     def _run(self, command: dict, conn) -> dict:
         ack = {
@@ -265,7 +235,9 @@ class Server:
             "cmd": command.get("cmd"),
         }
         try:
-            ack["data"] = self._handler(command, conn)
+            ack["data"] = data = self._handler(command, conn)
+            if isinstance(data, dict) and "frames" in data:
+                ack["frames"] = data.pop("frames")
             ack["ok"] = True
         except Exception as exc:  # noqa: BLE001 - reported to the client
             ack["ok"] = False
@@ -285,16 +257,11 @@ class Server:
             self._clients.clear()
         bye = encode({"ev": "bye"})
         for client in clients:
-            # Reader threads may still be writing acks: take the same
-            # per-client write lock so the goodbye cannot splice into
-            # the middle of another line.
-            lock = self._wlocks.pop(client, None) or threading.Lock()
-            try:
-                with lock:
-                    client.sendall(bye)
-            except OSError:
-                pass
-            hang_up(client)
+            # Reader threads may still be writing acks: _send takes the
+            # same per-client write lock, so the goodbye cannot splice
+            # into the middle of another record.
+            self._send(client, bye)
+            self._drop(client)
         # Closing a listening socket does not interrupt a blocked
         # accept() on Linux; shutting it down does.  Without that the
         # accept thread — and the listening port — outlive close()

@@ -21,7 +21,7 @@ Layout:
 * :mod:`~repro.serve.session` — the client: deferred-batch submission
   over the JSON-lines wire;
 * :mod:`~repro.serve.protocol` — value/task encodings, and datums as
-  the shared :mod:`repro.net.codec` blob on a JSON line;
+  the shared :mod:`repro.net.codec` blob in a frame behind the JSON line;
 * :mod:`~repro.serve.errors` — the structured error taxonomy.
 
 Run a daemon with ``python -m repro serve tcp:127.0.0.1:7070`` and see

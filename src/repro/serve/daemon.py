@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import asdict
 from typing import Optional
 
 from ..net.protocol import PROTOCOL_VERSION, build_http_response
@@ -37,47 +38,10 @@ from .engine import ServeEngine, ServiceLimits
 from .errors import ServeError
 from .protocol import SERVE_PROTOCOL_VERSION
 
-__all__ = ["ServeDaemon", "filter_page_by_tenant"]
+__all__ = ["ServeDaemon"]
 
 #: How often a connection blocked on its running graph looks for EOF.
 PEER_CHECK_SECONDS = 0.05
-
-
-def filter_page_by_tenant(text: str, tenant: str) -> str:
-    """Reduce a Prometheus page to one tenant's series.
-
-    Keeps each group's ``# HELP``/``# TYPE`` header only when at least
-    one of its series carries ``tenant="<tenant>"``.
-    """
-
-    needle = f'tenant="{tenant}"'
-    out: list[str] = []
-    header: list[str] = []
-    for line in text.splitlines():
-        if line.startswith("# HELP "):
-            header = [line]
-            continue
-        if line.startswith("# TYPE "):
-            header.append(line)
-            continue
-        if needle in line:
-            if header:
-                out.extend(header)
-                header = []
-            out.append(line)
-    return "\n".join(out) + "\n"
-
-
-class _WireError(ServeError):
-    """An error that already has its wire shape (e.g. the engine's
-    ``task_failed`` dict with the remote traceback) — crosses verbatim."""
-
-    def __init__(self, error: dict):
-        super().__init__(str(error.get("message", "graph failed")))
-        self.wire = error
-
-    def to_wire(self) -> dict:
-        return self.wire
 
 
 class ServeDaemon:
@@ -137,20 +101,17 @@ class ServeDaemon:
                 raise ServeError("open requires a tenant name")
             version = record.get("version")
             if version != SERVE_PROTOCOL_VERSION:
-                raise _WireError({
-                    "code": "version_mismatch",
-                    "message": (
-                        f"client speaks serve protocol {version!r}; this "
-                        f"daemon speaks {SERVE_PROTOCOL_VERSION}"
-                    ),
-                    "client": version,
-                    "server": SERVE_PROTOCOL_VERSION,
-                })
+                raise ServeError(
+                    f"client speaks serve protocol {version!r}; this "
+                    f"daemon speaks {SERVE_PROTOCOL_VERSION}",
+                    code="version_mismatch",
+                    client=version, server=SERVE_PROTOCOL_VERSION,
+                )
             conn.tenant = tenant
             self.engine.tenant(tenant)
             return {
                 "tenant": tenant,
-                "limits": self.engine.limits.to_wire(),
+                "limits": asdict(self.engine.limits),
                 "workers": self.engine.num_workers,
                 "backend": self.engine.backend,
             }
@@ -171,7 +132,8 @@ class ServeDaemon:
         raise ServeError(f"unknown command {cmd!r}")
 
     def _run_graph(self, tenant: str, record: dict, conn) -> dict:
-        # The run record *is* the graph spec (tasks/data/constants).
+        # The run record *is* the graph spec (tasks/data/constants, and
+        # the attached blobs under "frames").
         job = self.engine.submit_graph(tenant, record)
         # A connection has one graph in flight: its reader thread is
         # parked right here until the job finalizes, waking only to
@@ -183,11 +145,12 @@ class ServeDaemon:
                 self.engine.abandon(job)
                 raise ServeError("client disconnected mid-graph")
         if job.error is not None:
-            raise _WireError(job.error)
+            raise ServeError(**job.error)
         return {
             "results": job.results or {},
             "tasks": job.task_count,
             "seconds": job.seconds,
+            "frames": job.frames,
         }
 
     def _health(self) -> dict:
@@ -201,10 +164,10 @@ class ServeDaemon:
 
     def _metrics_page(self, tenant) -> str:
         self.engine.queue_depth()
-        text = render_registry(self.engine.metrics)
-        if tenant:
-            text = filter_page_by_tenant(text, str(tenant))
-        return text
+        series = self.engine.metrics
+        if tenant:  # one tenant's page: the series that carry its label
+            series = [m for m in series if ("tenant", str(tenant)) in m.labels]
+        return render_registry(series)
 
     def _http_response(self, path: str) -> bytes:
         if path.startswith("/health"):

@@ -27,7 +27,7 @@ with no extra bookkeeping.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Optional
 
@@ -55,13 +55,6 @@ class ServiceLimits:
     max_tenant_bytes: Optional[int] = 256 * 1024 * 1024
     #: Graphs one tenant may have queued-or-running at once.
     max_inflight: int = 8
-
-    def to_wire(self) -> dict:
-        return {
-            "max_graph_tasks": self.max_graph_tasks,
-            "max_tenant_bytes": self.max_tenant_bytes,
-            "max_inflight": self.max_inflight,
-        }
 
 
 class _TenantState:
@@ -95,7 +88,7 @@ class GraphJob:
 
     __slots__ = (
         "tenant", "domain", "data", "nbytes", "task_count",
-        "error", "results", "seconds", "done", "_t0",
+        "error", "results", "frames", "seconds", "done", "_t0",
     )
 
     def __init__(self, tenant: _TenantState, domain: GraphDomain,
@@ -106,7 +99,9 @@ class GraphJob:
         self.nbytes = nbytes
         self.task_count = task_count
         self.error: Optional[dict] = None
+        #: datum_id -> index into ``frames``: result blobs, the ack's attachments
         self.results: Optional[dict] = None
+        self.frames: list[tuple] = []
         self.seconds = 0.0
         #: Set at finalize; a submitter blocks on it for the outcome.
         self.done = threading.Event()
@@ -178,13 +173,17 @@ class ServeEngine:
     def submit_graph(self, tenant_name: str, spec: dict) -> GraphJob:
         """Admit, analyse, and enqueue one graph; returns its job.
 
-        Raises :class:`GraphRejected` (structured, retryable) when the
-        tenant is over a cap, :class:`ServeError` on malformed specs.
+        *spec* is a ``run`` record as the transport hands it over: the
+        line's fields plus ``frames``, the attached blobs its ``data``
+        and pickled argspecs index.  Raises :class:`GraphRejected`
+        (structured, retryable) when the tenant is over a cap,
+        :class:`ServeError` on malformed specs.
         """
 
         tenant = self.tenant(tenant_name)
         task_specs = spec.get("tasks") or []
         data_specs = spec.get("data") or {}
+        frames = spec.get("frames") or ()
         limits = self.limits
 
         if len(task_specs) > limits.max_graph_tasks:
@@ -195,12 +194,11 @@ class ServeEngine:
                 tasks=len(task_specs), limit=limits.max_graph_tasks,
             ))
 
-        # Admission sizing happens on the *encoded* payload (cheap b64
-        # arithmetic) so an over-budget submission is shed before the
-        # server materialises a single byte of it.
-        nbytes = sum(
-            (len(p.get("b64", "")) * 3) // 4 for p in data_specs.values()
-        )
+        # Admission sizes a submission by its attachments' own lengths:
+        # exact, and an over-budget one is shed before the server
+        # decodes a single datum of it.
+        blobs = {d: sp.attachment(frames, i) for d, i in data_specs.items()}
+        nbytes = sum(len(payload) for _meta, payload in blobs.values())
         with self._lock:
             if tenant.inflight >= limits.max_inflight:
                 over = GraphRejected(
@@ -233,15 +231,15 @@ class ServeEngine:
 
         try:
             data = {
-                datum_id: sp.decode_datum(payload)
-                for datum_id, payload in data_specs.items()
+                datum_id: sp.decode_datum(blob)
+                for datum_id, blob in blobs.items()
             }
             constants = {
-                key: sp.decode_value(value)
+                key: sp.decode_value(value, frames)
                 for key, value in (spec.get("constants") or {}).items()
             }
             tasks = [
-                self._instantiate(task_spec, data, constants)
+                self._instantiate(task_spec, data, constants, frames)
                 for task_spec in task_specs
             ]
             domain = GraphDomain(on_drained=self._finalize)
@@ -266,7 +264,8 @@ class ServeEngine:
             self._finalize(domain)
         return job
 
-    def _instantiate(self, task_spec: dict, data: dict, constants: dict):
+    def _instantiate(self, task_spec: dict, data: dict, constants: dict,
+                     frames):
         ref = task_spec.get("def")
         if not isinstance(ref, (list, tuple)) or len(ref) != 2:
             raise ServeError(f"malformed task definition ref {ref!r}")
@@ -286,7 +285,7 @@ class ServeEngine:
                     )
                 args.append(data[datum_id])
             else:
-                args.append(sp.decode_value(argspec))
+                args.append(sp.decode_value(argspec, frames))
         plan = definition._invocation_plan
         if plan is None:
             plan = plan_for(definition)
@@ -319,7 +318,7 @@ class ServeEngine:
         if failure is None:
             domain.write_back()
             job.results = {
-                datum_id: sp.encode_datum(obj)
+                datum_id: sp.attach(job.frames, sp.encode_datum(obj))
                 for datum_id, obj in job.data.items()
             }
             tenant.m_completed.inc()
@@ -398,6 +397,6 @@ class ServeEngine:
             "queue_depth": self.queue_depth(),
             "live_graphs": len(self._jobs),
             "worker_liveness": self._loop.liveness(),
-            "limits": self.limits.to_wire(),
+            "limits": asdict(self.limits),
             "tenants": tenants,
         }

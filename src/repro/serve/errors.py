@@ -12,52 +12,39 @@ __all__ = ["ServeError", "GraphRejected", "RemoteGraphError"]
 
 
 class ServeError(RuntimeError):
-    """Any failure of the serve surface (protocol, session, daemon)."""
+    """Any failure of the serve surface (protocol, session, daemon).
 
-    def __init__(self, message: str, code: str = "error"):
+    ``code`` is machine-readable; *detail* fields cross the wire beside
+    it, so :meth:`to_wire` and ``ServeError(**error)`` are inverses."""
+
+    def __init__(self, message: str, code: str = "error", **detail):
         super().__init__(message)
         self.code = code
+        self.detail = detail
 
     def to_wire(self) -> dict:
         """The dict this error crosses the wire as (the transport puts
-        it in the ack's ``error``); subclasses add their own fields."""
+        it in the ack's ``error``)."""
 
-        return {"code": self.code, "message": str(self)}
+        return {"code": self.code, "message": str(self), **self.detail}
 
 
 class GraphRejected(ServeError):
     """Admission control shed this submission (429-style; retryable).
 
-    ``code`` is machine-readable: ``graph_too_large`` (per-tenant graph
-    size cap, the paper's §III graph-size blocking condition turned
-    into backpressure), ``memory_limit`` (per-tenant bytes cap, §III's
+    ``code`` is ``graph_too_large`` (per-tenant graph size cap, the
+    paper's §III graph-size blocking condition turned into
+    backpressure), ``memory_limit`` (per-tenant bytes cap, §III's
     memory condition), or ``queue_full`` (per-tenant in-flight cap).
     """
 
+    status = 429
+
     def __init__(self, code: str, message: str, **detail):
-        super().__init__(message, code)
-        self.status = 429
-        self.detail = detail
+        super().__init__(message, code, **detail)
 
     def to_wire(self) -> dict:
-        return {
-            "code": self.code,
-            "status": self.status,
-            "message": str(self),
-            **self.detail,
-        }
-
-    @classmethod
-    def from_wire(cls, error: dict) -> "GraphRejected":
-        detail = {
-            k: v for k, v in error.items()
-            if k not in ("code", "status", "message")
-        }
-        return cls(
-            error.get("code", "rejected"),
-            error.get("message", "graph rejected"),
-            **detail,
-        )
+        return {**super().to_wire(), "status": self.status}
 
 
 class RemoteGraphError(ServeError):

@@ -1,44 +1,44 @@
 """Wire codecs for task-graph submissions.
 
-Rides the same JSON-lines transport as every other repro surface
+Rides the same transport as every other repro surface
 (:mod:`repro.net`); this module only defines the payload shapes.
 
-A ``run`` command ships one whole graph::
+A ``run`` command ships one whole graph: a small JSON line, then its
+bulk data as binary frames (:mod:`repro.net.frames`)::
 
-    {"cmd": "run", "seq": N,
-     "data":  {datum_id: datum_payload, ...},
+    {"cmd": "run", "seq": N, "frames": K,
+     "data":  {datum_id: attachment_index, ...},
      "tasks": [{"def": [module, qualname], "args": [argspec, ...]}, ...]}
+    <K frames>
 
-and its ack returns every datum's post-barrier bytes::
+and its ack (``"frames": K`` again, K frames behind it) returns every
+datum's post-barrier content the same way::
 
-    {"results": {datum_id: datum_payload, ...},
-     "tasks": N, "seconds": s}
+    {"results": {datum_id: attachment_index, ...}, "tasks": N, "seconds": s}
 
-A datum payload is the shared blob of :mod:`repro.net.codec` — its
-meta dict (``"t": "nd"`` with dtype/shape for plain ndarrays,
-``"t": "pkl"`` for containers and structured/object arrays) with the
-payload bytes base64'd onto the JSON line under ``"b64"`` — so a round
-trip is bitwise and results land in place by the same rule as on every
-other backend.  Task *definitions* are referenced
-by module/qualname — the same registration rule as the mp backend —
-and resolved server-side to the ``@css_task`` wrapper, whose
-``.definition`` carries the full pragma (directions, regions,
-priorities) the server's dependency analysis needs.  Scalar arguments
-whose JSON rendering round-trips exactly (int/float/bool/str/None) go
-inline; every other by-value type (tuple, complex, numpy scalars, ...)
-ships pickled.
+An attachment is the shared blob of :mod:`repro.net.codec`: the frame's
+header is the meta dict (``"t": "nd"`` with dtype/shape for plain
+ndarrays, ``"t": "pkl"`` for containers and structured/object arrays),
+its payload the raw bytes — a round trip is bitwise, nothing is
+text-encoded, and results land in place by the same rule as on every
+other backend.  In memory a record's ``frames`` is the list of blobs the
+line's indices point into.  Task *definitions* are referenced by
+module/qualname — the mp backend's registration rule — and resolved
+server-side to the ``@css_task`` wrapper, whose ``.definition`` carries
+the full pragma the server's dependency analysis needs.  Scalar
+arguments whose JSON rendering round-trips exactly
+(int/float/bool/str/None) go inline; every other by-value type (tuple,
+complex, numpy scalars, ...) ships pickled, as one more attachment.
 """
 
 from __future__ import annotations
 
-import base64
-import pickle
 from typing import Any
 
 import numpy as np
 
+from ..core.dependencies import _SCALAR_TYPES
 from ..net.codec import (
-    PROTOCOL,
     apply_blob,
     decode_blob,
     definition_address,
@@ -49,6 +49,8 @@ from .errors import ServeError
 
 __all__ = [
     "SERVE_PROTOCOL_VERSION",
+    "attach",
+    "attachment",
     "encode_datum",
     "decode_datum",
     "write_back_into",
@@ -59,9 +61,9 @@ __all__ = [
     "is_datum",
 ]
 
-#: Checked at ``open``: 2 = datum payloads tagged by the shared blob
-#: meta (``"t"``), where 1 had serve's own ``"k"`` tags.
-SERVE_PROTOCOL_VERSION = 2
+#: Checked at ``open``: 3 = datum content follows the line as binary
+#: frames, where 2 spelled it into the line as text.
+SERVE_PROTOCOL_VERSION = 3
 
 #: Tracked (shipped-by-reference) container types the session can
 #: write results back into in place.  Mirrors the tracker's by-value
@@ -76,17 +78,29 @@ _JSON_EXACT = (bool, int, float, str, type(None))
 def is_datum(value: Any) -> bool:
     """Would the dependency tracker track *value* (ship by reference)?"""
 
-    from ..core.dependencies import _SCALAR_TYPES
-
     return not isinstance(value, _SCALAR_TYPES)
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+def attach(frames: list, blob: tuple) -> int:
+    """Append *blob* to a record's attachments; its index on the line."""
+
+    frames.append(blob)
+    return len(frames) - 1
 
 
-def encode_datum(obj: Any) -> dict:
-    """Exact payload for one tracked datum."""
+def attachment(frames, index) -> tuple:
+    """The blob a line's *index* refers to."""
+
+    if type(index) is not int or not 0 <= index < len(frames):
+        raise ServeError(
+            f"record refers to attachment {index!r} but carries "
+            f"{len(frames)}", code="bad_attachment",
+        )
+    return frames[index]
+
+
+def encode_datum(obj: Any) -> tuple[dict, bytes]:
+    """Exact ``(meta, payload)`` blob for one tracked datum."""
 
     if not isinstance(obj, _DATUM_TYPES):
         raise ServeError(
@@ -94,30 +108,38 @@ def encode_datum(obj: Any) -> dict:
             f"serve surface supports ndarray, list, bytearray, and dict "
             f"(results must be writable back in place)"
         )
-    payload, raw = encode_blob(obj)
-    payload["b64"] = _b64(raw)
-    return payload
+    return encode_blob(obj)
 
 
-def decode_datum(payload: dict) -> Any:
-    return decode_blob(payload, base64.b64decode(payload["b64"]))
+def decode_datum(blob: tuple) -> Any:
+    meta, payload = blob
+    try:
+        return decode_blob(meta, payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        # A payload length that disagrees with the declared dtype/shape,
+        # or a meta that declares neither.
+        raise ServeError(
+            f"attachment of {len(payload)} bytes is not the datum its "
+            f"header {meta!r} declares: {exc}", code="bad_attachment",
+        ) from exc
 
 
-def write_back_into(target: Any, payload: dict) -> None:
-    """Apply a result payload into the client's original object."""
+def write_back_into(target: Any, blob: tuple) -> None:
+    """Apply a result blob into the client's original object."""
 
-    apply_blob(target, payload, base64.b64decode(payload["b64"]))
+    apply_blob(target, *blob)
 
 
-def encode_value(value: Any) -> dict:
-    """Argspec for one by-value argument."""
+def encode_value(value: Any, frames: list) -> dict:
+    """Argspec for one by-value argument; what is not JSON-exact joins
+    *frames* pickled."""
 
     if isinstance(value, _JSON_EXACT):
         # Python's json renders floats with repr (and accepts the
         # NaN/Infinity extensions), so the round trip is exact.
         return {"v": value}
     try:
-        return {"p": _b64(pickle.dumps(value, protocol=PROTOCOL))}
+        return {"p": attach(frames, encode_blob(value))}
     except Exception as exc:  # noqa: BLE001 - reported to the caller
         raise ServeError(
             f"argument of type {type(value).__name__} is not "
@@ -125,11 +147,11 @@ def encode_value(value: Any) -> dict:
         ) from exc
 
 
-def decode_value(spec: dict) -> Any:
+def decode_value(spec: dict, frames) -> Any:
     if "v" in spec:
         return spec["v"]
     if "p" in spec:
-        return pickle.loads(base64.b64decode(spec["p"]))
+        return decode_datum(attachment(frames, spec["p"]))
     raise ServeError(f"unknown value spec {spec!r}")
 
 

@@ -13,10 +13,11 @@ Submission is deferred-batch: ``@css_task`` calls accumulate client
 side, and any synchronisation point (``barrier``, ``wait_on``,
 ``gather``) ships the whole batch as ONE graph — tasks referenced by
 module/qualname (the mp backend's registration rule), tracked data by
-value.  The server analyses dependencies, runs the graph on its fleet,
-and the ack carries every datum's post-barrier bytes, which the
-session writes back into the caller's original arrays — results are
-bitwise identical to local execution.
+value, as binary frames behind the command's line.  The server analyses
+dependencies, runs the graph on its fleet, and the ack carries every
+datum's post-barrier bytes the same way, which the session writes back
+into the caller's original arrays — results are bitwise identical to
+local execution.
 
 Unlike :class:`~repro.core.runtime.SmpssRuntime`, a session is not
 *exclusive*: many sessions may be active concurrently on different
@@ -28,8 +29,8 @@ tenants at once.
 from __future__ import annotations
 
 import getpass
+import itertools
 import os
-import threading
 from typing import Optional
 
 from ..core import api as _api
@@ -39,20 +40,15 @@ from .errors import GraphRejected, RemoteGraphError, ServeError
 
 __all__ = ["ServeSession", "connect"]
 
-_session_counter = threading.Lock()
-_session_serial = 0
+_session_serial = itertools.count(1)  # next() is atomic
 
 
 def _default_tenant() -> str:
-    global _session_serial
-    with _session_counter:
-        _session_serial += 1
-        serial = _session_serial
     try:
         user = getpass.getuser()
     except Exception:  # noqa: BLE001 - environment without a passwd entry
         user = "client"
-    return f"{user}-{os.getpid()}-{serial}"
+    return f"{user}-{os.getpid()}-{next(_session_serial)}"
 
 
 class _Transport(Client):
@@ -68,7 +64,20 @@ class _Transport(Client):
 
 
 class ServeSession:
-    """One tenant's connection to a task-graph service."""
+    """One tenant's connection to a running task-graph daemon.
+
+    Use as a context manager — the session registers on the api stack
+    so every ``@css_task`` call inside the block is served::
+
+        with repro.serve.connect("tcp:127.0.0.1:7070") as rt:
+            cholesky_hyper(hm)
+            rt.barrier()
+
+    *timeout* bounds each read while a graph runs; *connect_timeout*
+    and *connect_attempts* bound the initial dial (with exponential
+    backoff between attempts), so connecting to a dead or still-
+    starting daemon fails in bounded time instead of hanging.
+    """
 
     #: Served sessions keep no process-global state (no task-id
     #: counter, no forked fleet), so many may be active at once —
@@ -120,7 +129,7 @@ class ServeSession:
             error = ack.get("error")
             self._transport.close()
             self._transport = None
-            raise ServeError(f"open rejected: {self._message(error)}")
+            raise ServeError(f"open rejected: {self._error_from(error)}")
         self.server_info = ack.get("data", {})
         self._started = True
         _api.push_runtime(self)
@@ -215,7 +224,8 @@ class ServeSession:
         if self._transport is None:
             raise ServeError("session is not started")
         tasks = []
-        data: dict[str, dict] = {}
+        frames: list[tuple] = []  # the record's attachments, by index
+        data: dict[str, int] = {}
         for definition, values in self._batch:
             ref = sp.definition_ref(definition)
             argspecs = []
@@ -223,17 +233,18 @@ class ServeSession:
                 if sp.is_datum(value):
                     datum_id = self._register(value)
                     if datum_id not in data:
-                        data[datum_id] = sp.encode_datum(value)
+                        data[datum_id] = sp.attach(
+                            frames, sp.encode_datum(value))
                     argspecs.append({"d": datum_id})
                 else:
-                    argspecs.append(sp.encode_value(value))
+                    argspecs.append(sp.encode_value(value, frames))
             tasks.append({"def": ref, "args": argspecs})
         constants = {
-            key: sp.encode_value(value)
+            key: sp.encode_value(value, frames)
             for key, value in self.constants.items()
         }
         ack = self._transport.rpc(
-            "run", tasks=tasks, data=data, constants=constants
+            "run", tasks=tasks, data=data, constants=constants, frames=frames
         )
         if not ack.get("ok"):
             # The batch is gone either way: a rejected graph must not
@@ -243,10 +254,11 @@ class ServeSession:
             raise self._error_from(ack.get("error"))
         results = ack.get("data", {}).get("results", {})
         by_id = {did: obj for did, obj in self._datums.values()}
-        for datum_id, payload in results.items():
+        blobs = ack.get("frames", ())
+        for datum_id, index in results.items():
             target = by_id.get(datum_id)
             if target is not None:
-                sp.write_back_into(target, payload)
+                sp.write_back_into(target, sp.attachment(blobs, index))
         self.graphs_submitted += 1
         self._batch.clear()
         self._datums.clear()
@@ -272,56 +284,18 @@ class ServeSession:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _message(error) -> str:
-        if isinstance(error, dict):
-            return str(error.get("message", error))
-        return str(error)
-
-    @staticmethod
     def _error_from(error) -> ServeError:
-        if isinstance(error, dict):
-            code = error.get("code")
-            if error.get("status") == 429 or code in (
-                "graph_too_large", "memory_limit", "queue_full"
-            ):
-                return GraphRejected.from_wire(error)
-            if code == "task_failed":
-                return RemoteGraphError(
-                    error.get("message", "remote task failed"),
-                    remote_traceback=error.get("traceback", ""),
-                )
-            return ServeError(str(error.get("message", error)))
-        return ServeError(str(error))
+        if not isinstance(error, dict):
+            return ServeError(str(error))
+        detail = dict(error)
+        code = detail.pop("code", "error")
+        message = str(detail.pop("message", error))
+        if detail.pop("status", None) == 429:
+            return GraphRejected(code, message, **detail)
+        if code == "task_failed":
+            return RemoteGraphError(message, detail.get("traceback", ""))
+        return ServeError(message, code, **detail)
 
 
-def connect(
-    address: str,
-    tenant: Optional[str] = None,
-    timeout: float = 120.0,
-    constants: Optional[dict] = None,
-    connect_timeout: Optional[float] = 10.0,
-    connect_attempts: int = 5,
-) -> ServeSession:
-    """Open a session against a running task-graph daemon.
-
-    Use as a context manager — the session registers on the api stack
-    so every ``@css_task`` call inside the block is served::
-
-        with repro.serve.connect("tcp:127.0.0.1:7070") as rt:
-            cholesky_hyper(hm)
-            rt.barrier()
-
-    *timeout* bounds each read while a graph runs; *connect_timeout*
-    and *connect_attempts* bound the initial dial (with exponential
-    backoff between attempts), so connecting to a dead or still-
-    starting daemon fails in bounded time instead of hanging.
-    """
-
-    return ServeSession(
-        address,
-        tenant=tenant,
-        timeout=timeout,
-        constants=constants,
-        connect_timeout=connect_timeout,
-        connect_attempts=connect_attempts,
-    )
+#: ``repro.serve.connect(address, tenant=...)``: the spelling drivers use.
+connect = ServeSession

@@ -13,6 +13,7 @@ or accepts waits on a Nagle/delayed-ACK timer.
 import gc
 import socket
 import struct
+import sys
 import threading
 import time
 import warnings
@@ -25,8 +26,11 @@ from repro.net import Client, NetClosed, NetTimeout, Server
 from repro.net.frames import (
     MAX_HEADER_BYTES,
     FrameError,
+    RecordReader,
+    encode_record,
     recv_frame,
     send_frame,
+    send_record,
 )
 from repro.net.protocol import listen, tune
 
@@ -244,6 +248,44 @@ class TestStandaloneServer:
             assert a.command("recall") == {"name": "a", "gone": False}
         finally:
             server.close()
+
+
+    def test_attachments_ride_both_ways_and_publish_cannot_splice_in(self):
+        """An ack and its frames leave under the client's write lock
+        while another thread publishes as fast as it can: every ack
+        still parses, with its own attachments behind it."""
+
+        def handler(command, conn):
+            (meta, payload), = command["frames"]
+            return {"n": meta["n"],
+                    "frames": [({"n": meta["n"], "back": True}, payload * 2)]}
+
+        server = Server("tcp:127.0.0.1:0", handler)
+        stop = threading.Event()
+
+        def publisher():
+            while not stop.is_set():
+                server.publish({"ev": "tick", "pad": "x" * 512}, retain=False)
+
+        noise = threading.Thread(target=publisher, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Client(server.address, timeout=10.0) as client:
+                noise.start()
+                for n in range(200):
+                    body = bytes([n % 251]) * 3000
+                    ack = client.request("double", frames=[({"n": n}, body)])
+                    assert ack["ok"] and ack["data"] == {"n": n}
+                    assert ack["frames"] == [({"n": n, "back": True}, body * 2)]
+                ticks = [r for r in client._pending if r.get("ev") == "tick"]
+                assert ticks and all(len(t["pad"]) == 512 for t in ticks)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            noise.join(10.0)
+            server.close()
+        assert not noise.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +524,69 @@ class TestFrames:
         with pytest.raises(NetClosed):
             for _ in range(64):                 # first write may be buffered
                 send_frame(a, {"k": "data"}, b"x" * 65536)
+
+
+@pytest.mark.dist
+class TestRecords:
+    """A JSON line plus the frames it announces, off one buffer."""
+
+    def test_over_read_bytes_are_the_attachments(self, pair):
+        a, b = pair
+        blobs = [({"t": "nd", "i": i}, bytes([i]) * (70000 * i)) for i in range(3)]
+        first = {"cmd": "run", "seq": 1, "frames": blobs}
+        line, frames = encode_record(first)
+        assert b'"frames":3' in line and frames is blobs
+        writer = threading.Thread(target=lambda: (
+            send_record(a, line, frames),
+            send_record(a, *encode_record({"cmd": "next"})),
+        ))
+        writer.start()
+        reader = RecordReader(b)
+        assert reader.read(timeout=5.0) == first
+        assert reader.read(timeout=5.0) == {"cmd": "next"}
+        writer.join(5.0)
+        assert not writer.is_alive()
+
+    def test_a_line_timeout_keeps_the_partial_line(self, pair):
+        a, b = pair
+        reader = RecordReader(b)
+        a.sendall(b'\n   \nnot json\n{"ev":')
+        with pytest.raises(NetTimeout):
+            reader.read(timeout=0.05)
+        a.sendall(b'"tick"}\n')
+        assert reader.read(timeout=5.0) == {"ev": "tick"}
+
+    def test_an_attachment_timeout_ends_the_stream(self, pair):
+        a, b = pair
+        a.sendall(b'{"frames":1}\n' + struct.pack("!II", 2, 100) + b"{}")
+        with pytest.raises(NetClosed, match="mid-attachment"):
+            RecordReader(b).read(timeout=0.05)
+
+    @pytest.mark.parametrize("count", ["2", 1.0, True, -1, MAX_HEADER_BYTES])
+    def test_implausible_count_is_a_frame_error(self, pair, count):
+        a, b = pair
+        a.sendall(net.encode({"frames": count}))
+        with pytest.raises(FrameError, match="count"):
+            RecordReader(b).read(timeout=5.0)
+
+    def test_a_line_without_end_is_a_frame_error_not_a_buffer(self, pair):
+        a, b = pair
+        b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+
+        def feed():
+            try:
+                for _ in range(18):
+                    a.sendall(b"x" * (1 << 20))
+            except OSError:
+                pass  # the reader gave up first, as it should
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        with pytest.raises(FrameError, match="no b"):
+            RecordReader(b).read(timeout=10.0)
+        b.close()  # unblocks the feeder, if it is still writing
+        feeder.join(10.0)
+        assert not feeder.is_alive()
 
 
 def _nodelay(sock):

@@ -18,6 +18,8 @@ These tests pin, bottom-up:
 """
 
 import json
+import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -32,8 +34,13 @@ from repro.blas.hypermatrix import HyperMatrix
 from repro.core.execution import GraphDomain
 from repro.core.invocation import plan_for
 from repro.net import NetClosed
+from repro.net.frames import (
+    MAX_HEADER_BYTES,
+    RecordReader,
+    encode_record,
+    send_record,
+)
 from repro.net.protocol import connect as raw_connect
-from repro.net.protocol import decode as wire_decode
 from repro.net.protocol import encode as wire_encode
 from repro.serve import (
     GraphRejected,
@@ -94,6 +101,28 @@ def region_bump_t(a):
     a[0:2] += 1.0
 
 
+#: One in-place mutation per datum kind the wire carries; a task body
+#: and the sequential oracle both go through this table.
+_MUTATIONS = {
+    "add": lambda x: x.__iadd__(1),
+    "records": lambda x: x.__setitem__("w", x["w"] * 2.0),
+    "objects": lambda x: x.__setitem__(0, ("changed", None)),
+    "list": lambda x: x.append([1, "two"]),
+    "bytearray": lambda x: x.extend(b"\x00\xff!"),
+    "dict": lambda x: x.update(k=(1, 2)),
+}
+
+
+@css_task("inout(x)")
+def mutate_t(x, how):
+    _MUTATIONS[how](x)
+
+
+@css_task("inout(seen)")
+def note_t(seen, value):
+    seen.append(value)
+
+
 #: Gate for in-flight tests: tasks park here until the test opens it.
 _GATE = threading.Event()
 #: How many gated bodies have started (incremented under the GIL).
@@ -107,17 +136,46 @@ def gated_bump_t(a):
     a += 1.0
 
 
+def _run_record(data, tasks=()):
+    """The one place these tests build a ``run`` record by hand, in the
+    form the transport hands the daemon (``frames`` is the list of
+    blobs the line's indices point into).  *data* maps datum id ->
+    object; *tasks* is ``(task, [datum id, ...])`` pairs."""
+
+    frames = []
+    return {
+        "tasks": [
+            {"def": sp.definition_ref(fn.definition),
+             "args": [{"d": datum_id} for datum_id in ids]}
+            for fn, ids in tasks
+        ],
+        "data": {
+            datum_id: sp.attach(frames, sp.encode_datum(obj))
+            for datum_id, obj in data.items()
+        },
+        "frames": frames,
+    }
+
+
 def _graph_spec(arr, *task_fns):
     """One datum, *arr*, and one single-argument task per *task_fns*
     over it, in order."""
 
-    return {
-        "tasks": [
-            {"def": sp.definition_ref(fn.definition), "args": [{"d": "d0"}]}
-            for fn in task_fns
-        ],
-        "data": {"d0": sp.encode_datum(arr)},
-    }
+    return _run_record({"d0": arr}, [(fn, ["d0"]) for fn in task_fns])
+
+
+def _through_a_socket(record):
+    """*record* as the peer's reader decodes it off a real socket."""
+
+    a, b = socket.socketpair()
+    with a, b:
+        writer = threading.Thread(
+            target=send_record, args=(a, *encode_record(record)))
+        writer.start()
+        got = RecordReader(b).read(timeout=10.0)
+        writer.join(10.0)
+    assert not writer.is_alive()
+    return got
 
 
 @pytest.fixture
@@ -130,17 +188,12 @@ def daemon():
 def _raw_ack(sock, record):
     """Send one command on a raw socket; return its ack."""
 
-    sock.sendall(wire_encode(record))
-    buffer = b""
+    send_record(sock, *encode_record(record))
+    reader = RecordReader(sock)
     while True:
-        chunk = sock.recv(65536)
-        assert chunk, "daemon closed before acking"
-        buffer += chunk
-        while b"\n" in buffer:
-            line, buffer = buffer.split(b"\n", 1)
-            reply = wire_decode(line)
-            if reply and reply.get("ev") == "ack":
-                return reply
+        reply = reader.read(timeout=10.0)
+        if reply.get("ev") == "ack":
+            return reply
 
 
 def _serve_threads():
@@ -220,10 +273,11 @@ class TestWireCodecs:
             rng.standard_normal((6, 4))[::2, 1::2],  # non-contiguous view
             np.array(2.5),                           # 0-d
         ):
-            payload = json.loads(json.dumps(sp.encode_datum(arr)))
-            back = sp.decode_datum(payload)
+            record = _through_a_socket(_run_record({"d0": arr}))
+            blob = sp.attachment(record["frames"], record["data"]["d0"])
+            back = sp.decode_datum(blob)
             target = np.empty_like(arr)
-            sp.write_back_into(target, payload)
+            sp.write_back_into(target, blob)
             for got in (back, target):
                 assert got.dtype == arr.dtype and got.shape == arr.shape
                 if arr.dtype.hasobject:  # raw bytes are pointers
@@ -233,22 +287,27 @@ class TestWireCodecs:
             assert back.flags.writeable
 
     def test_container_roundtrip_and_in_place_write_back(self):
-        target = [1, 2, 3]
-        payload = sp.encode_datum([9, 8])
-        sp.write_back_into(target, payload)
-        assert target == [9, 8]
-        d = {"a": 1}
-        sp.write_back_into(d, sp.encode_datum({"b": 2}))
-        assert d == {"b": 2}
-        buf = bytearray(b"xxxx")
-        sp.write_back_into(buf, sp.encode_datum(bytearray(b"yo")))
-        assert buf == bytearray(b"yo")
+        record = _through_a_socket(_run_record(
+            {"l": [9, 8], "d": {"b": 2}, "b": bytearray(b"yo")}))
+        for key, target in (
+            ("l", [1, 2, 3]), ("d", {"a": 1}), ("b", bytearray(b"xxxx")),
+        ):
+            before = id(target)
+            sp.write_back_into(
+                target, sp.attachment(record["frames"], record["data"][key]))
+            assert id(target) == before
+            assert target == {"l": [9, 8], "d": {"b": 2},
+                              "b": bytearray(b"yo")}[key]
 
     def test_value_specs(self):
+        frames = []
         for value in (1, 2.5, float("inf"), "s", None, True):
-            assert sp.decode_value(sp.encode_value(value)) == value
-        spec = sp.encode_value((1, 2))  # tuple: by-value but not JSON
-        assert "p" in spec and sp.decode_value(spec) == (1, 2)
+            assert sp.decode_value(sp.encode_value(value, frames), frames) == value
+        assert frames == []  # JSON-exact scalars ride the line
+        spec = sp.encode_value((1, 2), frames)  # tuple: by-value, not JSON
+        assert spec == {"p": 0} and sp.decode_value(spec, frames) == (1, 2)
+        with pytest.raises(ServeError, match="attachment 1"):
+            sp.decode_value({"p": 1}, frames)
 
     def test_is_datum_mirrors_tracker_rule(self):
         assert sp.is_datum(np.zeros(2)) and sp.is_datum([1])
@@ -485,6 +544,33 @@ class TestAdmissionControl:
             assert exc_info.value.detail["limit"] == 1024
             assert exc_info.value.detail["bytes"] >= big.nbytes
 
+    def test_byte_cap_is_exact(self):
+        """32 768 bytes is not a multiple of three: sized from base64
+        text it came to 32 769 and a graph exactly at the cap was shed."""
+
+        cap = 32768
+        with ServeDaemon(
+            "tcp:127.0.0.1:0", workers=1,
+            limits=ServiceLimits(max_tenant_bytes=cap),
+        ) as daemon:
+            at_cap = np.zeros(cap, dtype=np.uint8)
+            over = np.zeros(cap + 1, dtype=np.uint8)
+            with connect(daemon.address, tenant="exact") as rt:
+                mutate_t(at_cap, "add")
+                rt.barrier()
+                assert (at_cap == 1).all()
+                mutate_t(over, "add")
+                with pytest.raises(GraphRejected) as exc_info:
+                    rt.barrier()
+                assert exc_info.value.code == "memory_limit"
+                assert exc_info.value.detail["bytes"] == cap + 1
+                # The slot came back both times: the cap still admits.
+                tenant = _drain_tenant(daemon.engine, "exact")
+                assert tenant["inflight"] == 0 and tenant["rejections"] == 1
+                mutate_t(at_cap, "add")
+                rt.barrier()
+            assert (at_cap == 2).all()
+
     def test_queue_full_backpressure_and_other_tenant_unaffected(self):
         engine = ServeEngine(workers=1, limits=ServiceLimits(max_inflight=1))
         _GATE.clear()
@@ -528,7 +614,8 @@ class TestAdmissionControl:
             assert state["live_graphs"] == 0
             good = engine.submit_graph("sloppy", _graph_spec(np.zeros(4), bump_t))
             assert good.done.wait(10.0) and good.error is None
-            assert sp.decode_datum(good.results["d0"]).tolist() == [1.0] * 4
+            landed = sp.decode_datum(good.frames[good.results["d0"]])
+            assert landed.tolist() == [1.0] * 4
         finally:
             engine.shutdown()
 
@@ -570,7 +657,7 @@ class TestAdmissionControl:
                 "cmd": "open", "seq": 1, "tenant": "dropper",
                 "version": sp.SERVE_PROTOCOL_VERSION,
             })["ok"]
-            sock.sendall(wire_encode({
+            send_record(sock, *encode_record({
                 "cmd": "run", "seq": 2,
                 **_graph_spec(np.zeros(2), *[gated_bump_t] * 5),
             }))
@@ -610,6 +697,282 @@ class TestAdmissionControl:
 
 
 # ---------------------------------------------------------------------------
+# every datum kind, through connect() -> daemon -> back, over a real socket
+# ---------------------------------------------------------------------------
+
+def _datum_kinds():
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((6, 4))
+    return {
+        "c_contiguous": (rng.standard_normal((5, 3)), "add"),
+        "strided_view": (base[::2, 1::2], "add"),
+        "zero_d": (np.array(2.5), "add"),
+        "zero_size": (np.zeros((0, 3), dtype=np.float32), "add"),
+        "structured": (np.array(
+            [(1, 0.5), (2, -0.0), (3, np.nan)],
+            dtype=[("n", "<i4"), ("w", "<f8")]), "records"),
+        "object_dtype": (np.array([1, "two", None, (3, 4)], dtype=object),
+                         "objects"),
+        "list": ([1, 2.5, "three"], "list"),
+        "bytearray": (bytearray(b"abc"), "bytearray"),
+        "dict": ({"a": 1}, "dict"),
+    }
+
+
+class TestDatumKindsOverASocket:
+    @pytest.mark.parametrize("kind", sorted(_datum_kinds()))
+    def test_lands_bitwise_and_in_place(self, daemon, kind):
+        import copy
+
+        served, how = _datum_kinds()[kind]
+        # A view's oracle must be a view of a copied base, so that what
+        # lies between the strides is compared too.
+        owner = served.base if kind == "strided_view" else served
+        oracle_owner = copy.deepcopy(owner)
+        oracle = oracle_owner[::2, 1::2] if kind == "strided_view" \
+            else oracle_owner
+        _MUTATIONS[how](oracle)  # the sequential program
+        with connect(daemon.address, tenant=kind) as rt:
+            mutate_t(served, how)
+            assert rt.gather(served) is served
+        if isinstance(owner, np.ndarray) and not owner.dtype.hasobject:
+            assert owner.dtype == oracle_owner.dtype
+            assert owner.shape == oracle_owner.shape
+            assert owner.tobytes() == oracle_owner.tobytes()
+        elif isinstance(owner, np.ndarray):
+            assert owner.tolist() == oracle_owner.tolist()
+        else:
+            assert owner == oracle_owner and type(owner) is type(oracle_owner)
+
+    def test_gather_synchronises_and_hands_back_the_same_objects(self, daemon):
+        a, b = np.zeros(3), [0]
+        with connect(daemon.address, tenant="gather") as rt:
+            bump_t(a)
+            mutate_t(b, "list")
+            got = rt.gather(a, b)
+            assert rt.graphs_submitted == 1
+            assert got[0] is a and got[1] is b
+            assert rt.gather() == () and rt.graphs_submitted == 1
+        assert a.tolist() == [1.0] * 3 and b == [0, [1, "two"]]
+
+    def test_by_value_arguments_arrive_exact(self, daemon):
+        values = [
+            (1, (2.5, "x")), 3 - 4j, np.complex128(1 - 2j), np.float64(0.1),
+            b"\x00raw", frozenset({1, 2}), float("-inf"), 7, None, True, "s",
+        ]
+        seen = []
+        with connect(daemon.address, tenant="byvalue") as rt:
+            for value in values:
+                note_t(seen, value)
+            rt.barrier()
+        assert seen == values
+        # Pickled ones keep their type; JSON-exact ones are plain python.
+        assert [type(v) for v in seen[:3]] == [tuple, complex, np.complex128]
+        assert type(seen[4]) is bytes and type(seen[5]) is frozenset
+
+
+# ---------------------------------------------------------------------------
+# the attachment input path against a hostile or dying peer
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["tcp", "unix"])
+def any_daemon(request, tmp_path_factory):
+    address = "tcp:127.0.0.1:0"
+    if request.param == "unix":
+        address = str(tmp_path_factory.mktemp("s") / "d.sock")
+    d = ServeDaemon(address, workers=1)
+    yield d
+    d.close()
+
+
+def _open_raw(daemon, tenant):
+    sock = raw_connect(daemon.address, timeout=10.0)
+    assert _raw_ack(sock, {
+        "cmd": "open", "seq": 1, "tenant": tenant,
+        "version": sp.SERVE_PROTOCOL_VERSION,
+    })["ok"]
+    return sock
+
+
+def _frame(meta, payload, declared=None):
+    """One frame packed by hand (not by the code under test); *declared*
+    overrides the payload length the prefix announces."""
+
+    head = json.dumps(meta).encode()
+    size = len(payload) if declared is None else declared
+    return struct.pack("!II", len(head), size) + head + payload
+
+
+def _run_line(**fields):
+    ref = sp.definition_ref(bump_t.definition)
+    record = {"cmd": "run", "seq": 2, "data": {"d0": 0},
+              "tasks": [{"def": ref, "args": [{"d": "d0"}]}]}
+    record.update(fields)
+    return wire_encode(record)
+
+
+def _await_hang_up(sock, timeout=5.0):
+    """Return once the daemon has ended the connection (EOF or reset);
+    a daemon still holding it after *timeout* raises ``TimeoutError``."""
+
+    sock.settimeout(timeout)
+    try:
+        while sock.recv(65536):
+            pass
+    except ConnectionError:
+        pass
+
+
+def _assert_nothing_leaked(daemon, tenant):
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and "repro-serve-client" in _serve_threads():
+        time.sleep(0.01)
+    assert "repro-serve-client" not in _serve_threads()
+    state = daemon.engine.state()
+    assert state["tenants"][tenant]["inflight"] == 0
+    assert state["tenants"][tenant]["bytes_held"] == 0
+    assert state["live_graphs"] == 0
+    # The fleet and the front door still serve the next tenant.
+    a = np.zeros(2)
+    with connect(daemon.address, tenant="next") as rt:
+        bump_t(a)
+        rt.barrier()
+    assert (a == 1.0).all()
+
+
+_F8 = {"t": "nd", "dtype": "<f8", "shape": [4]}
+
+
+class TestAttachmentRobustness:
+    @pytest.mark.parametrize("stream", [
+        _run_line(frames=MAX_HEADER_BYTES // 8 + 1),
+        _run_line(frames=-1),
+        _run_line(frames="1"),
+        _run_line(frames=True),
+        _run_line(frames=1)
+        + struct.pack("!II", MAX_HEADER_BYTES + 1, 32),
+        _run_line(frames=1) + struct.pack("!II", 9, 0) + b"not json!",
+    ], ids=["count-huge", "count-negative", "count-text", "count-bool",
+            "header-huge", "header-garbage"])
+    def test_implausible_declarations_drop_the_connection(
+            self, any_daemon, stream):
+        """Checked before anything is allocated or awaited: the daemon
+        hangs up at once instead of sitting on a 4 GiB promise."""
+
+        sock = _open_raw(any_daemon, "liar")
+        try:
+            sock.sendall(stream)
+            _await_hang_up(sock)
+        finally:
+            sock.close()
+        _assert_nothing_leaked(any_daemon, "liar")
+
+    @pytest.mark.parametrize("how", ["eof", "reset"])
+    @pytest.mark.parametrize("declared", [32, 0xFFFFFFFF])
+    def test_stream_cut_mid_attachment(self, any_daemon, how, declared):
+        """Whatever a prefix promises, only bytes that arrive are held."""
+
+        sock = _open_raw(any_daemon, "cut")
+        try:
+            sock.sendall(_run_line(frames=1)
+                         + _frame(_F8, b"only ten b", declared=declared))
+            if how == "eof":
+                sock.shutdown(socket.SHUT_WR)
+                _await_hang_up(sock)
+            else:  # close with data unsent and no linger: RST on TCP
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+        finally:
+            sock.close()
+        _assert_nothing_leaked(any_daemon, "cut")
+
+    @pytest.mark.parametrize("line,frames", [
+        (_run_line(frames=1), [_frame(_F8, b"\0" * 31)]),
+        (_run_line(frames=1), [_frame(dict(_F8, shape=[5]), b"\0" * 32)]),
+        (_run_line(frames=1), [_frame({"t": "nd"}, b"\0" * 32)]),
+        (_run_line(frames=1), [_frame({"t": "what"}, b"")]),
+        (_run_line(frames=1, data={"d0": 1}), [_frame(_F8, b"\0" * 32)]),
+        (_run_line(frames=1, data={"d0": "0"}), [_frame(_F8, b"\0" * 32)]),
+        (_run_line(data={"d0": 0}), []),
+        (_run_line(frames=1, constants={"k": {"p": 9}}),
+         [_frame(_F8, b"\0" * 32)]),
+    ], ids=["length-vs-dtype", "length-vs-shape", "meta-incomplete",
+            "meta-unknown", "index-missing", "index-text", "no-frames",
+            "pickled-arg-missing"])
+    def test_bad_attachment_is_a_structured_error(
+            self, any_daemon, line, frames):
+        """The stream is still in step, so the connection survives: the
+        ack names the problem, the slot comes back, the next run runs."""
+
+        sock = _open_raw(any_daemon, "sloppy")
+        try:
+            sock.sendall(line + b"".join(frames))
+            ack = RecordReader(sock).read(timeout=10.0)
+            assert ack["ev"] == "ack" and ack["seq"] == 2 and not ack["ok"]
+            assert ack["error"]["code"] == "bad_attachment"
+            tenant = any_daemon.engine.state()["tenants"]["sloppy"]
+            assert tenant["inflight"] == 0 and tenant["bytes_held"] == 0
+            good = _raw_ack(sock, {
+                "cmd": "run", "seq": 3, **_graph_spec(np.zeros(2), bump_t)})
+            assert good["ok"], good
+            blob = sp.attachment(good["frames"], good["data"]["results"]["d0"])
+            assert sp.decode_datum(blob).tolist() == [1.0, 1.0]
+        finally:
+            sock.close()
+        _assert_nothing_leaked(any_daemon, "sloppy")
+
+
+# ---------------------------------------------------------------------------
+# the wire carries a datum's bytes once (counted, not timed)
+# ---------------------------------------------------------------------------
+
+class _CountingSocket:
+    """Counts what crosses a socket in each direction."""
+
+    def __init__(self, sock):
+        self._sock, self.sent, self.received = sock, 0, 0
+
+    def sendall(self, data):
+        self.sent += len(data)
+        return self._sock.sendall(data)
+
+    def sendmsg(self, buffers):
+        done = self._sock.sendmsg(buffers)
+        self.sent += done
+        return done
+
+    def recv(self, n):
+        chunk = self._sock.recv(n)
+        self.received += len(chunk)
+        return chunk
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestWireBytes:
+    def test_wire_bytes_pin(self, daemon):
+        """Three 64x64 float64 datums: each direction moves their bytes
+        plus a small envelope — text-encoded content (4/3 of it) would
+        be 32 KiB over."""
+
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 64, 64))
+        c = np.zeros((64, 64))
+        payload = a.nbytes + b.nbytes + c.nbytes
+        with connect(daemon.address, tenant="counted") as rt:
+            transport = rt._transport
+            counting = _CountingSocket(transport._sock)
+            transport._sock = transport._reader._sock = counting
+            gemm_t(a, b, c)
+            rt.barrier()
+            sent, received = counting.sent, counting.received
+        assert c.tobytes() == (a @ b).tobytes()
+        assert payload <= sent <= payload + 2048
+        assert payload <= received <= payload + 2048
+
+
+# ---------------------------------------------------------------------------
 # failures cross the wire structured
 # ---------------------------------------------------------------------------
 
@@ -637,14 +1000,17 @@ class TestErrors:
     def test_other_protocol_version_is_rejected_at_open(self, daemon):
         sock = raw_connect(daemon.address, timeout=10.0)
         try:
-            for version in (sp.SERVE_PROTOCOL_VERSION - 1, None):
+            # 2 is the base64-in-JSON wire: no shim speaks it any more.
+            for version in (2, None):
                 ack = _raw_ack(sock, {
                     "cmd": "open", "seq": 1, "tenant": "old",
                     "version": version,
                 })
                 assert not ack["ok"]
                 assert ack["error"]["code"] == "version_mismatch"
-                assert ack["error"]["server"] == sp.SERVE_PROTOCOL_VERSION
+                assert ack["error"]["client"] == version
+                assert ack["error"]["server"] == 3 == sp.SERVE_PROTOCOL_VERSION
+                assert f"protocol {version!r}" in ack["error"]["message"]
             # Nothing was bound: the connection still has no tenant.
             ack = _raw_ack(sock, {"cmd": "run", "seq": 2, "tasks": []})
             assert "open" in ack["error"]["message"]
@@ -756,16 +1122,11 @@ class TestHttpSurface:
 
         _GATE.clear()
         del _GATED_STARTED[:]
-        ref = sp.definition_ref(gated_bump_t.definition)
         try:
-            job = daemon.engine.submit_graph("deep", {
-                "tasks": [
-                    {"def": ref, "args": [{"d": f"d{i}"}]} for i in range(4)
-                ],
-                "data": {
-                    f"d{i}": sp.encode_datum(np.zeros(2)) for i in range(4)
-                },
-            })
+            job = daemon.engine.submit_graph("deep", _run_record(
+                {f"d{i}": np.zeros(2) for i in range(4)},
+                [(gated_bump_t, [f"d{i}"]) for i in range(4)],
+            ))
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline and len(_GATED_STARTED) < 2:
                 time.sleep(0.01)
