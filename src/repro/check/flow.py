@@ -301,10 +301,6 @@ class FlowResult:
     findings: list[Finding]
     graph: StaticGraph
 
-    @property
-    def truncated(self) -> bool:
-        return self.graph.truncated
-
 
 # ---------------------------------------------------------------------------
 # Control-flow signals and module records
@@ -1031,19 +1027,11 @@ class _Interp:
         value = None if node.value is None else self._eval(node.value, env)
         raise _Return(value)
 
-    def _exec_Pass(self, node, env):
-        pass
-
     def _exec_Break(self, node, env):
         raise _Break
 
     def _exec_Continue(self, node, env):
         raise _Continue
-
-    def _exec_Delete(self, node, env):
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                env.vars.pop(target.id, None)
 
     def _exec_Assert(self, node, env):
         self._eval(node.test, env)
@@ -1053,11 +1041,6 @@ class _Interp:
     def _exec_Raise(self, node, env):
         if node.exc is not None:
             self._eval(node.exc, env)
-
-    def _exec_Global(self, node, env):
-        pass
-
-    _exec_Nonlocal = _exec_Global
 
     def _exec_Import(self, node, env):
         for alias in node.names:
@@ -1298,16 +1281,6 @@ class _Interp:
 
     _exec_TryStar = _exec_Try
 
-    def _exec_Match(self, node, env):
-        self._eval(node.subject, env)
-        bodies = [case.body for case in node.cases]
-        for body in bodies:
-            self.cond_depth += 1
-            try:
-                self._exec_block(body, env)
-            finally:
-                self.cond_depth -= 1
-
     # -- assignment targets ---------------------------------------------
 
     def _assign(self, target, value, env: _Env) -> None:
@@ -1497,9 +1470,6 @@ class _Interp:
             self._eval(e, env)
         return UNKNOWN
 
-    def _eval_Starred(self, node, env):
-        return self._eval(node.value, env)
-
     def _eval_JoinedStr(self, node, env):
         for v in node.values:
             self._eval(v, env)
@@ -1511,11 +1481,6 @@ class _Interp:
             self._driver_access(value, node, writes=False,
                                 what="formats the contents of")
         return UNKNOWN
-
-    def _eval_NamedExpr(self, node, env):
-        value = self._eval(node.value, env)
-        self._assign(node.target, value, env)
-        return value
 
     def _eval_Lambda(self, node, env):
         return _Func(node, self.module, env)

@@ -41,6 +41,11 @@ class ExecutionBackend:
     #: Scheduler placement hook ``task -> thread index or None``;
     #: ``None`` keeps the scheduler's default placement.
     placement: Optional[Callable] = None
+    #: Most ready tasks the worker loop hands over at once.  Above 1 the
+    #: backend also has ``run_frame(tasks, thread)``, yielding ``(task,
+    #: cause, duration)`` as each finishes and never raising, and
+    #: ``expected(task, thread)``: seconds its body last took, or None.
+    max_batch = 1
 
     def start(self) -> int:
         """Bring the workers up; returns how many worker threads
@@ -115,10 +120,8 @@ class ThreadBackend(ExecutionBackend):
         return cause, perf_counter() - t0
 
     def liveness(self) -> list[dict]:
-        return [
-            {"slot": slot, "alive": True}
-            for slot in range(1, self.num_workers + 1)
-        ]
+        return [{"slot": slot, "alive": True}
+                for slot in range(1, self.num_workers + 1)]
 
 
 class Link:
@@ -131,6 +134,8 @@ class Link:
         self.seq = 0
         #: Definition keys the remote end has already been taught.
         self.sent_defs: set = set()
+        #: Definition key -> the body duration its last reply reported.
+        self.durations: dict = {}
         #: 1 + how many times the remote end has been replaced.
         self.generation = 1
         #: The transport's own attributes (a process, a socket, ...).
@@ -149,14 +154,15 @@ class RemoteBackend(ExecutionBackend):
     A subclass owns its transport.  It sets ``lost_error`` and
     ``remote_error`` (its structured error classes), ``refusals`` (what
     its hooks raise for a task that cannot be shipped — returned as the
-    ``cause``, link untouched) and ``link_errors`` (what ``_exchange``
-    raises when the remote end is gone), and implements
-    ``_encode(task, values, link) -> request``,
-    ``_definition_payload(definition)``,
-    ``_exchange(link, seq, key, payload, task, request) -> (err,
-    duration, events, result)``, ``_land(link, values, request,
-    result)``, ``_revive(link)`` (fresh remote end + ``link.renewed()``,
-    or raise ``lost_error``) and ``_describe(link) -> str``.
+    ``cause``, link untouched) and ``link_errors`` (what ``_send`` and
+    ``_recv`` raise when the remote end is gone), and implements
+    ``_encode(task, values, link, seq) -> request`` (the task's whole
+    wire record, with what finds its definition's function until
+    ``link.sent_defs`` has the definition's ``id``), ``_send(link,
+    requests)`` (one frame), ``_recv(link, seq) -> (err, duration,
+    events, result)``, ``_land(link, values, request, result)``,
+    ``_revive(link)`` (fresh remote end + ``link.renewed()``, or raise
+    ``lost_error``) and ``_describe(link) -> str``.
     """
 
     remote = True
@@ -192,64 +198,94 @@ class RemoteBackend(ExecutionBackend):
         return self._m_redispatch.value
 
     def run(self, task, thread: int) -> tuple[Optional[BaseException], float]:
+        ((_task, cause, duration),) = self._dispatch((task,), thread)
+        return cause, duration
+
+    def expected(self, task, thread: int) -> Optional[float]:
+        return self._links[thread - 1].durations.get(id(task.definition))
+
+    def _dispatch(self, tasks, thread: int):
+        """Ship *tasks* to worker *thread*'s remote end as one frame;
+        yield ``(task, cause, duration)`` as each one's reply arrives.
+        A dead link charges the attempt to the first unacknowledged
+        task, the one that was running (the replies before it were read
+        and honoured); the records behind it never started and are sent
+        again with it, uncharged."""
+
+        pending = [[task, None, 0] for task in tasks]  # [.., values, attempts]
         try:
-            return self._dispatch(task, self._links[thread - 1])
-        except BaseException as exc:  # noqa: BLE001 - reported at barrier
+            link = self._links[thread - 1]
+            for record in pending:
+                if self._on_dispatch is not None:
+                    self._on_dispatch(record[0], link.slot)
+                record[1] = resolve_call_values(record[0])
+            while pending:  # the unacknowledged records, in order
+                frame = []  # (seq, request) of each one this round sends
+                try:
+                    for record in pending[:]:
+                        task, values, _ = record
+                        try:
+                            request = self._encode(
+                                task, values, link, link.seq + 1)
+                        except self.refusals as exc:
+                            pending.remove(record)
+                            yield task, exc, 0.0
+                        else:
+                            link.seq += 1
+                            frame.append((link.seq, request))
+                    if frame:
+                        self._send(link, [request for _, request in frame])
+                    for seq, request in frame:
+                        err, duration, events, result = self._recv(link, seq)
+                        task, values, _ = pending[0]
+                        link.sent_defs.add(id(task.definition))
+                        if events and self._tracer is not None:
+                            # Proxy-thread context: events land in this
+                            # thread's ring buffer and merge by
+                            # timestamp with everyone else.
+                            self._tracer.ingest(events)
+                        if err is None:
+                            link.durations[id(task.definition)] = duration
+                            self._land(link, values, request, result)
+                        del pending[0]
+                        yield task, err and self.remote_error(*err), duration
+                except self.link_errors as exc:
+                    yield from self._link_lost(link, exc, pending)
+        except Exception as exc:  # noqa: BLE001 - reported at barrier
             # Not an expected failure but a master-side bug; it must
             # still surface at the barrier — a proxy thread dying
             # silently would leave the runtime's running count stuck
             # and hang the main thread forever.
-            return exc, 0.0
+            for task, _, _ in pending:
+                yield task, exc, 0.0
 
-    def _dispatch(self, task, link: Link):
-        if self._on_dispatch is not None:
-            self._on_dispatch(task, link.slot)
-        values = resolve_call_values(task)
-        definition = task.definition
-        key = id(definition)  # stable for the master's lifetime
-        attempts = 0
-        while True:
-            try:
-                request = self._encode(task, values, link)
-                payload = (
-                    None if key in link.sent_defs
-                    else self._definition_payload(definition)
-                )
-                link.seq += 1
-                err, duration, events, result = self._exchange(
-                    link, link.seq, key, payload, task, request)
-            except self.refusals as exc:
-                return exc, 0.0
-            except self.link_errors as exc:
-                who = self._describe(link)
-                self._link_died(link, exc)
-                attempts += 1
-                lost = None
-                if attempts > 1:
-                    lost = self.lost_error(
-                        f"{who} died while running task #{task.task_id} "
-                        f"{task.name!r}, which had already been "
-                        f"re-dispatched once; giving up"
-                    )
-                try:
-                    # Also after giving up: later tasks on this proxy
-                    # thread need a live remote end.
-                    self._revive(link)
-                except self.lost_error as unrevivable:
-                    return lost or unrevivable, 0.0
-                if lost is not None:
-                    return lost, 0.0
+    run_frame = _dispatch
+
+    def _link_lost(self, link: Link, exc, pending: list):
+        """Count the death, charge ``pending[0]``, revive the link."""
+
+        who = self._describe(link)
+        self._link_died(link, exc)
+        record = pending[0]
+        record[2] += 1
+        if record[2] > 1:
+            del pending[0]
+            task = record[0]
+            yield task, self.lost_error(
+                f"{who} died while running task #{task.task_id} "
+                f"{task.name!r}, which had already been "
+                f"re-dispatched once; giving up"
+            ), 0.0
+        try:
+            # Also after giving up: the rest of the frame and later
+            # tasks on this proxy thread need a live remote end.
+            self._revive(link)
+        except self.lost_error as unrevivable:
+            while pending:
+                yield pending.pop(0)[0], unrevivable, 0.0
+        else:
+            if record[2] == 1:
                 self._m_redispatch.inc()
-                continue
-            link.sent_defs.add(key)
-            if events and self._tracer is not None:
-                # Proxy-thread context: events land in this thread's
-                # ring buffer and merge by timestamp with everyone else.
-                self._tracer.ingest(events)
-            if err is not None:
-                return self.remote_error(*err), duration
-            self._land(link, values, request, result)
-            return None, duration
 
     def _link_died(self, link: Link, exc: BaseException) -> None:
         """Count one lost remote end."""

@@ -42,6 +42,11 @@ from .task import TaskInstance
 
 __all__ = ["GraphDomain", "TaskExecutionError", "WorkerLoop"]
 
+#: Expected body time (seconds) a frame may hold: about one remote
+#: dispatch, the cost sharing a message saves per task.  Longer bodies
+#: gain nothing from it and would hide from the other workers meanwhile.
+FRAME_SECONDS = 100e-6
+
 
 class TaskExecutionError(RuntimeError):
     """A task body raised; re-raised on the main thread at the barrier."""
@@ -272,6 +277,7 @@ class WorkerLoop:
     def _worker_loop(self, idx: int) -> None:
         cv = self._sched_cv
         scheduler = self.scheduler
+        spare = self.backend.max_batch - 1
         while True:
             with cv:
                 while True:
@@ -286,16 +292,56 @@ class WorkerLoop:
                         cv.wait()
                     finally:
                         self._parked -= 1
-            self._execute(task, idx)
+                rest = self._pop_frame(task, idx, spare) if spare else None
+            self._execute(task, idx, rest)
 
-    def _execute(self, task: TaskInstance, thread: int) -> None:
-        domain = task.domain
+    def _pop_frame(self, task: TaskInstance, idx: int, spare: int):
+        """The further ready tasks worker *idx* ships with *task* (under
+        the scheduler lock), or ``None``: at most *spare*, never more
+        than its fair share of what is ready, and only while the bodies
+        so far are expected to fit in :data:`FRAME_SECONDS` (unknown:
+        no)."""
+
+        scheduler = self.scheduler
+        expected = self.backend.expected
+        share = min(spare, scheduler.ready_count // (scheduler.num_threads - 1))
+        rest = []
+        room = FRAME_SECONDS
+        while len(rest) < share:
+            took = expected(task, idx)
+            if took is None or took >= room:
+                break
+            room -= took
+            task = scheduler.pop(idx)
+            if task is None:  # the live gate closed
+                break
+            self._running += 1
+            rest.append(task)
+        return rest or None
+
+    def _execute(self, task: TaskInstance, thread: int, rest=None,
+                 outcome=None) -> None:
+        """Run *task* and complete it.  With *rest* (popped with it) the
+        tasks cross as one frame and each is completed, through here
+        with its *outcome*, as its own reply arrives."""
+
         backend = self.backend
+        if rest is not None:
+            frame = []
+            for task in (task, *rest):
+                if task.domain.failure is None:
+                    frame.append(task)
+                else:
+                    self._execute(task, thread)  # retired unrun
+            for task, *outcome in backend.run_frame(frame, thread):
+                self._execute(task, thread, None, outcome)
+            return
+        domain = task.domain
         failure = None
-        ran = domain.failure is None
+        ran = outcome is not None or domain.failure is None
         if ran:
             self._current[thread] = task
-            cause, duration = backend.run(task, thread)
+            cause, duration = outcome or backend.run(task, thread)
             if cause is not None:
                 failure = TaskExecutionError(task, cause)
             task.executed_by = thread

@@ -169,6 +169,7 @@ class InvocationPlan:
         "n_required",
         "defaults_tail",
         "access_specs",
+        "written",
         "simple",
         "high_priority",
         "own_constants",
@@ -194,6 +195,9 @@ class InvocationPlan:
             (spec.name, spec.direction, positions.get(spec.name, -1))
             for spec in definition.params
         )
+        #: :meth:`TaskInstance.written` of an instance without regions.
+        self.written = tuple(
+            (pos, None) for _n, d, pos in self.access_specs if d.writes)
         self.simple = not definition.needs_expressions
         self.high_priority = definition.high_priority
         self.own_constants = getattr(definition, "constants", None) or None

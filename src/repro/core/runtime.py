@@ -463,15 +463,13 @@ class SmpssRuntime:
             # Instantaneous control/occupancy gauges — the same numbers
             # the live dashboard snapshots, so `repro.obs report` and an
             # attached client read one source of truth.
-            depths_fn = getattr(self.scheduler, "queue_depths", None)
-            if depths_fn is not None:
-                depths = depths_fn()
-                m.gauge("scheduler.high_depth").set(depths["high"])
-                m.gauge("scheduler.main_depth").set(depths["main"])
-                for idx, depth in enumerate(depths["locals"]):
-                    m.gauge("scheduler.ready_depth", thread=idx).set(depth)
+            depths = self.scheduler.queue_depths()
+            m.gauge("scheduler.high_depth").set(depths["high"])
+            m.gauge("scheduler.main_depth").set(depths["main"])
+            for idx, depth in enumerate(depths["locals"]):
+                m.gauge("scheduler.ready_depth", thread=idx).set(depth)
             m.gauge("scheduler.parked_workers").set(self._parked)
-            gate = getattr(self.scheduler, "gate", None)
+            gate = self.scheduler.gate
             m.gauge("scheduler.paused").set(
                 int(gate.paused) if gate is not None else 0
             )

@@ -71,19 +71,8 @@ class SchedulerStats:
         through the registry, not ad-hoc dataclass reads)."""
 
         return {
-            "pushed_new": self.pushed_new,
-            "pushed_unlocked": self.pushed_unlocked,
-            "pops_high": self.pops_high,
-            "pops_local": self.pops_local,
-            "pops_main": self.pops_main,
-            "steals": self.steals,
-            "placed": self.placed,
-            "failed_pops": self.failed_pops,
-            "failed_steals": self.failed_steals,
-            "pops_by_thread": dict(self.pops_by_thread),
-            "steals_by_thief": dict(self.steals_by_thief),
-            "steals_by_victim": dict(self.steals_by_victim),
-            "failed_pops_by_thread": dict(self.failed_pops_by_thread),
+            name: dict(value) if isinstance(value, Counter) else value
+            for name, value in vars(self).items()
         }
 
 

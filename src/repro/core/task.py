@@ -130,7 +130,6 @@ class TaskDefinition:
         if not self.name:
             self.name = getattr(self.func, "__name__", "<task>")
         self._signature = inspect.signature(self.func)
-        self._declared = {p.name for p in self.params}
         #: ordered parameter names, for the zero-overhead bind fast path
         self.param_names: tuple[str, ...] = tuple(self._signature.parameters)
         #: parameter name -> position, cached for access building
@@ -144,10 +143,16 @@ class TaskDefinition:
         )
         #: parameter name -> set of declared directions.  A parameter
         #: may appear in several clauses with different regions, so this
-        #: is a set union (used by the repro.check sanitizer).
+        #: is a set union (used by the repro.check sanitizer).  Undeclared
+        #: parameters are by-value scalars, like the paper's.
         self.directions_by_name: dict[str, set[Direction]] = {}
         for p in self.params:
             self.directions_by_name.setdefault(p.name, set()).add(p.direction)
+        #: Call positions of the OPAQUE parameters (the ones the tracker
+        #: ignores, so a remote write through them is never copied home).
+        self.opaque_positions = frozenset(
+            self.positions[p.name] for p in self.params
+            if p.direction is Direction.OPAQUE and p.name in self.positions)
         #: Precompiled invocation plan, attached lazily by
         #: :func:`repro.core.invocation.plan_for` (kept off this module
         #: to avoid a task -> invocation import cycle).
@@ -173,19 +178,6 @@ class TaskDefinition:
             raise InvocationError(f"task {self.name!r}: {exc}") from exc
         bound.apply_defaults()
         return dict(bound.arguments)
-
-    def declared_direction(self, param_name: str) -> Optional[Direction]:
-        """Direction of *param_name*, or ``None`` if undeclared.
-
-        Undeclared parameters are treated as by-value scalars: captured
-        at invocation time and ignored by the dependency analysis, like
-        the paper's scalar arguments.
-        """
-
-        for spec in self.params:
-            if spec.name == param_name:
-                return spec.direction
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         clauses = ", ".join(f"{p.direction.value}({p.name})" for p in self.params)
@@ -270,6 +262,15 @@ class TaskInstance:
                 in self.definition._invocation_plan.access_specs
             ]
         return acc
+
+    def written(self):
+        """``(position, region)`` of each clause appearance that writes.
+        Accesses never materialised carry no region, and stay that way."""
+
+        if self._accesses is None:
+            return self.definition._invocation_plan.written
+        return [(a.position, a.region) for a in self._accesses
+                if a.direction.writes]
 
     @property
     def arguments(self) -> dict:

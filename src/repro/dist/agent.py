@@ -44,7 +44,7 @@ import numpy as np
 
 from ..mp.encoding import apply_writebacks, resolve_definition_func
 from ..mp.executor import WorkerDied, WorkerProcess
-from ..mp.worker import run_body, task_message
+from ..mp.worker import run_body, task_record
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import PROTOCOL, format_remote_error
 from ..net.frames import recv_frame, send_frame
@@ -407,11 +407,10 @@ class AgentServer:
                     # The master's own per-link sequence number and
                     # define-once payload pass straight through: this
                     # worker is that link's remote end.
-                    err, wb_values, duration, wevents = local[0].request(
-                        seq, task_message(
-                            seq, msg["def_key"], msg.get("def_payload"),
-                            task_id, name, [("v", v) for v in values],
-                            wb_specs))
+                    local[0].send([task_record(
+                        seq, msg["def_key"], msg.get("def_payload"),
+                        task_id, name, [("v", v) for v in values], wb_specs)])
+                    err, duration, wevents, wb_values = local[0].recv(seq)
                 except WorkerDied as exc:
                     local.pop().kill()
                     raise RuntimeError(

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.backend import Link, RemoteBackend
 from ..core.renaming import StorageKind
-from ..mp.encoding import definition_payload, opaque_positions
+from ..mp.encoding import definition_payload
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import PROTOCOL
 from ..net.frames import FrameError, recv_frame, send_frame
@@ -79,11 +79,6 @@ _SHIPPABLE = (np.ndarray, list, bytearray)
 
 class _Node:
     """One agent: control socket, advertised slots, death flag."""
-
-    __slots__ = (
-        "index", "name", "address", "control", "control_lock", "slots",
-        "slot_ids", "pid", "dead", "rr", "tasks_run",
-    )
 
     def __init__(self, index: int, address: str):
         self.index = index
@@ -246,31 +241,11 @@ class ClusterBackend(RemoteBackend):
     # ------------------------------------------------------------------
     # the transport half of RemoteBackend's dispatch policy
     # ------------------------------------------------------------------
-    def _definition_payload(self, definition):
-        try:
-            return definition_payload(definition)
-        except Exception as exc:
-            raise DistSerializationError(
-                f"task {definition.name!r}: definition cannot cross "
-                f"to an agent ({exc})"
-            ) from exc
+    def _send(self, link: Link, requests: list) -> None:
+        for header, blob, _commits in requests:
+            send_frame(link.conn, header, blob)
 
-    def _exchange(self, link: Link, seq: int, key, payload, task,
-                  request):
-        msg, _commits = request
-        msg["def_key"] = key
-        msg["def_payload"] = payload
-        msg["task_id"] = task.task_id
-        msg["name"] = task.name
-        try:
-            blob = pickle.dumps(msg, protocol=PROTOCOL)
-        except Exception as exc:
-            raise DistSerializationError(
-                f"task {task.name!r}: arguments are not picklable "
-                f"({exc!r}); use ndarray/list/bytearray data or "
-                f"backend='threads'"
-            ) from exc
-        send_frame(link.conn, {"k": "task", "seq": seq}, blob)
+    def _recv(self, link: Link, seq: int):
         while True:
             header, rblob = recv_frame(link.conn)
             if header.get("k") == "done" and header.get("seq") == seq:
@@ -288,8 +263,7 @@ class ClusterBackend(RemoteBackend):
             self._m_bytes.inc(len(payload))
         node = link.node
         residency = self._residency
-        _msg, commits = request
-        for entry, v_after, master_too in commits:
+        for entry, v_after, master_too in request[2]:
             residency.commit_write(
                 entry, node.name, v_after, master_too=master_too)
         node.tasks_run += 1
@@ -304,8 +278,9 @@ class ClusterBackend(RemoteBackend):
     # ------------------------------------------------------------------
     # encoding (the residency decisions happen here)
     # ------------------------------------------------------------------
-    def _encode(self, task, values: list, link: Link):
-        """Build the task message for *link*'s node; ``(msg, commits)``.
+    def _encode(self, task, values: list, link: Link, seq: int):
+        """Build the task frame for *link*'s node; ``(header, blob,
+        commits)``.
 
         ``commits`` is ``[(entry, v_after, master_too), ...]`` — the
         residency bookkeeping to apply once the agent reports success.
@@ -318,8 +293,7 @@ class ClusterBackend(RemoteBackend):
         residency = self._residency
         positions = task.definition.positions
         write_through = self._write_through
-        n = len(values)
-        specs: list = [None] * n
+        specs: list = [None] * len(values)
         ret: list = []
         writes_specs: list = []
         out: list = []
@@ -347,62 +321,55 @@ class ClusterBackend(RemoteBackend):
         #    declared write slices; never cached (disjoint regions of
         #    one array may be written concurrently on different nodes,
         #    so no node ever holds "the" current array).
-        if region_positions:
-            reads_by_pos: dict[int, list] = {}
-            writes_by_pos: dict[int, list] = {}
-            for access in task.accesses:
-                pos = access.position
-                if pos < 0:
-                    pos = positions[access.name]
-                if pos not in region_positions:
-                    continue
-                value = values[pos]
-                if not isinstance(value, np.ndarray):
-                    raise DistSerializationError(
-                        f"task {task.name!r}: region-mode parameter "
-                        f"{access.name!r} has type {type(value).__name__}; "
-                        f"the cluster backend ships regions of ndarrays "
-                        f"only (use backend='threads')"
-                    )
-                if access.region is not None:
-                    slices = access.region.to_slices()
-                else:
-                    slices = (slice(None),) * value.ndim
-                sl = slices_spec(slices)
-                if access.direction.reads:
-                    bucket = reads_by_pos.setdefault(pos, [])
-                    if sl not in bucket:
-                        bucket.append(sl)
-                if access.direction.writes:
-                    bucket = writes_by_pos.setdefault(pos, [])
-                    if sl not in bucket:
-                        bucket.append(sl)
-            for pos in sorted(region_positions):
-                value = values[pos]
-                parts = []
-                for sl in reads_by_pos.get(pos, ()):
-                    chunk = value[slices_from_spec(sl)]
-                    meta, payload = encode_blob(chunk)
-                    parts.append((sl, meta, payload))
-                    self._m_bytes.inc(len(payload))
-                specs[pos] = ("g", alloc_meta(value), parts)
-                for sl in writes_by_pos.get(pos, ()):
-                    ret.append((pos, sl))
-                    writes_specs.append((pos, sl))
+        parts_by_pos: dict[int, list] = {}
+        seen: set = set()
+        for access in task.accesses if region_positions else ():
+            pos = access.position
+            if pos not in region_positions:
+                continue
+            value = values[pos]
+            if not isinstance(value, np.ndarray):
+                raise DistSerializationError(
+                    f"task {task.name!r}: region-mode parameter "
+                    f"{access.name!r} has type {type(value).__name__}; "
+                    f"the cluster backend ships regions of ndarrays "
+                    f"only (use backend='threads')"
+                )
+            if access.region is not None:
+                slices = access.region.to_slices()
+            else:
+                slices = (slice(None),) * value.ndim
+            sl = slices_spec(slices)
+            parts = parts_by_pos.setdefault(pos, [])
+            if access.direction.reads and (pos, sl, "r") not in seen:
+                seen.add((pos, sl, "r"))
+                meta, payload = encode_blob(value[slices])
+                parts.append((sl, meta, payload))
+                self._m_bytes.inc(len(payload))
+            if access.direction.writes and (pos, sl, "w") not in seen:
+                seen.add((pos, sl, "w"))
+                ret.append((pos, sl))
+                writes_specs.append((pos, sl))
+        for pos, parts in parts_by_pos.items():
+            specs[pos] = ("g", alloc_meta(values[pos]), parts)
 
-        # -- whole-object tracked writes: residency-versioned.
-        for pos, version in whole_writes.items():
+        # -- whole-object tracked data: residency-versioned.
+        for pos, version in {**whole_reads, **whole_writes}.items():
             if specs[pos] is not None:
                 continue
             storage = values[pos]
+            written = pos in whole_writes
             if not isinstance(storage, _SHIPPABLE):
-                raise DistSerializationError(
-                    f"task {task.name!r}: written parameter "
-                    f"{task.definition.param_names[pos]!r} has type "
-                    f"{type(storage).__name__}, which the cluster backend "
-                    f"cannot ship; use an ndarray/list/bytearray or "
-                    f"backend='threads'"
-                )
+                if written:
+                    raise DistSerializationError(
+                        f"task {task.name!r}: written parameter "
+                        f"{task.definition.param_names[pos]!r} has type "
+                        f"{type(storage).__name__}, which the cluster "
+                        f"backend cannot ship; use an ndarray/list/bytearray "
+                        f"or backend='threads'"
+                    )
+                specs[pos] = ("s", storage)  # read-only copy is safe
+                continue
             entry = residency.ensure(storage, version.storage_is_base())
             residency.verify(entry)
             if pos in read_positions:
@@ -411,28 +378,17 @@ class ClusterBackend(RemoteBackend):
                 # A renamed OUTPUT's content is junk and one overwritten
                 # in place equally dead: ship the shape only.
                 specs[pos] = ("f", entry.key, alloc_meta(storage))
-            v_after = entry.version + 1
-            out.append((pos, entry.key, v_after))
-            writes_specs.append((pos, None))
-            if write_through:
-                ret.append((pos, None))
-            commits.append((entry, v_after, write_through))
-
-        # -- whole-object tracked reads (positions not written).
-        for pos, version in whole_reads.items():
-            if specs[pos] is not None:
-                continue
-            storage = values[pos]
-            if not isinstance(storage, _SHIPPABLE):
-                specs[pos] = ("s", storage)  # read-only copy is safe
-                continue
-            entry = residency.ensure(storage, version.storage_is_base())
-            residency.verify(entry)
-            specs[pos] = self._content_spec(entry, node)
+            if written:
+                v_after = entry.version + 1
+                out.append((pos, entry.key, v_after))
+                writes_specs.append((pos, None))
+                if write_through:
+                    ret.append((pos, None))
+                commits.append((entry, v_after, write_through))
 
         # -- everything else ships inline.
-        opaque = opaque_positions(task)
-        for pos in range(n):
+        opaque = task.definition.opaque_positions
+        for pos in range(len(values)):
             if specs[pos] is not None:
                 continue
             value = values[pos]
@@ -446,9 +402,27 @@ class ClusterBackend(RemoteBackend):
                 )
             specs[pos] = ("s", value)
 
+        key = id(task.definition)  # stable for the master's lifetime
+        try:
+            payload = (None if key in link.sent_defs
+                       else definition_payload(task.definition))
+        except Exception as exc:
+            raise DistSerializationError(
+                f"task {task.name!r}: definition cannot cross "
+                f"to an agent ({exc})"
+            ) from exc
         msg = {"values": specs, "writes": writes_specs, "ret": ret,
-               "out": out}
-        return msg, commits
+               "out": out, "def_key": key, "def_payload": payload,
+               "task_id": task.task_id, "name": task.name}
+        try:
+            blob = pickle.dumps(msg, protocol=PROTOCOL)
+        except Exception as exc:
+            raise DistSerializationError(
+                f"task {task.name!r}: arguments are not picklable "
+                f"({exc!r}); use ndarray/list/bytearray data or "
+                f"backend='threads'"
+            ) from exc
+        return {"k": "task", "seq": seq}, blob, commits
 
     def _content_spec(self, entry, node: _Node):
         """``("r", ...)`` when *node* holds current content, else ship."""
@@ -615,10 +589,8 @@ class ClusterBackend(RemoteBackend):
             if not version.datum.region_mode
             and version.root.kind is StorageKind.INITIAL
         ]
-        objs = [obj for obj in objs if obj is not None]
-        if not objs:
-            return None
-        totals = self._residency.node_bytes(objs)
+        totals = self._residency.node_bytes(
+            obj for obj in objs if obj is not None)
         if not totals:
             return None
         name = max(totals, key=totals.get)

@@ -133,8 +133,8 @@ class ResidencyMap:
     # ------------------------------------------------------------------
     def ensure(self, obj: Any, is_base: bool) -> ResidencyEntry:
         with self._lock:
-            entry = self._by_id.get(id(obj))
-            if entry is not None and entry.obj is obj:
+            entry = self.get(obj)
+            if entry is not None:
                 return entry
             self._serial += 1
             entry = ResidencyEntry(
@@ -279,20 +279,15 @@ class ResidencyMap:
 
         totals: dict[str, int] = {}
         with self._lock:
-            for obj in objs:
-                entry = self._by_id.get(id(obj))
-                if entry is None or entry.obj is not obj:
-                    continue
-                for node, version in entry.copies.items():
-                    if version == entry.version:
-                        totals[node] = totals.get(node, 0) + entry.nbytes
+            for entry in filter(None, map(self.get, objs)):
+                for node in entry.holders():
+                    totals[node] = totals.get(node, 0) + entry.nbytes
         return totals
 
     def resident_bytes_by_node(self) -> dict[str, int]:
         totals: dict[str, int] = {}
         with self._lock:
             for entry in self._by_key.values():
-                for node, version in entry.copies.items():
-                    if version == entry.version:
-                        totals[node] = totals.get(node, 0) + entry.nbytes
+                for node in entry.holders():
+                    totals[node] = totals.get(node, 0) + entry.nbytes
         return totals

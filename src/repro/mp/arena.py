@@ -31,6 +31,7 @@ import atexit
 import os
 import threading
 import uuid
+import weakref
 from multiprocessing import shared_memory
 from typing import Any, NamedTuple, Optional
 
@@ -57,7 +58,9 @@ _ALIGN = 64
 #: Process-global segment registry: name -> (base address, size, arena).
 #: :func:`handle_of` resolves any ndarray against it, so adoption of
 #: arena-backed arrays is transparent — apps pass views around and the
-#: encoder recognises them wherever they came from.
+#: encoder recognises them wherever they came from.  Copy-on-write:
+#: a writer binds a fresh dict under the lock and never mutates a
+#: published one, so readers take no lock.
 _SEGMENTS: dict[str, tuple[int, int, "SharedArena"]] = {}
 _registry_lock = threading.Lock()
 
@@ -110,8 +113,10 @@ class SharedArena:
         shm = shared_memory.SharedMemory(name=name, create=True, size=size)
         self._segments.append(shm)
         self._cursor = 0
+        global _SEGMENTS
         with _registry_lock:
-            _SEGMENTS[shm.name] = (_buffer_address(shm), shm.size, self)
+            _SEGMENTS = {
+                **_SEGMENTS, shm.name: (_buffer_address(shm), shm.size, self)}
         return shm
 
     def empty(self, shape, dtype=np.float64) -> np.ndarray:
@@ -149,10 +154,6 @@ class SharedArena:
     def segment_names(self) -> list[str]:
         return [shm.name for shm in self._segments]
 
-    @property
-    def allocated_segments(self) -> int:
-        return len(self._segments)
-
     def close(self) -> None:
         """Close and unlink every segment.  Idempotent, never raises.
 
@@ -167,9 +168,11 @@ class SharedArena:
                 return
             self._closed = True
             segments, self._segments = self._segments, []
+        global _SEGMENTS
+        with _registry_lock:
+            _SEGMENTS = {name: entry for name, entry in _SEGMENTS.items()
+                         if entry[2] is not self}
         for shm in segments:
-            with _registry_lock:
-                _SEGMENTS.pop(shm.name, None)
             try:
                 shm.close()
             except Exception:
@@ -196,6 +199,14 @@ class SharedArena:
 # handles
 # ---------------------------------------------------------------------------
 
+#: ``id(array) -> (weakref, handle, dtype)`` of arrays found in a
+#: segment: a graph passes the same blocks again and again.  An entry
+#: answers only for the object it was made for (the weak reference
+#: guards a reused ``id``), while its segment is registered and the
+#: array still has the layout the handle describes.
+_HANDLES: dict = {}
+
+
 def handle_of(value: Any) -> Optional[ArenaHandle]:
     """The :class:`ArenaHandle` of *value* if it lives in a registered
     arena segment, else ``None``.
@@ -206,63 +217,67 @@ def handle_of(value: Any) -> Optional[ArenaHandle]:
     travel by pickle instead — correct, just slower.
     """
 
+    memo = _HANDLES.get(id(value))
+    if memo is not None:
+        ref, handle, dtype = memo
+        if (ref() is value and handle.segment in _SEGMENTS
+                and value.shape == handle.shape
+                and value.strides == handle.strides and value.dtype is dtype):
+            return handle
     if not isinstance(value, np.ndarray) or value.dtype.hasobject:
         return None
-    with _registry_lock:
-        segments = list(_SEGMENTS.items())
-    if not segments:
-        return None
-    addr = value.__array_interface__["data"][0]
+    segments = _SEGMENTS
+    base = value.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if base is None or not segments:
+        return None  # the array (or the one it views) owns heap memory
     strides = value.strides
-    if any(s < 0 for s in strides):
+    if strides and min(strides) < 0:
         return None
-    span = value.itemsize + sum(
-        (n - 1) * s for n, s in zip(value.shape, strides) if n > 0
-    )
-    if 0 in value.shape:
+    if value.flags.c_contiguous:
+        span = value.nbytes
+    elif 0 in value.shape:
         span = 0
-    for name, (base, size, _arena) in segments:
-        if base <= addr and addr + span <= base + size:
-            return ArenaHandle(
-                segment=name,
-                offset=addr - base,
-                shape=tuple(value.shape),
-                dtype=value.dtype.str,
-                strides=tuple(strides),
+    else:
+        span = value.itemsize + sum(
+            (n - 1) * s for n, s in zip(value.shape, strides))
+    addr = value.__array_interface__["data"][0]
+    for name, (start, size, _arena) in segments.items():
+        if start <= addr and addr + span <= start + size:
+            handle = ArenaHandle(
+                name, addr - start, value.shape, value.dtype.str, strides)
+            key = id(value)
+            _HANDLES[key] = (
+                weakref.ref(value, lambda _ref: _HANDLES.pop(key, None)),
+                handle, value.dtype,
             )
+            return handle
     return None
 
 
-#: Process-global attachment cache for :func:`attach_handle` callers
-#: that do not manage one themselves.  Entries MUST stay referenced for
-#: as long as any array built on them is alive: ``SharedMemory.__del__``
+#: The segments this process has attached.  Entries MUST stay referenced
+#: for as long as any array built on them is alive: ``SharedMemory.__del__``
 #: unmaps the segment even while ndarrays still point into it (numpy's
 #: ``base`` chain holds the mmap *object*, not a buffer export).
 _ATTACH_CACHE: dict[str, shared_memory.SharedMemory] = {}
 
 
-def attach_handle(
-    handle: ArenaHandle,
-    cache: Optional[dict[str, shared_memory.SharedMemory]] = None,
-) -> np.ndarray:
+def attach_handle(handle: ArenaHandle) -> np.ndarray:
     """Map *handle* back to an ndarray (worker-process side).
 
-    *cache* memoises segment attachments per process (default: a
-    module-global cache, which is what keeps the mapping alive under
-    the returned array — see :data:`_ATTACH_CACHE`).  Ownership note
-    (CPython's bpo-39959 behaviour): attaching registers the segment
-    with the attacher's ``resource_tracker``, and a non-owner's
-    registration would produce spurious unlinks/warnings — worker
-    processes therefore suppress shared-memory registration wholesale
-    (see ``repro.mp.worker``); only the creating arena ever unlinks.
+    Ownership note (CPython's bpo-39959 behaviour): attaching registers
+    the segment with the attacher's ``resource_tracker``, and a
+    non-owner's registration would produce spurious unlinks/warnings —
+    worker processes therefore suppress shared-memory registration
+    wholesale (see ``repro.mp.worker``); only the creating arena ever
+    unlinks.
     """
 
-    if cache is None:
-        cache = _ATTACH_CACHE
-    shm = cache.get(handle.segment)
+    shm = _ATTACH_CACHE.get(handle.segment)
     if shm is None:
         shm = shared_memory.SharedMemory(name=handle.segment)
-        cache[handle.segment] = shm
+        _ATTACH_CACHE[handle.segment] = shm
     return np.ndarray(
         handle.shape,
         dtype=np.dtype(handle.dtype),
@@ -334,5 +349,4 @@ def leaked_segment_files(prefix: str = SEGMENT_PREFIX) -> list[str]:
             )
         except OSError:  # pragma: no cover - permission oddities
             pass
-    with _registry_lock:
-        return sorted(name for name in _SEGMENTS if name.startswith(prefix))
+    return sorted(name for name in _SEGMENTS if name.startswith(prefix))

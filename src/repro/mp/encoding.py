@@ -25,19 +25,17 @@ of the format in one module keeps them from drifting apart.
 from __future__ import annotations
 
 import pickle
-from typing import Optional
 
 import numpy as np
 
-from ..core.task import Direction, TaskInstance
+from ..core.task import TaskInstance
 from ..net.codec import (
     PROTOCOL,
     definition_address,
     land,
     resolve_address,
-    slices_spec,
 )
-from .arena import attach_handle, handle_of
+from .arena import handle_of
 
 __all__ = [
     "MpSerializationError",
@@ -49,7 +47,6 @@ __all__ = [
     "decode_values",
     "writeback_specs",
     "collect_writebacks",
-    "opaque_positions",
     "apply_writebacks",
 ]
 
@@ -125,14 +122,10 @@ def resolve_definition_func(payload: tuple):
         return pickle.loads(payload[1])
     _tag, module_name, qualname = payload
     obj = resolve_address(module_name, qualname)
-    sequential = getattr(obj, "sequential", None)
-    if sequential is not None and callable(sequential):
-        return sequential
-    wrapped = getattr(obj, "__wrapped__", None)
-    if wrapped is not None and callable(wrapped):
-        return wrapped
-    if callable(obj):
-        return obj
+    for inner in (getattr(obj, "sequential", None),
+                  getattr(obj, "__wrapped__", None), obj):
+        if callable(inner):
+            return inner
     raise MpSerializationError(
         f"{module_name}.{qualname} resolved to a non-callable {obj!r}"
     )
@@ -154,11 +147,12 @@ def encode_values(task: TaskInstance, values: list) -> list:
     """
 
     encoded: list = []
-    opaque = opaque_positions(task)
+    opaque = task.definition.opaque_positions
     for pos, value in enumerate(values):
         handle = handle_of(value)
         if handle is not None:
-            encoded.append((_ARENA, handle))
+            # As a plain tuple: it pickles ~4x faster than the class.
+            encoded.append((_ARENA, tuple(handle)))
             continue
         if pos in opaque and isinstance(value, np.ndarray):
             raise MpSerializationError(
@@ -172,24 +166,12 @@ def encode_values(task: TaskInstance, values: list) -> list:
     return encoded
 
 
-def opaque_positions(task: TaskInstance) -> frozenset:
-    """Call positions of *task*'s OPAQUE parameters (the ones the
-    tracker ignores, so a remote write through them is never copied
-    home)."""
-
-    positions = task.definition.positions
-    return frozenset(
-        positions[spec.name]
-        for spec in task.definition.params
-        if spec.direction is Direction.OPAQUE and spec.name in positions
-    )
-
-
-def decode_values(encoded: list, segment_cache: dict) -> list:
-    """Worker-side: materialise the argument list."""
+def decode_values(encoded: list, attach) -> list:
+    """Worker-side: materialise the argument list; *attach* maps the
+    wire form of a handle to its array."""
 
     return [
-        attach_handle(payload, segment_cache) if tag == _ARENA else payload
+        attach(payload) if tag == _ARENA else payload
         for tag, payload in encoded
     ]
 
@@ -198,8 +180,9 @@ def decode_values(encoded: list, segment_cache: dict) -> list:
 # write-back
 # ---------------------------------------------------------------------------
 
-def writeback_specs(task: TaskInstance, values: list) -> list:
-    """Which positions the worker must return, as ``(pos, slices)``.
+def writeback_specs(task: TaskInstance, values: list, encoded: list) -> list:
+    """Which positions the worker must return, as ``(pos, slices)``;
+    *encoded* is :func:`encode_values`' answer for the same *values*.
 
     ``slices`` is ``None`` for whole-object write-back and a tuple of
     :class:`slice` objects for region-mode accesses (two workers
@@ -210,49 +193,34 @@ def writeback_specs(task: TaskInstance, values: list) -> list:
     """
 
     specs: list = []
-    seen: set = set()
-    for access in task.accesses:
-        if not access.direction.writes:
+    for pos, region in task.written():
+        if encoded[pos][0] == _ARENA:
             continue
-        pos = access.position
-        if pos < 0:
-            pos = task.definition.positions[access.name]
         value = values[pos]
-        if handle_of(value) is not None:
-            continue
-        slices: Optional[tuple] = None
-        if access.region is not None:
-            slices = access.region.to_slices()
-        dedup = (pos, None if slices is None else slices_spec(slices))
-        if dedup in seen:
-            continue
-        seen.add(dedup)
-        if isinstance(value, np.ndarray):
-            specs.append((pos, slices))
-        elif isinstance(value, (list, bytearray)) and slices is None:
-            specs.append((pos, None))
-        else:
+        slices = None if region is None else region.to_slices()
+        if not isinstance(value, np.ndarray) and (
+                slices is not None
+                or not isinstance(value, (list, bytearray))):
             raise MpSerializationError(
                 f"task {task.name!r}: written parameter "
-                f"{access.name!r} has type {type(value).__name__}, which "
+                f"{task.definition.param_names[pos]!r} has type "
+                f"{type(value).__name__}, which "
                 f"the process backend cannot copy back from a worker; "
                 f"use an ndarray/list/bytearray, an arena-backed array, "
                 f"or backend='threads'"
             )
+        specs.append((pos, slices))
     return specs
 
 
 def collect_writebacks(specs: list, values: list) -> list:
     """Worker-side: the values (or region slices) to send home."""
 
-    out: list = []
-    for pos, slices in specs:
-        value = values[pos]
-        if slices is not None:
-            out.append(np.ascontiguousarray(value[slices]))
-        else:
-            out.append(value)
-    return out
+    return [
+        values[pos] if slices is None
+        else np.ascontiguousarray(values[pos][slices])
+        for pos, slices in specs
+    ]
 
 
 def apply_writebacks(specs: list, payloads: list, values: list) -> None:

@@ -5,18 +5,20 @@ master's :class:`~repro.core.runtime.SmpssRuntime` still owns the
 dependency tracker, the scheduler, renaming, and the memory limit.
 What changes is only *where a task body runs*: each master worker
 thread becomes a **proxy thread** that pops tasks exactly as before
-but forwards the body to a dedicated long-lived worker process over a
-pipe, blocking (GIL released) until the reply.  Completion bookkeeping
-then proceeds on the proxy thread unchanged, so every structural
-feature of the runtime works identically under both backends.
+but forwards the body — with the few more ready tasks the worker loop
+popped beside it, as one frame — to a dedicated long-lived worker
+process over a pipe, blocking (GIL released) for each reply.  Completion
+bookkeeping then proceeds on the proxy thread unchanged, reply by reply,
+so every structural feature of the runtime works identically under both
+backends.
 
 The dispatch / death / one-redispatch policy is
 :class:`~repro.core.backend.RemoteBackend`'s.  This module's own is
-:class:`WorkerProcess` — fork + ready handshake + request + kill of one
-:func:`~repro.mp.worker.worker_main` child (also what backs a
+:class:`WorkerProcess` — fork + ready handshake + send/recv + kill of
+one :func:`~repro.mp.worker.worker_main` child (also what backs a
 ``--processes`` slot of a :mod:`repro.dist` agent) — and the pipe
-transport: death is detected via ``Process.sentinel``, which
-``connection.wait`` watches together with the pipe, so a SIGKILL
+transport: death is detected via ``Process.sentinel``, registered at
+spawn in one ``select.poll`` together with the pipe, so a SIGKILL
 mid-task wakes the proxy immediately instead of hanging a recv.
 """
 
@@ -24,8 +26,8 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import select
 import threading
-from multiprocessing import connection as _mpc
 from typing import Optional
 
 from ..core.backend import Link, RemoteBackend
@@ -42,9 +44,8 @@ from .encoding import (
 from .worker import (
     MSG_BYE,
     MSG_DONE,
-    MSG_READY,
     MSG_STOP,
-    task_message,
+    task_record,
     worker_main,
 )
 
@@ -69,8 +70,6 @@ class WorkerProcess:
     first thing.
     """
 
-    __slots__ = ("slot", "proc", "conn")
-
     def __init__(self, slot: int, trace: bool, ring_capacity: int):
         ctx = multiprocessing.get_context("fork")
         self.slot = slot
@@ -83,52 +82,55 @@ class WorkerProcess:
         )
         self.proc.start()
         child_conn.close()  # our copy; the child keeps its end open
-        if not self.conn.poll(_HANDSHAKE_TIMEOUT):
+        try:
+            if not self.conn.poll(_HANDSHAKE_TIMEOUT):
+                raise TimeoutError(f"silent for {_HANDSHAKE_TIMEOUT:.0f}s")
+            self.conn.recv_bytes()  # the ready message
+        except (EOFError, OSError) as exc:
+            pid = self.pid
             self.kill()
             raise WorkerLostError(
-                f"worker {slot} (pid {self.pid}) did not come up "
-                f"within {_HANDSHAKE_TIMEOUT:.0f}s"
-            )
-        msg = pickle.loads(self.conn.recv_bytes())
-        if msg[0] != MSG_READY:  # pragma: no cover - protocol guard
-            self.kill()
-            raise WorkerLostError(
-                f"worker {slot} sent {msg[0]!r} instead of a ready "
-                f"handshake"
-            )
+                f"worker {slot} (pid {pid}) never completed its ready "
+                f"handshake ({exc!r})"
+            ) from exc
+        self._poll = select.poll()
+        self._poll.register(self.conn, select.POLLIN)
+        self._poll.register(self.proc.sentinel, select.POLLIN)
 
     @property
     def pid(self) -> Optional[int]:
         return self.proc.pid
 
-    def request(self, seq: int, data: bytes) -> tuple:
-        """Send one :func:`~repro.mp.worker.task_message`, block for its
-        reply; ``(err, wb_values, duration, events)``.
-
-        Raises :class:`WorkerDied` when the worker is gone.
-        """
+    def send(self, records: list) -> None:
+        """One frame: :func:`~repro.mp.worker.task_record` s back to
+        back.  Raises :class:`WorkerDied` when the worker is gone."""
 
         conn = self.conn
+        if conn is None:  # a respawn failed and left the slot killed
+            raise WorkerDied
         try:
-            conn.send_bytes(data)
+            conn.send_bytes(b"".join(records))
         except OSError as exc:  # died between tasks: nobody reads the pipe
             raise WorkerDied from exc
-        sentinel = self.proc.sentinel
+
+    def recv(self, seq: int) -> tuple:
+        """Block for record *seq*'s reply; ``(err, duration, events,
+        wb_values)``.  Raises :class:`WorkerDied` when the worker is gone
+        (after every reply it had written has been read)."""
+
+        conn = self.conn
         while True:
-            ready = _mpc.wait([conn, sentinel])
-            if conn in ready:
-                try:
-                    reply = pickle.loads(conn.recv_bytes())
-                except Exception as exc:  # EOF, or a torn final message
-                    raise WorkerDied from exc
-                if reply[0] == MSG_DONE and reply[1] == seq:
-                    return reply[2:]
-                continue  # unexpected/stale message: keep waiting
-            # Sentinel fired with no pipe data: the child is gone, but
-            # drain any bytes that raced the death before giving up.
-            if conn.poll(0):
-                continue
-            raise WorkerDied
+            if (self._poll.poll()[0][0] != conn.fileno()
+                    and not conn.poll(0)):
+                # Only the sentinel fired, and no bytes raced the death.
+                raise WorkerDied
+            try:
+                reply = pickle.loads(conn.recv_bytes())
+            except Exception as exc:  # EOF, or a torn final message
+                raise WorkerDied from exc
+            if reply[0] == MSG_DONE and reply[1] == seq:
+                return reply[2:]
+            # unexpected/stale message: keep waiting
 
     def kill(self) -> None:
         """Leave the child dead and the pipe closed; never raises."""
@@ -160,10 +162,10 @@ class ProcessBackend(RemoteBackend):
     remote_error = RemoteTaskError
     refusals = (MpSerializationError,)
     link_errors = (WorkerDied,)
+    max_batch = 8
 
     def __init__(self, num_workers: int, **wiring):
-        super().__init__(
-            "mp.worker_deaths", "mp.redispatched_tasks", **wiring)
+        super().__init__("mp.worker_deaths", "mp.redispatched_tasks", **wiring)
         self.num_workers = num_workers
         self._spawn_lock = threading.Lock()
         self._stopped = False
@@ -195,13 +197,10 @@ class ProcessBackend(RemoteBackend):
         workers = [link.process for link in self._links]
         self._links = []
         for worker in workers:
-            if worker.conn is None:
-                continue
             try:
-                worker.conn.send_bytes(
-                    pickle.dumps((MSG_STOP,), protocol=PROTOCOL))
-            except Exception:
-                continue
+                worker.send([pickle.dumps((MSG_STOP,), protocol=PROTOCOL)])
+            except WorkerDied:
+                pass
         for worker in workers:
             try:
                 if worker.conn is not None and worker.conn.poll(_GOODBYE_TIMEOUT):
@@ -216,29 +215,30 @@ class ProcessBackend(RemoteBackend):
     # ------------------------------------------------------------------
     # the transport half of RemoteBackend's dispatch policy
     # ------------------------------------------------------------------
-    def _encode(self, task, values: list, link: Link):
-        return encode_values(task, values), writeback_specs(task, values)
-
-    def _definition_payload(self, definition):
-        return definition_payload(definition)
-
-    def _exchange(self, link: Link, seq: int, key, payload, task, request):
-        enc_values, wb_specs = request
+    def _encode(self, task, values: list, link: Link, seq: int):
+        encoded = encode_values(task, values)
+        wb_specs = writeback_specs(task, values, encoded)
+        key = id(task.definition)  # stable for the master's lifetime
+        payload = (None if key in link.sent_defs
+                   else definition_payload(task.definition))
         try:
-            data = task_message(seq, key, payload, task.task_id, task.name,
-                                enc_values, wb_specs)
+            return task_record(seq, key, payload, task.task_id, task.name,
+                               encoded, wb_specs), wb_specs
         except Exception as exc:
             raise MpSerializationError(
                 f"task {task.name!r}: arguments are not picklable "
                 f"({exc!r}); pass arena-backed arrays or use "
                 f"backend='threads'"
             ) from exc
-        err, wb_values, duration, events = link.process.request(seq, data)
-        return err, duration, events, wb_values
+
+    def _send(self, link: Link, requests: list) -> None:
+        link.process.send([record for record, _wb_specs in requests])
+
+    def _recv(self, link: Link, seq: int):
+        return link.process.recv(seq)
 
     def _land(self, link: Link, values: list, request, wb_values) -> None:
-        _enc_values, wb_specs = request
-        apply_writebacks(wb_specs, wb_values, values)
+        apply_writebacks(request[1], wb_values, values)
 
     def _revive(self, link: Link) -> None:
         with self._spawn_lock:

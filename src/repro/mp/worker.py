@@ -1,8 +1,9 @@
 """Worker-process entry point for the process backend.
 
 Each worker is a long-lived forked child running :func:`worker_main`:
-a loop of ``recv task -> attach arena blocks -> run the task function
--> send back write-backs (+ trace events)``.  The dependency analysis,
+a loop of ``recv a frame of task records -> for each, in order: attach
+arena blocks -> run the task function -> send back write-backs (+ trace
+events)``.  The dependency analysis,
 the scheduler, renaming, and all completion bookkeeping stay in the
 master — a worker sees only fully-resolved argument values, exactly
 like a worker *thread* does in :mod:`repro.core.runtime`.
@@ -18,23 +19,25 @@ exiting can never close or unlink segments the master still owns.
 
 from __future__ import annotations
 
+import io
 import pickle
 import threading
 from collections import deque
+from functools import lru_cache
 from time import perf_counter
 
 from ..core.tracing import EventKind, TraceEvent
 from ..net.codec import PROTOCOL, format_remote_error
+from .arena import ArenaHandle, attach_handle
 from .encoding import (
     collect_writebacks,
     decode_values,
     resolve_definition_func,
 )
 
-__all__ = ["task_message", "run_body", "worker_main"]
+__all__ = ["task_record", "run_body", "worker_main"]
 
-#: message tags (master -> worker)
-MSG_TASK = "task"
+#: message tag (master -> worker); every other message is a frame
 MSG_STOP = "stop"
 #: message tags (worker -> master)
 MSG_READY = "ready"
@@ -42,13 +45,14 @@ MSG_DONE = "done"
 MSG_BYE = "bye"
 
 
-def task_message(seq: int, def_key, def_payload, task_id: int,
-                 task_name: str, enc_values: list, wb_specs: list) -> bytes:
-    """The master's half of the task message :func:`worker_main` unpacks."""
+def task_record(seq: int, def_key, def_payload, task_id: int,
+                task_name: str, enc_values: list, wb_specs: list) -> bytes:
+    """One task as :func:`worker_main` unpacks it.  A frame is one pipe
+    message of one or more records back to back (a pickle delimits
+    itself); each record is answered by its own ``MSG_DONE``."""
 
     return pickle.dumps(
-        (MSG_TASK, seq, def_key, def_payload, task_id, task_name,
-         enc_values, wb_specs),
+        (seq, def_key, def_payload, task_id, task_name, enc_values, wb_specs),
         protocol=PROTOCOL,
     )
 
@@ -126,7 +130,8 @@ def _neutralise_inherited_state() -> None:
 
 
 def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
-    """Run tasks from *conn* until a stop message (or EOF/unpickle death).
+    """Run the task records of every frame from *conn*, replying after
+    each, until a stop message (or EOF/unpickle death).
 
     *slot* is the thread index this worker represents in the merged
     timeline (the same index as its master-side proxy thread), so the
@@ -137,7 +142,11 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
 
     _neutralise_inherited_state()
 
-    segment_cache: dict = {}
+    #: The attached view per handle, beside the segment cache: a graph
+    #: names the same blocks over and over (bounded: a long run over
+    #: ever-new slices must not grow it forever).
+    attach = lru_cache(maxsize=4096)(
+        lambda handle: attach_handle(ArenaHandle(*handle)))
     func_cache: dict = {}
     events: deque = deque(maxlen=max(int(ring_capacity), 2))
 
@@ -149,17 +158,25 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
         events.clear()
         return out
 
-    send((MSG_READY, None))
-    try:
+    def messages():
+        """The records of every frame (and the stop message), in order."""
+
         while True:
             try:
-                msg = pickle.loads(conn.recv_bytes())
+                frame = conn.recv_bytes()
             except (EOFError, OSError):
                 return  # master is gone; nothing to report to
+            stream = io.BytesIO(frame)
+            while stream.tell() < len(frame):
+                yield pickle.load(stream)
+
+    send((MSG_READY, None))
+    try:
+        for msg in messages():
             if msg[0] == MSG_STOP:
                 send((MSG_BYE, drain_events()))
                 return
-            (_tag, seq, def_key, def_payload, task_id, task_name,
+            (seq, def_key, def_payload, task_id, task_name,
              enc_values, wb_specs) = msg
             func = func_cache.get(def_key)
             err = None
@@ -170,20 +187,20 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
                     func = func_cache[def_key] = resolve_definition_func(
                         def_payload
                     )
-                values = decode_values(enc_values, segment_cache)
+                values = decode_values(enc_values, attach)
                 duration = run_body(func, values, task_id, task_name, slot,
                                     events if trace else None)
                 wb_values = collect_writebacks(wb_specs, values)
             except BaseException as exc:  # noqa: BLE001 - shipped to master
                 err = format_remote_error(exc)
             try:
-                send((MSG_DONE, seq, err, wb_values, duration, drain_events()))
+                send((MSG_DONE, seq, err, duration, drain_events(), wb_values))
             except (BrokenPipeError, OSError):
                 return
             except Exception as exc:  # e.g. unpicklable write-back value
                 try:
-                    send((MSG_DONE, seq, format_remote_error(exc), [],
-                          duration, []))
+                    send((MSG_DONE, seq, format_remote_error(exc), duration,
+                          [], []))
                 except Exception:
                     return
     finally:

@@ -78,13 +78,7 @@ class Finding:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "severity": self.severity,
-            "message": self.message,
-            "time": self.time,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------

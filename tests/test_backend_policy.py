@@ -9,11 +9,15 @@ the policy (including the "second loss" and "cannot revive" cases the
 end-to-end death tests cannot reach deterministically) is pinned.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import css_task
 from repro.core.backend import Link, RemoteBackend, ThreadBackend
+from repro.core.execution import FRAME_SECONDS, WorkerLoop
 from repro.core.invocation import plan_for
+from repro.core.scheduler import SmpssScheduler
 from repro.obs import MetricsRegistry
 
 
@@ -39,8 +43,10 @@ class Unshippable:
 
 
 class FakeBackend(RemoteBackend):
-    """*script* says what each exchange does, in order: ``"die"``,
-    ``"ok"`` or an error triple; *revivable* whether revival works."""
+    """*script* says what waiting for each reply does, in order:
+    ``"die"``, ``"ok"`` or an error triple; *revivable* whether revival
+    works.  ``sent`` lists every record of every frame, so a record that
+    is sent again after a death shows twice."""
 
     lost_error = FakeLost
     remote_error = FakeRemoteError
@@ -58,28 +64,33 @@ class FakeBackend(RemoteBackend):
         self._links = [Link(1)]
         self.script = list(script)
         self.revivable = revivable
-        self.sent = []      # (seq, definition payload) per exchange
+        self.sent = []      # (seq, definition payload) per record sent
+        self.frames = []    # how many records each frame carried
         self.landed = []
         self.revivals = 0
 
     def start(self):
         return 1
 
-    def _encode(self, task, values, link):
+    def _encode(self, task, values, link, seq):
         if any(isinstance(v, Unshippable) for v in values):
             raise Refused(f"task {task.name!r}: cannot ship")
-        return list(values)
+        payload = ("def", task.name)
+        if id(task.definition) in link.sent_defs:
+            payload = None
+        return seq, payload, list(values)
 
-    def _definition_payload(self, definition):
-        return ("def", definition.name)
+    def _send(self, link, requests):
+        self.frames.append(len(requests))
+        self.sent += [(seq, payload) for seq, payload, _ in requests]
+        self.inflight = {seq: values for seq, _, values in requests}
 
-    def _exchange(self, link, seq, key, payload, task, request):
-        self.sent.append((seq, payload))
+    def _recv(self, link, seq):
         step = self.script.pop(0)
         if step == "die":
             raise LinkDown
         err = None if step == "ok" else step
-        return err, 0.25, ["event"], [v * 2 for v in request]
+        return err, 0.25, ["event"], [v * 2 for v in self.inflight[seq]]
 
     def _land(self, link, values, request, result):
         self.landed.append(result)
@@ -181,6 +192,126 @@ class TestRemoteDispatchPolicy:
         assert isinstance(cause, IndexError) and duration == 0.0
         cause, _ = backend.run(_task(), 7)  # no such link
         assert isinstance(cause, IndexError)
+
+
+DEF = ("def", "probe_t")
+
+
+class TestFrameDispatchPolicy:
+    """The list form: one send per frame, one reply per record, and a
+    death charged to the record that was running."""
+
+    def test_a_frame_is_one_send_and_lands_record_by_record(self):
+        backend = FakeBackend(["ok"] * 5)
+        tasks = [_task(k) for k in (1, 2, 3)]
+        replies = backend.run_frame(tasks, 1)
+        assert next(replies) == (tasks[0], None, 0.25)
+        assert backend.landed == [[2]]      # landed as its own reply came
+        assert list(replies) == [(task, None, 0.25) for task in tasks[1:]]
+        assert backend.frames == [3] and backend.landed == [[2], [4], [6]]
+        # No reply had confirmed the definition when the frame left.
+        assert backend.sent == [(1, DEF), (2, DEF), (3, DEF)]
+        assert backend.dispatched == [1, 1, 1]
+        list(backend.run_frame([_task(), _task()], 1))
+        assert backend.sent[3:] == [(4, None), (5, None)]
+
+    def test_death_at_record_k_charges_k_and_resends_the_rest(self):
+        backend = FakeBackend(["ok", "die", "ok", "ok", "ok"])
+        tasks = [_task(k) for k in (1, 2, 3, 4)]
+        assert list(backend.run_frame(tasks, 1)) == [
+            (task, None, 0.25) for task in tasks]
+        # Record 0 landed once, before the death; 1 was running and is
+        # re-dispatched once; 2 and 3 never started and ride with it.
+        assert backend.landed == [[2], [4], [6], [8]]
+        assert backend.frames == [4, 3]
+        assert [seq for seq, _ in backend.sent] == [1, 2, 3, 4, 5, 6, 7]
+        assert _counters(backend) == (1, 1) and backend.revivals == 1
+
+    def test_second_death_of_one_record_fails_it_alone(self):
+        backend = FakeBackend(["ok", "die", "die", "ok", "ok"])
+        tasks = [_task(k) for k in (1, 2, 3, 4)]
+        out = list(backend.run_frame(tasks, 1))
+        assert [task for task, _, _ in out] == tasks
+        assert [cause for _, cause, _ in out[:1] + out[2:]] == [None] * 3
+        lost = out[1][1]
+        assert isinstance(lost, FakeLost)
+        assert f"#{tasks[1].task_id}" in str(lost)
+        assert backend.landed == [[2], [6], [8]]
+        assert backend.frames == [4, 3, 2]
+        # Only the record that was running is ever charged.
+        assert _counters(backend) == (2, 1) and backend.revivals == 2
+
+    def test_body_error_mid_frame_fails_only_its_task(self):
+        backend = FakeBackend(["ok", ("ValueError", "bad", "tb"), "ok"])
+        tasks = [_task(k) for k in (1, 2, 3)]
+        out = list(backend.run_frame(tasks, 1))
+        assert [type(cause) for _, cause, _ in out] == [
+            type(None), FakeRemoteError, type(None)]
+        assert backend.landed == [[2], [6]] and backend.frames == [3]
+
+    def test_refused_record_leaves_the_rest_of_the_frame_alone(self):
+        backend = FakeBackend(["ok", "ok"])
+        tasks = [_task(1), _task(Unshippable()), _task(3)]
+        out = {task: cause for task, cause, _ in backend.run_frame(tasks, 1)}
+        assert isinstance(out[tasks[1]], Refused)
+        assert out[tasks[0]] is None and out[tasks[2]] is None
+        assert backend.frames == [2] and backend._links[0].seq == 2
+
+    def test_unrevivable_link_fails_every_record_left(self):
+        backend = FakeBackend(["ok", "die"], revivable=False)
+        tasks = [_task(k) for k in (1, 2, 3)]
+        out = list(backend.run_frame(tasks, 1))
+        assert out[0] == (tasks[0], None, 0.25)
+        assert [type(cause) for _, cause, _ in out[1:]] == [FakeLost] * 2
+        assert _counters(backend) == (1, 0)
+
+    def test_run_frame_never_raises(self):
+        backend = FakeBackend(["ok"])  # script exhausted: a master-side bug
+        tasks = [_task(k) for k in (1, 2, 3)]
+        out = list(backend.run_frame(tasks, 1))
+        assert out[0] == (tasks[0], None, 0.25)
+        assert [(task, type(cause)) for task, cause, _ in out[1:]] == [
+            (tasks[1], IndexError), (tasks[2], IndexError)]
+
+    def test_expected_is_the_duration_the_last_reply_reported(self):
+        backend = FakeBackend(["ok", ("ValueError", "bad", "tb")])
+        assert backend.expected(_task(), 1) is None
+        backend.run(_task(), 1)
+        assert backend.expected(_task(), 1) == 0.25
+        backend.run(_task(), 1)     # a body that raised reports no time
+        assert backend.expected(_task(), 1) == 0.25
+
+
+class TestFramePolicy:
+    """``WorkerLoop._pop_frame``: how many ready tasks join the one a
+    worker popped — its fair share, within the expected-time budget."""
+
+    def _pop(self, ready, expected, spare=7, threads=3):
+        loop = WorkerLoop()
+        loop.scheduler = SmpssScheduler(threads)
+        loop.backend = SimpleNamespace(expected=lambda task, thread: expected)
+        for _ in range(ready):
+            loop.scheduler.push_new(_task())
+        first = loop.scheduler.pop(1)
+        rest = loop._pop_frame(first, 1, spare)
+        assert loop._running == len(rest or ())
+        assert loop.scheduler.ready_count == ready - 1 - len(rest or ())
+        return rest
+
+    def test_frame_is_capped_by_max_batch_and_by_the_fair_share(self):
+        assert len(self._pop(20, 2e-6)) == 7            # max_batch - 1
+        assert len(self._pop(9, 2e-6)) == 4             # 8 left, 2 workers
+        assert len(self._pop(3, 2e-6)) == 1
+        assert self._pop(2, 2e-6) is None               # leave it to the other
+        assert self._pop(1, 2e-6) is None
+        assert len(self._pop(9, 2e-6, threads=2)) == 7  # one worker: all its
+
+    def test_frame_is_capped_by_expected_body_time(self):
+        assert self._pop(20, None) is None              # unknown: ship alone
+        assert self._pop(20, FRAME_SECONDS) is None
+        assert self._pop(20, 1e-3) is None
+        assert len(self._pop(20, 0.6 * FRAME_SECONDS)) == 1
+        assert len(self._pop(20, 0.3 * FRAME_SECONDS)) == 3
 
 
 class TestThreadBackend:

@@ -9,7 +9,9 @@ when the owning scope unwinds on an exception.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.mp import arena as arena_module
 from repro.mp.arena import (
     ArenaHandle,
     SharedArena,
@@ -57,7 +59,7 @@ class TestAllocation:
         with SharedArena(segment_bytes=4096) as a:
             for _ in range(4):
                 a.zeros((1024,))  # 8 KiB each > segment size
-            assert a.allocated_segments >= 4
+            assert len(a.segment_names) >= 4
 
     def test_oversized_block_gets_dedicated_segment(self):
         with SharedArena(segment_bytes=4096) as a:
@@ -122,6 +124,94 @@ class TestHandles:
 
         handle = handle_of(arena.zeros((4,)))
         assert pickle.loads(pickle.dumps(handle)) == handle
+
+
+def _derive(value):
+    """The uncached derivation — the loop ``handle_of`` was before it
+    grew a memo and fast paths — kept as the reference."""
+
+    if not isinstance(value, np.ndarray) or value.dtype.hasobject:
+        return None
+    if any(s < 0 for s in value.strides):
+        return None
+    span = 0 if 0 in value.shape else value.itemsize + sum(
+        (n - 1) * s for n, s in zip(value.shape, value.strides))
+    addr = value.__array_interface__["data"][0]
+    for name, (base, size, _arena) in arena_module._SEGMENTS.items():
+        if base <= addr and addr + span <= base + size:
+            return ArenaHandle(name, addr - base, tuple(value.shape),
+                               value.dtype.str, tuple(value.strides))
+    return None
+
+
+_index = st.one_of(
+    st.integers(-5, 5),
+    st.builds(slice, st.none() | st.integers(-7, 7),
+              st.none() | st.integers(-7, 7),
+              st.none() | st.sampled_from([-3, -2, -1, 1, 2, 3])),
+)
+#: A view recipe: index both axes, maybe transpose, maybe index again.
+_recipe = st.tuples(_index, _index, st.booleans(), _index)
+
+
+def _view(block, recipe):
+    first, second, transpose, third = recipe
+    try:
+        view = block[first, second]
+        if transpose:
+            view = view.T
+        return view[third] if view.ndim else view[...]
+    except IndexError:
+        return block[0:0]
+
+
+class TestHandleMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(recipes=st.lists(_recipe, min_size=1, max_size=12))
+    def test_memoised_handle_equals_the_uncached_derivation(self, recipes):
+        # Slices, transposes, zero-size and negative-stride views, of an
+        # arena block and of a heap array; views die at once, so later
+        # ones are built at the addresses (``id``) of earlier ones.
+        with SharedArena(segment_bytes=1 << 16) as a:
+            for block in (a.zeros((6, 6)), np.zeros((6, 6))):
+                for recipe in recipes:
+                    view = _view(block, recipe)
+                    want = _derive(view)
+                    assert handle_of(view) == want
+                    assert handle_of(view) == want      # from the memo
+            survivor = _view(block, recipes[0])
+        assert handle_of(survivor) is None
+
+    def test_memo_is_guarded_against_a_reused_id(self, arena):
+        block = arena.zeros((8, 8))
+        seen, reused = set(), 0
+        for k in range(200):
+            view = block[k % 8:, :1 + k % 7]
+            reused += id(view) in seen
+            seen.add(id(view))
+            assert handle_of(view) == _derive(view)
+            del view
+        assert reused
+
+    def test_memo_follows_an_in_place_change_of_layout(self, arena):
+        view = arena.zeros((4, 6))
+        assert handle_of(view).shape == (4, 6)
+        view.shape = (6, 4)
+        assert handle_of(view) == _derive(view)
+        assert handle_of(view).shape == (6, 4)
+
+    def test_handle_is_none_again_after_close(self):
+        a = SharedArena()
+        block = a.zeros((4, 4))
+        tile = block[1:3]
+        assert handle_of(block) is not None and handle_of(tile) is not None
+        b = SharedArena()
+        other = b.zeros((4,))
+        a.close()
+        assert handle_of(block) is None and handle_of(tile) is None
+        assert handle_of(other) is not None     # another arena's memo lives
+        b.close()
+        assert handle_of(other) is None
 
 
 class TestLifecycle:

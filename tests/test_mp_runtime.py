@@ -8,8 +8,12 @@ storage, one automatic re-dispatch after a worker death, and clean
 shared-memory teardown — which are what this module pins down.
 """
 
+import contextlib
+import multiprocessing
 import os
 import signal
+import time
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.apps.cholesky import cholesky_hyper
 from repro.apps.matmul import matmul_dense
 from repro.blas.hypermatrix import HyperMatrix
 from repro.core.config import resolve_config
+from repro.core.scheduler import DispatchGate
 from repro.mp import (
     MpSerializationError,
     RemoteTaskError,
@@ -102,6 +107,39 @@ def die_once_t(flag, out, k):
 @css_task("input(x)")
 def always_die_t(x):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+@css_task("input(c, k) inout(acc, flag{k..k})")
+def accum_or_die_t(c, acc, flag, k):
+    """Not idempotent.  ``flag[k]`` 0: kill the worker once, before
+    accumulating; 2: kill it every time; 1: just accumulate."""
+
+    state = flag[k]
+    if state == 0:
+        flag[k] = 1
+    if state != 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    acc += c
+
+
+@css_task("inout(a) highpriority")
+def urgent_incr_t(a):
+    a += 1
+
+
+@css_task("inout(a)")
+def slow_incr_t(a):
+    start = time.perf_counter()
+    while time.perf_counter() - start < 1e-3:
+        pass
+    a += 1
+
+
+@css_task("input(x) inout(a)")
+def incr_or_boom_t(x, a):
+    if x < 0:
+        raise ValueError(f"kaboom {x}")
+    a += x
 
 
 def _sequential_gemm_chain(a, b, c, rounds):
@@ -380,6 +418,293 @@ class TestWorkerLoss:
             assert deaths == 10
         leaked = leaked_segment_files()
         assert not any(name in leaked for name in names)
+
+
+# ---------------------------------------------------------------------------
+# frames: several ready tasks per pipe message, one reply each
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _hold(rt):
+    """A dispatch gate on *rt*, paused inside the block: what is
+    submitted there is all ready at once when the block ends."""
+
+    gate = DispatchGate()
+    gate.bind(rt._sched_lock, rt._sched_cv, rt._main_cv)
+    gate.install(rt.scheduler)
+    gate.pause()
+    try:
+        yield gate
+    finally:
+        gate.resume()
+
+
+def _record_frames(rt, known=True) -> list:
+    """The task ids of every frame *rt*'s backend ships from now on
+    (``run`` is the frame of one).  *known*: call every body's expected
+    time zero, so that only the fair share sizes a frame and the
+    frames below do not depend on this host's clock."""
+
+    frames: list = []
+    dispatch = rt.backend._dispatch
+
+    def recording(tasks, thread):
+        frames.append([task.task_id for task in tasks])
+        return dispatch(tasks, thread)
+
+    rt.backend._dispatch = rt.backend.run_frame = recording
+    if known:
+        rt.backend.expected = lambda task, thread: 0.0
+    return frames
+
+
+@pytest.fixture
+def master_sends(monkeypatch):
+    """Counts this process's ``Connection.send_bytes`` calls."""
+
+    calls = []
+    send_bytes = Connection.send_bytes
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return send_bytes(self, *args, **kwargs)
+
+    monkeypatch.setattr(Connection, "send_bytes", counting)
+    return calls
+
+
+def _await(condition, what):
+    deadline = time.monotonic() + 30.0
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+class TestFrames:
+    N = 32
+
+    def _accumulate(self, arena, states, backend="processes", workers=1):
+        """N independent non-idempotent accumulates released at once;
+        ``(accumulators, frames, deaths, redispatched, error)``."""
+
+        n = self.N
+        flag = arena.zeros((n,), np.int64)
+        flag[:] = 1
+        for k, state in states.items():
+            flag[k] = state
+        srcs = [arena.array(np.full(4, float(k + 1))) for k in range(n)]
+        accs = [arena.array(np.full(4, 100.0 * k)) for k in range(n)]
+        error = None
+        try:
+            with SmpssRuntime(num_workers=workers, backend=backend) as rt:
+                frames = _record_frames(rt) if backend == "processes" else []
+                first = None
+                with _hold(rt):
+                    for k in range(n):
+                        task = accum_or_die_t(srcs[k], accs[k], flag, k)
+                        first = first or task.task_id
+                rt.barrier()
+        except TaskExecutionError as exc:
+            error = exc
+            error.index = exc.task.task_id - first
+        frames = [[tid - first for tid in frame] for frame in frames]
+        return ([np.array(a) for a in accs], frames, rt.backend.deaths,
+                rt.backend.redispatched, error)
+
+    @pytest.mark.parametrize("killers", [(8,), (12,), (23,), (8, 12, 23)])
+    def test_death_inside_a_frame_lands_every_record_once(self, killers):
+        # Frames are tasks 0-7, 8-15, 16-23, 24-31: the killers sit
+        # first, in the middle and last of one.
+        with SharedArena() as arena:
+            want, _, _, _, _ = self._accumulate(arena, {}, backend="threads")
+            got, frames, deaths, redispatched, error = self._accumulate(
+                arena, dict.fromkeys(killers, 0))
+        assert error is None
+        for k in range(self.N):
+            assert np.array_equal(got[k], want[k]), k
+            assert np.array_equal(got[k], np.full(4, 100.0 * k + k + 1))
+        assert deaths == len(killers) and redispatched == len(killers)
+        assert frames == [list(range(lo, lo + 8)) for lo in range(0, 32, 8)]
+
+    def test_a_task_that_always_dies_fails_alone(self):
+        with SharedArena() as arena:
+            got, _, deaths, redispatched, error = self._accumulate(
+                arena, {3: 2})
+        cause = error.__cause__
+        assert isinstance(cause, WorkerLostError)
+        assert "accum_or_die_t" in str(cause) and "re-dispatched once" in str(cause)
+        assert error.index == 3
+        assert (deaths, redispatched) == (2, 1)
+        # The rest of its frame completed, each record exactly once.
+        for k in (0, 1, 2, 4, 5, 6, 7):
+            assert np.array_equal(got[k], np.full(4, 100.0 * k + k + 1)), k
+        assert np.array_equal(got[3], np.full(4, 300.0))
+
+    def _mixed(self, backend, arena, poison):
+        """One frame with an arena-handle, a pickled-ndarray, a
+        region-slice and a list write-back, and a body that raises in
+        their middle when *poison*."""
+
+        shared = arena.array(np.arange(6.0))
+        plain = np.arange(6.0)
+        tiles = np.zeros(12)
+        xs = [1, 2, 3]
+        hit = np.zeros(1)
+        tail = np.arange(4.0)
+        one = np.ones(6)
+        error = None
+        try:
+            with SmpssRuntime(num_workers=1, backend=backend) as rt:
+                frames = _record_frames(rt) if backend == "processes" else []
+                with _hold(rt):
+                    accum_t(one, shared)
+                    accum_t(one, plain)
+                    boom = incr_or_boom_t(-1.0 if poison else 1.0, hit)
+                    fill_region_t(tiles, 4, 7, 9.0)
+                    double_list_t(xs)
+                    incr_t(tail)
+                rt.barrier()
+        except TaskExecutionError as exc:
+            error = exc
+        data = [np.array(shared), plain, tiles, np.array(xs), tail]
+        return data, hit, frames, boom, error
+
+    def test_mixed_write_backs_in_one_frame_equal_threads(self):
+        with SharedArena() as arena:
+            want, want_hit, _, _, _ = self._mixed("threads", arena, False)
+            got, hit, frames, _, error = self._mixed("processes", arena, False)
+        assert error is None and len(frames) == 1 and len(frames[0]) == 6
+        for a, b in zip(got + [hit], want + [want_hit]):
+            assert np.array_equal(a, b)
+
+    def test_a_body_that_raises_mid_frame_fails_only_its_task(self):
+        with SharedArena() as arena:
+            want, _, _, _, _ = self._mixed("threads", arena, False)
+            _, _, _, _, threads_error = self._mixed("threads", arena, True)
+            got, hit, frames, boom, error = self._mixed("processes", arena, True)
+        assert len(frames) == 1 and len(frames[0]) == 6
+        # The barrier reports the first failure, as under threads ...
+        assert error.task is boom and threads_error.task.name == boom.name
+        assert isinstance(error.__cause__, RemoteTaskError)
+        assert "kaboom" in str(error.__cause__)
+        # ... its datum is untouched, and the records around it — shipped
+        # before it failed — all landed, bitwise as under threads.
+        assert hit[0] == 0.0
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_chains_and_long_bodies_ship_one_task_per_frame(self, master_sends):
+        with SharedArena() as arena:
+            chain = arena.zeros((1,))
+            cells = [arena.zeros((1,)) for _ in range(12)]
+            with SmpssRuntime(num_workers=2, backend="processes") as rt:
+                frames = _record_frames(rt, known=False)
+                for _ in range(40):
+                    incr_t(chain)
+                rt.barrier()
+                assert len(master_sends) == 40
+                with _hold(rt):
+                    for cell in cells:
+                        slow_incr_t(cell)
+                rt.barrier()
+                assert len(master_sends) == 40 + 12
+            assert all(len(frame) == 1 for frame in frames)
+            assert chain[0] == 40 and all(cell[0] == 1 for cell in cells)
+
+    def test_high_priority_task_is_the_next_record_shipped(self):
+        with SharedArena() as arena:
+            cells = [arena.zeros((1,)) for _ in range(12)]
+            with SmpssRuntime(num_workers=1, backend="processes") as rt:
+                frames = _record_frames(rt)
+                with _hold(rt) as gate:
+                    for cell in cells[:10]:
+                        incr_t(cell)
+                    gate.step(8)  # one ticket per task: a frame of eight
+                    _await(lambda: frames, "the first frame to leave")
+                    urgent = urgent_incr_t(cells[10])
+                    late = incr_t(cells[11])
+                rt.barrier()
+            assert len(frames[0]) == 8
+            assert frames[1][0] == urgent.task_id
+            assert late.task_id in frames[1][1:] + sum(frames[2:], [])
+            assert all(cell[0] == 1 for cell in cells)
+
+    def test_a_step_ticket_still_dispatches_one_task(self):
+        with SharedArena() as arena:
+            cells = [arena.zeros((1,)) for _ in range(6)]
+            with SmpssRuntime(num_workers=1, backend="processes") as rt:
+                frames = _record_frames(rt)
+                with _hold(rt) as gate:
+                    for cell in cells:
+                        incr_t(cell)
+                    for done in (1, 2, 3):
+                        gate.step()
+                        _await(lambda: rt.tasks_executed == done,
+                               f"step {done}")
+                    assert [len(frame) for frame in frames] == [1, 1, 1]
+                rt.barrier()
+
+    def test_frames_pin(self, master_sends):
+        """The counted pin CI's bench-gate runs: 64 independent arena
+        tasks released at once to 2 workers cross the pipe in at most
+        16 messages (8 if every frame were full; each link sends a
+        definition alone until a reply has told it how long the body
+        takes), and the same 64 as one chain in exactly 64."""
+
+        with SharedArena() as arena:
+            one = arena.array(np.ones(4))
+            cells = [arena.zeros((4,)) for _ in range(64)]
+            with SmpssRuntime(num_workers=2, backend="processes") as rt:
+                for cell in cells[:8]:  # both links learn the body's time
+                    accum_t(one, cell)
+                rt.barrier()
+                with _hold(rt):
+                    for cell in cells:
+                        accum_t(one, cell)
+                    before = len(master_sends)
+                rt.barrier()
+                independent = len(master_sends) - before
+                for _ in range(64):
+                    accum_t(one, cells[0])
+                rt.barrier()
+                chained = len(master_sends) - before - independent
+            assert chained == 64
+            assert independent <= 16, independent
+            assert cells[0][0] == 2 + 64 and cells[63][0] == 1
+
+
+class TestHandshake:
+    """A worker that dies before its ready message is a structured
+    loss, with the pipe closed and the child reaped."""
+
+    @staticmethod
+    def _stillborn(monkeypatch):
+        monkeypatch.setattr(
+            "repro.mp.executor.worker_main", lambda *args: os._exit(3))
+
+    def test_start_raises_worker_lost_naming_slot_and_pid(self, monkeypatch):
+        self._stillborn(monkeypatch)
+        with pytest.raises(WorkerLostError, match=r"worker 1 \(pid \d+\) never completed"):
+            with SmpssRuntime(num_workers=2, backend="processes"):
+                pass
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-mp-worker")]
+
+    def test_respawn_failure_reaches_the_barrier_as_worker_lost(
+            self, monkeypatch):
+        with SharedArena() as arena:
+            flag = arena.zeros((1,), np.int64)
+            out = arena.zeros((1,), np.int64)
+            with pytest.raises(TaskExecutionError) as excinfo:
+                with SmpssRuntime(num_workers=1, backend="processes") as rt:
+                    self._stillborn(monkeypatch)
+                    die_once_t(flag, out, 0)
+                    rt.barrier()
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, WorkerLostError)
+        assert "worker 1 (pid" in str(cause) and "handshake" in str(cause)
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-mp-worker")]
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,8 @@ class TestOneWorkerLoop:
     and both the runtime and the serve engine run on it."""
 
     def _backend_run_callers(self):
-        """``path:function`` of every ``<...backend>.run(...)`` call."""
+        """``path:function`` of every ``<...backend>.run(...)`` or
+        ``<...backend>.run_frame(...)`` call."""
 
         hits = set()
         for path in SRC.rglob("*.py"):
@@ -344,7 +345,7 @@ class TestOneWorkerLoop:
                 for node in ast.walk(func):
                     if not (isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Attribute)
-                            and node.func.attr == "run"):
+                            and node.func.attr in ("run", "run_frame")):
                         continue
                     receiver = node.func.value
                     name = getattr(receiver, "attr", None) or getattr(
@@ -361,6 +362,24 @@ class TestOneWorkerLoop:
 
     def test_backend_run_is_invoked_from_one_place(self):
         assert self._backend_run_callers() == ["core/execution.py:_execute"]
+        source = (SRC / "core" / "execution.py").read_text()
+        assert source.count("backend.run(") == 1
+        assert source.count("backend.run_frame(") == 1
+
+    def test_one_dispatch_path_ships_frames(self):
+        """No one-task exchange left beside the frame, and nothing a
+        user sets selects or sizes it."""
+
+        for gone in ("MSG_TASK", "task_message", "def request(",
+                     "def _exchange(", "connection.wait", "_mpc.wait"):
+            assert _modules_containing(gone, "core", "mp", "dist") == [], gone
+        from repro.core.backend import ExecutionBackend
+        from repro.dist.manager import ClusterBackend
+        from repro.mp.executor import ProcessBackend
+
+        assert (ExecutionBackend.max_batch, ProcessBackend.max_batch,
+                ClusterBackend.max_batch) == (1, 8, 1)
+        assert len(dataclasses.fields(RuntimeConfig)) == 22
 
     def test_runtime_and_engine_both_reach_that_loop(self):
         from repro.core.execution import WorkerLoop
@@ -501,8 +520,8 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total PR 21 landed on.
-LINE_BUDGET = 25321
+#: The ``src/repro`` total PR 22 landed on.
+LINE_BUDGET = 25319
 
 
 class TestOneMeasurementSystem:

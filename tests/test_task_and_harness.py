@@ -56,9 +56,9 @@ class TestTaskDefinition:
 
     def test_declared_direction(self):
         defn = self._definition()
-        assert defn.declared_direction("a") is Direction.INPUT
-        assert defn.declared_direction("b") is Direction.INOUT
-        assert defn.declared_direction("n") is None
+        assert defn.directions_by_name["a"] == {Direction.INPUT}
+        assert defn.directions_by_name["b"] == {Direction.INOUT}
+        assert "n" not in defn.directions_by_name     # a by-value scalar
 
     def test_needs_expressions_flag(self):
         assert not self._definition().needs_expressions
