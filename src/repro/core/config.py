@@ -89,8 +89,8 @@ class RuntimeConfig:
     nodes: Optional[list] = None
     #: ``True``: every whole-object write returns to the master with the
     #: task's reply (higher traffic, but an agent death never loses
-    #: data).  ``False`` (default): outputs stay resident on the
-    #: producing node until a barrier or a remote consumer fetches them.
+    #: data).  ``False`` (default): only a write that is still its
+    #: datum's newest does; a superseded one stays on the producing node.
     dist_write_through: bool = False
     #: Live inspection & control (:mod:`repro.live`): serve graph-delta
     #: events and accept pause/step/breakpoint commands while the run is

@@ -5,9 +5,9 @@ the paper's master — dependency tracker, renaming, scheduler — exactly
 as-is and runs task *bodies* on remote node agents, each started with
 ``python -m repro dist agent ADDR``.  The interesting machinery is the
 datum **residency** layer: inputs ship only when the target node does
-not already hold their current version, outputs stay on the producing
-node until someone needs them, and the scheduler places each task on
-the node holding the most of its input bytes.  See
+not already hold their current version, an output rides home on its
+task's reply while it is its datum's newest version, and the scheduler
+places each task on the node holding the most of its input bytes.  See
 ``docs/distributed.md`` for the topology, the wire protocol, and the
 failure semantics.
 """

@@ -47,7 +47,7 @@ from ..mp.executor import WorkerDied, WorkerProcess
 from ..mp.worker import run_body, task_record
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import PROTOCOL, format_remote_error
-from ..net.frames import recv_frame, send_frame
+from ..net.frames import RecordReader, recv_frame, send_frame
 from ..net.protocol import hang_up, listen, tune
 from .encoding import (
     alloc_from_meta,
@@ -228,9 +228,10 @@ class AgentServer:
         hang_up(conn)
 
     def _serve_conn(self, conn: socket.socket) -> None:
+        inbox = RecordReader(conn)  # every inbound frame, in gulps
         try:
             try:
-                hello, _ = recv_frame(conn, timeout=30.0)
+                hello, _ = recv_frame(inbox, timeout=30.0)
             except (NetClosed, NetTimeout, ConnectionError):
                 return
             if hello.get("k") != "hello":
@@ -238,16 +239,16 @@ class AgentServer:
             conn.settimeout(None)
             role = hello.get("role")
             if role == "control":
-                self._control_loop(conn)
+                self._control_loop(conn, inbox)
             elif role == "dispatch":
-                self._dispatch_loop(conn, hello)
+                self._dispatch_loop(conn, inbox, hello)
         finally:
             self._drop_conn(conn)
 
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
-    def _control_loop(self, conn: socket.socket) -> None:
+    def _control_loop(self, conn: socket.socket, inbox) -> None:
         send_frame(conn, {
             "k": "hello", "slots": self.slots, "pid": os.getpid(),
             "name": self.name, "processes": self.processes,
@@ -255,7 +256,7 @@ class AgentServer:
         store = self.store
         while True:
             try:
-                header, _payload = recv_frame(conn)
+                header, _payload = recv_frame(inbox)
             except (NetClosed, ConnectionError, OSError):
                 return
             kind = header.get("k")
@@ -265,7 +266,9 @@ class AgentServer:
                 elif kind == "evict":  # one-way: keys are never reused
                     store.evict(header.get("keys", ()))
                 elif kind == "release":
-                    dropped = store.release(str(header.get("sid", "")) + ":")
+                    sid = str(header.get("sid", ""))
+                    dropped = store.release(sid + ":")
+                    self._funcs.pop(sid, None)  # its definitions go too
                     send_frame(conn, {"k": "ok", "dropped": dropped})
                 elif kind == "ping":
                     send_frame(conn, {
@@ -306,7 +309,7 @@ class AgentServer:
     # ------------------------------------------------------------------
     # dispatch plane
     # ------------------------------------------------------------------
-    def _dispatch_loop(self, conn: socket.socket, hello: dict) -> None:
+    def _dispatch_loop(self, conn: socket.socket, inbox, hello: dict) -> None:
         slot = int(hello.get("slot", 0))
         sid = str(hello.get("sid", ""))
         trace = bool(hello.get("trace"))
@@ -319,7 +322,7 @@ class AgentServer:
         try:
             while True:
                 try:
-                    header, payload = recv_frame(conn)
+                    header, payload = recv_frame(inbox)
                 except (NetClosed, ConnectionError, OSError):
                     return
                 kind = header.get("k")
@@ -340,20 +343,18 @@ class AgentServer:
                 worker.kill()
 
     def _resolve_func(self, sid: str, def_key, def_payload):
-        # Cache key includes the session id: def_key is id()-based on
-        # the master, so two masters sharing one agent could collide.
-        cache_key = (sid, def_key)
+        # Cached per session id: def_key is id()-based on the master, so
+        # two masters sharing one agent could collide; dropped at release.
         with self._func_lock:
-            func = self._funcs.get(cache_key)
+            funcs = self._funcs.setdefault(sid, {})
+            func = funcs.get(def_key)
             if func is None:
                 if def_payload is None:
                     raise RuntimeError(
                         f"agent has no cached definition for key {def_key!r} "
                         f"and the master sent no payload"
                     )
-                func = self._funcs[cache_key] = resolve_definition_func(
-                    def_payload
-                )
+                func = funcs[def_key] = resolve_definition_func(def_payload)
             return func
 
     def _resolve_values(self, specs: list) -> list:

@@ -89,8 +89,8 @@ class AgentLostError(RuntimeError):
 class DistDataLossError(RuntimeError):
     """The only copy of a datum's current version died with its node.
 
-    Only possible in the default lazy-residency mode, where a task's
-    outputs stay on the producing node until someone needs them; run
+    Only possible in the default lazy-residency mode, for a version a
+    later writer has superseded and whose successor has not run yet; run
     with ``dist_write_through=True`` when agents are expected to die.
     """
 

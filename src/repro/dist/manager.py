@@ -15,10 +15,12 @@ residency** layer (:mod:`repro.dist.residency`):
 * a task's inputs ship only when the target node does not already hold
   their current version — repeat submissions over the same arrays move
   almost nothing (``dist.cache_hits``);
-* a task's whole-object outputs stay on the producing node by default;
-  the master fetches them home lazily (a consumer dispatched elsewhere,
-  :meth:`fetch_version`, or the barrier) — the paper's section-VI
-  locality argument, generalised across address spaces;
+* a whole-object output rides home on its task's ``done`` frame while
+  it is its datum's newest version (the barrier or a ``wait_on`` would
+  fetch exactly those bytes) and the node keeps its copy; a version a
+  later writer has superseded stays put, fetched only if its reader is
+  dispatched elsewhere — the paper's section-VI locality argument,
+  generalised across address spaces;
 * the scheduler's placement hook steers each ready task toward the
   node already holding the most input bytes (cf. the Myrmics/COMPSs
   locality schedulers in PAPERS.md), falling back to normal stealing.
@@ -48,7 +50,7 @@ from ..core.renaming import StorageKind
 from ..mp.encoding import definition_payload
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import PROTOCOL
-from ..net.frames import FrameError, recv_frame, send_frame
+from ..net.frames import FrameError, RecordReader, recv_frame, send_frame
 from ..net.protocol import connect, connect_retry, hang_up
 from .encoding import (
     AgentLostError,
@@ -84,7 +86,7 @@ class _Node:
         self.index = index
         self.name = f"n{index}"
         self.address = address
-        self.control = None
+        self.control = self.inbox = None  # socket, its buffered inbound half
         self.control_lock = threading.Lock()
         self.slots = 0
         self.slot_ids: list[int] = []
@@ -129,6 +131,7 @@ class ClusterBackend(RemoteBackend):
         self._nodes: list[_Node] = []
         self._by_name: dict[str, _Node] = {}
         self._death_lock = threading.Lock()
+        self._fetch_lock = threading.Lock()
         self._remap_rr = 0
         self._stopped = False
         self._m_bytes = metrics.counter("dist.bytes_moved")
@@ -153,25 +156,15 @@ class ClusterBackend(RemoteBackend):
         slot = 1
         for index, address in enumerate(self._addresses):
             node = _Node(index, address)
-            sock = connect_retry(address, timeout=_CONNECT_TIMEOUT)
-            send_frame(sock, {"k": "hello", "role": "control",
-                              "sid": self.sid})
-            reply, _ = recv_frame(sock, timeout=_CONNECT_TIMEOUT)
-            if reply.get("k") != "hello" or "slots" not in reply:
-                sock.close()
-                raise ConnectionError(
-                    f"{address!r} did not answer like a repro dist agent "
-                    f"(got {reply.get('k')!r})"
-                )
-            sock.settimeout(_CONTROL_TIMEOUT)
-            node.control = sock
+            node.control, node.inbox, reply = self._dial(
+                node, connect_retry, "hello", role="control")
+            node.control.settimeout(_CONTROL_TIMEOUT)
             node.slots = int(reply["slots"])
             node.pid = reply.get("pid")
             self._nodes.append(node)
             self._by_name[node.name] = node
-            for _ in range(node.slots):
-                node.slot_ids.append(slot)
-                slot += 1
+            node.slot_ids = list(range(slot, slot + node.slots))
+            slot += node.slots
             self._g_resident[node.name] = metrics.gauge(
                 "dist.node_resident_bytes", node=node.name)
             self._g_tasks[node.name] = metrics.gauge(
@@ -183,26 +176,34 @@ class ClusterBackend(RemoteBackend):
             for slot_id in node.slot_ids:
                 # One dispatch socket per slot; after its node dies the
                 # driving thread remaps the link to a survivor.
-                self._links.append(Link(
-                    slot_id, node=node,
-                    conn=self._open_dispatch(node, slot_id)))
+                link = Link(slot_id)
+                self._open_dispatch(link, node)
+                self._links.append(link)
         return slot - 1
 
-    def _open_dispatch(self, node: _Node, slot: int):
-        sock = connect(node.address, timeout=_CONNECT_TIMEOUT)
-        send_frame(sock, {
-            "k": "hello", "role": "dispatch", "sid": self.sid,
-            "slot": slot, "trace": self._tracer is not None,
-            "ring": self._ring_capacity,
-        })
-        reply, _ = recv_frame(sock, timeout=_CONNECT_TIMEOUT)
-        if reply.get("k") != "ok":
+    def _dial(self, node: _Node, dial, want: str, **hello):
+        """Connect to *node* and say hello; ``(socket, inbox, reply)``.
+        Every later frame of the connection is read through the inbox,
+        its buffered inbound half."""
+
+        sock = dial(node.address, timeout=_CONNECT_TIMEOUT)
+        inbox = RecordReader(sock)
+        send_frame(sock, {"k": "hello", "sid": self.sid, **hello})
+        reply, _ = recv_frame(inbox, timeout=_CONNECT_TIMEOUT)
+        if reply.get("k") != want:
             sock.close()
             raise ConnectionError(
-                f"agent {node.address!r} refused dispatch slot {slot}"
+                f"{node.address!r} did not answer a {hello['role']} hello "
+                f"like a repro dist agent (got {reply.get('k')!r})"
             )
-        sock.settimeout(None)  # tasks take as long as they take
-        return sock
+        return sock, inbox, reply
+
+    def _open_dispatch(self, link: Link, node: _Node) -> None:
+        link.conn, link.inbox, _ = self._dial(
+            node, connect, "ok", role="dispatch", slot=link.slot,
+            trace=self._tracer is not None, ring=self._ring_capacity)
+        link.conn.settimeout(None)  # tasks take as long as they take
+        link.node = node
 
     def stop(self) -> None:
         """Release this session on every agent and close all sockets.
@@ -231,7 +232,7 @@ class ClusterBackend(RemoteBackend):
             if not node.dead:
                 try:
                     send_frame(sock, {"k": "release", "sid": self.sid})
-                    recv_frame(sock, timeout=5.0)
+                    recv_frame(node.inbox, timeout=5.0)
                     send_frame(sock, {"k": "bye"})
                 except Exception:
                     pass
@@ -247,7 +248,7 @@ class ClusterBackend(RemoteBackend):
 
     def _recv(self, link: Link, seq: int):
         while True:
-            header, rblob = recv_frame(link.conn)
+            header, rblob = recv_frame(link.inbox)
             if header.get("k") == "done" and header.get("seq") == seq:
                 break
         reply = pickle.loads(rblob)
@@ -382,9 +383,13 @@ class ClusterBackend(RemoteBackend):
                 v_after = entry.version + 1
                 out.append((pos, entry.key, v_after))
                 writes_specs.append((pos, None))
-                if write_through:
+                # Home with the reply while no later writer is submitted:
+                # the barrier or a wait_on would fetch exactly these bytes.
+                home = (write_through
+                        or version.datum.chains[None].current is version)
+                if home:
                     ret.append((pos, None))
-                commits.append((entry, v_after, write_through))
+                commits.append((entry, v_after, home))
 
         # -- everything else ships inline.
         opaque = task.definition.opaque_positions
@@ -427,17 +432,11 @@ class ClusterBackend(RemoteBackend):
     def _content_spec(self, entry, node: _Node):
         """``("r", ...)`` when *node* holds current content, else ship."""
 
-        if entry.lost:
-            raise DistDataLossError(
-                f"the only copy of datum {entry.key} died with its node; "
-                f"run with dist_write_through=True to survive agent loss"
-            )
         if entry.copies.get(node.name) == entry.version:
             self._m_hits.inc()
             return ("r", entry.key, entry.version)
         self._m_misses.inc()
-        if not entry.master_current():
-            self._fetch_home(entry)
+        self._fetch_home(entry)
         meta, payload = encode_blob(entry.obj)
         self._m_bytes.inc(len(payload))
         self._residency.record_copy(entry, node.name)
@@ -456,9 +455,8 @@ class ClusterBackend(RemoteBackend):
         master-side (they were never dispatched either).
         """
 
-        storage = _master_storage(version)
-        entry = None if storage is None else self._residency.get(storage)
-        if entry is not None and not entry.master_current():
+        entry = self._residency.get(_master_storage(version))
+        if entry is not None:
             self._fetch_home(entry)
 
     def _control(self, name: str, request: dict,
@@ -472,28 +470,30 @@ class ClusterBackend(RemoteBackend):
                 with node.control_lock:
                     send_frame(node.control, request)
                     if reply:
-                        return recv_frame(node.control)
+                        return recv_frame(node.inbox)
         except _NET_ERRORS as exc:
             self._note_death(node, exc)
         return {}, b""
 
     def _fetch_home(self, entry) -> None:
-        """Pull *entry*'s current bytes from a holder into the master copy."""
+        """Pull *entry*'s current bytes from a holder into the master
+        copy, unless it has them (two readers of one stale datum on two
+        proxy threads: the second finds the first one's fetch done)."""
 
-        obj = entry.obj
-        if obj is None:
-            return  # the user dropped it: nobody is left to read it
-        for name in entry.holders():
-            header, payload = self._control(name, {
-                "k": "fetch", "key": entry.key, "version": entry.version,
-                "timeout": _CONTROL_TIMEOUT - 10.0,
-            })
-            if not header.get("found"):
-                continue
-            apply_blob(obj, header["meta"], payload)
-            self._m_bytes.inc(len(payload))
-            self._residency.mark_master_current(entry)
-            return
+        with self._fetch_lock:
+            obj = entry.obj
+            if obj is None or entry.master_current():
+                return  # current, or dropped: nobody is left to read it
+            for name in entry.holders():
+                header, payload = self._control(name, {
+                    "k": "fetch", "key": entry.key, "version": entry.version,
+                    "timeout": _CONTROL_TIMEOUT - 10.0,
+                })
+                if header.get("found"):
+                    apply_blob(obj, header["meta"], payload)
+                    self._m_bytes.inc(len(payload))
+                    self._residency.mark_master_current(entry)
+                    return
         raise DistDataLossError(
             f"datum {entry.key}: current version v{entry.version} is on no "
             f"reachable node and the master copy is stale (last writer "
@@ -523,7 +523,7 @@ class ClusterBackend(RemoteBackend):
             self._control(name, {"k": "evict", "keys": keys}, reply=False)
         residency.generation += 1
         self._g_entries.set(len(residency))
-        totals = residency.resident_bytes_by_node()
+        totals = residency.node_bytes()
         for node in self._nodes:
             self._g_resident[node.name].set(totals.get(node.name, 0))
 
@@ -556,13 +556,11 @@ class ClusterBackend(RemoteBackend):
             node = survivors[self._remap_rr % len(survivors)]
             self._remap_rr += 1
             try:
-                conn = self._open_dispatch(node, link.slot)
+                self._open_dispatch(link, node)
             except _NET_ERRORS as exc:
                 last_exc = exc
                 self._note_death(node, exc)
                 continue
-            link.node = node
-            link.conn = conn
             link.renewed()
             return
         raise AgentLostError(
@@ -589,8 +587,7 @@ class ClusterBackend(RemoteBackend):
             if not version.datum.region_mode
             and version.root.kind is StorageKind.INITIAL
         ]
-        totals = self._residency.node_bytes(
-            obj for obj in objs if obj is not None)
+        totals = self._residency.node_bytes(objs)  # None holds nothing
         if not totals:
             return None
         name = max(totals, key=totals.get)

@@ -7,8 +7,8 @@ storage buffer that has crossed to a node at least once, one
 * ``version`` — a monotonically increasing *content* version, bumped
   each time a task writes the buffer through the cluster backend;
 * ``master_version`` — the version the master's own copy reflects
-  (outputs stay on the producing node in lazy mode, so the master is
-  routinely stale between barriers);
+  (a version a later writer has superseded stays on its node in lazy
+  mode, so the master can be stale between barriers);
 * ``copies`` — ``{node_name: version}``, which nodes hold which
   content version.  A node whose recorded version equals ``version``
   holds the current bytes; dispatching there ships a reference instead
@@ -59,7 +59,7 @@ class ResidencyEntry:
 
     __slots__ = (
         "key", "oid", "weak", "_ref", "is_base", "version", "master_version",
-        "copies", "last_writer", "nbytes", "checksum", "checked_gen", "lost",
+        "copies", "last_writer", "nbytes", "checksum", "checked_gen",
     )
 
     def __init__(self, key: str, obj: Any, is_base: bool, nbytes: int,
@@ -79,9 +79,6 @@ class ResidencyEntry:
         self.nbytes = nbytes
         self.checksum: Optional[int] = None
         self.checked_gen = -1
-        #: Every copy of the current version died with its node and the
-        #: master is stale: the content is unrecoverable (lazy mode).
-        self.lost = False
 
     @property
     def obj(self) -> Any:
@@ -94,6 +91,13 @@ class ResidencyEntry:
         """Nodes recorded as holding the *current* content version."""
 
         return [n for n, v in self.copies.items() if v == self.version]
+
+    @property
+    def lost(self) -> bool:
+        """Every copy of the current version died with its node and the
+        master is stale: the content is unrecoverable."""
+
+        return not (self.master_current() or self.holders())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -185,7 +189,6 @@ class ResidencyMap:
             entry.version += 1
             entry.master_version = entry.version
             entry.checksum = current
-            entry.lost = False
             return False
 
     # ------------------------------------------------------------------
@@ -213,7 +216,6 @@ class ResidencyMap:
             # must reach every node whose store still holds the key.
             entry.copies[node] = v_after
             entry.last_writer = node
-            entry.lost = False
             entry.nbytes = _size_of(entry.obj)
             if master_too:
                 entry.master_version = v_after
@@ -229,7 +231,6 @@ class ResidencyMap:
             entry.master_version = entry.version
             entry.checksum = content_checksum(entry.obj)
             entry.checked_gen = self.generation
-            entry.lost = False
 
     def drop_node(self, node: str) -> list[ResidencyEntry]:
         """Forget every copy on a dead *node*; returns entries whose
@@ -241,8 +242,7 @@ class ResidencyMap:
             for entry in self._by_key.values():
                 if entry.copies.pop(node, None) is None:
                     continue
-                if not entry.master_current() and not entry.holders():
-                    entry.lost = True
+                if entry.lost:
                     lost.append(entry)
         return lost
 
@@ -274,20 +274,14 @@ class ResidencyMap:
     # ------------------------------------------------------------------
     # placement / telemetry
     # ------------------------------------------------------------------
-    def node_bytes(self, objs: Iterable[Any]) -> dict[str, int]:
-        """Per-node current-version resident bytes across *objs*."""
+    def node_bytes(self, objs: Optional[Iterable] = None) -> dict[str, int]:
+        """Per-node current-version resident bytes across *objs* (the
+        placement hook's question), or across every entry (telemetry)."""
 
         totals: dict[str, int] = {}
         with self._lock:
-            for entry in filter(None, map(self.get, objs)):
-                for node in entry.holders():
-                    totals[node] = totals.get(node, 0) + entry.nbytes
-        return totals
-
-    def resident_bytes_by_node(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        with self._lock:
-            for entry in self._by_key.values():
+            for entry in (self._by_key.values() if objs is None
+                          else filter(None, map(self.get, objs))):
                 for node in entry.holders():
                     totals[node] = totals.get(node, 0) + entry.nbytes
         return totals

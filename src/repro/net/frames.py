@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _PREFIX = struct.Struct("!II")
+#: Built once (``json.dumps(..., separators=...)`` would per call).
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_DECODE = json.JSONDecoder().decode
 
 #: Guard rails against a corrupt/foreign peer, not real limits.  A
 #: record's line counts as a header.
@@ -73,7 +76,7 @@ def send_frame(sock: socket.socket, header: dict, payload=b"") -> None:
     ``bytearray``, ``memoryview``); it is gathered, never copied.
     """
 
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    head = _ENCODE(header).encode()
     body = memoryview(payload).cast("B")
     pending = [memoryview(_PREFIX.pack(len(head), len(body)) + head), body]
     try:
@@ -138,7 +141,7 @@ def recv_frame(
         )
     head = recv_exact(sock, head_len)
     try:
-        header = json.loads(head)
+        header = _DECODE(head.decode())
     except ValueError as exc:
         raise FrameError(f"frame header is not JSON: {exc}") from None
     if not isinstance(header, dict):
@@ -169,18 +172,21 @@ def send_record(sock: socket.socket, line: bytes, frames: Sequence = ()) -> None
 
 
 class RecordReader:
-    """The inbound half of a JSON-lines connection: buffer, line,
-    decode, attachments.  Lines are read in gulps, so bytes past the
-    newline are usually buffered; :meth:`recv` serves those before the
-    socket, which lets :func:`recv_frame` parse a record's attachments
-    from this object exactly as it parses frames from a socket."""
+    """The buffered inbound half of a connection: JSON lines with their
+    attachments (:meth:`read`), or bare frames — :func:`recv_frame`
+    parses them from this object exactly as from a socket.  The socket
+    is read in gulps, so a small frame costs one ``recv`` syscall, not
+    one each for prefix, header and payload."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self.settimeout = sock.settimeout
         self._buffer = b""  # everything received and not yet handed on,
         self._pos = 0       # from this offset
 
     def recv(self, n: int) -> bytes:
+        if self._pos == len(self._buffer) and n < 65536:
+            self._fill()  # a bigger read goes straight to its caller
         chunk = self._buffer[self._pos:self._pos + n]
         self._pos += len(chunk)
         return chunk or self._sock.recv(n)
@@ -231,7 +237,7 @@ class RecordReader:
         """
 
         if timeout is not None:
-            self._sock.settimeout(timeout)
+            self.settimeout(timeout)
         record = None
         while record is None:
             record = decode(self.until(b"\n"))

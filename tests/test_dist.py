@@ -9,12 +9,15 @@ death, structured data-loss errors in lazy mode — pinned down here.
 """
 
 import gc
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.dist.manager as manager_module
 from repro import SmpssRuntime, TaskExecutionError, css_task
 from repro.apps.cholesky import HyperMatrix, cholesky_hyper
 from repro.apps.multisort import multisort
@@ -25,6 +28,8 @@ from repro.dist import (
     RemoteTaskError,
 )
 from repro.obs.exposition import render_registry
+
+from .test_mp_runtime import _hold as hold  # a paused DispatchGate on rt
 
 pytestmark = pytest.mark.dist
 
@@ -96,6 +101,71 @@ def cluster(agents, **kwargs):
     return SmpssRuntime(
         backend="cluster", nodes=[a.address for a in agents], **kwargs
     )
+
+
+@pytest.fixture()
+def pair():
+    """Two in-process localhost agents, one slot each."""
+
+    started = [
+        AgentServer("tcp:127.0.0.1:0", slots=1).start() for _ in range(2)
+    ]
+    try:
+        yield started
+    finally:
+        for agent in started:
+            agent.close()
+
+
+def pin(rt, where):
+    """Fix the schedule: each task runs on node ``where(k)``, *k* its
+    submission number since this call, and nothing is stolen — so the
+    counts below are the protocol's, not of who won a race for a list.
+    For two one-slot agents and tasks submitted under :func:`hold` only:
+    a completion's wake-up then reaches the one other thread, and the
+    gate's ``resume`` wakes both."""
+
+    scheduler = rt.scheduler
+    slots = [node.slot_ids[0] for node in rt.backend._nodes]
+    first = []
+
+    def placement(task):
+        if not first:
+            first.append(task.task_id)
+        return slots[where(task.task_id - first[0])]
+
+    def select(thread):
+        own = scheduler.locals[thread]
+        return own.pop() if own else None
+
+    scheduler.placement, scheduler._select = placement, select
+
+
+def count_traffic(rt, monkeypatch):
+    """``(control, frames)``: the kind of every control-channel request
+    and of every frame the master sends or receives from now on."""
+
+    control, frames = [], []
+    backend = rt.backend
+    request = backend._control
+    backend._control = lambda name, req, **kw: (
+        control.append(req["k"]), request(name, req, **kw))[1]
+    for name in ("send_frame", "recv_frame"):
+        plain = getattr(manager_module, name)
+        monkeypatch.setattr(manager_module, name, lambda *a, _f=plain, **kw: (
+            frames.append(_f.__name__), _f(*a, **kw))[1])
+    return control, frames
+
+
+def moved(rt):
+    return rt.metrics.counter("dist.bytes_moved").value
+
+
+def _await(what, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not what():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.002)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +406,207 @@ class TestResidencyCache:
 
 
 # ---------------------------------------------------------------------------
+# the home rule: a written datum's newest version rides the done frame
+# ---------------------------------------------------------------------------
+
+TILE = 48 * 48 * 8
+
+#: One step of a random program over three arrays: the task and which
+#: arrays it names, or a ``wait_on``.
+_steps = st.one_of(
+    st.tuples(st.just("incr"), st.permutations(range(3))),
+    st.tuples(st.just("mul"), st.permutations(range(3))),   # output: WAW
+    st.tuples(st.just("accum"), st.permutations(range(3))),
+    st.tuples(st.just("wait"), st.permutations(range(3))),
+)
+
+
+def _run_program(rt, steps, seed):
+    """Submit the tasks between two waits all at once, then wait; the
+    final arrays and what every wait saw."""
+
+    data = list(np.random.default_rng(seed).random((3, 6, 6)))
+    calls = {"incr": lambda i, j, k: incr_t(data[i]),
+             "mul": lambda i, j, k: mul_t(data[i], data[j], data[k]),
+             "accum": lambda i, j, k: accum_t(data[i], data[j])}
+    segment, seen = [], []
+    for kind, (i, j, k) in steps + [("wait", (0, 1, 2))]:
+        if kind != "wait":
+            segment.append((calls[kind], i, j, k))
+            continue
+        with hold(rt):
+            for call, *names in segment:
+                call(*names)
+        segment = []
+        seen.append(np.array(rt.acquire(data[i])))
+    rt.barrier()
+    return data + seen
+
+
+class TestOutputsRideHome:
+    def _chain(self, agents, stepwise, monkeypatch, **config):
+        a = np.arange(36.0).reshape(6, 6)
+        with cluster(agents[:1], **config) as rt:   # one slot: one order
+            control, _ = count_traffic(rt, monkeypatch)
+            if stepwise:
+                for _ in range(8):
+                    rt.wait_for(incr_t(a))
+            else:
+                with hold(rt):
+                    for _ in range(8):
+                        incr_t(a)
+            rt.barrier()
+            return a, moved(rt), control.count("fetch")
+
+    def test_a_chain_submitted_at_once_comes_home_once(
+            self, pair, monkeypatch):
+        a, bytes_moved, fetches = self._chain(pair, False, monkeypatch)
+        assert np.array_equal(a, np.arange(36.0).reshape(6, 6) + 8)
+        # Out with the first task, home with the last: what the barrier's
+        # fetch used to move, and not a superseded version more.
+        assert bytes_moved == 2 * a.nbytes and fetches == 0
+
+    def test_a_throttled_submitter_moves_what_write_through_does(
+            self, pair, monkeypatch):
+        a, lazy, fetches = self._chain(pair, True, monkeypatch)
+        b, through, _ = self._chain(pair, True, monkeypatch,
+                                    dist_write_through=True)
+        assert np.array_equal(a, b)
+        # Every version was the newest when its task left: each came
+        # home, as under write-through, and never more than that.
+        assert lazy == through == 9 * a.nbytes and fetches == 0
+
+    def test_a_consumer_elsewhere_and_the_barrier_fetch_nothing(
+            self, pair, monkeypatch):
+        rng = np.random.default_rng(37)
+        a, b = rng.random((48, 48)), rng.random((48, 48))
+        c, acc = np.empty((48, 48)), np.ones((48, 48))
+        with cluster(pair) as rt:
+            pin(rt, lambda k: k)            # mul on n0, accum on n1
+            control, _ = count_traffic(rt, monkeypatch)
+            with hold(rt):
+                mul_t(a, b, c)
+                accum_t(c, acc)
+            rt.barrier()
+            assert control.count("fetch") == 0
+            # a, b out; c home, c out to n1; acc out, acc home.
+            assert moved(rt) == 6 * TILE
+            assert all(e.master_current()
+                       for e in rt.backend._residency.entries())
+            assert rt.backend._residency.get(c).holders() == ["n0", "n1"]
+        assert np.array_equal(c, a * b) and np.array_equal(acc, 1 + a * b)
+
+    def test_lazy_never_moves_more_than_write_through(self, pair):
+        def run(steps, seed, **config):
+            with cluster(pair, **config) as rt:
+                pin(rt, lambda k: k % 2)
+                data = _run_program(rt, steps, seed)
+                assert all(e.master_current()
+                           for e in rt.backend._residency.entries())
+                return data, moved(rt)
+
+        @settings(max_examples=25, deadline=None)
+        @given(steps=st.lists(_steps, min_size=1, max_size=10),
+               seed=st.integers(0, 99))
+        def check(steps, seed):
+            with SmpssRuntime(num_workers=2) as rt:
+                want = _run_program(rt, steps, seed)
+            lazy, lazy_bytes = run(steps, seed)
+            through, through_bytes = run(steps, seed, dist_write_through=True)
+            for x, y, z in zip(want, lazy, through):
+                assert np.array_equal(x, y) and np.array_equal(x, z)
+            assert lazy_bytes <= through_bytes
+
+        check()
+
+    def test_a_renamed_away_array_reads_right_next_round(self, pair):
+        # WAW: the second output renames, so the user's array holds the
+        # first one's content remotely and is overwritten by the
+        # barrier's write-back on the master.  The barrier fetches the
+        # stale entry home first, which is what lets the checksum guard
+        # see that write-back as a mutation and re-ship next round.
+        rng = np.random.default_rng(41)
+        a, b, d = (rng.random((16, 16)) for _ in range(3))
+        x, y = np.empty((16, 16)), np.empty((16, 16))
+        with cluster(pair[:1]) as rt:
+            with hold(rt):
+                mul_t(a, b, x)
+                mul_t(a, d, x)
+            rt.barrier()
+            assert np.array_equal(x, a * d)
+            mul_t(x, b, y)
+            rt.barrier()
+        assert np.array_equal(y, a * d * b)
+
+    def test_many_readers_of_one_stale_datum_share_one_fetch(
+            self, pair, monkeypatch):
+        a = np.zeros((8, 8))
+        switch = sys.getswitchinterval()
+        with cluster(pair[:1]) as rt:
+            control, _ = count_traffic(rt, monkeypatch)
+            with hold(rt) as gate:
+                incr_t(a)
+                incr_t(a)       # supersedes the first: that one stays put
+                gate.step()
+                _await(lambda: rt.tasks_executed == 1)
+                entry = rt.backend._residency.get(a)
+                assert not entry.master_current()
+                start = threading.Barrier(8)
+                readers = [threading.Thread(target=lambda: (
+                    start.wait(5.0), rt.backend._fetch_home(entry)))
+                    for _ in range(8)]
+                sys.setswitchinterval(1e-5)
+                try:
+                    for reader in readers:
+                        reader.start()
+                    for reader in readers:
+                        reader.join(10.0)
+                finally:
+                    sys.setswitchinterval(switch)
+                assert not any(reader.is_alive() for reader in readers)
+                assert control.count("fetch") == 1
+                assert entry.master_current() and np.array_equal(
+                    a, np.ones((8, 8)))
+            rt.barrier()
+        assert np.array_equal(a, np.full((8, 8), 2.0))
+
+    def test_frames_pin(self, pair, monkeypatch):
+        """The counted pin CI's bench-gate runs: the warmed 16-task
+        mul -> accum tile round of ``cluster_tiles`` on a fixed schedule
+        (mul k on node k % 2, the accumulate chain on node 0) sends no
+        ``fetch``, at most 34 frames, and moves exactly 18 tiles."""
+
+        rng = np.random.default_rng(43)
+        fixed = [list(rng.random((6, 48, 48))) for _ in range(2)]
+
+        def one_round(rt):
+            a, b = (part + list(rng.random((2, 48, 48))) for part in fixed)
+            c = [np.empty((48, 48)) for _ in range(8)]
+            acc = np.zeros((48, 48))
+            # Submission numbers 2k (mul k) and 2k + 1 (accum k).
+            pin(rt, lambda n: 0 if n % 2 else (n // 2) % 2)
+            with hold(rt):
+                for x, y, z in zip(a, b, c):
+                    mul_t(x, y, z)
+                    accum_t(z, acc)
+            rt.barrier()
+            assert np.array_equal(acc, sum(x * y for x, y in zip(a, b)))
+            assert all(np.array_equal(z, x * y) for x, y, z in zip(a, b, c))
+
+        with cluster(pair) as rt:
+            one_round(rt)
+            gc.collect()        # the warm-up's arrays die: see docs
+            control, frames = count_traffic(rt, monkeypatch)
+            before = moved(rt)
+            one_round(rt)
+            # 4 fresh inputs out, 8 products home, 4 of them out again
+            # to the accumulator's node, the accumulator out and home.
+            assert moved(rt) - before == 18 * TILE
+            assert control.count("fetch") == 0
+            assert len(frames) <= 34, frames   # 16 x (task + done) + 2 evict
+
+
+# ---------------------------------------------------------------------------
 # failure semantics
 # ---------------------------------------------------------------------------
 
@@ -364,20 +635,30 @@ class TestFailures:
         assert 'node="n1"' in text
 
     def test_lazy_mode_sole_copy_loss_is_structured(self, agents):
+        # What lazy mode can still lose: a version a later writer has
+        # superseded, whose successor has not run.  Two chained tasks
+        # behind a paused gate, one ticket, and the first one's node dies.
         a = np.zeros((8, 8))
-        with pytest.raises((TaskExecutionError, DistDataLossError)) as exc:
+        with pytest.raises(TaskExecutionError) as exc:
             with cluster(agents) as rt:
-                incr_t(a)
-                time.sleep(0.3)  # output now resident on an agent only
-                agents[0].kill()
-                agents[1].kill()
+                with hold(rt) as gate:
+                    incr_t(a)
+                    incr_t(a)
+                    gate.step()
+                    _await(lambda: rt.tasks_executed == 1)
+                    entry = rt.backend._residency.get(a)
+                    key, writer = entry.key, entry.last_writer
+                    assert not entry.master_current()
+                    agents[int(writer[1:])].kill()
                 rt.barrier()
         root = exc.value
         while root.__cause__ is not None:
             root = root.__cause__
-        assert isinstance(root, (DistDataLossError, Exception))
-        assert "DistDataLossError" in type(root).__name__ or isinstance(
-            root, DistDataLossError)
+        assert type(root) is DistDataLossError
+        assert f"datum {key}" in str(root)
+        assert f"last writer {writer}" in str(root)
+        assert rt.metrics.counter("dist.agent_deaths").value == 1
+        assert np.array_equal(a, np.zeros((8, 8)))  # the stale master copy
 
     def test_remote_error_carries_traceback(self, agents):
         a = np.zeros(4)
@@ -415,6 +696,16 @@ class TestLifecycle:
         # Session release dropped the store: nothing left behind.
         for agent in agents:
             assert agent.store.stats()["entries"] == 0
+
+    def test_release_drops_the_sessions_definitions(self, agents):
+        for _ in range(3):
+            a = np.zeros((8, 8))
+            with cluster(agents) as rt:
+                incr_t(a)
+                rt.barrier()
+                assert sum(len(agent._funcs) for agent in agents) == 1
+        # `release` answers before `stop()` returns: nothing is pending.
+        assert [len(agent._funcs) for agent in agents] == [0, 0]
 
     def test_num_workers_derived_from_agent_slots(self, agents):
         with cluster(agents) as rt:

@@ -126,6 +126,10 @@ class TestResidencyMap:
         lost = rmap.drop_node("n0")
         assert lost == [ea] and ea.lost
         assert not eb.lost                 # master copy is current
+        # Lost is a state, not a flag someone must clear: a fresh write
+        # (the successor re-run elsewhere) or a fetch ends it.
+        rmap.commit_write(ea, "n1", 2, master_too=False)
+        assert not ea.lost and ea.holders() == ["n1"]
 
     def test_eviction_releases_entries_and_reports_holders(self):
         rmap = ResidencyMap("s")
@@ -151,6 +155,10 @@ class TestResidencyMap:
         rmap.commit_write(eb, "n0", 1, master_too=True)  # n1 now stale
         totals = rmap.node_bytes([a, b])
         assert totals == {"n0": a.nbytes + b.nbytes}
+        # No objects named: every entry (the per-node gauges); an object
+        # the map never saw, or None, holds nothing anywhere.
+        assert rmap.node_bytes() == totals
+        assert rmap.node_bytes([a, None, np.zeros(2)]) == {"n0": a.nbytes}
 
     # -- lifetime: the map never keeps a user's array alive -------------
 

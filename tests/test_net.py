@@ -11,6 +11,7 @@ or accepts waits on a Nagle/delayed-ACK timer.
 """
 
 import gc
+import json
 import socket
 import struct
 import sys
@@ -524,6 +525,91 @@ class TestFrames:
         with pytest.raises(NetClosed):
             for _ in range(64):                 # first write may be buffered
                 send_frame(a, {"k": "data"}, b"x" * 65536)
+
+
+class _Drip:
+    """A socket whose ``recv`` hands over at most *k* bytes per call."""
+
+    def __init__(self, sock, k):
+        self.sock, self.k, self.calls = sock, k, 0
+        self.settimeout, self.gettimeout = sock.settimeout, sock.gettimeout
+
+    def recv(self, n):
+        self.calls += 1
+        return self.sock.recv(min(n, self.k))
+
+
+@pytest.mark.dist
+class TestBufferedFrames:
+    """Frames read through ``RecordReader`` (every cluster socket's
+    inbound half): the same frames however the bytes arrive, in fewer
+    ``recv`` calls."""
+
+    FRAMES = [
+        ({"k": "task", "seq": 1}, b"x" * 300),
+        ({"k": "done", "seq": 1, "who": "caf\u00e9 \u2603"}, b""),
+        ({"k": "data", "meta": {"shape": [2, 3]}}, bytes(range(256)) * 9),
+    ]
+
+    def _wire(self, frames):
+        out = b""
+        for header, payload in frames:
+            head = json.dumps(header, separators=(",", ":")).encode()
+            out += struct.pack("!II", len(head), len(payload)) + head + payload
+        return out
+
+    def test_send_frame_writes_the_bytes_json_dumps_would(self, pair):
+        a, b = pair
+        for header, payload in self.FRAMES:
+            send_frame(a, header, payload)
+        wire = self._wire(self.FRAMES)
+        assert b"caf\\u00e9" in wire            # ASCII on the wire
+        got = b""
+        while len(got) < len(wire):
+            got += b.recv(1 << 16)
+        assert got == wire
+
+    def test_one_byte_at_a_time_returns_the_same_frames(self, pair):
+        a, b = pair
+        a.sendall(self._wire(self.FRAMES))
+        reader = RecordReader(_Drip(b, 1))
+        assert [recv_frame(reader, timeout=5.0)
+                for _ in self.FRAMES] == self.FRAMES
+
+    def test_three_frames_in_one_segment_cost_one_recv(self, pair):
+        a, b = pair
+        a.sendall(self._wire(self.FRAMES))
+        whole = _Drip(b, 1 << 20)
+        reader = RecordReader(whole)
+        assert [recv_frame(reader, timeout=5.0)
+                for _ in self.FRAMES] == self.FRAMES
+        assert whole.calls == 1
+        # The bare socket pays prefix, header and payload separately.
+        a.sendall(self._wire(self.FRAMES[:1]))
+        bare = _Drip(b, 1 << 20)
+        assert recv_frame(bare, timeout=5.0) == self.FRAMES[0]
+        assert bare.calls == 3
+
+    def test_a_large_payload_is_read_straight_from_the_socket(self, pair):
+        a, b = pair
+        payload = np.random.default_rng(1).bytes(1 << 20)
+        t = threading.Thread(target=lambda: (
+            send_frame(a, {"k": "big"}, payload), send_frame(a, {"k": "next"})))
+        t.start()
+        reader = RecordReader(b)
+        assert recv_frame(reader, timeout=5.0) == ({"k": "big"}, payload)
+        assert recv_frame(reader, timeout=5.0) == ({"k": "next"}, b"")
+        t.join(5.0)
+
+    @pytest.mark.parametrize("k", [1, 1 << 20])
+    @pytest.mark.parametrize("eof", [True, False])
+    def test_eof_and_timeout_mid_frame(self, pair, k, eof):
+        a, b = pair
+        a.sendall(struct.pack("!II", 2, 100) + b"{}" + b"only ten b")
+        if eof:
+            a.close()
+        with pytest.raises(NetClosed if eof else NetTimeout):
+            recv_frame(RecordReader(_Drip(b, k)), timeout=0.1)
 
 
 @pytest.mark.dist
