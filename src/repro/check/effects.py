@@ -12,14 +12,16 @@ maintains.
 Regions are uniformly represented as :class:`SymRegion` — a box of
 per-dimension ``(lo, hi)`` :class:`~repro.check.intervals.Interval`
 pairs.  A fully concrete box converts to the runtime's exact
-:class:`~repro.core.regions.Region` (so the static graph can reproduce
-the runtime's chain semantics bit for bit); a box containing genuine
-intervals supports only *may*-queries, which is all the conservative
-rules need.
+:class:`~repro.core.regions.Region`; any box has a hull
+(:meth:`SymRegion.hull`), the ``Region`` the runtime's dependency
+tracker is handed in its place — it overlaps another hull unless the
+two boxes were provably disjoint, which is all the conservative rules
+need.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,14 +40,6 @@ class SymRegion:
     #: per-dimension inclusive (lo, hi); TOP bounds mean "unknown".
     dims: tuple[tuple[Interval, Interval], ...]
 
-    @classmethod
-    def full(cls, ndim: int = 1) -> "SymRegion":
-        return cls(((Interval.const(0), TOP),) * ndim)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.dims)
-
     def to_region(self) -> Optional[Region]:
         """The exact runtime region, or ``None`` when any bound is
         symbolic (an unknown upper bound maps to the FULL sentinel)."""
@@ -63,15 +57,22 @@ class SymRegion:
         except RegionError:
             return None
 
-    def may_overlap(self, other: "SymRegion") -> bool:
-        """False only when the boxes are provably disjoint."""
+    def hull(self) -> Region:
+        """The smallest runtime region holding every box these bounds
+        admit: per dimension ``lo.lo .. hi.hi``, unbounded above as
+        ``sys.maxsize`` and ``0..unknown`` as the FULL sentinel.  Two
+        hulls are disjoint exactly when the boxes were provably so, and
+        a box of constants is its own hull (:meth:`to_region`)."""
 
-        if self.ndim != other.ndim:
-            return True  # rank mismatch aliases conservatively
-        for (alo, ahi), (blo, bhi) in zip(self.dims, other.dims):
-            if ahi.must_precede(blo) or bhi.must_precede(alo):
-                return False
-        return True
+        out = []
+        for lo, hi in self.dims:
+            low = max(lo.lo or 0, 0)
+            if low == 0 and hi.hi is None:
+                out.append(FULL_DIM)
+            else:
+                out.append((low, max(low, sys.maxsize if hi.hi is None
+                                     else hi.hi)))
+        return Region(tuple(out))
 
     def __str__(self) -> str:
         region = self.to_region()

@@ -5,15 +5,18 @@ pragma.  This module checks the *driver program*: it abstractly
 interprets the module that submits the tasks — loops boundedly
 unrolled, block indices and region bounds evaluated over the
 :mod:`~repro.check.intervals` domain, datum identities tracked through
-containers and hyper-matrices — and replays every abstract submission
-through a faithful static mirror of
-:class:`repro.core.dependencies.DependencyTracker`.
+containers and hyper-matrices — and hands every abstract submission to
+:class:`repro.core.dependencies.DependencyTracker` itself: the data are
+abstract, a region is the hull of its symbolic bounds, and the analysis
+is the runtime's.  A barrier retires the tasks in flight and forgets
+the chains exactly as the runtime's does.
 
 Two things come out:
 
-* a **static task-graph skeleton** — same task ids, edges and edge
-  kinds the runtime recorder would produce for the same driver (see
-  ``repro.obs diff`` for the static-vs-recorded comparison), and
+* a **static task-graph skeleton** — the ``TaskGraph`` the tracker
+  built: the task ids, edges and edge kinds the eager recorder produces
+  for the same driver (a tested property; see ``repro.obs diff`` for
+  the static-vs-recorded comparison), and
 * **whole-program findings** no per-task check can see, because they
   live *between* submissions: overlapping-region write hazards, opaque
   sharing races, direct data access without an intervening barrier,
@@ -34,15 +37,22 @@ import ast
 import importlib.util
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from ..compiler.translate import CompileError, translate_source
+from ..core.dependencies import DependencyError, DependencyTracker
+from ..core.graph import TaskGraph
 from ..core.pragma import PragmaError, parse_pragma
-from ..core.task import Direction
-from .astlint import _decorator_pragma
-from .effects import SymRegion, TaskEffect
+from ..core.regions import Region
+from ..core.renaming import StorageKind
+from ..core.task import Direction, ParamAccess, TaskInstance, TaskState
+from .astlint import _METADATA_ATTRS as _ARRAY_METADATA_ATTRS
+from .astlint import _MUTATOR_METHODS, _PURE_METHODS, _decorator_pragma
+from .effects import Access, TaskEffect
 from .findings import Finding
 from .intervals import Interval
 from .suppress import SuppressionIndex
@@ -64,6 +74,11 @@ _PRAGMA_MARK_RE = re.compile(r"^\s*#\s*pragma\s+css\b", re.MULTILINE)
 _SERIAL_MIN_CHAIN = 4       # RAW chain length worth flagging
 _SERIAL_DOMINANCE = 0.75    # ...covering at least this share of the epoch
 _RENAME_PRESSURE_MIN = 8    # renamed versions per (datum, loop)
+
+# Interpreter budgets past which the skeleton is marked truncated.
+_MAX_TASKS = 60000          # abstract submissions
+_MAX_STEPS = 400000         # executed statements
+_MAX_DEPTH = 40             # interprocedural inlining depth
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +156,7 @@ class Datum:
 
     __slots__ = (
         "uid", "label", "kind", "shape", "renamable", "maybe_absent",
-        "children", "attrs", "chains", "region_mode", "opaque_uses",
-        "tracked_uses", "tainted",
+        "children", "attrs", "opaque_uses", "tracked_uses", "tainted",
     )
 
     def __init__(self, uid: int, label: str, kind: str = "array",
@@ -156,9 +170,6 @@ class Datum:
         self.maybe_absent = maybe_absent
         self.children: dict = {}    # container slots, concrete key -> value
         self.attrs: dict = {}       # known metadata (hyper: n, m)
-        # -- static dependency-tracker state --
-        self.chains: dict = {}      # None | SymRegion -> _Chain
-        self.region_mode = False
         self.opaque_uses: list = []     # StaticTask
         self.tracked_uses: list = []    # (StaticTask, Direction)
         self.tainted = False        # an unknown-index store happened
@@ -175,52 +186,48 @@ class Datum:
 
 
 # ---------------------------------------------------------------------------
-# Static mirror of the dependency tracker
+# The skeleton: abstract submissions in the runtime's own task graph
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StaticTask:
-    """One abstract submission, ids counted exactly like the runtime's."""
+class StaticTask(TaskInstance):
+    """One abstract submission, ids counted exactly like the runtime's.
 
-    task_id: int
-    name: str
-    file: str
-    line: int
-    high_priority: bool = False
-    conditional: bool = False   # submitted under an unknown branch
-    summarized: bool = False    # submitted from a folded loop iteration
-    epoch: int = 0
-    loops: tuple = ()           # enclosing loop lines, innermost last
-    finished: bool = False
-    preds: set = field(default_factory=set)
+    A real graph node: :mod:`repro.core.dependencies` analyses it and
+    :class:`~repro.core.graph.TaskGraph` holds its edges; its
+    ``definition`` is the :class:`TaskEffect` and its accesses carry
+    abstract :class:`Datum` values over region hulls.
+    """
+
+    __slots__ = ("file", "line", "conditional", "summarized", "epoch", "loops")
+
+    def __init__(self, effect: TaskEffect, task_id: int, file: str,
+                 line: int, conditional: bool, summarized: bool,
+                 epoch: int, loops: tuple):
+        super().__init__(effect, [], None, task_id, effect.high_priority)
+        self.file = file
+        self.line = line
+        self.conditional = conditional  # submitted under an unknown branch
+        self.summarized = summarized    # submitted from a folded loop iteration
+        self.epoch = epoch
+        self.loops = loops              # enclosing loop lines, innermost last
+
+    @property
+    def finished(self) -> bool:
+        return self.state is TaskState.FINISHED
 
     @property
     def certain(self) -> bool:
         return not (self.conditional or self.summarized)
 
 
-class _Version:
-    __slots__ = ("producer", "readers", "kind")
-
-    def __init__(self, producer: Optional[StaticTask], kind: str):
-        self.producer = producer
-        self.readers: list[StaticTask] = []
-        self.kind = kind  # initial | same | fresh | clone
-
-    def pending_readers(self, exclude: Optional[StaticTask] = None):
-        return [r for r in self.readers
-                if not r.finished and r is not exclude]
-
-
-class _Chain:
-    __slots__ = ("key", "current")
-
-    def __init__(self, key: Optional[SymRegion]):
-        self.key = key
-        self.current = _Version(None, "initial")
-
-    def roll(self, producer: StaticTask, kind: str = "same") -> None:
-        self.current = _Version(producer, kind)
+#: The tracker's adapter registry over abstract data: while analysing
+#: it asks an adapter only for ``renamable`` and ``shape_of``.
+_ADAPTERS = {
+    flag: SimpleNamespace(renamable=flag, shape_of=attrgetter("shape"))
+    for flag in (True, False)
+}
+_REGISTRY = SimpleNamespace(
+    adapter_for=lambda datum: _ADAPTERS[datum.renamable])
 
 
 class StaticGraph:
@@ -231,15 +238,27 @@ class StaticGraph:
     def __init__(self, source: str, entry: Optional[str]):
         self.source = source
         self.entry = entry
-        self.tasks: list[StaticTask] = []
-        self.edges: dict[tuple[int, int], str] = {}
+        #: Nodes, edges and the rename count, as ``core.dependencies``
+        #: built them.
+        self.dag = TaskGraph(keep_finished=True)
         self.stream: list = []
-        self.renames = 0
         self.truncated = False
 
     @property
+    def tasks(self) -> list[StaticTask]:
+        return list(self.dag)
+
+    @property
+    def edges(self) -> dict[tuple[int, int], str]:
+        return {(pred, succ): kind for pred, succ, kind in self.dag.edges()}
+
+    @property
+    def renames(self) -> int:
+        return self.dag.stats.renames
+
+    @property
     def task_count(self) -> int:
-        return len(self.tasks)
+        return len(self.dag)
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,14 +269,13 @@ class StaticGraph:
             "truncated": self.truncated,
             "renames": self.renames,
             "tasks": [[t.task_id, t.name, t.high_priority]
-                      for t in self.tasks],
-            "edges": [[p, s, k]
-                      for (p, s), k in sorted(self.edges.items())],
+                      for t in self.dag],
+            "edges": sorted(list(edge) for edge in self.dag.edges()),
             "stream": list(self.stream),
             "details": [
                 {"id": t.task_id, "file": t.file, "line": t.line,
                  "conditional": t.conditional, "summarized": t.summarized}
-                for t in self.tasks
+                for t in self.dag
             ],
         }
 
@@ -268,14 +286,14 @@ class StaticGraph:
             "  rankdir=TB;",
             '  node [shape=box, style=filled, fillcolor="#eef3fb"];',
         ]
-        for t in self.tasks:
+        for t in self.dag:
             extras = ", peripheries=2" if t.high_priority else ""
             if t.conditional or t.summarized:
                 extras += ', fillcolor="#f5f0e1"'
             lines.append(
                 f'  t{t.task_id} [label="{t.task_id}: {t.name}"{extras}];'
             )
-        for (p, s), kind in sorted(self.edges.items()):
+        for p, s, kind in sorted(self.dag.edges()):
             style = styles.get(kind, "solid")
             lines.append(f'  t{p} -> t{s} [style={style}, label="{kind}"];')
         lines.append("}")
@@ -288,12 +306,9 @@ class StaticGraph:
 
 @dataclass
 class FlowOptions:
-    """Knobs for the abstract interpreter."""
+    """The abstract interpreter's one budget a caller sets."""
 
     max_unroll: int = 128       # full-unroll budget per loop
-    max_tasks: int = 60000      # abstract submissions before truncating
-    max_steps: int = 400000     # executed statements before truncating
-    max_depth: int = 40         # interprocedural inlining depth
 
 
 @dataclass
@@ -395,25 +410,13 @@ _PASSTHROUGH_BUILTINS = frozenset({
     "globals", "callable", "hash", "pow", "ord", "chr",
 })
 
-# Method tables, matching the dynamic-world assumptions in astlint.
-_MUTATOR_METHODS = frozenset({
-    "fill", "sort", "resize", "put", "setfield", "itemset", "partition",
-    "byteswap", "setflags",
-})
-_PURE_METHODS = frozenset({
-    "copy", "sum", "mean", "max", "min", "all", "any", "tolist", "item",
-    "astype", "dot", "trace", "std", "var", "argmax", "argmin", "ravel",
-    "flatten", "transpose", "reshape", "round", "prod", "nonzero",
-    "tobytes", "view", "conj", "diagonal", "cumsum", "cumprod",
-})
 _LIST_METHODS = frozenset({
     "append", "extend", "insert", "pop", "remove", "clear", "reverse",
     "index", "count",
 })
-_METADATA_ATTRS = frozenset({
-    "shape", "dtype", "ndim", "size", "itemsize", "nbytes", "n", "m",
-    "flags", "strides", "name", "task_id", "block",
-})
+# astlint's metadata attributes plus the hyper-matrix / handle ones a
+# driver reads.
+_METADATA_ATTRS = _ARRAY_METADATA_ATTRS | {"n", "m", "name", "task_id", "block"}
 
 
 def _concrete_int(value) -> Optional[int]:
@@ -456,6 +459,8 @@ class _Interp:
                  entry: Optional[str]):
         self.opt = options
         self.graph = StaticGraph(root_path, entry)
+        # The runtime's own dependency analysis, over abstract data.
+        self.tracker = DependencyTracker(self.graph.dag, _REGISTRY)
         self.findings: list[Finding] = []
 
         self._datum_ids = 0
@@ -467,12 +472,13 @@ class _Interp:
         self.loop_stack: list[int] = []     # source lines of open loops
 
         self.epoch = 0
-        self._live: list[StaticTask] = []
-        self._epoch_tasks: list[StaticTask] = []
+        self._live: list[StaticTask] = []     # submitted since the last sync
         self._certain_since_sync = 0
         self._maybe_since_sync = 0
-        self._task_by_id: dict[int, StaticTask] = {}
 
+        # (datum uid, region) of every live chain key whose bounds were
+        # constants — what a partial-overlap *error* may be proved from
+        self._exact: set = set()
         # serialization runs: datum uid -> current RAW chain of tasks
         self._runs: dict[int, list[StaticTask]] = {}
         self._best_runs: dict[int, list[StaticTask]] = {}
@@ -499,7 +505,7 @@ class _Interp:
 
     def _tick(self) -> None:
         self._steps += 1
-        if self._steps > self.opt.max_steps:
+        if self._steps > _MAX_STEPS:
             self.graph.truncated = True
             raise _OutOfBudget
 
@@ -614,10 +620,14 @@ class _Interp:
         if explicit and self.runtime_depth > 0:
             self.graph.stream.append(["barrier"])
         self._flush_serialization()
+        # The runtime's barrier: everything in flight retires and the
+        # tracker forgets its chains (write_back_all() + reset()).
         for t in self._live:
-            t.finished = True
+            if not t.finished:
+                self.graph.dag.complete(t)
         self._live.clear()
-        self._epoch_tasks.clear()
+        self.tracker.reset()
+        self._exact.clear()
         self._runs.clear()
         self._certain_since_sync = 0
         # A sync reached under an unknown branch (or in a folded loop
@@ -634,16 +644,25 @@ class _Interp:
             t = stack.pop()
             if t.finished:
                 continue
-            t.finished = True
-            stack.extend(self._task_by_id[p] for p in t.preds)
+            self.graph.dag.complete(t)
+            stack.extend(t.predecessors)
+
+    def _chains(self, datum: Datum):
+        """``(datum, chain)`` for every live chain the tracker holds on
+        *datum* or anything it contains."""
+
+        for d in datum.descendants():
+            if self.tracker.is_tracked(d):
+                for chain in self.tracker.datum_for(d).chains.values():
+                    yield d, chain
 
     def _wait_on(self, value, node) -> None:
         if self.runtime_depth == 0 or not isinstance(value, Datum):
             return
         producers = [
-            c.current.producer for d in value.descendants()
-            for c in d.chains.values()
-            if c.current.producer is not None and not c.current.producer.finished
+            c.current.producer for _d, c in self._chains(value)
+            if c.current.producer is not None
+            and not c.current.producer.finished
         ]
         if not producers:
             return
@@ -652,142 +671,43 @@ class _Interp:
         for p in producers:
             self._finish_transitive(p)
 
-    # -- the static dependency tracker ----------------------------------
+    # -- rules that read the tracker's state before it analyses a task --
 
-    def _edge(self, pred: StaticTask, succ: StaticTask, kind: str) -> None:
-        if pred is succ or pred.finished:
+    def _before_analysis(self, task: StaticTask, datum: Datum,
+                         access: Access, hull: Optional[Region],
+                         node) -> None:
+        tracked = self.tracker.datum_for(datum)
+        if hull is None and not tracked.region_mode:
+            # serialization runs follow whole-object RAW chains
+            cur = self.tracker.current_version(datum)
+            if access.direction is Direction.OUTPUT:
+                self._runs.pop(datum.uid, None)
+            elif access.direction is Direction.INOUT and cur is not None \
+                    and cur.producer is not None \
+                    and not cur.producer.finished:
+                self._note_run(datum, cur.producer, task)
+        if hull is None or access.region.to_region() is None:
+            return      # symbolic bounds: cannot prove, stay silent
+        self._exact.add((datum.uid, hull))
+        if not access.direction.writes:
             return
-        if pred.task_id in succ.preds:
-            return      # first kind wins, like TaskGraph.add_dependency
-        succ.preds.add(pred.task_id)
-        self.graph.edges[(pred.task_id, succ.task_id)] = kind
-
-    def _rename(self, datum: Datum, task: StaticTask) -> None:
-        self.graph.renames += 1
-        self._renames.append((datum, task))
-
-    def _track(self, task: StaticTask, datum: Datum, direction: Direction,
-               region: Optional[SymRegion], node) -> None:
-        if direction is Direction.OPAQUE:
-            self._note_opaque(task, datum, node)
-            return
-        self._note_tracked(task, datum, direction, node)
-        if region is None and datum.region_mode:
-            ndim = len(datum.shape) if datum.shape else 1
-            region = SymRegion.full(ndim)
-        if region is None:
-            self._track_whole(task, datum, direction, node)
-        else:
-            self._track_region(task, datum, direction, region, node)
-
-    def _track_whole(self, task: StaticTask, datum: Datum,
-                     direction: Direction, node) -> None:
-        chain = datum.chains.get(None)
-        if chain is None:
-            chain = datum.chains[None] = _Chain(None)
-        cur = chain.current
-        producer_pending = (cur.producer is not None
-                            and not cur.producer.finished)
-        if direction is Direction.INPUT:
-            if producer_pending:
-                self._edge(cur.producer, task, "true")
-                self._note_run(datum, cur.producer, task, extend=False)
-            cur.readers.append(task)
-            return
-        if direction is Direction.OUTPUT:
-            hazard = producer_pending or cur.pending_readers(task)
-            if hazard and datum.renamable:
-                self._rename(datum, task)
-                chain.roll(task, "fresh")
-            else:
-                if producer_pending:
-                    self._edge(cur.producer, task, "output")
-                for r in cur.pending_readers(task):
-                    self._edge(r, task, "anti")
-                chain.roll(task, "same")
-            self._runs.pop(datum.uid, None)
-            return
-        # INOUT
-        if producer_pending:
-            self._edge(cur.producer, task, "true")
-            self._note_run(datum, cur.producer, task, extend=True)
-        readers = cur.pending_readers(task)
-        if readers and datum.renamable:
-            self._rename(datum, task)
-            kind = "clone"
-        else:
-            for r in readers:
-                self._edge(r, task, "anti")
-            kind = "same"
-        cur.readers.append(task)
-        chain.roll(task, kind)
-
-    def _track_region(self, task: StaticTask, datum: Datum,
-                      direction: Direction, region: SymRegion, node) -> None:
-        if not datum.region_mode:
-            whole = datum.chains.get(None)
-            if whole is not None and whole.current.kind in ("fresh", "clone"):
+        for chain in tracked.overlapping(hull):
+            other, written = chain.current.producer, chain.key
+            if (datum.uid, written) in self._exact and other is not None \
+                    and task.certain and other.certain \
+                    and hull.overlaps(written) \
+                    and not hull.contains(written) \
+                    and not written.contains(hull):
                 self._report(
                     "flow-overlapping-writes", node,
-                    f"region access to '{datum.label}' whose current "
-                    "version lives in a renamed buffer; the runtime "
-                    "raises DependencyError here — barrier before mixing "
-                    "whole-object renaming with array regions",
-                    dedup_key=(datum.uid, "region-after-rename"),
+                    f"task '{task.name}' writes {hull} of '{datum.label}' "
+                    f"while task '{other.name}' (line {other.line}) wrote "
+                    f"{written}: the regions overlap but neither contains "
+                    "the other, a partial-overlap write hazard renaming "
+                    "cannot resolve",
+                    dedup_key=(datum.uid, task.line, other.line),
                     task=task.name,
                 )
-            datum.region_mode = True
-        overlapping = [
-            c for key, c in datum.chains.items()
-            if key is None or key.may_overlap(region)
-        ]
-        target = datum.chains.get(region)
-        if target is None:
-            target = datum.chains[region] = _Chain(region)
-        if not direction.writes:
-            for chain in overlapping:
-                p = chain.current.producer
-                if p is not None and not p.finished:
-                    self._edge(p, task, "true")
-            target.current.readers.append(task)
-            return
-        # write (OUTPUT / INOUT over a region)
-        for chain in overlapping:
-            if chain is not target:
-                self._check_partial_overlap(task, datum, region, chain, node)
-            p = chain.current.producer
-            if p is not None and not p.finished:
-                self._edge(p, task, "true" if direction.reads else "output")
-            for r in chain.current.pending_readers(task):
-                self._edge(r, task, "anti")
-        rolled = set()
-        for chain in [target] + overlapping:
-            if id(chain) in rolled:
-                continue
-            rolled.add(id(chain))
-            chain.roll(task, "same")
-
-    def _check_partial_overlap(self, task: StaticTask, datum: Datum,
-                               region: SymRegion, chain: _Chain,
-                               node) -> None:
-        other = chain.current.producer
-        if chain.key is None or other is None:
-            return
-        if not (task.certain and other.certain):
-            return
-        a, b = region.to_region(), chain.key.to_region()
-        if a is None or b is None:
-            return          # symbolic bounds: cannot prove, stay silent
-        if a.overlaps(b) and not a.contains(b) and not b.contains(a):
-            self._report(
-                "flow-overlapping-writes", node,
-                f"task '{task.name}' writes {a} of '{datum.label}' while "
-                f"task '{other.name}' (line {other.line}) wrote {b}: the "
-                "regions overlap but neither contains the other, a "
-                "partial-overlap write hazard renaming cannot resolve",
-                dedup_key=(datum.uid, task.line, other.line),
-                task=task.name,
-            )
 
     def _note_opaque(self, task: StaticTask, datum: Datum, node) -> None:
         datum.opaque_uses.append(task)
@@ -823,11 +743,9 @@ class _Interp:
         )
 
     def _note_run(self, datum: Datum, producer: StaticTask,
-                  task: StaticTask, extend: bool) -> None:
+                  task: StaticTask) -> None:
         """Track consecutive RAW chains for the serialization rule."""
 
-        if not extend:
-            return
         run = self._runs.get(datum.uid)
         if run and run[-1] is producer:
             run.append(task)
@@ -838,7 +756,7 @@ class _Interp:
             self._best_runs[datum.uid] = list(run)
 
     def _flush_serialization(self) -> None:
-        total = len(self._epoch_tasks)
+        total = len(self._live)
         if total == 0:
             self._best_runs.clear()
             return
@@ -892,30 +810,29 @@ class _Interp:
         if self.runtime_depth == 0 or self.cond_depth > 0 \
                 or self.summarized_depth > 0:
             return
-        for d in datum.descendants():
-            for chain in d.chains.values():
-                p = chain.current.producer
-                if p is not None and not p.finished and p.certain:
-                    self._report(
-                        "flow-missing-barrier", node,
-                        f"driver code {what} '{d.label}' while task "
-                        f"'{p.name}' (line {p.line}) may still be writing "
-                        "it; insert barrier() or wait_on(...) first",
-                        dedup_key=(d.uid, "w"),
-                    )
-                    return
-                if writes:
-                    for r in chain.current.pending_readers():
-                        if r.certain:
-                            self._report(
-                                "flow-missing-barrier", node,
-                                f"driver code {what} '{d.label}' while "
-                                f"task '{r.name}' (line {r.line}) may "
-                                "still be reading it; insert barrier() "
-                                "or wait_on(...) first",
-                                dedup_key=(d.uid, "r"),
-                            )
-                            return
+        for d, chain in self._chains(datum):
+            p = chain.current.producer
+            if p is not None and not p.finished and p.certain:
+                self._report(
+                    "flow-missing-barrier", node,
+                    f"driver code {what} '{d.label}' while task "
+                    f"'{p.name}' (line {p.line}) may still be writing "
+                    "it; insert barrier() or wait_on(...) first",
+                    dedup_key=(d.uid, "w"),
+                )
+                return
+            if writes:
+                for r in chain.current.pending_readers():
+                    if r.certain:
+                        self._report(
+                            "flow-missing-barrier", node,
+                            f"driver code {what} '{d.label}' while "
+                            f"task '{r.name}' (line {r.line}) may "
+                            "still be reading it; insert barrier() "
+                            "or wait_on(...) first",
+                            dedup_key=(d.uid, "r"),
+                        )
+                        return
 
     def _read_datums(self, values, node, what: str = "reads") -> None:
         for v in values:
@@ -929,7 +846,7 @@ class _Interp:
         effect = taskdef.effect
         if effect is None:
             return
-        if len(self.graph.tasks) >= self.opt.max_tasks:
+        if len(self.graph.dag) >= _MAX_TASKS:
             self.graph.truncated = True
             raise _OutOfBudget
 
@@ -953,21 +870,17 @@ class _Interp:
             and all(isinstance(s, int) for s in v.shape)
         }
         task = StaticTask(
-            task_id=len(self.graph.tasks) + 1,
-            name=effect.name,
+            effect,
+            task_id=len(self.graph.dag) + 1,
             file=self.module.path,
             line=self._line(node),
-            high_priority=effect.high_priority,
             conditional=self.cond_depth > 0,
             summarized=self.summarized_depth > 0,
             epoch=self.epoch,
             loops=tuple(self.loop_stack),
         )
-        self.graph.tasks.append(task)
-        self._task_by_id[task.task_id] = task
         self.graph.stream.append(["task", task.task_id])
         self._live.append(task)
-        self._epoch_tasks.append(task)
         if task.certain:
             self._certain_since_sync += 1
         else:
@@ -977,7 +890,36 @@ class _Interp:
             value = arg_map.get(access.param, UNKNOWN)
             if not isinstance(value, Datum) or _is_scalarish(value):
                 continue
-            self._track(task, value, access.direction, access.region, node)
+            if access.direction is Direction.OPAQUE:
+                self._note_opaque(task, value, node)
+                continue
+            self._note_tracked(task, value, access.direction, node)
+            hull = None if access.region is None else access.region.hull()
+            self._before_analysis(task, value, access, hull, node)
+            task.accesses.append(
+                ParamAccess(access.param, access.direction, value, hull))
+        try:
+            self.tracker.analyze(task)
+        except DependencyError:
+            # Raised before the offending access (or any later one of
+            # this task) touched a chain; the skeleton past this point
+            # is the graph of a program the runtime refuses to run.
+            datum = next(a.value for a in task.accesses
+                         if a.region is not None
+                         and not self.tracker.datum_for(a.value).region_mode)
+            self._report(
+                "flow-overlapping-writes", node,
+                f"region access to '{datum.label}' whose current "
+                "version lives in a renamed buffer; the runtime "
+                "raises DependencyError here — barrier before mixing "
+                "whole-object renaming with array regions",
+                dedup_key=(datum.uid, "region-after-rename"),
+                task=task.name,
+            )
+        self._renames += [
+            (version.datum.base, task) for _param, version in task.writes
+            if version.kind in (StorageKind.FRESH, StorageKind.CLONE)
+        ]
 
     # -- statement execution --------------------------------------------
 
@@ -1837,7 +1779,7 @@ class _Interp:
         return UNKNOWN
 
     def _call_func(self, fn: _Func, args, kwargs, node):
-        if self._depth >= self.opt.max_depth:
+        if self._depth >= _MAX_DEPTH:
             return UNKNOWN
         fnode = fn.node
         frame = _Env(parent=fn.env)

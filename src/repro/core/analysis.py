@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import TaskGraph
-from .tracing import Tracer
+from .tracing import Tracer, task_intervals
 
 __all__ = [
     "TaskTypeSummary",
@@ -44,11 +44,13 @@ class TaskTypeSummary:
         return self.total_time / self.count if self.count else 0.0
 
 
-def task_type_summary(tracer: Tracer) -> dict[str, TaskTypeSummary]:
-    """Per-task-type counts and execution-time statistics."""
+def task_type_summary(tracer) -> dict[str, TaskTypeSummary]:
+    """Per-task-type counts and execution-time statistics of a
+    :class:`Tracer` (or of a plain event list)."""
 
     buckets: dict[str, list[float]] = defaultdict(list)
-    for start, end, _thread, name in tracer.task_intervals().values():
+    for _id, name, start, end, _thread in task_intervals(
+            getattr(tracer, "events", tracer)):
         buckets[name].append(end - start)
     return {
         name: TaskTypeSummary(

@@ -69,9 +69,6 @@ class TrackerConfig:
     #: (what makes the N Queens partial-solution array duplication
     #: automatic, section VI.E).
     rename_inout: bool = True
-    #: Whether untracked scalar values (ints, floats, strings, tuples)
-    #: are silently treated as by-value; if False they raise.
-    allow_untracked_scalars: bool = True
 
 
 #: Immutable types that are always by-value, never tracked.
@@ -335,12 +332,6 @@ class DependencyTracker:
                     continue  # void *: passes through unaltered
                 value = call_values[pos]
                 if isinstance(value, _SCALAR_TYPES):
-                    if not self.config.allow_untracked_scalars:
-                        raise DependencyError(
-                            f"task {task.name!r}: parameter {name!r} is a "
-                            f"by-value scalar but untracked scalars are "
-                            f"disabled"
-                        )
                     continue
                 datum = data.get(id(value))
                 if datum is None:
@@ -360,11 +351,6 @@ class DependencyTracker:
                 continue  # void *: passes through unaltered (section II)
             value = access.value
             if isinstance(value, _SCALAR_TYPES):
-                if not self.config.allow_untracked_scalars:
-                    raise DependencyError(
-                        f"task {task.name!r}: parameter {access.name!r} is a "
-                        f"by-value scalar but untracked scalars are disabled"
-                    )
                 continue
             datum = data.get(id(value))
             if datum is None:

@@ -27,6 +27,7 @@ __all__ = [
     "ThreadLocalTracer",
     "NullTracer",
     "EventKind",
+    "task_intervals",
 ]
 
 
@@ -62,6 +63,29 @@ class TraceEvent:
     task_name: str = ""
     thread: int = -1
     extra: tuple = ()
+
+
+def task_intervals(events: Iterable[TraceEvent]):
+    """Yield ``(task_id, name, start, end, thread)`` for each completed
+    task of *events* — the one place a ``TASK_END`` meets its
+    ``TASK_START``.
+
+    Events are walked in timestamp order, not list order: batches
+    landed by :meth:`Tracer.ingest` (worker rings shipped with mp
+    replies) can place a task's START *after* its END in the raw list,
+    which would silently drop the interval.  *thread* is the one the
+    task ended on.
+    """
+
+    starts: dict[int, float] = {}
+    for event in sorted(events, key=lambda e: e.time):
+        if event.kind == EventKind.TASK_START:
+            starts[event.task_id] = event.time
+        elif event.kind == EventKind.TASK_END:
+            begin = starts.pop(event.task_id, None)
+            if begin is not None:
+                yield (event.task_id, event.task_name, begin, event.time,
+                       event.thread)
 
 
 class Tracer:
@@ -173,26 +197,12 @@ class Tracer:
         return Counter(e.kind for e in self.events)
 
     def task_intervals(self) -> dict[int, tuple[float, float, int, str]]:
-        """task_id -> (start, end, thread, name) for completed tasks.
+        """task_id -> (start, end, thread, name) for completed tasks."""
 
-        Events are walked in timestamp order, not list order: batches
-        landed by :meth:`ingest` (worker rings shipped with mp replies)
-        can place a task's START *after* its END in the raw list, which
-        would silently drop the interval.
-        """
-
-        starts: dict[int, TraceEvent] = {}
-        intervals: dict[int, tuple[float, float, int, str]] = {}
-        for event in sorted(self.events, key=lambda e: e.time):
-            if event.kind == EventKind.TASK_START:
-                starts[event.task_id] = event
-            elif event.kind == EventKind.TASK_END:
-                begin = starts.get(event.task_id)
-                if begin is not None:
-                    intervals[event.task_id] = (
-                        begin.time, event.time, event.thread, event.task_name
-                    )
-        return intervals
+        return {
+            task_id: (start, end, thread, name)
+            for task_id, name, start, end, thread in task_intervals(self.events)
+        }
 
     def busy_time_by_thread(self) -> dict[int, float]:
         busy: dict[int, float] = defaultdict(float)

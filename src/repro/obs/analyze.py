@@ -24,8 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.analysis import greedy_bounds, work_and_span
-from ..core.tracing import EventKind, TraceEvent
+from ..core.analysis import greedy_bounds, task_type_summary, work_and_span
+from ..core.tracing import EventKind, TraceEvent, task_intervals
 
 __all__ = [
     "ThreadUsage",
@@ -97,38 +97,13 @@ def analyze_events(
     """Build a :class:`TraceReport` from a normalised event list."""
 
     report = TraceReport(dropped_events=dropped_events)
-    starts: dict[int, TraceEvent] = {}
     released_by: dict[int, int] = {}  # task_id -> unlocking thread
     barrier_enter: Optional[float] = None
-    t_min, t_max = None, None
-    type_times: dict[str, list[float]] = {}
     for event in events:
         kind = event.kind
         if kind == EventKind.TASK_READY:
             if event.thread >= 0:
                 released_by[event.task_id] = event.thread
-        elif kind == EventKind.TASK_START:
-            starts[event.task_id] = event
-        elif kind == EventKind.TASK_END:
-            begin = starts.pop(event.task_id, None)
-            if begin is None:
-                continue
-            duration = event.time - begin.time
-            usage = report.threads.setdefault(
-                event.thread, ThreadUsage(event.thread)
-            )
-            usage.busy += duration
-            usage.tasks += 1
-            report.total_tasks += 1
-            report.total_busy += duration
-            type_times.setdefault(event.task_name, []).append(duration)
-            t_min = begin.time if t_min is None else min(t_min, begin.time)
-            t_max = event.time if t_max is None else max(t_max, event.time)
-            releaser = released_by.get(event.task_id)
-            if releaser is not None:
-                report.locality_candidates += 1
-                if releaser == event.thread:
-                    report.locality_hits += 1
         elif kind == EventKind.STEAL:
             report.steals += 1
             usage = report.threads.setdefault(
@@ -143,6 +118,20 @@ def analyze_events(
             if barrier_enter is not None:
                 report.barrier_time += event.time - barrier_enter
                 barrier_enter = None
+    t_min, t_max = None, None
+    for task_id, _name, start, end, thread in task_intervals(events):
+        usage = report.threads.setdefault(thread, ThreadUsage(thread))
+        usage.busy += end - start
+        usage.tasks += 1
+        report.total_tasks += 1
+        report.total_busy += end - start
+        t_min = start if t_min is None else min(t_min, start)
+        t_max = end if t_max is None else max(t_max, end)
+        releaser = released_by.get(task_id)
+        if releaser is not None:
+            report.locality_candidates += 1
+            if releaser == thread:
+                report.locality_hits += 1
     if t_min is not None and t_max is not None:
         report.makespan = t_max - t_min
     if num_threads is not None:
@@ -151,13 +140,13 @@ def analyze_events(
     report.threads = dict(sorted(report.threads.items()))
     report.task_types = {
         name: {
-            "count": len(times),
-            "total": sum(times),
-            "mean": sum(times) / len(times),
-            "min": min(times),
-            "max": max(times),
+            "count": summary.count,
+            "total": summary.total_time,
+            "mean": summary.mean_time,
+            "min": summary.min_time,
+            "max": summary.max_time,
         }
-        for name, times in sorted(type_times.items())
+        for name, summary in sorted(task_type_summary(events).items())
     }
     return report
 

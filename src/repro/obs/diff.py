@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..core.tracing import EventKind, TraceEvent
+from ..core.tracing import EventKind, TraceEvent, task_intervals
 from .analyze import TraceReport, analyze_events
 
 __all__ = [
@@ -74,17 +74,9 @@ __all__ = [
 def collect_task_durations(events: Sequence[TraceEvent]) -> dict[str, list[float]]:
     """Per-task-type duration samples (seconds) from an event list."""
 
-    starts: dict[int, TraceEvent] = {}
     samples: dict[str, list[float]] = {}
-    for event in events:
-        if event.kind == EventKind.TASK_START:
-            starts[event.task_id] = event
-        elif event.kind == EventKind.TASK_END:
-            begin = starts.pop(event.task_id, None)
-            if begin is not None:
-                samples.setdefault(event.task_name, []).append(
-                    event.time - begin.time
-                )
+    for _id, name, start, end, _thread in task_intervals(events):
+        samples.setdefault(name, []).append(end - start)
     return samples
 
 
@@ -114,29 +106,16 @@ def critical_chain(events: Sequence[TraceEvent]) -> list[ChainLink]:
     """
 
     intervals: dict[int, ChainLink] = {}
-    ready: dict[int, tuple[float, int]] = {}
-    starts: dict[int, TraceEvent] = {}
-    for event in events:
-        if event.kind == EventKind.TASK_START:
-            starts[event.task_id] = event
-        elif event.kind == EventKind.TASK_END:
-            begin = starts.pop(event.task_id, None)
-            if begin is not None:
-                intervals[event.task_id] = ChainLink(
-                    event.task_id, event.task_name, begin.time, event.time
-                )
-        elif event.kind == EventKind.TASK_READY:
-            ready[event.task_id] = (event.time, event.thread)
+    ends_by_thread: dict[int, list[tuple[float, int]]] = {}
+    for task_id, name, start, end, thread in task_intervals(events):
+        intervals[task_id] = ChainLink(task_id, name, start, end)
+        ends_by_thread.setdefault(thread, []).append((end, task_id))
     if not intervals:
         return []
-    ends_by_thread: dict[int, list[tuple[float, int]]] = {}
-    end_thread: dict[int, int] = {}
-    for event in events:
-        if event.kind == EventKind.TASK_END and event.task_id in intervals:
-            end_thread[event.task_id] = event.thread
-    for task_id, link in intervals.items():
-        thread = end_thread.get(task_id, -1)
-        ends_by_thread.setdefault(thread, []).append((link.end, task_id))
+    ready = {
+        event.task_id: (event.time, event.thread)
+        for event in events if event.kind == EventKind.TASK_READY
+    }
     for entries in ends_by_thread.values():
         entries.sort()
 

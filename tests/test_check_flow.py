@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import (
     ERROR,
@@ -31,6 +33,9 @@ from repro.check import (
     flow_source,
 )
 from repro.check.cli import main as check_main
+from repro.check.effects import SymRegion
+from repro.check.intervals import Interval
+from repro.core.dependencies import DependencyError
 
 pytestmark = pytest.mark.flow
 
@@ -199,6 +204,92 @@ class TestRules:
         )
         assert result.findings == []
 
+    def test_barrier_then_region_access_is_clean(self):
+        # The barrier wrote the renamed `b` back and forgot its chain,
+        # exactly as the runtime's does: `bump` meets an initial version.
+        result = flow_snippet(
+            "@css_task('input(a) output(b)')\n"
+            "def copy(a, b):\n"
+            "    b[:] = a\n"
+            "@css_task('inout(b{0..3})')\n"
+            "def bump(b):\n"
+            "    b[0:4] += 1\n"
+            "with SmpssRuntime() as rt:\n"
+            "    a = np.zeros(8)\n"
+            "    b = np.zeros(8)\n"
+            "    copy(a, b)\n"
+            "    copy(b, a)\n"
+            "    copy(a, b)\n"
+            "    barrier()\n"
+            "    bump(b)\n"
+        )
+        assert result.findings == []
+        graph = result.graph
+        assert graph.task_count == 4 and graph.renames == 2
+        assert graph.edges == {(1, 2): "true", (2, 3): "true"}
+
+    def test_region_after_rename_without_barrier_is_the_runtimes_error(self):
+        result = flow_snippet(
+            "@css_task('input(a) output(b)')\n"
+            "def copy(a, b):\n"
+            "    b[:] = a\n"
+            "@css_task('inout(b{0..3})')\n"
+            "def bump(b):\n"
+            "    b[0:4] += 1\n"
+            "with SmpssRuntime() as rt:\n"
+            "    a = np.zeros(8)\n"
+            "    b = np.zeros(8)\n"
+            "    copy(a, b)\n"
+            "    copy(b, a)\n"
+            "    copy(a, b)\n"
+            "    bump(b)\n"
+        )
+        (finding,) = result.findings
+        assert finding.rule == "flow-overlapping-writes"
+        assert "'b'" in finding.message
+        assert "DependencyError" in finding.message
+
+    def test_no_edge_or_hazard_through_a_pre_barrier_chain(self):
+        result = flow_snippet(
+            "@css_task('output(q{1..6})')\n"
+            "def wide(q):\n"
+            "    pass\n"
+            "@css_task('output(q{3..3})')\n"
+            "def point(q):\n"
+            "    pass\n"
+            "@css_task('input(q{6..6})')\n"
+            "def read(q):\n"
+            "    pass\n"
+            "@css_task('inout(q{4..7})')\n"
+            "def straddle(q):\n"
+            "    pass\n"
+            "with SmpssRuntime() as rt:\n"
+            "    q = np.zeros(8)\n"
+            "    wide(q)\n"
+            "    barrier()\n"
+            "    point(q)\n"
+            "    read(q)\n"
+            "    barrier()\n"
+            "    straddle(q)\n"     # partially overlaps the retired {1..6}
+        )
+        assert result.findings == []
+        assert result.graph.edges == {}
+
+    @pytest.mark.parametrize("method", ["clip(0, 1)", "argsort()"])
+    def test_pure_method_on_a_read_pending_array_is_clean(self, method):
+        # One table of non-mutating methods, astlint's: reading beside
+        # a reader is no hazard.
+        result = flow_snippet(
+            "@css_task('input(a)')\n"
+            "def rd(a):\n"
+            "    a.sum()\n"
+            "with SmpssRuntime() as rt:\n"
+            "    a = np.zeros(8)\n"
+            "    rd(a)\n"
+            f"    lo = a.{method}\n"
+        )
+        assert result.findings == []
+
     def test_skeleton_matches_recording_semantics(self):
         # produce -> consume -> produce: TRUE edge then a rename
         # (the second produce lands under a pending reader).
@@ -259,6 +350,122 @@ class TestRules:
             [summarized] * tiles + [False, False]
         # Only the last tile feeds read_last; nothing feeds read_beyond.
         assert sorted(graph.edges.items()) == [((tiles, tiles + 2), "true")]
+
+
+# ---------------------------------------------------------------------------
+# the skeleton is the runtime's own analysis: generated drivers
+# ---------------------------------------------------------------------------
+
+#: ``w``/``x`` are only ever passed whole, ``r`` only by region, ``m``
+#: both ways — the one that can meet a region after a rename.
+_REGION_ARRAYS = {"w": False, "x": False, "m": None, "r": True}
+
+
+@st.composite
+def _clauses(draw, direction=st.sampled_from(["input", "output", "inout"])):
+    array = draw(st.sampled_from(sorted(_REGION_ARRAYS)))
+    by_region = _REGION_ARRAYS[array]
+    if by_region is None:
+        by_region = draw(st.booleans())
+    lo, hi = sorted(draw(st.tuples(st.integers(0, 7), st.integers(0, 7))))
+    spec = "%s{%d..%d}" % (array, lo, hi) if by_region else array
+    return array, "%s(%s)" % (draw(direction), spec)
+
+
+_copies = st.tuples(_clauses(st.just("input")), _clauses(st.just("output"))) \
+    .filter(lambda pair: pair[0][0] != pair[1][0])
+#: A submission is one clause or an input->output copy (listed twice:
+#: copies are what renames); ``None`` is a barrier.
+_drivers = st.lists(
+    st.one_of(st.none(), _clauses().map(lambda c: (c,)), _copies, _copies),
+    max_size=14,
+)
+
+
+def _driver_source(ops) -> str:
+    tasks, calls = [], []
+    for op in ops:
+        if op is None:
+            calls.append("    barrier()")
+            continue
+        params = ", ".join(array for array, _clause in op)
+        pragma = " ".join(clause for _array, clause in op)
+        name = f"t{len(tasks) + 1}"
+        tasks.append(f"@css_task('{pragma}')\ndef {name}({params}):\n    pass")
+        calls.append(f"    {name}({params})")
+    return "\n".join([
+        "import numpy as np",
+        "from repro import record_program",
+        "from repro.core.api import barrier, css_task",
+        *(f"{array} = np.zeros(8)" for array in sorted(_REGION_ARRAYS)),
+        *tasks,
+        "def driver():",
+        *calls, "    pass",
+        "recorded = record_program(driver, execute='eager')",
+        "",
+    ])
+
+
+def check_skeleton_is_the_recording(ops) -> bool:
+    """flow and the eager recorder agree on *ops*: both refuse it (the
+    recorder raises, flow reports that raise) or both build the same
+    tasks, edges with kinds and rename count.  True when both ran."""
+
+    source = _driver_source(ops)
+    result = flow_source(source, "<generated>")
+    refused = any("DependencyError" in f.message for f in result.findings)
+    namespace: dict = {}
+    try:
+        exec(compile(source, "<generated>", "exec"), namespace)
+    except DependencyError:
+        assert refused, source
+        return False
+    assert not refused, source
+    recorded = namespace["recorded"]
+    static = result.graph.to_json_dict()
+    assert static["tasks"] == recorded.to_json_dict()["tasks"], source
+    assert result.graph.edges == {
+        (pred, succ): kind for pred, succ, kind in recorded.graph.edges()
+    }, source
+    assert result.graph.renames == recorded.graph.stats.renames, source
+    return True
+
+
+class TestSkeletonIsTheRecording:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(ops=_drivers)
+    def test_generated_drivers(self, ops):
+        check_skeleton_is_the_recording(ops)
+
+
+_bounds = st.tuples(
+    st.integers(0, 12), st.integers(0, 6), st.integers(0, 6),
+    st.one_of(st.none(), st.integers(0, 6)),
+).map(lambda v: (
+    Interval(v[0], v[0] + v[1]),
+    Interval(v[0] + v[2], None if v[3] is None else v[0] + v[1] + v[2] + v[3]),
+))
+_boxes = st.integers(1, 2).flatmap(lambda ndim: st.tuples(*(
+    st.lists(_bounds, min_size=ndim, max_size=ndim).map(
+        lambda dims: SymRegion(tuple(dims)))
+    for _side in range(2))))
+
+
+class TestRegionHull:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(boxes=_boxes)
+    def test_hulls_are_disjoint_iff_the_boxes_provably_were(self, boxes):
+        a, b = boxes
+        provably_disjoint = any(
+            ahi.must_precede(blo) or bhi.must_precede(alo)
+            for (alo, ahi), (blo, bhi) in zip(a.dims, b.dims))
+        assert a.hull().overlaps(b.hull()) is not provably_disjoint
+
+    def test_a_box_of_constants_is_its_own_hull(self):
+        full = (Interval.const(0), Interval(None, None))
+        box = SymRegion(((Interval.const(2), Interval.const(5)), full))
+        assert box.hull() == box.to_region()
+        assert str(box.hull()) == "{2..5}{}"
 
 
 # ---------------------------------------------------------------------------

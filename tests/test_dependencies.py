@@ -208,12 +208,6 @@ class TestOpaqueAndScalars:
         h.submit(scal, (1, 2))
         assert h.tracker.tracked_count == 0
 
-    def test_scalars_rejected_when_disabled(self):
-        scal = make_def("inout(a)", lambda a: None)
-        h = Harness(allow_untracked_scalars=False)
-        with pytest.raises(DependencyError):
-            h.submit(scal, 42)
-
 
 class TestRegionDependencies:
     def region_def(self, pragma):

@@ -439,6 +439,10 @@ def _run_program(rt, steps, seed):
                 call(*names)
         segment = []
         seen.append(np.array(rt.acquire(data[i])))
+        # Drain before the next segment is analysed: whether an output
+        # rides home depends on its successor having been submitted, and
+        # a task still in flight here makes the byte counts a race.
+        _await(lambda: rt.graph.pending_count == 0)
     rt.barrier()
     return data + seen
 

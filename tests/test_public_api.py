@@ -14,6 +14,7 @@ import ast
 import dataclasses
 import inspect
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -504,6 +505,41 @@ class TestOneOfEach:
         assert _modules_containing("chains.get(None)", "core", "sim") == [
             "core/dependencies.py"]
 
+    def test_one_dependency_tracker(self):
+        """``check.flow`` drives the real tracker over abstract data; no
+        second statement of versions, chains or edge rules exists."""
+
+        from repro.check.flow import FlowOptions
+        from repro.core.dependencies import TrackerConfig
+
+        offenders = [
+            str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if path.parent.name != "core"
+            and any(mark in path.read_text() for mark in
+                    ("class _Chain", "class _Version", "def _track_",
+                     "def _edge(", "def _rename("))
+        ]
+        assert offenders == []
+        assert "DependencyTracker" in {
+            alias.name
+            for node in ast.walk(ast.parse(self._source("check/flow.py")))
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        assert len(dataclasses.fields(FlowOptions)) == 1
+        assert len(dataclasses.fields(TrackerConfig)) == 2
+
+    def test_one_interval_pairing(self):
+        """Only ``core.tracing.task_intervals`` matches a ``TASK_END``
+        to its ``TASK_START``; the analyses consume it."""
+
+        for relative in ("core/analysis.py", "obs/analyze.py", "obs/diff.py"):
+            source = self._source(relative)
+            assert "task_intervals" in source, relative
+            # no start table, no test for either end of an interval
+            assert not re.search(
+                r"\bstarts\b|== EventKind\.TASK_(START|END)", source), relative
+        assert self._source("core/tracing.py").count("starts.pop(") == 1
+
     def test_one_cli_front_door(self):
         assert [str(p.relative_to(SRC)) for p in SRC.rglob("__main__.py")] \
             == ["__main__.py"]
@@ -522,8 +558,8 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total PR 23 landed on.
-LINE_BUDGET = 25317
+#: The ``src/repro`` total PR 24 landed on.
+LINE_BUDGET = 25226
 
 
 class TestOneMeasurementSystem:
