@@ -35,6 +35,7 @@ from repro.apps.cholesky import (
     hyper_task_count,
 )
 from repro.blas.hypermatrix import HyperMatrix
+from repro.obs import analyze_tracer
 from repro.sim import ALTIX_32, CostModel, simulate_program
 
 
@@ -50,7 +51,9 @@ def threaded_hyper_demo(size: int = 256, block: int = 64) -> None:
 
     error = abs(hm.lower_to_dense() - reference).max()
     print(f"   max |L - scipy| = {error:.2e}")
-    print(f"   tasks by thread: {tracer.tasks_by_thread()}")
+    by_thread = {tid: usage.tasks
+                 for tid, usage in analyze_tracer(tracer).threads.items()}
+    print(f"   tasks by thread: {by_thread}")
     print(tracer.ascii_timeline(width=64))
 
 

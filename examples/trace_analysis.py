@@ -13,8 +13,9 @@ and the virtual Altix), then walks the observability workflow:
   ``python -m repro obs report trace.json`` CLI does);
 * ``tracer.to_paraver()`` — the paper's own Paraver ``.prv`` format
   (section VII.A);
-* the classic section VII analyses (parallelism profile, load
-  balance) which still operate on any tracer.
+* the classic section VII analyses (average parallelism and load
+  balance off ``analyze_tracer``'s report, the parallelism profile of
+  the event list).
 
 Run:  python examples/trace_analysis.py
 """
@@ -27,13 +28,10 @@ import numpy as np
 from repro import SmpssRuntime
 from repro.apps.cholesky import cholesky_hyper
 from repro.blas.hypermatrix import HyperMatrix
-from repro.core.analysis import (
-    average_parallelism,
-    load_balance,
-    parallelism_profile,
-)
+from repro.core.analysis import parallelism_profile
 from repro.obs import (
     analyze_events,
+    analyze_tracer,
     load_chrome_trace,
     render_report,
     write_chrome_trace,
@@ -90,9 +88,10 @@ def simulated_trace() -> None:
 
 
 def _classic_profile(tracer) -> None:
-    print(f"   average parallelism: {average_parallelism(tracer):.2f}")
-    print(f"   load balance: {load_balance(tracer):.2f}")
-    profile = parallelism_profile(tracer, samples=24)
+    report = analyze_tracer(tracer)
+    print(f"   average parallelism: {report.average_parallelism:.2f}")
+    print(f"   load balance: {report.load_balance:.2f}")
+    profile = parallelism_profile(tracer.events, samples=24)
     peak = max((c for _t, c in profile), default=0)
     bars = "".join("#" if c >= peak * 0.75 else
                    "+" if c >= peak * 0.5 else

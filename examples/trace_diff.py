@@ -21,6 +21,7 @@ The same reports come from the CLI on exported traces::
 Run:  python examples/trace_diff.py
 """
 
+import json
 import os
 import tempfile
 import time
@@ -29,7 +30,7 @@ from repro import SmpssRuntime
 from repro.apps.cholesky import cholesky_hyper
 from repro.blas import kernels
 from repro.blas.hypermatrix import HyperMatrix
-from repro.obs import write_chrome_trace
+from repro.obs import to_chrome_trace
 from repro.obs.diff import (
     diff_traces,
     render_trace_diff,
@@ -75,14 +76,11 @@ def main() -> None:
           f"(+{culprit.delta_total * 1e3:.1f}ms total busy time)")
 
     with tempfile.TemporaryDirectory() as tmp:
-        class Holder:
-            def __init__(self, events):
-                self.events = events
-
-        a_path = write_chrome_trace(Holder(events_a),
-                                    os.path.join(tmp, "a.trace.json"))
-        b_path = write_chrome_trace(Holder(events_b),
-                                    os.path.join(tmp, "b.trace.json"))
+        a_path, b_path = (os.path.join(tmp, name)
+                          for name in ("a.trace.json", "b.trace.json"))
+        for path, events in ((a_path, events_a), (b_path, events_b)):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(to_chrome_trace(events), handle)
         sbs = write_diff_chrome_trace(
             events_a, events_b, os.path.join(tmp, "side_by_side.json"),
             label_a="baseline", label_b="slow gemm",

@@ -56,7 +56,7 @@ class RuntimeConfig:
     enable_renaming: bool = True
     rename_inout: bool = True
     #: Record trace events (the "tracing-enabled runtime").  Collection
-    #: is per-thread ring buffers (:class:`ThreadLocalTracer`): workers
+    #: is per-thread ring buffers (:class:`Tracer`): workers
     #: append to their own buffer, merged when the events are read.
     trace: bool = False
     #: Events each thread's ring buffer holds before dropping oldest.

@@ -54,7 +54,7 @@ from .graph import TaskGraph
 from .invocation import plan_for
 from .scheduler import SmpssScheduler  # noqa: F401  (re-export convenience)
 from .task import TaskInstance, TaskState, reset_task_ids
-from .tracing import NullTracer, ThreadLocalTracer
+from .tracing import NullTracer, Tracer
 
 __all__ = ["SmpssRuntime", "TaskExecutionError"]
 
@@ -101,7 +101,7 @@ class SmpssRuntime:
         self.config.fill_num_workers()
 
         self.tracer = (
-            ThreadLocalTracer(capacity=self.config.trace_buffer_size)
+            Tracer(capacity=self.config.trace_buffer_size)
             if self.config.trace
             else NullTracer()
         )
@@ -485,7 +485,8 @@ class SmpssRuntime:
             m.gauge("graph.total_tasks").set(self.graph.stats.total_tasks)
             m.gauge("graph.total_edges").set(self.graph.stats.total_edges)
             m.gauge("graph.renames").set(self.graph.stats.renames)
-        dropped = getattr(self.tracer, "dropped_events", 0)
+        # Not getattr(self.tracer, ...): NullTracer answers with a function.
+        dropped = self._trace.dropped_events if self._trace is not None else 0
         if dropped:
             m.gauge("trace.dropped_events").set(dropped)
 

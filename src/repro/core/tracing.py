@@ -8,9 +8,10 @@ the Paraver tool."
 
 This module is the Python analogue: a :class:`Tracer` collects typed
 events with timestamps (wall-clock in the threaded runtime, virtual
-time in the simulator) and offers post-mortem queries — per-thread busy
-time, task intervals, steal/rename counts — plus a Paraver-like ASCII
-timeline and a ``.prv``-style record dump.
+time in the simulator) into per-thread rings and offers the raw
+queries — task intervals, event counts — plus a Paraver-like ASCII
+timeline and a ``.prv``-style record dump.  Busy time, makespan and
+per-type statistics are :func:`repro.obs.analyze.analyze_events`'s.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ def task_intervals(events: Iterable[TraceEvent]):
     task of *events* — the one place a ``TASK_END`` meets its
     ``TASK_START``.
 
-    Events are walked in timestamp order, not list order: batches
-    landed by :meth:`Tracer.ingest` (worker rings shipped with mp
-    replies) can place a task's START *after* its END in the raw list,
-    which would silently drop the interval.  *thread* is the one the
-    task ended on.
+    Events are walked in timestamp order, not list order: a list put
+    together from several sources (worker rings shipped with mp
+    replies, a hand-built list) can place a task's START *after* its
+    END, which would silently drop the interval.  *thread* is the one
+    the task ended on.
     """
 
     starts: dict[int, float] = {}
@@ -88,25 +89,76 @@ def task_intervals(events: Iterable[TraceEvent]):
                        event.thread)
 
 
-class Tracer:
-    """Event recorder; one per runtime instance.
+class _RingBuffer:
+    """One thread's bounded event buffer (oldest events dropped)."""
 
-    *clock* defaults to :func:`time.perf_counter`; the simulator injects
-    its virtual clock instead.
+    __slots__ = ("events", "dropped")
+
+    def __init__(self, capacity: int):
+        self.events: deque[TraceEvent] = deque(maxlen=capacity)
+        self.dropped = 0
+
+
+class Tracer:
+    """Event recorder over per-thread ring buffers; one per runtime.
+
+    Each OS thread appends to its own bounded ring (registered on first
+    use), so emission takes no shared lock — Álvarez et al. show
+    contention in exactly this kind of runtime bookkeeping is a
+    first-order scaling cost.  The rings are merged, stably sorted by
+    timestamp, only when :attr:`events` is read.  *clock* defaults to
+    :func:`time.perf_counter`; the simulator injects its virtual clock
+    (single-threaded emission: one ring, emission order kept among
+    equal timestamps).  On overflow of *capacity* a ring drops its
+    oldest events, counted in :attr:`dropped_events`, so tracing can
+    stay on in long-running services.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(self, clock: Optional[Callable[[], float]] = None,
+                 capacity: int = 1 << 16):
         self.clock = clock or time.perf_counter
-        self.events: list[TraceEvent] = []
+        self.capacity = capacity
         #: Optional per-event callback ``fn(event)`` invoked on the
         #: emitting thread right after the event is recorded.  This is
         #: the live event plane's tap (:mod:`repro.live`); ``None`` (the
         #: default) costs one attribute load + identity check per event.
         #: The callback must be fast and must not take runtime locks.
         self.listener: Optional[Callable[[TraceEvent], None]] = None
+        self._tls = threading.local()
+        self._buffers: list[_RingBuffer] = []
+        self._register_lock = threading.Lock()
+
+    def _register(self) -> _RingBuffer:
+        ring = _RingBuffer(self.capacity)
+        with self._register_lock:
+            self._buffers.append(ring)
+        self._tls.ring = ring
+        return ring
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """All events, merged across threads in timestamp order."""
+
+        with self._register_lock:
+            buffers = [list(ring.events) for ring in self._buffers]
+        merged = [event for buf in buffers for event in buf]
+        merged.sort(key=lambda e: e.time)  # stable: ties keep buffer order
+        return merged
+
+    @property
+    def dropped_events(self) -> int:
+        with self._register_lock:
+            return sum(ring.dropped for ring in self._buffers)
 
     # -- emit helpers ------------------------------------------------------
     def _emit(self, kind: str, task=None, thread: int = -1, extra: tuple = ()):
+        try:
+            ring = self._tls.ring
+        except AttributeError:
+            ring = self._register()
+        buf = ring.events
+        if len(buf) == buf.maxlen:
+            ring.dropped += 1
         event = TraceEvent(
             time=self.clock(),
             kind=kind,
@@ -115,7 +167,7 @@ class Tracer:
             thread=thread,
             extra=extra,
         )
-        self.events.append(event)
+        buf.append(event)
         listener = self.listener
         if listener is not None:
             listener(event)
@@ -177,15 +229,21 @@ class Tracer:
         The process backend uses this to land worker-side ring buffers
         (timestamped with the same monotonic clock) in the master's
         timeline, so every consumer — reports, Perfetto export, trace
-        diffing — sees worker processes as ordinary threads.  Ingested
-        events arrive in batches *after* the fact, so their timestamps
-        may predate already-recorded ones; readers that need time order
-        sort (``task_intervals``, the Chrome-trace exporter).
+        diffing — sees worker processes as ordinary threads.  The events
+        land in the *calling thread's* ring as :meth:`_emit` would put
+        them; the merge in :attr:`events` puts them in time order.
         """
 
+        try:
+            ring = self._tls.ring
+        except AttributeError:
+            ring = self._register()
+        buf = ring.events
         listener = self.listener
         for event in events:
-            self.events.append(event)
+            if len(buf) == buf.maxlen:
+                ring.dropped += 1
+            buf.append(event)
             if listener is not None:
                 listener(event)
 
@@ -203,26 +261,6 @@ class Tracer:
             task_id: (start, end, thread, name)
             for task_id, name, start, end, thread in task_intervals(self.events)
         }
-
-    def busy_time_by_thread(self) -> dict[int, float]:
-        busy: dict[int, float] = defaultdict(float)
-        for start, end, thread, _name in self.task_intervals().values():
-            busy[thread] += end - start
-        return dict(busy)
-
-    def tasks_by_thread(self) -> dict[int, int]:
-        counts: dict[int, int] = defaultdict(int)
-        for _s, _e, thread, _n in self.task_intervals().values():
-            counts[thread] += 1
-        return dict(counts)
-
-    def makespan(self) -> float:
-        intervals = self.task_intervals().values()
-        if not intervals:
-            return 0.0
-        return max(e for _s, e, _t, _n in intervals) - min(
-            s for s, _e, _t, _n in intervals
-        )
 
     # -- exports -------------------------------------------------------------
     def to_records(self) -> Iterable[str]:
@@ -245,13 +283,13 @@ class Tracer:
         type codes are listed in the trailer comment.
         """
 
-        intervals = self.task_intervals()
-        end_time = max((e.time for e in self.events), default=0.0)
+        events = self.events  # one merge of the rings
+        end_time = max((e.time for e in events), default=0.0)
         lines = [
             f"#Paraver (01/01/2008 at 00:00):{_us(end_time)}"
             ":1(1):1:1(1:1)"
         ]
-        for task_id, (start, end, thread, _name) in sorted(intervals.items()):
+        for task_id, _name, start, end, thread in sorted(task_intervals(events)):
             cpu = thread + 1
             lines.append(
                 f"1:{cpu}:1:1:{cpu}:{_us(start)}:{_us(end)}:{task_id}"
@@ -266,7 +304,7 @@ class Tracer:
             EventKind.WRITE_BACK: 90000007,
             EventKind.VIOLATION: 90000008,
         }
-        for event in self.events:
+        for event in events:
             code = type_codes.get(event.kind)
             if code is None:
                 continue
@@ -307,115 +345,8 @@ def _us(seconds: float) -> int:
     return int(round(seconds * 1e6))
 
 
-class _RingBuffer:
-    """One thread's bounded event buffer (oldest events dropped)."""
-
-    __slots__ = ("events", "dropped")
-
-    def __init__(self, capacity: int):
-        self.events: deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-
-
-class ThreadLocalTracer(Tracer):
-    """Tracer whose hot path is per-thread ring buffers.
-
-    The plain :class:`Tracer` appends every event to one shared list —
-    under the threaded runtime that list is touched by every worker,
-    which both serialises emission (the runtime lock must cover it) and
-    bounces the list's cache lines between cores; Álvarez et al. show
-    contention in exactly this kind of runtime bookkeeping is a
-    first-order scaling cost.  Here each OS thread appends to its own
-    bounded ring buffer (registered on first use), and the buffers are
-    merged — stably sorted by timestamp — only when the events are
-    *read* (at a barrier, at shutdown, or in post-mortem queries).
-
-    The interface is identical to :class:`Tracer`; ``events`` becomes a
-    merging property.  The simulator can inject its virtual clock
-    unchanged (``tracer.clock = ...``) — single-threaded emission lands
-    in one buffer and the stable sort preserves emission order among
-    equal virtual timestamps.
-
-    *capacity* bounds each thread's buffer; on overflow the oldest
-    events are dropped (counted in :attr:`dropped_events`) so tracing
-    can stay on in long-running services without unbounded memory.
-    """
-
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        capacity: int = 1 << 16,
-    ):
-        self.clock = clock or time.perf_counter
-        self.capacity = capacity
-        self.listener = None  # see Tracer.listener
-        self._tls = threading.local()
-        self._buffers: list[_RingBuffer] = []
-        self._register_lock = threading.Lock()
-
-    def _register(self) -> _RingBuffer:
-        ring = _RingBuffer(self.capacity)
-        with self._register_lock:
-            self._buffers.append(ring)
-        self._tls.ring = ring
-        return ring
-
-    def _emit(self, kind: str, task=None, thread: int = -1, extra: tuple = ()):
-        try:
-            ring = self._tls.ring
-        except AttributeError:
-            ring = self._register()
-        buf = ring.events
-        if len(buf) == buf.maxlen:
-            ring.dropped += 1
-        event = TraceEvent(
-            time=self.clock(),
-            kind=kind,
-            task_id=task.task_id if task is not None else -1,
-            task_name=task.name if task is not None else "",
-            thread=thread,
-            extra=extra,
-        )
-        buf.append(event)
-        listener = self.listener
-        if listener is not None:
-            listener(event)
-
-    def ingest(self, events: Iterable[TraceEvent]) -> None:
-        """Append foreign events to the *calling thread's* ring.
-
-        Same bounded-buffer semantics as :meth:`_emit` (oldest dropped,
-        drops counted); the timestamp-sorted merge in :attr:`events`
-        interleaves them with locally emitted ones.
-        """
-
-        try:
-            ring = self._tls.ring
-        except AttributeError:
-            ring = self._register()
-        buf = ring.events
-        listener = self.listener
-        for event in events:
-            if len(buf) == buf.maxlen:
-                ring.dropped += 1
-            buf.append(event)
-            if listener is not None:
-                listener(event)
-
-    @property
-    def events(self) -> list[TraceEvent]:  # type: ignore[override]
-        """All events, merged across threads in timestamp order."""
-
-        with self._register_lock:
-            buffers = [list(ring.events) for ring in self._buffers]
-        merged = [event for buf in buffers for event in buf]
-        merged.sort(key=lambda e: e.time)  # stable: ties keep buffer order
-        return merged
-
-    @property
-    def dropped_events(self) -> int:
-        with self._register_lock:
-            return sum(ring.dropped for ring in self._buffers)
+#: The ring recorder's older name, still exported by both packages.
+ThreadLocalTracer = Tracer
 
 
 class NullTracer:

@@ -17,7 +17,7 @@ a recording saved with ``RecordedProgram.save``.
 Commands (interactive prompt or ``--script``, ``;``-separated):
 
     state                 refresh the control snapshot (attach only)
-    render                print the dashboard
+    render                print the dashboard (an empty prompt line too)
     pause | resume        gate control
     step [N]              dispatch N tasks (default 1)
     back [N]              rewind N units (replay only)
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..obs.analyze import render_report
 from .client import LiveClient, LiveClosed, LiveTimeout
 from .dashboard import DashboardState, render
 from .replay import ReplayEngine
@@ -66,6 +67,7 @@ def _attach_command(client, state, verb, arg, out) -> bool:
     if verb in ("quit", "exit", "detach"):
         return False
     if verb == "render":
+        _pump(client, state, idle=0.1)
         print(render(state), file=out)
     elif verb == "state":
         snapshot = dict(client.state())
@@ -99,7 +101,7 @@ def _attach_command(client, state, verb, arg, out) -> bool:
         except LiveClosed:
             pass  # stream ended: the run is over
     elif verb == "report":
-        print(state.report(), file=out)
+        print(render_report(state.report(), title="live report"), file=out)
     elif verb == "ping":
         client.ping()
     else:
@@ -107,7 +109,59 @@ def _attach_command(client, state, verb, arg, out) -> bool:
     return True
 
 
-def _run_attach(args, out=sys.stdout) -> int:
+def _prompt_lines(prompt: str):
+    while True:
+        try:
+            yield input(prompt)
+        except EOFError:
+            return
+
+
+def _command_loop(script, prompt, help_text, state, run, settle, out) -> int:
+    """The one command loop behind ``attach`` and ``replay``.
+
+    Commands come from *script* split on ``;`` or, without one, from
+    ``input(prompt)`` until end of input, where an empty line means
+    ``render``.  ``run(verb, arg)`` executes one and returns False to
+    quit; ``settle()`` follows each.  A failing command ends a script
+    with exit status 1 (message on stderr) and is only reported at the
+    prompt; a closed live stream ends either.  The dashboard is printed
+    when a prompt opens and when a script ends.
+    """
+
+    scripted = script is not None
+    if scripted:
+        lines = script.split(";")
+    else:
+        print(render(state), file=out)
+        print(help_text, file=out)
+        lines = _prompt_lines(prompt)
+    code = 0
+    for line in lines:
+        parts = line.split(None, 1) or ([] if scripted else ["render"])
+        if not parts:
+            continue
+        verb, arg = parts[0], parts[1] if len(parts) > 1 else ""
+        try:
+            if not run(verb, arg):
+                break
+        except LiveClosed:
+            if not scripted:
+                print("(stream ended)", file=out)
+            break
+        except (LiveTimeout, ValueError, RuntimeError) as exc:
+            print(f"{verb}: {exc}", file=sys.stderr if scripted else out)
+            if scripted:
+                code = 1
+                break
+        settle()
+    if scripted:
+        print(render(state), file=out)
+    return code
+
+
+def _run_attach(args) -> int:
+    out = sys.stdout
     try:
         client = LiveClient(args.address, timeout=args.timeout)
     except (OSError, LiveClosed) as exc:
@@ -115,64 +169,23 @@ def _run_attach(args, out=sys.stdout) -> int:
         return 1
     state = DashboardState()
     state.apply(dict(client.hello))
-    exit_code = 0
     try:
         _pump(client, state, idle=args.settle)
-        if args.script is not None:
-            for raw in args.script.split(";"):
-                word = raw.strip()
-                if not word:
-                    continue
-                parts = word.split(None, 1)
-                verb, arg = parts[0], parts[1] if len(parts) > 1 else ""
-                try:
-                    keep_going = _attach_command(
-                        client, state, verb, arg, out
-                    )
-                except (LiveTimeout, ValueError, RuntimeError) as exc:
-                    print(f"{verb}: {exc}", file=sys.stderr)
-                    exit_code = 1
-                    break
-                except LiveClosed:
-                    break
-                _pump(client, state, idle=0.1)
-                if not keep_going:
-                    break
-            print(render(state), file=out)
-        else:
-            _interactive_attach(client, state, out)
+        return _command_loop(
+            args.script, "live> ",
+            "commands: state render pause resume step [n] "
+            "break <name|#id> clear wait-done report quit",
+            state,
+            lambda verb, arg: _attach_command(client, state, verb, arg, out),
+            lambda: _pump(client, state, idle=0.1),
+            out,
+        )
     finally:
         client.detach()
-    return exit_code
 
 
-def _interactive_attach(client, state, out) -> None:
-    print(render(state), file=out)
-    print("commands: state render pause resume step [n] "
-          "break <name|#id> clear wait-done report quit", file=out)
-    while True:
-        try:
-            line = input("live> ").strip()
-        except EOFError:
-            return
-        if not line:
-            _pump(client, state, idle=0.1)
-            print(render(state), file=out)
-            continue
-        parts = line.split(None, 1)
-        verb, arg = parts[0], parts[1] if len(parts) > 1 else ""
-        try:
-            if not _attach_command(client, state, verb, arg, out):
-                return
-        except (LiveTimeout, ValueError, RuntimeError) as exc:
-            print(f"{verb}: {exc}", file=out)
-        except LiveClosed:
-            print("(stream ended)", file=out)
-            return
-        _pump(client, state, idle=0.1)
-
-
-def _run_replay(args, out=sys.stdout) -> int:
+def _run_replay(args) -> int:
+    out = sys.stdout
     try:
         engine = ReplayEngine(args.recording, num_threads=args.threads)
     except (OSError, ValueError, KeyError) as exc:
@@ -192,48 +205,19 @@ def _run_replay(args, out=sys.stdout) -> int:
         elif verb == "run":
             engine.run()
         elif verb == "report":
-            print(state.report(num_threads=args.threads), file=out)
+            print(render_report(state.report(num_threads=args.threads),
+                                title="replay report"), file=out)
         elif verb == "state":
             pass  # snapshots are synthesised on every step
         else:
             raise ValueError(f"unknown command {verb!r}")
         return True
 
-    if args.script is not None:
-        code = 0
-        for raw in args.script.split(";"):
-            word = raw.strip()
-            if not word:
-                continue
-            parts = word.split(None, 1)
-            verb, arg = parts[0], parts[1] if len(parts) > 1 else ""
-            try:
-                if not one(verb, arg):
-                    break
-            except ValueError as exc:
-                print(f"{verb}: {exc}", file=sys.stderr)
-                code = 1
-                break
-        print(render(state), file=out)
-        return code
-    print(render(state), file=out)
-    print("commands: step [n] back [n] run render report quit", file=out)
-    while True:
-        try:
-            line = input("replay> ").strip()
-        except EOFError:
-            return 0
-        if not line:
-            print(render(state), file=out)
-            continue
-        parts = line.split(None, 1)
-        verb, arg = parts[0], parts[1] if len(parts) > 1 else ""
-        try:
-            if not one(verb, arg):
-                return 0
-        except ValueError as exc:
-            print(f"{verb}: {exc}", file=out)
-        print(render(state), file=out)
+    return _command_loop(
+        args.script, "replay> ",
+        "commands: step [n] back [n] run render report quit",
+        state, one, lambda: None, out,
+    )
 
 
 def main(argv=None) -> int:

@@ -8,9 +8,9 @@ the Python reproduction, richer and cheaper:
 * :class:`MetricsRegistry` — counters/gauges/histograms the runtimes
   populate (per-task-type durations, analysis and barrier overhead,
   steal/rename counts, ready-queue depths, renaming footprint);
-* :class:`~repro.core.tracing.ThreadLocalTracer` — per-thread
-  ring-buffer trace collection (re-exported here) replacing the
-  shared-list hot path under the threaded backend;
+* :class:`~repro.core.tracing.Tracer` — the one trace recorder,
+  per-thread ring buffers merged on read (re-exported here under its
+  older name ``ThreadLocalTracer``);
 * exporters — Chrome trace-event JSON (Perfetto-loadable) and
   Graphviz DOT with the critical path highlighted;
 * the critical-path / utilisation analyzer behind

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.analysis import greedy_bounds, task_type_summary, work_and_span
+from ..core.analysis import greedy_bounds, work_and_span
 from ..core.tracing import EventKind, TraceEvent, task_intervals
 
 __all__ = [
@@ -88,13 +88,34 @@ class TraceReport:
             return 0.0
         return self.locality_hits / self.locality_candidates
 
+    @property
+    def average_parallelism(self) -> float:
+        """Busy time divided by elapsed time: mean concurrency achieved."""
+
+        if self.makespan > 0:
+            return self.total_busy / self.makespan
+        return float(self.total_tasks)
+
+    @property
+    def load_balance(self) -> float:
+        """Mean busy time across threads divided by the max (1.0 =
+        perfect, and for a trace with no busy thread)."""
+
+        busy = [usage.busy for usage in self.threads.values()]
+        peak = max(busy, default=0.0)
+        return sum(busy) / len(busy) / peak if peak > 0 else 1.0
+
 
 def analyze_events(
     events: list[TraceEvent],
     num_threads: Optional[int] = None,
     dropped_events: int = 0,
 ) -> TraceReport:
-    """Build a :class:`TraceReport` from a normalised event list."""
+    """Build a :class:`TraceReport` from a normalised event list.
+
+    The one pass that turns task intervals into per-thread busy time
+    and task counts, total busy time, makespan and per-type statistics.
+    """
 
     report = TraceReport(dropped_events=dropped_events)
     released_by: dict[int, int] = {}  # task_id -> unlocking thread
@@ -119,14 +140,17 @@ def analyze_events(
                 report.barrier_time += event.time - barrier_enter
                 barrier_enter = None
     t_min, t_max = None, None
-    for task_id, _name, start, end, thread in task_intervals(events):
+    durations: dict[str, list[float]] = {}  # task type -> samples
+    for task_id, name, start, end, thread in task_intervals(events):
+        duration = end - start
         usage = report.threads.setdefault(thread, ThreadUsage(thread))
-        usage.busy += end - start
+        usage.busy += duration
         usage.tasks += 1
         report.total_tasks += 1
-        report.total_busy += end - start
+        report.total_busy += duration
         t_min = start if t_min is None else min(t_min, start)
         t_max = end if t_max is None else max(t_max, end)
+        durations.setdefault(name, []).append(duration)
         releaser = released_by.get(task_id)
         if releaser is not None:
             report.locality_candidates += 1
@@ -139,14 +163,10 @@ def analyze_events(
             report.threads.setdefault(tid, ThreadUsage(tid))
     report.threads = dict(sorted(report.threads.items()))
     report.task_types = {
-        name: {
-            "count": summary.count,
-            "total": summary.total_time,
-            "mean": summary.mean_time,
-            "min": summary.min_time,
-            "max": summary.max_time,
-        }
-        for name, summary in sorted(task_type_summary(events).items())
+        name: {"count": len(times), "total": sum(times),
+               "mean": sum(times) / len(times),
+               "min": min(times), "max": max(times)}
+        for name, times in sorted(durations.items())
     }
     return report
 
@@ -184,16 +204,9 @@ def analyze_tracer(
 # Chrome trace loading (the ``python -m repro obs report`` path)
 # ---------------------------------------------------------------------------
 
-_INSTANT_NAME_TO_KIND = {
-    "task_added": EventKind.TASK_ADDED,
-    "task_ready": EventKind.TASK_READY,
-    "edge_added": EventKind.EDGE_ADDED,
-    "steal": EventKind.STEAL,
-    "rename": EventKind.RENAME,
-    "barrier_enter": EventKind.BARRIER_ENTER,
-    "barrier_exit": EventKind.BARRIER_EXIT,
-    "write_back": EventKind.WRITE_BACK,
-}
+#: Every kind a tracer emits; an instant record's name is its kind.
+_KINDS = frozenset(
+    value for name, value in vars(EventKind).items() if name.isupper())
 
 
 def load_chrome_trace(source) -> list[TraceEvent]:
@@ -226,17 +239,17 @@ def load_chrome_trace(source) -> list[TraceEvent]:
         elif ph == "E":
             kind, thread, name = EventKind.TASK_END, tid, rec.get("name", "")
         else:
-            kind = _INSTANT_NAME_TO_KIND.get(rec.get("name"))
-            if kind is None:
+            kind = rec.get("name")
+            if kind not in _KINDS:
                 continue
             # Instants carry the semantic thread (e.g. the releasing
             # thread of a ready event, -1 for "at submission") in args.
             thread = int(args.get("thread", tid))
-            name = ""
+            name = args.get("task_name", "")
         events.append(
             TraceEvent(
-                time=time_s, kind=kind, task_id=task_id,
-                task_name=name, thread=thread,
+                time=time_s, kind=kind, task_id=task_id, task_name=name,
+                thread=thread, extra=tuple(args.get("extra", ())),
             )
         )
     events.sort(key=lambda e: e.time)

@@ -750,13 +750,6 @@ def render_graph_diff(
 # side-by-side exports
 # ---------------------------------------------------------------------------
 
-class _EventHolder:
-    """Duck-typed tracer for :func:`repro.obs.export.to_chrome_trace`."""
-
-    def __init__(self, events):
-        self.events = list(events)
-
-
 def diff_chrome_trace(
     events_a: Sequence[TraceEvent],
     events_b: Sequence[TraceEvent],
@@ -772,8 +765,8 @@ def diff_chrome_trace(
 
     from .export import to_chrome_trace
 
-    doc_a = to_chrome_trace(_EventHolder(events_a), pid=1)
-    doc_b = to_chrome_trace(_EventHolder(events_b), pid=2)
+    doc_a = to_chrome_trace(events_a, pid=1)
+    doc_b = to_chrome_trace(events_b, pid=2)
     records = []
     for doc, pid, label in ((doc_a, 1, label_a), (doc_b, 2, label_b)):
         for rec in doc["traceEvents"]:

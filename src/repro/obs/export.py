@@ -17,10 +17,10 @@ that dialect.  This module adds the two formats today's tooling reads:
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..core.graph import EdgeKind, TaskGraph
-from ..core.tracing import EventKind
+from ..core.tracing import EventKind, TraceEvent
 
 __all__ = [
     "to_chrome_trace",
@@ -29,36 +29,24 @@ __all__ = [
     "write_dot",
 ]
 
-#: Point events exported as Chrome "instant" records.
-_INSTANT_KINDS = {
-    EventKind.TASK_ADDED: "task_added",
-    EventKind.TASK_READY: "task_ready",
-    EventKind.EDGE_ADDED: "edge_added",
-    EventKind.STEAL: "steal",
-    EventKind.RENAME: "rename",
-    EventKind.BARRIER_ENTER: "barrier_enter",
-    EventKind.BARRIER_EXIT: "barrier_exit",
-    EventKind.WAIT_ON_ENTER: "wait_on_enter",
-    EventKind.WAIT_ON_EXIT: "wait_on_exit",
-    EventKind.WRITE_BACK: "write_back",
-}
-
-
-def to_chrome_trace(tracer, *, pid: int = 1) -> dict:
-    """Convert a tracer's events to a Chrome trace-event document.
+def to_chrome_trace(events: Iterable[TraceEvent], *, pid: int = 1) -> dict:
+    """Convert an event list to a Chrome trace-event document.
 
     Timestamps are microseconds (the format's unit); the trace is
     shifted so the first event sits at ``ts == 0``, which keeps virtual
     simulator clocks and wall-clock ``perf_counter`` origins equally
     readable.  Task executions are ``B``/``E`` pairs; everything else is
-    an instant (``ph == "i"``) with thread scope.
+    an instant (``ph == "i"``) with thread scope, named by its
+    :class:`~repro.core.tracing.EventKind` value and carrying the
+    event's task name and ``extra`` (as JSON, unknown types as ``str``)
+    so :func:`repro.obs.analyze.load_chrome_trace` gets every event back.
     """
 
-    # Timestamp order, not list order: a plain Tracer that ingested
-    # worker-ring batches (mp replies) holds them appended after the
-    # fact, and Chrome's B/E matching requires per-tid time order —
-    # unsorted, a task's E could precede its B and the slice vanishes.
-    events = sorted(tracer.events, key=lambda e: e.time)
+    # Timestamp order, not list order: Chrome's B/E matching requires
+    # per-tid time order — unsorted (a list assembled from worker rings
+    # after the fact), a task's E could precede its B and the slice
+    # vanishes.
+    events = sorted(events, key=lambda e: e.time)
     t0 = min((e.time for e in events), default=0.0)
     records = []
     for event in events:
@@ -85,14 +73,14 @@ def to_chrome_trace(tracer, *, pid: int = 1) -> dict:
                 "args": {"task_id": event.task_id},
             })
         else:
-            name = _INSTANT_KINDS.get(event.kind, event.kind)
             # The raw thread (-1 means "no unlocking thread") so the
             # locality analysis round-trips through the JSON.
-            args = {"task_id": event.task_id, "thread": event.thread}
+            args = {"task_id": event.task_id, "thread": event.thread,
+                    "task_name": event.task_name}
             if event.extra:
-                args["extra"] = [str(x) for x in event.extra]
+                args["extra"] = json.loads(json.dumps(event.extra, default=str))
             records.append({
-                "name": name,
+                "name": event.kind,
                 "cat": "runtime",
                 "ph": "i",
                 "s": "t",
@@ -125,10 +113,11 @@ def to_chrome_trace(tracer, *, pid: int = 1) -> dict:
 
 
 def write_chrome_trace(tracer, path: str, *, pid: int = 1) -> str:
-    """Write the Perfetto-loadable JSON to *path*; returns *path*."""
+    """Write *tracer*'s events as Perfetto-loadable JSON to *path*;
+    returns *path*."""
 
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_chrome_trace(tracer, pid=pid), handle)
+        json.dump(to_chrome_trace(tracer.events, pid=pid), handle)
     return path
 
 

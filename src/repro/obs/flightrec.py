@@ -32,7 +32,6 @@ import os
 import tempfile
 import time
 from collections import deque
-from types import SimpleNamespace
 from typing import Optional
 
 from ..core.tracing import EventKind, TraceEvent
@@ -150,15 +149,14 @@ class FlightRecorder:
         paths = {"reason": reason, "directory": directory}
 
         tracer = getattr(runtime, "tracer", None) if runtime else None
-        source = tracer if (tracer and getattr(tracer, "events", None)) \
-            else SimpleNamespace(events=self.events())
+        events = (tracer.events if tracer else None) or self.events()
         # Every file lands via write-to-temp + rename, so a concurrent
         # reader (or a monitoring agent watching the directory) never
         # sees a half-written document.
         trace_path = os.path.join(directory, f"{stem}.trace.json")
         try:
             with open(trace_path + ".tmp", "w", encoding="utf-8") as handle:
-                json.dump(to_chrome_trace(source), handle)
+                json.dump(to_chrome_trace(events), handle)
             os.replace(trace_path + ".tmp", trace_path)
             paths["trace"] = trace_path
         except Exception as exc:  # noqa: BLE001 - diagnostic best effort

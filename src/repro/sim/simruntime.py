@@ -62,12 +62,12 @@ class SimulatedRuntime:
             ),
         )
         if self.config.trace and tracer is None:
-            from ..core.tracing import ThreadLocalTracer
+            from ..core.tracing import Tracer
 
-            # Same per-thread-buffer tracer as the threaded backend;
-            # the virtual clock is injected unchanged below (emission
-            # is single-threaded here, so one buffer, stable order).
-            tracer = ThreadLocalTracer(capacity=self.config.trace_buffer_size)
+            # Same tracer as the threaded backend; the virtual clock is
+            # injected unchanged below (emission is single-threaded
+            # here, so one ring, stable order).
+            tracer = Tracer(capacity=self.config.trace_buffer_size)
         self.tracer = tracer
         from ..obs.metrics import MetricsRegistry
 

@@ -5,14 +5,12 @@ import pytest
 
 from repro import SmpssRuntime, css_task
 from repro.core.analysis import (
-    average_parallelism,
     greedy_bounds,
-    load_balance,
     parallelism_profile,
-    task_type_summary,
     work_and_span,
 )
-from repro.core.tracing import Tracer
+from repro.core.tracing import EventKind, TraceEvent
+from repro.obs import analyze_events, analyze_tracer
 
 
 @css_task("inout(a)")
@@ -25,73 +23,67 @@ def copy_t(a, b):
     b[...] = a
 
 
-def synthetic_tracer(intervals):
-    """Tracer with hand-built task intervals."""
+def synthetic_events(intervals):
+    """An event list with hand-built task intervals."""
 
-    tracer = Tracer(clock=lambda: 0.0)
-
-    class _T:
-        def __init__(self, task_id, name):
-            self.task_id = task_id
-            self.name = name
-
-    from repro.core.tracing import TraceEvent, EventKind
-
+    events = []
     for task_id, (start, end, thread, name) in enumerate(intervals, 1):
-        tracer.events.append(TraceEvent(start, EventKind.TASK_START, task_id, name, thread))
-        tracer.events.append(TraceEvent(end, EventKind.TASK_END, task_id, name, thread))
-    return tracer
+        events.append(TraceEvent(start, EventKind.TASK_START, task_id, name, thread))
+        events.append(TraceEvent(end, EventKind.TASK_END, task_id, name, thread))
+    return events
 
 
 class TestSummaries:
+    """The per-interval arithmetic, read off :class:`TraceReport`."""
+
     def test_task_type_summary(self):
-        tracer = synthetic_tracer([
+        report = analyze_events(synthetic_events([
             (0.0, 1.0, 0, "a"),
             (0.0, 3.0, 1, "a"),
             (1.0, 2.0, 0, "b"),
-        ])
-        summary = task_type_summary(tracer)
-        assert summary["a"].count == 2
-        assert summary["a"].total_time == pytest.approx(4.0)
-        assert summary["a"].mean_time == pytest.approx(2.0)
-        assert summary["a"].min_time == 1.0 and summary["a"].max_time == 3.0
-        assert summary["b"].count == 1
+        ]))
+        summary = report.task_types
+        assert summary["a"]["count"] == 2
+        assert summary["a"]["total"] == pytest.approx(4.0)
+        assert summary["a"]["mean"] == pytest.approx(2.0)
+        assert summary["a"]["min"] == 1.0 and summary["a"]["max"] == 3.0
+        assert summary["b"]["count"] == 1
 
     def test_average_parallelism(self):
-        tracer = synthetic_tracer([
+        report = analyze_events(synthetic_events([
             (0.0, 2.0, 0, "a"),
             (0.0, 2.0, 1, "a"),
-        ])
-        assert average_parallelism(tracer) == pytest.approx(2.0)
+        ]))
+        assert report.average_parallelism == pytest.approx(2.0)
 
     def test_load_balance_perfect(self):
-        tracer = synthetic_tracer([
+        report = analyze_events(synthetic_events([
             (0.0, 2.0, 0, "a"),
             (0.0, 2.0, 1, "a"),
-        ])
-        assert load_balance(tracer) == pytest.approx(1.0)
+        ]))
+        assert report.load_balance == pytest.approx(1.0)
 
     def test_load_balance_skewed(self):
-        tracer = synthetic_tracer([
+        report = analyze_events(synthetic_events([
             (0.0, 3.0, 0, "a"),
             (0.0, 1.0, 1, "a"),
-        ])
-        assert load_balance(tracer) == pytest.approx((2.0) / 3.0)
+        ]))
+        assert report.load_balance == pytest.approx((2.0) / 3.0)
 
     def test_empty_tracer(self):
-        tracer = synthetic_tracer([])
-        assert average_parallelism(tracer) == 0.0
-        assert load_balance(tracer) == 1.0
-        assert parallelism_profile(tracer) == []
+        report = analyze_events(synthetic_events([]))
+        assert report.average_parallelism == 0.0
+        assert report.load_balance == 1.0
+        assert parallelism_profile([]) == []
 
 
 class TestParallelismProfile:
     def test_profile_counts(self):
-        tracer = synthetic_tracer([
+        events = synthetic_events([
             (0.0, 4.0, 0, "a"),
             (1.0, 3.0, 1, "a"),
         ])
-        profile = parallelism_profile(tracer, samples=4)
+        profile = parallelism_profile(events, samples=4)
         times = [t for t, _ in profile]
         counts = [c for _t, c in profile]
         assert times[0] == 0.0 and times[-1] == 4.0
@@ -195,8 +187,9 @@ class TestSimulatedTracing:
             result.makespan, rel=1e-9
         )
         # Analyses work on virtual traces too.
-        assert average_parallelism(tracer) > 1.0
-        assert 0 < load_balance(tracer) <= 1.0
+        report = analyze_tracer(tracer)
+        assert report.average_parallelism > 1.0
+        assert 0 < report.load_balance <= 1.0
         prv = tracer.to_paraver()
         assert prv.startswith("#Paraver")
 
@@ -208,7 +201,7 @@ class TestSimulatedTracing:
             for out in outs:
                 copy_t(data, out)
             rt.barrier()
-        summary = task_type_summary(rt.tracer)
-        assert summary["copy_t"].count == 12
-        profile = parallelism_profile(rt.tracer, samples=10)
+        summary = analyze_tracer(rt.tracer).task_types
+        assert summary["copy_t"]["count"] == 12
+        profile = parallelism_profile(rt.tracer.events, samples=10)
         assert len(profile) == 11

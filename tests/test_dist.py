@@ -9,6 +9,7 @@ death, structured data-loss errors in lazy mode — pinned down here.
 """
 
 import gc
+import json
 import sys
 import threading
 import time
@@ -729,3 +730,28 @@ class TestLifecycle:
             assert len(live) == 4
             assert all(w["alive"] for w in live)
             assert {w["node"] for w in live} == {"n0", "n1"}
+
+
+class TestControlCli:
+    """``python -m repro dist ping|stop`` against an in-process agent."""
+
+    def test_ping_prints_the_pong(self, agents, capsys):
+        from repro.__main__ import main
+
+        assert main(["dist", "ping", agents[0].address]) == 0
+        reply = json.loads(capsys.readouterr().out)
+        assert reply["k"] == "pong" and reply["slots"] == 2
+        assert reply["store"]["entries"] == 0
+
+    def test_stop_closes_the_agent(self):
+        from repro.__main__ import main
+
+        agent = AgentServer("tcp:127.0.0.1:0", slots=1).start()
+        try:
+            assert main(["dist", "stop", agent.address]) == 0
+            deadline = time.monotonic() + 5.0
+            while not agent.closed and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert agent.closed
+        finally:
+            agent.close()

@@ -269,6 +269,58 @@ class TestCliSmoke:
         assert run.returncode == 0, err
         assert "RESULT-OK" in out
 
+    @staticmethod
+    def _type(monkeypatch, lines):
+        """Feed *lines* to the prompt, then end of input."""
+
+        pending = list(lines)
+
+        def fake_input(_prompt=""):
+            if not pending:
+                raise EOFError
+            return pending.pop(0)
+
+        monkeypatch.setattr("builtins.input", fake_input)
+
+    def test_attach_prompt_in_process(self, monkeypatch, capsys):
+        from repro.live.cli import main
+
+        paused = []
+        real_pause = LiveClient.pause
+
+        def pause(client):
+            paused.append(True)
+            return real_pause(client)
+
+        monkeypatch.setattr(LiveClient, "pause", pause)
+        reset_task_ids()
+        box = {}
+        thread = _start_instrumented("threads", box, live_start_paused=True)
+        self._type(monkeypatch, ["state", "pause", "bogus", "", "step 2",
+                                 "resume", "wait-done", "quit"])
+        assert main(["attach", box["addr"]]) == 0
+        thread.join(timeout=60.0)
+        assert box.get("done"), f"program thread failed: {box.get('error')}"
+        assert np.allclose(np.tril(box["matrix"].to_dense()), _reference(),
+                           atol=1e-8)
+        assert paused == [True]
+        out = capsys.readouterr().out
+        assert "PAUSED" in out
+        assert "bogus: unknown command 'bogus'" in out  # reported, not fatal
+
+    def test_replay_prompt_in_process(self, tmp_path, monkeypatch, capsys):
+        from repro.live.cli import main
+
+        path = tmp_path / "chol.recording.json"
+        record_program(lambda: cholesky_hyper(_spd())).save(str(path))
+        self._type(monkeypatch, ["step 10", "back 3", "", "bad 1", "run",
+                                 "", "report"])
+        assert main(["replay", str(path), "--threads", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "bad: unknown command 'bad'" in out
+        assert "56/56" in out or "done=56" in out
+        assert "== replay report ==" in out and "per task type:" in out
+
     def test_replay_script_cli(self, tmp_path):
         program = record_program(lambda: cholesky_hyper(_spd()))
         path = tmp_path / "chol.recording.json"

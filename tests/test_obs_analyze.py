@@ -89,7 +89,9 @@ class TestAnalyzeTracer:
     def test_busy_times_match_tracer_within_one_percent(self):
         rt = self._traced(tasks=10)
         report = analyze_tracer(rt.tracer, num_threads=rt.num_threads)
-        reference = rt.tracer.busy_time_by_thread()
+        reference = {}
+        for start, end, thread, _name in rt.tracer.task_intervals().values():
+            reference[thread] = reference.get(thread, 0.0) + end - start
         for thread, busy in reference.items():
             assert report.threads[thread].busy == pytest.approx(
                 busy, rel=0.01

@@ -1,13 +1,16 @@
 """Tests for the exporters: Chrome trace JSON, DOT, and .prv format."""
 
 import json
-from collections import defaultdict
+import threading
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import SmpssRuntime, css_task, record_program
-from repro.core.tracing import EventKind, Tracer
+from repro import SmpssRuntime, css_task, record_program, wait_on
+from repro.core.tracing import EventKind, TraceEvent, Tracer
 from repro.obs import (
     graph_to_dot,
     load_chrome_trace,
@@ -17,6 +20,35 @@ from repro.obs import (
 )
 
 pytestmark = pytest.mark.obs
+
+_INSTANTS = sorted(
+    value for name, value in vars(EventKind).items()
+    if name.isupper() and name not in ("TASK_START", "TASK_END"))
+
+
+@st.composite
+def _event_lists(draw):
+    """Instants of every kind plus START/END pairs, in any list order."""
+
+    times = st.floats(0.0, 1e3, allow_nan=False)
+    extras = st.lists(st.one_of(
+        st.integers(-2**40, 2**40),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    ), max_size=3).map(tuple)
+    events = [
+        TraceEvent(draw(times), kind, draw(st.integers(-1, 40)),
+                   draw(st.sampled_from(["", "spotrf_t", "sgemm_t"])),
+                   draw(st.integers(-1, 8)), draw(extras))
+        for kind in draw(st.lists(st.sampled_from(_INSTANTS), max_size=40))
+    ]
+    for task_id in range(100, 100 + draw(st.integers(0, 8))):
+        start = draw(times)
+        end = start + draw(st.floats(0.0, 10.0))
+        name = draw(st.sampled_from(["spotrf_t", "sgemm_t"]))
+        thread = draw(st.integers(0, 8))
+        events.append(TraceEvent(start, EventKind.TASK_START, task_id, name, thread))
+        events.append(TraceEvent(end, EventKind.TASK_END, task_id, name, thread))
+    return draw(st.permutations(events))
 
 
 @css_task("inout(a)")
@@ -41,7 +73,7 @@ def _traced_run(tasks=6, workers=2):
 
 class TestChromeTrace:
     def test_document_shape(self):
-        doc = to_chrome_trace(_traced_run().tracer)
+        doc = to_chrome_trace(_traced_run().tracer.events)
         assert "traceEvents" in doc
         assert doc["displayTimeUnit"] == "ms"
         phases = {r["ph"] for r in doc["traceEvents"]}
@@ -51,7 +83,7 @@ class TestChromeTrace:
         """The satellite round-trip: validate ph/ts/tid and B/E pairing."""
 
         tracer = _traced_run(tasks=5).tracer
-        doc = json.loads(json.dumps(to_chrome_trace(tracer)))  # via JSON
+        doc = json.loads(json.dumps(to_chrome_trace(tracer.events)))  # via JSON
         open_stack = defaultdict(list)  # tid -> stack of task ids
         begins = ends = 0
         for rec in doc["traceEvents"]:
@@ -71,7 +103,7 @@ class TestChromeTrace:
         assert all(not stack for stack in open_stack.values())
 
     def test_timestamps_sorted_and_zero_based(self):
-        doc = to_chrome_trace(_traced_run().tracer)
+        doc = to_chrome_trace(_traced_run().tracer.events)
         ts = [r["ts"] for r in doc["traceEvents"] if r["ph"] != "M"]
         assert ts == sorted(ts)
         assert ts[0] == pytest.approx(0.0)
@@ -111,12 +143,68 @@ class TestChromeTrace:
         )
         assert any(e.thread == -1 for e in loaded)  # the root submission
 
+    def test_round_trip_keeps_wait_on_rename_extra_and_names(self):
+        """Regression: the loader dropped ``wait_on_enter/exit``, the
+        rename's ``extra`` came back as ``()`` and every instant lost its
+        task name."""
+
+        main_is_waiting = threading.Event()
+
+        @css_task("input(src) output(dst)")
+        def slow_copy(src, dst):
+            assert main_is_waiting.wait(30)
+            dst[...] = src
+
+        @css_task("output(a)")
+        def overwrite(a):
+            a[...] = 7.0
+
+        def listener(event):
+            if event.kind == EventKind.WAIT_ON_ENTER:
+                main_is_waiting.set()
+
+        src, dst = np.ones(4), np.zeros(4)
+        rt = SmpssRuntime(num_workers=2, trace=True)
+        with rt:
+            rt.tracer.listener = listener
+            slow_copy(src, dst)
+            overwrite(src)          # WAR: renamed
+            wait_on(dst)            # blocks until slow_copy ran
+            rt.barrier()
+        loaded = load_chrome_trace(
+            json.loads(json.dumps(to_chrome_trace(rt.tracer.events))))
+        kinds = Counter(e.kind for e in loaded)
+        assert kinds[EventKind.WAIT_ON_ENTER] == kinds[EventKind.WAIT_ON_EXIT] == 1
+        (rename,) = [e for e in loaded if e.kind == EventKind.RENAME]
+        assert (rename.task_name, rename.extra) == ("overwrite", ("ndarray", "fresh"))
+        assert {e.task_name for e in loaded
+                if e.kind == EventKind.TASK_ADDED} == {"slow_copy", "overwrite"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(events=_event_lists())
+    def test_round_trip_is_lossless(self, events):
+        """Every kind comes back: same ``(kind, task_id, task_name,
+        thread, extra)`` multiset, times within 1 ns of the originals
+        shifted to the first event."""
+
+        doc = json.loads(json.dumps(to_chrome_trace(events)))
+        loaded = load_chrome_trace(doc)
+
+        def fields(e):
+            return (e.kind, e.task_id, e.task_name, e.thread, e.extra)
+
+        assert Counter(map(fields, loaded)) == Counter(map(fields, events))
+        t0 = min((e.time for e in events), default=0.0)
+        for got, want in zip(sorted(e.time for e in loaded),
+                             sorted(e.time - t0 for e in events)):
+            assert got == pytest.approx(want, abs=1e-9)
+
     def test_virtual_time_trace_exports(self):
         times = iter(float(i) for i in range(100))
         tracer = Tracer(clock=lambda: next(times))
         tracer.barrier_enter()
         tracer.barrier_exit()
-        doc = to_chrome_trace(tracer)
+        doc = to_chrome_trace(tracer.events)
         instants = [r for r in doc["traceEvents"] if r["ph"] == "i"]
         assert [r["name"] for r in instants] == ["barrier_enter", "barrier_exit"]
         assert instants[1]["ts"] == pytest.approx(1e6)  # 1 virtual second

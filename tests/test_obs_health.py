@@ -10,6 +10,7 @@ within two watchdog periods; a healthy run must produce zero findings.
 
 import json
 import os
+import re
 import signal
 import socket
 import time
@@ -360,6 +361,50 @@ class TestExpositionEndpoint:
             assert health["findings"] == []
             assert health["sample"]["pending"] == 0
             assert health["interval"] == INTERVAL
+
+    def test_cli_scrape_of_a_healthy_run_is_well_formed(self, tmp_path, capsys):
+        """``python -m repro obs scrape`` (page and ``--health``) on a
+        healthy blocked matmul: every sample line is ``name{labels}
+        value``, every series has a ``# TYPE``, the health and duration
+        series are there, and the watchdog found nothing."""
+
+        from repro.__main__ import main
+        from repro.apps.matmul import matmul_flat
+
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+        c = np.zeros((64, 64))
+        with SmpssRuntime(
+            num_workers=2, health=True, health_interval=INTERVAL,
+            health_dump_dir=str(tmp_path), health_address="tcp:127.0.0.1:0",
+        ) as rt:
+            matmul_flat(a, b, c, 32)
+            rt.barrier()
+            addr = rt.health.address
+            assert main(["obs", "scrape", addr]) == 0
+            text = capsys.readouterr().out
+            assert main(["obs", "scrape", addr, "--health"]) == 0
+            health = json.loads(capsys.readouterr().out)
+        assert np.allclose(c, a @ b)
+        sample = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \S+$")
+        typed = set()
+        for line in text.strip().splitlines():
+            if line.startswith("# TYPE "):
+                typed.add(line.split()[2])
+            elif not line.startswith("#"):
+                assert sample.match(line), f"malformed line: {line!r}"
+                name = line.split("{")[0].split(" ")[0]
+                assert name in typed or re.sub(
+                    r"_(sum|count)$", "", name) in typed, f"untyped: {name}"
+        for series in ("repro_health_last_completion_age",
+                       "repro_health_blocked_tasks",
+                       "repro_task_duration_seconds",
+                       "repro_health_worker_utilization"):
+            assert series in text, series
+        assert health["findings"] == []
+        # The endpoint closed with the runtime: a scrape now fails.
+        assert main(["obs", "scrape", addr, "--timeout", "1"]) == 1
+        assert "failed" in capsys.readouterr().err
 
     def test_plain_http_get_works_on_same_port(self, tmp_path):
         a = np.zeros(4)

@@ -136,6 +136,14 @@ class TestRuntimeIntegration:
         # One explicit barrier + one implicit at shutdown.
         assert rt.metrics.histogram("barrier_wait_seconds").count == 2
 
+    def test_untraced_run_has_no_dropped_events_gauge(self):
+        """Regression: with tracing off the gauge held ``NullTracer``'s
+        no-op function, and ``/metrics`` served a phantom series."""
+
+        rt = self._run(tasks=4)
+        assert "trace.dropped_events" not in rt.stats()["metrics"]
+        assert "<function" not in rt.metrics.to_json()
+
     def test_ready_queue_depth_observed(self):
         rt = self._run(tasks=6)
         assert rt.metrics.histogram("ready_queue_depth").count == 6

@@ -13,6 +13,7 @@ from repro import (
     current_runtime,
 )
 from repro.core.scheduler import CentralQueueScheduler
+from repro.obs import analyze_tracer
 
 
 @css_task("input(a, b) output(c)")
@@ -281,4 +282,4 @@ class TestTracing:
         assert counts["barrier_enter"] >= 1
         intervals = rt.tracer.task_intervals()
         assert len(intervals) == 2
-        assert rt.tracer.makespan() > 0
+        assert analyze_tracer(rt.tracer).makespan > 0

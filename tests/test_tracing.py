@@ -12,6 +12,7 @@ from repro.core.tracing import (
     ThreadLocalTracer,
     Tracer,
 )
+from repro.obs import analyze_tracer
 
 pytestmark = pytest.mark.obs
 
@@ -47,13 +48,12 @@ class TestTracer:
             assert end >= start
             assert thread >= 0
             assert name == "bump"
-        assert tracer.makespan() >= 0
+        assert analyze_tracer(tracer).makespan >= 0
 
     def test_busy_time_by_thread(self):
-        tracer = self._run_traced(tasks=6)
-        busy = tracer.busy_time_by_thread()
-        assert sum(busy.values()) > 0
-        assert sum(tracer.tasks_by_thread().values()) == 6
+        report = analyze_tracer(self._run_traced(tasks=6))
+        assert sum(u.busy for u in report.threads.values()) > 0
+        assert sum(u.tasks for u in report.threads.values()) == 6
 
     def test_records_export(self):
         tracer = self._run_traced()
@@ -153,8 +153,9 @@ class TestTaskReadyThread:
 
 
 class TestThreadLocalTracer:
+    """The ring recorder, still exported under its older name."""
+
     def test_same_interface_and_queries(self):
-        """Drop-in for Tracer: same emit API, same post-mortem queries."""
 
         a = np.zeros(1)
         rt = SmpssRuntime(num_workers=2, trace=True)
@@ -163,17 +164,17 @@ class TestThreadLocalTracer:
                 bump(a)
             rt.barrier()
         tracer = rt.tracer
-        assert isinstance(tracer, ThreadLocalTracer)
+        assert ThreadLocalTracer is Tracer and type(tracer) is Tracer
         counts = tracer.counts()
         assert counts[EventKind.TASK_START] == 5
         assert counts[EventKind.TASK_END] == 5
         assert len(tracer.task_intervals()) == 5
-        assert sum(tracer.busy_time_by_thread().values()) > 0
-        assert tracer.makespan() >= 0
+        report = analyze_tracer(tracer)
+        assert report.total_busy > 0 and report.makespan >= 0
         assert tracer.to_paraver().startswith("#Paraver")
 
     def test_merge_is_time_ordered(self):
-        tracer = ThreadLocalTracer()
+        tracer = Tracer()
         barrier = threading.Barrier(3)
 
         class _Task:
@@ -198,7 +199,7 @@ class TestThreadLocalTracer:
         assert {e.thread for e in events} == {1, 2, 3}
 
     def test_ring_buffer_drops_oldest_and_counts(self):
-        tracer = ThreadLocalTracer(clock=lambda: 0.0, capacity=4)
+        tracer = Tracer(clock=lambda: 0.0, capacity=4)
 
         class _Task:
             name = "t"
@@ -215,7 +216,7 @@ class TestThreadLocalTracer:
 
     def test_virtual_clock_injection(self):
         times = iter(range(100))
-        tracer = ThreadLocalTracer(clock=lambda: float(next(times)))
+        tracer = Tracer(clock=lambda: float(next(times)))
         tracer.barrier_enter()
         tracer.barrier_exit()
         assert [e.time for e in tracer.events] == [0.0, 1.0]
@@ -226,7 +227,7 @@ class TestThreadLocalTracer:
         assert tracer.events[-1].time == 50.0
 
     def test_per_thread_buffers_registered_lazily(self):
-        tracer = ThreadLocalTracer()
+        tracer = Tracer()
         assert len(tracer._buffers) == 0
         tracer.barrier_enter()
         assert len(tracer._buffers) == 1
@@ -275,20 +276,20 @@ class TestIngestOutOfOrder:
         tracer.ingest(self._interval_events(2, "w2", 3.0, 5.0, 2))
         return tracer
 
-    @pytest.mark.parametrize("factory", [Tracer, ThreadLocalTracer])
-    def test_task_intervals_survive_late_batches(self, factory):
-        tracer = self._tracer_with_interleaved_rings(factory())
+    def test_task_intervals_survive_late_batches(self):
+        tracer = self._tracer_with_interleaved_rings(Tracer())
         intervals = tracer.task_intervals()
         assert intervals[1] == (2.0, 6.0, 1, "w1")
         assert intervals[2] == (3.0, 5.0, 2, "w2")
         assert intervals[99] == (10.0, 11.0, 0, "master")
 
-    @pytest.mark.parametrize("factory", [Tracer, ThreadLocalTracer])
-    def test_chrome_export_is_time_ordered(self, factory):
+    def test_chrome_export_is_time_ordered(self):
         from repro.obs.export import to_chrome_trace
 
-        tracer = self._tracer_with_interleaved_rings(factory())
-        doc = to_chrome_trace(tracer)
+        tracer = self._tracer_with_interleaved_rings(Tracer())
+        # The list order a late batch lands in, not the merged order.
+        events = [e for ring in tracer._buffers for e in ring.events]
+        doc = to_chrome_trace(events)
         slices = [r for r in doc["traceEvents"] if r["ph"] in ("B", "E")]
         # Globally time-sorted, so each tid's sub-sequence is too and
         # Chrome's B/E matching never sees an E before its B.
