@@ -276,17 +276,26 @@ class TestIngestOutOfOrder:
         tracer.ingest(self._interval_events(2, "w2", 3.0, 5.0, 2))
         return tracer
 
-    def test_task_intervals_survive_late_batches(self):
-        tracer = self._tracer_with_interleaved_rings(Tracer())
+    # ThreadLocalTracer is the same class as Tracer; explicit ids keep
+    # both exported names covered under their own names.
+    _FACTORIES = pytest.mark.parametrize(
+        "factory", [Tracer, ThreadLocalTracer],
+        ids=["Tracer", "ThreadLocalTracer"],
+    )
+
+    @_FACTORIES
+    def test_task_intervals_survive_late_batches(self, factory):
+        tracer = self._tracer_with_interleaved_rings(factory())
         intervals = tracer.task_intervals()
         assert intervals[1] == (2.0, 6.0, 1, "w1")
         assert intervals[2] == (3.0, 5.0, 2, "w2")
         assert intervals[99] == (10.0, 11.0, 0, "master")
 
-    def test_chrome_export_is_time_ordered(self):
+    @_FACTORIES
+    def test_chrome_export_is_time_ordered(self, factory):
         from repro.obs.export import to_chrome_trace
 
-        tracer = self._tracer_with_interleaved_rings(Tracer())
+        tracer = self._tracer_with_interleaved_rings(factory())
         # The list order a late batch lands in, not the merged order.
         events = [e for ring in tracer._buffers for e in ring.events]
         doc = to_chrome_trace(events)
