@@ -45,7 +45,7 @@ from .renaming import (
     Version,
     default_registry,
 )
-from .task import Direction, TaskInstance, TaskState
+from .task import Direction, TaskInstance
 
 __all__ = ["TrackerConfig", "DependencyTracker", "DependencyError", "TrackedDatum"]
 
@@ -187,10 +187,6 @@ class TrackedDatum:
         return f"<TrackedDatum {type(self.base).__name__}@{id(self.base):#x}>"
 
 
-def _finished(task: Optional[TaskInstance]) -> bool:
-    return task is None or task.state is TaskState.FINISHED
-
-
 class DependencyTracker:
     """Builds the task graph from the stream of task invocations.
 
@@ -297,7 +293,7 @@ class DependencyTracker:
             return 0
         if not version.is_materialised or version.released:
             return 0
-        if not _finished(version.producer):
+        if version.producer is not None:
             return 0
         if version.pending_readers():
             return 0
@@ -376,11 +372,12 @@ class DependencyTracker:
             chain = datum.whole_chain()
         cur = chain.current
         graph = self.graph
-        finished = TaskState.FINISHED
 
+        # A whole-object version's producer is unfinished or None: the
+        # producer leaves its versions when it retires.
         if direction is Direction.INPUT:
             producer = cur.producer
-            if producer is not None and producer.state is not finished:
+            if producer is not None:
                 graph.add_dependency(producer, task, EdgeKind.TRUE)
             cur.readers.append(task)
             task.reads.append((name, cur))
@@ -395,9 +392,7 @@ class DependencyTracker:
                 if cur.readers
                 else []
             )
-            hazard = (
-                producer is not None and producer.state is not finished
-            ) or pending_readers
+            hazard = producer is not None or pending_readers
             if hazard and renaming:
                 newv = Version(datum, chain.version_count, StorageKind.FRESH)
                 graph.note_rename()
@@ -414,7 +409,7 @@ class DependencyTracker:
 
         if direction is Direction.INOUT:
             producer = cur.producer
-            if producer is not None and producer.state is not finished:
+            if producer is not None:
                 # reads the previous value: always a RAW dependency
                 graph.add_dependency(producer, task, EdgeKind.TRUE)
             pending_readers = (
@@ -444,7 +439,7 @@ class DependencyTracker:
         raise DependencyError(f"unexpected direction {direction}")  # pragma: no cover
 
     def _hazard_edges(self, cur: Version, pending_readers, task) -> None:
-        if not _finished(cur.producer):
+        if cur.producer is not None:
             self.graph.add_dependency(cur.producer, task, EdgeKind.OUTPUT)
         for reader in pending_readers:
             self.graph.add_dependency(reader, task, EdgeKind.ANTI)
@@ -538,7 +533,11 @@ class DependencyTracker:
         """Forget all version chains (used after a write-back barrier).
 
         Frees renamed buffers and the strong references pinning user
-        objects; tracking restarts lazily at the next access.
+        objects; tracking restarts lazily at the next access.  Each datum
+        lets go of its chains, whose versions point back at it.
         """
 
+        for datum in self._data.values():
+            datum.chains = {}
+            datum._by_low = datum._unindexed = ()
         self._data.clear()

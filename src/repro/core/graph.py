@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
-from .task import TaskInstance, TaskState
+from .task import NO_EDGES, TaskInstance, TaskState
 
 __all__ = ["TaskGraph", "EdgeKind", "GraphStats", "longest_path"]
 
@@ -126,7 +126,11 @@ class TaskGraph:
         successors = pred.successors
         if succ in successors:
             return False
+        if successors is NO_EDGES:
+            successors = pred.successors = set()
         successors.add(succ)
+        if succ.predecessors is NO_EDGES:
+            succ.predecessors = set()
         succ.predecessors.add(pred)
         succ.num_pending_deps += 1
         stats = self.stats
@@ -167,8 +171,14 @@ class TaskGraph:
             if not keep:
                 succ.predecessors.discard(task)
         if not keep:
-            task.successors.clear()
+            task.successors = NO_EDGES
             del self._tasks[task.task_id]
+        # Leave the versions it touched: a retired graph is acyclic and
+        # dies by reference count (wait_for still reads ``task.writes``).
+        for _name, version in task.reads:
+            version.unlink_reader()
+        for _name, version in task.writes:
+            version.producer = None
         # Deterministic order: invocation order, like the runtime's
         # sequential dependency analysis would release them.
         if len(newly_ready) > 1:

@@ -239,7 +239,7 @@ class Version:
 
     __slots__ = (
         "datum", "index", "kind", "prev", "producer", "readers",
-        "_storage", "_lock", "released", "root",
+        "_storage", "_lock", "released", "_root", "_gone",
     )
 
     def __init__(
@@ -256,8 +256,9 @@ class Version:
         self.prev = prev
         #: TaskInstance that produces this version (None: initial data).
         self.producer = producer
-        #: TaskInstances that read this version (pruned lazily).
+        #: TaskInstances that read this version (see :meth:`unlink_reader`).
         self.readers: list = []
+        self._gone = 0
         self._storage: Any = None
         #: Materialisation lock — only FRESH/CLONE versions ever
         #: materialise or drop storage, so INITIAL/SAME versions (the
@@ -277,21 +278,26 @@ class Version:
         #: versions alias their predecessor's buffer, and long in-place
         #: chains (one per inout task) would otherwise make storage
         #: resolution O(chain length) / recursive.  Computed eagerly in
-        #: O(1) because the predecessor's root is already flat.
+        #: O(1) because the predecessor's root is already flat.  ``None``
+        #: for the owner itself (see :attr:`root`): no version is a cycle.
         if kind is StorageKind.SAME:
             assert prev is not None
-            self.root = prev.root
+            self._root = prev._root or prev
             # Collapse the prev pointer too: an in-place chain would
             # otherwise pin one Version object per task until the next
             # barrier.  The root is the only predecessor that matters
             # (it owns the storage the memory manager reasons about).
-            self.prev = self.root
+            self.prev = self._root
         else:
-            self.root = self
+            self._root = None
+
+    @property
+    def root(self) -> "Version":
+        return self._root or self
 
     def resolve_storage(self) -> Any:
-        if self.root is not self:
-            return self.root.resolve_storage()
+        if self._root is not None:
+            return self._root.resolve_storage()
         if self.kind is StorageKind.INITIAL:
             return self.datum.base
         # Materialised storage is final until released, so the common
@@ -352,7 +358,16 @@ class Version:
 
         still = [t for t in self.readers if t.state is not TaskState.FINISHED]
         self.readers = still
+        self._gone = 0
         return still
+
+    def unlink_reader(self) -> None:
+        """One more reader finished: prune once finished readers are the
+        majority, O(1) amortised in any retirement order."""
+
+        self._gone += 1
+        if 2 * self._gone > len(self.readers):
+            self.pending_readers()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -97,6 +97,9 @@ class InvocationError(TypeError):
     """Raised when a call site does not match the task declaration."""
 
 
+#: A task's edge sets until its first edge: most never get one.
+NO_EDGES: frozenset = frozenset()
+
 _task_counter = itertools.count(1)
 _counter_lock = threading.Lock()
 
@@ -235,8 +238,8 @@ class TaskInstance:
         # --- graph bookkeeping (maintained by core.graph.TaskGraph) ---
         #: number of incomplete true-dependency predecessors
         self.num_pending_deps = 0
-        self.predecessors: set = set()
-        self.successors: set = set()
+        self.predecessors: set = NO_EDGES
+        self.successors: set = NO_EDGES
         # --- runtime bookkeeping --------------------------------------
         #: worker index that executed the task (-1: not yet / main 0)
         self.executed_by = -1

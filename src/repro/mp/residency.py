@@ -19,10 +19,10 @@ weakly; the copy of a root that died is freed at the next lookup.
 
 from __future__ import annotations
 
-import ctypes
 import threading
 import weakref
 from collections import deque
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -39,9 +39,11 @@ def _root(value: np.ndarray) -> np.ndarray:
 
 
 def _window(lo: int, hi: int) -> np.ndarray:
-    """The bytes ``[lo, hi)`` of this process as a uint8 array."""
+    """The bytes ``[lo, hi)`` of this process as a uint8 array (through
+    the array interface: a ctypes array would build a type per call)."""
 
-    return np.ctypeslib.as_array((ctypes.c_uint8 * (hi - lo)).from_address(lo))
+    return np.asarray(SimpleNamespace(__array_interface__={
+        "data": (lo, False), "shape": (hi - lo,), "typestr": "|u1", "version": 3}))
 
 
 class _Copy:

@@ -8,7 +8,6 @@ locality-aware placement, one automatic re-dispatch after an agent
 death, structured data-loss errors in lazy mode — pinned down here.
 """
 
-import gc
 import json
 import sys
 import threading
@@ -328,7 +327,6 @@ class TestResidencyCache:
             backend._control = lambda name, request, **kw: (
                 sent.append((name, request)), control(name, request, **kw))[1]
             del a
-            gc.collect()    # the finished graph is cyclic: see docs
             rt.barrier()
             assert (holder, {"k": "evict", "keys": [key]}) in sent
             backend._control(holder, {"k": "ping"})   # evict has no reply
@@ -358,11 +356,6 @@ class TestResidencyCache:
                 assert np.allclose(acc, sum(
                     a * b for a, b in zip(fixed, fresh + fresh)))
                 del fresh, outs, acc, a, b, c
-                # A finished graph is a reference cycle (task <-> version
-                # <-> datum), so a dropped array dies at the next cycle
-                # collection, not at ``del``: collect, so that "next
-                # barrier" means the next one.
-                gc.collect()
                 sizes.append((len(backend._residency), [
                     backend._control(n, {"k": "ping"})[0]["store"]["entries"]
                     for n in ("n0", "n1")
@@ -389,7 +382,6 @@ class TestResidencyCache:
                     accum_t(c, acc)
                 rt.barrier()
                 del acc, c
-                gc.collect()
                 gained.append(hits.value - before)
                 keys.append([rt.backend._residency.get(x).key for x in A + B])
         assert keys[0] == keys[1] == keys[2] == keys[3]   # never re-registered
@@ -611,7 +603,6 @@ class TestOutputsRideHome:
 
         with cluster(pair) as rt:
             one_round(rt)
-            gc.collect()        # the warm-up's arrays die: see docs
             control, frames = count_traffic(rt, monkeypatch)
             before = moved(rt)
             one_round(rt)
