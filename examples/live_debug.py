@@ -53,9 +53,9 @@ def main() -> None:
     )
     with rt:
         live = rt.live
-        print(f"live session listening at {live.address}")
+        print(f"live session listening at {rt.address}")
         print("  (another terminal could: python -m repro live attach "
-              f"{live.address})\n")
+              f"{rt.address})\n")
 
         # Submission is synchronous, so with the scheduler paused the
         # whole program lands in the graph before anything executes —

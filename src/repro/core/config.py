@@ -98,12 +98,15 @@ class RuntimeConfig:
     #: the tracer).  Off by default — the dispatch gate then stays
     #: entirely out of the scheduler's hot path.
     live: bool = False
-    #: Where the live session listens: a unix-socket path, or
+    #: The runtime's one observation endpoint: a unix-socket path or
     #: ``"tcp:HOST:PORT"`` (port 0 picks an ephemeral port; the bound
-    #: address is on ``runtime.live.address``).  ``None`` with
-    #: ``live=True`` serves on a unix socket in a temp directory.
-    #: Setting an address implies ``live=True``.
-    live_address: Optional[str] = None
+    #: address is on ``runtime.address``).  It answers the live
+    #: commands and delta stream (with ``live=True``), the metrics and
+    #: health commands, and HTTP ``GET /metrics`` and ``/health``
+    #: (:mod:`repro.obs.exposition`).  ``None`` with ``live=True``
+    #: serves on a unix socket in a temp directory; ``None`` otherwise
+    #: binds nothing.  Setting it switches nothing else on.
+    address: Optional[str] = None
     #: Start with the dispatch gate paused, so a client can attach and
     #: watch the graph grow before anything executes.
     live_start_paused: bool = False
@@ -117,13 +120,6 @@ class RuntimeConfig:
     health: bool = False
     #: Watchdog sampling period in seconds.
     health_interval: float = 0.5
-    #: Metrics exposition endpoint (Prometheus text format) for the
-    #: health layer: a unix-socket path or ``"tcp:HOST:PORT"`` (port 0
-    #: picks an ephemeral one; the bound address is on
-    #: ``runtime.health.address``).  Setting an address implies
-    #: ``health=True``; ``None`` with ``health=True`` keeps the watchdog
-    #: and flight recorder in-process only.
-    health_address: Optional[str] = None
     #: Directory flight-recorder dumps land in (anomaly / SIGUSR1 /
     #: explicit ``runtime.health.dump()``).  ``None``: the system temp
     #: directory.
@@ -234,14 +230,12 @@ def resolve_config(
             f"{runtime}: nodes=[...] only applies to backend='cluster' "
             f"(got backend={resolved.backend!r})"
         )
-    if resolved.live_address is not None or resolved.live_start_paused:
+    if resolved.live_start_paused:
         resolved.live = True
     if resolved.live and not resolved.trace:
         # The event plane is a listener on the tracer; without events
         # there is nothing to stream.
         resolved.trace = True
-    if resolved.health_address is not None:
-        resolved.health = True
     if resolved.health and not resolved.metrics:
         raise TypeError(
             f"{runtime}: health=True requires metrics=True — the watchdog "

@@ -41,7 +41,9 @@ helping.
 
 from __future__ import annotations
 
+import os
 import threading
+from contextlib import suppress
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -137,6 +139,10 @@ class SmpssRuntime:
         self.live = None
         #: repro.obs.health.HealthMonitor when config.health, else None.
         self.health = None
+        #: Where the observation endpoint listens (start() binds one
+        #: when config.address is set or config.live is on), else None.
+        self.address: Optional[str] = None
+        self._endpoint = None
         self._started = False
         #: repro.check.Sanitizer when config.sanitize, else None.
         self.sanitizer = None
@@ -207,14 +213,19 @@ class SmpssRuntime:
         self._constants = self.config.constants
         self._max_pending = self.config.max_pending_tasks
         self._mem_limit = self.config.memory_limit_bytes
-        if self.config.live:
-            # Imported here, not at module level: live sits above core.
-            # Started after the backend (the server thread must not be
-            # duplicated into forked workers) and before the proxy /
+        if self.config.address is not None or self.config.live:
+            # Imported here, not at module level: obs and live sit above
+            # core.  Bound after the backend (the server threads must not
+            # be duplicated into forked workers) and before the proxy /
             # worker threads, so no dispatch escapes a paused start.
+            from ..obs.exposition import open_endpoint
+
+            self._endpoint = open_endpoint(self, self.config.address)
+            self.address = self._endpoint.address
+        if self.config.live:
             from ..live.session import LiveSession
 
-            self.live = LiveSession(self)
+            self.live = LiveSession(self, self._endpoint)
         if self.config.health:
             # Imported here, not at module level: obs sits above core.
             # Started after the backend (the watchdog thread must not
@@ -254,6 +265,13 @@ class SmpssRuntime:
             if self.live is not None:
                 self.live.close()
                 self.live = None
+            if self._endpoint is not None:
+                self._endpoint.close()
+                self._endpoint = None
+                if self.config.address is None:
+                    # open_endpoint's temp directory (the socket is gone).
+                    with suppress(OSError):
+                        os.rmdir(os.path.dirname(self.address))
             self._started = False
             _api.pop_runtime(self)
             if self._metrics_on:

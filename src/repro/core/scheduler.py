@@ -247,15 +247,6 @@ class DispatchGate:
             self.engaged = True
             self._sync_installed()
 
-    def remove_break(self, name: Optional[str] = None,
-                     task_id: Optional[int] = None) -> None:
-        with self._lock:
-            if name is not None:
-                self.break_names.discard(name)
-            if task_id is not None:
-                self.break_ids.discard(int(task_id))
-            self._recompute_engaged()
-
     def clear_breaks(self) -> None:
         with self._lock:
             self.break_names.clear()

@@ -10,7 +10,7 @@ Usage::
         --script "step 10; render; back 3; run"
 
 ``attach`` connects to a runtime started with ``live=True`` (its bound
-address is on ``runtime.live.address``) and mirrors the delta stream
+address is on ``runtime.address``) and mirrors the delta stream
 into the shared dashboard; ``replay`` drives the *same* dashboard from
 a recording saved with ``RecordedProgram.save``.
 

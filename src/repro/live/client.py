@@ -8,8 +8,10 @@ That makes scripted sessions deterministic — there is no background
 reader racing the assertions.
 
 This module only adds the live plane's command verbs (pause/resume/
-step/break/state) and keeps the historical exception names as aliases
-of the shared transport's.
+step/break/state), a ``ping`` at connect — the client speaks first, and
+the hello plus the retained delta backlog arrive ahead of its ack — and
+keeps the historical exception names as aliases of the shared
+transport's.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ class LiveClient(Client):
     """Attach to a live session; stream deltas; drive the gate."""
 
     def __init__(self, address: str, timeout: float = 10.0):
-        super().__init__(address, timeout=timeout, expect_hello=True)
+        super().__init__(address, timeout=timeout)
+        try:
+            self.ping()  # fills .hello; the backlog waits in the buffer
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # live-plane command verbs

@@ -9,7 +9,8 @@ client sends small command objects and correlates replies by ``seq``.
 Server -> client records (``ev`` field):
 
 ``hello``
-    First line on every connection: ``version``, ``threads``,
+    First line on every connection, sent once the client's first
+    command arrives: ``service``, ``version``, ``threads``,
     ``backend``, ``pid``.
 ``task``
     A task changed state: ``id``, ``name``, ``state`` in
@@ -40,9 +41,12 @@ Server -> client records (``ev`` field):
 Client -> server commands (``cmd`` field, plus a client-chosen ``seq``):
 
 ``pause`` / ``resume`` / ``step`` (``n``) — drive the dispatch gate;
-``break`` (``name`` or ``id``, ``remove`` to delete) / ``clear`` —
-edit breakpoints; ``state`` — one immediate snapshot in the ack;
-``ping`` — liveness; ``detach`` — close this connection only.
+``break`` (``name`` or ``id``) / ``clear`` — edit breakpoints;
+``state`` — one immediate snapshot in the ack (these six are
+:data:`COMMANDS`); ``ping`` — liveness; ``detach`` — close this
+connection only.  The runtime's endpoint
+(:func:`repro.obs.exposition.open_endpoint`) answers the metrics and
+health commands on the same connection.
 
 Addresses take two forms: ``tcp:HOST:PORT`` (PORT ``0`` binds an
 ephemeral port; the server reports the real one) or a filesystem path,
@@ -66,6 +70,7 @@ from ..net.protocol import (  # noqa: F401 - re-exports
 )
 
 __all__ = [
+    "COMMANDS",
     "PROTOCOL_VERSION",
     "encode",
     "decode",
@@ -74,6 +79,9 @@ __all__ = [
     "connect",
     "event_to_delta",
 ]
+
+#: The commands a :class:`~repro.live.session.LiveSession` answers.
+COMMANDS = frozenset(("pause", "resume", "step", "break", "clear", "state"))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ A :class:`LiveSession` is created by ``SmpssRuntime.start()`` when the
   is allowed there);
 * the **event plane** — a publisher thread that drains the deque,
   converts events to graph deltas (:func:`protocol.event_to_delta`),
-  and fans them out through a :class:`~repro.live.server.LiveServer`,
-  interleaving a metrics snapshot every :data:`SNAPSHOT_INTERVAL`
-  seconds.
+  and fans them out through the runtime's observation endpoint
+  (:func:`repro.obs.exposition.open_endpoint`, which also routes the
+  live commands here), interleaving a metrics snapshot every
+  :data:`SNAPSHOT_INTERVAL` seconds.
 
 The session is also the in-process debugger handle::
 
@@ -31,16 +32,13 @@ The session is also the in-process debugger handle::
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 import time
 from collections import deque
 from typing import Optional
 
 from ..core.scheduler import DispatchGate
-from .protocol import PROTOCOL_VERSION, event_to_delta
-from .server import LiveServer
+from .protocol import event_to_delta
 
 __all__ = ["LiveSession"]
 
@@ -53,21 +51,17 @@ SNAPSHOT_INTERVAL = 0.25
 class LiveSession:
     """Control + event plane for one running :class:`SmpssRuntime`."""
 
-    def __init__(self, runtime):
+    def __init__(self, runtime, server):
         self._runtime = runtime
-        config = runtime.config
-        self._tmpdir = None
-        address = config.live_address
-        if address is None:
-            self._tmpdir = tempfile.mkdtemp(prefix="repro-live-")
-            address = os.path.join(self._tmpdir, "live.sock")
-
+        #: The runtime's endpoint (a :class:`repro.net.Server`): the
+        #: session publishes on it and never closes it.
+        self.server = server
         self.gate = DispatchGate()
         self.gate.bind(
             runtime._sched_lock, runtime._sched_cv, runtime._main_cv
         )
         self.gate.on_hold = self._on_hold
-        if config.live_start_paused:
+        if runtime.config.live_start_paused:
             # Direct field writes: workers do not exist yet, nothing to
             # wake, and the gate is visible before the first dispatch.
             self.gate.paused = True
@@ -85,28 +79,10 @@ class LiveSession:
         self._wake = threading.Event()
 
         runtime.tracer.listener = self._queue.append
-
-        self.server = LiveServer(
-            address,
-            self._handle_command,
-            hello={
-                "version": PROTOCOL_VERSION,
-                "threads": runtime.num_threads,
-                "backend": config.backend,
-                "pid": os.getpid(),
-            },
-        )
         self._publisher = threading.Thread(
             target=self._publish_loop, name="repro-live-publish", daemon=True
         )
         self._publisher.start()
-
-    @property
-    def address(self) -> str:
-        """The bound address (the real port when ``tcp:...:0`` asked
-        for an ephemeral one) — hand this to ``repro.live attach``."""
-
-        return self.server.address
 
     # ------------------------------------------------------------------
     # control plane (thread-safe; usable in-process or via commands)
@@ -125,10 +101,6 @@ class LiveSession:
     def add_break(self, name: Optional[str] = None,
                   task_id: Optional[int] = None) -> None:
         self.gate.add_break(name=name, task_id=task_id)
-
-    def remove_break(self, name: Optional[str] = None,
-                     task_id: Optional[int] = None) -> None:
-        self.gate.remove_break(name=name, task_id=task_id)
 
     def clear_breaks(self) -> None:
         self.gate.clear_breaks()
@@ -210,9 +182,12 @@ class LiveSession:
             gate.resume()
 
     # ------------------------------------------------------------------
-    # command routing (server reader threads land here)
+    # command routing (the endpoint's reader threads land here)
     # ------------------------------------------------------------------
-    def _handle_command(self, command: dict, conn) -> dict:
+    def command(self, command: dict) -> dict:
+        """Apply one of :data:`~repro.live.protocol.COMMANDS`; the
+        answer is the state after it."""
+
         cmd = command.get("cmd")
         if cmd == "pause":
             self.pause()
@@ -221,18 +196,9 @@ class LiveSession:
         elif cmd == "step":
             self.step(int(command.get("n", 1)))
         elif cmd == "break":
-            name = command.get("name")
-            task_id = command.get("id")
-            if command.get("remove"):
-                self.remove_break(name=name, task_id=task_id)
-            else:
-                self.add_break(name=name, task_id=task_id)
+            self.add_break(name=command.get("name"), task_id=command.get("id"))
         elif cmd == "clear":
             self.clear_breaks()
-        elif cmd in ("state", "ping"):
-            pass  # the state below is the answer
-        else:
-            raise ValueError(f"unknown command {cmd!r}")
         return self.state()
 
     # ------------------------------------------------------------------
@@ -279,9 +245,3 @@ class LiveSession:
         self._closed.set()
         self._wake.set()
         self._publisher.join(timeout=5.0)
-        self.server.close()
-        if self._tmpdir is not None:
-            try:
-                os.rmdir(self._tmpdir)
-            except OSError:
-                pass

@@ -1,18 +1,18 @@
 """Shared socket transport for every networked repro surface.
 
 One wire format — one JSON object per line, UTF-8, ``\n``-terminated —
-served and consumed by one :class:`Server`/:class:`Client` pair.  The
-live inspection plane (:mod:`repro.live`), the Prometheus exposition
-endpoint (:mod:`repro.obs`), and the task-graph service
-(:mod:`repro.serve`) are all thin wrappers over this module; none of
-them owns sockets of its own: each hands the server one
-``handler(command, conn)``, *conn* being the per-connection context a
-stateful service (serve) keeps its tenant on.
+served and consumed by one :class:`Server`/:class:`Client` pair.  A
+runtime's observation endpoint (live inspection, metrics and health:
+:mod:`repro.obs.exposition`) and the task-graph service
+(:mod:`repro.serve`) are its two owners; neither owns sockets of its
+own: each hands the server one ``handler(command, conn)``, *conn* being
+the per-connection context a stateful service (serve) keeps its tenant
+on.
 
-The server optionally *sniffs* the first bytes of each connection and
-hands plain HTTP ``GET``/``HEAD`` requests to an ``http_responder``
-callback, so one port can serve both the JSON-lines protocol and a
-browser/Prometheus scrape.
+The client always speaks first, and the server *sniffs* those first
+bytes: a plain HTTP ``GET``/``HEAD`` goes to the owner's
+``http_responder``, anything else gets the JSON-lines ``hello``, so one
+port serves both the protocol and a browser/Prometheus scrape.
 
 Bulk data rides :mod:`~repro.net.frames`, alone or attached to a JSON
 line; what a datum's content looks like inside a frame and how it lands

@@ -1,5 +1,10 @@
 """Client side of the JSON-lines protocol (used by CLIs and tests).
 
+The client speaks first: a server tells HTTP from JSON lines by a
+connection's first bytes, so the server sends nothing, not even its
+``hello``, until the client's first command arrives.  The hello then
+precedes that command's ack and lands on :attr:`Client.hello`.
+
 Deliberately single-threaded: every byte is read inside :meth:`recv`,
 and a command waits for its own ``ack`` by seq while parking any
 interleaved event records on an internal buffer that later ``recv``
@@ -21,11 +26,9 @@ __all__ = ["Client", "NetTimeout", "NetClosed"]
 class Client:
     """Attach to a JSON-lines server; stream records; send commands.
 
-    ``expect_hello=True`` (every live/obs surface) reads the server's
-    ``hello`` record in the constructor.  Servers that sniff the
-    protocol from the client's first bytes defer their hello until the
-    client has spoken — those clients pass ``expect_hello=False`` and
-    pick the hello out of the stream after their first command.
+    Nothing arrives before the first command (see the module
+    docstring); its ack is preceded by the server's ``hello``, kept on
+    :attr:`hello`, and the retained backlog, buffered for :meth:`recv`.
 
     Connect and read timeouts are separate knobs: *timeout* bounds
     each read (the historical meaning), *connect_timeout* bounds each
@@ -40,7 +43,6 @@ class Client:
         self,
         address: str,
         timeout: float = 10.0,
-        expect_hello: bool = True,
         connect_timeout: Optional[float] = None,
         connect_attempts: int = 1,
         backoff_base: float = 0.05,
@@ -60,13 +62,6 @@ class Client:
         self._seq = 0
         self._closed = False
         self.hello: dict = {}
-        if expect_hello:
-            self.hello = self._recv_raw(timeout)
-            if self.hello.get("ev") != "hello":
-                # Tolerate a server that streams immediately: keep
-                # whatever came first for the caller.
-                self._pending.append(self.hello)
-                self.hello = {}
 
     # ------------------------------------------------------------------
     # receiving
@@ -146,7 +141,8 @@ class Client:
         A ``frames`` field (a list of ``(meta, payload)`` blobs) leaves
         as binary attachments behind the line, and an ack's attachments
         come back under the same key.  Events that arrive before the ack
-        are buffered for :meth:`recv`.
+        are buffered for :meth:`recv`; the server's ``hello`` is kept on
+        :attr:`hello` instead.
         """
 
         sock = self._sock
@@ -161,7 +157,10 @@ class Client:
             reply = self._recv_raw(self.timeout)
             if reply.get("ev") == "ack" and reply.get("seq") == seq:
                 return reply
-            self._pending.append(reply)
+            if reply.get("ev") == "hello":
+                self.hello = reply
+            else:
+                self._pending.append(reply)
 
     def command(self, cmd: str, **fields) -> dict:
         """:meth:`request`, returning only the ack's data; a ``not ok``

@@ -1,14 +1,18 @@
 """The shared JSON-lines socket server (one background accept thread).
 
-Every accepted client first receives the ``hello`` record and the full
-retained history (so a late attacher reconstructs the stream exactly),
-then rides the live stream.  A per-client reader thread parses command
-lines and hands them to the owner's handler; the resulting ``ack``
-goes only to that client.
+Every connection speaks first, and its first bytes pick the protocol:
+a plain HTTP ``GET``/``HEAD`` gets the owner's ``http_responder`` page
+and is closed; anything else is a JSON-lines client, which receives the
+``hello`` record and the full retained history (so a late attacher
+reconstructs the stream exactly), then rides the live stream.  A
+per-client reader thread parses command lines and hands them to the
+owner's handler; the resulting ``ack`` goes only to that client.
 
 Publishing happens on the *caller's* thread — a slow or dead client
 never blocks the owner, only the publisher, and a client whose socket
-errors is dropped.
+errors is dropped.  A connection joins the fan-out only once it has
+identified itself as JSON lines, in the same locked step that sends its
+hello and backlog, so no published record reaches it before those.
 
 A handler may block for as long as its command takes (the task-graph
 service parks a connection's reader on a running graph): only that
@@ -58,41 +62,38 @@ class Server:
     non-blocking check that the peer has closed its end.  A raised
     exception becomes the ack's ``error``: its ``to_wire()`` dict when
     it has one, else ``str(exc)``.
-    *hello* is the dict sent (with
-    ``ev: hello`` added) as every connection's first record.  *name*
-    prefixes the accept/reader thread names so the owning subsystem
-    stays identifiable in thread dumps.
+    *http_responder* is ``fn(path) -> bytes``, the whole response to a
+    plain HTTP ``GET``/``HEAD`` of *path* (a raised exception becomes a
+    500).  *hello* is the dict sent (with ``ev: hello`` added) as every
+    JSON-lines connection's first record.  *name* prefixes the
+    accept/reader thread names so the owning subsystem stays
+    identifiable in thread dumps.
     """
 
     def __init__(
         self,
         address: str,
         handler: Callable[[dict, SimpleNamespace], dict],
+        *,
+        http_responder: Callable[[str], bytes],
         hello: Optional[dict] = None,
-        http_responder: Optional[Callable[[str], bytes]] = None,
         name: str = "repro-net",
     ):
         self._handler = handler
+        self._http_responder = http_responder
         self._hello = dict(hello or {})
         self._hello["ev"] = "hello"
         self._name = name
-        #: Optional ``fn(path) -> bytes`` serving plain HTTP GETs (the
-        #: health exposition endpoint passes its Prometheus router
-        #: here).  When set, the hello/backlog replay is
-        #: *deferred* until the first client bytes identify the
-        #: protocol — an HTTP client must not receive JSON lines ahead
-        #: of its response.  ``None`` (every live session) keeps the
-        #: original send-hello-on-accept behaviour.
-        self._http_responder = http_responder
         self._sock, self.address, self._unix_path = listen(address)
         self._lock = threading.Lock()
-        self._clients: list[socket.socket] = []
-        #: Per-client write locks: the publisher thread (events) and the
-        #: client's reader thread (command acks) both write to the same
-        #: socket, and two concurrent ``sendall`` calls may interleave
-        #: *partial* writes — silently corrupting the line framing — or
-        #: splice a line between an ack and its attachments.
+        #: Every open connection's write lock: the publisher thread
+        #: (events) and the client's reader thread (command acks) both
+        #: write to the same socket, and two concurrent ``sendall`` calls
+        #: may interleave *partial* writes — silently corrupting the line
+        #: framing — or splice a line between an ack and its attachments.
         self._wlocks: dict[socket.socket, threading.Lock] = {}
+        #: The identified JSON-lines connections publish() writes to.
+        self._clients: list[socket.socket] = []
         self._history: list[bytes] = []
         self._closed = False
         self._accept_thread = threading.Thread(
@@ -157,22 +158,6 @@ class Server:
                 if self._closed:
                     client.close()
                     return
-                backlog = list(self._history)
-                # Register *before* replay is complete would interleave
-                # live lines into the backlog out of order, so replay
-                # happens while holding the lock — attach is rare and
-                # the backlog bounded by the stream size.  With an HTTP
-                # responder the replay is deferred to the reader thread
-                # (after protocol sniffing) instead.
-                if self._http_responder is None:
-                    try:
-                        client.sendall(
-                            encode(self._hello) + b"".join(backlog)
-                        )
-                    except OSError:
-                        client.close()
-                        continue
-                self._clients.append(client)
                 self._wlocks[client] = threading.Lock()
             threading.Thread(
                 target=self._client_loop,
@@ -189,9 +174,16 @@ class Server:
         # client waiting for its ack.
         reader = RecordReader(client)
         try:
-            if self._http_responder is not None \
-                    and not self._sniff_http(client, reader):
+            if reader.peek(5).startswith((b"GET ", b"HEAD ")):
+                self._answer_http(client, reader)
                 return
+            with self._lock:
+                # Replay and registration are one step: a record
+                # published meanwhile is either in this backlog or sent
+                # after it, never before the hello.  Attach is rare and
+                # the backlog bounded by the stream size.
+                client.sendall(encode(self._hello) + b"".join(self._history))
+                self._clients.append(client)
             while True:
                 command = reader.read()
                 if command.get("cmd") == "detach":
@@ -203,16 +195,7 @@ class Server:
         finally:
             self._drop(client)
 
-    def _sniff_http(self, client: socket.socket, reader: RecordReader) -> bool:
-        """Identify the client's protocol from its first bytes: serve an
-        HTTP ``GET``/``HEAD`` and return False, or send the deferred
-        hello + backlog replay and return True (a JSON-lines client)."""
-
-        if not reader.peek(5).startswith((b"GET ", b"HEAD ")):
-            with self._lock:
-                backlog = list(self._history)
-            self._send(client, encode(self._hello) + b"".join(backlog))
-            return True
+    def _answer_http(self, client: socket.socket, reader: RecordReader) -> None:
         # One request per connection (Connection: close semantics); its
         # head is read to the end so the close cannot reset the socket
         # over unread bytes before the response is delivered.
@@ -226,7 +209,6 @@ class Server:
                 str(exc).encode("utf-8", "replace"),
             )
         self._send(client, response)
-        return False
 
     def _run(self, command: dict, conn) -> dict:
         ack = {
@@ -254,14 +236,15 @@ class Server:
                 return
             self._closed = True
             clients = list(self._clients)
-            self._clients.clear()
+            connections = list(self._wlocks)
         bye = encode({"ev": "bye"})
         for client in clients:
             # Reader threads may still be writing acks: _send takes the
             # same per-client write lock, so the goodbye cannot splice
             # into the middle of another record.
             self._send(client, bye)
-            self._drop(client)
+        for connection in connections:
+            self._drop(connection)
         # Closing a listening socket does not interrupt a blocked
         # accept() on Linux; shutting it down does.  Without that the
         # accept thread — and the listening port — outlive close()

@@ -22,9 +22,10 @@ the Python reproduction, richer and cheaper:
 * the always-on health layer (:mod:`repro.obs.health`,
   ``health=True``) — a stall/starvation/deadlock watchdog with a
   blocked-task explainer, a bounded flight recorder dumped on anomaly
-  or ``SIGUSR1`` (:mod:`repro.obs.flightrec`), and a Prometheus text
-  exposition endpoint (:mod:`repro.obs.exposition`,
-  ``python -m repro obs serve`` / ``scrape``).
+  or ``SIGUSR1`` (:mod:`repro.obs.flightrec`), and the runtime's one
+  observation endpoint (:mod:`repro.obs.exposition`: live commands,
+  metrics and health over JSON lines and HTTP; ``python -m repro obs
+  scrape``).
 
 See ``docs/observability.md`` for the metrics catalogue and usage,
 and ``docs/benchmarking.md`` for the baseline/compare workflow.
@@ -54,12 +55,7 @@ from .diff import (
     write_diff_dot,
 )
 from .export import graph_to_dot, to_chrome_trace, write_chrome_trace, write_dot
-from .exposition import (
-    ExpositionServer,
-    render_registry,
-    render_snapshot,
-    scrape,
-)
+from .exposition import render_registry, scrape
 from .flightrec import FlightRecorder
 from .health import (
     Finding,
@@ -108,9 +104,7 @@ __all__ = [
     "render_metrics_diff",
     "write_diff_chrome_trace",
     "write_diff_dot",
-    "ExpositionServer",
     "render_registry",
-    "render_snapshot",
     "scrape",
     "FlightRecorder",
     "Finding",

@@ -9,8 +9,6 @@ Usage::
         --chrome side_by_side.json
     python -m repro obs diff A.metrics.json B.metrics.json
     python -m repro obs diff figA.json figB.json
-    python -m repro obs serve tcp:0.0.0.0:9184                # live
-    python -m repro obs serve tcp:0.0.0.0:9184 --metrics-json saved.json
     python -m repro obs scrape tcp:127.0.0.1:9184             # one page
     python -m repro obs scrape tcp:127.0.0.1:9184 --health    # findings
 
@@ -24,11 +22,9 @@ baseline); ``repro.staticgraph`` /
 (exit 1 when the graphs diverge — the static-vs-recorded validation
 loop of ``repro.check flow``).  ``--kind`` overrides the detection.
 
-``serve`` exposes Prometheus text over the live transport — the
-process default registry, or a saved ``*.metrics.json`` with
-``--metrics-json``.  A runtime constructed with ``health_address=...``
-serves the same endpoint in-process; ``scrape`` fetches one page from
-either (``--health`` asks for the watchdog findings instead).
+``scrape`` fetches one Prometheus page from the endpoint of a runtime
+constructed with ``address=...`` (or of a task-graph daemon);
+``--health`` asks for the watchdog findings instead.
 """
 
 from __future__ import annotations
@@ -129,33 +125,6 @@ def _run_diff(args) -> int:
     return 0
 
 
-def _run_serve(args) -> int:
-    import time
-
-    from .exposition import ExpositionServer
-
-    snapshot = None
-    if args.metrics_json:
-        try:
-            with open(args.metrics_json, "r", encoding="utf-8") as handle:
-                snapshot = _metrics_snapshot(json.load(handle))
-        except (OSError, ValueError) as exc:
-            print(
-                f"cannot read {args.metrics_json!r}: {exc}", file=sys.stderr
-            )
-            return 1
-    server = ExpositionServer(args.address, snapshot=snapshot)
-    print(f"serving metrics on {server.address} (Ctrl-C to stop)")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
-
-
 def _run_scrape(args) -> int:
     from .exposition import scrape
 
@@ -218,19 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         "--chrome", metavar="PATH",
         help="write a side-by-side Chrome trace (A and B as two processes)",
     )
-    serve = sub.add_parser(
-        "serve",
-        help="Prometheus exposition endpoint (default registry or a "
-        "saved metrics JSON)",
-    )
-    serve.add_argument(
-        "address", help="unix-socket path or tcp:HOST:PORT (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--metrics-json", metavar="PATH", default=None,
-        help="serve this saved *.metrics.json instead of the live "
-        "process registry",
-    )
     scrape_p = sub.add_parser(
         "scrape", help="fetch one Prometheus page (or health findings)"
     )
@@ -244,8 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.command == "serve":
-        return _run_serve(args)
     if args.command == "scrape":
         return _run_scrape(args)
     if args.command == "report":

@@ -1,18 +1,18 @@
-"""Prometheus text exposition for the metrics registry.
+"""A runtime's one observation endpoint, and the Prometheus rendering.
 
-The health layer's outward-facing surface: render a
-:class:`~repro.obs.metrics.MetricsRegistry` (or a saved snapshot) in
-the Prometheus text format, and serve it over the shared
-:class:`repro.net.Server` transport.  A scrape works two ways over
-the same socket:
+:func:`open_endpoint` binds the single :class:`repro.net.Server` a
+runtime owns (``address=...``, or ``live=True``) and answers on it:
 
-* the JSON-lines protocol every other live surface speaks —
-  ``{"cmd": "metrics", "seq": 1}`` answered with the text in the ack
-  (what :func:`scrape` and ``python -m repro obs scrape`` use);
-* a plain HTTP ``GET`` — the server sniffs the first bytes of a
-  connection, so ``curl http://host:port/metrics`` (or a Prometheus
-  scrape target) works against the same port.  ``GET /health`` returns
-  the findings/state JSON instead.
+* the live plane's commands and delta stream (:mod:`repro.live`);
+* ``metrics`` (the Prometheus page in the ack — what :func:`scrape`
+  and ``python -m repro obs scrape`` use), ``health``, ``dump`` and
+  ``ping`` over JSON lines;
+* plain HTTP: the server sniffs the first bytes of a connection, so
+  ``curl http://host:port/metrics`` (or a Prometheus scrape target) and
+  ``GET /health`` work against the same port.
+
+:func:`http_response` is the one HTTP router; the task-graph daemon
+serves its ``/metrics/<tenant>`` pages through it too.
 
 Naming: series are prefixed ``repro_`` with dots/invalid characters
 mapped to underscores (``scheduler.pops_high`` →
@@ -26,25 +26,22 @@ promising to dashboards.
 from __future__ import annotations
 
 import json
+import os
 import re
-from typing import Optional
+import tempfile
+from typing import Callable, Optional
 
 from ..net.client import Client
-from ..net.protocol import build_http_response
+from ..net.protocol import PROTOCOL_VERSION, build_http_response
 from ..net.server import Server
-from .metrics import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-    default_metrics,
-)
+from .metrics import CounterMetric, GaugeMetric, HistogramMetric, MetricsRegistry
 
 __all__ = [
     "CONTENT_TYPE",
+    "EndpointError",
+    "http_response",
+    "open_endpoint",
     "render_registry",
-    "render_snapshot",
-    "ExpositionServer",
     "scrape",
 ]
 
@@ -146,150 +143,108 @@ def render_registry(registry: MetricsRegistry, prefix: str = "repro_") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_snapshot(snapshot: dict, prefix: str = "repro_") -> str:
-    """Prometheus text for a *saved* registry snapshot dict.
+def http_response(path: str, metrics_page: Callable[[str], str],
+                  health: Callable[[], dict]) -> bytes:
+    """The one HTTP ``GET`` router: ``/health`` answers *health()* as
+    JSON, ``/metrics`` and ``/metrics/<tenant>`` answer
+    *metrics_page(tenant)* (``""`` for every series), anything else a
+    404 naming the routes."""
 
-    Accepts the :meth:`MetricsRegistry.snapshot` shape (what
-    ``*.metrics.json`` files and ``registry.to_json()`` hold):
-    scalars become gauges; histogram dicts surface ``_sum``/``_count``
-    and ``_mean`` (the folded snapshot has no raw values left, so no
-    quantiles are invented for it).
-    """
-
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        value = snapshot[name]
-        pname = _metric_name(name, prefix)
-        series: list[tuple[str, object]] = []
-        if isinstance(value, dict) and value and all(
-            isinstance(v, dict) for v in value.values()
-        ):
-            # labelled histograms: {label_repr: {count, sum, ...}}
-            hist_like = True
-            for label_repr, item in value.items():
-                series.append((label_repr, item))
-        elif isinstance(value, dict) and {"count", "sum"} <= set(value):
-            hist_like = True
-            series.append(("", value))
-        elif isinstance(value, dict):
-            hist_like = False
-            for label_repr, item in value.items():
-                series.append((label_repr, item))
-        else:
-            hist_like = False
-            series.append(("", value))
-
-        def labels_of(label_repr: str) -> str:
-            if not label_repr:
-                return ""
-            pairs = []
-            for part in label_repr.split(","):
-                key, _, val = part.partition("=")
-                pairs.append((key, val))
-            return _label_str(pairs)
-
-        if hist_like:
-            lines.append(f"# TYPE {pname} summary")
-            for label_repr, item in series:
-                labels = labels_of(label_repr)
-                lines.append(f"{pname}_sum{labels} {_fmt(item.get('sum', 0))}")
-                lines.append(
-                    f"{pname}_count{labels} {_fmt(item.get('count', 0))}"
-                )
-                lines.append(
-                    f"{pname}_mean{labels} {_fmt(item.get('mean', 0))}"
-                )
-        else:
-            lines.append(f"# TYPE {pname} gauge")
-            for label_repr, item in series:
-                if not isinstance(item, (int, float, bool)):
-                    continue
-                lines.append(f"{pname}{labels_of(label_repr)} {_fmt(item)}")
-    return "\n".join(lines) + "\n"
-
-
-class ExpositionServer:
-    """Serve metrics (and health state) over the live transport.
-
-    Three sources, in priority order: a *runtime* (scrapes refresh the
-    runtime's mirrored gauges and the health monitor's utilization
-    gauges first), an explicit *registry*, or — with neither — the
-    process-wide default registry.  A *snapshot* dict serves a saved
-    metrics file instead (the ``python -m repro obs serve`` offline
-    mode).
-    """
-
-    def __init__(
-        self,
-        address: str,
-        runtime=None,
-        monitor=None,
-        registry: Optional[MetricsRegistry] = None,
-        snapshot: Optional[dict] = None,
-    ):
-        self._runtime = runtime
-        self._monitor = monitor
-        self._registry = registry
-        self._snapshot = snapshot
-        self._server = Server(
-            address,
-            self._handle,
-            hello={"service": "repro.obs.health"},
-            http_responder=self._http_response,
-            name="repro-obs",
+    if path.startswith("/health"):
+        body = json.dumps(health(), default=str).encode("utf-8")
+        return build_http_response("200 OK", "application/json", body)
+    if path.startswith("/metrics"):
+        rest = path[len("/metrics"):].strip("/")
+        text = metrics_page(rest.split("/", 1)[0])
+        return build_http_response(
+            "200 OK", CONTENT_TYPE, text.encode("utf-8")
         )
-        self.address = self._server.address
+    return build_http_response(
+        "404 Not Found", "text/plain",
+        b"routes: /metrics, /metrics/<tenant>, /health",
+    )
 
-    # ------------------------------------------------------------------
-    def metrics_text(self) -> str:
-        if self._snapshot is not None:
-            return render_snapshot(self._snapshot)
-        runtime = self._runtime
-        if runtime is not None:
-            try:
-                if runtime._metrics_on and runtime.scheduler is not None:
-                    runtime._sync_metrics()
-            except Exception:  # noqa: BLE001 - racy mirror, best effort
-                pass
-            if self._monitor is not None:
-                self._monitor.note_scrape()
-            return render_registry(runtime.metrics)
-        registry = self._registry
-        if registry is None:
-            registry = default_metrics()
-        return render_registry(registry)
 
-    def _handle(self, command: dict, conn) -> dict:
+class EndpointError(ValueError):
+    """A command this endpoint is not set up to answer; crosses the
+    wire as ``{"code", "message"}``."""
+
+    def __init__(self, message: str, code: str):
+        super().__init__(message)
+        self.code = code
+
+    def to_wire(self) -> dict:
+        return {"code": self.code, "message": str(self)}
+
+
+def open_endpoint(runtime, address: Optional[str]) -> Server:
+    """Bind *runtime*'s observation endpoint (see the module docstring).
+
+    *address* ``None`` binds a unix socket in a fresh temp directory.
+    A live command on a runtime without ``live=True`` is answered with
+    an :class:`EndpointError` (code ``live_off``); without a health
+    monitor, ``health`` is ``{"findings": [], "sample": {}}``.  A
+    runtime has no tenants, so every ``/metrics/<tenant>`` is its
+    whole page.
+    """
+
+    # Imported here, not at module level: a scrape or a serve daemon
+    # need not load the live package.
+    from ..live.protocol import COMMANDS as LIVE_COMMANDS
+
+    if address is None:
+        address = os.path.join(
+            tempfile.mkdtemp(prefix="repro-live-"), "live.sock")
+
+    def metrics_page(_tenant: str = "") -> str:
+        try:
+            if runtime._metrics_on:
+                runtime._sync_metrics()
+        except Exception:  # noqa: BLE001 - racy mirror, best effort
+            pass
+        if runtime.health is not None:
+            runtime.health.note_scrape()
+        return render_registry(runtime.metrics)
+
+    def health() -> dict:
+        if runtime.health is None:
+            return {"findings": [], "sample": {}}
+        return runtime.health.state()
+
+    def handle(command: dict, conn) -> dict:
         cmd = command.get("cmd")
         if cmd == "metrics":
-            return {"content_type": CONTENT_TYPE, "text": self.metrics_text()}
+            return {"content_type": CONTENT_TYPE, "text": metrics_page()}
         if cmd == "health":
-            if self._monitor is not None:
-                return self._monitor.state()
-            return {"findings": [], "sample": {}}
-        if cmd == "dump":
-            if self._monitor is None:
-                raise ValueError("no health monitor attached")
-            return self._monitor.dump(reason="remote")
+            return health()
         if cmd == "ping":
             return {"service": "repro.obs.health"}
-        raise ValueError(f"unknown command {cmd!r}")
+        if cmd == "dump":
+            if runtime.health is None:
+                raise EndpointError(
+                    "no health monitor attached (health=True)", "health_off")
+            return runtime.health.dump(reason="remote")
+        if cmd not in LIVE_COMMANDS:
+            raise ValueError(f"unknown command {cmd!r}")
+        if runtime.live is None:
+            raise EndpointError(
+                f"{cmd!r} is a live command; this runtime was started "
+                f"without live=True", "live_off")
+        return runtime.live.command(command)
 
-    def _http_response(self, path: str) -> bytes:
-        """GET routing: ``/health`` answers the health state as JSON,
-        anything else the metrics page (a raised error becomes the
-        transport's 500)."""
-
-        if path.startswith("/health"):
-            state = self._handle({"cmd": "health"}, None)
-            body = json.dumps(state, default=str)
-            return build_http_response(
-                "200 OK", "application/json", body.encode("utf-8"))
-        return build_http_response(
-            "200 OK", CONTENT_TYPE, self.metrics_text().encode("utf-8"))
-
-    def close(self) -> None:
-        self._server.close()
+    return Server(
+        address,
+        handle,
+        http_responder=lambda path: http_response(path, metrics_page, health),
+        hello={
+            "service": "repro.obs.health",
+            "version": PROTOCOL_VERSION,
+            "threads": runtime.num_threads,
+            "backend": runtime.config.backend,
+            "pid": os.getpid(),
+        },
+        name="repro-runtime",
+    )
 
 
 def scrape(address: str, timeout: float = 5.0, command: str = "metrics"):
@@ -301,7 +256,5 @@ def scrape(address: str, timeout: float = 5.0, command: str = "metrics"):
     HTTP client against the same address.
     """
 
-    # The endpoint also answers plain HTTP, so it sniffs the protocol
-    # from our first bytes and sends its hello only after them.
-    with Client(address, timeout=timeout, expect_hello=False) as client:
+    with Client(address, timeout=timeout) as client:
         return client.command(command)

@@ -292,7 +292,7 @@ def stalled_error(runtime) -> StallError:
 # ---------------------------------------------------------------------------
 
 class HealthMonitor:
-    """Watchdog thread + flight recorder + optional exposition server.
+    """Watchdog thread + flight recorder.
 
     Created by :meth:`SmpssRuntime.start` when ``health=True``; the
     runtime exposes it as ``runtime.health``.  All thresholds are in
@@ -331,9 +331,6 @@ class HealthMonitor:
         self.recorder = FlightRecorder(num_threads=runtime.num_threads)
         #: Structured findings, oldest first (bounded).
         self.findings: list[Finding] = []
-        #: Bound exposition address (``None`` without ``health_address``).
-        self.address: Optional[str] = None
-        self._server = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._prev_sigusr1 = None
@@ -365,15 +362,6 @@ class HealthMonitor:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self.runtime.config.health_address is not None:
-            from .exposition import ExpositionServer  # avoid import cycle
-
-            self._server = ExpositionServer(
-                self.runtime.config.health_address,
-                runtime=self.runtime,
-                monitor=self,
-            )
-            self.address = self._server.address
         self._install_signal()
         self._thread = threading.Thread(
             target=self._loop, name="repro-health-watchdog", daemon=True
@@ -387,9 +375,6 @@ class HealthMonitor:
             thread.join(timeout=self.interval + 5.0)
             self._thread = None
         self._restore_signal()
-        if self._server is not None:
-            self._server.close()
-            self._server = None
         # Leave final gauge values behind for the shutdown publish.
         self.note_scrape()
 
@@ -707,12 +692,11 @@ class HealthMonitor:
         return out
 
     def state(self) -> dict:
-        """Plain-data health state (for the exposition ``health`` cmd)."""
+        """Plain-data health state (the endpoint's ``health`` answer)."""
 
         return {
             "interval": self.interval,
             "sample": dict(self.last_sample),
             "findings": [f.as_dict() for f in self.findings],
             "completions": self.recorder.completions,
-            "address": self.address,
         }

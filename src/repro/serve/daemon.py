@@ -13,9 +13,9 @@ mid-graph has the graph abandoned at once, not when it would have
 finished.
 
 The wire surface is the shared JSON-lines protocol plus plain HTTP on
-the same port: ``curl http://host:port/metrics`` (all tenants),
-``/metrics/<tenant>`` (one tenant's series), and ``/health`` (fleet +
-tenant state as JSON).
+the same port, routed by :func:`repro.obs.exposition.http_response`:
+``curl http://host:port/metrics`` (all tenants), ``/metrics/<tenant>``
+(one tenant's series), and ``/health`` (fleet + tenant state as JSON).
 
 Admission control is per tenant and rejection-based (429-style): the
 engine's caps turn the paper's §III blocking conditions into
@@ -25,15 +25,14 @@ clients can branch on ``code`` and retry.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import asdict
 from typing import Optional
 
-from ..net.protocol import PROTOCOL_VERSION, build_http_response
+from ..net.protocol import PROTOCOL_VERSION
 from ..net.server import Server
-from ..obs.exposition import CONTENT_TYPE, render_registry
+from ..obs.exposition import CONTENT_TYPE, http_response, render_registry
 from .engine import ServeEngine, ServiceLimits
 from .errors import ServeError
 from .protocol import SERVE_PROTOCOL_VERSION
@@ -72,7 +71,8 @@ class ServeDaemon:
                     "workers": self.engine.num_workers,
                     "backend": self.engine.backend,
                 },
-                http_responder=self._http_response,
+                http_responder=lambda path: http_response(
+                    path, self._metrics_page, self._health),
                 name="repro-serve",
             )
         except BaseException:
@@ -168,21 +168,6 @@ class ServeDaemon:
         if tenant:  # one tenant's page: the series that carry its label
             series = [m for m in series if ("tenant", str(tenant)) in m.labels]
         return render_registry(series)
-
-    def _http_response(self, path: str) -> bytes:
-        if path.startswith("/health"):
-            body = json.dumps(self._health(), default=str).encode("utf-8")
-            return build_http_response("200 OK", "application/json", body)
-        if path.startswith("/metrics"):
-            rest = path[len("/metrics"):].strip("/")
-            text = self._metrics_page(rest.split("/", 1)[0])
-            return build_http_response(
-                "200 OK", CONTENT_TYPE, text.encode("utf-8")
-            )
-        return build_http_response(
-            "404 Not Found", "text/plain",
-            b"routes: /metrics, /metrics/<tenant>, /health",
-        )
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -118,7 +118,6 @@ class ServeSession:
         self._transport = _Transport(
             self.address,
             timeout=self.timeout,
-            expect_hello=False,
             connect_timeout=self.connect_timeout,
             connect_attempts=self.connect_attempts,
         )

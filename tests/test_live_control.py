@@ -81,7 +81,6 @@ class TestDispatchGate:
         t = task("anything")
         gate.add_break(task_id=t.task_id)
         assert gate.should_hold(t)
-        gate.remove_break(task_id=t.task_id)
         other = task("anything")
         assert not gate.should_hold(other)
 
@@ -206,9 +205,9 @@ class TestSchedulerGating:
 
 
 class TestConfigKnobs:
-    def test_live_address_implies_live(self):
-        resolved = resolve_config(RuntimeConfig(live_address="tcp:127.0.0.1:0"))
-        assert resolved.live
+    def test_address_alone_leaves_live_off(self):
+        resolved = resolve_config(RuntimeConfig(address="tcp:127.0.0.1:0"))
+        assert not resolved.live and not resolved.health
 
     def test_start_paused_implies_live(self):
         resolved = resolve_config(RuntimeConfig(live_start_paused=True))
@@ -221,7 +220,7 @@ class TestConfigKnobs:
     def test_defaults_stay_dark(self):
         resolved = resolve_config(RuntimeConfig())
         assert not resolved.live
-        assert resolved.live_address is None
+        assert resolved.address is None
         assert not resolved.live_start_paused
 
 
@@ -257,7 +256,7 @@ class TestRuntimeIntegration:
             assert rt.scheduler.gate is rt.live.gate
             rt.live.resume()
             assert rt.scheduler.gate is None
-            address = rt.live.address
+            address = rt.address
             assert address  # bound somewhere usable
             _bump(arr)
             rt.barrier()

@@ -48,12 +48,12 @@ def _start_instrumented(backend, box, **live_kwargs):
     hm = _spd()
     box["matrix"] = hm
     rt = SmpssRuntime(num_workers=2, backend=backend, live=True,
-                      live_address="tcp:127.0.0.1:0", **live_kwargs)
+                      address="tcp:127.0.0.1:0", **live_kwargs)
 
     def program():
         try:
             with rt:
-                box["addr"] = rt.live.address
+                box["addr"] = rt.address
                 cholesky_hyper(hm)
                 rt.barrier()
             box["done"] = True
@@ -236,10 +236,10 @@ class TestCliSmoke:
             "hm = HyperMatrix.random_spd(6, 8, seed=3)\n"
             "ref = np.linalg.cholesky(hm.to_dense())\n"
             "rt = SmpssRuntime(num_workers=2, live=True,\n"
-            "                  live_address='tcp:127.0.0.1:0',\n"
+            "                  address='tcp:127.0.0.1:0',\n"
             "                  live_start_paused=True)\n"
             "with rt:\n"
-            "    print(rt.live.address, flush=True)\n"
+            "    print(rt.address, flush=True)\n"
             "    cholesky_hyper(hm)\n"
             "    rt.barrier()\n"
             "assert np.allclose(np.tril(hm.to_dense()), ref, atol=1e-8)\n"

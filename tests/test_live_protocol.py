@@ -216,11 +216,12 @@ class TestServerFraming:
         acks hang commands, lost deltas leave gaps)."""
 
         from repro.live.client import LiveClient
-        from repro.live.server import LiveServer
+        from repro.net import Server
 
-        server = LiveServer(
+        server = Server(
             "tcp:127.0.0.1:0",
             lambda command, conn: {"cmd": command.get("cmd")},
+            http_responder=lambda path: b"",
             hello={"version": 1},
         )
         total = 3000

@@ -1,11 +1,12 @@
 """repro.net: the shared transport every networked surface rides on.
 
 The live/health suites already exercise the transport end to end
-through their wrappers; this file pins the extraction contract itself —
-the wrapper classes ARE the shared ones, the historical import paths
+through the runtime's endpoint; this file pins the extraction contract
+itself — the live client IS the shared one, the historical import paths
 still resolve, and the generic Server/Client pair works standalone
-(including deferred-hello servers, which no wrapper exercises
-directly) — and the binary frame layer: what a frame is, that writing
+(including the first-bytes sniff: a published record never reaches a
+connection before its HTTP answer or its hello) — and the binary frame
+layer: what a frame is, that writing
 one survives any partial send, and that no socket ``repro.net`` makes
 or accepts waits on a Nagle/delayed-ACK timer.
 """
@@ -38,12 +39,15 @@ from repro.net.protocol import listen, tune
 pytestmark = pytest.mark.live
 
 
+def _page(path):
+    """An ``http_responder`` that answers every GET with its path."""
+
+    body = path.encode()
+    return (f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n"
+            f"Connection: close\r\n\r\n").encode() + body
+
+
 class TestExtractionContract:
-    def test_live_server_is_a_net_server(self):
-        from repro.live.server import LiveServer
-
-        assert issubclass(LiveServer, Server)
-
     def test_live_client_is_a_net_client(self):
         from repro.live.client import LiveClient
 
@@ -65,15 +69,6 @@ class TestExtractionContract:
                 net_protocol, name
             ), name
 
-    def test_exposition_rides_the_shared_server(self):
-        from repro.obs.exposition import ExpositionServer
-
-        server = ExpositionServer("tcp:127.0.0.1:0")
-        try:
-            assert isinstance(server._server, Server)
-        finally:
-            server.close()
-
 
 class TestStandaloneServer:
     def _serve(self, **kwargs):
@@ -82,6 +77,7 @@ class TestStandaloneServer:
                 return {"echo": command.get("value")}
             raise ValueError(f"unknown command {command.get('cmd')!r}")
 
+        kwargs.setdefault("http_responder", _page)
         return Server(
             "tcp:127.0.0.1:0", handler, hello={"service": "test"}, **kwargs
         )
@@ -90,8 +86,8 @@ class TestStandaloneServer:
         server = self._serve()
         try:
             with Client(server.address, timeout=5.0) as client:
-                assert client.hello.get("service") == "test"
                 assert client.command("echo", value=7) == {"echo": 7}
+                assert client.hello.get("service") == "test"
                 with pytest.raises(RuntimeError, match="unknown command"):
                     client.command("nope")
         finally:
@@ -101,6 +97,7 @@ class TestStandaloneServer:
         server = self._serve()
         try:
             with Client(server.address, timeout=5.0) as client:
+                client.command("echo")  # speak first: join the stream
                 server.publish({"ev": "tick", "n": 1})
                 record = client.recv(timeout=5.0)
                 assert record == {"ev": "tick", "n": 1}
@@ -114,6 +111,7 @@ class TestStandaloneServer:
             server.publish({"ev": "tick", "n": 2}, retain=False)
             server.publish({"ev": "tick", "n": 3})
             with Client(server.address, timeout=5.0) as client:
+                client.command("echo")  # the backlog precedes its ack
                 assert client.recv(timeout=5.0)["n"] == 1
                 # n=2 was not retained; next retained line is n=3.
                 assert client.recv(timeout=5.0)["n"] == 3
@@ -121,24 +119,18 @@ class TestStandaloneServer:
             server.close()
 
     def test_deferred_hello_with_http_responder(self):
-        # With an http_responder the hello only lands after the first
-        # client bytes identify the protocol — expect_hello=False plus
-        # a first command is the JSON-lines handshake.
-        def responder(path):
-            body = b"hi"
-            return (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
-                    b"Connection: close\r\n\r\n" + body)
-
-        server = self._serve(http_responder=responder)
+        # The hello only lands after the first client bytes identify
+        # the protocol; a first command is the JSON-lines handshake.
+        server = self._serve()
         try:
-            client = Client(server.address, timeout=5.0, expect_hello=False)
+            client = Client(server.address, timeout=5.0)
             try:
+                assert client.hello == {}
                 assert client.command("echo", value="x") == {"echo": "x"}
-                # The deferred hello arrived before the ack and was
-                # parked on the pending buffer.
-                hellos = [r for r in client.drain(idle=0.05)
-                          if r.get("ev") == "hello"]
-                assert len(hellos) == 1
+                # The deferred hello arrived before the ack and was kept
+                # on the client, not parked on the pending buffer.
+                assert client.hello == {"service": "test", "ev": "hello"}
+                assert client.drain(idle=0.05) == []
             finally:
                 client.detach()
         finally:
@@ -147,13 +139,7 @@ class TestStandaloneServer:
     def test_http_get_served_on_same_port(self):
         import socket as socketmod
 
-        def responder(path):
-            body = path.encode()
-            head = (f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n"
-                    f"Connection: close\r\n\r\n").encode()
-            return head + body
-
-        server = self._serve(http_responder=responder)
+        server = self._serve()
         try:
             host, port = server.address[4:].rsplit(":", 1)
             sock = socketmod.create_connection((host, int(port)), timeout=5.0)
@@ -194,7 +180,8 @@ class TestStandaloneServer:
 
         address = ("tcp:127.0.0.1:0" if kind == "tcp"
                    else str(tmp_path / "net.sock"))
-        server = Server(address, lambda cmd, conn: {}, name="repro-closing")
+        server = Server(address, lambda cmd, conn: {}, http_responder=_page,
+                        name="repro-closing")
         net.connect(server.address, timeout=5.0).close()  # it listens
         server.close()
         assert not [
@@ -225,7 +212,7 @@ class TestStandaloneServer:
                 gone.append(conn.name)
             return {"name": conn.name, "gone": conn.peer_gone()}
 
-        server = Server("tcp:127.0.0.1:0", handler)
+        server = Server("tcp:127.0.0.1:0", handler, http_responder=_page)
         try:
             a = Client(server.address, timeout=5.0)
             b = Client(server.address, timeout=5.0)
@@ -261,7 +248,7 @@ class TestStandaloneServer:
             return {"n": meta["n"],
                     "frames": [({"n": meta["n"], "back": True}, payload * 2)]}
 
-        server = Server("tcp:127.0.0.1:0", handler)
+        server = Server("tcp:127.0.0.1:0", handler, http_responder=_page)
         stop = threading.Event()
 
         def publisher():
@@ -287,6 +274,57 @@ class TestStandaloneServer:
             noise.join(10.0)
             server.close()
         assert not noise.is_alive()
+
+
+class TestSniffBeforeFanOut:
+    """A connection joins the publish fan-out only once its first bytes
+    have identified it, in the step that sends its hello and backlog:
+    records published while it is still silent never reach it first."""
+
+    @pytest.fixture
+    def publishing(self):
+        server = Server(
+            "tcp:127.0.0.1:0", lambda cmd, conn: {}, http_responder=_page,
+            hello={"service": "test"},
+        )
+        stop = threading.Event()
+
+        def publish():
+            i = 0
+            while not stop.wait(0.005):
+                i += 1
+                server.publish({"ev": "delta", "i": i})
+
+        thread = threading.Thread(target=publish, daemon=True)
+        thread.start()
+        try:
+            sock = net.connect(server.address, timeout=5.0)
+            time.sleep(0.1)  # silent while records are published
+            with sock:
+                yield sock
+        finally:
+            stop.set()
+            thread.join(5.0)
+            server.close()
+
+    def test_http_answer_comes_first(self, publishing):
+        publishing.sendall(b"GET /metrics HTTP/1.1\r\n\r\n")
+        page = b""
+        while chunk := publishing.recv(65536):
+            page += chunk
+        assert page.startswith(b"HTTP/1.1 200 OK"), page[:60]
+        assert page.endswith(b"/metrics")
+
+    def test_json_client_gets_the_hello_then_the_backlog_in_order(
+            self, publishing):
+        publishing.sendall(net.encode({"cmd": "ping", "seq": 1}))
+        reader = RecordReader(publishing)
+        records = [reader.read(5.0)]
+        while records[-1].get("ev") != "ack":
+            records.append(reader.read(5.0))
+        assert records[0] == {"service": "test", "ev": "hello"}
+        deltas = [r["i"] for r in records[1:-1]]
+        assert deltas and deltas == list(range(1, len(deltas) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +410,7 @@ class TestConnectRetry:
     def test_client_exposes_connect_knobs(self):
         server = Server(
             "tcp:127.0.0.1:0", lambda cmd, conn: {"ok": True},
-            hello={"service": "test"},
+            http_responder=_page, hello={"service": "test"},
         )
         try:
             client = Client(
@@ -380,6 +418,7 @@ class TestConnectRetry:
                 connect_timeout=2.0, connect_attempts=3,
                 backoff_base=0.01, backoff_max=0.05,
             )
+            client.command("ping")
             assert client.hello.get("service") == "test"
             client.close()
         finally:
@@ -720,12 +759,13 @@ class TestNoTimers:
         assert elapsed < 1.0, f"100 exchanges took {elapsed:.2f} s"
 
     def test_server_sets_nodelay_on_both_ends(self):
-        server = Server("tcp:127.0.0.1:0", lambda cmd, conn: {})
+        server = Server("tcp:127.0.0.1:0", lambda cmd, conn: {},
+                        http_responder=_page)
         sock = net.connect(server.address, timeout=5.0)
         try:
             assert _nodelay(sock)
-            _wait_for(lambda: server.client_count == 1)
-            assert _nodelay(server._clients[0])
+            _wait_for(lambda: server._wlocks)
+            assert all(_nodelay(conn) for conn in list(server._wlocks))
         finally:
             sock.close()
             server.close()

@@ -13,6 +13,7 @@ import os
 import re
 import signal
 import socket
+import threading
 import time
 
 import numpy as np
@@ -20,7 +21,6 @@ import pytest
 
 from repro import RuntimeConfig, SmpssRuntime, css_task
 from repro.obs import (
-    ExpositionServer,
     Finding,
     FlightRecorder,
     HealthMonitor,
@@ -28,11 +28,11 @@ from repro.obs import (
     StallError,
     explain_blocked,
     render_registry,
-    render_snapshot,
     scrape,
     wait_chain,
     wait_graph_dot,
 )
+from repro.net import Client
 from repro.obs.exposition import CONTENT_TYPE
 
 pytestmark = pytest.mark.health
@@ -331,6 +331,19 @@ class TestExplainer:
         assert issubclass(StallError, RuntimeError)
 
 
+def _http_get(address, path):
+    """``(head, body)`` of one plain HTTP GET against a ``tcp:`` address."""
+
+    host, port = address.split(":")[1:]
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        resp = b""
+        while chunk := sock.recv(65536):
+            resp += chunk
+    head, _, body = resp.partition(b"\r\n\r\n")
+    return head, body
+
+
 class TestExpositionEndpoint:
     def test_scrape_metrics_and_health(self, tmp_path):
         a = np.zeros(4)
@@ -339,13 +352,13 @@ class TestExpositionEndpoint:
             health=True,
             health_interval=INTERVAL,
             health_dump_dir=str(tmp_path),
-            health_address="tcp:127.0.0.1:0",
+            address="tcp:127.0.0.1:0",
         ) as rt:
             for _ in range(8):
                 incr_t(a)
             rt.barrier()
             time.sleep(3 * INTERVAL)  # let a post-barrier sample land
-            addr = rt.health.address
+            addr = rt.address
             assert addr is not None and addr.startswith("tcp:")
             page = scrape(addr)
             text = page["text"]
@@ -376,11 +389,11 @@ class TestExpositionEndpoint:
         c = np.zeros((64, 64))
         with SmpssRuntime(
             num_workers=2, health=True, health_interval=INTERVAL,
-            health_dump_dir=str(tmp_path), health_address="tcp:127.0.0.1:0",
+            health_dump_dir=str(tmp_path), address="tcp:127.0.0.1:0",
         ) as rt:
             matmul_flat(a, b, c, 32)
             rt.barrier()
-            addr = rt.health.address
+            addr = rt.address
             assert main(["obs", "scrape", addr]) == 0
             text = capsys.readouterr().out
             assert main(["obs", "scrape", addr, "--health"]) == 0
@@ -413,11 +426,11 @@ class TestExpositionEndpoint:
             health=True,
             health_interval=INTERVAL,
             health_dump_dir=str(tmp_path),
-            health_address="tcp:127.0.0.1:0",
+            address="tcp:127.0.0.1:0",
         ) as rt:
             incr_t(a)
             rt.barrier()
-            host, port = rt.health.address.split(":")[1:]
+            host, port = rt.address.split(":")[1:]
 
             def get(path):
                 sock = socket.create_connection((host, int(port)), timeout=5)
@@ -452,28 +465,77 @@ class TestExpositionEndpoint:
         with SmpssRuntime(
             num_workers=1, health=True, health_interval=INTERVAL,
             health_dump_dir=str(tmp_path),
-            health_address="tcp:127.0.0.1:0",
+            address="tcp:127.0.0.1:0",
         ) as rt:
-            data = scrape(rt.health.address, command="ping")
+            data = scrape(rt.address, command="ping")
             assert data == {"service": "repro.obs.health"}
 
-    def test_serve_snapshot_mode(self, tmp_path):
-        snapshot = {
-            "tasks_executed": 42,
-            "task_duration_seconds": {
-                "task=x": {"count": 3, "sum": 0.6, "mean": 0.2},
-            },
-        }
-        server = ExpositionServer("tcp:127.0.0.1:0", snapshot=snapshot)
-        try:
-            page = scrape(server.address)
-            assert "repro_tasks_executed 42" in page["text"]
-            assert (
-                'repro_task_duration_seconds_mean{task="x"} 0.2'
-                in page["text"]
-            )
-        finally:
-            server.close()
+
+    def test_live_metrics_health_and_http_on_one_address(
+            self, tmp_path, capsys):
+        """One runtime, one server: a live attach drives the gate, ``obs
+        scrape`` reads the page and the findings, and plain HTTP gets
+        ``/metrics``, ``/health`` and the router's 404 — all at
+        ``rt.address``."""
+
+        from repro.__main__ import main
+        from repro.apps.cholesky import cholesky_hyper
+        from repro.blas.hypermatrix import HyperMatrix
+        from repro.live import LiveClient
+
+        sequential = HyperMatrix.random_spd(4, 8, seed=1)
+        cholesky_hyper(sequential)  # no runtime active: the plain program
+        hm = HyperMatrix.random_spd(4, 8, seed=1)
+
+        def accepting():
+            return {t for t in threading.enumerate()
+                    if t.name.startswith("repro-")
+                    and t.name.endswith("-accept")}
+
+        before = accepting()
+        with SmpssRuntime(
+            num_workers=2, live=True, live_start_paused=True, health=True,
+            health_interval=INTERVAL, health_dump_dir=str(tmp_path),
+            address="tcp:127.0.0.1:0",
+        ) as rt:
+            assert [t.name for t in accepting() - before] \
+                == ["repro-runtime-accept"]
+            addr = rt.address
+            cholesky_hyper(hm)
+            with LiveClient(addr, timeout=10.0) as client:
+                assert client.pause()["paused"]
+                client.step(2)
+                deadline = time.monotonic() + 10.0
+                while rt.tasks_executed < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert 1 <= client.state()["executed"] <= 2
+                assert not client.resume()["paused"]
+            rt.barrier()
+            assert main(["obs", "scrape", addr]) == 0
+            page = capsys.readouterr().out
+            assert main(["obs", "scrape", addr, "--health"]) == 0
+            health = json.loads(capsys.readouterr().out)
+            http = {path: _http_get(addr, path)
+                    for path in ("/metrics", "/health", "/nope")}
+        assert np.array_equal(hm.to_dense(), sequential.to_dense())
+        assert 'repro_task_duration_seconds{task="spotrf_t",' in page
+        assert health["findings"] == [] and health["interval"] == INTERVAL
+        head, body = http["/metrics"]
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        assert b"repro_health_worker_utilization" in body
+        head, body = http["/health"]
+        assert b"application/json" in head
+        assert json.loads(body)["findings"] == []
+        head, body = http["/nope"]
+        assert head.startswith(b"HTTP/1.1 404 Not Found")
+        assert body == b"routes: /metrics, /metrics/<tenant>, /health"
+
+    def test_live_command_without_live_is_a_structured_error(self):
+        with SmpssRuntime(num_workers=1, address="tcp:127.0.0.1:0") as rt:
+            with Client(rt.address, timeout=5.0) as client:
+                ack = client.request("pause")
+        assert ack["ok"] is False
+        assert ack["error"]["code"] == "live_off"
 
 
 class TestSignalAndDump:
@@ -560,16 +622,18 @@ class TestConfigKnobs:
         with pytest.raises(TypeError, match="requires metrics=True"):
             SmpssRuntime(num_workers=1, health=True, metrics=False)
 
-    def test_health_address_implies_health(self, tmp_path):
+    def test_address_alone_binds_the_endpoint(self, tmp_path):
         with SmpssRuntime(
             num_workers=1,
-            health_address="tcp:127.0.0.1:0",
+            address="tcp:127.0.0.1:0",
             health_interval=INTERVAL,
             health_dump_dir=str(tmp_path),
         ) as rt:
-            assert rt.config.health is True
-            assert rt.health is not None
-            assert rt.health.address is not None
+            assert rt.config.health is False and rt.health is None
+            assert rt.address is not None
+            assert scrape(rt.address, command="health") == {
+                "findings": [], "sample": {}}
+            assert "repro_tasks_executed" in scrape(rt.address)["text"]
 
     def test_health_off_means_no_monitor(self):
         with SmpssRuntime(num_workers=1) as rt:
@@ -582,7 +646,7 @@ class TestConfigKnobs:
     def test_config_knobs_roundtrip(self):
         config = RuntimeConfig(
             health=True, health_interval=0.25,
-            health_dump_dir="/tmp/x", health_address="tcp:0.0.0.0:0",
+            health_dump_dir="/tmp/x", address="tcp:0.0.0.0:0",
         )
         assert config.health_interval == 0.25
         assert config.health_dump_dir == "/tmp/x"
@@ -614,15 +678,6 @@ class TestRendering:
         render_registry(registry)
         assert list(h._raw) == before  # scrape never mutates
 
-    def test_render_snapshot_scalars_and_hists(self):
-        text = render_snapshot({
-            "tasks_executed": 5,
-            "analysis_seconds": {"count": 2, "sum": 0.4, "mean": 0.2},
-        })
-        assert "repro_tasks_executed 5" in text
-        assert "repro_analysis_seconds_count 2" in text
-        assert "repro_analysis_seconds_mean 0.2" in text
-
     def test_invalid_chars_sanitised(self):
         registry = MetricsRegistry()
         registry.counter("mp.worker-deaths").inc()
@@ -651,8 +706,7 @@ def test_health_exports_reachable_from_package_root():
 
     for name in (
         "HealthMonitor", "Finding", "StallError", "FlightRecorder",
-        "ExpositionServer", "scrape", "render_registry",
-        "render_snapshot", "explain_blocked", "wait_chain",
+        "scrape", "render_registry", "explain_blocked", "wait_chain",
         "wait_graph_dot",
     ):
         assert hasattr(obs, name), name

@@ -244,7 +244,7 @@ class TestRuntimeKnowsNoBackend:
     def test_config_field_count_is_pinned(self):
         # Every field doubles the configurations tests must cover:
         # adding one is a deliberate act that updates this number.
-        assert len(dataclasses.fields(RuntimeConfig)) == 22
+        assert len(dataclasses.fields(RuntimeConfig)) == 21
 
     def test_unknown_name_in_runtime_module_still_fails(self):
         import repro.core.runtime as runtime_mod
@@ -332,6 +332,32 @@ class TestOneServerOneCodec:
         assert _modules_containing("recv(65536)", "net") == ["net/frames.py"]
 
 
+    def test_one_observation_endpoint(self):
+        """A runtime's live plane, metrics, health and HTTP share one
+        server: the classes, knobs and modes that split them stay gone,
+        and one router builds every HTTP answer but the transport's
+        500."""
+
+        for gone in ("ExpositionServer", "LiveServer", "render_snapshot",
+                     "health_address", "live_address", "expect_hello",
+                     "_run_serve"):
+            assert [
+                str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                if gone in path.read_text()
+            ] == [], gone
+        builders = sorted({
+            f"{path.relative_to(SRC)}:{func.name}"
+            for path in SRC.rglob("*.py")
+            for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "build_http_response"
+        })
+        assert builders == ["net/server.py:_answer_http",
+                            "obs/exposition.py:http_response"]
+
+
 class TestOneWorkerLoop:
     """Section III's execution rule is written once, in repro.core,
     and both the runtime and the serve engine run on it."""
@@ -382,7 +408,7 @@ class TestOneWorkerLoop:
 
         assert (ExecutionBackend.max_batch, ProcessBackend.max_batch,
                 ClusterBackend.max_batch) == (1, 8, 1)
-        assert len(dataclasses.fields(RuntimeConfig)) == 22
+        assert len(dataclasses.fields(RuntimeConfig)) == 21
 
     def test_runtime_and_engine_both_reach_that_loop(self):
         from repro.core.execution import WorkerLoop
@@ -583,11 +609,11 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total the acyclic-retirement change landed on: 29
-#: lines above the heap-arrays-in-the-arena change's 25 287 (retiring
-#: tasks unlink from their versions, a wide fan-in in O(1) amortised
-#: per reader; edge sets allocated on the first edge).
-LINE_BUDGET = 25316
+#: The ``src/repro`` total the one-observation-endpoint change landed
+#: on: 216 lines below the acyclic-retirement change's 25 316 (one
+#: server per runtime for live, metrics, health and HTTP; one HTTP
+#: router; no snapshot-serving mode).
+LINE_BUDGET = 25100
 
 
 class TestOneMeasurementSystem:
