@@ -41,7 +41,7 @@ from repro.sim import ALTIX_32, CostModel, SimulatedRuntime
 
 def threaded_trace() -> None:
     hm = HyperMatrix.random_spd(6, 32, seed=1)
-    rt = SmpssRuntime(num_workers=3, trace=True, keep_graph=True)
+    rt = SmpssRuntime(num_workers=3, trace=True)
     with rt:
         cholesky_hyper(hm)
         rt.barrier()

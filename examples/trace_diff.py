@@ -9,10 +9,10 @@ change).  ``repro.obs.diff`` attributes the makespan delta:
 * per-task-type duration shifts, with bootstrap 95% CIs so genuine
   shifts stand out from thread-scheduling noise;
 * the critical-path composition change (which task types entered or
-  left the chain that ends at the makespan);
+  left each run's critical path, taken from its traced edges);
 * scheduler-behaviour deltas (utilisation, locality, steals, barrier);
 * side-by-side exports: one Chrome trace with both runs as aligned
-  processes (ui.perfetto.dev) and a DOT picture of both chains.
+  processes (ui.perfetto.dev) and a DOT picture of both paths.
 
 The same reports come from the CLI on exported traces::
 

@@ -2,21 +2,20 @@
 
 Section VII.A: the tracing-enabled runtime "records events related to
 task creation and execution for post-mortem analysis with the Paraver
-tool".  This module holds the analyses that are not per-interval
-arithmetic: the parallelism profile of a trace's event list, and the
-work/span bounds of a recorded :class:`~repro.core.graph.TaskGraph`.
-Busy time, makespan, average parallelism, load balance and per-type
-statistics come from :func:`repro.obs.analyze.analyze_events`.
+tool".  This module holds the parallelism profile of a trace's event
+list and the greedy-scheduler bounds on work and span.  Busy time,
+makespan, work, span, the critical path, average parallelism, load
+balance and per-type statistics come from
+:func:`repro.obs.analyze.analyze_events`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .graph import TaskGraph
 from .tracing import TraceEvent, task_intervals
 
-__all__ = ["parallelism_profile", "work_and_span", "greedy_bounds"]
+__all__ = ["parallelism_profile", "greedy_bounds"]
 
 
 def parallelism_profile(
@@ -52,21 +51,6 @@ def parallelism_profile(
             index += 1
         profile.append((t, running))
     return profile
-
-
-def work_and_span(
-    graph: TaskGraph, weight: Callable[[object], float]
-) -> tuple[float, float, float]:
-    """(total work, critical-path span, inherent avg parallelism).
-
-    The Brent/work-span quantities of the recorded DAG under the given
-    per-task *weight* function (e.g. a cost model's duration).  Requires
-    a graph recorded with ``keep_finished=True``.
-    """
-
-    work = sum(weight(task) for task in graph)
-    span = graph.weighted_critical_path(weight)
-    return work, span, (work / span if span > 0 else 0.0)
 
 
 def greedy_bounds(

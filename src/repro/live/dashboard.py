@@ -7,12 +7,12 @@ recording — the acceptance criterion "live and post-mortem views are
 one code path" is this class.
 
 It mirrors the graph (tasks, states, edges), the per-worker current
-task, the latest control snapshot, and enough timing to estimate the
-critical path *of the work seen so far* — unit-weight depth over the
-received edges, plus a duration-weighted span once ``done`` deltas
-carry real timestamps (the same span/work quantities
-:func:`repro.obs.analyze.analyze_events` reports post mortem; call
-:meth:`report` to run that full analysis over the collected events).
+task, the latest control snapshot, and the start/end times of ``done``
+tasks.  The unit-weight depth over the received edges is the
+critical-path-so-far count; everything timed — work, span, the
+critical path — is :meth:`report`, the same
+:func:`repro.obs.analyze.analyze_events` pass a post-mortem trace
+gets, over the collected intervals and edges.
 """
 
 from __future__ import annotations
@@ -110,14 +110,15 @@ class DashboardState:
             info["state"] = state
         t = record.get("t")
         thread = record.get("thread")
-        if state == "running":
+        if state == "ready":
+            info["ready"] = (t, thread)
+        elif state == "running":
             info["start"] = t
             info["thread"] = thread
         elif state == "done":
             info["end"] = t
             if info["thread"] is None:
                 info["thread"] = thread
-            self._depth_dirty = True
 
     # ------------------------------------------------------------------
     # questions
@@ -167,36 +168,28 @@ class DashboardState:
         self._depth_dirty = False
         return self._depth
 
-    def critical_path_seconds(self) -> float:
-        """Duration-weighted longest chain (completed tasks weigh their
-        measured time; others the mean completed duration so far) —
-        the dashboard's critical-path-so-far estimate."""
-
-        durations = {
-            task_id: info["end"] - info["start"]
-            for task_id, info in self.tasks.items()
-            if info["start"] is not None and info["end"] is not None
-        }
-        mean = (
-            sum(durations.values()) / len(durations) if durations else 0.0
-        )
-        finish, _ = longest_path(
-            sorted(self.tasks), self._task_preds,
-            lambda task_id: durations.get(task_id, mean),
-        )
-        return max(finish.values(), default=0.0)
-
     def to_events(self) -> list:
-        """Reconstruct START/END :class:`TraceEvent` pairs for the
-        completed tasks, for :func:`repro.obs.analyze.analyze_events`."""
+        """Reconstruct the received edges as ``EDGE_ADDED`` and each
+        completed task's READY/START/END trace events, for
+        :func:`repro.obs.analyze.analyze_events`."""
 
         from ..core.tracing import EventKind, TraceEvent
 
-        events = []
+        events = [
+            TraceEvent(time=0.0, kind=EventKind.EDGE_ADDED, task_id=dst,
+                       extra=(src, kind))
+            for (src, dst), kind in self.edges.items()
+        ]
         for task_id, info in sorted(self.tasks.items()):
             if info["start"] is None or info["end"] is None:
                 continue
             thread = info["thread"] if info["thread"] is not None else 0
+            if "ready" in info:
+                ready_t, releaser = info["ready"]
+                events.append(TraceEvent(
+                    time=ready_t, kind=EventKind.TASK_READY, task_id=task_id,
+                    task_name=info["name"], thread=releaser,
+                ))
             events.append(TraceEvent(
                 time=info["start"], kind=EventKind.TASK_START,
                 task_id=task_id, task_name=info["name"], thread=thread,
@@ -261,7 +254,7 @@ def render(state: DashboardState, width: int = 72) -> str:
     lines.append(
         f"graph   edges={len(state.edges)} renames={state.renames} "
         f"steals={state.steals} critical-path≥{state.critical_path_depth()} "
-        f"(weighted≈{state.critical_path_seconds():.4g})"
+        f"(weighted≈{state.report().span or 0.0:.4g})"
     )
     if snap:
         gate_bits = []

@@ -33,6 +33,7 @@ and ``docs/benchmarking.md`` for the baseline/compare workflow.
 
 from ..core.tracing import ThreadLocalTracer
 from .analyze import (
+    PathLink,
     ThreadUsage,
     TraceReport,
     analyze_events,
@@ -44,7 +45,6 @@ from .analyze import (
 from .diff import (
     GraphDiff,
     TraceDiff,
-    critical_chain,
     diff_metrics,
     diff_task_graphs,
     diff_traces,
@@ -82,6 +82,7 @@ __all__ = [
     "default_metrics",
     "reset_default_metrics",
     "ThreadLocalTracer",
+    "PathLink",
     "ThreadUsage",
     "TraceReport",
     "analyze_events",
@@ -95,7 +96,6 @@ __all__ = [
     "write_dot",
     "GraphDiff",
     "TraceDiff",
-    "critical_chain",
     "diff_traces",
     "diff_metrics",
     "diff_task_graphs",

@@ -8,7 +8,10 @@ overhead wall) are computed here directly:
 * locality hit-rate — the fraction of tasks executed by the thread
   that released their last input dependency, i.e. how often the
   section III "own ready list" policy actually captured reuse;
-* T₁/T∞ — work and span of the recorded DAG, with the greedy-scheduler
+* the critical path — one longest-path pass over the measured task
+  intervals along the trace's own ``edge_added`` events, each link
+  split into dependency wait, ready-queue wait and body;
+* T₁/T∞ — work and span of the traced DAG, with the greedy-scheduler
   bounds that sandwich any achievable makespan;
 * per-task-type duration summaries.
 
@@ -24,10 +27,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.analysis import greedy_bounds, work_and_span
+from ..core.analysis import greedy_bounds
+from ..core.graph import longest_path
 from ..core.tracing import EventKind, TraceEvent, task_intervals
 
 __all__ = [
+    "PathLink",
     "ThreadUsage",
     "TraceReport",
     "analyze_tracer",
@@ -51,6 +56,34 @@ class ThreadUsage:
         return max(makespan - self.busy, 0.0)
 
 
+@dataclass(frozen=True)
+class PathLink:
+    """One critical-path task and where its time went: the three parts
+    sum to ``end - pred_end``, the end of its last traced predecessor
+    (``None`` parts: the ``task_ready`` or the edge was not traced)."""
+
+    task_id: int
+    name: str
+    start: float
+    end: float
+    ready: Optional[float]
+    pred_end: Optional[float]
+
+    @property
+    def dependency_wait(self) -> Optional[float]:
+        if self.ready is None or self.pred_end is None:
+            return None
+        return self.ready - self.pred_end
+
+    @property
+    def queue_wait(self) -> Optional[float]:
+        return None if self.ready is None else self.start - self.ready
+
+    @property
+    def body(self) -> float:
+        return self.end - self.start
+
+
 @dataclass
 class TraceReport:
     """Everything the analyzer derives from one trace."""
@@ -69,11 +102,16 @@ class TraceReport:
     dropped_events: int = 0
     #: name -> {count, total, mean, min, max} (seconds)
     task_types: dict[str, dict] = field(default_factory=dict)
-    #: Work/span of the recorded DAG, when a kept graph was supplied.
+    #: name -> per-task durations (seconds), in completion order
+    durations: dict[str, list[float]] = field(default_factory=dict)
+    #: Work (Σ busy) and span (heaviest traced dependency path) with
+    #: the greedy bounds; ``None`` for a trace without tasks.
     work: Optional[float] = None
     span: Optional[float] = None
     bound_lower: Optional[float] = None
     bound_upper: Optional[float] = None
+    #: The links of that path, first to last.
+    critical_path: list[PathLink] = field(default_factory=list)
 
     @property
     def utilisation(self) -> float:
@@ -114,17 +152,20 @@ def analyze_events(
     """Build a :class:`TraceReport` from a normalised event list.
 
     The one pass that turns task intervals into per-thread busy time
-    and task counts, total busy time, makespan and per-type statistics.
+    and task counts, total busy time, makespan and per-type statistics,
+    then the one longest-path pass over them along the traced edges.
     """
 
     report = TraceReport(dropped_events=dropped_events)
-    released_by: dict[int, int] = {}  # task_id -> unlocking thread
+    ready: dict[int, TraceEvent] = {}  # task_id -> its task_ready
+    preds: dict[int, list[int]] = {}  # task_id -> traced predecessors
     barrier_enter: Optional[float] = None
     for event in events:
         kind = event.kind
         if kind == EventKind.TASK_READY:
-            if event.thread >= 0:
-                released_by[event.task_id] = event.thread
+            ready[event.task_id] = event
+        elif kind == EventKind.EDGE_ADDED:
+            preds.setdefault(event.task_id, []).append(int(event.extra[0]))
         elif kind == EventKind.STEAL:
             report.steals += 1
             usage = report.threads.setdefault(
@@ -139,65 +180,72 @@ def analyze_events(
             if barrier_enter is not None:
                 report.barrier_time += event.time - barrier_enter
                 barrier_enter = None
-    t_min, t_max = None, None
+    intervals: dict[int, tuple[str, float, float]] = {}
     durations: dict[str, list[float]] = {}  # task type -> samples
     for task_id, name, start, end, thread in task_intervals(events):
         duration = end - start
+        intervals[task_id] = (name, start, end)
         usage = report.threads.setdefault(thread, ThreadUsage(thread))
         usage.busy += duration
         usage.tasks += 1
         report.total_tasks += 1
         report.total_busy += duration
-        t_min = start if t_min is None else min(t_min, start)
-        t_max = end if t_max is None else max(t_max, end)
         durations.setdefault(name, []).append(duration)
-        releaser = released_by.get(task_id)
-        if releaser is not None:
+        released = ready.get(task_id)
+        if released is not None and released.thread >= 0:
             report.locality_candidates += 1
-            if releaser == thread:
+            if released.thread == thread:
                 report.locality_hits += 1
-    if t_min is not None and t_max is not None:
-        report.makespan = t_max - t_min
     if num_threads is not None:
         for tid in range(num_threads):
             report.threads.setdefault(tid, ThreadUsage(tid))
     report.threads = dict(sorted(report.threads.items()))
+    report.durations = dict(sorted(durations.items()))
     report.task_types = {
         name: {"count": len(times), "total": sum(times),
                "mean": sum(times) / len(times),
                "min": min(times), "max": max(times)}
-        for name, times in sorted(durations.items())
+        for name, times in report.durations.items()
     }
+    if intervals:
+        report.makespan = (max(end for _n, _s, end in intervals.values())
+                           - min(start for _n, start, _e in intervals.values()))
+        _critical_path(report, intervals, preds, ready, num_threads)
     return report
 
 
-def analyze_tracer(
-    tracer,
-    graph=None,
-    num_threads: Optional[int] = None,
-    cores: Optional[int] = None,
-) -> TraceReport:
-    """Analyze a live tracer; *graph* (kept) adds work/span bounds."""
+def _critical_path(report, intervals, preds, ready, num_threads) -> None:
+    """Work, span, greedy bounds and critical path, from the intervals.
 
-    report = analyze_events(
+    Ascending task id is submission order, so topological; predecessors
+    go by id, the tie rule of ``TaskGraph.critical_path_tasks``.
+    """
+
+    finish, best_pred = longest_path(
+        sorted(intervals), lambda task_id: sorted(preds.get(task_id, ())),
+        lambda task_id: intervals[task_id][2] - intervals[task_id][1])
+    tail = max(finish, key=finish.get)
+    report.work, report.span = report.total_busy, finish[tail]
+    report.bound_lower, report.bound_upper = greedy_bounds(
+        report.work, report.span, num_threads or len(report.threads))
+    while tail is not None:
+        pred_end = max((intervals[pred][2] for pred in preds.get(tail, ())
+                        if pred in intervals), default=None)
+        ready_at = ready[tail].time if tail in ready else None
+        report.critical_path.append(
+            PathLink(tail, *intervals[tail], ready_at, pred_end))
+        tail = best_pred[tail]
+    report.critical_path.reverse()
+
+
+def analyze_tracer(tracer, num_threads: Optional[int] = None) -> TraceReport:
+    """Analyze a live tracer (its events and dropped-event count)."""
+
+    return analyze_events(
         tracer.events,
         num_threads=num_threads,
         dropped_events=getattr(tracer, "dropped_events", 0),
     )
-    if graph is not None and len(graph):
-        weights = {
-            name: summary["mean"] for name, summary in report.task_types.items()
-        }
-        if weights:
-            weight = lambda task: weights.get(task.name, 0.0)  # noqa: E731
-        else:
-            weight = lambda _task: 1.0  # noqa: E731
-        report.work, report.span, _ = work_and_span(graph, weight)
-        p = cores or num_threads or len(report.threads) or 1
-        report.bound_lower, report.bound_upper = greedy_bounds(
-            report.work, report.span, p
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +309,32 @@ def load_chrome_trace(source) -> list[TraceEvent]:
 # ---------------------------------------------------------------------------
 
 def _fmt_s(seconds: float) -> str:
+    sign = "-" if seconds < 0 else ""
+    seconds = abs(seconds)
     if seconds >= 1.0:
-        return f"{seconds:.3f}s"
+        return f"{sign}{seconds:.3f}s"
     if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.1f}us"
+        return f"{sign}{seconds * 1e3:.2f}ms"
+    return f"{sign}{seconds * 1e6:.1f}us"
+
+
+def _path_lines(path: list[PathLink]) -> list[str]:
+    """The critical path, one row per link; past 20 links only the
+    first and last 10 are shown."""
+
+    def part(seconds: Optional[float]) -> str:
+        return "-" if seconds is None else _fmt_s(seconds)
+
+    lines = [f"critical path: {len(path)} tasks", "      task name"
+             "                 dep wait queue wait       body"]
+    lines += [
+        f"  {link.task_id:8d} {link.name:16s} {part(link.dependency_wait):>10s}"
+        f" {part(link.queue_wait):>10s} {_fmt_s(link.body):>10s}"
+        for link in path
+    ]
+    if len(path) > 20:
+        lines[12:-10] = [f"  ... ({len(path) - 20} more)"]
+    return lines
 
 
 def render_report(report: TraceReport, title: str = "trace report") -> str:
@@ -291,18 +360,17 @@ def render_report(report: TraceReport, title: str = "trace report") -> str:
             f"WARNING: {report.dropped_events} events dropped "
             "(ring buffers overflowed; raise trace_buffer_size)"
         )
-    if report.work is not None and report.span is not None:
+    if report.span is not None:
         par = report.work / report.span if report.span else 0.0
         lines.append(
             f"T1 (work) {_fmt_s(report.work)}  "
             f"Tinf (span) {_fmt_s(report.span)}  "
             f"inherent parallelism {par:.1f}"
         )
-        if report.bound_lower is not None:
-            lines.append(
-                f"greedy bounds: {_fmt_s(report.bound_lower)} <= makespan "
-                f"<= {_fmt_s(report.bound_upper)}"
-            )
+        lines.append(
+            f"greedy bounds: {_fmt_s(report.bound_lower)} <= makespan "
+            f"<= {_fmt_s(report.bound_upper)}"
+        )
     if report.threads:
         lines.append("per-thread:")
         for tid, usage in report.threads.items():
@@ -324,6 +392,8 @@ def render_report(report: TraceReport, title: str = "trace report") -> str:
                 f"mean {_fmt_s(summary['mean'])}  "
                 f"max {_fmt_s(summary['max'])}"
             )
+    if report.critical_path:
+        lines.extend(_path_lines(report.critical_path))
     return "\n".join(lines)
 
 
@@ -331,24 +401,17 @@ def runtime_report(runtime, title: str = "runtime report") -> str:
     """Text summary for a runtime instance (threaded or simulated).
 
     Uses whatever the runtime has: a truthy tracer yields the full
-    per-thread/locality analysis; a kept graph adds T₁/T∞ bounds; the
-    metrics registry contributes analysis/barrier overhead lines.
+    per-thread/locality/critical-path analysis; the metrics registry
+    contributes analysis/barrier overhead lines.
     """
 
     tracer = getattr(runtime, "tracer", None)
-    graph = getattr(runtime, "graph", None)
-    keep = graph is not None and getattr(graph, "keep_finished", False)
     cores = getattr(runtime, "num_threads", None)
     if cores is None:
         machine = getattr(runtime, "machine", None)
         cores = machine.cores if machine is not None else None
     if tracer:
-        report = analyze_tracer(
-            tracer,
-            graph=graph if keep else None,
-            num_threads=cores,
-            cores=cores,
-        )
+        report = analyze_tracer(tracer, num_threads=cores)
         text = render_report(report, title=title)
     else:
         text = f"== {title} ==\n(no trace recorded; run with trace=True)"

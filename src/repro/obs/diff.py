@@ -10,7 +10,7 @@ module is that workflow over the artifacts the repo already produces:
   exported Chrome trace JSONs) become a makespan-delta attribution:
   per-task-type duration shifts with bootstrap confidence intervals
   over the per-task samples, the critical-path change (which task
-  types entered or left the chain that ends at the makespan), and a
+  types entered or left each run's critical path), and a
   scheduler-behaviour diff (steals, locality hit-rate, utilisation,
   barrier time);
 * **metrics diff** (`diff_metrics`) — two ``*.metrics.json`` snapshots
@@ -22,37 +22,32 @@ module is that workflow over the artifacts the repo already produces:
   against the one the recording runtime actually built;
 * **side-by-side exports** — one Chrome trace with run A and run B as
   two processes (`write_diff_chrome_trace`), and a DOT rendering of
-  both critical chains with entered/left nodes highlighted
+  both critical paths with entered/left nodes highlighted
   (`write_diff_dot`).
 
-The critical chain is reconstructed from the trace alone: walking back
-from the last-finishing task, each step follows the ``task_ready``
-event's releasing thread to the task whose completion on that thread
-released the dependency.  No kept graph is needed, so the diff works on
-any two exported traces.
+Both sides come from :func:`repro.obs.analyze.analyze_events`: the
+per-type samples are its per-task durations and each critical path is
+its longest path over the trace's own ``edge_added`` events, so the
+diff works on any two exported traces.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..core.tracing import EventKind, TraceEvent, task_intervals
-from .analyze import TraceReport, analyze_events
+from ..core.tracing import TraceEvent
+from .analyze import PathLink, TraceReport, _fmt_s, analyze_events
 
 __all__ = [
-    "ChainLink",
     "TypeDelta",
     "BehaviorDelta",
     "CriticalChainDiff",
     "TraceDiff",
     "MetricDelta",
     "GraphDiff",
-    "collect_task_durations",
-    "critical_chain",
     "bootstrap_mean_delta",
     "diff_traces",
     "diff_metrics",
@@ -70,86 +65,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
-
-def collect_task_durations(events: Sequence[TraceEvent]) -> dict[str, list[float]]:
-    """Per-task-type duration samples (seconds) from an event list."""
-
-    samples: dict[str, list[float]] = {}
-    for _id, name, start, end, _thread in task_intervals(events):
-        samples.setdefault(name, []).append(end - start)
-    return samples
-
-
-@dataclass(frozen=True)
-class ChainLink:
-    """One task on the reconstructed critical chain."""
-
-    task_id: int
-    name: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-def critical_chain(events: Sequence[TraceEvent]) -> list[ChainLink]:
-    """The dependency chain that ends at the makespan, from events only.
-
-    Walk back from the last-finishing task: its ``task_ready`` event
-    names the thread whose completion released its last input
-    dependency; the latest task ending on that thread at or before the
-    ready time is the predecessor.  A task ready at submission
-    (releasing thread ``-1``) terminates the walk.  Returned first to
-    last, so ``chain[-1].end`` is the makespan's right edge.
-    """
-
-    intervals: dict[int, ChainLink] = {}
-    ends_by_thread: dict[int, list[tuple[float, int]]] = {}
-    for task_id, name, start, end, thread in task_intervals(events):
-        intervals[task_id] = ChainLink(task_id, name, start, end)
-        ends_by_thread.setdefault(thread, []).append((end, task_id))
-    if not intervals:
-        return []
-    ready = {
-        event.task_id: (event.time, event.thread)
-        for event in events if event.kind == EventKind.TASK_READY
-    }
-    for entries in ends_by_thread.values():
-        entries.sort()
-
-    span = max(l.end for l in intervals.values()) - min(
-        l.start for l in intervals.values()
-    )
-    eps = span * 1e-9 + 1e-12
-
-    current = max(intervals.values(), key=lambda l: l.end)
-    chain = [current]
-    visited = {current.task_id}
-    while True:
-        released = ready.get(current.task_id)
-        if released is None or released[1] < 0:
-            break
-        entries = ends_by_thread.get(released[1])
-        if not entries:
-            break
-        idx = bisect_right(entries, (released[0] + eps, float("inf"))) - 1
-        predecessor = None
-        while idx >= 0:
-            _end, task_id = entries[idx]
-            if task_id not in visited:
-                predecessor = intervals[task_id]
-                break
-            idx -= 1
-        if predecessor is None:
-            break
-        chain.append(predecessor)
-        visited.add(predecessor.task_id)
-        current = predecessor
-    chain.reverse()
-    return chain
-
 
 def bootstrap_mean_delta(
     samples_a: Sequence[float],
@@ -232,25 +147,36 @@ class BehaviorDelta:
 
 @dataclass
 class CriticalChainDiff:
-    """Composition change of the makespan-ending dependency chain."""
+    """Composition change of the two runs' critical paths."""
 
-    chain_a: list[ChainLink]
-    chain_b: list[ChainLink]
-    #: task types with more instances on B's chain than A's (count delta)
-    entered: dict[str, int] = field(default_factory=dict)
-    #: task types with fewer instances on B's chain (count delta)
-    left: dict[str, int] = field(default_factory=dict)
-    #: per-type time spent on the chain, A and B
-    time_on_chain_a: dict[str, float] = field(default_factory=dict)
-    time_on_chain_b: dict[str, float] = field(default_factory=dict)
+    chain_a: list[PathLink]
+    chain_b: list[PathLink]
+
+    def __post_init__(self):
+        counts_a = Counter(l.name for l in self.chain_a)
+        counts_b = Counter(l.name for l in self.chain_b)
+        #: task types with more (``left``: fewer) instances on B's path
+        #: than on A's, by count delta
+        self.entered = dict(counts_b - counts_a)
+        self.left = dict(counts_a - counts_b)
+        #: per-type time spent on the path, A and B
+        self.time_on_chain_a = _time_by_type(self.chain_a)
+        self.time_on_chain_b = _time_by_type(self.chain_b)
 
     @property
     def length_a(self) -> float:
-        return sum(l.duration for l in self.chain_a)
+        return sum(l.body for l in self.chain_a)
 
     @property
     def length_b(self) -> float:
-        return sum(l.duration for l in self.chain_b)
+        return sum(l.body for l in self.chain_b)
+
+
+def _time_by_type(chain: list[PathLink]) -> dict[str, float]:
+    time: dict[str, float] = {}
+    for link in chain:
+        time[link.name] = time.get(link.name, 0.0) + link.body
+    return time
 
 
 @dataclass
@@ -273,34 +199,6 @@ class TraceDiff:
         return sorted(self.types, key=lambda t: -t.delta_total)[:n]
 
 
-def _chain_diff(
-    events_a: Sequence[TraceEvent], events_b: Sequence[TraceEvent]
-) -> CriticalChainDiff:
-    chain_a = critical_chain(events_a)
-    chain_b = critical_chain(events_b)
-    counts_a = Counter(l.name for l in chain_a)
-    counts_b = Counter(l.name for l in chain_b)
-    entered = {
-        name: counts_b[name] - counts_a.get(name, 0)
-        for name in counts_b
-        if counts_b[name] > counts_a.get(name, 0)
-    }
-    left = {
-        name: counts_a[name] - counts_b.get(name, 0)
-        for name in counts_a
-        if counts_a[name] > counts_b.get(name, 0)
-    }
-    time_a: dict[str, float] = {}
-    for link in chain_a:
-        time_a[link.name] = time_a.get(link.name, 0.0) + link.duration
-    time_b: dict[str, float] = {}
-    for link in chain_b:
-        time_b[link.name] = time_b.get(link.name, 0.0) + link.duration
-    return CriticalChainDiff(
-        chain_a, chain_b, entered, left, time_a, time_b
-    )
-
-
 def diff_traces(
     events_a: Sequence[TraceEvent],
     events_b: Sequence[TraceEvent],
@@ -311,8 +209,7 @@ def diff_traces(
 
     report_a = analyze_events(list(events_a))
     report_b = analyze_events(list(events_b))
-    samples_a = collect_task_durations(events_a)
-    samples_b = collect_task_durations(events_b)
+    samples_a, samples_b = report_a.durations, report_b.durations
 
     types: list[TypeDelta] = []
     for name in sorted(set(samples_a) | set(samples_b)):
@@ -323,19 +220,11 @@ def diff_traces(
             ci_low, ci_high = bootstrap_mean_delta(
                 a, b, n_boot=n_boot, seed=seed
             )
-        types.append(
-            TypeDelta(
-                name=name,
-                count_a=len(a),
-                count_b=len(b),
-                total_a=sum(a),
-                total_b=sum(b),
-                mean_a=sum(a) / len(a) if a else 0.0,
-                mean_b=sum(b) / len(b) if b else 0.0,
-                ci_low=ci_low,
-                ci_high=ci_high,
-            )
-        )
+        types.append(TypeDelta(
+            name, len(a), len(b), sum(a), sum(b),
+            sum(a) / len(a) if a else 0.0, sum(b) / len(b) if b else 0.0,
+            ci_low, ci_high,
+        ))
     types.sort(key=lambda t: -abs(t.delta_total))
 
     behavior = [
@@ -355,7 +244,8 @@ def diff_traces(
         report_a=report_a,
         report_b=report_b,
         types=types,
-        chain=_chain_diff(events_a, events_b),
+        chain=CriticalChainDiff(report_a.critical_path,
+                                report_b.critical_path),
         behavior=behavior,
     )
 
@@ -572,16 +462,6 @@ def diff_task_graphs(doc_a: dict, doc_b: dict) -> GraphDiff:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _fmt_s(seconds: float) -> str:
-    sign = "-" if seconds < 0 else ""
-    seconds = abs(seconds)
-    if seconds >= 1.0:
-        return f"{sign}{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{sign}{seconds * 1e3:.2f}ms"
-    return f"{sign}{seconds * 1e6:.1f}us"
-
-
 def _pct(new: float, old: float) -> str:
     if not old:
         return "n/a"
@@ -622,7 +502,7 @@ def render_trace_diff(
 
     chain = diff.chain
     lines.append("")
-    lines.append("critical path (trace-reconstructed chain to the makespan):")
+    lines.append("critical path (longest path over the traced edges):")
     lines.append(
         f"  {label_a}: {len(chain.chain_a)} tasks, {_fmt_s(chain.length_a)}"
         f"   {label_b}: {len(chain.chain_b)} tasks, {_fmt_s(chain.length_b)}"
@@ -791,7 +671,7 @@ def write_diff_chrome_trace(
 def diff_to_dot(
     diff: TraceDiff, label_a: str = "run A", label_b: str = "run B"
 ) -> str:
-    """Both critical chains as one DOT graph (clusters A and B).
+    """Both critical paths as one DOT graph (clusters A and B).
 
     Task types that *entered* the path in B are salmon, types that
     *left* it (present only on A's chain) are lightblue, unchanged
@@ -822,7 +702,7 @@ def diff_to_dot(
             node = f"{side}{link.task_id}"
             lines.append(
                 f'    {node} [label="{link.name}\\n{link.task_id} '
-                f'({_fmt_s(link.duration)})", '
+                f'({_fmt_s(link.body)})", '
                 f"fillcolor={colour(link.name, side)}];"
             )
             if previous is not None:

@@ -226,23 +226,10 @@ def wait_graph_dot(runtime) -> Optional[str]:
             f'  t{task.task_id} [label="{label}", fillcolor={colour}];'
         )
         if task.state is TaskState.BLOCKED:
-            for name, version in task.reads:
-                producer = version.producer
-                if producer is None or producer.state is TaskState.FINISHED:
-                    continue
-                edges.append(
-                    f'  t{producer.task_id} -> t{task.task_id} '
-                    f'[label="{name}"];'
-                )
-            for pred in task.predecessors:
-                if pred.state is TaskState.FINISHED:
-                    continue
-                edge = f"  t{pred.task_id} -> t{task.task_id};"
-                if not any(
-                    e.startswith(f"  t{pred.task_id} -> t{task.task_id}")
-                    for e in edges
-                ):
-                    edges.append(edge)
+            for wait in explain_blocked(runtime, task)["waiting_on"]:
+                label = f' [label="{wait["param"]}"]' if wait["param"] else ""
+                edges.append(f'  t{wait["producer"]["task_id"]} -> '
+                             f't{task.task_id}{label};')
     if count == 0:
         return None
     lines.extend(edges)

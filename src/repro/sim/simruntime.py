@@ -53,14 +53,6 @@ class SimulatedRuntime:
         self.machine = machine
         self.cost = cost_model or CostModel(machine)
         reset_task_ids()
-        self.graph = TaskGraph(keep_finished=self.config.keep_graph)
-        self.tracker = DependencyTracker(
-            self.graph,
-            config=TrackerConfig(
-                enable_renaming=self.config.enable_renaming,
-                rename_inout=self.config.rename_inout,
-            ),
-        )
         if self.config.trace and tracer is None:
             from ..core.tracing import Tracer
 
@@ -69,6 +61,15 @@ class SimulatedRuntime:
             # here, so one ring, stable order).
             tracer = Tracer(capacity=self.config.trace_buffer_size)
         self.tracer = tracer
+        self.graph = TaskGraph(keep_finished=self.config.keep_graph,
+                               tracer=tracer)
+        self.tracker = DependencyTracker(
+            self.graph,
+            config=TrackerConfig(
+                enable_renaming=self.config.enable_renaming,
+                rename_inout=self.config.rename_inout,
+            ),
+        )
         from ..obs.metrics import MetricsRegistry
 
         self.metrics = MetricsRegistry()

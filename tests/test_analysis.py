@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro import SmpssRuntime, css_task
-from repro.core.analysis import (
-    greedy_bounds,
-    parallelism_profile,
-    work_and_span,
-)
+from repro.core.analysis import greedy_bounds, parallelism_profile
 from repro.core.tracing import EventKind, TraceEvent
 from repro.obs import analyze_events, analyze_tracer
 
@@ -103,10 +99,9 @@ class TestWorkSpan:
                 bump(data)  # a serial chain
 
         prog = record_program(program, execute="skip")
-        work, span, parallelism = work_and_span(prog.graph, lambda t: 2.0)
-        assert work == pytest.approx(10.0)
+        assert len(prog.graph) == 5  # work: 5 tasks x 2.0
+        span = prog.graph.weighted_critical_path(lambda t: 2.0)
         assert span == pytest.approx(10.0)  # chain: span == work
-        assert parallelism == pytest.approx(1.0)
 
     def test_work_span_parallel_graph(self):
         from repro.core.recorder import record_program
@@ -116,8 +111,8 @@ class TestWorkSpan:
                 bump(np.zeros(1))  # independent tasks
 
         prog = record_program(program, execute="skip")
-        work, span, parallelism = work_and_span(prog.graph, lambda t: 1.0)
-        assert (work, span, parallelism) == (6.0, 1.0, 6.0)
+        assert len(prog.graph) == 6  # work: 6 tasks x 1.0
+        assert prog.graph.weighted_critical_path(lambda t: 1.0) == 1.0
 
     def test_greedy_bounds(self):
         lower, upper = greedy_bounds(work=100.0, span=10.0, cores=8)
@@ -149,8 +144,9 @@ class TestWorkSpan:
             cost_model=CostModel(machine, block_size=256),
         )
         prog = record_program(cholesky_hyper, sym(10), execute="skip")
-        work, span, _p = work_and_span(
-            prog.graph, lambda t: cost.duration(t, None)
+        work = sum(cost.duration(t, None) for t in prog.graph)
+        span = prog.graph.weighted_critical_path(
+            lambda t: cost.duration(t, None)
         )
         lower, upper = greedy_bounds(work, span, cores)
         # Allow a margin: the simulator adds main-thread generation and

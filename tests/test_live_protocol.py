@@ -166,6 +166,28 @@ class TestDashboardState:
         assert report.total_tasks == 2
         assert report.makespan == pytest.approx(2.0)
 
+    def test_report_critical_path_over_received_edges(self):
+        """The dashboard's timed view is ``analyze_events`` over the
+        received intervals and edges: the heavier way into task 3."""
+
+        state = DashboardState()
+        for i, (ready, start, end) in enumerate(
+            [(0.0, 0.0, 1.0), (0.0, 0.0, 3.0), (3.5, 4.0, 5.0)], start=1
+        ):
+            for what, t in (("ready", ready), ("running", start),
+                            ("done", end)):
+                state.apply({"ev": "task", "id": i, "name": f"w{i}",
+                             "state": what, "t": t, "thread": 0})
+        state.apply({"ev": "edge", "src": 1, "dst": 3, "kind": "true"})
+        state.apply({"ev": "edge", "src": 2, "dst": 3, "kind": "true"})
+        report = state.report()
+        assert [link.task_id for link in report.critical_path] == [2, 3]
+        assert report.span == pytest.approx(4.0)
+        last = report.critical_path[-1]
+        assert last.dependency_wait == pytest.approx(0.5)
+        assert last.queue_wait == pytest.approx(0.5)
+        assert "weighted≈4" in render(state)
+
     def test_render_smoke(self):
         state = DashboardState()
         state.apply({"ev": "hello", "backend": "threads", "threads": 4})

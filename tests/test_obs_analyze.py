@@ -1,11 +1,14 @@
 """Tests for the critical-path / utilisation analyzer and its CLI."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro import SmpssRuntime, css_task, record_program
 from repro.apps.cholesky import cholesky_hyper
 from repro.blas.hypermatrix import HyperMatrix
+from repro.core.tracing import EventKind
 from repro.obs import (
     analyze_events,
     analyze_tracer,
@@ -27,6 +30,24 @@ def bump(a):
 @css_task("input(a, b) inout(c)")
 def gemm_t(a, b, c):
     c += a @ b
+
+
+@css_task("input(a, b) inout(c)")
+def mix(a, b, c):
+    c += 0.5 * a + 0.25 * b
+
+
+def _mixed_program(rounds=40, seed=0):
+    """Rounds of 8 ``inout`` bumps and 6 random 3-operand mixes."""
+
+    rng = random.Random(seed)
+    data = [np.zeros(4) for _ in range(8)]
+    for _ in range(rounds):
+        for datum in data:
+            bump(datum)
+        for _ in range(6):
+            a, b, c = rng.sample(range(8), 3)
+            mix(data[a], data[b], data[c])
 
 
 def _placeholder_hyper(n_blocks):
@@ -76,6 +97,61 @@ class TestCriticalPath:
         assert [t.name for t in unit] == ["bump", "bump"]
 
 
+class TestTraceCriticalPath:
+    """The critical path is one longest-path pass over the measured
+    intervals along the trace's own ``edge_added`` events."""
+
+    @pytest.mark.parametrize("cores", [1, 4, 16])
+    def test_simulated_path_is_the_kept_graphs(self, cores):
+        from repro.sim import ALTIX_32, CostModel, SimulatedRuntime
+
+        machine = ALTIX_32.with_cores(cores)
+        rt = SimulatedRuntime(
+            machine=machine, cost_model=CostModel(machine, block_size=64),
+            trace=True, keep_graph=True,
+        )
+        with rt:
+            cholesky_hyper(_placeholder_hyper(8))
+            rt.barrier()
+        measured = {
+            task_id: end - start
+            for task_id, (start, end, _thread, _name)
+            in rt.tracer.task_intervals().items()
+        }
+        weight = lambda task: measured[task.task_id]  # noqa: E731
+        report = analyze_tracer(rt.tracer, num_threads=cores)
+        assert [link.task_id for link in report.critical_path] == [
+            task.task_id for task in rt.graph.critical_path_tasks(weight)
+        ]
+        assert report.span == rt.graph.weighted_critical_path(weight)
+        assert report.bound_lower <= report.makespan * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "backend", ["threads", pytest.param("processes", marks=pytest.mark.mp)]
+    )
+    def test_every_link_is_a_traced_edge(self, backend):
+        """Off the threads path a task's releasing "thread" is a proxy;
+        the path must still follow real dependency edges only."""
+
+        rt = SmpssRuntime(num_workers=2, backend=backend, trace=True)
+        with rt:
+            _mixed_program()
+            rt.barrier()
+        edges = {
+            (event.extra[0], event.task_id) for event in rt.tracer.events
+            if event.kind == EventKind.EDGE_ADDED
+        }
+        path = analyze_tracer(rt.tracer).critical_path
+        assert len(path) > 1
+        assert [
+            (a.task_id, b.task_id) for a, b in zip(path, path[1:])
+            if (a.task_id, b.task_id) not in edges
+        ] == []
+        for link in path[1:]:
+            parts = link.dependency_wait + link.queue_wait + link.body
+            assert parts == pytest.approx(link.end - link.pred_end, abs=1e-6)
+
+
 class TestAnalyzeTracer:
     def _traced(self, tasks=8, workers=3):
         arr = np.zeros(1)
@@ -115,13 +191,19 @@ class TestAnalyzeTracer:
         assert report.locality_hits <= report.locality_candidates
 
     def test_graph_adds_work_span_bounds(self):
-        rt = self._traced(tasks=6)
-        report = analyze_tracer(
-            rt.tracer, graph=rt.graph, num_threads=rt.num_threads
-        )
-        assert report.work == pytest.approx(report.total_busy, rel=0.05)
+        """The traced edges give work, span and bounds; no kept graph."""
+
+        arr = np.zeros(1)
+        rt = SmpssRuntime(num_workers=3, trace=True)
+        with rt:
+            for _ in range(6):
+                bump(arr)
+            rt.barrier()
+        report = analyze_tracer(rt.tracer, num_threads=rt.num_threads)
+        assert report.work == report.total_busy
         # A pure chain: span == work, parallelism == 1.
-        assert report.span == pytest.approx(report.work, rel=0.05)
+        assert report.span == pytest.approx(report.work, rel=1e-9)
+        assert [link.name for link in report.critical_path] == ["bump"] * 6
         assert report.bound_lower <= report.bound_upper
 
     def test_barrier_time_recorded(self):
@@ -159,14 +241,17 @@ class TestRenderAndRuntimeReport:
 
     def test_runtime_report_with_trace_and_graph(self):
         arr = np.zeros(1)
-        rt = SmpssRuntime(num_workers=2, trace=True, keep_graph=True)
+        rt = SmpssRuntime(num_workers=2, trace=True)
         with rt:
             for _ in range(6):
                 bump(arr)
             rt.barrier()
+        assert not rt.graph.keep_finished
         text = rt.report()
         assert "T1 (work)" in text and "Tinf (span)" in text
         assert "greedy bounds" in text
+        assert "critical path: 6 tasks" in text
+        assert "dep wait" in text and "queue wait" in text
 
     def test_simulated_runtime_report(self):
         from repro.sim import ALTIX_32, CostModel, SimulatedRuntime

@@ -3,7 +3,7 @@
 The acceptance scenario: record a trace, inflate one task type 2x, and
 the diff must attribute the slowdown to that type and report how the
 critical path changed.  The synthetic runs here are built so the
-inflation also *flips* the critical chain (from the potrf chain on
+inflation also *flips* the critical path (from the potrf chain on
 thread 0 to the gemm chain on thread 1), exercising the entered/left
 reporting.
 """
@@ -14,10 +14,9 @@ import pytest
 
 from repro.bench.harness import FigureResult
 from repro.core.tracing import EventKind, TraceEvent
+from repro.obs.analyze import analyze_events
 from repro.obs.diff import (
     bootstrap_mean_delta,
-    collect_task_durations,
-    critical_chain,
     diff_metrics,
     diff_task_graphs,
     diff_to_dot,
@@ -31,29 +30,36 @@ from repro.obs.diff import (
 pytestmark = pytest.mark.obs
 
 
+def _edge(pred, succ):
+    """A dependency edge *pred* -> *succ*, added at submission (t=0)."""
+
+    return TraceEvent(0.0, EventKind.EDGE_ADDED, succ, "", -1, (pred, "true"))
+
+
 def _chain_events(events, name, task_ids, thread, start, duration, released_by):
     """Append a dependency chain of equal-duration tasks on one thread."""
 
     t = start
     releaser = released_by
-    for task_id in task_ids:
-        task = type("T", (), {"task_id": task_id, "name": name})()
+    for pred, task_id in zip([None] + task_ids, task_ids):
+        if pred is not None:
+            events.append(_edge(pred, task_id))
         events.append(TraceEvent(t, EventKind.TASK_READY, task_id, name, releaser))
         events.append(TraceEvent(t, EventKind.TASK_START, task_id, name, thread))
         t += duration
         events.append(TraceEvent(t, EventKind.TASK_END, task_id, name, thread))
         releaser = thread
-        del task
     return t
 
 
 def make_run(gemm_scale: float = 1.0) -> list[TraceEvent]:
-    """Two parallel chains plus a final task released by the slower one.
+    """Two parallel chains, both feeding a final task.
 
     * thread 0: four ``potrf`` tasks, 1.0s each (ends at 4.0);
     * thread 1: four ``gemm`` tasks, 0.5s * gemm_scale each;
-    * ``trsm`` runs last, released by whichever chain finished later —
-      so inflating gemm 2x moves the critical chain from potrf to gemm.
+    * ``trsm`` depends on the last task of each chain and runs once
+      the slower one finishes — so inflating gemm 3x moves the
+      critical path from potrf to gemm.
     """
 
     events: list[TraceEvent] = []
@@ -61,6 +67,7 @@ def make_run(gemm_scale: float = 1.0) -> list[TraceEvent]:
     gemm_end = _chain_events(
         events, "gemm", [11, 12, 13, 14], 1, 0.0, 0.5 * gemm_scale, -1
     )
+    events += [_edge(4, 99), _edge(14, 99)]
     last_thread = 0 if potrf_end >= gemm_end else 1
     t = max(potrf_end, gemm_end)
     events.append(TraceEvent(t, EventKind.TASK_READY, 99, "trsm", last_thread))
@@ -72,23 +79,32 @@ def make_run(gemm_scale: float = 1.0) -> list[TraceEvent]:
 
 class TestBuildingBlocks:
     def test_collect_task_durations(self):
-        samples = collect_task_durations(make_run())
+        samples = analyze_events(make_run()).durations
         assert sorted(samples) == ["gemm", "potrf", "trsm"]
         assert samples["potrf"] == pytest.approx([1.0] * 4)
         assert samples["gemm"] == pytest.approx([0.5] * 4)
 
     def test_critical_chain_follows_releasers(self):
-        chain = critical_chain(make_run())
-        # trsm was released by thread 0 -> the potrf chain is critical.
+        chain = analyze_events(make_run()).critical_path
+        # the potrf chain is the heavier way into trsm.
         assert [link.name for link in chain] == ["potrf"] * 4 + ["trsm"]
         assert chain[-1].end == pytest.approx(5.0)
+        trsm = chain[-1]
+        assert trsm.pred_end == pytest.approx(4.0)
+        assert trsm.dependency_wait == pytest.approx(0.0)
+        assert trsm.queue_wait == pytest.approx(0.0)
+        assert chain[0].pred_end is None and chain[0].dependency_wait is None
 
     def test_critical_chain_flips_when_gemm_inflates(self):
-        chain = critical_chain(make_run(gemm_scale=3.0))
-        assert [link.name for link in chain] == ["gemm"] * 4 + ["trsm"]
+        diff = diff_traces(make_run(), make_run(gemm_scale=3.0), n_boot=0)
+        assert [l.name for l in diff.chain.chain_a] == ["potrf"] * 4 + ["trsm"]
+        assert [l.name for l in diff.chain.chain_b] == ["gemm"] * 4 + ["trsm"]
+        assert diff.chain.length_b == diff.report_b.span == pytest.approx(7.0)
 
     def test_critical_chain_empty(self):
-        assert critical_chain([]) == []
+        report = analyze_events([])
+        assert report.critical_path == []
+        assert report.span is None and report.work is None
 
     def test_bootstrap_ci_excludes_zero_for_real_shift(self):
         lo, hi = bootstrap_mean_delta([0.5] * 4, [1.0] * 4, n_boot=200)

@@ -499,7 +499,8 @@ class TestOneOfEach:
         assert offenders == []
 
     def test_one_longest_path_pass(self):
-        for relative in ("live/dashboard.py", "sim/baselines.py"):
+        for relative in ("live/dashboard.py", "sim/baselines.py",
+                         "obs/analyze.py"):
             assert "longest_path" in {
                 alias.name
                 for node in ast.walk(ast.parse(self._source(relative)))
@@ -510,6 +511,20 @@ class TestOneOfEach:
         graph = self._source("core/graph.py")
         assert graph.count("finish.get(") == 1
         assert "fillcolor" not in graph     # DOT is obs.export's job
+
+    def test_one_critical_path_from_the_trace(self):
+        """The trace's critical path is ``analyze_events``'s one pass
+        over the traced edges: no releasing-thread guess, no kept-graph
+        work/span branch, no dashboard estimate of its own."""
+
+        offenders = [
+            (str(path.relative_to(SRC)), name)
+            for path in SRC.rglob("*.py")
+            for name in ("critical_chain", "ChainLink", "work_and_span",
+                         "critical_path_seconds", "bisect_right")
+            if name in path.read_text()
+        ]
+        assert offenders == []
 
     def test_one_figure_differ_and_one_jsonlines_client(self):
         assert not [
@@ -558,7 +573,7 @@ class TestOneOfEach:
         """Only ``core.tracing.task_intervals`` matches a ``TASK_END``
         to its ``TASK_START``; the analyses consume it."""
 
-        for relative in ("core/analysis.py", "obs/analyze.py", "obs/diff.py"):
+        for relative in ("core/analysis.py", "obs/analyze.py"):
             source = self._source(relative)
             assert "task_intervals" in source, relative
             # no start table, no test for either end of an interval
@@ -609,11 +624,12 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total the one-observation-endpoint change landed
-#: on: 216 lines below the acyclic-retirement change's 25 316 (one
-#: server per runtime for live, metrics, health and HTTP; one HTTP
-#: router; no snapshot-serving mode).
-LINE_BUDGET = 25100
+#: The ``src/repro`` total the trace-derived critical path landed on:
+#: 92 lines below the one-observation-endpoint change's 25 100 (one
+#: longest-path pass over the traced edges; the releasing-thread chain
+#: guess, the kept-graph work/span branch and the dashboard's estimate
+#: gone).
+LINE_BUDGET = 25008
 
 
 class TestOneMeasurementSystem:
