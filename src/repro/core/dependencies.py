@@ -130,11 +130,13 @@ class TrackedDatum:
             self.chains[None] = chain
         return chain
 
-    def chain_for(self, key: Region) -> _Chain:
+    def chain_for(self, key: Region, low=None) -> _Chain:
+        """*key*'s chain, made on first use (*low*: :meth:`_indexable`)."""
+
         chain = self.chains.get(key)
         if chain is None:
             chain = _Chain(key, Version(self, 0, StorageKind.INITIAL))
-            low = self._indexable(key)
+            low = low or self._indexable(key)
             if low is None:
                 self._unindexed += (chain,)
             else:
@@ -148,31 +150,40 @@ class TrackedDatum:
     def _indexable(self, key: Region) -> Optional[tuple[int, int]]:
         """*key*'s dimension-0 interval, if the index can order by it."""
 
-        if not key.intervals or key.intervals[0] == FULL_DIM:
+        if not key or key[0] == FULL_DIM:
             return None
-        if self._by_low and self._by_low[0][2].key.ndim != key.ndim:
+        if self._by_low and len(self._by_low[0][2].key) != len(key):
             return None
-        return key.intervals[0]
+        return key[0]
 
-    def overlapping(self, region: Region) -> list[_Chain]:
-        """Every chain whose key shares an element with *region*.
-
-        A chain ``{l..u}`` overlaps ``{lo..hi}`` in dimension 0 only if
-        ``lo - widest < l <= hi``: bisect to that window and run the
-        exact test on it alone.  One very wide chain widens the window
-        for every lookup (towards a scan of all chains, never a
-        different answer).
-        """
+    def window(self, low: tuple[int, int]) -> list:
+        """The indexed ``(l, birth, chain)`` entries that can meet *low*
+        ``= (lo, hi)`` in dimension 0: ``lo - widest < l <= hi``."""
 
         by_low = self._by_low
-        low = self._indexable(region)
-        if low is not None:
-            by_low = by_low[
-                bisect_left(by_low, (low[0] - self._widest + 1,)):
-                bisect_left(by_low, (low[1] + 1,))
-            ]
+        return by_low[bisect_left(by_low, (low[0] - self._widest + 1,)):
+                      bisect_left(by_low, (low[1] + 1,))]
+
+    def overlapping(self, region: Region, low=None) -> list[_Chain]:
+        """Every chain whose key shares an element with *region* (*low*:
+        its :meth:`_indexable`, computed here when not given).
+
+        Only an indexable region's :meth:`window` is tested, and in one
+        dimension the window settled ``l <= hi``, so ``u >= lo`` decides.
+        One very wide chain widens every window (towards a scan of all
+        chains, never a different answer).
+        """
+
+        low = low or self._indexable(region)
         hits = [c for c in self._unindexed if c.key.overlaps(region)]
-        hits += [c for _, _, c in by_low if c.key.overlaps(region)]
+        if low is None:
+            hits += [c for _, _, c in self._by_low if c.key.overlaps(region)]
+        elif len(region) == 1:
+            lo = low[0]
+            hits += [c for _, _, c in self.window(low) if c.key[0][1] >= lo]
+        else:
+            hits += [c for _, _, c in self.window(low)
+                     if c.key.overlaps(region)]
         whole = self.chains.get(None)
         if whole is not None:  # the whole object overlaps everything
             hits.append(whole)
@@ -241,6 +252,14 @@ class DependencyTracker:
         datum = self._data.get(id(obj))
         chain = None if datum is None else datum.chains.get(None)
         return None if chain is None else chain.current
+
+    def current_versions(self, obj: Any) -> list[Version]:
+        """The current version of every chain of *obj* (none when
+        untracked): data accessed by region has one chain per region."""
+
+        datum = self._data.get(id(obj))
+        return [] if datum is None else [
+            chain.current for chain in datum.chains.values()]
 
     @property
     def tracked_count(self) -> int:
@@ -313,38 +332,20 @@ class DependencyTracker:
 
         self.graph.add_task(task)
         data = self._data
-        call_values = task.call_values
-        if call_values is not None:
-            # Simple positional task: read the plan's precompiled
-            # ``(name, direction, position)`` specs against the bound
-            # value tuple directly — no ParamAccess objects exist (or
-            # get allocated) on this path.
-            opaque = Direction.OPAQUE
-            for name, direction, pos in (
-                task.definition._invocation_plan.access_specs
-            ):
-                if direction is opaque:
-                    continue  # void *: passes through unaltered
-                value = call_values[pos]
-                if isinstance(value, _SCALAR_TYPES):
-                    continue
-                datum = data.get(id(value))
-                if datum is None:
-                    datum = TrackedDatum(
-                        value, self.registry.adapter_for(value), tracker=self
-                    )
-                    data[id(value)] = datum
-                if datum.region_mode:
-                    region = Region.full(self._rank_of(datum))
-                    self._analyze_region(task, datum, region, direction, name)
-                else:
-                    self._analyze_whole(task, datum, direction, name)
-            return
-        for access in task.accesses:
-            direction = access.direction
+        # Accesses never materialised (no specifiers, nobody asked) are
+        # the plan's ``(name, direction, position)`` specs read against
+        # the call's values: no ParamAccess is allocated for them.
+        accesses = task._accesses
+        values = task.call_values
+        for access in (task.definition._invocation_plan.access_specs
+                       if accesses is None else accesses):
+            if accesses is None:
+                name, direction, pos = access
+                value, region = values[pos], None
+            else:
+                name, direction, value, region, _pos = access
             if direction is Direction.OPAQUE:
                 continue  # void *: passes through unaltered (section II)
-            value = access.value
             if isinstance(value, _SCALAR_TYPES):
                 continue
             datum = data.get(id(value))
@@ -353,15 +354,12 @@ class DependencyTracker:
                     value, self.registry.adapter_for(value), tracker=self
                 )
                 data[id(value)] = datum
-            if access.region is not None:
-                self._analyze_region(
-                    task, datum, access.region, direction, access.name
-                )
-            elif datum.region_mode:
+            if region is None and datum.region_mode:
                 region = Region.full(self._rank_of(datum))
-                self._analyze_region(task, datum, region, direction, access.name)
+            if region is not None:
+                self._analyze_region(task, datum, region, direction, name)
             else:
-                self._analyze_whole(task, datum, direction, access.name)
+                self._analyze_whole(task, datum, direction, name)
 
     # ------------------------------------------------------------------
     # whole-object path (renaming-capable)
@@ -463,45 +461,38 @@ class DependencyTracker:
                 )
             datum.region_mode = True
 
-        overlapping = datum.overlapping(region)
-        target = datum.chain_for(region)
+        # The target chain first, so it is one of the overlapping ones.
+        low = datum._indexable(region)
+        target = datum.chain_for(region, low)
+        overlapping = datum.overlapping(region, low)
 
-        graph = self.graph  # add_dependency ignores finished and self edges
-        reads = direction.reads
+        add = self.graph.add_dependency  # ignores finished and self edges
+        reads = direction is not Direction.OUTPUT
         if reads:
             for chain in overlapping:
                 producer = chain.current.producer
                 if producer is not None:
-                    graph.add_dependency(producer, task, EdgeKind.TRUE)
+                    add(producer, task, EdgeKind.TRUE)
             target.current.readers.append(task)
             task.reads.append((name, target.current))
 
-        if direction.writes:
+        if direction is not Direction.INPUT:
+            # Roll every overlapping chain, not only the target, so its
+            # future readers order after this write (transitively after
+            # the displaced producer via the OUTPUT edge).
             for chain in overlapping:
                 cur = chain.current
                 # An inout already took its TRUE edge to the producer.
                 if not reads and cur.producer is not None:
-                    graph.add_dependency(cur.producer, task, EdgeKind.OUTPUT)
+                    add(cur.producer, task, EdgeKind.OUTPUT)
                 if cur.readers:
                     for reader in cur.pending_readers():
-                        graph.add_dependency(reader, task, EdgeKind.ANTI)
-            newv = Version(
-                datum, target.version_count, StorageKind.SAME, prev=target.current
-            )
-            newv.producer = task
-            target.roll(newv)
-            task.writes.append((name, newv))
-            # Conservatively roll every other overlapping chain so its
-            # future readers order after this write (transitively after
-            # the displaced producer via the OUTPUT edge above).
-            for chain in overlapping:
+                        add(reader, task, EdgeKind.ANTI)
+                chain.current = Version(
+                    datum, chain.version_count, StorageKind.SAME, cur, task)
+                chain.version_count += 1
                 if chain is target:
-                    continue
-                rolled = Version(
-                    datum, chain.version_count, StorageKind.SAME, prev=chain.current
-                )
-                rolled.producer = task
-                chain.roll(rolled)
+                    task.writes.append((name, chain.current))
 
     def _rank_of(self, datum: TrackedDatum) -> int:
         shape = datum.adapter.shape_of(datum.base)

@@ -1,166 +1,164 @@
 """Binding a call site to a task declaration.
 
-Turns ``(TaskDefinition, args, kwargs)`` into the flat list of
-:class:`~repro.core.task.ParamAccess` records the dependency engine
-consumes — evaluating dimension specifiers and array-region bounds
-against the actual argument values, exactly when the paper's runtime
-would ("the runtime takes the memory address, size and directionality
-of each parameter at each task invocation").
+Turns ``(TaskDefinition, args, kwargs)`` into the
+:class:`~repro.core.task.TaskInstance` the dependency engine consumes —
+evaluating dimension and array-region bounds against the actual
+argument values, exactly when the paper's runtime would ("the runtime
+takes the memory address, size and directionality of each parameter at
+each task invocation").
 
-The per-call work is precompiled: :func:`plan_for` builds (once per
-:class:`TaskDefinition`) an :class:`InvocationPlan` holding everything
-that does not depend on argument *values* — parameter order, per-clause
-direction/position tuples, the defaults tail for short positional
-calls, and whether any clause needs expression evaluation at all.  The
-common task shape (plain positional call, no dimension or region
-specifiers) then instantiates with two dict builds and zero ``inspect``
-machinery — this is the paper's per-``task_add`` overhead, the cost
-that caps submission throughput for fine-grained applications.
+:func:`plan_for` precompiles, once per :class:`TaskDefinition`, an
+:class:`InvocationPlan` of everything that does not depend on argument
+*values*: parameter order, per-clause direction/position tuples, the
+defaults tail, and a resolver per bound — a bare parameter name reads
+the call's value tuple, an integer literal is a constant, any other
+expression is evaluated over the names it references alone.  Every
+call shape binds to that one tuple, so a task without specifiers
+allocates nothing else and a region task one
+:class:`~repro.core.regions.Region` per region access: the paper's
+per-``task_add`` overhead, which caps fine-grained submission.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .pragma import PragmaError
-from .regions import FULL_DIM, Region, RegionError
+from .pragma import Expr, PragmaError
+from .regions import FULL_DIM, Region, RegionError, check_intervals
 from .task import InvocationError, ParamAccess, TaskDefinition, TaskInstance
 
-__all__ = ["InvocationPlan", "build_accesses", "instantiate", "plan_for"]
+__all__ = ["InvocationPlan", "instantiate", "plan_for"]
+
+_INTS = (int, np.integer)
 
 
-def _expression_env(arguments: dict, constants: Optional[dict]) -> dict:
-    env = dict(constants) if constants else {}
-    for name, value in arguments.items():
-        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+def _env(slots: tuple, values: tuple, constants: Optional[dict]) -> dict:
+    """The environment of one expression for one call: each referenced
+    name is its ``int``/``np.integer`` argument (never a ``bool``), else
+    the constant of that name, else absent."""
+
+    env = {}
+    for name, pos in slots:
+        value = None if pos is None else values[pos]
+        if isinstance(value, _INTS) and not isinstance(value, bool):
             env[name] = int(value)
+        elif constants and name in constants:
+            env[name] = constants[name]
     return env
 
 
-def _evaluate_dims(spec, env: dict) -> list[Optional[int]]:
-    extents: list[Optional[int]] = []
-    for dim in spec.dims:
-        try:
-            extents.append(dim.evaluate(env))
-        except PragmaError:
-            extents.append(None)  # references an unknown constant: skip
-    return extents
+def _bound(expr: Expr, positions: dict) -> Callable:
+    """``fn(values, constants) -> int`` for one bound or dimension."""
+
+    source = expr.source.strip()
+    if source.isdecimal():
+        value = int(source)
+        return lambda values, constants: value
+    slots = tuple((name, positions.get(name)) for name in expr.names())
+
+    def evaluate(values, constants):
+        return expr.evaluate(_env(slots, values, constants))
+
+    pos = positions.get(source)
+    if pos is None:
+        return evaluate
+
+    def read(values, constants):
+        value = values[pos]
+        return value if value.__class__ is int else evaluate(values, constants)
+
+    return read
 
 
-def _shape_extents(value: Any) -> tuple:
-    if isinstance(value, np.ndarray):
-        return value.shape
-    try:
-        return (len(value),)
-    except TypeError:
-        return ()
+def _resolver(definition: TaskDefinition, spec, positions: dict) -> Callable:
+    """``fn(value, values, constants) -> Optional[Region]`` for one clause
+    appearance with specifiers: an ndarray argument is checked against
+    the evaluable dimensions, then the region (if any) is resolved."""
 
-
-def build_accesses(
-    definition: TaskDefinition,
-    arguments: dict,
-    constants: Optional[dict] = None,
-) -> list[ParamAccess]:
-    """Produce one :class:`ParamAccess` per clause appearance."""
-
-    # Expression evaluation (dimension/region bounds) is only needed
-    # when the pragma actually uses it — the common tile tasks skip it.
-    env = (
-        _expression_env(arguments, constants)
-        if definition.needs_expressions
-        else None
+    task, param, label = definition.name, spec.name, str(spec)
+    dims = tuple(_bound(dim, positions) for dim in spec.dims)
+    regions = tuple(
+        None if r.full
+        else (_bound(r.lower, positions), _bound(r.upper, positions),
+              r.is_length)
+        for r in spec.regions
     )
-    positions = definition.positions
-    accesses: list[ParamAccess] = []
-    for spec in definition.params:
-        if spec.name not in arguments:
-            raise InvocationError(
-                f"task {definition.name!r}: declared parameter {spec.name!r} "
-                f"missing from the call"
-            )
-        value = arguments[spec.name]
-        if spec.dims and isinstance(value, np.ndarray):
-            _check_dims(definition, spec, value, env)
-        region = None
-        if spec.regions:
-            region = _resolve_region(definition, spec, value, env)
-        accesses.append(
-            ParamAccess(
-                name=spec.name,
-                direction=spec.direction,
-                value=value,
-                region=region,
-                position=positions.get(spec.name, -1),
-            )
-        )
-    return accesses
+    computed = tuple(bounds is not None for bounds in regions)
 
-
-def _check_dims(definition, spec, value: np.ndarray, env: Optional[dict]) -> None:
-    """Validate declared dimension specifiers against the real array.
-
-    The paper's runtime "requires its size for proper operation";
-    evaluable mismatched dimensions are programming errors we can catch
-    at invocation time.  Dimensions referencing unknown constants are
-    skipped.
-    """
-
-    declared = _evaluate_dims(spec, env or {})
-    if any(d is None for d in declared):
-        return
-    if len(declared) != value.ndim or tuple(declared) != value.shape:
-        raise InvocationError(
-            f"task {definition.name!r}: parameter {spec.name!r} declared "
-            f"as {spec} (shape {tuple(declared)}) but the argument has "
-            f"shape {value.shape}"
-        )
-
-
-def _resolve_region(definition, spec, value, env) -> Region:
-    if env is None:
-        env = {}
-    declared = _evaluate_dims(spec, env)
-    shape = _shape_extents(value)
-    intervals = []
-    for d, rspec in enumerate(spec.regions):
-        extent: Optional[int] = None
-        if d < len(declared) and declared[d] is not None:
-            extent = declared[d]
-        elif d < len(shape):
-            extent = int(shape[d])
+    def resolve(value, values, constants):
+        if isinstance(value, np.ndarray):
+            shape = value.shape
+        else:
+            try:
+                shape = (len(value),)
+            except TypeError:
+                shape = ()
+        declared = ()
+        if dims and (regions or isinstance(value, np.ndarray)):
+            declared = []
+            for dim in dims:
+                try:
+                    declared.append(dim(values, constants))
+                except PragmaError:
+                    declared.append(None)  # an unknown constant: skip
+            if isinstance(value, np.ndarray) and None not in declared \
+                    and tuple(declared) != shape:
+                raise InvocationError(
+                    f"task {task!r}: parameter {param!r} declared as {label} "
+                    f"(shape {tuple(declared)}) but the argument has shape "
+                    f"{shape}"
+                )
+        if not regions:
+            return None
+        intervals = []
+        empty = False
+        for d, bounds in enumerate(regions):
+            extent = declared[d] if d < len(declared) else None
+            if extent is None and d < len(shape):
+                extent = shape[d]
+            if bounds is None:  # {}: the whole dimension
+                intervals.append(FULL_DIM if extent is None else (0, extent - 1))
+                continue
+            lower, upper, is_length = bounds
+            try:
+                lo = lower(values, constants)
+                hi = upper(values, constants)
+                if is_length:
+                    if hi < 0:
+                        raise PragmaError(f"negative region length {hi}")
+                    hi += lo - 1
+            except PragmaError as exc:
+                raise InvocationError(
+                    f"task {task!r}: cannot resolve region of parameter "
+                    f"{param!r}: {exc}"
+                ) from exc
+            if extent is not None and hi >= extent:
+                raise InvocationError(
+                    f"task {task!r}: region {{{lo}..{hi}}} of parameter "
+                    f"{param!r} exceeds its extent {extent}"
+                )
+            empty = empty or hi < lo
+            intervals.append((lo, hi))
         try:
-            lo, hi = rspec.bounds(env, extent)
-        except PragmaError as exc:
+            if empty:  # computed (0, -1) is empty too, not FULL_DIM
+                check_intervals(tuple(intervals), computed)
+            return Region(intervals)
+        except RegionError as exc:
             raise InvocationError(
-                f"task {definition.name!r}: cannot resolve region of "
-                f"parameter {spec.name!r}: {exc}"
+                f"task {task!r}: invalid region for parameter {param!r}: {exc}"
             ) from exc
-        if (lo, hi) != FULL_DIM and extent is not None and hi >= extent:
-            raise InvocationError(
-                f"task {definition.name!r}: region {{{lo}..{hi}}} of "
-                f"parameter {spec.name!r} exceeds its extent {extent}"
-            )
-        intervals.append((lo, hi))
-    try:
-        return Region(tuple(intervals))
-    except RegionError as exc:
-        raise InvocationError(
-            f"task {definition.name!r}: invalid region for parameter "
-            f"{spec.name!r}: {exc}"
-        ) from exc
+
+    return resolve
 
 
 class InvocationPlan:
-    """Precompiled call-site binding for one :class:`TaskDefinition`.
-
-    Everything derivable from the declaration alone is computed here,
-    once: ordered parameter names, the ``(name, direction, position)``
-    triple of every clause appearance, the defaults tail, and whether
-    any clause carries dimension/region specifiers (the only case that
-    needs expression evaluation against argument values).
-    """
+    """Precompiled call-site binding for one :class:`TaskDefinition`:
+    ordered parameter names, the ``(name, direction, position)`` triple
+    of every clause appearance, the defaults tail, and — when any clause
+    has dimension/region specifiers — a resolver per clause appearance
+    (``None`` for one without)."""
 
     __slots__ = (
         "definition",
@@ -169,8 +167,8 @@ class InvocationPlan:
         "n_required",
         "defaults_tail",
         "access_specs",
+        "resolvers",
         "written",
-        "simple",
         "high_priority",
         "own_constants",
     )
@@ -191,14 +189,24 @@ class InvocationPlan:
                 break             # error at def time; stay conservative
         self.defaults_tail = tuple(defaults)
         self.n_required = self.n_params - len(self.defaults_tail)
+        for spec in definition.params:
+            if spec.name not in positions:
+                raise InvocationError(
+                    f"task {definition.name!r}: declared parameter "
+                    f"{spec.name!r} missing from the call"
+                )
         self.access_specs = tuple(
-            (spec.name, spec.direction, positions.get(spec.name, -1))
+            (spec.name, spec.direction, positions[spec.name])
             for spec in definition.params
         )
+        self.resolvers = tuple(
+            _resolver(definition, spec, positions)
+            if spec.dims or spec.regions else None
+            for spec in definition.params
+        ) if definition.needs_expressions else None
         #: :meth:`TaskInstance.written` of an instance without regions.
         self.written = tuple(
             (pos, None) for _n, d, pos in self.access_specs if d.writes)
-        self.simple = not definition.needs_expressions
         self.high_priority = definition.high_priority
         self.own_constants = getattr(definition, "constants", None) or None
 
@@ -208,48 +216,32 @@ class InvocationPlan:
         """Bind + build accesses + create the dynamic task instance."""
 
         n = len(args)
+        arguments = None
         if not kwargs and self.n_required <= n <= self.n_params:
             if n < self.n_params:
                 args = args + self.defaults_tail[n - self.n_required:]
-            if self.simple:
-                # The hot shape: accesses/arguments derive lazily from
-                # the positional value tuple (TaskInstance.call_values);
-                # nothing else is allocated per submission.
-                return TaskInstance(
-                    definition=self.definition,
-                    accesses=None,
-                    arguments=None,
-                    high_priority=self.high_priority,
-                    call_values=args,
-                )
-            arguments = dict(zip(self.param_names, args))
         else:
             arguments = self.definition.bind_dict(args, kwargs)
-            if self.simple:
-                return TaskInstance(
-                    definition=self.definition,
-                    accesses=None,
-                    arguments=arguments,
-                    high_priority=self.high_priority,
-                    call_values=tuple(
-                        arguments[name] for name in self.param_names
-                    ),
-                )
-        # Dimension/region specifiers present: evaluate expressions
-        # against the actual argument values (the paper's section V.A).
-        if constants or self.own_constants:
-            merged = dict(constants) if constants else {}
+            args = tuple(arguments.values())
+        # Every shape is now the positional value tuple: accesses and
+        # arguments of a task without specifiers derive from it lazily
+        # (TaskInstance.call_values); nothing else is allocated.
+        accesses = None
+        resolvers = self.resolvers
+        if resolvers is not None:
+            # Dimension/region specifiers: resolve them against the
+            # actual argument values (the paper's section V.A).
             if self.own_constants:
-                merged.update(self.own_constants)
-        else:
-            merged = None
-        accesses = build_accesses(self.definition, arguments, merged)
-        return TaskInstance(
-            definition=self.definition,
-            accesses=accesses,
-            arguments=arguments,
-            high_priority=self.high_priority,
-        )
+                constants = {**constants, **self.own_constants} \
+                    if constants else self.own_constants
+            accesses = [
+                ParamAccess(name, direction, args[pos], resolve and resolve(
+                    args[pos], args, constants), pos)
+                for (name, direction, pos), resolve
+                in zip(self.access_specs, resolvers)
+            ]
+        return TaskInstance(self.definition, accesses, arguments, None,
+                            self.high_priority, args)
 
 
 def plan_for(definition: TaskDefinition) -> InvocationPlan:
@@ -291,14 +283,8 @@ def resolve_call_values(task: TaskInstance, sanitizer=None) -> list:
     non-written parameters, write tracking on the rest).
     """
 
-    definition = task.definition
-    call_values = task.call_values
-    if call_values is not None:
-        values = list(call_values)
-    else:
-        arguments = task.arguments
-        values = [arguments[name] for name in definition.param_names]
-    positions = definition.positions
+    values = list(task.call_values)
+    positions = task.definition.positions
     for name, version in task.reads:
         if not version.datum.region_mode:
             values[positions[name]] = version.resolve_storage()

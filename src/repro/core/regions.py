@@ -14,7 +14,6 @@ conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 __all__ = ["Region", "RegionError", "FULL_DIM"]
@@ -29,23 +28,43 @@ class RegionError(ValueError):
 FULL_DIM: Tuple[int, int] = (0, -1)
 
 
-@dataclass(frozen=True)
-class Region:
-    """An N-dimensional hyper-rectangle of inclusive index intervals."""
+def check_intervals(intervals: tuple, computed: Sequence[bool] = ()) -> None:
+    """Raise :class:`RegionError` at the first interval selecting nothing;
+    ``FULL_DIM`` passes unless *computed* marks its dimension as evaluated
+    from bounds (only a ``{}`` specifier means "the whole dimension")."""
 
-    intervals: Tuple[Tuple[int, int], ...]
+    for d, (lo, hi) in enumerate(intervals):
+        if lo >= 0 and hi >= lo:
+            continue
+        if (lo, hi) == FULL_DIM and not (d < len(computed) and computed[d]):
+            continue
+        intervals = tuple(intervals)
+        if lo < 0:
+            raise RegionError(f"negative lower bound in region {intervals}")
+        raise RegionError(
+            f"empty interval ({lo}, {hi}) in region {intervals}; "
+            f"upper bound must be >= lower bound"
+        )
 
-    def __post_init__(self) -> None:
-        for lo, hi in self.intervals:
-            if (lo, hi) == FULL_DIM:
-                continue
-            if lo < 0:
-                raise RegionError(f"negative lower bound in region {self.intervals}")
-            if hi < lo:
-                raise RegionError(
-                    f"empty interval ({lo}, {hi}) in region {self.intervals}; "
-                    f"upper bound must be >= lower bound"
-                )
+
+class Region(tuple):
+    """An N-dimensional hyper-rectangle of inclusive index intervals.
+
+    A tuple of ``(lo, hi)`` pairs, so it is immutable, picklable, and
+    hashed and compared in C: the dependency engine keys every region
+    chain on one, so a lookup costs what a tuple-keyed lookup costs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, intervals: Sequence[Tuple[int, int]]) -> "Region":
+        region = tuple.__new__(cls, intervals)
+        check_intervals(region)
+        return region
+
+    @property
+    def intervals(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(self)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -65,11 +84,11 @@ class Region:
     # -- predicates -------------------------------------------------------
     @property
     def ndim(self) -> int:
-        return len(self.intervals)
+        return len(self)
 
     @property
     def is_full(self) -> bool:
-        return all(iv == FULL_DIM for iv in self.intervals)
+        return all(iv == FULL_DIM for iv in self)
 
     def overlaps(self, other: "Region") -> bool:
         """True if the two hyper-rectangles share at least one element.
@@ -80,9 +99,9 @@ class Region:
         mismatch still aliases).
         """
 
-        if len(self.intervals) != len(other.intervals):
+        if len(self) != len(other):
             return True
-        for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals):
+        for (alo, ahi), (blo, bhi) in zip(self, other):
             # FULL_DIM's upper bound is below every lower bound, so the
             # sentinel only needs ruling out once the bounds look disjoint.
             if (ahi < blo or bhi < alo) and (
@@ -96,7 +115,7 @@ class Region:
 
         if self.ndim != other.ndim:
             return False
-        for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals):
+        for (alo, ahi), (blo, bhi) in zip(self, other):
             if (alo, ahi) == FULL_DIM:
                 continue
             if (blo, bhi) == FULL_DIM:
@@ -111,7 +130,7 @@ class Region:
         if self.ndim != other.ndim:
             return None
         out = []
-        for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals):
+        for (alo, ahi), (blo, bhi) in zip(self, other):
             if (alo, ahi) == FULL_DIM:
                 out.append((blo, bhi))
                 continue
@@ -128,7 +147,7 @@ class Region:
         """Number of selected elements; ``None`` if any dim is FULL."""
 
         total = 1
-        for lo, hi in self.intervals:
+        for lo, hi in self:
             if (lo, hi) == FULL_DIM:
                 return None
             total *= hi - lo + 1
@@ -140,7 +159,7 @@ class Region:
 
         return tuple(
             slice(None) if (lo, hi) == FULL_DIM else slice(lo, hi + 1)
-            for lo, hi in self.intervals
+            for lo, hi in self
         )
 
     def resolved_against(self, shape: Sequence[int]) -> "Region":
@@ -152,7 +171,7 @@ class Region:
                 f"shape {tuple(shape)}"
             )
         out = []
-        for (lo, hi), extent in zip(self.intervals, shape):
+        for (lo, hi), extent in zip(self, shape):
             if (lo, hi) == FULL_DIM:
                 out.append((0, extent - 1))
             else:
@@ -163,8 +182,9 @@ class Region:
                 out.append((lo, hi))
         return Region(tuple(out))
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Region(intervals={tuple(self)!r})"
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        parts = [
-            "{}" if iv == FULL_DIM else "{%d..%d}" % iv for iv in self.intervals
-        ]
-        return "".join(parts)
+        return "".join(
+            "{}" if iv == FULL_DIM else "{%d..%d}" % iv for iv in self)

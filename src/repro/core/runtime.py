@@ -388,14 +388,20 @@ class SmpssRuntime:
         """
 
         with self._tracker_lock:
-            version = self.tracker.current_version(obj)
-        if version is None:
+            versions = self.tracker.current_versions(obj)
+        if not versions:
             return obj
-        producer = version.producer
-        if producer is not None and producer.state is not TaskState.FINISHED:
+        # One chain per region of data accessed by region: wait for the
+        # last writer of each.
+        producers = [p for v in versions if (p := v.producer) is not None]
+
+        def running() -> bool:
+            return any(p.state is not TaskState.FINISHED for p in producers)
+
+        if running():
             if self.tracer:
                 self.tracer.wait_on_enter()
-            self._main_help(lambda: producer.state is not TaskState.FINISHED)
+            self._main_help(running)
             if self.tracer:
                 self.tracer.wait_on_exit()
         if self.domain.failure is not None:
@@ -403,9 +409,10 @@ class SmpssRuntime:
             # FINISHED producer need not have produced anything.
             raise self.domain.failure
         # wait_on reads on the main program's thread: the finished
-        # producer may have left the bytes resident elsewhere.
-        self.backend.fetch_version(version)
-        return version.resolve_storage()
+        # producer may have left the bytes resident elsewhere (every
+        # region chain's version resolves to the one user buffer).
+        self.backend.fetch_version(versions[0])
+        return versions[0].resolve_storage()
 
     # ------------------------------------------------------------------
     # execution machinery

@@ -140,7 +140,7 @@ class TaskDefinition:
             name: idx for idx, name in enumerate(self.param_names)
         }
         #: True when any declared parameter carries dimension or region
-        #: specifiers (expression evaluation needed at invocation).
+        #: specifiers (bounds the invocation plan resolves per call).
         self.needs_expressions: bool = any(
             getattr(p, "dims", ()) or getattr(p, "regions", ()) for p in self.params
         )
@@ -166,15 +166,9 @@ class TaskDefinition:
         return self._signature
 
     def bind_dict(self, args: tuple, kwargs: dict) -> dict:
-        """Bind a call site to parameter names, applying defaults.
+        """Bind a call site to parameter names, applying defaults (the
+        invocation plan binds positional calls without it)."""
 
-        Fast path: plain positional calls with one value per parameter
-        skip :mod:`inspect` entirely (this is on the per-task-submission
-        critical path of the runtime, the paper's task_add overhead).
-        """
-
-        if not kwargs and len(args) == len(self.param_names):
-            return dict(zip(self.param_names, args))
         try:
             bound = self._signature.bind(*args, **kwargs)
         except TypeError as exc:  # surface the task name in the error
@@ -227,10 +221,10 @@ class TaskInstance:
         self._accesses = accesses
         self._arguments = arguments
         #: Bound argument values in positional (signature) order, set by
-        #: the plan's simple fast path.  When present, ``accesses`` and
-        #: ``arguments`` are derived lazily from it — the dependency
-        #: engine reads the plan's access specs + this tuple directly,
-        #: so the common submission allocates neither.
+        #: the invocation plan for every call.  ``arguments`` and, for a
+        #: task without specifiers, ``accesses`` derive lazily from it —
+        #: the dependency engine reads the plan's access specs + this
+        #: tuple directly, so such a submission allocates neither.
         self.call_values = call_values
         self.task_id = next(_task_counter) if task_id is None else task_id
         self.high_priority = high_priority

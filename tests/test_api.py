@@ -123,6 +123,20 @@ class TestRegionsAtInvocation:
         with pytest.raises(InvocationError):
             instantiate(f.definition, (np.zeros(10), 5, 2), {})
 
+    def test_computed_empty_interval_is_not_the_whole_dimension(self):
+        # (0, -1) is the whole-dimension sentinel only when ``{}`` says so.
+        @css_task("inout(data{lo:n}) input(lo, n)")
+        def g(data, lo, n):  # noqa: ARG001
+            pass
+
+        cases = ((g, (0, 0), (0, -1)), (g, (3, 0), (3, 2)),
+                 (self._task(), (0, -1), (0, -1)))
+        for task, bounds, (lo, hi) in cases:
+            with pytest.raises(InvocationError, match=(
+                    rf"invalid region for parameter 'data': empty interval "
+                    rf"\({lo}, {hi}\) in region \(\({lo}, {hi}\),\)")):
+                instantiate(task.definition, (np.zeros(10), *bounds), {})
+
 
 class TestRuntimeStack:
     def test_nested_push_pop(self):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.dist.manager as manager_module
-from repro import SmpssRuntime, TaskExecutionError, css_task
+from repro import SmpssRuntime, TaskExecutionError, css_task, wait_on
 from repro.apps.cholesky import HyperMatrix, cholesky_hyper
 from repro.apps.multisort import multisort
 from repro.dist import (
@@ -30,6 +30,7 @@ from repro.dist import (
 from repro.obs.exposition import render_registry
 
 from .test_mp_runtime import _hold as hold  # a paused DispatchGate on rt
+from .test_mp_runtime import slow_fill_t
 
 pytestmark = pytest.mark.dist
 
@@ -407,6 +408,14 @@ class TestResidencyCache:
             # barrier.
             got = rt.acquire(a)
             assert np.array_equal(got, np.ones((8, 8)))
+
+    def test_wait_on_waits_for_every_region_writer(self, agents):
+        a = np.zeros(8)
+        with cluster(agents):
+            slow_fill_t(a, 0, 3)
+            slow_fill_t(a, 4, 7)
+            assert wait_on(a) is a
+            assert (a == 7).all()
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,12 @@ def fill_region_t(data, i, j, v):
     data[i:j + 1] = v
 
 
+@css_task("inout(data{lo..hi}) input(lo, hi)")
+def slow_fill_t(data, lo, hi):
+    time.sleep(0.2)
+    data[lo:hi + 1] = 7
+
+
 @css_task("inout(xs)")
 def double_list_t(xs):
     for k in range(len(xs)):
@@ -419,6 +425,14 @@ class TestResidency:
             copy_t(a, out)
             rt.barrier()
         assert (a == 11.0).all() and (out == 11.0).all()
+
+    def test_wait_on_waits_for_region_writers_and_copies_home(self):
+        a = np.zeros(8)
+        with SmpssRuntime(num_workers=2, backend="processes"):
+            slow_fill_t(a, 0, 3)
+            slow_fill_t(a, 4, 7)
+            assert wait_on(a) is a
+            assert (a == 7).all()
 
     def test_barrier_frees_the_copies_for_reuse(self):
         # 30 rounds of 1 MiB would fill two 16 MiB segments unreused.

@@ -624,12 +624,12 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total the trace-derived critical path landed on:
-#: 92 lines below the one-observation-endpoint change's 25 100 (one
-#: longest-path pass over the traced edges; the releasing-thread chain
-#: guess, the kept-graph work/span branch and the dashboard's estimate
-#: gone).
-LINE_BUDGET = 25008
+#: The ``src/repro`` total compiled region bounds landed on: 2 lines
+#: below the trace-derived critical path's 25 008 (one resolver per
+#: bound compiled per task definition; the per-call access builder, its
+#: environment over every argument and the ``arguments`` fallback of
+#: ``resolve_call_values`` gone).
+LINE_BUDGET = 25006
 
 
 class TestOneMeasurementSystem:

@@ -205,26 +205,62 @@ def touch_all(data):  # noqa: ARG001
 
 
 def test_region_lookup_scaling_pin(monkeypatch):
-    """1 000 disjoint tiles: an access tests its neighbours, not every chain.
+    """1 000 disjoint tiles: an access examines its neighbours, not every
+    chain.
 
-    A count of ``Region.overlaps`` calls, not a timing — it means the
-    same on any host (CI runs it in the bench-gate job).
+    A count of the candidates examined — the entries of each index
+    window (1-D ones are tested inline there) plus every exact
+    ``Region.overlaps`` test — not a timing, so it means the same on any
+    host (CI runs it in the bench-gate job).
     """
 
     calls = []
-    exact = Region.overlaps
+    exact, window = Region.overlaps, TrackedDatum.window
+
+    def counted_window(datum, low):
+        entries = window(datum, low)
+        calls.extend(entries)
+        return entries
+
     monkeypatch.setattr(
         Region, "overlaps", lambda a, b: calls.append(1) or exact(a, b)
     )
+    monkeypatch.setattr(TrackedDatum, "window", counted_window)
     data = np.zeros(8000)
     with RecordingRuntime(execute="skip") as rt:
         first = [touch(data, 8 * i, 8 * i + 7) for i in range(1000)]
         calls.clear()
         second = [touch(data, 8 * i, 8 * i + 7) for i in range(1000)]
-    assert len(calls) <= 3 * 1000
+    assert 1000 <= len(calls) <= 3 * 1000
     assert len(rt.tracker.datum_for(data).chains) == 1000
     # ... and it still found the one chain that matters.
     assert all(b.predecessors == {a} for a, b in zip(first, second))
+
+
+def test_region_submit_pin(monkeypatch):
+    """1 000 ``touch(data, lo, hi)`` calls: bounds that are bare
+    parameter names are read from the call's values, so no expression is
+    evaluated and no environment built, and each region access builds
+    exactly one ``Region``.  A count, not a timing (CI's bench-gate job).
+    """
+
+    from repro.core import invocation
+    from repro.core.pragma import Expr
+
+    evaluations, envs, regions = [], [], []
+    evaluate, env, new = Expr.evaluate, invocation._env, Region.__new__
+    monkeypatch.setattr(
+        Expr, "evaluate", lambda e, v: evaluations.append(1) or evaluate(e, v))
+    monkeypatch.setattr(
+        invocation, "_env", lambda *a: envs.append(1) or env(*a))
+    monkeypatch.setattr(
+        Region, "__new__", lambda cls, iv: regions.append(1) or new(cls, iv))
+    data = np.zeros(8000)
+    with RecordingRuntime(execute="skip"):
+        tasks = [touch(data, 8 * i, 8 * i + 7) for i in range(1000)]
+    assert (len(evaluations), len(envs), len(regions)) == (0, 0, 1000)
+    assert [t.accesses[0].region for t in tasks[:2]] == [
+        Region(((0, 7),)), Region(((8, 15),))]
 
 
 def test_whole_object_access_after_region_accesses_sees_every_chain():

@@ -1,6 +1,7 @@
 """End-to-end tests of the threaded runtime (sections II-III)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro import (
     TaskExecutionError,
     css_task,
     current_runtime,
+    wait_on,
 )
 from repro.core.scheduler import CentralQueueScheduler
 from repro.obs import analyze_tracer
@@ -29,6 +31,12 @@ def incr_t(a):
 @css_task("input(a) inout(acc)")
 def accum_t(a, acc):
     acc += a
+
+
+@css_task("inout(data{lo..hi}) input(lo, hi)")
+def slow_fill_t(data, lo, hi):
+    time.sleep(0.2)
+    data[lo:hi + 1] = 7
 
 
 class TestBasics:
@@ -236,6 +244,15 @@ class TestBlockingConditions:
             latest = rt.acquire(a)
             assert (latest == 1.0).all()
             rt.barrier()
+
+    def test_wait_on_waits_for_every_region_writer(self):
+        # Data only ever accessed by region has no whole-object chain.
+        a = np.zeros(8)
+        with SmpssRuntime(num_workers=2):
+            slow_fill_t(a, 0, 3)
+            slow_fill_t(a, 4, 7)
+            assert wait_on(a) is a
+            assert (a == 7).all()
 
     def test_acquire_untracked_object(self):
         with SmpssRuntime(num_workers=1) as rt:
