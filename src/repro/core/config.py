@@ -8,11 +8,12 @@ construction idioms::
     SmpssRuntime(num_workers=3, trace=True)          # keyword knobs
     SmpssRuntime(config=RuntimeConfig(trace=True))   # an explicit config
 
-Both funnel through :func:`resolve_config`, which validates the knob
-names once, in one place: an unknown knob raises a ``TypeError`` naming
-the knob (with a did-you-mean suggestion), and a knob supplied both as
-a keyword *and* as a non-default field of an explicit config raises a
-``TypeError`` naming the conflict instead of silently picking a winner.
+Both funnel through :func:`resolve_config`, which the front ends'
+shared base (:class:`~repro.core.frontend.ActiveRuntime`) calls: an
+unknown knob raises a ``TypeError`` naming the knob (with a
+did-you-mean suggestion), and a knob supplied both as a keyword *and*
+as a non-default field of an explicit config raises a ``TypeError``
+naming the conflict instead of silently picking a winner.
 The passed-in config object is never mutated — each runtime works on a
 private copy.
 

@@ -144,11 +144,12 @@ class GraphDomain:
             if self.failure is None:
                 self.failure = failure
 
-    def write_back(self) -> int:
-        """Barrier semantics: restore user-visible data, drop chains."""
+    def write_back(self, copy: bool = True) -> int:
+        """Barrier semantics: restore user-visible data (``copy=False``:
+        no body ran, so there is none to restore), drop chains."""
 
         with self.lock:
-            count = self.tracker.write_back_all()
+            count = self.tracker.write_back_all() if copy else 0
             self.tracker.reset()
             return count
 

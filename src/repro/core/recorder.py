@@ -1,21 +1,17 @@
-"""Recording runtime: build graphs + submission traces without threads.
+"""Recording runtime: build graphs + submission streams without threads.
 
-Two uses:
+A recording keeps the full graph of an annotated program (Figure 5's
+6x6 Cholesky DAG is one) and its submission stream, which ``python -m
+repro live replay`` steps through once saved.
 
-* **Graph inspection** — reproduce Figure 5 (the 6x6 Cholesky DAG) by
-  recording the task stream of the annotated program and keeping the
-  full graph.
-* **Simulation input** — the discrete-event simulator replays the
-  recorded submission sequence, charging the main thread the per-task
-  analysis overhead and releasing nodes into the live scheduler at the
-  right virtual time (this is what produces the small-block runtime-
-  overhead wall in Figure 8).
-
-Dependency analysis here assumes the worst-case (and, for a fast main
-thread, typical) race: no task has completed when a later task is
-analysed, so every hazard is live — all true edges are recorded and
-every WAR/WAW is renamed, exactly the graph the real runtime converges
-to when the submission front runs ahead of execution.
+Dependency analysis assumes the worst-case (and, for a fast main
+thread, typical) race: no task completes on its own, so every hazard
+is live — all true edges are recorded and every WAR/WAW is renamed,
+exactly the graph the real runtime converges to when the submission
+front runs ahead of execution.  Only the main thread's blocking
+finishes tasks: ``wait_on``/``wait_for`` record one ``("wait", task)``
+event and finish the waited producers and everything they depend on,
+as the real runtime (and ``check.flow``) has by then.
 
 ``execute="eager"`` additionally runs every task body immediately at
 submission (sequential execution with full dependency bookkeeping) so
@@ -31,13 +27,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Literal, Optional
 
-from . import api as _api
-from .config import RuntimeConfig, resolve_config
-from .dependencies import DependencyTracker, TrackerConfig
+from .config import RuntimeConfig
+from .frontend import ActiveRuntime
 from .graph import TaskGraph
-from .invocation import instantiate, resolve_call_values
-from .task import TaskInstance, reset_task_ids
-from .tracing import NullTracer
+from .invocation import instantiate
+from .task import TaskInstance, TaskState
 
 __all__ = [
     "RecordedProgram",
@@ -66,7 +60,7 @@ class RecordedProgram:
 
     @property
     def task_count(self) -> int:
-        return sum(1 for e in self.events if e[0] == "task")
+        return len(self.tasks)
 
     def critical_path(self, weight=None) -> list[TaskInstance]:
         """Tasks on the longest path (unit weights by default)."""
@@ -98,12 +92,8 @@ class RecordedProgram:
             [task.task_id, task.name, int(task.high_priority)]
             for task in self.graph
         ]
-        stream: list[list] = []
-        for event in self.events:
-            if event[0] == "barrier":
-                stream.append(["barrier"])
-            else:  # ("task", t) | ("wait", t)
-                stream.append([event[0], event[1].task_id])
+        stream = [[kind, *(t.task_id for t in rest)]
+                  for kind, *rest in self.events]
         return {
             "format": "repro.recording",
             "version": 1,
@@ -163,7 +153,7 @@ def load_recording(source) -> LoadedRecording:
     )
 
 
-class RecordingRuntime:
+class RecordingRuntime(ActiveRuntime):
     """Implements the active-runtime protocol; see module docstring."""
 
     def __init__(
@@ -172,102 +162,50 @@ class RecordingRuntime:
         config: Optional[RuntimeConfig] = None,
         **knobs,
     ):
-        # *execute* is the one backend-specific argument; every shared
-        # knob goes through the same validated path as SmpssRuntime.
         # Recording exists to inspect the DAG afterwards, so the
-        # backend default for keep_graph flips to True.
+        # default for keep_graph flips to True.
         if config is None:
             knobs.setdefault("keep_graph", True)
-        self.config = resolve_config(config, knobs, runtime="RecordingRuntime")
-        self.execute = execute
-        reset_task_ids()
-        self.graph = TaskGraph(keep_finished=self.config.keep_graph)
-        self.tracker = DependencyTracker(
-            self.graph,
-            config=TrackerConfig(
-                enable_renaming=self.config.enable_renaming,
-                rename_inout=self.config.rename_inout,
-            ),
-            tracer=NullTracer(),
-        )
-        self.constants = self.config.constants
+        super().__init__(config, knobs, runs_bodies=execute == "eager")
+        self._open_domain()
         self.events: list[tuple] = []
-        from ..obs.metrics import MetricsRegistry
-
-        self.metrics = MetricsRegistry()
         self._m_analysis = self.metrics.histogram("analysis_seconds")
-        self._entered = False
-        self._in_task = False
 
-    def in_task_body(self) -> bool:
-        return self._in_task
-
-    # -- active-runtime protocol ------------------------------------------
     def submit(self, definition, args: tuple, kwargs: dict) -> TaskInstance:
-        task = instantiate(definition, args, kwargs, self.constants)
+        task = instantiate(definition, args, kwargs, self._constants)
         t0 = perf_counter()
         self.tracker.analyze(task)
         self._m_analysis.observe(perf_counter() - t0)
         self.events.append(("task", task))
-        if self.execute == "eager":
-            # Run the body now: every predecessor already ran its body
-            # (program order), so the data is valid.  Graph state is
-            # deliberately NOT retired — the recorded DAG keeps the
-            # worst-case hazard picture described in the module
-            # docstring, and stays replayable.
-            values = resolve_call_values(task)
-            self._in_task = True
-            try:
-                task.definition.func(*values)
-            finally:
-                self._in_task = False
+        if self._runs_bodies:
+            # Graph state is deliberately NOT retired: the recorded DAG
+            # keeps the worst-case hazard picture described in the
+            # module docstring, and stays replayable.
+            self._run_inline(task)
         return task
 
-    def barrier(self) -> None:
-        self.events.append(("barrier",))
-        if self.execute == "eager":
-            self.tracker.write_back_all()
-            self.tracker.reset()
+    def _block(self, waited) -> None:
+        """The replayer must block the main thread here: record it.  A
+        wait finishes the waited producers and everything they depend
+        on, as the real runtime has by then (and ``check.flow``)."""
 
-    wait_all = barrier
-
-    def wait_for(self, task: TaskInstance) -> None:
-        self.events.append(("wait", task))
-
-    def acquire(self, obj):
-        """Latest storage of *obj* (eager mode already produced it)."""
-
-        version = self.tracker.current_version(obj)
-        if self.execute != "eager" or version is None:
-            return obj
-        if version.producer is not None:
-            # The replayer must block the main thread here.
-            self.events.append(("wait", version.producer))
-        return version.resolve_storage()
-
-    # -- recording session --------------------------------------------------
-    def __enter__(self) -> "RecordingRuntime":
-        _api.push_runtime(self)
-        self._entered = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._entered:
-            self._entered = False
-            # Defensive pop: never leaves a stale stack entry (or a
-            # stale owner) behind, even after a mid-``with`` exception.
-            _api.discard_runtime(self)
+        if waited is None:
+            self.events.append(("barrier",))
+            return
+        self.events.append(("wait", max(waited, key=lambda t: t.task_id)))
+        stack = list(waited)
+        while stack:
+            task = stack.pop()
+            if task.state is not TaskState.FINISHED:
+                stack.extend(task.predecessors)
+                self.graph.complete(task)
 
     def finish(self) -> RecordedProgram:
         """Close the recording and return the program description."""
 
-        self.metrics.gauge("graph.total_tasks").set(
-            self.graph.stats.total_tasks
-        )
-        self.metrics.gauge("graph.total_edges").set(
-            self.graph.stats.total_edges
-        )
-        self.metrics.gauge("graph.renames").set(self.graph.stats.renames)
+        stats = self.graph.stats
+        for name in ("total_tasks", "total_edges", "renames"):
+            self.metrics.gauge(f"graph.{name}").set(getattr(stats, name))
         return RecordedProgram(
             graph=self.graph, events=list(self.events), metrics=self.metrics
         )

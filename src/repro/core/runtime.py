@@ -19,43 +19,34 @@ cores.
 *Where* a ready task's body runs is an
 :class:`~repro.core.backend.ExecutionBackend`'s business, chosen by the
 ``backend`` knob through :func:`~repro.core.backend.make_backend`; this
-module knows no backend by name.  Under a *remote* backend the same
-worker threads become *proxy threads*: they pop tasks from the same
-scheduler under the same locks, but each forwards the task body to a
-worker elsewhere (a forked process, a node agent) and blocks — GIL
-released — for the reply.  Dependency analysis, renaming, regions, the
-memory limit, and all completion bookkeeping are untouched.  In that
-mode the main thread never runs task bodies itself (its help would
-serialise the proxies on the master GIL); at a blocking condition it
-simply waits for completions, keeping the paper's blocking/unblocking
-semantics.
+module knows no backend by name.  Under a *remote* backend the worker
+threads become *proxy threads*: each forwards its task's body to a
+worker elsewhere (a forked process, a node agent) and blocks, GIL
+released, for the reply; the rest of the runtime is unchanged.
 
-The execute/complete path itself — pop, run, complete in the task's
-dependency domain, release successors, targeted wake-ups — and its
-locking discipline live in :mod:`repro.core.execution`; this class
-drives one :class:`~repro.core.execution.WorkerLoop` over a single
-:class:`~repro.core.execution.GraphDomain`, and adds what only a
-program's main thread does: submission, the blocking conditions,
-helping.
+The execute/complete path — pop, run, complete in the task's domain,
+release successors, targeted wake-ups — lives in
+:mod:`repro.core.execution`, and barrier, ``wait_on`` and ``wait_for``
+in :mod:`repro.core.frontend`, shared with the recorder and the
+simulator.  This class drives one worker loop and adds submission and
+the main thread's helping.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import suppress
 from time import perf_counter
 from typing import Callable, Optional
 
 from . import api as _api
 from .backend import make_backend
-from .config import RuntimeConfig, resolve_config
-from .dependencies import DependencyTracker, TrackerConfig
-from .execution import GraphDomain, TaskExecutionError, WorkerLoop
-from .graph import TaskGraph
+from .config import RuntimeConfig
+from .execution import TaskExecutionError, WorkerLoop
+from .frontend import ActiveRuntime
 from .invocation import plan_for
 from .scheduler import SmpssScheduler  # noqa: F401  (re-export convenience)
-from .task import TaskInstance, TaskState, reset_task_ids
+from .task import TaskInstance
 from .tracing import NullTracer, Tracer
 
 __all__ = ["SmpssRuntime", "TaskExecutionError"]
@@ -68,7 +59,7 @@ def _loop_tap(name: str) -> property:
     return property(lambda self: getattr(self._loop, name))
 
 
-class SmpssRuntime:
+class SmpssRuntime(ActiveRuntime):
     """The master: task graph, scheduler, worker threads; also the
     user-facing entry point.
 
@@ -80,10 +71,8 @@ class SmpssRuntime:
                 some_css_task(...)      # submitted, runs asynchronously
             rt.barrier()                # sequential semantics restored
 
-    Construction accepts either keyword knobs or an explicit
-    :class:`~repro.core.config.RuntimeConfig` (see that module for the
-    validation rules); the two may be mixed as long as no knob is set
-    in both places.
+    Construction takes keyword knobs, an explicit
+    :class:`~repro.core.config.RuntimeConfig`, or both (see that module).
     """
 
     def __init__(
@@ -99,19 +88,11 @@ class SmpssRuntime:
                     "given both positionally and as a keyword"
                 )
             overrides["num_workers"] = num_workers
-        self.config = resolve_config(config, overrides, runtime="SmpssRuntime")
+        super().__init__(config, overrides)
         self.config.fill_num_workers()
 
-        self.tracer = (
-            Tracer(capacity=self.config.trace_buffer_size)
-            if self.config.trace
-            else NullTracer()
-        )
-        # Imported here, not at module level: obs sits above core in the
-        # layering (it imports core.tracing/core.analysis).
-        from ..obs.metrics import MetricsRegistry
-
-        self.metrics = MetricsRegistry()
+        self.tracer = (Tracer(capacity=self.config.trace_buffer_size)
+                       if self.config.trace else NullTracer())
         self._metrics_on = self.config.metrics
         # Falsy tracers (NullTracer) normalised to None: hot paths pay
         # a plain ``is not None`` check, not a ``__bool__`` call.
@@ -123,18 +104,11 @@ class SmpssRuntime:
         self._sched_lock = loop._sched_lock
         self._sched_cv = loop._sched_cv
         self._main_cv = loop._main_cv
-        #: Set by start(): where task bodies run (repro.core.backend),
-        #: the ready lists, and the per-thread running task.
-        self.backend = self.scheduler = self._current = None
+        #: Set by start(): the ready lists and the per-thread running
+        #: task (``backend``, where task bodies run, too).
+        self.scheduler = self._current = None
         self._m_analysis = self.metrics.histogram("analysis_seconds")
         self._m_barrier = self.metrics.histogram("barrier_wait_seconds")
-        #: The program's one dependency domain (built by start());
-        #: ``graph``, ``tracker`` and ``_tracker_lock`` are its members,
-        #: kept under the names observers read.
-        self.domain: GraphDomain = None  # type: ignore[assignment]
-        self.graph: TaskGraph = None  # type: ignore[assignment]
-        self.tracker: DependencyTracker = None  # type: ignore[assignment]
-        self._tracker_lock: threading.Lock = None  # type: ignore[assignment]
         #: repro.live.LiveSession when config.live, else None.
         self.live = None
         #: repro.obs.health.HealthMonitor when config.health, else None.
@@ -146,21 +120,11 @@ class SmpssRuntime:
         self._started = False
         #: repro.check.Sanitizer when config.sanitize, else None.
         self.sanitizer = None
-        #: Per-thread flag: set while a task body runs on that thread,
-        #: so task calls made from inside tasks execute inline ("SMPSs
-        #: treats task calls inside tasks as normal function calls").
-        self._tls = threading.local()
 
     _running = _loop_tap("_running")
     _parked = _loop_tap("_parked")
     _main_parked = _loop_tap("_main_parked")
     tasks_executed = _loop_tap("tasks_executed")
-
-    def in_task_body(self) -> bool:
-        try:
-            return self._tls.in_task
-        except AttributeError:
-            return False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -168,20 +132,11 @@ class SmpssRuntime:
     def start(self) -> "SmpssRuntime":
         if self._started:
             raise RuntimeError("runtime already started")
-        reset_task_ids()
-        self.domain = GraphDomain(
-            tracker_config=TrackerConfig(
-                enable_renaming=self.config.enable_renaming,
-                rename_inout=self.config.rename_inout,
-            ),
-            tracer=self.tracer,
-            keep_finished=self.config.keep_graph,
-            # Only a memory limit needs buffers back before the barrier.
+        # Only a memory limit needs buffers back before the barrier.
+        self._open_domain(
+            self.tracer,
             release_eagerly=self.config.memory_limit_bytes is not None,
         )
-        self.graph = self.domain.graph
-        self.tracker = self.domain.tracker
-        self._tracker_lock = self.domain.lock
         if self.config.sanitize:
             # Imported here, not at module level: check sits above core.
             from ..check.sanitize import Sanitizer
@@ -210,7 +165,6 @@ class SmpssRuntime:
         self.tracker.residency_fetch = self.backend.fetch_version
         self.scheduler.placement = self.backend.placement
         # Per-submission constants, hoisted out of the hot loop.
-        self._constants = self.config.constants
         self._max_pending = self.config.max_pending_tasks
         self._mem_limit = self.config.memory_limit_bytes
         if self.config.address is not None or self.config.live:
@@ -238,8 +192,7 @@ class SmpssRuntime:
             self.health.start()
         self._started = True
         loop.start_workers("smpss-worker")
-        _api.push_runtime(self)
-        return self
+        return super().start()
 
     def shutdown(self, *, run_barrier: bool = True) -> None:
         if not self._started:
@@ -275,32 +228,7 @@ class SmpssRuntime:
             self._started = False
             _api.pop_runtime(self)
             if self._metrics_on:
-                self._sync_metrics()
-                from ..obs.metrics import default_metrics
-
-                default_metrics().absorb(self.metrics)
-
-    def __enter__(self) -> "SmpssRuntime":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # On an exception inside the block, still drain and join, but do
-        # not let a barrier failure mask the original error.
-        try:
-            if exc_type is None:
-                self.shutdown()
-            else:
-                try:
-                    self.shutdown()
-                except Exception:
-                    pass
-        finally:
-            # Defensive pop: if shutdown died before (or during) its own
-            # pop_runtime, the stack would keep a dead entry and a stale
-            # owner thread, wedging every later runtime ("a runtime is
-            # already active on another thread").  Discarding is
-            # idempotent, so the normal path pays only a lock + lookup.
-            _api.discard_runtime(self)
+                self._publish_metrics()
 
     # ------------------------------------------------------------------
     # submission (main thread only)
@@ -340,81 +268,6 @@ class SmpssRuntime:
         return task
 
     # ------------------------------------------------------------------
-    # synchronisation
-    # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        """Wait for every submitted task; restore user-visible data."""
-
-        if self.tracer:
-            self.tracer.barrier_enter()
-        t0 = perf_counter() if self._metrics_on else 0.0
-        self._main_help(lambda: self.graph.pending_count > 0)
-        if self._metrics_on:
-            self._m_barrier.observe(perf_counter() - t0)
-        if self.domain.failure is not None:
-            raise self.domain.failure
-        # Pull every master-stale datum home *before* write_back_all
-        # copies renamed buffers into user objects — the runtime is
-        # quiescent here (nothing pending), so no dispatch races this.
-        self.backend.barrier_sync()
-        count = self.domain.write_back()
-        if self.tracer:
-            self.tracer.write_back(count)
-            self.tracer.barrier_exit()
-        if self._metrics_on:
-            self._sync_metrics()
-
-    wait_all = barrier
-
-    def wait_for(self, task: TaskInstance) -> None:
-        """Block (helping) until one specific task instance finishes."""
-
-        self._main_help(lambda: task.state is not TaskState.FINISHED)
-        if self.domain.failure is not None:
-            raise self.domain.failure
-        # As acquire does: the task's whole-object outputs may be
-        # resident elsewhere (a node, a process backend's arena).
-        for _name, version in task.writes:
-            if not version.datum.region_mode:
-                self.backend.fetch_version(version)
-
-    def acquire(self, obj):
-        """Wait for the latest version of *obj* and return its storage.
-
-        The engine behind :func:`repro.wait_on` (the paper's
-        ``#pragma css wait on``): a partial barrier on one datum that
-        lets the main program read e.g. a pivot index in LU while other
-        tasks keep running.
-        """
-
-        with self._tracker_lock:
-            versions = self.tracker.current_versions(obj)
-        if not versions:
-            return obj
-        # One chain per region of data accessed by region: wait for the
-        # last writer of each.
-        producers = [p for v in versions if (p := v.producer) is not None]
-
-        def running() -> bool:
-            return any(p.state is not TaskState.FINISHED for p in producers)
-
-        if running():
-            if self.tracer:
-                self.tracer.wait_on_enter()
-            self._main_help(running)
-            if self.tracer:
-                self.tracer.wait_on_exit()
-        if self.domain.failure is not None:
-            # A failed domain retires its queued tasks unrun, so a
-            # FINISHED producer need not have produced anything.
-            raise self.domain.failure
-        # wait_on reads on the main program's thread: the finished
-        # producer may have left the bytes resident elsewhere (every
-        # region chain's version resolves to the one user buffer).
-        self.backend.fetch_version(versions[0])
-        return versions[0].resolve_storage()
-
-    # ------------------------------------------------------------------
     # execution machinery
     # ------------------------------------------------------------------
     def _main_help(self, predicate: Callable[[], bool]) -> None:
@@ -444,9 +297,12 @@ class SmpssRuntime:
                         # the scheduler (this lock), so running == 0
                         # here means every completion is fully visible:
                         # pending tasks with nothing ready or running is
-                        # a genuine stall.
+                        # a genuine stall (repro.obs.health enriches the
+                        # error with wait chains and the flight recorder).
                         if self.graph.pending_count > 0:
-                            raise self._stalled()
+                            from ..obs.health import stalled_error
+
+                            raise stalled_error(self)
                         return
                     loop._main_parked = True
                     try:
@@ -454,19 +310,6 @@ class SmpssRuntime:
                     finally:
                         loop._main_parked = False
             loop._execute(task, 0)
-
-    def _stalled(self) -> RuntimeError:
-        """The unified "runtime stalled" error (see repro.obs.health).
-
-        The main-thread blocking loop detected pending tasks with
-        nothing ready and nothing running.  The health module builds
-        the enriched error (blocked-task wait chains appended, flight
-        recorder dumped when a monitor is attached).
-        """
-
-        from ..obs.health import stalled_error
-
-        return stalled_error(self)
 
     def _notify_dispatch(self, task: TaskInstance, thread: int) -> None:
         """A remote backend's ``on_dispatch`` hook (``live=True`` only);
@@ -488,33 +331,27 @@ class SmpssRuntime:
 
         m = self.metrics
         m.gauge("tasks_executed").set(self.tasks_executed)
-        if self.scheduler is not None:
-            m.ingest_scheduler_stats(self.scheduler.stats)
-            # Instantaneous control/occupancy gauges — the same numbers
-            # the live dashboard snapshots, so `repro.obs report` and an
-            # attached client read one source of truth.
-            depths = self.scheduler.queue_depths()
-            m.gauge("scheduler.high_depth").set(depths["high"])
-            m.gauge("scheduler.main_depth").set(depths["main"])
-            for idx, depth in enumerate(depths["locals"]):
-                m.gauge("scheduler.ready_depth", thread=idx).set(depth)
-            m.gauge("scheduler.parked_workers").set(self._parked)
-            gate = self.scheduler.gate
-            m.gauge("scheduler.paused").set(
-                int(gate.paused) if gate is not None else 0
-            )
-            m.gauge("scheduler.step_budget").set(
-                gate.step_budget if gate is not None else 0
-            )
-        if self.tracker is not None:
-            m.gauge("renaming.live_bytes").set(self.tracker.renamed_bytes)
-            m.gauge("renaming.total_buffers").set(
-                self.tracker.total_renamed_buffers
-            )
-        if self.graph is not None:
-            m.gauge("graph.total_tasks").set(self.graph.stats.total_tasks)
-            m.gauge("graph.total_edges").set(self.graph.stats.total_edges)
-            m.gauge("graph.renames").set(self.graph.stats.renames)
+        m.ingest_scheduler_stats(self.scheduler.stats)
+        # Instantaneous control/occupancy gauges — the same numbers the
+        # live dashboard snapshots, so `repro.obs report` and an attached
+        # client read one source of truth.
+        depths = self.scheduler.queue_depths()
+        m.gauge("scheduler.high_depth").set(depths["high"])
+        m.gauge("scheduler.main_depth").set(depths["main"])
+        for idx, depth in enumerate(depths["locals"]):
+            m.gauge("scheduler.ready_depth", thread=idx).set(depth)
+        m.gauge("scheduler.parked_workers").set(self._parked)
+        gate = self.scheduler.gate
+        m.gauge("scheduler.paused").set(
+            int(gate.paused) if gate is not None else 0)
+        m.gauge("scheduler.step_budget").set(
+            gate.step_budget if gate is not None else 0)
+        m.gauge("renaming.live_bytes").set(self.tracker.renamed_bytes)
+        m.gauge("renaming.total_buffers").set(
+            self.tracker.total_renamed_buffers)
+        stats = self.graph.stats
+        for name in ("total_tasks", "total_edges", "renames"):
+            m.gauge(f"graph.{name}").set(getattr(stats, name))
         # Not getattr(self.tracer, ...): NullTracer answers with a function.
         dropped = self._trace.dropped_events if self._trace is not None else 0
         if dropped:
@@ -523,17 +360,13 @@ class SmpssRuntime:
     def stats(self) -> dict:
         if self._metrics_on and self.scheduler is not None:
             self._sync_metrics()
+        # getattr, not truthiness: a graph with no live task is falsy.
         return {
             "tasks_executed": self.tasks_executed,
-            # `is not None`: a graph with no live task is falsy (__len__).
-            "graph": self.graph.stats if self.graph is not None else None,
-            "scheduler": (
-                self.scheduler.stats if self.scheduler is not None else None
-            ),
-            "renamed_buffers": (
-                self.tracker.total_renamed_buffers
-                if self.tracker is not None else 0
-            ),
+            "graph": getattr(self.graph, "stats", None),
+            "scheduler": getattr(self.scheduler, "stats", None),
+            "renamed_buffers": getattr(
+                self.tracker, "total_renamed_buffers", 0),
             "metrics": self.metrics.snapshot(),
         }
 

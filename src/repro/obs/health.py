@@ -561,7 +561,7 @@ class HealthMonitor:
 
         runtime = self.runtime
         chains = []
-        with runtime._tracker_lock:
+        with runtime.domain.lock:
             for task in blocked_tasks(runtime, limit=self.MAX_CHAINS):
                 chains.append(wait_chain(runtime, task))
         return chains
@@ -597,7 +597,7 @@ class HealthMonitor:
         """
 
         runtime = self.runtime
-        with runtime._tracker_lock:
+        with runtime.domain.lock:
             if isinstance(task, int):
                 resolved = runtime.graph.get(task)
                 if resolved is None:
@@ -612,7 +612,7 @@ class HealthMonitor:
              findings: Optional[list] = None) -> dict:
         """Flight-recorder dump to ``health_dump_dir``; returns paths."""
 
-        with self.runtime._tracker_lock:
+        with self.runtime.domain.lock:
             return self.recorder.dump(
                 self.dump_dir,
                 runtime=self.runtime,

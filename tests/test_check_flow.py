@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import record_program
 from repro.check import (
     ERROR,
     RULES,
@@ -375,9 +376,11 @@ def _clauses(draw, direction=st.sampled_from(["input", "output", "inout"])):
 _copies = st.tuples(_clauses(st.just("input")), _clauses(st.just("output"))) \
     .filter(lambda pair: pair[0][0] != pair[1][0])
 #: A submission is one clause or an input->output copy (listed twice:
-#: copies are what renames); ``None`` is a barrier.
+#: copies are what renames); ``None`` is a barrier and an array name a
+#: ``wait_on`` of that array.
 _drivers = st.lists(
-    st.one_of(st.none(), _clauses().map(lambda c: (c,)), _copies, _copies),
+    st.one_of(st.none(), _clauses().map(lambda c: (c,)), _copies, _copies,
+              st.sampled_from(sorted(_REGION_ARRAYS))),
     max_size=14,
 )
 
@@ -388,6 +391,9 @@ def _driver_source(ops) -> str:
         if op is None:
             calls.append("    barrier()")
             continue
+        if isinstance(op, str):
+            calls.append(f"    wait_on({op})")
+            continue
         params = ", ".join(array for array, _clause in op)
         pragma = " ".join(clause for _array, clause in op)
         name = f"t{len(tasks) + 1}"
@@ -396,7 +402,7 @@ def _driver_source(ops) -> str:
     return "\n".join([
         "import numpy as np",
         "from repro import record_program",
-        "from repro.core.api import barrier, css_task",
+        "from repro.core.api import barrier, css_task, wait_on",
         *(f"{array} = np.zeros(8)" for array in sorted(_REGION_ARRAYS)),
         *tasks,
         "def driver():",
@@ -409,7 +415,9 @@ def _driver_source(ops) -> str:
 def check_skeleton_is_the_recording(ops) -> bool:
     """flow and the eager recorder agree on *ops*: both refuse it (the
     recorder raises, flow reports that raise) or both build the same
-    tasks, edges with kinds and rename count.  True when both ran."""
+    tasks, edges with kinds, rename count and stream of task, wait and
+    barrier events; a skip-mode recording builds the same graph.  True
+    when both ran."""
 
     source = _driver_source(ops)
     result = flow_source(source, "<generated>")
@@ -424,10 +432,13 @@ def check_skeleton_is_the_recording(ops) -> bool:
     recorded = namespace["recorded"]
     static = result.graph.to_json_dict()
     assert static["tasks"] == recorded.to_json_dict()["tasks"], source
-    assert result.graph.edges == {
-        (pred, succ): kind for pred, succ, kind in recorded.graph.edges()
-    }, source
-    assert result.graph.renames == recorded.graph.stats.renames, source
+    assert static["stream"] == recorded.to_json_dict()["stream"], source
+    skipped = record_program(namespace["driver"], execute="skip")
+    for program in (recorded, skipped):
+        assert result.graph.edges == {
+            (pred, succ): kind for pred, succ, kind in program.graph.edges()
+        }, source
+        assert result.graph.renames == program.graph.stats.renames, source
     return True
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import RecordingRuntime, record_program
+from repro import RecordingRuntime, barrier, css_task, record_program, wait_on
 from repro.apps import cholesky, matmul
 from repro.apps.tasks import sgemm_t
 from repro.blas.hypermatrix import HyperMatrix
@@ -159,3 +159,63 @@ class TestEagerMode:
         prog = recorder.finish()
         kinds = [e[0] for e in prog.events]
         assert kinds == ["task", "wait", "barrier"]
+
+
+@css_task("inout(a{lo..hi}) input(lo, hi)")
+def fill_region_t(a, lo, hi):
+    a[lo:hi + 1] = 7
+
+
+@css_task("output(a) input(v)")
+def fill_t(a, v):
+    a[:] = v
+
+
+@css_task("input(a) output(b)")
+def copy_t(a, b):
+    b[:] = a
+
+
+class TestSynchronisation:
+    """The recorder blocks where the threaded runtime does, and finishes
+    what the main thread waited for, as that runtime has by then."""
+
+    def test_region_only_wait_on_is_recorded(self):
+        a = np.zeros(8)
+
+        def main():
+            fill_region_t(a, 0, 3)
+            wait_on(a)
+
+        prog = record_program(main)
+        assert [e[0] for e in prog.events] == ["task", "wait"]
+        assert (a == [7, 7, 7, 7, 0, 0, 0, 0]).all()
+
+    def test_wait_on_finishes_what_it_waited_for(self):
+        a = np.zeros(4)
+
+        def main():
+            fill_t(a, 1)
+            wait_on(a)
+            fill_t(a, 2)        # the writer before it finished: no rename
+            wait_on(a)
+            wait_on(a)          # nothing left to wait for: no event
+
+        prog = record_program(main)
+        assert [e[0] for e in prog.events] == ["task", "wait", "task", "wait"]
+        assert prog.graph.stats.renames == 0
+        assert all(t.state.name == "FINISHED" for t in prog.tasks)
+
+    @pytest.mark.parametrize("execute", ["eager", "skip"])
+    def test_barrier_forgets_every_chain(self, execute):
+        a, b = np.zeros(4), np.zeros(4)
+
+        def main():
+            for _ in range(2):
+                fill_t(a, 1)
+                copy_t(a, b)
+                barrier()
+
+        prog = record_program(main, execute=execute)
+        assert prog.graph.stats.renames == 0
+        assert prog.graph.stats.total_edges == 2

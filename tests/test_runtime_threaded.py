@@ -300,3 +300,43 @@ class TestTracing:
         intervals = rt.tracer.task_intervals()
         assert len(intervals) == 2
         assert analyze_tracer(rt.tracer).makespan > 0
+
+
+@css_task("output(a)")
+def fill_one_t(a):
+    a[0] = 1.0
+
+
+def test_submit_call_pin():
+    """1 000 whole-data submits of independent tasks, each ready at
+    submission, make exactly 5 000 Python-level calls from
+    ``SmpssRuntime.submit`` itself: the plan's ``instantiate``, the
+    domain's ``analyze``, the analysis histogram's ``observe``, the
+    worker loop's ``release`` and the graph's ``pending_count``.  That
+    is the count before barrier, ``wait_on`` and ``wait_for`` moved
+    into ``repro.core.frontend``: the hot path pays nothing for the
+    shared front end.  A count, not a timing (CI's bench-gate job).
+    """
+
+    import sys
+
+    submit = SmpssRuntime.submit.__code__
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_back is not None \
+                and frame.f_back.f_code is submit:
+            calls.append(frame.f_code.co_name)
+
+    arrays = [np.zeros(1) for _ in range(1000)]
+    with SmpssRuntime(num_workers=1) as rt:
+        fill_one_t(np.zeros(1))     # the invocation plan is built once
+        sys.setprofile(profile)
+        try:
+            for a in arrays:
+                fill_one_t(a)
+        finally:
+            sys.setprofile(None)
+        rt.barrier()
+    assert len(calls) == 5000, sorted(set(calls))
+    assert all((a == 1.0).all() for a in arrays)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import css_task, wait_on
 from repro.apps import cholesky, matmul
 from repro.apps.nqueens import nqueens_smpss_count
 from repro.blas.hypermatrix import HyperMatrix
 from repro.core.scheduler import CentralQueueScheduler
+from repro.core.task import TaskState
 from repro.sim import (
     ALTIX_32,
     CostModel,
@@ -128,6 +130,56 @@ class TestSimulatedRuntime:
             ).makespan
 
         assert run(True) < run(False)
+
+
+@css_task("inout(a{lo..hi}) input(lo, hi)")
+def fill_region_t(a, lo, hi):
+    a[lo:hi + 1] = 7
+
+
+@css_task("inout(a)")
+def fill_whole_t(a):
+    a[:] = 7
+
+
+@css_task("output(a) input(v)")
+def fill_t(a, v):
+    a[:] = v
+
+
+@css_task("input(a) output(b)")
+def copy_t(a, b):
+    b[:] = a
+
+
+class TestSynchronisation:
+    def test_barrier_writes_back_renamed_results(self):
+        """200 pending readers make the second fill of ``a`` rename; the
+        barrier must copy that version home, as on threads."""
+
+        a, sinks = np.zeros(4), [np.zeros(4) for _ in range(200)]
+        with SimulatedRuntime(execute_bodies=True) as rt:
+            fill_t(a, 1)
+            for b in sinks:
+                copy_t(a, b)
+            fill_t(a, 7)
+            rt.barrier()
+            assert rt.graph.stats.renames == 1
+        assert (a == 7).all()
+        assert all((b == 1).all() for b in sinks)
+
+    def test_region_only_wait_on_advances_the_main_clock(self):
+        clocks = []
+        for submit in (lambda a: fill_region_t(a, 0, 3), fill_whole_t):
+            a = np.zeros(8)
+            with SimulatedRuntime(execute_bodies=True) as rt:
+                task = submit(a)
+                submitted = rt.main_clock
+                wait_on(a)
+                assert task.state is TaskState.FINISHED
+                assert rt.main_clock > submitted
+                clocks.append(rt.main_clock)
+        assert clocks[0] == clocks[1]
 
 
 class TestForkJoinModels:
