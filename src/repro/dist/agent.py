@@ -46,16 +46,17 @@ from ..mp.encoding import apply_writebacks, resolve_definition_func
 from ..mp.executor import WorkerDied, WorkerProcess
 from ..mp.worker import run_body, task_record
 from ..net.client import NetClosed, NetTimeout
-from ..net.codec import PROTOCOL, format_remote_error
-from ..net.frames import RecordReader, recv_frame, send_frame
-from ..net.protocol import hang_up, listen, tune
-from .encoding import (
-    alloc_from_meta,
+from ..net.codec import (
+    PROTOCOL,
     apply_blob,
     decode_blob,
     encode_blob,
+    format_remote_error,
     slices_from_spec,
 )
+from ..net.frames import RecordReader, recv_frame, send_frame
+from ..net.protocol import hang_up, listen, tune
+from .encoding import alloc_from_meta
 
 __all__ = ["AgentServer"]
 

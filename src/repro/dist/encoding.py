@@ -18,7 +18,7 @@ as a tiny reference, not as bytes.  Five value-spec forms:
 ``("d", key, version, meta, payload)``
     Data ship: store ``decode_blob(meta, payload)`` under *key* at
     *version*, then use it (the ``(meta, payload)`` blob and how it
-    lands are :mod:`repro.net.codec`'s, re-exported here).  This is the
+    lands are :mod:`repro.net.codec`'s).  This is the
     cache-miss path the ``dist.bytes_moved`` counter measures.
 ``("f", key, meta)``
     Fresh output: allocate storage agent-side from *meta* alone —
@@ -47,13 +47,10 @@ from typing import Any, Optional
 import numpy as np
 
 from ..mp.encoding import RemoteTaskError
-from ..net.codec import (  # noqa: F401  (the blob half of the format)
-    apply_blob,
-    decode_blob,
-    encode_blob,
-    slices_from_spec,
-    slices_spec,
-)
+# The blob half of the format is repro.net.codec's.  Its three functions
+# stay reachable here because benchmarks/e2e/e2e_trace.py times them
+# under this module's name.
+from ..net.codec import apply_blob, decode_blob, encode_blob  # noqa: F401
 
 __all__ = [
     "AgentLostError",
@@ -62,12 +59,7 @@ __all__ = [
     "RemoteTaskError",
     "alloc_from_meta",
     "alloc_meta",
-    "apply_blob",
     "content_checksum",
-    "decode_blob",
-    "encode_blob",
-    "slices_from_spec",
-    "slices_spec",
 ]
 
 #: Types that may ship inline through an OPAQUE parameter.  Anything

@@ -49,7 +49,13 @@ from ..core.backend import Link, RemoteBackend
 from ..core.renaming import StorageKind
 from ..mp.encoding import definition_payload
 from ..net.client import NetClosed, NetTimeout
-from ..net.codec import PROTOCOL
+from ..net.codec import (
+    PROTOCOL,
+    apply_blob,
+    encode_blob,
+    slices_from_spec,
+    slices_spec,
+)
 from ..net.frames import FrameError, RecordReader, recv_frame, send_frame
 from ..net.protocol import connect, connect_retry, hang_up
 from .encoding import (
@@ -58,11 +64,7 @@ from .encoding import (
     DistSerializationError,
     RemoteTaskError,
     SCALAR_TYPES,
-    apply_blob,
     alloc_meta,
-    encode_blob,
-    slices_from_spec,
-    slices_spec,
 )
 from .residency import ResidencyMap
 

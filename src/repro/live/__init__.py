@@ -9,16 +9,17 @@ attachable debugging for the SMPSs runtime:
   a JSON-lines stream of graph deltas over a unix or TCP socket;
 * ``python -m repro live attach <addr>`` renders the terminal
   dashboard and drives the gate;
-* ``python -m repro live replay <recording>`` replays a saved
-  :class:`~repro.core.recorder.RecordedProgram` through the very same
-  dashboard, with ``step``/``back`` time travel.
+* ``python -m repro live replay <recording>`` runs a saved
+  :class:`~repro.core.recorder.RecordedProgram` on the simulator under
+  the section III policy, one virtual unit per task, and feeds its
+  trace to the very same dashboard, with ``step``/``back`` time travel.
 
 See ``docs/observability.md`` ("Live inspection & replay").
 """
 
+from ..net.protocol import PROTOCOL_VERSION, parse_address
 from .client import LiveClient, LiveClosed, LiveTimeout
 from .dashboard import DashboardState, render
-from .protocol import PROTOCOL_VERSION, parse_address
 from .replay import ReplayEngine
 from .session import LiveSession
 

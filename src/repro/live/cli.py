@@ -19,7 +19,7 @@ Commands (interactive prompt or ``--script``, ``;``-separated):
     state                 refresh the control snapshot (attach only)
     render                print the dashboard (an empty prompt line too)
     pause | resume        gate control
-    step [N]              dispatch N tasks (default 1)
+    step [N]              dispatch N tasks; replay: advance N units
     back [N]              rewind N units (replay only)
     break NAME | break #ID    set a breakpoint (task type / task id)
     clear                 drop every breakpoint

@@ -2,9 +2,9 @@
 
 :class:`DashboardState` is the one state machine behind every view of
 a run: ``repro.live attach`` feeds it the live socket stream,
-``repro.live replay`` feeds it the deltas synthesised from a saved
-recording — the acceptance criterion "live and post-mortem views are
-one code path" is this class.
+``repro.live replay`` feeds it the deltas of a saved recording's
+simulated run — the acceptance criterion "live and post-mortem views
+are one code path" is this class.
 
 It mirrors the graph (tasks, states, edges), the per-worker current
 task, the latest control snapshot, and the start/end times of ``done``

@@ -57,28 +57,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-# The wire helpers live in repro.net.protocol (shared with repro.obs
-# and repro.serve); re-exported here so every historical import path
-# (`from repro.live.protocol import encode`) keeps working.
-from ..net.protocol import (  # noqa: F401 - re-exports
-    PROTOCOL_VERSION,
-    connect,
-    decode,
-    encode,
-    format_address,
-    parse_address,
-)
-
-__all__ = [
-    "COMMANDS",
-    "PROTOCOL_VERSION",
-    "encode",
-    "decode",
-    "parse_address",
-    "format_address",
-    "connect",
-    "event_to_delta",
-]
+__all__ = ["COMMANDS", "event_to_delta"]
 
 #: The commands a :class:`~repro.live.session.LiveSession` answers.
 COMMANDS = frozenset(("pause", "resume", "step", "break", "clear", "state"))

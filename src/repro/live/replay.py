@@ -1,28 +1,72 @@
-"""Time-travel replay: drive the dashboard from a saved recording.
+"""Time-travel replay: a saved recording run once on the simulator.
 
-A :class:`ReplayEngine` takes the topology + submission stream saved by
-:meth:`RecordedProgram.save <repro.core.recorder.RecordedProgram.save>`
-and synthesises the *same wire deltas* a live session would stream —
-submitted / edge / ready / running / done — into a
-:class:`~repro.live.dashboard.DashboardState`.  One code path renders
-both the living run and the post-mortem one; that is the point.
-
-Execution is in deterministic *units* of virtual time: each unit runs
-the lowest-id ready task (the order the runtime's own deterministic
-release path favours) on a round-robin virtual thread.  ``step(n)``
-advances n units; ``back(n)`` rewinds by rebuilding from the start and
-stepping forward again — state is tiny, so time travel is a replay of
-a replay.
+:class:`ReplayEngine` runs a :meth:`RecordedProgram.save
+<repro.core.recorder.RecordedProgram.save>` file through the section
+III policy on :class:`~repro.sim.engine.VirtualMachine`, one virtual
+unit per task; a ``barrier`` drains the machine, a ``wait`` runs it to
+the waited task's end.  Its tracer events pass once through
+:func:`~repro.live.protocol.event_to_delta`, as a live session's do.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional
 
+from ..core.graph import TaskGraph
 from ..core.recorder import LoadedRecording, load_recording
+from ..core.scheduler import SmpssScheduler
+from ..core.task import TaskInstance, TaskState
+from ..core.tracing import Tracer
+from ..sim.baselines import synthetic_definition
+from ..sim.engine import VirtualMachine
+from ..sim.machine import MachineConfig
 from .dashboard import DashboardState
+from .protocol import event_to_delta
 
 __all__ = ["ReplayEngine"]
+
+
+def _simulate(recording: LoadedRecording, threads: int) -> list:
+    """``(virtual time, delta)`` of one unit-cost run of *recording*."""
+
+    tracer = Tracer(capacity=None)  # unbounded: the replay is every event
+    graph = TaskGraph(keep_finished=False, tracer=tracer)
+    scheduler = SmpssScheduler(threads, tracer=tracer)
+    # One unit per task, overheads included: steals cost nothing more.
+    unit_cost = SimpleNamespace(duration=lambda _task, _cache: 1.0)
+    vm = VirtualMachine(MachineConfig(cores=threads, steal_overhead=0.0),
+                        graph, scheduler, unit_cost, tracer,
+                        main_is_worker=True)
+    tasks = {tid: TaskInstance(synthetic_definition(name), [], {}, tid, prio)
+             for tid, name, prio in recording.tasks}
+    in_edges: dict[int, list] = {}
+    for src, dst, kind in recording.edges:
+        in_edges.setdefault(dst, []).append((tasks[src], kind))
+    for kind, *ids in recording.stream:
+        if kind == "task":
+            task = tasks[ids[0]]
+            graph.add_task(task)
+            for pred, edge_kind in in_edges.get(task.task_id, ()):
+                graph.add_dependency(pred, task, edge_kind)
+            tracer.task_added(task)
+            if task.num_pending_deps == 0:
+                scheduler.push_new(task)
+                vm.dispatch_idle(vm.now)
+        elif kind == "barrier":
+            tracer.barrier_enter()
+            vm.drain()
+            tracer.barrier_exit()
+        else:
+            tracer.wait_on_enter()
+            while tasks[ids[0]].state is not TaskState.FINISHED and vm.running:
+                vm.process_until(vm.next_event_time())
+            tracer.wait_on_exit()
+    vm.drain()
+    if graph.pending_count:
+        raise ValueError(f"{graph.pending_count} tasks never become ready")
+    return [(event.time, delta) for event in tracer.events
+            if (delta := event_to_delta(event)) is not None]
 
 
 class ReplayEngine:
@@ -34,159 +78,43 @@ class ReplayEngine:
             recording = load_recording(recording)
         self.recording = recording
         self.num_threads = max(1, num_threads)
-        self.dashboard = dashboard if dashboard is not None \
-            else DashboardState()
+        self.dashboard = dashboard or DashboardState()
+        self._deltas = _simulate(recording, self.num_threads)
+        self.end = int(self._deltas[-1][0]) if self._deltas else 0  # makespan
         self.units = 0
-        self._names: dict[int, str] = {}
-        self._ready: list[int] = []
-        self._pending_deps: dict[int, int] = {}
-        self._succs: dict[int, list] = {}
-        self._done: set[int] = set()
-        self.reset()
+        self.back(0)
 
-    # ------------------------------------------------------------------
-    # building
-    # ------------------------------------------------------------------
-    def _emit(self, record: dict) -> None:
-        self.dashboard.apply(record)
-
-    def reset(self) -> None:
-        """Rebuild to unit 0: whole stream submitted, nothing run.
-
-        Submissions flush eagerly — exactly the picture a live client
-        sees under ``live_start_paused=True``, where the main thread
-        races ahead of the (gated) workers and the full worst-case
-        hazard graph is on screen before the first dispatch.
-        """
-
-        rec = self.recording
-        self.units = 0
-        self._done = set()
-        self._names = {tid: name for tid, name, _prio in rec.tasks}
-        in_edges: dict[int, list] = {}
-        self._succs = {}
-        self._pending_deps = {}
-        for src, dst, kind in rec.edges:
-            in_edges.setdefault(dst, []).append((src, kind))
-            self._succs.setdefault(src, []).append(dst)
-            self._pending_deps[dst] = self._pending_deps.get(dst, 0) + 1
-        for succs in self._succs.values():
-            succs.sort()
-        self._ready = []
-        self._emit({
-            "ev": "hello",
-            "backend": "replay",
-            "threads": self.num_threads,
-            "version": 1,
-        })
-        for tid, name, _prio in rec.tasks:
-            self._emit({
-                "ev": "task", "id": tid, "name": name,
-                "state": "submitted", "t": 0.0, "thread": -1,
-            })
-            for src, kind in in_edges.get(tid, ()):
-                self._emit({"ev": "edge", "src": src, "dst": tid,
-                            "kind": kind})
-            if self._pending_deps.get(tid, 0) == 0:
-                self._ready.append(tid)
-                self._emit({
-                    "ev": "task", "id": tid, "name": name,
-                    "state": "ready", "t": 0.0, "thread": -1,
-                })
-        self._ready.sort()
-        for entry in rec.stream:
-            if entry[0] in ("barrier", "wait"):
-                self._emit({"ev": "mark",
-                            "what": f"replay_{entry[0]}",
-                            "t": 0.0, "thread": 0})
-        self._snapshot()
-
-    # ------------------------------------------------------------------
-    # stepping
-    # ------------------------------------------------------------------
     def step(self, n: int = 1) -> int:
-        """Advance *n* execution units; returns how many actually ran."""
+        """Advance *n* units; returns how many tasks finished in them."""
 
-        ran = 0
-        for _ in range(n):
-            if not self._ready:
-                break
-            task_id = self._ready.pop(0)  # lowest id (list kept sorted)
-            thread = self.units % self.num_threads
-            name = self._names.get(task_id, "")
-            self._emit({
-                "ev": "task", "id": task_id, "name": name,
-                "state": "running", "t": float(self.units),
-                "thread": thread,
-            })
-            self._emit({
-                "ev": "task", "id": task_id, "name": name,
-                "state": "done", "t": float(self.units + 1),
-                "thread": thread,
-            })
-            self._done.add(task_id)
-            released = []
-            for succ in self._succs.get(task_id, ()):
-                self._pending_deps[succ] -= 1
-                if self._pending_deps[succ] == 0:
-                    released.append(succ)
-            for succ in released:
-                self._ready.append(succ)
-                self._emit({
-                    "ev": "task", "id": succ,
-                    "name": self._names.get(succ, ""),
-                    "state": "ready", "t": float(self.units + 1),
-                    "thread": thread,
-                })
-            if released:
-                self._ready.sort()
-            self.units += 1
-            ran += 1
-        self._snapshot()
-        return ran
+        self.units = min(self.units + max(n, 0), self.end)
+        finished, deltas, state = 0, self._deltas, self.dashboard
+        while self._cursor < len(deltas) \
+                and deltas[self._cursor][0] <= self.units:
+            delta = deltas[self._cursor][1]
+            state.apply(delta)
+            finished += delta.get("state") == "done"
+            self._cursor += 1
+        counts = state.counts()
+        done, running = counts["done"], counts["running"]
+        state.apply(dict(
+            ev="snapshot", paused=True, unit=self.units, running=running,
+            ready=counts["ready"], parked=self.num_threads - running,
+            pending=len(self.recording.tasks) - done, executed=done))
+        return finished
 
     def back(self, n: int = 1) -> int:
-        """Rewind *n* units (floor 0); returns the new unit index."""
+        """Rewind *n* units (floor 0), re-applied to a fresh dashboard."""
 
         target = max(0, self.units - n)
-        # Keep the same dashboard object but restart its world: a fresh
-        # state applied in place, so callers holding a reference see
-        # the rewound picture.
         self.dashboard.__init__()
-        self.reset()
-        if target:
-            self.step(target)
+        self.dashboard.apply({"ev": "hello", "backend": "replay",
+                              "threads": self.num_threads, "version": 1})
+        self.units = self._cursor = 0
+        self.step(target)
         return self.units
 
-    def run(self, limit: int = 10_000_000) -> int:
-        """Execute to the end (or *limit* units); returns units run."""
+    def run(self) -> int:
+        """Apply everything; returns how many tasks finished."""
 
-        ran = 0
-        while self._ready and ran < limit:
-            ran += self.step(min(1024, limit - ran))
-        return ran
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def remaining(self) -> int:
-        return len(self.recording.tasks) - len(self._done)
-
-    @property
-    def ready_count(self) -> int:
-        return len(self._ready)
-
-    def _snapshot(self) -> None:
-        self._emit({
-            "ev": "snapshot",
-            "paused": True,  # replay only moves when stepped
-            "step_budget": 0,
-            "break_names": [], "break_ids": [],
-            "ready": len(self._ready),
-            "running": 0,
-            "parked": self.num_threads - 1,
-            "pending": self.remaining,
-            "executed": len(self._done),
-            "unit": self.units,
-        })
+        return self.step(self.end - self.units)

@@ -55,7 +55,9 @@ def _noop():  # synthetic task body, never called
 _SYNTH_DEFS: dict[str, TaskDefinition] = {}
 
 
-def _definition(name: str) -> TaskDefinition:
+def synthetic_definition(name: str) -> TaskDefinition:
+    """The one body-less definition named *name*."""
+
     defn = _SYNTH_DEFS.get(name)
     if defn is None:
         defn = TaskDefinition(func=_noop, params=(), name=name)
@@ -100,7 +102,7 @@ class DagTemplate:
         instances = []
         for name, duration in self.nodes:
             task = TaskInstance(
-                definition=_definition(name),
+                definition=synthetic_definition(name),
                 accesses=[],
                 arguments={"_duration": duration},
             )

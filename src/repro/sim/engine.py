@@ -69,12 +69,13 @@ class VirtualMachine:
         scheduler,
         cost_model: CostModel,
         tracer=None,
+        main_is_worker: bool = False,
     ):
         self.machine = machine
         self.graph = graph
         self.scheduler = scheduler
         self.cost = cost_model
-        self.tracer = tracer
+        self.tracer = None
         cores = machine.cores
         from .cache import ResidencyIndex
 
@@ -86,18 +87,19 @@ class VirtualMachine:
         #: (finish_time, seq, core, task) of running tasks.
         self.running: list[tuple[float, int, int, TaskInstance]] = []
         self._seq = 0
-        #: worker cores with nothing to do (core 0 managed by the owner).
-        self.idle: set[int] = set(range(1, cores))
-        #: run_static mode: core 0 is a plain worker, not the main thread.
-        self.main_is_worker = False
+        #: Core 0 is a plain worker, not the main thread (run_static).
+        self.main_is_worker = main_is_worker
+        #: worker cores with nothing to do (else core 0 is the owner's).
+        self.idle: set[int] = set(range(0 if main_is_worker else 1, cores))
         self.busy_time = [0.0] * cores
         self.steal_time = [0.0] * cores
         self.tasks_executed = 0
         self.last_finish = 0.0
-        #: Virtual timestamp of the event being processed; a Tracer
-        #: whose clock reads this records virtual-time events (see
-        #: :meth:`wire_tracer`).
+        #: Virtual timestamp of the event being processed; the tracer's
+        #: clock reads it (see :meth:`wire_tracer`).
         self.now = 0.0
+        if tracer:
+            self.wire_tracer(tracer)
 
     def wire_tracer(self, tracer) -> None:
         """Point *tracer*'s clock at this machine's virtual time."""
@@ -236,9 +238,8 @@ def run_static(
     """
 
     scheduler = scheduler_factory(machine.cores, tracer=tracer)
-    vm = VirtualMachine(machine, graph, scheduler, cost_model, tracer)
-    vm.main_is_worker = True
-    vm.idle = set(range(machine.cores))  # core 0 is a plain worker here
+    vm = VirtualMachine(machine, graph, scheduler, cost_model, tracer,
+                        main_is_worker=True)
     for task in list(graph.roots()):
         scheduler.push_new(task)
     vm.dispatch_idle(0.0)

@@ -61,8 +61,6 @@ class SimulatedRuntime(ActiveRuntime):
             machine.cores, tracer=tracer
         )
         self.vm = VirtualMachine(machine, self.graph, self.scheduler, self.cost, tracer)
-        if tracer is not None:
-            self.vm.wire_tracer(tracer)
         self.main_clock = 0.0
         self.tasks_submitted = 0
 

@@ -22,14 +22,16 @@ from repro.dist.encoding import (
     DistSerializationError,
     alloc_from_meta,
     alloc_meta,
-    apply_blob,
     content_checksum,
+)
+from repro.dist.residency import ResidencyMap
+from repro.net.codec import (
+    apply_blob,
     decode_blob,
     encode_blob,
     slices_from_spec,
     slices_spec,
 )
-from repro.dist.residency import ResidencyMap
 
 pytestmark = pytest.mark.dist
 

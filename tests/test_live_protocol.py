@@ -8,13 +8,8 @@ import pytest
 from repro.core.recorder import load_recording, record_program
 from repro.core.tracing import EventKind, TraceEvent
 from repro.live import DashboardState, ReplayEngine, render
-from repro.live.protocol import (
-    decode,
-    encode,
-    event_to_delta,
-    format_address,
-    parse_address,
-)
+from repro.live.protocol import event_to_delta
+from repro.net.protocol import decode, encode, format_address, parse_address
 
 pytestmark = pytest.mark.live
 
@@ -307,26 +302,82 @@ class TestRecordingPersistence:
             load_recording(str(path))
 
 
+def _wide_program():
+    import numpy as np
+
+    from repro import css_task
+
+    @css_task("input(src) output(o)")
+    def copy(src, o):
+        o[...] = src
+
+    src = np.ones(2)
+    for _ in range(8):
+        copy(src, np.zeros(2))
+
+
+def _synchronised_program():
+    """Two chains around a barrier, then a ``wait_on`` in mid-stream."""
+
+    import numpy as np
+
+    from repro import barrier, css_task, wait_on
+
+    @css_task("inout(x)")
+    def bump(x):
+        x += 1
+
+    x, y, z, w = (np.zeros(2) for _ in range(4))
+    for _ in range(3):
+        bump(x)
+    bump(y)
+    barrier()
+    bump(z)
+    bump(w)
+    bump(w)
+    wait_on(w)
+    bump(y)
+    bump(z)
+
+
+def _assert_dependencies_hold(dashboard):
+    for src, dst in dashboard.edges:
+        assert dashboard.tasks[dst]["start"] >= dashboard.tasks[src]["end"]
+
+
+def _assert_inside_greedy_bounds(dashboard, threads):
+    report = dashboard.report(num_threads=threads)
+    assert report.bound_lower <= report.makespan <= report.bound_upper
+    return report
+
+
 class TestReplayEngine:
-    def _engine(self, **kwargs):
-        program = record_program(_diamond_program)
-        return ReplayEngine(program.to_json_dict(), **kwargs)
+    """Replay is one unit-cost simulator run of the recording (section
+    III policy, every task one unit); ``step`` counts virtual units."""
+
+    def _engine(self, program=_diamond_program, **kwargs):
+        return ReplayEngine(record_program(program).to_json_dict(), **kwargs)
 
     def test_reset_submits_everything(self):
         engine = self._engine()
         sig = engine.dashboard.signature()
         assert sig["tasks"] == 4
         assert sig["done"] == 0
-        assert engine.ready_count == 1  # only the root has no deps
+        # Unit 0: only the root had no dependency, and it is running.
+        assert engine.dashboard.counts() == {"running": 1, "submitted": 3}
+        assert engine.dashboard.snapshot["ready"] == 0
 
     def test_step_respects_dependencies(self):
         engine = self._engine()
         assert engine.step(1) == 1
-        # Root done; both branches released, join still blocked.
-        assert engine.dashboard.counts()["done"] == 1
-        assert engine.ready_count == 2
+        # Root done; both branches released and running on two threads,
+        # the join still blocked.
+        assert engine.dashboard.counts() == {
+            "done": 1, "running": 2, "submitted": 1}
         assert engine.step(10) == 3  # only 3 tasks remain
-        assert engine.remaining == 0
+        assert engine.units == 3    # root, branches, join
+        assert engine.dashboard.snapshot["pending"] == 0
+        _assert_dependencies_hold(engine.dashboard)
 
     def test_time_travel_back_is_deterministic(self):
         engine = self._engine()
@@ -336,6 +387,7 @@ class TestReplayEngine:
         }
         engine.back(2)
         assert engine.units == 1
+        assert engine.dashboard.counts()["done"] == 1
         engine.step(2)
         again = {
             tid: dict(info) for tid, info in engine.dashboard.tasks.items()
@@ -345,15 +397,81 @@ class TestReplayEngine:
     def test_back_to_zero(self):
         engine = self._engine()
         engine.run()
-        assert engine.remaining == 0
+        assert engine.dashboard.snapshot["pending"] == 0
         engine.back(10_000)
         assert engine.units == 0
         assert engine.dashboard.counts().get("done", 0) == 0
 
     def test_run_completes_and_snapshot_reflects_it(self):
         engine = self._engine(num_threads=2)
-        engine.run()
+        assert engine.run() == 4
         snap = engine.dashboard.snapshot
         assert snap["pending"] == 0
         assert snap["executed"] == 4
         assert engine.dashboard.signature()["done"] == 4
+        _assert_dependencies_hold(engine.dashboard)
+        _assert_inside_greedy_bounds(engine.dashboard, 2)
+
+    def test_a_recording_that_never_drains_is_refused(self):
+        recording = {"format": "repro.recording", "version": 1,
+                     "tasks": [[1, "a", 0], [2, "b", 0]],
+                     "edges": [[1, 2, "true"], [2, 1, "true"]],  # a cycle
+                     "stream": [["task", 1], ["task", 2]]}
+        with pytest.raises(ValueError, match="2 tasks never become ready"):
+            ReplayEngine(recording)
+
+    def test_eight_independent_tasks_take_two_units_on_four_threads(self):
+        engine = self._engine(_wide_program, num_threads=4)
+        assert engine.run() == 8
+        assert engine.units == 2
+        report = _assert_inside_greedy_bounds(engine.dashboard, 4)
+        assert report.makespan == 2.0
+        assert (report.bound_lower, report.bound_upper) == (2.0, 3.0)
+        assert report.utilisation == 1.0
+
+    @pytest.mark.parametrize("threads", [1, 3, 8])
+    def test_cholesky_replays_inside_greedy_bounds(self, threads):
+        from repro.apps.cholesky import cholesky_hyper
+        from repro.blas.hypermatrix import HyperMatrix
+
+        engine = self._engine(
+            lambda: cholesky_hyper(HyperMatrix.random_spd(6, 8, seed=3)),
+            num_threads=threads)
+        assert engine.run() == 56
+        _assert_dependencies_hold(engine.dashboard)
+        _assert_inside_greedy_bounds(engine.dashboard, threads)
+
+    def test_barrier_and_wait_on_block_later_tasks(self):
+        seen = []
+
+        class Seen(DashboardState):
+            def apply(self, record):
+                seen.append(record)
+                super().apply(record)
+
+        recording = record_program(_synchronised_program).to_json_dict()
+        engine = ReplayEngine(recording, num_threads=2, dashboard=Seen())
+        engine.run()
+        tasks = engine.dashboard.tasks
+        assert len(tasks) == 9 and engine.dashboard.counts()["done"] == 9
+        marks = {record["what"]: record["t"]
+                 for record in seen if record["ev"] == "mark"}
+        # The x chain (three units) holds the barrier; the w chain then
+        # ends two units later, where the main thread's wait returns.
+        assert marks == {"barrier_enter": 0.0, "barrier_exit": 3.0,
+                         "wait_on_enter": 3.0, "wait_on_exit": 5.0}
+        stream = recording["stream"]
+        cut = stream.index(["barrier"])
+        waited = next(entry[1] for entry in stream if entry[0] == "wait")
+        after_wait = stream.index(["wait", waited])
+        for index, entry in enumerate(stream):
+            if entry[0] != "task":
+                continue
+            if index < cut:
+                assert tasks[entry[1]]["end"] <= marks["barrier_exit"]
+            else:
+                assert tasks[entry[1]]["start"] >= marks["barrier_exit"]
+            if index > after_wait:
+                assert tasks[entry[1]]["start"] >= tasks[waited]["end"]
+        assert tasks[waited]["end"] == marks["wait_on_exit"]
+        _assert_dependencies_hold(engine.dashboard)

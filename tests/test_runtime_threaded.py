@@ -318,6 +318,7 @@ def test_submit_call_pin():
     shared front end.  A count, not a timing (CI's bench-gate job).
     """
 
+    import gc
     import sys
 
     submit = SmpssRuntime.submit.__code__
@@ -329,14 +330,22 @@ def test_submit_call_pin():
             calls.append(frame.f_code.co_name)
 
     arrays = [np.zeros(1) for _ in range(1000)]
+    outer = sys.getprofile()    # a coverage tool's hook, say: put back
+    collecting = gc.isenabled()
     with SmpssRuntime(num_workers=1) as rt:
         fill_one_t(np.zeros(1))     # the invocation plan is built once
+        # A collection inside the loop finalises garbage (a suspended
+        # generator's close is a "call") on submit's frame: none there.
+        gc.collect()
+        gc.disable()
         sys.setprofile(profile)
         try:
             for a in arrays:
                 fill_one_t(a)
         finally:
-            sys.setprofile(None)
+            sys.setprofile(outer)
+            if collecting:
+                gc.enable()
         rt.barrier()
     assert len(calls) == 5000, sorted(set(calls))
     assert all((a == 1.0).all() for a in arrays)

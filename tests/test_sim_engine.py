@@ -82,6 +82,27 @@ class TestExactSchedules:
         assert sum(res.busy_time) == pytest.approx(12.0)
         assert res.utilisation == pytest.approx(1.0)
 
+    def test_tracer_records_virtual_times(self):
+        """A tracer handed to ``run_static`` runs on the virtual clock:
+        each ``task_end`` is the task's virtual finish time."""
+
+        from repro.core.tracing import EventKind, Tracer
+
+        dag = DagTemplate()
+        a = dag.add_node("a", 1.0)
+        b = dag.add_node("b", 5.0)
+        dag.add_edge(a, b)
+        dag.add_node("c", 2.0)
+        machine = quiet_machine(2)
+        tracer = Tracer()
+        res = run_static(dag.build(), machine,
+                         CostModel(machine, block_size=1), SmpssScheduler,
+                         tracer=tracer)
+        ends = {e.task_name: e.time
+                for e in tracer.of_kind(EventKind.TASK_END)}
+        assert ends == {"a": 1.0, "c": 2.0, "b": 6.0}
+        assert res.makespan == max(ends.values())
+
     def test_determinism(self):
         dag = template_fan(1.0, 16)
         first = run(dag, cores=5)
