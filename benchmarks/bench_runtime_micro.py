@@ -15,7 +15,6 @@ from repro.core.dependencies import DependencyTracker
 from repro.core.graph import TaskGraph
 from repro.core.scheduler import SmpssScheduler
 from repro.core.task import TaskDefinition, TaskInstance, reset_task_ids
-from repro.core.tracing import NullTracer
 
 
 @css_task("input(a, b) inout(c)")
@@ -77,52 +76,6 @@ def test_scheduler_push_pop(benchmark):
         return popped
 
     assert benchmark(cycle) == 512
-
-
-def test_null_tracer_overhead_under_five_percent():
-    """Tracing-off must be free: NullTracer adds <5% to the hot path.
-
-    The scheduler (and DependencyTracker) normalise falsy tracers to
-    ``None`` at construction, so the disabled-tracing guard is a plain
-    ``None`` check rather than a Python-level ``__bool__`` call per
-    push/pop.  This pins that property with a paired measurement of the
-    hottest tracer-guarded loop — 512 tasks pushed and popped through
-    the section III policy — comparing ``tracer=None`` against
-    ``tracer=NullTracer()``.  min-of-N timing rejects scheduler noise.
-    """
-
-    defn = TaskDefinition(func=lambda: None, params=(), name="t")
-
-    def cycle(tracer):
-        reset_task_ids()
-        scheduler = SmpssScheduler(num_threads=8, tracer=tracer)
-        tasks = [
-            TaskInstance(definition=defn, accesses=[], arguments={})
-            for _ in range(512)
-        ]
-        for rounds in range(50):
-            for i, t in enumerate(tasks):
-                scheduler.push_unlocked(t, thread=i % 8)
-            for i in range(512):
-                scheduler.pop(i % 8)
-
-    def best_of(tracer_factory, repeats=7):
-        best = float("inf")
-        for _ in range(repeats):
-            tracer = tracer_factory()
-            start = time.perf_counter()
-            cycle(tracer)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    cycle(None)  # warm up allocators and bytecode caches
-    disabled = best_of(lambda: None)
-    null = best_of(NullTracer)
-    overhead = null / disabled - 1.0
-    assert overhead < 0.05, (
-        f"NullTracer path {overhead:.1%} slower than tracing disabled "
-        f"({null:.4f}s vs {disabled:.4f}s)"
-    )
 
 
 def test_health_watchdog_overhead_under_five_percent():
@@ -237,9 +190,9 @@ def test_live_gate_detached_overhead_under_five_percent():
     schedule being inspected.  ``DispatchGate.install`` guarantees
     that: a disengaged gate vacates the scheduler's ``gate`` slot
     entirely, so both variants here run the identical ``None``-checked
-    path.  Same paired min-of-N idiom as the NullTracer pin, with the
-    two variants *interleaved* per repeat so clock-frequency drift
-    cancels instead of biasing one side.
+    path.  Paired min-of-N timing, with the two variants *interleaved*
+    per repeat so clock-frequency drift cancels instead of biasing one
+    side.
     """
 
     from repro.core.scheduler import DispatchGate

@@ -17,14 +17,7 @@ Three layers (see ``docs/static_analysis.md``):
 
 from .astlint import lint_file, lint_paths, lint_source
 from .findings import ERROR, RULES, WARNING, Finding
-from .flow import (
-    FlowOptions,
-    FlowResult,
-    StaticGraph,
-    flow_file,
-    flow_paths,
-    flow_source,
-)
+from .flow import FlowOptions, FlowResult, flow_file, flow_paths, flow_source
 from .report import filter_findings, render_json, render_text
 from .sanitize import AccessViolation, Sanitizer, SanitizerFinding
 from .suppress import SuppressionIndex
@@ -38,7 +31,6 @@ __all__ = [
     "RULES",
     "Sanitizer",
     "SanitizerFinding",
-    "StaticGraph",
     "SuppressionIndex",
     "WARNING",
     "filter_findings",

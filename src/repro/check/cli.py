@@ -15,7 +15,9 @@ Usage::
 ``lint`` checks each task body against its pragma; ``flow`` abstractly
 interprets the whole driver program, reporting cross-submission
 hazards (``flow-*`` rules) and — for a single file — emitting the
-static task-graph skeleton as JSON or GraphViz.  Both exit 0 when
+static task-graph skeleton as JSON (a ``repro.recording`` document
+with the skeleton's ``source``, ``entry`` and per-task ``details``) or
+GraphViz.  Both exit 0 when
 clean, 1 when any finding survives filtering, and 2 on usage errors
 (unreadable path, unknown rule name).  Directories are searched
 recursively for ``*.py``.  ``--constants`` declares extra names (the
@@ -147,24 +149,32 @@ def _run_flow(args, parser, select, ignore) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     findings = filter_findings(findings, select=select, ignore=ignore)
+    program = result.program if result is not None else None
     if args.format == "dot":
-        assert result is not None
-        print(result.graph.to_dot())
+        print(program.to_dot())
         for f in findings:
             print(f"// {f.render()}", file=sys.stderr)
     elif args.format == "json":
         doc = {"findings": [f.to_dict() for f in findings]}
-        if result is not None:
-            doc["graph"] = result.graph.to_json_dict()
+        if program is not None:
+            # The recording document plus what only a skeleton knows.
+            details = [
+                {"id": t.task_id, "file": t.file, "line": t.line,
+                 "conditional": t.conditional, "summarized": t.summarized}
+                for t in program.graph
+            ]
+            doc["graph"] = dict(program.to_json_dict(), source=args.paths[0],
+                                entry=args.entry, details=details)
         print(json.dumps(doc, indent=2))
     else:
         print(render_text(findings))
-        if result is not None:
-            g = result.graph
-            trunc = " (truncated)" if g.truncated else ""
+        if program is not None:
+            graph = program.to_json_dict()
+            trunc = " (truncated)" if graph["truncated"] else ""
             print(
-                f"static skeleton: {g.task_count} tasks, "
-                f"{len(g.edges)} edges, {g.renames} renames{trunc}",
+                f"static skeleton: {len(graph['tasks'])} tasks, "
+                f"{len(graph['edges'])} edges, {graph['renames']} "
+                f"renames{trunc}",
                 file=sys.stderr,
             )
     return 1 if findings else 0

@@ -13,10 +13,12 @@ the chains exactly as the runtime's does.
 
 Two things come out:
 
-* a **static task-graph skeleton** — the ``TaskGraph`` the tracker
-  built: the task ids, edges and edge kinds the eager recorder produces
-  for the same driver (a tested property; see ``repro.obs diff`` for
-  the static-vs-recorded comparison), and
+* a **static task-graph skeleton** — a
+  :class:`~repro.core.recorder.RecordedProgram` of the tracker's graph
+  and the task/barrier/wait stream: the same ``repro.recording``
+  document the eager recorder saves for the same driver (a tested
+  property; ``python -m repro obs diff`` compares the two, and
+  ``python -m repro live replay`` steps through either), and
 * **whole-program findings** no per-task check can see, because they
   live *between* submissions: overlapping-region write hazards, opaque
   sharing races, direct data access without an intervening barrier,
@@ -47,6 +49,7 @@ from ..compiler.translate import CompileError, translate_source
 from ..core.dependencies import DependencyError, DependencyTracker
 from ..core.graph import TaskGraph
 from ..core.pragma import PragmaError, parse_pragma
+from ..core.recorder import RecordedProgram
 from ..core.regions import Region
 from ..core.renaming import StorageKind
 from ..core.task import Direction, ParamAccess, TaskInstance, TaskState
@@ -60,7 +63,6 @@ from .suppress import SuppressionIndex
 __all__ = [
     "FlowOptions",
     "FlowResult",
-    "StaticGraph",
     "StaticTask",
     "flow_source",
     "flow_file",
@@ -230,76 +232,6 @@ _REGISTRY = SimpleNamespace(
     adapter_for=lambda datum: _ADAPTERS[datum.renamable])
 
 
-class StaticGraph:
-    """The extracted skeleton, shaped like a ``RecordedProgram``."""
-
-    FORMAT = "repro.staticgraph"
-
-    def __init__(self, source: str, entry: Optional[str]):
-        self.source = source
-        self.entry = entry
-        #: Nodes, edges and the rename count, as ``core.dependencies``
-        #: built them.
-        self.dag = TaskGraph(keep_finished=True)
-        self.stream: list = []
-        self.truncated = False
-
-    @property
-    def tasks(self) -> list[StaticTask]:
-        return list(self.dag)
-
-    @property
-    def edges(self) -> dict[tuple[int, int], str]:
-        return {(pred, succ): kind for pred, succ, kind in self.dag.edges()}
-
-    @property
-    def renames(self) -> int:
-        return self.dag.stats.renames
-
-    @property
-    def task_count(self) -> int:
-        return len(self.dag)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": self.FORMAT,
-            "version": 1,
-            "source": self.source,
-            "entry": self.entry,
-            "truncated": self.truncated,
-            "renames": self.renames,
-            "tasks": [[t.task_id, t.name, t.high_priority]
-                      for t in self.dag],
-            "edges": sorted(list(edge) for edge in self.dag.edges()),
-            "stream": list(self.stream),
-            "details": [
-                {"id": t.task_id, "file": t.file, "line": t.line,
-                 "conditional": t.conditional, "summarized": t.summarized}
-                for t in self.dag
-            ],
-        }
-
-    def to_dot(self) -> str:
-        styles = {"true": "solid", "anti": "dashed", "output": "dotted"}
-        lines = [
-            "digraph static_taskgraph {",
-            "  rankdir=TB;",
-            '  node [shape=box, style=filled, fillcolor="#eef3fb"];',
-        ]
-        for t in self.dag:
-            extras = ", peripheries=2" if t.high_priority else ""
-            if t.conditional or t.summarized:
-                extras += ', fillcolor="#f5f0e1"'
-            lines.append(
-                f'  t{t.task_id} [label="{t.task_id}: {t.name}"{extras}];'
-            )
-        for p, s, kind in sorted(self.dag.edges()):
-            style = styles.get(kind, "solid")
-            lines.append(f'  t{p} -> t{s} [style={style}, label="{kind}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Options / result
 # ---------------------------------------------------------------------------
@@ -314,7 +246,9 @@ class FlowOptions:
 @dataclass
 class FlowResult:
     findings: list[Finding]
-    graph: StaticGraph
+    #: The skeleton: :class:`StaticTask` nodes in a kept graph, and the
+    #: task/barrier/wait stream.
+    program: RecordedProgram
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +389,12 @@ def _is_scalarish(value) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Interp:
-    def __init__(self, options: FlowOptions, root_path: str,
-                 entry: Optional[str]):
+    def __init__(self, options: FlowOptions):
         self.opt = options
-        self.graph = StaticGraph(root_path, entry)
+        self.graph = TaskGraph(keep_finished=True)
+        self.program = RecordedProgram(self.graph)
         # The runtime's own dependency analysis, over abstract data.
-        self.tracker = DependencyTracker(self.graph.dag, _REGISTRY)
+        self.tracker = DependencyTracker(self.graph, _REGISTRY)
         self.findings: list[Finding] = []
 
         self._datum_ids = 0
@@ -506,7 +440,7 @@ class _Interp:
     def _tick(self) -> None:
         self._steps += 1
         if self._steps > _MAX_STEPS:
-            self.graph.truncated = True
+            self.program.truncated = True
             raise _OutOfBudget
 
     def _report(self, rule: str, node, message: str, *,
@@ -618,13 +552,13 @@ class _Interp:
                 "happened since the previous synchronisation point",
             )
         if explicit and self.runtime_depth > 0:
-            self.graph.stream.append(["barrier"])
+            self.program.events.append(("barrier",))
         self._flush_serialization()
         # The runtime's barrier: everything in flight retires and the
         # tracker forgets its chains (write_back_all() + reset()).
         for t in self._live:
             if not t.finished:
-                self.graph.dag.complete(t)
+                self.graph.complete(t)
         self._live.clear()
         self.tracker.reset()
         self._exact.clear()
@@ -644,7 +578,7 @@ class _Interp:
             t = stack.pop()
             if t.finished:
                 continue
-            self.graph.dag.complete(t)
+            self.graph.complete(t)
             stack.extend(t.predecessors)
 
     def _chains(self, datum: Datum):
@@ -667,7 +601,7 @@ class _Interp:
         if not producers:
             return
         latest = max(producers, key=lambda t: t.task_id)
-        self.graph.stream.append(["wait", latest.task_id])
+        self.program.events.append(("wait", latest))
         for p in producers:
             self._finish_transitive(p)
 
@@ -846,8 +780,8 @@ class _Interp:
         effect = taskdef.effect
         if effect is None:
             return
-        if len(self.graph.dag) >= _MAX_TASKS:
-            self.graph.truncated = True
+        if len(self.graph) >= _MAX_TASKS:
+            self.program.truncated = True
             raise _OutOfBudget
 
         arg_map: dict = {}
@@ -871,7 +805,7 @@ class _Interp:
         }
         task = StaticTask(
             effect,
-            task_id=len(self.graph.dag) + 1,
+            task_id=len(self.graph) + 1,
             file=self.module.path,
             line=self._line(node),
             conditional=self.cond_depth > 0,
@@ -879,7 +813,7 @@ class _Interp:
             epoch=self.epoch,
             loops=tuple(self.loop_stack),
         )
-        self.graph.stream.append(["task", task.task_id])
+        self.program.events.append(("task", task))
         self._live.append(task)
         if task.certain:
             self._certain_since_sync += 1
@@ -1139,7 +1073,7 @@ class _Interp:
                 self.loop_stack.pop()
             return
         # summarized: induction variable becomes an interval (or unknown)
-        self.graph.truncated = self.graph.truncated or items is not None
+        self.program.truncated = self.program.truncated or items is not None
         summary = UNKNOWN
         if isinstance(iterable, _RangeValue):
             hull = iterable.hull()
@@ -2107,7 +2041,7 @@ def flow_source(
     """
 
     options = options or FlowOptions()
-    interp = _Interp(options, filename, entry)
+    interp = _Interp(options)
     name = "__main__" if entry is None else Path(filename).stem
     module = interp.load_root(source, filename, name)
     if entry is not None:
@@ -2134,7 +2068,7 @@ def flow_source(
     indices = {filename: SuppressionIndex.from_source(source)}
     findings = _suppression_filter(interp.findings, indices)
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
-    return FlowResult(findings=findings, graph=interp.graph)
+    return FlowResult(findings=findings, program=interp.program)
 
 
 def module_node_stub(fn) -> ast.AST:

@@ -24,13 +24,7 @@ from .task import (
     TaskInstance,
     TaskState,
 )
-from .tracing import (
-    EventKind,
-    NullTracer,
-    ThreadLocalTracer,
-    TraceEvent,
-    Tracer,
-)
+from .tracing import EventKind, TraceEvent, Tracer
 
 __all__ = [
     "analysis",
@@ -71,8 +65,6 @@ __all__ = [
     "TaskInstance",
     "TaskState",
     "EventKind",
-    "NullTracer",
-    "ThreadLocalTracer",
     "TraceEvent",
     "Tracer",
 ]

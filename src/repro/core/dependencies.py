@@ -216,9 +216,7 @@ class DependencyTracker:
         self.graph = graph
         self.registry = registry or default_registry()
         self.config = config or TrackerConfig()
-        # Falsy tracers (NullTracer) become None so per-task guards are a
-        # plain None check, not a Python-level __bool__ call.
-        self.tracer = tracer if tracer else None
+        self.tracer = tracer
         self._data: dict[int, TrackedDatum] = {}
         #: Residency hook installed by a remote backend: ``fn(version)``
         #: makes the master-side storage of *version* current before it

@@ -31,7 +31,7 @@ __all__ = ["ActiveRuntime"]
 class ActiveRuntime:
     """Config, dependency domain, synchronisation and session, shared."""
 
-    #: Falsy (``None``, a ``NullTracer``): untraced.
+    #: ``None``: untraced.
     tracer = None
     #: Where task bodies run when not inline (see repro.core.backend).
     backend = None
@@ -57,14 +57,15 @@ class ActiveRuntime:
         #: treats task calls inside tasks as normal function calls").
         self._tls = threading.local()
 
-    def _open_domain(self, tracer=None, release_eagerly: bool = False) -> None:
+    def _open_domain(self, tracer=None, release_eagerly: bool = False,
+                     keep_graph: bool = False) -> None:
         reset_task_ids()
         config = self.config
         self.domain = GraphDomain(
             tracker_config=TrackerConfig(config.enable_renaming,
                                          config.rename_inout),
             tracer=tracer,
-            keep_finished=config.keep_graph,
+            keep_finished=keep_graph or config.keep_graph,
             release_eagerly=release_eagerly,
         )
         self.graph = self.domain.graph

@@ -88,7 +88,7 @@ class TaskGraph:
         #: Optional tracer whose :meth:`~repro.core.tracing.Tracer.edge`
         #: is called once per *new* edge — how the live event plane sees
         #: the DAG grow while the main thread is still analysing.
-        self.tracer = tracer if tracer else None
+        self.tracer = tracer
         self._tasks: dict[int, TaskInstance] = {}
         #: (pred_id, succ_id) -> kind; only populated when keep_finished
         self._edges: dict[tuple[int, int], str] = {}

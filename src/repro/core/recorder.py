@@ -2,7 +2,10 @@
 
 A recording keeps the full graph of an annotated program (Figure 5's
 6x6 Cholesky DAG is one) and its submission stream, which ``python -m
-repro live replay`` steps through once saved.
+repro live replay`` steps through once saved.  ``check.flow``'s static
+skeleton is a :class:`RecordedProgram` too, so both write one
+``repro.recording`` document and :func:`load_recording` is the one
+reader behind ``obs diff`` and ``live replay``.
 
 Dependency analysis assumes the worst-case (and, for a fast main
 thread, typical) race: no task completes on its own, so every hazard
@@ -37,14 +40,14 @@ __all__ = [
     "RecordedProgram",
     "RecordingRuntime",
     "record_program",
-    "LoadedRecording",
     "load_recording",
 ]
 
 
 @dataclass
 class RecordedProgram:
-    """The outcome of recording one annotated program."""
+    """One program's task graph and submission stream: recorded, or
+    extracted statically by ``check.flow``."""
 
     graph: TaskGraph
     #: Submission stream: ("task", TaskInstance) | ("barrier",) |
@@ -53,6 +56,9 @@ class RecordedProgram:
     #: Analysis-side aggregates (per-task analysis time, renames);
     #: populated by :meth:`RecordingRuntime.finish`.
     metrics: object = None
+    #: Set by ``check.flow`` when its interpreter hit a budget (a loop
+    #: folded, or too many tasks or steps): the graph is approximate.
+    truncated: bool = False
 
     @property
     def tasks(self) -> list[TaskInstance]:
@@ -79,13 +85,13 @@ class RecordedProgram:
 
     # -- persistence (time-travel replay input) -------------------------
     def to_json_dict(self) -> dict:
-        """Topology + submission stream as plain data.
+        """Topology + submission stream as plain data: the one
+        ``repro.recording`` document, written for a recording and for
+        ``check.flow``'s static skeleton alike.
 
         Task bodies and argument values are *not* serialised — a saved
         recording replays scheduling (``python -m repro live replay``),
-        it does not re-execute computation.  Requires ``keep_graph``
-        (the default for recordings): a retired graph has no edges left
-        to save.
+        it does not re-execute computation.
         """
 
         tasks = [
@@ -100,6 +106,8 @@ class RecordedProgram:
             "tasks": tasks,
             "edges": [list(edge) for edge in self.graph.edges()],
             "stream": stream,
+            "renames": self.graph.stats.renames,
+            "truncated": self.truncated,
         }
 
     def save(self, path: str) -> None:
@@ -111,46 +119,27 @@ class RecordedProgram:
             json.dump(self.to_json_dict(), handle)
 
 
-@dataclass
-class LoadedRecording:
-    """A recording read back from disk (topology only; see
-    :meth:`RecordedProgram.to_json_dict`)."""
-
-    #: ``[task_id, name, high_priority]`` in submission order.
-    tasks: list
-    #: ``[pred_id, succ_id, kind]`` triples.
-    edges: list
-    #: ``["task", id] | ["barrier"] | ["wait", id]`` in program order.
-    stream: list
-
-    @property
-    def task_count(self) -> int:
-        return len(self.tasks)
-
-
-def load_recording(source) -> LoadedRecording:
-    """Load a saved recording from a path, a parsed dict, or a
-    :class:`RecordedProgram` (uniform input for the replayer)."""
+def load_recording(source) -> dict:
+    """The one reader of task-graph documents: a path, a parsed dict,
+    a :class:`RecordedProgram`, or ``python -m repro flow --format
+    json``'s ``{"findings", "graph"}`` wrapper becomes the validated
+    :meth:`RecordedProgram.to_json_dict` document (older documents
+    without ``renames``/``truncated`` get ``0``/``False``)."""
 
     import json
 
     if isinstance(source, RecordedProgram):
-        doc = source.to_json_dict()
-    elif isinstance(source, dict):
-        doc = source
-    else:
+        return source.to_json_dict()
+    if not isinstance(source, dict):
         with open(source, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    if doc.get("format") != "repro.recording":
+            source = json.load(handle)
+    doc = source.get("graph", source) if isinstance(source, dict) else None
+    if not isinstance(doc, dict) or doc.get("format") != "repro.recording":
         raise ValueError(
             "not a repro recording (missing format tag); save one with "
             "RecordedProgram.save(path)"
         )
-    return LoadedRecording(
-        tasks=[list(t) for t in doc["tasks"]],
-        edges=[list(e) for e in doc["edges"]],
-        stream=[list(e) for e in doc["stream"]],
-    )
+    return {"renames": 0, "truncated": False, **doc}
 
 
 class RecordingRuntime(ActiveRuntime):
@@ -162,12 +151,10 @@ class RecordingRuntime(ActiveRuntime):
         config: Optional[RuntimeConfig] = None,
         **knobs,
     ):
-        # Recording exists to inspect the DAG afterwards, so the
-        # default for keep_graph flips to True.
-        if config is None:
-            knobs.setdefault("keep_graph", True)
         super().__init__(config, knobs, runs_bodies=execute == "eager")
-        self._open_domain()
+        # Recording exists to save the DAG afterwards, and no task
+        # finishes on its own, so the graph is always kept.
+        self._open_domain(keep_graph=True)
         self.events: list[tuple] = []
         self._m_analysis = self.metrics.histogram("analysis_seconds")
 

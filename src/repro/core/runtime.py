@@ -47,7 +47,7 @@ from .frontend import ActiveRuntime
 from .invocation import plan_for
 from .scheduler import SmpssScheduler  # noqa: F401  (re-export convenience)
 from .task import TaskInstance
-from .tracing import NullTracer, Tracer
+from .tracing import Tracer
 
 __all__ = ["SmpssRuntime", "TaskExecutionError"]
 
@@ -92,14 +92,11 @@ class SmpssRuntime(ActiveRuntime):
         self.config.fill_num_workers()
 
         self.tracer = (Tracer(capacity=self.config.trace_buffer_size)
-                       if self.config.trace else NullTracer())
+                       if self.config.trace else None)
         self._metrics_on = self.config.metrics
-        # Falsy tracers (NullTracer) normalised to None: hot paths pay
-        # a plain ``is not None`` check, not a ``__bool__`` call.
-        self._trace = self.tracer if self.tracer else None
         loop = self._loop = WorkerLoop(
             metrics=self.metrics if self._metrics_on else None,
-            tracer=self._trace,
+            tracer=self.tracer,
         )
         self._sched_lock = loop._sched_lock
         self._sched_cv = loop._sched_cv
@@ -142,7 +139,7 @@ class SmpssRuntime(ActiveRuntime):
             from ..check.sanitize import Sanitizer
 
             self.sanitizer = Sanitizer(
-                tracer=self.tracer or None,
+                tracer=self.tracer,
                 metrics=self.metrics if self._metrics_on else None,
             )
         # Started (forked, connected) *before* the proxy threads exist
@@ -152,7 +149,7 @@ class SmpssRuntime(ActiveRuntime):
         loop = self._loop
         self.config.num_workers = loop.start_backend(
             make_backend(
-                self.config, metrics=self.metrics, tracer=self._trace,
+                self.config, metrics=self.metrics, tracer=self.tracer,
                 on_dispatch=self._notify_dispatch if self.config.live else None,
                 sanitizer=self.sanitizer, tls=self._tls,
             ),
@@ -247,8 +244,8 @@ class SmpssRuntime(ActiveRuntime):
         ready_now = self.domain.analyze(task)
         if metrics_on:
             self._m_analysis.observe(perf_counter() - t0)
-        if self._trace is not None:
-            self._trace.task_added(task)
+        if self.tracer is not None:
+            self.tracer.task_added(task)
         if ready_now:
             self._loop.release((task,))
         if self.graph.pending_count > self._max_pending:
@@ -352,8 +349,7 @@ class SmpssRuntime(ActiveRuntime):
         stats = self.graph.stats
         for name in ("total_tasks", "total_edges", "renames"):
             m.gauge(f"graph.{name}").set(getattr(stats, name))
-        # Not getattr(self.tracer, ...): NullTracer answers with a function.
-        dropped = self._trace.dropped_events if self._trace is not None else 0
+        dropped = self.tracer.dropped_events if self.tracer is not None else 0
         if dropped:
             m.gauge("trace.dropped_events").set(dropped)
 

@@ -284,10 +284,7 @@ class SmpssScheduler:
         self.main: deque[TaskInstance] = deque()
         self.locals: list[deque[TaskInstance]] = [deque() for _ in range(num_threads)]
         self.stats = SchedulerStats()
-        # Normalise falsy tracers (NullTracer) to None: the push/pop hot
-        # path then pays a plain None check instead of a Python-level
-        # __bool__ call per operation (~5% on this path).
-        self.tracer = tracer if tracer else None
+        self.tracer = tracer
         #: Optional :class:`DispatchGate` (``repro.live``); ``None`` —
         #: the default — costs one attribute load per pop.
         self.gate: Optional[DispatchGate] = None

@@ -25,8 +25,6 @@ from typing import Callable, Iterable, Optional
 __all__ = [
     "TraceEvent",
     "Tracer",
-    "ThreadLocalTracer",
-    "NullTracer",
     "EventKind",
     "task_intervals",
 ]
@@ -343,28 +341,3 @@ def _us(seconds: float) -> int:
     """Paraver timestamps are integer microseconds."""
 
     return int(round(seconds * 1e6))
-
-
-#: The ring recorder's older name, still exported by both packages.
-ThreadLocalTracer = Tracer
-
-
-class NullTracer:
-    """No-op stand-in with the same interface (zero overhead paths)."""
-
-    def __init__(self):
-        # Per-instance, deliberately: a class-level `events = []` would
-        # be shared by every NullTracer in the process, so one runtime
-        # poking at another's tracer would see phantom events.
-        self.events: list = []
-
-    def __getattr__(self, _name):
-        return self._noop
-
-    @staticmethod
-    def _noop(*_args, **_kwargs) -> None:
-        return None
-
-    def __bool__(self) -> bool:
-        # `if self.tracer:` guards skip emission entirely.
-        return False

@@ -12,7 +12,8 @@ Usage::
 ``attach`` connects to a runtime started with ``live=True`` (its bound
 address is on ``runtime.address``) and mirrors the delta stream
 into the shared dashboard; ``replay`` drives the *same* dashboard from
-a recording saved with ``RecordedProgram.save``.
+a recording saved with ``RecordedProgram.save`` or a static skeleton
+from ``python -m repro flow --format json``.
 
 Commands (interactive prompt or ``--script``, ``;``-separated):
 
@@ -240,7 +241,8 @@ def main(argv=None) -> int:
                         help="initial stream drain window (seconds)")
     replay = sub.add_parser("replay", help="replay a saved recording")
     replay.add_argument("recording",
-                        help="JSON from RecordedProgram.save(path)")
+                        help="JSON from RecordedProgram.save(path) or "
+                             "`repro flow --format json`")
     replay.add_argument("--script", default=None,
                         help=";-separated commands (see attach)")
     replay.add_argument("--threads", type=int, default=4,

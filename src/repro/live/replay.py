@@ -1,10 +1,13 @@
 """Time-travel replay: a saved recording run once on the simulator.
 
-:class:`ReplayEngine` runs a :meth:`RecordedProgram.save
-<repro.core.recorder.RecordedProgram.save>` file through the section
-III policy on :class:`~repro.sim.engine.VirtualMachine`, one virtual
-unit per task; a ``barrier`` drains the machine, a ``wait`` runs it to
-the waited task's end.  Its tracer events pass once through
+:class:`ReplayEngine` runs a ``repro.recording`` document — a
+:meth:`RecordedProgram.save <repro.core.recorder.RecordedProgram.save>`
+file, or the static skeleton ``python -m repro flow --format json``
+prints, both read by :func:`~repro.core.recorder.load_recording` —
+through the section III policy on
+:class:`~repro.sim.engine.VirtualMachine`, one virtual unit per task; a
+``barrier`` drains the machine, a ``wait`` runs it to the waited task's
+end.  Its tracer events pass once through
 :func:`~repro.live.protocol.event_to_delta`, as a live session's do.
 """
 
@@ -14,7 +17,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from ..core.graph import TaskGraph
-from ..core.recorder import LoadedRecording, load_recording
+from ..core.recorder import load_recording
 from ..core.scheduler import SmpssScheduler
 from ..core.task import TaskInstance, TaskState
 from ..core.tracing import Tracer
@@ -27,7 +30,7 @@ from .protocol import event_to_delta
 __all__ = ["ReplayEngine"]
 
 
-def _simulate(recording: LoadedRecording, threads: int) -> list:
+def _simulate(recording: dict, threads: int) -> list:
     """``(virtual time, delta)`` of one unit-cost run of *recording*."""
 
     tracer = Tracer(capacity=None)  # unbounded: the replay is every event
@@ -39,11 +42,11 @@ def _simulate(recording: LoadedRecording, threads: int) -> list:
                         graph, scheduler, unit_cost, tracer,
                         main_is_worker=True)
     tasks = {tid: TaskInstance(synthetic_definition(name), [], {}, tid, prio)
-             for tid, name, prio in recording.tasks}
+             for tid, name, prio in recording["tasks"]}
     in_edges: dict[int, list] = {}
-    for src, dst, kind in recording.edges:
+    for src, dst, kind in recording["edges"]:
         in_edges.setdefault(dst, []).append((tasks[src], kind))
-    for kind, *ids in recording.stream:
+    for kind, *ids in recording["stream"]:
         if kind == "task":
             task = tasks[ids[0]]
             graph.add_task(task)
@@ -70,16 +73,15 @@ def _simulate(recording: LoadedRecording, threads: int) -> list:
 
 
 class ReplayEngine:
-    """Deterministic stepping over a :class:`LoadedRecording`."""
+    """Deterministic stepping over anything :func:`load_recording`
+    reads."""
 
     def __init__(self, recording, num_threads: int = 4,
                  dashboard: Optional[DashboardState] = None):
-        if not isinstance(recording, LoadedRecording):
-            recording = load_recording(recording)
-        self.recording = recording
+        self.recording = load_recording(recording)
         self.num_threads = max(1, num_threads)
         self.dashboard = dashboard or DashboardState()
-        self._deltas = _simulate(recording, self.num_threads)
+        self._deltas = _simulate(self.recording, self.num_threads)
         self.end = int(self._deltas[-1][0]) if self._deltas else 0  # makespan
         self.units = 0
         self.back(0)
@@ -100,7 +102,7 @@ class ReplayEngine:
         state.apply(dict(
             ev="snapshot", paused=True, unit=self.units, running=running,
             ready=counts["ready"], parked=self.num_threads - running,
-            pending=len(self.recording.tasks) - done, executed=done))
+            pending=len(self.recording["tasks"]) - done, executed=done))
         return finished
 
     def back(self, n: int = 1) -> int:

@@ -9,8 +9,7 @@ the Python reproduction, richer and cheaper:
   populate (per-task-type durations, analysis and barrier overhead,
   steal/rename counts, ready-queue depths, renaming footprint);
 * :class:`~repro.core.tracing.Tracer` — the one trace recorder,
-  per-thread ring buffers merged on read (re-exported here under its
-  older name ``ThreadLocalTracer``);
+  per-thread ring buffers merged on read;
 * exporters — Chrome trace-event JSON (Perfetto-loadable) and
   Graphviz DOT with the critical path highlighted;
 * the critical-path / utilisation analyzer behind
@@ -31,7 +30,6 @@ See ``docs/observability.md`` for the metrics catalogue and usage,
 and ``docs/benchmarking.md`` for the baseline/compare workflow.
 """
 
-from ..core.tracing import ThreadLocalTracer
 from .analyze import (
     PathLink,
     ThreadUsage,
@@ -81,7 +79,6 @@ __all__ = [
     "MetricsRegistry",
     "default_metrics",
     "reset_default_metrics",
-    "ThreadLocalTracer",
     "PathLink",
     "ThreadUsage",
     "TraceReport",

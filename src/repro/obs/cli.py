@@ -17,10 +17,11 @@ the full makespan-delta attribution (per-task-type shifts with
 bootstrap CIs, critical-path composition change, scheduler behaviour);
 ``*.metrics.json`` snapshots get per-series deltas; saved
 ``FigureResult`` JSONs get the ``bench compare`` table (A as the
-baseline); ``repro.staticgraph`` /
-``repro.recording`` documents get a task/edge/stream structural diff
-(exit 1 when the graphs diverge — the static-vs-recorded validation
-loop of ``repro.check flow``).  ``--kind`` overrides the detection.
+baseline); ``repro.recording`` documents — saved recordings and
+``python -m repro flow --format json`` skeletons alike — get a
+task/edge/stream/rename structural diff (exit 1 when the graphs
+diverge — the static-vs-recorded validation loop of ``repro.check
+flow``).  ``--kind`` overrides the detection.
 
 ``scrape`` fetches one Prometheus page from the endpoint of a runtime
 constructed with ``address=...`` (or of a task-graph daemon);
@@ -43,11 +44,10 @@ def _detect_kind(doc) -> str:
         return "trace"  # bare traceEvents array
     if "traceEvents" in doc:
         return "trace"
-    if doc.get("format") in ("repro.recording", "repro.staticgraph"):
+    inner = doc.get("graph")  # the `python -m repro flow` wrapper
+    if (inner if isinstance(inner, dict) else doc).get("format") \
+            == "repro.recording":
         return "graph"
-    inner = doc.get("graph")
-    if isinstance(inner, dict) and inner.get("format") == "repro.staticgraph":
-        return "graph"  # `repro.check flow --format json` wrapper
     if "figure_id" in doc and "series" in doc:
         return "figure"
     return "metrics"

@@ -15,11 +15,11 @@ module is that workflow over the artifacts the repo already produces:
   barrier time);
 * **metrics diff** (`diff_metrics`) — two ``*.metrics.json`` snapshots
   become per-series deltas (queue depths, analysis overhead, renames);
-* **task-graph diff** (`diff_task_graphs`) — a ``repro.staticgraph``
-  skeleton (``python -m repro flow --format json``) against a
-  ``repro.recording`` document (or any two of either) becomes a
-  task/edge/stream delta: the static analyser's predicted graph held
-  against the one the recording runtime actually built;
+* **task-graph diff** (`diff_task_graphs`) — two ``repro.recording``
+  documents, typically the static skeleton (``python -m repro flow
+  --format json``) and a saved recording, become a task/edge/stream/
+  rename delta: the static analyser's predicted graph held against the
+  one the recording runtime actually built;
 * **side-by-side exports** — one Chrome trace with run A and run B as
   two processes (`write_diff_chrome_trace`), and a DOT rendering of
   both critical paths with entered/left nodes highlighted
@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..core.recorder import load_recording
 from ..core.tracing import TraceEvent
 from .analyze import PathLink, TraceReport, _fmt_s, analyze_events
 
@@ -325,11 +326,10 @@ def diff_metrics(snapshot_a: dict, snapshot_b: dict) -> list[MetricDelta]:
 class GraphDiff:
     """Structural delta between two task-graph documents.
 
-    Task identity is positional: both ``repro.staticgraph`` (the flow
-    checker's skeleton) and ``repro.recording`` documents number tasks
-    from 1 in submission order, so task *i* in A corresponds to task
-    *i* in B and every divergence is attributable to a concrete
-    submission.
+    Task identity is positional: the flow checker's skeleton and a
+    recording both number tasks from 1 in submission order, so task *i*
+    in A corresponds to task *i* in B and every divergence is
+    attributable to a concrete submission.
     """
 
     tasks_a: int
@@ -350,52 +350,42 @@ class GraphDiff:
     barriers_b: int
     waits_a: int
     waits_b: int
-    #: rename counts; recordings do not carry one (None).
-    renames_a: Optional[int]
-    renames_b: Optional[int]
+    renames_a: int
+    renames_b: int
     truncated_a: bool
     truncated_b: bool
 
     @property
     def identical(self) -> bool:
-        """True when tasks, edges, and stream sync events all match."""
+        """True when tasks, edges, stream sync events and rename
+        counts all match."""
 
         return not (
             self.name_mismatches or self.extra_a or self.extra_b
             or self.edges_only_a or self.edges_only_b or self.kind_changes
             or self.barriers_a != self.barriers_b
             or self.waits_a != self.waits_b
+            or self.renames_a != self.renames_b
         )
 
 
-def _graph_doc(doc: dict) -> dict:
-    # `python -m repro flow --format json` wraps the skeleton in
-    # {"findings": [...], "graph": {...}}; unwrap transparently.
-    inner = doc.get("graph")
-    if isinstance(inner, dict) and "tasks" in inner:
-        return inner
-    return doc
-
-
-def diff_task_graphs(doc_a: dict, doc_b: dict) -> GraphDiff:
+def diff_task_graphs(doc_a, doc_b) -> GraphDiff:
     """Diff two task-graph documents — static skeleton and/or recording.
 
-    Accepts any mix of ``repro.staticgraph`` documents (from
-    ``python -m repro flow --format json``, wrapper tolerated)
-    and ``repro.recording`` documents
-    (:meth:`RecordedProgram.to_json_dict`).  The two formats share the
-    ``tasks``/``edges``/``stream`` array layout precisely so that the
-    flow checker's prediction can be held against what the recording
-    runtime actually built: a clean diff validates the static
-    analysis, and any divergence points at the first submission whose
-    dependences the abstract interpreter got wrong.
+    Each side is anything :func:`repro.core.recorder.load_recording`
+    reads: a path, a ``repro.recording`` document (the flow CLI's
+    ``{"findings", "graph"}`` wrapper included) or a
+    :class:`RecordedProgram`.  Holding the flow checker's prediction
+    against what the recording runtime actually built validates the
+    static analysis; any divergence points at the first submission
+    whose dependences the abstract interpreter got wrong.
     """
 
-    doc_a, doc_b = _graph_doc(doc_a), _graph_doc(doc_b)
+    doc_a, doc_b = load_recording(doc_a), load_recording(doc_b)
 
     def labels(doc) -> list[tuple[int, str]]:
         out = []
-        for row in doc.get("tasks", []):
+        for row in doc["tasks"]:
             tid, name = int(row[0]), str(row[1])
             if len(row) > 2 and row[2]:
                 name += " [hp]"
@@ -415,7 +405,7 @@ def diff_task_graphs(doc_a: dict, doc_b: dict) -> GraphDiff:
     def edge_map(doc) -> dict[tuple[int, int], str]:
         return {
             (int(p), int(s)): str(kind)
-            for p, s, kind in doc.get("edges", [])
+            for p, s, kind in doc["edges"]
         }
 
     ea, eb = edge_map(doc_a), edge_map(doc_b)
@@ -430,20 +420,11 @@ def diff_task_graphs(doc_a: dict, doc_b: dict) -> GraphDiff:
     )
 
     def stream_counts(doc) -> tuple[int, int]:
-        barriers = waits = 0
-        for event in doc.get("stream", []):
-            if event and event[0] == "barrier":
-                barriers += 1
-            elif event and event[0] == "wait":
-                waits += 1
-        return barriers, waits
+        kinds = Counter(event[0] for event in doc["stream"])
+        return kinds["barrier"], kinds["wait"]
 
     barriers_a, waits_a = stream_counts(doc_a)
     barriers_b, waits_b = stream_counts(doc_b)
-
-    def renames(doc) -> Optional[int]:
-        value = doc.get("renames")
-        return None if value is None else int(value)
 
     return GraphDiff(
         tasks_a=len(tasks_a), tasks_b=len(tasks_b),
@@ -452,9 +433,9 @@ def diff_task_graphs(doc_a: dict, doc_b: dict) -> GraphDiff:
         kind_changes=kind_changes, edges_a=len(ea), edges_b=len(eb),
         barriers_a=barriers_a, barriers_b=barriers_b,
         waits_a=waits_a, waits_b=waits_b,
-        renames_a=renames(doc_a), renames_b=renames(doc_b),
-        truncated_a=bool(doc_a.get("truncated")),
-        truncated_b=bool(doc_b.get("truncated")),
+        renames_a=int(doc_a["renames"]), renames_b=int(doc_b["renames"]),
+        truncated_a=bool(doc_a["truncated"]),
+        truncated_b=bool(doc_b["truncated"]),
     )
 
 
@@ -584,11 +565,7 @@ def render_graph_diff(
         f"  barriers: {diff.barriers_a} -> {diff.barriers_b}"
         f"    waits: {diff.waits_a} -> {diff.waits_b}"
     )
-    if diff.renames_a is not None or diff.renames_b is not None:
-        fmt = lambda r: "n/a" if r is None else str(r)  # noqa: E731
-        lines.append(
-            f"  renames:  {fmt(diff.renames_a)} -> {fmt(diff.renames_b)}"
-        )
+    lines.append(f"  renames:  {diff.renames_a} -> {diff.renames_b}")
     for side, flag in ((label_a, diff.truncated_a),
                        (label_b, diff.truncated_b)):
         if flag:

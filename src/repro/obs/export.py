@@ -135,13 +135,13 @@ def graph_to_dot(
     graph: TaskGraph,
     weight: Optional[Callable] = None,
     highlight_critical: bool = True,
-    label_names: bool = False,
 ) -> str:
     """Graphviz text of *graph*, critical path drawn bold red.
 
-    *weight* feeds :meth:`TaskGraph.critical_path_tasks` (default unit
-    weights — the T∞ chain in task counts).  ``label_names`` puts the
-    task-type name in each node label next to the id.
+    Nodes read "id, task-type name" (Figure 5's view), high-priority
+    tasks get a double border.  *weight* feeds
+    :meth:`TaskGraph.critical_path_tasks` (default unit weights — the
+    T∞ chain in task counts).
     """
 
     critical_ids: set[int] = set()
@@ -158,10 +158,9 @@ def graph_to_dot(
         colour = colours.setdefault(
             task.name, _PALETTE[len(colours) % len(_PALETTE)]
         )
-        label = (
-            f"{task.task_id}\\n{task.name}" if label_names else str(task.task_id)
-        )
-        attrs = f'label="{label}", fillcolor={colour}'
+        attrs = f'label="{task.task_id}\\n{task.name}", fillcolor={colour}'
+        if task.high_priority:
+            attrs += ", peripheries=2"
         if task.task_id in critical_ids:
             attrs += ", color=red, penwidth=3"
         lines.append(f"  t{task.task_id} [{attrs}];")

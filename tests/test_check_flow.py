@@ -37,6 +37,7 @@ from repro.check.cli import main as check_main
 from repro.check.effects import SymRegion
 from repro.check.intervals import Interval
 from repro.core.dependencies import DependencyError
+from repro.core.recorder import RecordedProgram
 
 pytestmark = pytest.mark.flow
 
@@ -58,6 +59,10 @@ def flow_snippet(body: str, **kwargs):
 
 def rules_of(findings):
     return [f.rule for f in findings]
+
+
+def edges_of(program):
+    return {(pred, succ): kind for pred, succ, kind in program.graph.edges()}
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +99,12 @@ class TestFixture:
             assert f.line > 0
 
     def test_skeleton_extracted(self, fixture_result):
-        graph = fixture_result.graph
-        assert graph.task_count > 0
-        assert not graph.truncated
+        program = fixture_result.program
+        assert isinstance(program, RecordedProgram)
+        assert program.task_count > 0
+        assert not program.truncated
         # renaming_pressure_bug alone forces nine renames of `a`.
-        assert graph.renames >= 9
+        assert program.graph.stats.renames >= 9
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +231,9 @@ class TestRules:
             "    bump(b)\n"
         )
         assert result.findings == []
-        graph = result.graph
-        assert graph.task_count == 4 and graph.renames == 2
-        assert graph.edges == {(1, 2): "true", (2, 3): "true"}
+        program = result.program
+        assert program.task_count == 4 and program.graph.stats.renames == 2
+        assert edges_of(program) == {(1, 2): "true", (2, 3): "true"}
 
     def test_region_after_rename_without_barrier_is_the_runtimes_error(self):
         result = flow_snippet(
@@ -274,7 +280,7 @@ class TestRules:
             "    straddle(q)\n"     # partially overlaps the retired {1..6}
         )
         assert result.findings == []
-        assert result.graph.edges == {}
+        assert edges_of(result.program) == {}
 
     @pytest.mark.parametrize("method", ["clip(0, 1)", "argsort()"])
     def test_pure_method_on_a_read_pending_array_is_clean(self, method):
@@ -308,7 +314,7 @@ class TestRules:
             "    p(a)\n"
             "    barrier()\n"
         )
-        doc = result.graph.to_json_dict()
+        doc = result.program.to_json_dict()
         assert [row[1] for row in doc["tasks"]] == ["p", "c", "p"]
         assert doc["edges"] == [[1, 2, "true"]]  # rename kills WAR/WAW
         assert doc["renames"] == 1
@@ -344,13 +350,13 @@ class TestRules:
             "    read_last(a)\n",
             options=FlowOptions(max_unroll=max_unroll),
         )
-        graph = result.graph
+        program = result.program
         assert result.findings == []
-        assert graph.truncated is summarized
-        assert [t.summarized for t in graph.tasks] == \
+        assert program.truncated is summarized
+        assert [t.summarized for t in program.tasks] == \
             [summarized] * tiles + [False, False]
         # Only the last tile feeds read_last; nothing feeds read_beyond.
-        assert sorted(graph.edges.items()) == [((tiles, tiles + 2), "true")]
+        assert edges_of(program) == {(tiles, tiles + 2): "true"}
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +420,10 @@ def _driver_source(ops) -> str:
 
 def check_skeleton_is_the_recording(ops) -> bool:
     """flow and the eager recorder agree on *ops*: both refuse it (the
-    recorder raises, flow reports that raise) or both build the same
-    tasks, edges with kinds, rename count and stream of task, wait and
-    barrier events; a skip-mode recording builds the same graph.  True
-    when both ran."""
+    recorder raises, flow reports that raise) or both write the same
+    ``repro.recording`` document — tasks, edges with kinds, stream of
+    task, wait and barrier events, rename count and truncation — and so
+    does a skip-mode recording.  True when both ran."""
 
     source = _driver_source(ops)
     result = flow_source(source, "<generated>")
@@ -429,16 +435,10 @@ def check_skeleton_is_the_recording(ops) -> bool:
         assert refused, source
         return False
     assert not refused, source
-    recorded = namespace["recorded"]
-    static = result.graph.to_json_dict()
-    assert static["tasks"] == recorded.to_json_dict()["tasks"], source
-    assert static["stream"] == recorded.to_json_dict()["stream"], source
+    static = result.program.to_json_dict()
     skipped = record_program(namespace["driver"], execute="skip")
-    for program in (recorded, skipped):
-        assert result.graph.edges == {
-            (pred, succ): kind for pred, succ, kind in program.graph.edges()
-        }, source
-        assert result.graph.renames == program.graph.stats.renames, source
+    for program in (namespace["recorded"], skipped):
+        assert static == program.to_json_dict(), source
     return True
 
 
@@ -545,7 +545,7 @@ class TestCholeskyAcceptance:
             entry="figure5_demo",
         )
         assert result.findings == []
-        static = result.graph.to_json_dict()
+        static = result.program.to_json_dict()
 
         hm = HyperMatrix(6, 1, np.float32)
         for i in range(6):
@@ -592,8 +592,11 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert sorted({f["rule"] for f in doc["findings"]}) == FLOW_RULES
         graph = doc["graph"]
-        assert graph["format"] == "repro.staticgraph"
+        assert graph["format"] == "repro.recording"
         assert graph["tasks"] and graph["stream"]
+        assert graph["source"] == str(FIXTURE) and graph["entry"] is None
+        assert [d["id"] for d in graph["details"]] == \
+            [row[0] for row in graph["tasks"]]
 
     def test_dot_output(self, capsys):
         assert check_main(["flow", str(FIXTURE), "--format", "dot"]) == 1

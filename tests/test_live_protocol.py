@@ -279,21 +279,23 @@ class TestRecordingPersistence:
         path = tmp_path / "diamond.recording.json"
         program.save(str(path))
         loaded = load_recording(str(path))
-        assert loaded.task_count == program.task_count == 4
-        assert len(loaded.edges) == program.graph.stats.total_edges
-        kinds = {tuple(e[:2]): e[2] for e in loaded.edges}
+        assert loaded == program.to_json_dict()
+        assert len(loaded["tasks"]) == program.task_count == 4
+        assert len(loaded["edges"]) == program.graph.stats.total_edges
+        kinds = {tuple(e[:2]): e[2] for e in loaded["edges"]}
         for pred, succ, kind in program.graph.edges():
             assert kinds[(pred, succ)] == kind
         # The stream's shape survives too (4 tasks, one barrier absent —
         # record_program has no explicit barrier here).
-        assert [e[0] for e in loaded.stream].count("task") == 4
+        assert [e[0] for e in loaded["stream"]].count("task") == 4
 
     def test_load_accepts_dict_and_program(self):
         program = record_program(_diamond_program)
         from_dict = load_recording(program.to_json_dict())
         from_prog = load_recording(program)
-        assert from_dict.tasks == from_prog.tasks
-        assert from_dict.edges == from_prog.edges
+        wrapped = load_recording({"findings": [],
+                                  "graph": program.to_json_dict()})
+        assert from_dict == from_prog == wrapped
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

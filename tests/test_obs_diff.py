@@ -201,7 +201,7 @@ class TestMetricsAndFigureDiff:
 
 def _static_doc(**overrides):
     doc = {
-        "format": "repro.staticgraph",
+        "format": "repro.recording",
         "version": 1,
         "source": "driver.py",
         "entry": None,
@@ -223,6 +223,8 @@ def _recording_doc(**overrides):
         "tasks": [[1, "produce", 0], [2, "consume", 0], [3, "produce", 0]],
         "edges": [[1, 2, "true"]],
         "stream": [["task", 1], ["task", 2], ["task", 3], ["barrier"]],
+        "renames": 1,
+        "truncated": False,
     }
     doc.update(overrides)
     return doc
@@ -233,7 +235,7 @@ class TestGraphDiff:
         diff = diff_task_graphs(_static_doc(), _recording_doc())
         assert diff.identical
         assert diff.tasks_a == diff.tasks_b == 3
-        assert diff.renames_a == 1 and diff.renames_b is None
+        assert diff.renames_a == diff.renames_b == 1
         text = render_graph_diff(diff, "static", "recorded")
         assert "structurally identical" in text
 
@@ -263,6 +265,17 @@ class TestGraphDiff:
         wrapped = {"findings": [], "graph": _static_doc()}
         diff = diff_task_graphs(wrapped, _recording_doc())
         assert diff.identical
+
+    def test_renames_compared(self):
+        diff = diff_task_graphs(_static_doc(), _recording_doc(renames=2))
+        assert not diff.identical
+        assert "renames:  1 -> 2" in render_graph_diff(diff)
+
+    def test_older_document_defaults(self):
+        # Written before documents carried renames/truncated.
+        older = _recording_doc(renames=0)
+        del older["renames"], older["truncated"]
+        assert diff_task_graphs(older, _recording_doc(renames=0)).identical
 
     def test_stream_sync_counts(self):
         diff = diff_task_graphs(
@@ -362,3 +375,8 @@ class TestDiffCli:
         b.write_text(json.dumps(_recording_doc(edges=[])))
         assert main(["diff", str(a), str(b)]) == 1
         assert "edges only in" in capsys.readouterr().out
+
+        # ... renames included.
+        b.write_text(json.dumps(_recording_doc(renames=0)))
+        assert main(["diff", str(a), str(b)]) == 1
+        assert "renames:  1 -> 0" in capsys.readouterr().out

@@ -235,8 +235,22 @@ class TestDotExport:
         assert "color=red" not in dot
 
     def test_label_names(self):
-        dot = graph_to_dot(self._recorded_chain().graph, label_names=True)
-        assert "bump" in dot
+        # Nodes always read "id\nname" (Figure 5's view).
+        dot = graph_to_dot(self._recorded_chain().graph)
+        assert 'label="1\\nbump"' in dot and "peripheries" not in dot
+
+    def test_high_priority_double_border(self):
+        from repro.core.graph import TaskGraph
+        from repro.core.task import TaskInstance
+        from repro.sim.baselines import synthetic_definition
+
+        graph = TaskGraph()
+        for tid, prio in ((1, True), (2, False)):
+            graph.add_task(TaskInstance(synthetic_definition("t"), [], {},
+                                        tid, prio))
+        lines = graph_to_dot(graph, highlight_critical=False).splitlines()
+        assert [line for line in lines if "peripheries=2" in line] == \
+            ['  t1 [label="1\\nt", fillcolor=lightblue, peripheries=2];']
 
     def test_write_dot(self, tmp_path):
         prog = self._recorded_chain()

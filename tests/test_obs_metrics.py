@@ -137,8 +137,8 @@ class TestRuntimeIntegration:
         assert rt.metrics.histogram("barrier_wait_seconds").count == 2
 
     def test_untraced_run_has_no_dropped_events_gauge(self):
-        """Regression: with tracing off the gauge held ``NullTracer``'s
-        no-op function, and ``/metrics`` served a phantom series."""
+        """Regression: with tracing off the gauge once held a no-op
+        tracer's function, and ``/metrics`` served a phantom series."""
 
         rt = self._run(tasks=4)
         assert "trace.dropped_events" not in rt.stats()["metrics"]

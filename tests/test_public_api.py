@@ -78,7 +78,6 @@ CORE_ALL = [
     "EventKind",
     "HotStealScheduler",
     "InvocationError",
-    "NullTracer",
     "ParamAccess",
     "ParsedPragma",
     "PragmaError",
@@ -96,7 +95,6 @@ CORE_ALL = [
     "TaskGraph",
     "TaskInstance",
     "TaskState",
-    "ThreadLocalTracer",
     "TraceEvent",
     "Tracer",
     "TrackerConfig",
@@ -561,6 +559,21 @@ class TestOneOfEach:
         assert [f for f, s in zip(files, sources)
                 if "current_version(" in s] == []
 
+    def test_one_task_graph_document(self):
+        """The flow skeleton is a ``RecordedProgram``: one holder, one
+        ``repro.recording`` writer, and no second format or reader."""
+
+        sources = {str(path.relative_to(SRC)): path.read_text()
+                   for path in SRC.rglob("*.py")}
+        assert [name for name, text in sources.items() if re.search(
+            r"staticgraph|class StaticGraph\b|class LoadedRecording\b",
+            text)] == []
+        assert [name for name, text in sources.items()
+                if '"format": "repro.recording"' in text] \
+            == ["core/recorder.py"]
+        assert sources["core/recorder.py"].count(
+            '"format": "repro.recording"') == 1
+
     def test_one_dependency_tracker(self):
         """``check.flow`` drives the real tracker over abstract data; no
         second statement of versions, chains or edge rules exists."""
@@ -601,7 +614,7 @@ class TestOneOfEach:
         takes an event list, and ``analyze_events`` alone turns
         intervals into busy time, makespan and per-type statistics."""
 
-        from repro.core.tracing import ThreadLocalTracer, Tracer
+        import repro.core.tracing as tracing
 
         emitters = [
             node.name
@@ -610,9 +623,9 @@ class TestOneOfEach:
                 isinstance(f, ast.FunctionDef) and f.name == "_emit"
                 for f in node.body)
         ]
-        assert [name for name in emitters if name != "NullTracer"] \
+        assert emitters == ["Tracer"]
+        assert [name for name in dir(tracing) if name.endswith("Tracer")] \
             == ["Tracer"]
-        assert ThreadLocalTracer is Tracer
         assert [
             str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
             if any(mark in path.read_text() for mark in (
@@ -657,10 +670,10 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total once ``live replay`` ran recordings on the
-#: simulator instead of a scheduler of its own: 96 lines below the
-#: one active-runtime front end's 24 905.
-LINE_BUDGET = 24809
+#: The ``src/repro`` total once the flow skeleton became a
+#: ``RecordedProgram`` (one task-graph document) and "not traced"
+#: became ``None``: 143 lines below the simulator replay's 24 809.
+LINE_BUDGET = 24666
 
 
 class TestOneMeasurementSystem:

@@ -61,7 +61,7 @@ class TestFigure5:
 
     def test_dot_contains_all_nodes(self, prog):
         dot = prog.graph.to_dot()
-        assert all(f'label="{i}"' in dot for i in range(1, 57))
+        assert all(f'label="{i}\\n' in dot for i in range(1, 57))
 
 
 class TestTaskCountFormulas:
@@ -176,6 +176,11 @@ def copy_t(a, b):
     b[:] = a
 
 
+@css_task("inout(a)")
+def inc_t(a):
+    a += 1
+
+
 class TestSynchronisation:
     """The recorder blocks where the threaded runtime does, and finishes
     what the main thread waited for, as that runtime has by then."""
@@ -219,3 +224,30 @@ class TestSynchronisation:
         prog = record_program(main, execute=execute)
         assert prog.graph.stats.renames == 0
         assert prog.graph.stats.total_edges == 2
+
+
+class TestSavedDocument:
+    def test_explicit_config_saves_the_whole_graph(self):
+        """A recorder built from a config keeps every task it waited
+        for: the saved document names the tasks its stream does, and
+        it replays."""
+
+        from repro.core.config import RuntimeConfig
+        from repro.live.replay import ReplayEngine
+
+        a, b = np.zeros(1), np.zeros(1)
+        recorder = RecordingRuntime(config=RuntimeConfig())
+        with recorder:
+            inc_t(a)
+            inc_t(a)
+            wait_on(a)
+            inc_t(b)
+            inc_t(a)
+        prog = recorder.finish()
+        doc = prog.to_json_dict()
+        assert prog.task_count == len(doc["tasks"]) == 4
+        # Task 2 finished at the wait, so task 4 depends on nothing.
+        assert doc["edges"] == [[1, 2, "true"]]
+        assert doc["stream"] == [["task", 1], ["task", 2], ["wait", 2],
+                                 ["task", 3], ["task", 4]]
+        assert ReplayEngine(doc, num_threads=2).run() == 4

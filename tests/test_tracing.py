@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro import SmpssRuntime, css_task
-from repro.core.tracing import (
-    EventKind,
-    NullTracer,
-    ThreadLocalTracer,
-    Tracer,
-)
+from repro.core.tracing import EventKind, Tracer
 from repro.obs import analyze_tracer
 
 pytestmark = pytest.mark.obs
@@ -78,23 +73,16 @@ class TestTracer:
         assert [e.time for e in tracer.events] == [0.0, 1.0]
 
 
-class TestNullTracer:
-    def test_is_falsy_and_swallows_everything(self):
-        tracer = NullTracer()
-        assert not tracer
-        tracer.task_start(None, 3)
-        tracer.anything_at_all(1, 2, 3)
-        assert tracer.events == []
+class TestUntraced:
+    def test_untraced_runtime_has_no_tracer(self):
+        """Tracing off is ``None`` everywhere: on the runtime and on
+        every layer it hands a tracer to."""
 
-    def test_events_not_shared_between_instances(self):
-        """Regression: ``events`` was a class-level mutable list, so one
-        instance's pollution showed up on every other NullTracer."""
-
-        first, second = NullTracer(), NullTracer()
-        assert first.events is not second.events
-        first.events.append("polluted")
-        assert second.events == []
-        assert NullTracer().events == []
+        rt = SmpssRuntime(num_workers=1)
+        assert rt.tracer is None
+        with rt:
+            assert rt.graph.tracer is rt.tracker.tracer is None
+            assert rt.scheduler.tracer is None
 
 
 class TestRenameAndWaitOnEvents:
@@ -153,7 +141,7 @@ class TestTaskReadyThread:
 
 
 class TestThreadLocalTracer:
-    """The ring recorder, still exported under its older name."""
+    """The ring recorder: one ring per emitting thread, merged on read."""
 
     def test_same_interface_and_queries(self):
 
@@ -164,7 +152,7 @@ class TestThreadLocalTracer:
                 bump(a)
             rt.barrier()
         tracer = rt.tracer
-        assert ThreadLocalTracer is Tracer and type(tracer) is Tracer
+        assert type(tracer) is Tracer
         counts = tracer.counts()
         assert counts[EventKind.TASK_START] == 5
         assert counts[EventKind.TASK_END] == 5
@@ -276,11 +264,10 @@ class TestIngestOutOfOrder:
         tracer.ingest(self._interval_events(2, "w2", 3.0, 5.0, 2))
         return tracer
 
-    # ThreadLocalTracer is the same class as Tracer; explicit ids keep
-    # both exported names covered under their own names.
+    # Bounded rings (a runtime's) and unbounded ones (the replay's).
     _FACTORIES = pytest.mark.parametrize(
-        "factory", [Tracer, ThreadLocalTracer],
-        ids=["Tracer", "ThreadLocalTracer"],
+        "factory", [Tracer, lambda: Tracer(capacity=None)],
+        ids=["Tracer", "unbounded"],
     )
 
     @_FACTORIES
