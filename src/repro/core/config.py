@@ -53,9 +53,8 @@ class RuntimeConfig:
     memory_limit_bytes: Optional[int] = None
     #: Retain finished nodes/edges for post-mortem graph inspection.
     keep_graph: bool = False
-    #: Renaming switches (see :class:`TrackerConfig`).
+    #: Renaming switch (see :class:`TrackerConfig`).
     enable_renaming: bool = True
-    rename_inout: bool = True
     #: Record trace events (the "tracing-enabled runtime").  Collection
     #: is per-thread ring buffers (:class:`Tracer`): workers
     #: append to their own buffer, merged when the events are read.
@@ -93,16 +92,16 @@ class RuntimeConfig:
     #: data).  ``False`` (default): only a write that is still its
     #: datum's newest does; a superseded one stays on the producing node.
     dist_write_through: bool = False
-    #: Live inspection & control (:mod:`repro.live`): serve graph-delta
-    #: events and accept pause/step/breakpoint commands while the run is
-    #: in flight.  Implies ``trace=True`` (the event plane is a tap on
+    #: Live inspection & control (:mod:`repro.live`): stream the trace
+    #: events as they are recorded (each its Chrome trace record) and
+    #: accept pause/step/breakpoint commands while the run is in flight.  Implies ``trace=True`` (the event plane is a tap on
     #: the tracer).  Off by default — the dispatch gate then stays
     #: entirely out of the scheduler's hot path.
     live: bool = False
     #: The runtime's one observation endpoint: a unix-socket path or
     #: ``"tcp:HOST:PORT"`` (port 0 picks an ephemeral port; the bound
     #: address is on ``runtime.address``).  It answers the live
-    #: commands and delta stream (with ``live=True``), the metrics and
+    #: commands and trace stream (with ``live=True``), the metrics and
     #: health commands, and HTTP ``GET /metrics`` and ``/health``
     #: (:mod:`repro.obs.exposition`).  ``None`` with ``live=True``
     #: serves on a unix socket in a temp directory; ``None`` otherwise

@@ -58,17 +58,16 @@ class DependencyError(RuntimeError):
 class TrackerConfig:
     """Tunables of the dependency engine.
 
-    The defaults reproduce the paper's runtime; the switches exist for
+    The default reproduces the paper's runtime; the switch exists for
     the ablation benchmarks (renaming off = SuperMatrix-style analysis,
     section VII.C notes "SuperMatrix does not support renaming").
     """
 
-    #: Master renaming switch (section II).
+    #: Master renaming switch (section II).  With it on, an ``inout``
+    #: parameter with pending readers is renamed too (copy-based: what
+    #: makes the N Queens partial-solution array duplication automatic,
+    #: section VI.E).
     enable_renaming: bool = True
-    #: Copy-based renaming of ``inout`` parameters with pending readers
-    #: (what makes the N Queens partial-solution array duplication
-    #: automatic, section VI.E).
-    rename_inout: bool = True
 
 
 #: Immutable types that are always by-value, never tracked.
@@ -413,7 +412,7 @@ class DependencyTracker:
                 if cur.readers
                 else []
             )
-            if pending_readers and renaming and self.config.rename_inout:
+            if pending_readers and renaming:
                 newv = Version(datum, chain.version_count, StorageKind.CLONE, prev=cur)
                 graph.note_rename()
                 if self.tracer:

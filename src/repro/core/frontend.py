@@ -62,8 +62,7 @@ class ActiveRuntime:
         reset_task_ids()
         config = self.config
         self.domain = GraphDomain(
-            tracker_config=TrackerConfig(config.enable_renaming,
-                                         config.rename_inout),
+            tracker_config=TrackerConfig(config.enable_renaming),
             tracer=tracer,
             keep_finished=keep_graph or config.keep_graph,
             release_eagerly=release_eagerly,

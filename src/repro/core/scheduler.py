@@ -122,7 +122,7 @@ class DispatchGate:
         self.holds = 0
         #: Optional ``fn(task)`` invoked on a breakpoint hold, *under
         #: the scheduler lock* — must be fast and lock-free (the live
-        #: session uses it to enqueue a "paused at breakpoint" delta).
+        #: session uses it to enqueue a "paused at breakpoint" note).
         self.on_hold = None
         self._lock = threading.Lock()
         self._cvs: tuple = ()

@@ -38,8 +38,8 @@ class EventKind:
     #: A dependency edge entered the graph: ``task_id`` is the successor,
     #: ``extra`` is ``(pred_id, kind)``.  Emitted by the graph while the
     #: main thread analyses a submission, so a live consumer sees the
-    #: DAG grow edge by edge (the TEMANEJO-style feed ``repro.live``
-    #: streams as graph deltas).
+    #: DAG grow edge by edge (the TEMANEJO-style feed: ``repro.live``
+    #: streams every event as its Chrome trace record).
     EDGE_ADDED = "edge_added"
     STEAL = "steal"
     RENAME = "rename"

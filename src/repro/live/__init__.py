@@ -6,7 +6,8 @@ attachable debugging for the SMPSs runtime:
 
 * ``SmpssRuntime(live=True)`` installs a dispatch gate (pause /
   resume / step(n) / task-boundary breakpoints) and serves the run as
-  a JSON-lines stream of graph deltas over a unix or TCP socket;
+  a JSON-lines stream of its trace — each event the Chrome trace
+  record the post-mortem export writes — over a unix or TCP socket;
 * ``python -m repro live attach <addr>`` renders the terminal
   dashboard and drives the gate;
 * ``python -m repro live replay <recording>`` runs a saved

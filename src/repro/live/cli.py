@@ -10,7 +10,7 @@ Usage::
         --script "step 10; render; back 3; run"
 
 ``attach`` connects to a runtime started with ``live=True`` (its bound
-address is on ``runtime.address``) and mirrors the delta stream
+address is on ``runtime.address``) and folds its trace-record stream
 into the shared dashboard; ``replay`` drives the *same* dashboard from
 a recording saved with ``RecordedProgram.save`` or a static skeleton
 from ``python -m repro flow --format json``.
@@ -26,7 +26,7 @@ Commands (interactive prompt or ``--script``, ``;``-separated):
     clear                 drop every breakpoint
     run                   replay: execute to the end
     wait-done             attach: block until every task is done
-    report                analysis over completed work (obs.analyze)
+    report                the post-mortem analysis (obs.analyze) so far
     quit                  detach / exit
 """
 
@@ -206,8 +206,8 @@ def _run_replay(args) -> int:
         elif verb == "run":
             engine.run()
         elif verb == "report":
-            print(render_report(state.report(num_threads=args.threads),
-                                title="replay report"), file=out)
+            print(render_report(state.report(), title="replay report"),
+                  file=out)
         elif verb == "state":
             pass  # snapshots are synthesised on every step
         else:

@@ -2,14 +2,14 @@
 
 A thin wrapper over :class:`repro.net.Client` — deliberately
 single-threaded: every byte is read inside :meth:`recv`, and a command
-waits for its own ``ack`` by seq while parking any interleaved graph
-deltas on an internal buffer that later ``recv`` calls serve first.
+waits for its own ``ack`` by seq while parking any interleaved stream
+records on an internal buffer that later ``recv`` calls serve first.
 That makes scripted sessions deterministic — there is no background
 reader racing the assertions.
 
 This module only adds the live plane's command verbs (pause/resume/
 step/break/state), a ``ping`` at connect — the client speaks first, and
-the hello plus the retained delta backlog arrive ahead of its ack — and
+the hello plus the retained trace backlog arrive ahead of its ack — and
 keeps the historical exception names as aliases of the shared
 transport's.
 """
@@ -29,7 +29,7 @@ LiveClosed = NetClosed
 
 
 class LiveClient(Client):
-    """Attach to a live session; stream deltas; drive the gate."""
+    """Attach to a live session; stream its trace; drive the gate."""
 
     def __init__(self, address: str, timeout: float = 10.0):
         super().__init__(address, timeout=timeout)

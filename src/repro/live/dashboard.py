@@ -1,18 +1,19 @@
-"""Delta-stream consumer + terminal rendering.
+"""Trace-stream consumer + terminal rendering.
 
 :class:`DashboardState` is the one state machine behind every view of
-a run: ``repro.live attach`` feeds it the live socket stream,
-``repro.live replay`` feeds it the deltas of a saved recording's
-simulated run — the acceptance criterion "live and post-mortem views
-are one code path" is this class.
+a run: ``repro.live attach`` feeds it the live socket stream, whose
+events are Chrome trace records (:func:`repro.obs.export.chrome_record`),
+and ``repro.live replay`` hands it the trace events of a saved
+recording's simulated run — the acceptance criterion "live and
+post-mortem views are one code path" is this class.
 
-It mirrors the graph (tasks, states, edges), the per-worker current
-task, the latest control snapshot, and the start/end times of ``done``
-tasks.  The unit-weight depth over the received edges is the
+It keeps every event it is given and mirrors the graph (tasks, states,
+edges), the per-worker current task and the latest control snapshot.
+The unit-weight depth over the received edges is the
 critical-path-so-far count; everything timed — work, span, the
-critical path — is :meth:`report`, the same
-:func:`repro.obs.analyze.analyze_events` pass a post-mortem trace
-gets, over the collected intervals and edges.
+critical path, barrier time — is :meth:`report`, the same
+:func:`repro.obs.analyze.analyze_events` pass a post-mortem trace gets,
+over the kept events.
 """
 
 from __future__ import annotations
@@ -21,27 +22,33 @@ from collections import Counter
 from typing import Optional
 
 from ..core.graph import longest_path
+from ..core.tracing import EventKind, TraceEvent
+from ..obs.analyze import analyze_events, chrome_event
 
 __all__ = ["DashboardState", "render"]
 
-#: Task-state lattice: a delta may only move a task forward (duplicate
+#: Task-state lattice: an event may only move a task forward (duplicate
 #: or out-of-order records — e.g. mp ``running`` arriving after the
 #: master already saw ``done`` — are ignored).
-_STATE_ORDER = {
-    "submitted": 0,
-    "blocked": 0,
-    "ready": 1,
-    "dispatched": 2,
-    "running": 3,
-    "done": 4,
+_STATE_ORDER = ("submitted", "ready", "dispatched", "running", "done")
+
+#: The task state each lifecycle event moves its task to.
+_TASK_STATES = {
+    EventKind.TASK_ADDED: "submitted",
+    EventKind.TASK_READY: "ready",
+    EventKind.TASK_START: "running",
+    EventKind.TASK_END: "done",
 }
 
 
 class DashboardState:
-    """Apply graph deltas; answer dashboard questions."""
+    """Apply trace events and stream records; answer dashboard
+    questions."""
 
     def __init__(self):
         self.hello: dict = {}
+        #: Every trace event applied, in arrival order.
+        self.events: list[TraceEvent] = []
         #: task_id -> {"name", "state", "start", "end", "thread"}
         self.tasks: dict[int, dict] = {}
         #: (src, dst) -> kind
@@ -61,33 +68,17 @@ class DashboardState:
     # ingestion
     # ------------------------------------------------------------------
     def apply(self, record: dict) -> None:
-        """Fold one wire record into the state (idempotent)."""
+        """Fold one wire record into the state."""
 
         ev = record.get("ev")
+        if ev == "trace":
+            event = chrome_event(record)
+            if event is not None:
+                self.apply_event(event)
+            return
         self.records_applied += 1
-        if ev == "task":
-            self._apply_task(record)
-        elif ev == "edge":
-            key = (record["src"], record["dst"])
-            if key not in self.edges:
-                self.edges[key] = record.get("kind", "true")
-                self._preds.setdefault(key[1], []).append(key[0])
-                self._depth_dirty = True
-            # An edge can arrive before its tasks' ``submitted`` deltas
-            # (the graph emits during analysis, before the runtime's
-            # task_added): materialise placeholders.
-            for task_id in key:
-                self.tasks.setdefault(
-                    task_id,
-                    {"name": "", "state": "submitted",
-                     "start": None, "end": None, "thread": None},
-                )
-        elif ev == "rename":
-            self.renames += 1
-        elif ev == "steal":
-            self.steals += 1
-        elif ev == "mark":
-            self.marks[record.get("what", "?")] += 1
+        if ev == "dispatched":
+            self._advance(record["id"], record.get("name"), "dispatched")
         elif ev == "note":
             self.notes.append(record.get("text", ""))
         elif ev == "snapshot":
@@ -95,30 +86,54 @@ class DashboardState:
         elif ev == "hello":
             self.hello = record
 
-    def _apply_task(self, record: dict) -> None:
-        task_id = record["id"]
+    def apply_event(self, event: TraceEvent) -> None:
+        """Keep one trace event and fold it into the mirrored graph."""
+
+        self.events.append(event)
+        self.records_applied += 1
+        kind = event.kind
+        state = _TASK_STATES.get(kind)
+        if state is not None:
+            info = self._advance(event.task_id, event.task_name, state)
+            if state == "running":
+                info["start"] = event.time
+                info["thread"] = event.thread
+            elif state == "done":
+                info["end"] = event.time
+                if info["thread"] is None:
+                    info["thread"] = event.thread
+        elif kind == EventKind.EDGE_ADDED:
+            if len(event.extra) == 2:  # (pred_id, kind)
+                self._add_edge(event.extra[0], event.task_id, event.extra[1])
+        elif kind == EventKind.RENAME:
+            self.renames += 1
+        elif kind == EventKind.STEAL:
+            self.steals += 1
+        else:
+            self.marks[kind] += 1
+
+    def _advance(self, task_id: int, name: Optional[str], state: str) -> dict:
         info = self.tasks.get(task_id)
         if info is None:
-            info = {"name": "", "state": "submitted",
+            info = {"name": "", "state": state,
                     "start": None, "end": None, "thread": None}
             self.tasks[task_id] = info
             self._depth_dirty = True
-        if record.get("name"):
-            info["name"] = record["name"]
-        state = record.get("state", "submitted")
-        if _STATE_ORDER.get(state, 0) >= _STATE_ORDER.get(info["state"], 0):
+        if name:
+            info["name"] = name
+        if _STATE_ORDER.index(state) > _STATE_ORDER.index(info["state"]):
             info["state"] = state
-        t = record.get("t")
-        thread = record.get("thread")
-        if state == "ready":
-            info["ready"] = (t, thread)
-        elif state == "running":
-            info["start"] = t
-            info["thread"] = thread
-        elif state == "done":
-            info["end"] = t
-            if info["thread"] is None:
-                info["thread"] = thread
+        return info
+
+    def _add_edge(self, src: int, dst: int, kind: str) -> None:
+        # The graph emits an edge during analysis, before the runtime's
+        # task_added for its successor: materialise placeholders.
+        self._advance(src, None, "submitted")
+        self._advance(dst, None, "submitted")
+        if (src, dst) not in self.edges:
+            self.edges[(src, dst)] = kind
+            self._preds.setdefault(dst, []).append(src)
+            self._depth_dirty = True
 
     # ------------------------------------------------------------------
     # questions
@@ -135,7 +150,7 @@ class DashboardState:
 
     def workers(self) -> list:
         """Per-thread current task from the latest snapshot (live) or
-        from running deltas (replay)."""
+        from running tasks (replay)."""
 
         snap_workers = self.snapshot.get("workers")
         if snap_workers is not None:
@@ -168,46 +183,14 @@ class DashboardState:
         self._depth_dirty = False
         return self._depth
 
-    def to_events(self) -> list:
-        """Reconstruct the received edges as ``EDGE_ADDED`` and each
-        completed task's READY/START/END trace events, for
-        :func:`repro.obs.analyze.analyze_events`."""
-
-        from ..core.tracing import EventKind, TraceEvent
-
-        events = [
-            TraceEvent(time=0.0, kind=EventKind.EDGE_ADDED, task_id=dst,
-                       extra=(src, kind))
-            for (src, dst), kind in self.edges.items()
-        ]
-        for task_id, info in sorted(self.tasks.items()):
-            if info["start"] is None or info["end"] is None:
-                continue
-            thread = info["thread"] if info["thread"] is not None else 0
-            if "ready" in info:
-                ready_t, releaser = info["ready"]
-                events.append(TraceEvent(
-                    time=ready_t, kind=EventKind.TASK_READY, task_id=task_id,
-                    task_name=info["name"], thread=releaser,
-                ))
-            events.append(TraceEvent(
-                time=info["start"], kind=EventKind.TASK_START,
-                task_id=task_id, task_name=info["name"], thread=thread,
-            ))
-            events.append(TraceEvent(
-                time=info["end"], kind=EventKind.TASK_END,
-                task_id=task_id, task_name=info["name"], thread=thread,
-            ))
-        events.sort(key=lambda e: e.time)
-        return events
-
     def report(self, num_threads: Optional[int] = None):
-        """Full :class:`~repro.obs.analyze.TraceReport` over the
-        completed work (live and replay share this path too)."""
+        """:func:`~repro.obs.analyze.analyze_events` over the kept
+        events — the post-mortem pass; *num_threads* defaults to the
+        hello's ``threads``."""
 
-        from ..obs.analyze import analyze_events
-
-        return analyze_events(self.to_events(), num_threads=num_threads)
+        if num_threads is None:
+            num_threads = self.hello.get("threads")
+        return analyze_events(self.events, num_threads=num_threads)
 
     def signature(self) -> dict:
         """Order-insensitive digest of the mirrored run — what the

@@ -1,10 +1,10 @@
 """The wire format of the live event/control plane.
 
 One JSON object per line, UTF-8, ``\n``-terminated, in both
-directions.  The server streams *graph deltas* — the incremental
-records a TEMANEJO-style front end needs to mirror the DAG as it grows
-and executes — interleaved with periodic ``snapshot`` records; the
-client sends small command objects and correlates replies by ``seq``.
+directions.  The server streams the run's trace as it is recorded —
+each event the Chrome trace record a post-mortem export writes for it —
+interleaved with periodic ``snapshot`` records; the client sends small
+command objects and correlates replies by ``seq``.
 
 Server -> client records (``ev`` field):
 
@@ -12,22 +12,17 @@ Server -> client records (``ev`` field):
     First line on every connection, sent once the client's first
     command arrives: ``service``, ``version``, ``threads``,
     ``backend``, ``pid``.
-``task``
-    A task changed state: ``id``, ``name``, ``state`` in
-    ``submitted | ready | running | done | dispatched`` (``dispatched``
-    is the process backend's "handed to a worker process" — its
-    ``running`` only lands when the worker's events ship back),
-    ``t`` (tracer clock), ``thread``.
-``edge``
-    A dependency edge entered the graph: ``src``, ``dst``, ``kind``.
-``rename``
-    The renaming engine cut a WAR/WAW hazard for ``id``: ``base``
-    (type name of the renamed object), ``kind``.
-``steal``
-    ``id`` moved from ``victim``'s list to ``thief``.
-``mark``
-    Point event: ``what`` (barrier_enter/exit, wait_on_enter/exit,
-    write_back, violation), ``t``, ``thread``.
+``trace``
+    One tracer event: the fields of
+    :func:`repro.obs.export.chrome_record` (``name``, ``cat``, ``ph``,
+    ``ts`` in microseconds of the tracer clock, ``pid``, ``tid``,
+    ``args``), which :func:`repro.obs.analyze.chrome_event` turns back
+    into the event — task lifecycle, dependency edges, renames,
+    steals, barriers, waits, write-backs and violations alike.
+``dispatched``
+    The process backend handed task ``id`` (``name``) to worker
+    ``thread``'s process; its ``task_start`` only lands when the
+    worker's events ship back.
 ``note``
     Human-readable server-side message (breakpoint hit, shutdown
     release, ...).
@@ -53,92 +48,7 @@ ephemeral port; the server reports the real one) or a filesystem path,
 which means a unix-domain socket.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-__all__ = ["COMMANDS", "event_to_delta"]
+__all__ = ["COMMANDS"]
 
 #: The commands a :class:`~repro.live.session.LiveSession` answers.
 COMMANDS = frozenset(("pause", "resume", "step", "break", "clear", "state"))
-
-
-# ---------------------------------------------------------------------------
-# tracer event -> graph delta
-# ---------------------------------------------------------------------------
-
-# Imported late to keep this module importable without the core package
-# fully initialised (the CLI client only needs encode/decode/connect).
-def event_to_delta(event) -> Optional[dict]:
-    """Convert one :class:`~repro.core.tracing.TraceEvent` into its
-    wire delta, or ``None`` for kinds the stream does not carry."""
-
-    from ..core.tracing import EventKind
-
-    kind = event.kind
-    state = _TASK_STATES.get(kind)
-    if state is not None:
-        return {
-            "ev": "task",
-            "id": event.task_id,
-            "name": event.task_name,
-            "state": state,
-            "t": event.time,
-            "thread": event.thread,
-        }
-    if kind == EventKind.EDGE_ADDED:
-        pred_id, edge_kind = event.extra
-        return {
-            "ev": "edge",
-            "src": pred_id,
-            "dst": event.task_id,
-            "kind": edge_kind,
-        }
-    if kind == EventKind.RENAME:
-        base, rename_kind = event.extra
-        return {
-            "ev": "rename",
-            "id": event.task_id,
-            "base": base,
-            "kind": rename_kind,
-        }
-    if kind == EventKind.STEAL:
-        return {
-            "ev": "steal",
-            "id": event.task_id,
-            "thief": event.thread,
-            "victim": event.extra[1],
-        }
-    if kind in _MARK_KINDS:
-        return {
-            "ev": "mark",
-            "what": kind,
-            "t": event.time,
-            "thread": event.thread,
-        }
-    return None
-
-
-def _init_tables():
-    from ..core.tracing import EventKind
-
-    task_states = {
-        EventKind.TASK_ADDED: "submitted",
-        EventKind.TASK_READY: "ready",
-        EventKind.TASK_START: "running",
-        EventKind.TASK_END: "done",
-    }
-    mark_kinds = frozenset(
-        (
-            EventKind.BARRIER_ENTER,
-            EventKind.BARRIER_EXIT,
-            EventKind.WAIT_ON_ENTER,
-            EventKind.WAIT_ON_EXIT,
-            EventKind.WRITE_BACK,
-            EventKind.VIOLATION,
-        )
-    )
-    return task_states, mark_kinds
-
-
-_TASK_STATES, _MARK_KINDS = _init_tables()

@@ -7,8 +7,9 @@ prints, both read by :func:`~repro.core.recorder.load_recording` —
 through the section III policy on
 :class:`~repro.sim.engine.VirtualMachine`, one virtual unit per task; a
 ``barrier`` drains the machine, a ``wait`` runs it to the waited task's
-end.  Its tracer events pass once through
-:func:`~repro.live.protocol.event_to_delta`, as a live session's do.
+end.  Its tracer events go straight to
+:meth:`~repro.live.dashboard.DashboardState.apply_event`, where a live
+session's decoded ``trace`` records land too.
 """
 
 from __future__ import annotations
@@ -20,18 +21,17 @@ from ..core.graph import TaskGraph
 from ..core.recorder import load_recording
 from ..core.scheduler import SmpssScheduler
 from ..core.task import TaskInstance, TaskState
-from ..core.tracing import Tracer
+from ..core.tracing import EventKind, Tracer
 from ..sim.baselines import synthetic_definition
 from ..sim.engine import VirtualMachine
 from ..sim.machine import MachineConfig
 from .dashboard import DashboardState
-from .protocol import event_to_delta
 
 __all__ = ["ReplayEngine"]
 
 
 def _simulate(recording: dict, threads: int) -> list:
-    """``(virtual time, delta)`` of one unit-cost run of *recording*."""
+    """The trace events of one unit-cost run of *recording*."""
 
     tracer = Tracer(capacity=None)  # unbounded: the replay is every event
     graph = TaskGraph(keep_finished=False, tracer=tracer)
@@ -68,8 +68,7 @@ def _simulate(recording: dict, threads: int) -> list:
     vm.drain()
     if graph.pending_count:
         raise ValueError(f"{graph.pending_count} tasks never become ready")
-    return [(event.time, delta) for event in tracer.events
-            if (delta := event_to_delta(event)) is not None]
+    return tracer.events
 
 
 class ReplayEngine:
@@ -81,8 +80,8 @@ class ReplayEngine:
         self.recording = load_recording(recording)
         self.num_threads = max(1, num_threads)
         self.dashboard = dashboard or DashboardState()
-        self._deltas = _simulate(self.recording, self.num_threads)
-        self.end = int(self._deltas[-1][0]) if self._deltas else 0  # makespan
+        self._events = _simulate(self.recording, self.num_threads)
+        self.end = int(self._events[-1].time) if self._events else 0  # makespan
         self.units = 0
         self.back(0)
 
@@ -90,12 +89,12 @@ class ReplayEngine:
         """Advance *n* units; returns how many tasks finished in them."""
 
         self.units = min(self.units + max(n, 0), self.end)
-        finished, deltas, state = 0, self._deltas, self.dashboard
-        while self._cursor < len(deltas) \
-                and deltas[self._cursor][0] <= self.units:
-            delta = deltas[self._cursor][1]
-            state.apply(delta)
-            finished += delta.get("state") == "done"
+        finished, events, state = 0, self._events, self.dashboard
+        while self._cursor < len(events) \
+                and events[self._cursor].time <= self.units:
+            event = events[self._cursor]
+            state.apply_event(event)
+            finished += event.kind == EventKind.TASK_END
             self._cursor += 1
         counts = state.counts()
         done, running = counts["done"], counts["running"]

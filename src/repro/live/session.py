@@ -11,9 +11,10 @@ A :class:`LiveSession` is created by ``SmpssRuntime.start()`` when the
   each :class:`TraceEvent` to a lock-free deque (one C-level append on
   the emitting thread, which may hold runtime locks — nothing heavier
   is allowed there);
-* the **event plane** — a publisher thread that drains the deque,
-  converts events to graph deltas (:func:`protocol.event_to_delta`),
-  and fans them out through the runtime's observation endpoint
+* the **event plane** — a publisher thread that drains the deque and
+  publishes each event as a ``trace`` record, its Chrome trace record
+  (:func:`repro.obs.export.chrome_record`, tracer clock), through the
+  runtime's observation endpoint
   (:func:`repro.obs.exposition.open_endpoint`, which also routes the
   live commands here), interleaving a metrics snapshot every
   :data:`SNAPSHOT_INTERVAL` seconds.
@@ -38,7 +39,7 @@ from collections import deque
 from typing import Optional
 
 from ..core.scheduler import DispatchGate
-from .protocol import event_to_delta
+from ..obs.export import chrome_record
 
 __all__ = ["LiveSession"]
 
@@ -71,7 +72,7 @@ class LiveSession:
         self.gate.install(runtime.scheduler)
 
         #: Pending records: TraceEvent objects from the tap plus
-        #: ready-made delta dicts (dispatch notifications, hold notes).
+        #: ready-made record dicts (dispatch notifications, notes).
         #: deque.append is a single GIL-atomic op — safe from any
         #: thread without a lock.
         self._queue: deque = deque()
@@ -141,16 +142,8 @@ class LiveSession:
         process.  Its ``running`` event only arrives with the reply, so
         this is the dashboard's only timely "it left the queue"."""
 
-        self._queue.append(
-            {
-                "ev": "task",
-                "id": task.task_id,
-                "name": task.name,
-                "state": "dispatched",
-                "t": None,
-                "thread": thread,
-            }
-        )
+        self._queue.append({"ev": "dispatched", "id": task.task_id,
+                            "name": task.name, "thread": thread})
         self._wake.set()
 
     def _on_hold(self, task) -> None:
@@ -213,9 +206,7 @@ class LiveSession:
             while queue:
                 record = queue.popleft()
                 if not isinstance(record, dict):
-                    record = event_to_delta(record)
-                    if record is None:
-                        continue
+                    record = {"ev": "trace", **chrome_record(record)}
                 server.publish(record)
             if closing:
                 # close() detaches the tracer listener before setting

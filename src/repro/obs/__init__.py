@@ -36,6 +36,7 @@ from .analyze import (
     TraceReport,
     analyze_events,
     analyze_tracer,
+    chrome_event,
     load_chrome_trace,
     render_report,
     runtime_report,
@@ -52,7 +53,13 @@ from .diff import (
     write_diff_chrome_trace,
     write_diff_dot,
 )
-from .export import graph_to_dot, to_chrome_trace, write_chrome_trace, write_dot
+from .export import (
+    chrome_record,
+    graph_to_dot,
+    to_chrome_trace,
+    write_chrome_trace,
+    write_dot,
+)
 from .exposition import render_registry, scrape
 from .flightrec import FlightRecorder
 from .health import (
@@ -84,9 +91,11 @@ __all__ = [
     "TraceReport",
     "analyze_events",
     "analyze_tracer",
+    "chrome_event",
     "load_chrome_trace",
     "render_report",
     "runtime_report",
+    "chrome_record",
     "graph_to_dot",
     "to_chrome_trace",
     "write_chrome_trace",

@@ -37,6 +37,7 @@ __all__ = [
     "TraceReport",
     "analyze_tracer",
     "analyze_events",
+    "chrome_event",
     "load_chrome_trace",
     "render_report",
     "runtime_report",
@@ -257,12 +258,40 @@ _KINDS = frozenset(
     value for name, value in vars(EventKind).items() if name.isupper())
 
 
+def chrome_event(record: dict) -> Optional[TraceEvent]:
+    """The event one Chrome trace record stands for — the inverse of
+    :func:`repro.obs.export.chrome_record`, timestamps back in seconds;
+    ``None`` for metadata, counters and unknown instants."""
+
+    ph = record.get("ph")
+    if ph not in ("B", "E", "i", "I"):
+        return None
+    args = record.get("args", {})
+    tid = int(record.get("tid", 0))
+    if ph in ("B", "E"):
+        kind = EventKind.TASK_START if ph == "B" else EventKind.TASK_END
+        thread, name = tid, record.get("name", "")
+    else:
+        kind = record.get("name")
+        if kind not in _KINDS:
+            return None
+        # Instants carry the semantic thread (e.g. the releasing
+        # thread of a ready event, -1 for "at submission") in args.
+        thread = int(args.get("thread", tid))
+        name = args.get("task_name", "")
+    return TraceEvent(
+        time=float(record.get("ts", 0.0)) / 1e6, kind=kind,
+        task_id=int(args.get("task_id", -1)), task_name=name,
+        thread=thread, extra=tuple(args.get("extra", ())),
+    )
+
+
 def load_chrome_trace(source) -> list[TraceEvent]:
     """Rebuild normalised events from a Chrome trace JSON.
 
     *source* is a path, a file object, or an already-parsed dict.
-    Inverse of :func:`repro.obs.export.to_chrome_trace` — timestamps
-    come back in seconds.
+    Inverse of :func:`repro.obs.export.to_chrome_trace`, one
+    :func:`chrome_event` per record.
     """
 
     if isinstance(source, dict):
@@ -273,33 +302,8 @@ def load_chrome_trace(source) -> list[TraceEvent]:
         with open(source, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     records = doc.get("traceEvents", doc if isinstance(doc, list) else [])
-    events: list[TraceEvent] = []
-    for rec in records:
-        ph = rec.get("ph")
-        if ph not in ("B", "E", "i", "I"):
-            continue  # metadata and counters
-        args = rec.get("args", {})
-        time_s = float(rec.get("ts", 0.0)) / 1e6
-        task_id = int(args.get("task_id", -1))
-        tid = int(rec.get("tid", 0))
-        if ph == "B":
-            kind, thread, name = EventKind.TASK_START, tid, rec.get("name", "")
-        elif ph == "E":
-            kind, thread, name = EventKind.TASK_END, tid, rec.get("name", "")
-        else:
-            kind = rec.get("name")
-            if kind not in _KINDS:
-                continue
-            # Instants carry the semantic thread (e.g. the releasing
-            # thread of a ready event, -1 for "at submission") in args.
-            thread = int(args.get("thread", tid))
-            name = args.get("task_name", "")
-        events.append(
-            TraceEvent(
-                time=time_s, kind=kind, task_id=task_id, task_name=name,
-                thread=thread, extra=tuple(args.get("extra", ())),
-            )
-        )
+    events = [event for event in map(chrome_event, records)
+              if event is not None]
     events.sort(key=lambda e: e.time)
     return events
 

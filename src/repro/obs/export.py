@@ -23,11 +23,58 @@ from ..core.graph import EdgeKind, TaskGraph
 from ..core.tracing import EventKind, TraceEvent
 
 __all__ = [
+    "chrome_record",
     "to_chrome_trace",
     "write_chrome_trace",
     "graph_to_dot",
     "write_dot",
 ]
+
+#: The two kinds that are a task's duration slice, and their phases.
+_PHASES = {EventKind.TASK_START: "B", EventKind.TASK_END: "E"}
+
+
+def chrome_record(event: TraceEvent, t0: float = 0.0, pid: int = 1) -> dict:
+    """One event as its Chrome trace record, *t0* seconds at ``ts == 0``.
+
+    A task start or end is a ``B``/``E`` record on the executing
+    thread's track; every other kind is an instant (``ph == "i"``) with
+    thread scope, named by its :class:`~repro.core.tracing.EventKind`
+    value and carrying the event's task name, raw thread and ``extra``
+    (as JSON, unknown types as ``str``), so
+    :func:`repro.obs.analyze.chrome_event` gets the event back.  The
+    live plane publishes these records as they happen (``t0 == 0``).
+    """
+
+    ts = (event.time - t0) * 1e6
+    tid = max(event.thread, 0)
+    if event.kind in _PHASES:
+        return {
+            "name": event.task_name or f"task {event.task_id}",
+            "cat": "task",
+            "ph": _PHASES[event.kind],
+            "ts": ts,
+            "pid": pid,
+            "tid": tid,
+            "args": {"task_id": event.task_id},
+        }
+    # The raw thread (-1 means "no unlocking thread") so the locality
+    # analysis round-trips through the JSON.
+    args = {"task_id": event.task_id, "thread": event.thread,
+            "task_name": event.task_name}
+    if event.extra:
+        args["extra"] = json.loads(json.dumps(event.extra, default=str))
+    return {
+        "name": event.kind,
+        "cat": "runtime",
+        "ph": "i",
+        "s": "t",
+        "ts": ts,
+        "pid": pid,
+        "tid": tid,
+        "args": args,
+    }
+
 
 def to_chrome_trace(events: Iterable[TraceEvent], *, pid: int = 1) -> dict:
     """Convert an event list to a Chrome trace-event document.
@@ -35,11 +82,8 @@ def to_chrome_trace(events: Iterable[TraceEvent], *, pid: int = 1) -> dict:
     Timestamps are microseconds (the format's unit); the trace is
     shifted so the first event sits at ``ts == 0``, which keeps virtual
     simulator clocks and wall-clock ``perf_counter`` origins equally
-    readable.  Task executions are ``B``/``E`` pairs; everything else is
-    an instant (``ph == "i"``) with thread scope, named by its
-    :class:`~repro.core.tracing.EventKind` value and carrying the
-    event's task name and ``extra`` (as JSON, unknown types as ``str``)
-    so :func:`repro.obs.analyze.load_chrome_trace` gets every event back.
+    readable.  Each event is its :func:`chrome_record`, loadable in
+    Perfetto and read back by :func:`repro.obs.analyze.load_chrome_trace`.
     """
 
     # Timestamp order, not list order: Chrome's B/E matching requires
@@ -48,47 +92,7 @@ def to_chrome_trace(events: Iterable[TraceEvent], *, pid: int = 1) -> dict:
     # vanishes.
     events = sorted(events, key=lambda e: e.time)
     t0 = min((e.time for e in events), default=0.0)
-    records = []
-    for event in events:
-        ts = (event.time - t0) * 1e6
-        tid = max(event.thread, 0)
-        if event.kind == EventKind.TASK_START:
-            records.append({
-                "name": event.task_name or f"task {event.task_id}",
-                "cat": "task",
-                "ph": "B",
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-                "args": {"task_id": event.task_id},
-            })
-        elif event.kind == EventKind.TASK_END:
-            records.append({
-                "name": event.task_name or f"task {event.task_id}",
-                "cat": "task",
-                "ph": "E",
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-                "args": {"task_id": event.task_id},
-            })
-        else:
-            # The raw thread (-1 means "no unlocking thread") so the
-            # locality analysis round-trips through the JSON.
-            args = {"task_id": event.task_id, "thread": event.thread,
-                    "task_name": event.task_name}
-            if event.extra:
-                args["extra"] = json.loads(json.dumps(event.extra, default=str))
-            records.append({
-                "name": event.kind,
-                "cat": "runtime",
-                "ph": "i",
-                "s": "t",
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            })
+    records = [chrome_record(event, t0, pid) for event in events]
     metadata = [
         {
             "name": "process_name",

@@ -3,7 +3,7 @@
 :func:`open_endpoint` binds the single :class:`repro.net.Server` a
 runtime owns (``address=...``, or ``live=True``) and answers on it:
 
-* the live plane's commands and delta stream (:mod:`repro.live`);
+* the live plane's commands and trace-record stream (:mod:`repro.live`);
 * ``metrics`` (the Prometheus page in the ack — what :func:`scrape`
   and ``python -m repro obs scrape`` use), ``health``, ``dump`` and
   ``ping`` over JSON lines;

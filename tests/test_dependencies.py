@@ -161,13 +161,6 @@ class TestRenaming:
         assert edges[(w0.task_id, w1.task_id)] == EdgeKind.OUTPUT
         assert h.graph.stats.renames == 0
 
-    def test_rename_inout_disabled_gives_anti_edges(self, data):
-        h = Harness(rename_inout=False)
-        h.submit(UPDATE, data)
-        r = h.submit(READ, data)
-        w1 = h.submit(UPDATE, data)
-        assert h.edges()[(r.task_id, w1.task_id)] == EdgeKind.ANTI
-
     def test_clone_storage_contains_previous_value(self, data):
         h = Harness()
         w0 = h.submit(UPDATE, data)

@@ -9,6 +9,7 @@ the run completes with the correct numerical result — on the threaded
 program must land the dashboard in the same final state.
 """
 
+import re
 import subprocess
 import sys
 import threading
@@ -17,12 +18,13 @@ import time
 import numpy as np
 import pytest
 
-from repro import SmpssRuntime
+from repro import SmpssRuntime, css_task
 from repro.apps.cholesky import cholesky_hyper
 from repro.blas.hypermatrix import HyperMatrix
 from repro.core.recorder import record_program
 from repro.core.task import reset_task_ids
 from repro.live import DashboardState, LiveClient, ReplayEngine
+from repro.obs import analyze_tracer
 
 pytestmark = pytest.mark.live
 
@@ -219,6 +221,84 @@ class TestReplayEquivalence:
             i: t["name"] for i, t in engine.dashboard.tasks.items()
         }
         assert replay_names == live_names
+
+
+@css_task("inout(x)")
+def _bump(x):
+    x += 1
+
+
+@css_task("input(x) output(y)")
+def _copy(x, y):
+    y[...] = x
+
+
+@css_task("output(x)")
+def _reset(x):
+    x[...] = 0
+
+
+class TestLiveIsPostMortem:
+    def test_live_report_equals_the_tracers(self):
+        """The attached dashboard's report is ``analyze_events`` over
+        the very events the tracer recorded: renames, steals, locality
+        and barrier time included, not only the task intervals."""
+
+        rt = SmpssRuntime(num_workers=2, live=True, trace=True,
+                          address="tcp:127.0.0.1:0")
+        state = DashboardState()
+        with rt, LiveClient(rt.address, timeout=10.0) as client:
+            state.apply(dict(client.hello))
+            x, sink = np.zeros(64), np.zeros(64)
+            for _ in range(20):  # each round's writes hit a pending read
+                _bump(x)
+                _copy(x, sink)
+                _reset(x)
+            rt.barrier()
+            want = analyze_tracer(rt.tracer, num_threads=rt.num_threads)
+            deadline = time.monotonic() + 30.0
+            while True:  # every task done, then nothing but snapshots
+                records = client.drain(idle=0.2)
+                for record in records:
+                    state.apply(record)
+                if state.counts().get("done") == 60 and all(
+                        r["ev"] == "snapshot" for r in records):
+                    break
+                assert time.monotonic() < deadline, state.counts()
+            recorded = len(rt.tracer.events)
+        got = state.report()
+        assert want.renames > 0 and want.barrier_time > 0
+        for field in ("total_tasks", "renames", "steals",
+                      "locality_candidates", "locality_hits"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert {t: u.steals for t, u in got.threads.items()} \
+            == {t: u.steals for t, u in want.threads.items()}
+        for field in ("makespan", "span", "barrier_time"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), abs=1e-9), field
+        assert len(state.events) == recorded
+
+    def test_attach_report_counts_every_thread(self, capsys):
+        """A 3-task chain runs on one worker; the attach CLI's report
+        still lists the runtime's four threads, as ``rt.report()``
+        does."""
+
+        from repro.live.cli import main
+
+        rt = SmpssRuntime(num_workers=3, live=True,
+                          address="tcp:127.0.0.1:0", live_start_paused=True)
+        with rt:
+            x = np.zeros(1)
+            for _ in range(3):
+                _bump(x)
+            assert main(["attach", rt.address, "--script",
+                         "resume; wait-done; report; quit"]) == 0
+            rt.barrier()
+        assert x[0] == 3
+        out = capsys.readouterr().out
+        assert "== live report ==" in out
+        assert len(re.findall(r"^ +thr +\d+: busy", out, re.M)) \
+            == rt.num_threads == 4
 
 
 class TestCliSmoke:

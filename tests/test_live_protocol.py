@@ -8,7 +8,7 @@ import pytest
 from repro.core.recorder import load_recording, record_program
 from repro.core.tracing import EventKind, TraceEvent
 from repro.live import DashboardState, ReplayEngine, render
-from repro.live.protocol import event_to_delta
+from repro.obs.export import chrome_record
 from repro.net.protocol import decode, encode, format_address, parse_address
 
 pytestmark = pytest.mark.live
@@ -40,112 +40,85 @@ class TestWireFormat:
             assert format_address(parse_address(spec)) == spec
 
 
-class TestEventToDelta:
-    def _task(self):
-        class T:
-            task_id = 7
-            name = "spotrf_t"
-        return T()
+def _trace(kind, task_id=-1, name="", t=0.0, thread=-1, extra=()):
+    """One trace event as the live stream carries it."""
 
-    def test_task_lifecycle_kinds(self):
-        expected = {
-            EventKind.TASK_ADDED: "submitted",
-            EventKind.TASK_READY: "ready",
-            EventKind.TASK_START: "running",
-            EventKind.TASK_END: "done",
-        }
-        for kind, state in expected.items():
-            event = TraceEvent(time=1.5, kind=kind, task_id=7,
-                               task_name="spotrf_t", thread=2)
-            delta = event_to_delta(event)
-            assert delta == {"ev": "task", "id": 7, "name": "spotrf_t",
-                             "state": state, "t": 1.5, "thread": 2}
+    event = TraceEvent(t, kind, task_id, name, thread, extra)
+    return {"ev": "trace", **chrome_record(event)}
 
-    def test_edge_event(self):
-        event = TraceEvent(time=0.0, kind=EventKind.EDGE_ADDED,
-                           task_id=9, extra=(4, "true"))
-        assert event_to_delta(event) == {
-            "ev": "edge", "src": 4, "dst": 9, "kind": "true",
-        }
 
-    def test_steal_and_marks(self):
-        steal = TraceEvent(time=0.0, kind=EventKind.STEAL, task_id=3,
-                           thread=1, extra=("victim", 2))
-        assert event_to_delta(steal) == {
-            "ev": "steal", "id": 3, "thief": 1, "victim": 2,
-        }
-        mark = TraceEvent(time=2.0, kind=EventKind.BARRIER_ENTER, thread=0)
-        assert event_to_delta(mark) == {
-            "ev": "mark", "what": "barrier_enter", "t": 2.0, "thread": 0,
-        }
-
-    def test_deltas_are_json_serialisable(self):
-        event = TraceEvent(time=0.25, kind=EventKind.RENAME, task_id=1,
-                           extra=("ndarray", "output"))
-        json.dumps(event_to_delta(event))
+def _edge(src, dst):
+    return _trace(EventKind.EDGE_ADDED, dst, extra=(src, "true"))
 
 
 class TestDashboardState:
     def _feed(self, state, records):
         for record in records:
-            state.apply(record)
+            state.apply(json.loads(json.dumps(record)))
 
     def test_task_lifecycle_and_counts(self):
         state = DashboardState()
         self._feed(state, [
-            {"ev": "task", "id": 1, "name": "a", "state": "submitted",
-             "t": 0.0, "thread": -1},
-            {"ev": "task", "id": 1, "name": "a", "state": "ready",
-             "t": 0.1, "thread": -1},
-            {"ev": "task", "id": 1, "name": "a", "state": "running",
-             "t": 0.2, "thread": 1},
-            {"ev": "task", "id": 1, "name": "a", "state": "done",
-             "t": 0.7, "thread": 1},
+            _trace(EventKind.TASK_ADDED, 1, "a", 0.0),
+            _trace(EventKind.TASK_READY, 1, "a", 0.1),
+            _trace(EventKind.TASK_START, 1, "a", 0.2, 1),
+            _trace(EventKind.TASK_END, 1, "a", 0.7, 1),
         ])
         assert state.counts() == {"done": 1}
         info = state.tasks[1]
-        assert info["start"] == 0.2 and info["end"] == 0.7
+        assert info["start"] == pytest.approx(0.2)
+        assert info["end"] == pytest.approx(0.7)
         assert info["thread"] == 1
+        assert [e.kind for e in state.events] == [
+            "task_added", "task_ready", "task_start", "task_end"]
 
     def test_out_of_order_state_never_regresses(self):
         state = DashboardState()
         self._feed(state, [
-            {"ev": "task", "id": 1, "name": "a", "state": "done",
-             "t": 1.0, "thread": 0},
+            _trace(EventKind.TASK_END, 1, "a", 1.0, 0),
             # mp master can see `done` before the worker's `running`
             # ships back with the reply.
-            {"ev": "task", "id": 1, "name": "a", "state": "running",
-             "t": 0.5, "thread": 0},
+            _trace(EventKind.TASK_START, 1, "a", 0.5, 0),
         ])
         assert state.tasks[1]["state"] == "done"
 
+    def test_dispatched_sits_between_ready_and_running(self):
+        state = DashboardState()
+        self._feed(state, [
+            _trace(EventKind.TASK_READY, 1, "a", 0.1),
+            {"ev": "dispatched", "id": 1, "name": "a", "thread": 1},
+        ])
+        assert state.tasks[1]["state"] == "dispatched"
+        self._feed(state, [_trace(EventKind.TASK_START, 1, "a", 0.2, 1),
+                           {"ev": "dispatched", "id": 1, "name": "a",
+                            "thread": 1}])
+        assert state.tasks[1]["state"] == "running"
+        assert len(state.events) == 2  # a hand-off note is no trace event
+
     def test_edge_before_submission_materialises_placeholders(self):
         state = DashboardState()
-        state.apply({"ev": "edge", "src": 1, "dst": 2, "kind": "true"})
+        state.apply(_edge(1, 2))
         assert set(state.tasks) == {1, 2}
         assert len(state.edges) == 1
-        # A later submitted delta fills in the name.
-        state.apply({"ev": "task", "id": 2, "name": "b",
-                     "state": "submitted", "t": 0.0, "thread": -1})
+        # A later task_added fills in the name.
+        state.apply(_trace(EventKind.TASK_ADDED, 2, "b"))
         assert state.tasks[2]["name"] == "b"
 
     def test_duplicate_edges_collapse(self):
         state = DashboardState()
-        state.apply({"ev": "edge", "src": 1, "dst": 2, "kind": "true"})
-        state.apply({"ev": "edge", "src": 1, "dst": 2, "kind": "true"})
+        state.apply(_edge(1, 2))
+        state.apply(_edge(1, 2))
         assert len(state.edges) == 1
 
     def test_critical_path_depth_chain(self):
         state = DashboardState()
         for i in (1, 2, 3):
-            state.apply({"ev": "task", "id": i, "name": "t",
-                         "state": "submitted", "t": 0.0, "thread": -1})
-        state.apply({"ev": "edge", "src": 1, "dst": 2, "kind": "true"})
-        state.apply({"ev": "edge", "src": 2, "dst": 3, "kind": "true"})
+            state.apply(_trace(EventKind.TASK_ADDED, i, "t"))
+        state.apply(_edge(1, 2))
+        state.apply(_edge(2, 3))
         assert state.critical_path_depth() == 3
         # An independent task does not deepen the chain.
-        state.apply({"ev": "task", "id": 4, "name": "t",
-                     "state": "submitted", "t": 0.0, "thread": -1})
+        state.apply(_trace(EventKind.TASK_ADDED, 4, "t"))
         assert state.critical_path_depth() == 3
 
     def test_report_over_completed_work(self):
@@ -153,28 +126,38 @@ class TestDashboardState:
         for i, (start, end, thread) in enumerate(
             [(0.0, 1.0, 0), (1.0, 2.0, 1)], start=1
         ):
-            state.apply({"ev": "task", "id": i, "name": "w",
-                         "state": "running", "t": start, "thread": thread})
-            state.apply({"ev": "task", "id": i, "name": "w",
-                         "state": "done", "t": end, "thread": thread})
+            state.apply(_trace(EventKind.TASK_START, i, "w", start, thread))
+            state.apply(_trace(EventKind.TASK_END, i, "w", end, thread))
         report = state.report(num_threads=2)
         assert report.total_tasks == 2
         assert report.makespan == pytest.approx(2.0)
 
+    def test_report_counts_threads_from_the_hello(self):
+        """An attach's report counts every thread the runtime has, not
+        only those that ran a task: the hello's ``threads``."""
+
+        state = DashboardState()
+        state.apply({"ev": "hello", "backend": "threads", "threads": 4})
+        state.apply(_trace(EventKind.TASK_START, 1, "w", 0.0, 0))
+        state.apply(_trace(EventKind.TASK_END, 1, "w", 1.0, 0))
+        report = state.report()
+        assert sorted(report.threads) == [0, 1, 2, 3]
+        assert report.bound_upper == pytest.approx(1.0 / 4 + 1.0)
+
     def test_report_critical_path_over_received_edges(self):
         """The dashboard's timed view is ``analyze_events`` over the
-        received intervals and edges: the heavier way into task 3."""
+        received events: the heavier way into task 3."""
 
         state = DashboardState()
         for i, (ready, start, end) in enumerate(
             [(0.0, 0.0, 1.0), (0.0, 0.0, 3.0), (3.5, 4.0, 5.0)], start=1
         ):
-            for what, t in (("ready", ready), ("running", start),
-                            ("done", end)):
-                state.apply({"ev": "task", "id": i, "name": f"w{i}",
-                             "state": what, "t": t, "thread": 0})
-        state.apply({"ev": "edge", "src": 1, "dst": 3, "kind": "true"})
-        state.apply({"ev": "edge", "src": 2, "dst": 3, "kind": "true"})
+            for kind, t in ((EventKind.TASK_READY, ready),
+                            (EventKind.TASK_START, start),
+                            (EventKind.TASK_END, end)):
+                state.apply(_trace(kind, i, f"w{i}", t, 0))
+        state.apply(_edge(1, 3))
+        state.apply(_edge(2, 3))
         report = state.report()
         assert [link.task_id for link in report.critical_path] == [2, 3]
         assert report.span == pytest.approx(4.0)
@@ -186,8 +169,7 @@ class TestDashboardState:
     def test_render_smoke(self):
         state = DashboardState()
         state.apply({"ev": "hello", "backend": "threads", "threads": 4})
-        state.apply({"ev": "task", "id": 1, "name": "a",
-                     "state": "running", "t": 0.0, "thread": 0})
+        state.apply(_trace(EventKind.TASK_START, 1, "a", 0.0, 0))
         state.apply({"ev": "note", "text": "paused"})
         state.apply({"ev": "snapshot", "paused": True, "ready": 0,
                      "running": 1, "parked": 3, "pending": 1,
@@ -444,20 +426,13 @@ class TestReplayEngine:
         _assert_inside_greedy_bounds(engine.dashboard, threads)
 
     def test_barrier_and_wait_on_block_later_tasks(self):
-        seen = []
-
-        class Seen(DashboardState):
-            def apply(self, record):
-                seen.append(record)
-                super().apply(record)
-
         recording = record_program(_synchronised_program).to_json_dict()
-        engine = ReplayEngine(recording, num_threads=2, dashboard=Seen())
+        engine = ReplayEngine(recording, num_threads=2)
         engine.run()
         tasks = engine.dashboard.tasks
         assert len(tasks) == 9 and engine.dashboard.counts()["done"] == 9
-        marks = {record["what"]: record["t"]
-                 for record in seen if record["ev"] == "mark"}
+        marks = {event.kind: event.time for event in engine.dashboard.events
+                 if event.kind.startswith(("barrier", "wait_on"))}
         # The x chain (three units) holds the barrier; the w chain then
         # ends two units later, where the main thread's wait returns.
         assert marks == {"barrier_enter": 0.0, "barrier_exit": 3.0,
@@ -477,3 +452,31 @@ class TestReplayEngine:
                 assert tasks[entry[1]]["start"] >= tasks[waited]["end"]
         assert tasks[waited]["end"] == marks["wait_on_exit"]
         _assert_dependencies_hold(engine.dashboard)
+
+    def test_report_counts_barrier_time(self):
+        """The replay's report is the post-mortem pass over its events,
+        barriers included: 3 units behind the x chain, 2 behind y."""
+
+        import numpy as np
+
+        from repro import barrier, css_task
+
+        @css_task("inout(x)")
+        def inc(x):
+            x += 1
+
+        def program():
+            x, y = np.zeros(1), np.zeros(1)
+            for _ in range(3):
+                inc(x)
+            barrier()
+            for _ in range(2):
+                inc(y)
+            barrier()
+
+        engine = self._engine(program, num_threads=2)
+        engine.run()
+        report = engine.dashboard.report()
+        assert report.barrier_time == 5.0
+        assert report.makespan == 5.0
+        assert sorted(report.threads) == [0, 1]

@@ -3,6 +3,7 @@
 import json
 import threading
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro import SmpssRuntime, css_task, record_program, wait_on
 from repro.core.tracing import EventKind, TraceEvent, Tracer
+from repro.live import DashboardState
 from repro.obs import (
+    chrome_record,
     graph_to_dot,
     load_chrome_trace,
     to_chrome_trace,
@@ -20,6 +23,8 @@ from repro.obs import (
 )
 
 pytestmark = pytest.mark.obs
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 _INSTANTS = sorted(
     value for name, value in vars(EventKind).items()
@@ -198,6 +203,34 @@ class TestChromeTrace:
         for got, want in zip(sorted(e.time for e in loaded),
                              sorted(e.time - t0 for e in events)):
             assert got == pytest.approx(want, abs=1e-9)
+        # The live path: each event as the stream's record, through
+        # JSON, into the dashboard — the same events come back.
+        state = DashboardState()
+        for event in events:
+            line = json.dumps({"ev": "trace", **chrome_record(event)})
+            state.apply(json.loads(line))
+        assert Counter(map(fields, state.events)) \
+            == Counter(map(fields, events))
+
+    def test_cholesky_export_is_unchanged(self):
+        """A simulated (so deterministic) traced Cholesky exports to
+        the very bytes of the checked-in document, written by the
+        exporter before it was split into per-event records.  A change
+        to the simulator's costs moves the times: regenerate then."""
+
+        from repro.apps.cholesky import cholesky_hyper
+        from repro.blas.hypermatrix import HyperMatrix
+        from repro.sim.machine import MachineConfig
+        from repro.sim.simruntime import SimulatedRuntime
+
+        rt = SimulatedRuntime(machine=MachineConfig(cores=3), trace=True)
+        with rt:
+            cholesky_hyper(HyperMatrix.random_spd(4, 4, seed=3))
+            rt.barrier()
+        with open(FIXTURES / "cholesky_sim.chrome.json") as handle:
+            expected = json.load(handle)
+        assert json.dumps(to_chrome_trace(rt.tracer.events)) \
+            == json.dumps(expected)
 
     def test_virtual_time_trace_exports(self):
         times = iter(float(i) for i in range(100))

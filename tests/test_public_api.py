@@ -242,7 +242,7 @@ class TestRuntimeKnowsNoBackend:
     def test_config_field_count_is_pinned(self):
         # Every field doubles the configurations tests must cover:
         # adding one is a deliberate act that updates this number.
-        assert len(dataclasses.fields(RuntimeConfig)) == 21
+        assert len(dataclasses.fields(RuntimeConfig)) == 20
 
     def test_unknown_name_in_runtime_module_still_fails(self):
         import repro.core.runtime as runtime_mod
@@ -406,7 +406,7 @@ class TestOneWorkerLoop:
 
         assert (ExecutionBackend.max_batch, ProcessBackend.max_batch,
                 ClusterBackend.max_batch) == (1, 8, 1)
-        assert len(dataclasses.fields(RuntimeConfig)) == 21
+        assert len(dataclasses.fields(RuntimeConfig)) == 20
 
     def test_runtime_and_engine_both_reach_that_loop(self):
         from repro.core.execution import WorkerLoop
@@ -595,7 +595,7 @@ class TestOneOfEach:
             if isinstance(node, ast.ImportFrom) for alias in node.names
         }
         assert len(dataclasses.fields(FlowOptions)) == 1
-        assert len(dataclasses.fields(TrackerConfig)) == 2
+        assert len(dataclasses.fields(TrackerConfig)) == 1
 
     def test_one_interval_pairing(self):
         """Only ``core.tracing.task_intervals`` matches a ``TASK_END``
@@ -649,8 +649,23 @@ class TestOneOfEach:
         assert offenders == []
         replay = self._source("live/replay.py")
         assert "VirtualMachine(" in replay and "SmpssScheduler(" in replay
-        assert "event_to_delta(" in replay
-        assert not re.search(r'"ev": "(task|edge|mark)"', replay)
+        assert "apply_event(" in replay
+        assert not re.search(r'"ev": "(task|edge|mark|trace)"', replay)
+
+    def test_one_trace_event_record(self):
+        """The live stream, the replay and the file export carry one
+        event record, the Chrome trace one: no second dialect, and no
+        event rebuilt by hand on the way to the report."""
+
+        def containing(text, root=SRC):
+            return sorted(str(path.relative_to(SRC))
+                          for path in root.rglob("*.py")
+                          if text in path.read_text())
+
+        assert containing("event_to_delta") == []
+        assert containing("def to_events") == []
+        assert containing('"cat": "task"') == ["obs/export.py"]
+        assert containing("TraceEvent(", SRC / "live") == []
 
     def test_one_cli_front_door(self):
         assert [str(p.relative_to(SRC)) for p in SRC.rglob("__main__.py")] \
@@ -670,10 +685,11 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total once the flow skeleton became a
-#: ``RecordedProgram`` (one task-graph document) and "not traced"
-#: became ``None``: 143 lines below the simulator replay's 24 809.
-LINE_BUDGET = 24666
+#: The ``src/repro`` total once the live stream and the replay carried
+#: the Chrome trace record (one trace-event record) and the
+#: ``rename_inout`` knob went: 102 lines below the one task-graph
+#: document's 24 666.
+LINE_BUDGET = 24564
 
 
 class TestOneMeasurementSystem:
