@@ -15,6 +15,7 @@ import threading
 from time import perf_counter
 from typing import Callable, Optional
 
+from ..net.codec import RemoteTaskError, SerializationError, WorkerLostError
 from .invocation import resolve_call_values
 
 __all__ = [
@@ -151,11 +152,13 @@ class Link:
 class RemoteBackend(ExecutionBackend):
     """Dispatch / death / one-redispatch, written once.
 
-    A subclass owns its transport.  It sets ``lost_error`` and
-    ``remote_error`` (its structured error classes), ``refusals`` (what
-    its hooks raise for a task that cannot be shipped — returned as the
-    ``cause``, link untouched) and ``link_errors`` (what ``_send`` and
-    ``_recv`` raise when the remote end is gone), and implements
+    A subclass owns its transport.  It sets ``link_errors`` (what
+    ``_send`` and ``_recv`` raise when the remote end is gone) and may
+    widen ``refusals`` (what its hooks raise for a task that cannot be
+    shipped — returned as the ``cause``, link untouched); ``lost_error``
+    and ``remote_error`` are the structured errors of every remote end.
+    A refusal or loss that names no slot yet is stamped with the link's
+    slot and node.  The subclass implements
     ``_encode(task, values, link, seq) -> request`` (the task's whole
     wire record, with what finds its definition's function until
     ``link.sent_defs`` has the definition's ``id``), ``_send(link,
@@ -166,9 +169,9 @@ class RemoteBackend(ExecutionBackend):
     """
 
     remote = True
-    lost_error: type = RuntimeError
-    remote_error: type = RuntimeError
-    refusals: tuple = ()
+    lost_error: type = WorkerLostError
+    remote_error: type = RemoteTaskError
+    refusals: tuple = (SerializationError,)
     link_errors: tuple = ()
 
     def __init__(self, deaths_metric: str, redispatch_metric: str, *,
@@ -229,7 +232,7 @@ class RemoteBackend(ExecutionBackend):
                                 task, values, link, link.seq + 1)
                         except self.refusals as exc:
                             pending.remove(record)
-                            yield task, exc, 0.0
+                            yield task, self._stamp(exc, link), 0.0
                         else:
                             link.seq += 1
                             frame.append((link.seq, request))
@@ -271,21 +274,31 @@ class RemoteBackend(ExecutionBackend):
         if record[2] > 1:
             del pending[0]
             task = record[0]
-            yield task, self.lost_error(
+            yield task, self._stamp(self.lost_error(
                 f"{who} died while running task #{task.task_id} "
                 f"{task.name!r}, which had already been "
                 f"re-dispatched once; giving up"
-            ), 0.0
+            ), link), 0.0
         try:
             # Also after giving up: the rest of the frame and later
             # tasks on this proxy thread need a live remote end.
             self._revive(link)
         except self.lost_error as unrevivable:
+            self._stamp(unrevivable, link)
             while pending:
                 yield pending.pop(0)[0], unrevivable, 0.0
         else:
             if record[2] == 1:
                 self._m_redispatch.inc()
+
+    @staticmethod
+    def _stamp(exc: BaseException, link: Link) -> BaseException:
+        """*exc*, naming *link*'s slot and node unless its raiser did."""
+
+        if getattr(exc, "slot", 0) is None:
+            node = getattr(link, "node", None)
+            exc.slot, exc.node = link.slot, node and node.name
+        return exc
 
     def _link_died(self, link: Link, exc: BaseException) -> None:
         """Count one lost remote end."""

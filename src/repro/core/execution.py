@@ -254,7 +254,8 @@ class WorkerLoop:
         # never raises, so every child is reaped and every socket
         # closed even when we got here through an exception.  The
         # stopped backend stays readable (deaths, for report()).
-        self.backend.stop()
+        if self.backend is not None:  # None: its start failed
+            self.backend.stop()
 
     def liveness(self) -> list[dict]:
         """The backend's per-slot rows (under processes: pid, OS-level

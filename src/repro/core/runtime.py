@@ -129,67 +129,75 @@ class SmpssRuntime(ActiveRuntime):
     def start(self) -> "SmpssRuntime":
         if self._started:
             raise RuntimeError("runtime already started")
-        # Only a memory limit needs buffers back before the barrier.
-        self._open_domain(
-            self.tracer,
-            release_eagerly=self.config.memory_limit_bytes is not None,
-        )
-        if self.config.sanitize:
-            # Imported here, not at module level: check sits above core.
-            from ..check.sanitize import Sanitizer
-
-            self.sanitizer = Sanitizer(
-                tracer=self.tracer,
-                metrics=self.metrics if self._metrics_on else None,
+        # All or nothing: the api slot first (a refused start starts
+        # nothing), and a start that fails later stops what it started.
+        super().start()
+        try:
+            # Only a memory limit needs buffers back before the barrier.
+            self._open_domain(
+                self.tracer,
+                release_eagerly=self.config.memory_limit_bytes is not None,
             )
-        # Started (forked, connected) *before* the proxy threads exist
-        # and before the runtime goes on the api stack, so a failed dial
-        # aborts start() cleanly; and before the scheduler exists,
-        # because a fleet's size is only known once it is up.
-        loop = self._loop
-        self.config.num_workers = loop.start_backend(
-            make_backend(
-                self.config, metrics=self.metrics, tracer=self.tracer,
-                on_dispatch=self._notify_dispatch if self.config.live else None,
-                sanitizer=self.sanitizer, tls=self._tls,
-            ),
-            # Workers + the main thread.
-            lambda n: self.config.scheduler_factory(n, tracer=self.tracer),
-        )
-        self.backend = loop.backend
-        self.scheduler = loop.scheduler
-        self._current = loop._current
-        self.tracker.residency_fetch = self.backend.fetch_version
-        self.scheduler.placement = self.backend.placement
-        # Per-submission constants, hoisted out of the hot loop.
-        self._max_pending = self.config.max_pending_tasks
-        self._mem_limit = self.config.memory_limit_bytes
-        if self.config.address is not None or self.config.live:
-            # Imported here, not at module level: obs and live sit above
-            # core.  Bound after the backend (the server threads must not
-            # be duplicated into forked workers) and before the proxy /
-            # worker threads, so no dispatch escapes a paused start.
-            from ..obs.exposition import open_endpoint
+            if self.config.sanitize:
+                # Imported here, not at module level: check sits above core.
+                from ..check.sanitize import Sanitizer
 
-            self._endpoint = open_endpoint(self, self.config.address)
-            self.address = self._endpoint.address
-        if self.config.live:
-            from ..live.session import LiveSession
+                self.sanitizer = Sanitizer(
+                    tracer=self.tracer,
+                    metrics=self.metrics if self._metrics_on else None,
+                )
+            # Started (forked, connected) *before* the proxy threads exist,
+            # so children start from a quiet image; and before the scheduler
+            # exists, because a fleet's size is only known once it is up.
+            loop = self._loop
+            self.config.num_workers = loop.start_backend(
+                make_backend(
+                    self.config, metrics=self.metrics, tracer=self.tracer,
+                    on_dispatch=(self._notify_dispatch if self.config.live
+                                 else None),
+                    sanitizer=self.sanitizer, tls=self._tls,
+                ),
+                # Workers + the main thread.
+                lambda n: self.config.scheduler_factory(n, tracer=self.tracer),
+            )
+            self.backend = loop.backend
+            self.scheduler = loop.scheduler
+            self._current = loop._current
+            self.tracker.residency_fetch = self.backend.fetch_version
+            self.scheduler.placement = self.backend.placement
+            # Per-submission constants, hoisted out of the hot loop.
+            self._max_pending = self.config.max_pending_tasks
+            self._mem_limit = self.config.memory_limit_bytes
+            if self.config.address is not None or self.config.live:
+                # Imported here, not at module level: obs and live sit above
+                # core.  Bound after the backend (the server threads must not
+                # be duplicated into forked workers) and before the proxy /
+                # worker threads, so no dispatch escapes a paused start.
+                from ..obs.exposition import open_endpoint
 
-            self.live = LiveSession(self, self._endpoint)
-        if self.config.health:
-            # Imported here, not at module level: obs sits above core.
-            # Started after the backend (the watchdog thread must not
-            # be duplicated into forked workers) and before the worker
-            # threads, so the first sample sees a live runtime.
-            from ..obs.health import HealthMonitor
+                self._endpoint = open_endpoint(self, self.config.address)
+                self.address = self._endpoint.address
+            if self.config.live:
+                from ..live.session import LiveSession
 
-            self.health = HealthMonitor(self)
-            loop.flight = self.health.recorder
-            self.health.start()
-        self._started = True
-        loop.start_workers("smpss-worker")
-        return super().start()
+                self.live = LiveSession(self, self._endpoint)
+            if self.config.health:
+                # Imported here, not at module level: obs sits above core.
+                # Started after the backend (the watchdog thread must not
+                # be duplicated into forked workers) and before the worker
+                # threads, so the first sample sees a live runtime.
+                from ..obs.health import HealthMonitor
+
+                self.health = HealthMonitor(self)
+                loop.flight = self.health.recorder
+                self.health.start()
+            self._started = True
+            loop.start_workers("smpss-worker")
+        except BaseException:
+            self._stop_parts()
+            _api.discard_runtime(self)
+            raise
+        return self
 
     def shutdown(self, *, run_barrier: bool = True) -> None:
         if not self._started:
@@ -204,28 +212,34 @@ class SmpssRuntime(ActiveRuntime):
             if run_barrier:
                 self.barrier()
         finally:
-            self._loop.stop_workers()
-            if self.health is not None:
-                # Stopped only after workers have joined: the watchdog
-                # keeps observing through the final barrier — the very
-                # window where a wedged program needs it.
-                self.health.stop()
-                self.health = None
-                self._loop.flight = None
-            if self.live is not None:
-                self.live.close()
-                self.live = None
-            if self._endpoint is not None:
-                self._endpoint.close()
-                self._endpoint = None
-                if self.config.address is None:
-                    # open_endpoint's temp directory (the socket is gone).
-                    with suppress(OSError):
-                        os.rmdir(os.path.dirname(self.address))
-            self._started = False
+            self._stop_parts()
             _api.pop_runtime(self)
             if self._metrics_on:
                 self._publish_metrics()
+
+    def _stop_parts(self) -> None:
+        """Stop what :meth:`start` brought up, in reverse order; safe on
+        a half-started runtime."""
+
+        self._loop.stop_workers()
+        if self.health is not None:
+            # Stopped only after workers have joined: the watchdog
+            # keeps observing through the final barrier — the very
+            # window where a wedged program needs it.
+            self.health.stop()
+            self.health = None
+            self._loop.flight = None
+        if self.live is not None:
+            self.live.close()
+            self.live = None
+        if self._endpoint is not None:
+            self._endpoint.close()
+            self._endpoint = None
+            if self.config.address is None:
+                # open_endpoint's temp directory (the socket is gone).
+                with suppress(OSError):
+                    os.rmdir(os.path.dirname(self.address))
+        self._started = False
 
     # ------------------------------------------------------------------
     # submission (main thread only)

@@ -19,8 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 __all__ = [
     "TraceEvent",
@@ -54,8 +53,7 @@ class EventKind:
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     kind: str
     task_id: int = -1
@@ -157,14 +155,13 @@ class Tracer:
         buf = ring.events
         if len(buf) == buf.maxlen:
             ring.dropped += 1
-        event = TraceEvent(
-            time=self.clock(),
-            kind=kind,
-            task_id=task.task_id if task is not None else -1,
-            task_name=task.name if task is not None else "",
-            thread=thread,
-            extra=extra,
-        )
+        # Built positionally in C: the NamedTuple's own __new__ is Python.
+        if task is None:
+            event = tuple.__new__(
+                TraceEvent, (self.clock(), kind, -1, "", thread, extra))
+        else:
+            event = tuple.__new__(TraceEvent, (
+                self.clock(), kind, task.task_id, task.name, thread, extra))
         buf.append(event)
         listener = self.listener
         if listener is not None:

@@ -9,26 +9,23 @@ not already hold their current version, an output rides home on its
 task's reply while it is its datum's newest version, and the scheduler
 places each task on the node holding the most of its input bytes.  See
 ``docs/distributed.md`` for the topology, the wire protocol, and the
-failure semantics.
+failure semantics.  A task reaches an agent as the same record, and
+fails with the same errors, as on the process backend.
 """
 
+from ..net.codec import RemoteTaskError, SerializationError, WorkerLostError
 from .agent import AgentServer
-from .encoding import (
-    AgentLostError,
-    DistDataLossError,
-    DistSerializationError,
-    RemoteTaskError,
-)
+from .encoding import DistDataLossError
 from .manager import ClusterBackend
 from .residency import ResidencyEntry, ResidencyMap
 
 __all__ = [
-    "AgentLostError",
     "AgentServer",
     "ClusterBackend",
     "DistDataLossError",
-    "DistSerializationError",
     "RemoteTaskError",
     "ResidencyEntry",
     "ResidencyMap",
+    "SerializationError",
+    "WorkerLostError",
 ]

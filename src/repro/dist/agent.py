@@ -10,16 +10,19 @@ speaking the frame protocol (:mod:`repro.net.frames`):
   of the mp backend's pipe: the master's proxy thread sends one task
   frame and blocks for the ``done`` frame.
 
-Every dispatch connection is served by its own thread.  In the default
-threads mode the task body runs right on that thread (numpy kernels
-release the GIL, so slots genuinely overlap); with ``--processes``
-each dispatch connection lazily forks a dedicated
-:class:`~repro.mp.executor.WorkerProcess` (the mp backend's own
-worker primitive) and relays, so pure-Python bodies get real cores too.
+Every dispatch connection is served by its own thread, and every task
+frame carries the one task record (:func:`repro.mp.worker.task_record`),
+answered by the one reply.  In the default threads mode the record runs
+right on that thread, through the runner a process worker uses
+(:func:`repro.mp.worker.run_record`; numpy kernels release the GIL, so
+slots genuinely overlap); with ``--processes`` each dispatch connection
+lazily forks a dedicated :class:`~repro.mp.executor.WorkerProcess` (the
+mp backend's own worker primitive) and relays the record to it
+unchanged, so pure-Python bodies get real cores too.
 
-The **store** is the agent half of the residency protocol: a dict of
-``key -> (content_version, object)`` plus a condition variable.  A
-task referencing a resident datum (``("r", key, version)``) waits
+The **store** is the agent half of the residency protocol and the
+resolver of every slot: a dict of ``key -> (content_version, object)``
+plus a condition variable.  A task referencing a resident datum waits
 until the store holds at least that version — covering the window
 where the producing task's ``done`` frame has landed on the master but
 a sibling slot's consumer frame overtakes the data on this node.
@@ -42,17 +45,21 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..mp.encoding import apply_writebacks, resolve_definition_func
 from ..mp.executor import WorkerDied, WorkerProcess
-from ..mp.worker import run_body, task_record
+from ..mp.worker import MSG_PUT, reply_bytes, run_record
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import (
+    FRESH,
+    PARTS,
     PROTOCOL,
+    RESIDENT,
+    SHIP,
+    WorkerLostError,
     apply_blob,
     decode_blob,
     encode_blob,
     format_remote_error,
-    slices_from_spec,
+    unserved,
 )
 from ..net.frames import RecordReader, recv_frame, send_frame
 from ..net.protocol import hang_up, listen, tune
@@ -102,6 +109,26 @@ class _AgentStore:
                         f"master/agent residency state diverged"
                     )
                 self._cv.wait(remaining)
+
+    def resolve(self, spec) -> Any:
+        """The object a node-store value spec (:mod:`repro.net.codec`)
+        names; a data ship is stored first."""
+
+        tag = spec[0]
+        if tag == RESIDENT:
+            return self.get_at_least(spec[1], spec[2])[1]
+        if tag == SHIP:
+            _tag, key, version, meta, payload = spec
+            return self.put(key, version, decode_blob(meta, payload))
+        if tag == FRESH:
+            return alloc_from_meta(spec[1])
+        if tag == PARTS:
+            _tag, meta, parts = spec
+            obj = alloc_from_meta(meta)
+            for slices, part_meta, part_payload in parts:
+                apply_blob(obj, part_meta, part_payload, slices)
+            return obj
+        unserved(spec, "a node agent")
 
     def evict(self, keys) -> None:
         with self._cv:
@@ -153,7 +180,6 @@ class AgentServer:
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._closing = threading.Event()
-        self._func_lock = threading.Lock()
         self._funcs: dict = {}
         #: Tasks completed by this agent (telemetry; racy read is fine).
         self.tasks_run = 0
@@ -316,14 +342,14 @@ class AgentServer:
         trace = bool(hello.get("trace"))
         ring = int(hello.get("ring", 1 << 16))
         send_frame(conn, {"k": "ok", "slot": slot})
-        events: deque = deque(maxlen=max(ring, 2))
+        events = deque(maxlen=max(ring, 2)) if trace else None
         #: This connection's worker process (``--processes`` only):
         #: forked at the first task, replaced after it dies.
         local: list[WorkerProcess] = []
         try:
             while True:
                 try:
-                    header, payload = recv_frame(inbox)
+                    header, record = recv_frame(inbox)
                 except (NetClosed, ConnectionError, OSError):
                     return
                 kind = header.get("k")
@@ -331,121 +357,51 @@ class AgentServer:
                     return
                 if kind != "task":
                     continue
-                seq = header.get("seq")
-                reply = self._run_task(pickle.loads(payload), sid, slot, seq,
-                                       trace, ring, events, local)
+                if self.processes:
+                    reply = self._relay(record, header.get("seq"), slot,
+                                        trace, ring, local)
+                else:
+                    # Definitions are cached per session id: def_key is
+                    # id()-based on the master, so two masters sharing
+                    # one agent could collide; dropped at release.
+                    reply = run_record(pickle.loads(record), self.store,
+                                       self._funcs.setdefault(sid, {}),
+                                       slot, events)
+                if reply[1] is None:
+                    self.tasks_run += 1
                 try:
-                    send_frame(conn, {"k": "done", "seq": seq},
-                               pickle.dumps(reply, protocol=PROTOCOL))
+                    send_frame(conn, {"k": "done", "seq": reply[0]},
+                               reply_bytes(reply))
                 except (NetClosed, ConnectionError, OSError):
                     return
         finally:
             for worker in local:
                 worker.kill()
 
-    def _resolve_func(self, sid: str, def_key, def_payload):
-        # Cached per session id: def_key is id()-based on the master, so
-        # two masters sharing one agent could collide; dropped at release.
-        with self._func_lock:
-            funcs = self._funcs.setdefault(sid, {})
-            func = funcs.get(def_key)
-            if func is None:
-                if def_payload is None:
-                    raise RuntimeError(
-                        f"agent has no cached definition for key {def_key!r} "
-                        f"and the master sent no payload"
-                    )
-                func = funcs[def_key] = resolve_definition_func(def_payload)
-            return func
+    def _relay(self, record: bytes, seq, slot: int, trace: bool, ring: int,
+               local: list) -> tuple:
+        """A ``--processes`` slot runs *record* in its worker process:
+        the record crosses unchanged, and the worker's resolver asks
+        this agent's store across the pipe (answered here)."""
 
-    def _resolve_values(self, specs: list) -> list:
-        store = self.store
-        values: list = []
-        for spec in specs:
-            tag = spec[0]
-            if tag == "s":
-                values.append(spec[1])
-            elif tag == "r":
-                _tag, key, version = spec
-                values.append(store.get_at_least(key, version)[1])
-            elif tag == "d":
-                _tag, key, version, meta, payload = spec
-                values.append(store.put(key, version,
-                                        decode_blob(meta, payload)))
-            elif tag == "f":
-                _tag, _key, meta = spec
-                values.append(alloc_from_meta(meta))
-            elif tag == "g":
-                _tag, meta, parts = spec
-                obj = alloc_from_meta(meta)
-                for sl_spec, part_meta, part_payload in parts:
-                    apply_blob(obj, part_meta, part_payload,
-                               slices_from_spec(sl_spec))
-                values.append(obj)
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown value spec tag {tag!r}")
-        return values
+        def serve(msg) -> None:
+            if msg[0] == MSG_PUT:
+                self.store.put(*msg[1:])
+                return
+            try:
+                answer = (self.store.resolve(msg[1]), None)
+            except Exception as exc:  # noqa: BLE001 - raised in the worker
+                answer = (None, exc)
+            local[0].conn.send_bytes(pickle.dumps(answer, protocol=PROTOCOL))
 
-    def _run_task(self, msg: dict, sid: str, slot: int, seq, trace: bool,
-                  ring: int, events: deque, local: list) -> dict:
-        task_id = msg.get("task_id", -1)
-        name = msg.get("name", "")
-        err = None
-        ret_out: list = []
-        duration = 0.0
         try:
-            values = self._resolve_values(msg["values"])
-            if self.processes:
-                # mp-fleet mode: the worker records its own start/end
-                # events; relay, then land the written values back into
-                # the agent-local objects (store copies / allocations).
-                if not local:
-                    local.append(WorkerProcess(slot, trace, ring))
-                wb_specs = [
-                    (pos, None if sl is None else slices_from_spec(sl))
-                    for pos, sl in msg.get("writes", ())
-                ]
-                try:
-                    # The master's own per-link sequence number and
-                    # define-once payload pass straight through: this
-                    # worker is that link's remote end.
-                    local[0].send([task_record(
-                        seq, msg["def_key"], msg.get("def_payload"),
-                        task_id, name, [("v", v) for v in values], wb_specs)])
-                    err, duration, wevents, wb_values = local[0].recv(seq)
-                except WorkerDied as exc:
-                    local.pop().kill()
-                    raise RuntimeError(
-                        f"agent-local worker for slot {slot} died while "
-                        f"running task #{task_id} {name!r}"
-                    ) from exc
-                if trace and wevents:
-                    events.extend(wevents)
-                if err is None and wb_values:
-                    apply_writebacks(wb_specs, wb_values, values)
-            else:
-                func = self._resolve_func(sid, msg["def_key"],
-                                          msg.get("def_payload"))
-                duration = run_body(func, values, task_id, name, slot,
-                                    events if trace else None)
-            if err is None:
-                for pos, key, v_after in msg.get("out", ()):
-                    self.store.put(key, v_after, values[pos])
-                for pos, sl_spec in msg.get("ret", ()):
-                    part = values[pos]
-                    if sl_spec is not None:
-                        part = part[slices_from_spec(sl_spec)]
-                    meta, payload = encode_blob(part)
-                    ret_out.append((pos, sl_spec, meta, payload))
-                self.tasks_run += 1
-        except BaseException as exc:  # noqa: BLE001 - shipped to master
-            err = format_remote_error(exc)
-            ret_out = []
-        drained = list(events)
-        events.clear()
-        return {
-            "err": err,
-            "ret": ret_out,
-            "duration": duration,
-            "events": drained,
-        }
+            if not local:
+                local.append(WorkerProcess(slot, trace, ring, relayed=True))
+            local[0].send([record])
+            return (seq, *local[0].recv(seq, serve))
+        except (WorkerDied, WorkerLostError) as exc:
+            if local:  # replaced at the next task
+                local.pop().kill()
+            lost = WorkerLostError(
+                f"the worker process of agent slot {slot} died ({exc!r})")
+            return seq, format_remote_error(lost), 0.0, [], []

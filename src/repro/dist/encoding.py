@@ -1,38 +1,14 @@
-"""Wire format between the master and node agents.
+"""What the cluster backend adds to the one task record.
 
-A task crosses the network as ONE frame (:mod:`repro.net.frames`)
-whose payload is a pickled message; the interesting part is how each
-call value is encoded.  Unlike the process backend — whose arena copy
-of a heap array lasts only until the barrier — the cluster backend is
-built around
-**datum residency**: content already resident on the target node ships
-as a tiny reference, not as bytes.  Five value-spec forms:
-
-``("s", value)``
-    Inline: scalars, small untracked objects.  Pickled in place.
-``("r", key, version)``
-    Resident reference: use the agent-store object under *key*, once
-    its content version is at least *version* (a condition wait covers
-    the rare case where the producing dispatch is still in flight on a
-    sibling slot).
-``("d", key, version, meta, payload)``
-    Data ship: store ``decode_blob(meta, payload)`` under *key* at
-    *version*, then use it (the ``(meta, payload)`` blob and how it
-    lands are :mod:`repro.net.codec`'s).  This is the
-    cache-miss path the ``dist.bytes_moved`` counter measures.
-``("f", key, meta)``
-    Fresh output: allocate storage agent-side from *meta* alone —
-    renamed OUTPUT buffers have no content worth moving.
-``("g", meta, parts)``
-    Region-mode buffer: allocate the full shape, fill only the
-    declared read slices from *parts* (``[(slices_spec, meta,
-    payload), ...]``).  Region data is never cached (disjoint regions
-    of one array may be written concurrently on different nodes, so no
-    single node ever holds "the" current array).
-
-Keys are ``"{sid}:{serial}"`` strings — the session id namespaces
-multiple masters sharing one agent, and the serial pins the entry even
-if Python reuses the object id master-side.
+A task crosses to a node agent as the same positional record a process
+worker gets (:func:`repro.mp.worker.task_record`, its value specs in
+:mod:`repro.net.codec`), as ONE frame's payload.  The cluster's part is
+**datum residency**: content already resident on the target node rides
+as a reference, not as bytes, and the record's puts tell the agent which
+written values its store keeps.  Here: which values may ride inline,
+how an agent allocates fresh storage from a shape alone, the checksum
+that catches master-side mutation between barriers, and the one
+cluster-only error, :class:`DistDataLossError`.
 
 Everything crosses as pickles between trusted processes, the same
 security model as :mod:`repro.mp`'s pipes — never expose an agent port
@@ -46,17 +22,18 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..mp.encoding import RemoteTaskError
 # The blob half of the format is repro.net.codec's.  Its three functions
 # stay reachable here because benchmarks/e2e/e2e_trace.py times them
 # under this module's name.
-from ..net.codec import apply_blob, decode_blob, encode_blob  # noqa: F401
+from ..net.codec import (  # noqa: F401
+    SerializationError,
+    apply_blob,
+    decode_blob,
+    encode_blob,
+)
 
 __all__ = [
-    "AgentLostError",
     "DistDataLossError",
-    "DistSerializationError",
-    "RemoteTaskError",
     "alloc_from_meta",
     "alloc_meta",
     "content_checksum",
@@ -68,14 +45,6 @@ __all__ = [
 SCALAR_TYPES = (
     int, float, complex, bool, str, bytes, type(None), tuple, frozenset,
 )
-
-
-class DistSerializationError(TypeError):
-    """A task's arguments cannot cross to a node agent safely."""
-
-
-class AgentLostError(RuntimeError):
-    """A node agent died and the task could not be recovered."""
 
 
 class DistDataLossError(RuntimeError):
@@ -100,7 +69,7 @@ def alloc_meta(obj: Any) -> dict:
         return {"t": "list", "n": len(obj)}
     if isinstance(obj, bytearray):
         return {"t": "ba", "n": len(obj)}
-    raise DistSerializationError(
+    raise SerializationError(
         f"cannot describe a fresh {type(obj).__name__} for remote "
         f"allocation"
     )

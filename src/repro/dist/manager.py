@@ -26,7 +26,7 @@ residency** layer (:mod:`repro.dist.residency`):
   locality schedulers in PAPERS.md), falling back to normal stealing.
 
 The failure policy is :class:`~repro.core.backend.RemoteBackend`'s (one
-automatic re-dispatch, then :class:`~repro.dist.encoding.AgentLostError`);
+automatic re-dispatch, then :class:`~repro.net.codec.WorkerLostError`);
 this module's half: a dead agent is detected by its sockets dying and
 counted once however many of its slots notice; a dead node's slots
 remap to surviving nodes (so the proxy threads never change); resident
@@ -47,25 +47,23 @@ import numpy as np
 
 from ..core.backend import Link, RemoteBackend
 from ..core.renaming import StorageKind
-from ..mp.encoding import definition_payload
+from ..mp.encoding import apply_writebacks
+from ..mp.worker import task_record
 from ..net.client import NetClosed, NetTimeout
 from ..net.codec import (
-    PROTOCOL,
+    FRESH,
+    INLINE,
+    PARTS,
+    RESIDENT,
+    SHIP,
+    SerializationError,
+    WorkerLostError,
     apply_blob,
     encode_blob,
-    slices_from_spec,
-    slices_spec,
 )
 from ..net.frames import FrameError, RecordReader, recv_frame, send_frame
 from ..net.protocol import connect, connect_retry, hang_up
-from .encoding import (
-    AgentLostError,
-    DistDataLossError,
-    DistSerializationError,
-    RemoteTaskError,
-    SCALAR_TYPES,
-    alloc_meta,
-)
+from .encoding import DistDataLossError, SCALAR_TYPES, alloc_meta
 from .residency import ResidencyMap
 
 __all__ = ["ClusterBackend"]
@@ -117,9 +115,7 @@ _NET_ERRORS = (NetClosed, NetTimeout, FrameError, ConnectionError, OSError,
 class ClusterBackend(RemoteBackend):
     """Executes task bodies on remote node agents (see module docstring)."""
 
-    lost_error = AgentLostError
-    remote_error = RemoteTaskError
-    refusals = (DistSerializationError, DistDataLossError, AgentLostError)
+    refusals = (SerializationError, DistDataLossError, WorkerLostError)
     link_errors = _NET_ERRORS
 
     def __init__(self, nodes, write_through: bool = False, **wiring):
@@ -245,25 +241,20 @@ class ClusterBackend(RemoteBackend):
     # the transport half of RemoteBackend's dispatch policy
     # ------------------------------------------------------------------
     def _send(self, link: Link, requests: list) -> None:
-        for header, blob, _commits in requests:
-            send_frame(link.conn, header, blob)
+        for header, record, _commits, _writebacks in requests:
+            send_frame(link.conn, header, record)
 
     def _recv(self, link: Link, seq: int):
         while True:
-            header, rblob = recv_frame(link.inbox)
+            header, reply = recv_frame(link.inbox)
             if header.get("k") == "done" and header.get("seq") == seq:
-                break
-        reply = pickle.loads(rblob)
-        return (reply.get("err"), reply.get("duration", 0.0),
-                reply.get("events"), reply.get("ret", ()))
+                return pickle.loads(reply)[1:]
 
-    def _land(self, link: Link, values: list, request, ret) -> None:
-        for pos, sl_spec, meta, payload in ret:
-            apply_blob(
-                values[pos], meta, payload,
-                None if sl_spec is None else slices_from_spec(sl_spec),
-            )
-            self._m_bytes.inc(len(payload))
+    def _land(self, link: Link, values: list, request, writebacks) -> None:
+        apply_writebacks(request[3], writebacks, values)
+        for value in writebacks:
+            self._m_bytes.inc(value.nbytes if isinstance(value, np.ndarray)
+                              else len(encode_blob(value)[1]))
         node = link.node
         residency = self._residency
         for entry, v_after, master_too in request[2]:
@@ -282,8 +273,8 @@ class ClusterBackend(RemoteBackend):
     # encoding (the residency decisions happen here)
     # ------------------------------------------------------------------
     def _encode(self, task, values: list, link: Link, seq: int):
-        """Build the task frame for *link*'s node; ``(header, blob,
-        commits)``.
+        """Build the task frame for *link*'s node; ``(header, record,
+        commits, writebacks)``.
 
         ``commits`` is ``[(entry, v_after, master_too), ...]`` — the
         residency bookkeeping to apply once the agent reports success.
@@ -297,9 +288,8 @@ class ClusterBackend(RemoteBackend):
         positions = task.definition.positions
         write_through = self._write_through
         specs: list = [None] * len(values)
-        ret: list = []
-        writes_specs: list = []
-        out: list = []
+        writebacks: list = []
+        puts: list = []
         commits: list = []
 
         region_positions: set[int] = set()
@@ -332,7 +322,7 @@ class ClusterBackend(RemoteBackend):
                 continue
             value = values[pos]
             if not isinstance(value, np.ndarray):
-                raise DistSerializationError(
+                raise SerializationError(
                     f"task {task.name!r}: region-mode parameter "
                     f"{access.name!r} has type {type(value).__name__}; "
                     f"the cluster backend ships regions of ndarrays "
@@ -342,19 +332,18 @@ class ClusterBackend(RemoteBackend):
                 slices = access.region.to_slices()
             else:
                 slices = (slice(None),) * value.ndim
-            sl = slices_spec(slices)
+            key = (pos, access.region)
             parts = parts_by_pos.setdefault(pos, [])
-            if access.direction.reads and (pos, sl, "r") not in seen:
-                seen.add((pos, sl, "r"))
+            if access.direction.reads and (*key, "r") not in seen:
+                seen.add((*key, "r"))
                 meta, payload = encode_blob(value[slices])
-                parts.append((sl, meta, payload))
+                parts.append((slices, meta, payload))
                 self._m_bytes.inc(len(payload))
-            if access.direction.writes and (pos, sl, "w") not in seen:
-                seen.add((pos, sl, "w"))
-                ret.append((pos, sl))
-                writes_specs.append((pos, sl))
+            if access.direction.writes and (*key, "w") not in seen:
+                seen.add((*key, "w"))
+                writebacks.append((pos, slices))
         for pos, parts in parts_by_pos.items():
-            specs[pos] = ("g", alloc_meta(values[pos]), parts)
+            specs[pos] = (PARTS, alloc_meta(values[pos]), parts)
 
         # -- whole-object tracked data: residency-versioned.
         for pos, version in {**whole_reads, **whole_writes}.items():
@@ -364,14 +353,14 @@ class ClusterBackend(RemoteBackend):
             written = pos in whole_writes
             if not isinstance(storage, _SHIPPABLE):
                 if written:
-                    raise DistSerializationError(
+                    raise SerializationError(
                         f"task {task.name!r}: written parameter "
                         f"{task.definition.param_names[pos]!r} has type "
                         f"{type(storage).__name__}, which the cluster "
                         f"backend cannot ship; use an ndarray/list/bytearray "
                         f"or backend='threads'"
                     )
-                specs[pos] = ("s", storage)  # read-only copy is safe
+                specs[pos] = (INLINE, storage)  # read-only copy is safe
                 continue
             entry = residency.ensure(storage, version.storage_is_base())
             residency.verify(entry)
@@ -380,17 +369,16 @@ class ClusterBackend(RemoteBackend):
             else:
                 # A renamed OUTPUT's content is junk and one overwritten
                 # in place equally dead: ship the shape only.
-                specs[pos] = ("f", entry.key, alloc_meta(storage))
+                specs[pos] = (FRESH, alloc_meta(storage))
             if written:
                 v_after = entry.version + 1
-                out.append((pos, entry.key, v_after))
-                writes_specs.append((pos, None))
+                puts.append((pos, entry.key, v_after))
                 # Home with the reply while no later writer is submitted:
                 # the barrier or a wait_on would fetch exactly these bytes.
                 home = (write_through
                         or version.datum.chains[None].current is version)
                 if home:
-                    ret.append((pos, None))
+                    writebacks.append((pos, None))
                 commits.append((entry, v_after, home))
 
         # -- everything else ships inline.
@@ -400,49 +388,31 @@ class ClusterBackend(RemoteBackend):
                 continue
             value = values[pos]
             if pos in opaque and not isinstance(value, SCALAR_TYPES):
-                raise DistSerializationError(
+                raise SerializationError(
                     f"task {task.name!r}: opaque parameter "
                     f"{task.definition.param_names[pos]!r} has type "
                     f"{type(value).__name__}; agent-side writes to a "
                     f"pickled copy would be lost silently — declare a "
                     f"direction for it or use backend='threads'"
                 )
-            specs[pos] = ("s", value)
+            specs[pos] = (INLINE, value)
 
-        key = id(task.definition)  # stable for the master's lifetime
-        try:
-            payload = (None if key in link.sent_defs
-                       else definition_payload(task.definition))
-        except Exception as exc:
-            raise DistSerializationError(
-                f"task {task.name!r}: definition cannot cross "
-                f"to an agent ({exc})"
-            ) from exc
-        msg = {"values": specs, "writes": writes_specs, "ret": ret,
-               "out": out, "def_key": key, "def_payload": payload,
-               "task_id": task.task_id, "name": task.name}
-        try:
-            blob = pickle.dumps(msg, protocol=PROTOCOL)
-        except Exception as exc:
-            raise DistSerializationError(
-                f"task {task.name!r}: arguments are not picklable "
-                f"({exc!r}); use ndarray/list/bytearray data or "
-                f"backend='threads'"
-            ) from exc
-        return {"k": "task", "seq": seq}, blob, commits
+        record = task_record(task, link, seq, specs, writebacks, puts)
+        return {"k": "task", "seq": seq}, record, commits, writebacks
 
     def _content_spec(self, entry, node: _Node):
-        """``("r", ...)`` when *node* holds current content, else ship."""
+        """A resident reference when *node* holds current content, else
+        a data ship."""
 
         if entry.copies.get(node.name) == entry.version:
             self._m_hits.inc()
-            return ("r", entry.key, entry.version)
+            return (RESIDENT, entry.key, entry.version)
         self._m_misses.inc()
         self._fetch_home(entry)
         meta, payload = encode_blob(entry.obj)
         self._m_bytes.inc(len(payload))
         self._residency.record_copy(entry, node.name)
-        return ("d", entry.key, entry.version, meta, payload)
+        return (SHIP, entry.key, entry.version, meta, payload)
 
     # ------------------------------------------------------------------
     # residency plumbing (fetch home, barrier, death)
@@ -547,7 +517,7 @@ class ClusterBackend(RemoteBackend):
 
         survivors = [n for n in self._nodes if not n.dead]
         if not survivors:
-            raise AgentLostError(
+            raise WorkerLostError(
                 f"all {len(self._nodes)} agent(s) are gone; cannot re-home "
                 f"slot {link.slot}"
             )
@@ -565,7 +535,7 @@ class ClusterBackend(RemoteBackend):
                 continue
             link.renewed()
             return
-        raise AgentLostError(
+        raise WorkerLostError(
             f"no surviving agent would accept slot {link.slot}: {last_exc}"
         )
 

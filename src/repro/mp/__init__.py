@@ -16,9 +16,9 @@ Public surface (also re-exported from :mod:`repro`):
 * :func:`default_arena` — the lazily created process-wide arena;
 * :class:`ArenaHandle` — the stable block reference that travels over
   the pipe;
-* the error types a process-backed run can surface:
-  :class:`MpSerializationError`, :class:`RemoteTaskError`,
-  :class:`WorkerLostError`.
+* the error types a process-backed run can surface (the same for a
+  cluster, :mod:`repro.net.codec`'s): :class:`SerializationError`,
+  :class:`RemoteTaskError`, :class:`WorkerLostError`.
 """
 
 from .arena import (
@@ -30,14 +30,14 @@ from .arena import (
     handle_of,
     leaked_segment_files,
 )
-from .encoding import MpSerializationError, RemoteTaskError, WorkerLostError
+from ..net.codec import RemoteTaskError, SerializationError, WorkerLostError
 from .executor import ProcessBackend
 
 __all__ = [
     "ArenaHandle",
-    "MpSerializationError",
     "ProcessBackend",
     "RemoteTaskError",
+    "SerializationError",
     "SharedArena",
     "WorkerLostError",
     "arena_array",

@@ -1,26 +1,14 @@
-"""Wire format between the master and worker processes.
-
-A task crosses the pipe as ``(definition key, definition payload,
-encoded call values, write-back specs)``:
-
-* the **definition key** is stable per :class:`TaskDefinition`; each
-  worker caches resolved definitions so the payload (how to find the
-  task function) is sent once per worker, not once per task;
-* each **call value** ships either as an :class:`~repro.mp.arena.ArenaHandle`
-  (when the resolved value is a plain ndarray: its own arena block, or
-  the copy :mod:`repro.mp.residency` keeps of it — zero copy, and
-  worker writes land directly in shared memory) or by pickle (scalars,
-  small objects, lists, object arrays, ndarray subclasses);
-* the **write-back specs** say which pickled values the worker must
-  send back because the master's dependency semantics treat them as
-  written — lists/bytearrays, or the declared region slice of a
-  region-mode access.  Values shipped by handle never need write-back;
-  the rest land in the master's storage by the shared rule
-  (:func:`repro.net.codec.land`).
-
-Everything here runs master-side except :func:`decode_values` /
-:func:`collect_writebacks`, which the worker calls; keeping both ends
-of the format in one module keeps them from drifting apart.
+"""The process backend's choices in the one task record
+(:mod:`repro.net.codec`): a plain ndarray (any view) rides as an
+**arena handle** — its own arena block, or the copy
+:mod:`repro.mp.residency` keeps of it — so worker writes land in shared
+memory; everything else rides **inline**.  The **write-back specs**
+``(pos, slices)`` name the inline values a task writes (lists and
+bytearrays whole, a region access's declared slice only), sent home
+with the reply and landed by :func:`repro.net.codec.land`; the
+**definition payload** says how a remote end finds the task function.
+:func:`collect_writebacks` is the remote half, called by the one runner
+(:func:`repro.mp.worker.run_record`) on worker processes and agents.
 """
 
 from __future__ import annotations
@@ -31,56 +19,23 @@ import numpy as np
 
 from ..core.task import TaskInstance
 from ..net.codec import (
+    HANDLE,
+    INLINE,
     PROTOCOL,
+    SerializationError,
     definition_address,
     land,
     resolve_address,
 )
 
 __all__ = [
-    "MpSerializationError",
-    "WorkerLostError",
-    "RemoteTaskError",
     "definition_payload",
     "resolve_definition_func",
     "encode_values",
-    "decode_values",
     "writeback_specs",
     "collect_writebacks",
     "apply_writebacks",
 ]
-
-#: Value tags on the wire.
-_ARENA = "a"
-_PICKLE = "v"
-
-
-class MpSerializationError(TypeError):
-    """A task's arguments cannot cross the process boundary safely."""
-
-
-class WorkerLostError(RuntimeError):
-    """A worker process died and the task could not be recovered."""
-
-
-class RemoteTaskError(RuntimeError):
-    """A task body raised inside a worker process.
-
-    Carries the remote exception's type name, message, and formatted
-    traceback (the original object may not be picklable, so it never
-    crosses the pipe).
-    """
-
-    def __init__(self, exc_type: str, message: str, remote_traceback: str):
-        super().__init__(f"{exc_type}: {message}")
-        self.exc_type = exc_type
-        self.remote_traceback = remote_traceback
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.remote_traceback:
-            return f"{base}\n--- remote traceback ---\n{self.remote_traceback}"
-        return base
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +62,10 @@ def definition_payload(definition) -> tuple:
     try:
         return ("p", pickle.dumps(definition.func, protocol=PROTOCOL))
     except Exception as exc:
-        raise MpSerializationError(
+        raise SerializationError(
             f"task {definition.name!r}: function is not reachable by "
-            f"module/qualname and not picklable ({exc!r}); the process "
-            f"backend cannot ship it — define the task at module level "
+            f"module/qualname and not picklable ({exc!r}); it cannot be "
+            f"shipped to a worker — define the task at module level "
             f"or use backend='threads'"
         ) from exc
 
@@ -126,7 +81,7 @@ def resolve_definition_func(payload: tuple):
                   getattr(obj, "__wrapped__", None), obj):
         if callable(inner):
             return inner
-    raise MpSerializationError(
+    raise SerializationError(
         f"{module_name}.{qualname} resolved to a non-callable {obj!r}"
     )
 
@@ -148,20 +103,10 @@ def encode_values(values: list, residency) -> list:
     """
 
     return [
-        (_ARENA, handle) if type(value) is np.ndarray
+        (HANDLE, handle) if type(value) is np.ndarray
         and (handle := residency.handle(value)) is not None
-        else (_PICKLE, value)
+        else (INLINE, value)
         for value in values
-    ]
-
-
-def decode_values(encoded: list, attach) -> list:
-    """Worker-side: materialise the argument list; *attach* maps the
-    wire form of a handle to its array."""
-
-    return [
-        attach(payload) if tag == _ARENA else payload
-        for tag, payload in encoded
     ]
 
 
@@ -183,14 +128,14 @@ def writeback_specs(task: TaskInstance, values: list, encoded: list) -> list:
 
     specs: list = []
     for pos, region in task.written():
-        if encoded[pos][0] == _ARENA:
+        if encoded[pos][0] == HANDLE:
             continue
         value = values[pos]
         slices = None if region is None else region.to_slices()
         if not isinstance(value, np.ndarray) and (
                 slices is not None
                 or not isinstance(value, (list, bytearray))):
-            raise MpSerializationError(
+            raise SerializationError(
                 f"task {task.name!r}: written parameter "
                 f"{task.definition.param_names[pos]!r} has type "
                 f"{type(value).__name__}, which "
@@ -202,7 +147,7 @@ def writeback_specs(task: TaskInstance, values: list, encoded: list) -> list:
 
 
 def collect_writebacks(specs: list, values: list) -> list:
-    """Worker-side: the values (or region slices) to send home."""
+    """Remote-side: the values (or region slices) to send home."""
 
     return [
         values[pos] if slices is None
@@ -212,7 +157,8 @@ def collect_writebacks(specs: list, values: list) -> list:
 
 
 def apply_writebacks(specs: list, payloads: list, values: list) -> None:
-    """Master-side: land returned data in the task's resolved storage.
+    """Master-side: land a reply's write-backs in the task's resolved
+    storage.
 
     Runs on the proxy thread *before* the task is marked complete, so
     successors (and the barrier's write-back pass) observe the data

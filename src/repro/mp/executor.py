@@ -32,24 +32,10 @@ import threading
 from typing import Optional
 
 from ..core.backend import Link, RemoteBackend
-from ..net.codec import PROTOCOL
-from .encoding import (
-    MpSerializationError,
-    RemoteTaskError,
-    WorkerLostError,
-    apply_writebacks,
-    definition_payload,
-    encode_values,
-    writeback_specs,
-)
+from ..net.codec import PROTOCOL, WorkerLostError
+from .encoding import apply_writebacks, encode_values, writeback_specs
 from .residency import ArenaResidency
-from .worker import (
-    MSG_BYE,
-    MSG_DONE,
-    MSG_STOP,
-    task_record,
-    worker_main,
-)
+from .worker import MSG_BYE, MSG_STOP, task_record, worker_main
 
 __all__ = ["ProcessBackend", "WorkerDied", "WorkerProcess"]
 
@@ -69,16 +55,18 @@ class WorkerProcess:
     Forked from a quiet single-threaded image when the owner can arrange
     it; respawns after a death necessarily fork from a threaded master,
     so the worker entry point neutralises all inherited runtime state
-    first thing.
+    first thing.  *relayed*: a ``--processes`` agent slot owns it, and
+    its store resolves the worker's values (:meth:`recv`'s *serve*).
     """
 
-    def __init__(self, slot: int, trace: bool, ring_capacity: int):
+    def __init__(self, slot: int, trace: bool, ring_capacity: int,
+                 relayed: bool = False):
         ctx = multiprocessing.get_context("fork")
         self.slot = slot
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=worker_main,
-            args=(child_conn, slot, trace, ring_capacity),
+            args=(child_conn, slot, trace, ring_capacity, relayed),
             name=f"repro-mp-worker-{slot}",
             daemon=True,
         )
@@ -91,10 +79,11 @@ class WorkerProcess:
         except (EOFError, OSError) as exc:
             pid = self.pid
             self.kill()
-            raise WorkerLostError(
+            lost = WorkerLostError(
                 f"worker {slot} (pid {pid}) never completed its ready "
-                f"handshake ({exc!r})"
-            ) from exc
+                f"handshake ({exc!r})")
+            lost.slot = slot
+            raise lost from exc
         self._poll = select.poll()
         self._poll.register(self.conn, select.POLLIN)
         self._poll.register(self.proc.sentinel, select.POLLIN)
@@ -115,9 +104,10 @@ class WorkerProcess:
         except OSError as exc:  # died between tasks: nobody reads the pipe
             raise WorkerDied from exc
 
-    def recv(self, seq: int) -> tuple:
+    def recv(self, seq: int, serve=None) -> tuple:
         """Block for record *seq*'s reply; ``(err, duration, events,
-        wb_values)``.  Raises :class:`WorkerDied` when the worker is gone
+        writebacks)``.  A relayed worker's store requests on the way go
+        to *serve*.  Raises :class:`WorkerDied` when the worker is gone
         (after every reply it had written has been read)."""
 
         conn = self.conn
@@ -127,12 +117,14 @@ class WorkerProcess:
                 # Only the sentinel fired, and no bytes raced the death.
                 raise WorkerDied
             try:
-                reply = pickle.loads(conn.recv_bytes())
+                msg = pickle.loads(conn.recv_bytes())
             except Exception as exc:  # EOF, or a torn final message
                 raise WorkerDied from exc
-            if reply[0] == MSG_DONE and reply[1] == seq:
-                return reply[2:]
-            # unexpected/stale message: keep waiting
+            if msg[0] == seq:
+                return msg[1:]
+            if serve is not None:
+                serve(msg)
+            # otherwise an unexpected/stale message: keep waiting
 
     def kill(self) -> None:
         """Leave the child dead and the pipe closed; never raises."""
@@ -156,13 +148,9 @@ class ProcessBackend(RemoteBackend):
     """Executes task bodies in forked worker processes.
 
     The owner calls :meth:`start` (which forks) *before* its proxy
-    threads exist and before a runtime is pushed on the api stack — so
-    children start from a quiet interpreter.
+    threads exist, so children start from a quiet interpreter.
     """
 
-    lost_error = WorkerLostError
-    remote_error = RemoteTaskError
-    refusals = (MpSerializationError,)
     link_errors = (WorkerDied,)
     max_batch = 8
 
@@ -223,17 +211,7 @@ class ProcessBackend(RemoteBackend):
     def _encode(self, task, values: list, link: Link, seq: int):
         encoded = encode_values(values, self._residency)
         wb_specs = writeback_specs(task, values, encoded)
-        key = id(task.definition)  # stable for the master's lifetime
-        payload = (None if key in link.sent_defs
-                   else definition_payload(task.definition))
-        try:
-            return task_record(seq, key, payload, task.task_id, task.name,
-                               encoded, wb_specs), wb_specs
-        except Exception as exc:
-            raise MpSerializationError(
-                f"task {task.name!r}: arguments are not picklable "
-                f"({exc!r}); pass ndarrays or use backend='threads'"
-            ) from exc
+        return task_record(task, link, seq, encoded, wb_specs), wb_specs
 
     def _send(self, link: Link, requests: list) -> None:
         link.process.send([record for record, _wb_specs in requests])

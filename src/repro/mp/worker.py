@@ -1,20 +1,17 @@
-"""Worker-process entry point for the process backend.
+"""The remote end of a task record: the one runner, and the worker process.
 
-Each worker is a long-lived forked child running :func:`worker_main`:
-a loop of ``recv a frame of task records -> for each, in order: attach
-arena blocks -> run the task function -> send back write-backs (+ trace
-events)``.  The dependency analysis,
-the scheduler, renaming, and all completion bookkeeping stay in the
-master — a worker sees only fully-resolved argument values, exactly
-like a worker *thread* does in :mod:`repro.core.runtime`.
+Every remote body — a process worker's, a node agent slot's — goes
+through :func:`run_record`; each caller passes only its resolver.  The
+dependency analysis, the scheduler, renaming and all completion
+bookkeeping stay in the master: a remote end sees only resolved
+argument values, exactly like a worker *thread* does.
 
-Forked children inherit the master's interpreter state, including the
-active-runtime stack and the arena registry.  The first thing a worker
-does is neutralise both: the api stack is cleared so task calls made
-*inside* a task body run inline (sequential semantics, the same rule
-the threaded backend implements via ``in_task_body``), and inherited
-:class:`~repro.mp.arena.SharedArena` objects are disarmed so a worker
-exiting can never close or unlink segments the master still owns.
+A worker is a long-lived forked child running :func:`worker_main`.  It
+inherits the master's interpreter state, so it first neutralises the
+active-runtime stack (task calls made *inside* a body run inline, the
+rule the threaded backend implements via ``in_task_body``) and the
+inherited :class:`~repro.mp.arena.SharedArena` objects (a worker exiting
+must never close or unlink segments the master still owns).
 """
 
 from __future__ import annotations
@@ -27,52 +24,76 @@ from functools import lru_cache
 from time import perf_counter
 
 from ..core.tracing import EventKind, TraceEvent
-from ..net.codec import PROTOCOL, format_remote_error
+from ..net.codec import (
+    HANDLE,
+    INLINE,
+    PROTOCOL,
+    SerializationError,
+    format_remote_error,
+    unserved,
+)
 from .arena import ArenaHandle, attach_handle
 from .encoding import (
     collect_writebacks,
-    decode_values,
+    definition_payload,
     resolve_definition_func,
 )
 
-__all__ = ["task_record", "run_body", "worker_main"]
+__all__ = ["task_record", "run_body", "run_record", "reply_bytes",
+           "worker_main"]
 
 #: message tag (master -> worker); every other message is a frame
 MSG_STOP = "stop"
-#: message tags (worker -> master)
+#: message tags (worker -> master); every other message is a reply
 MSG_READY = "ready"
-MSG_DONE = "done"
 MSG_BYE = "bye"
+#: a relayed worker's store requests (worker -> agent slot)
+MSG_RESOLVE = "resolve"
+MSG_PUT = "put"
 
 
-def task_record(seq: int, def_key, def_payload, task_id: int,
-                task_name: str, enc_values: list, wb_specs: list) -> bytes:
-    """One task as :func:`worker_main` unpacks it.  A frame is one pipe
-    message of one or more records back to back (a pickle delimits
-    itself); each record is answered by its own ``MSG_DONE``."""
+def task_record(task, link, seq: int, specs: list, writebacks: list,
+                puts: list = ()) -> bytes:
+    """*task*'s record for *link*, the one task wire format for every
+    remote end: the pickled tuple :func:`run_record` unpacks,
 
-    return pickle.dumps(
-        (seq, def_key, def_payload, task_id, task_name, enc_values, wb_specs),
-        protocol=PROTOCOL,
-    )
+        (seq, def_key, def_payload, task_id, task_name, specs,
+         writebacks, puts)
+
+    with *specs* one value spec per call value (:mod:`repro.net.codec`),
+    *writebacks* the ``(pos, slices)`` to send home and *puts* (node
+    agents only; empty for a process worker) the ``(pos, key, version)``
+    a node store keeps once the body ran.  The definition payload rides
+    until a reply has confirmed *link* knows it; a task whose values do
+    not pickle is refused.  A frame is one or more records back to back
+    (a pickle delimits itself), each answered by its own reply."""
+
+    key = id(task.definition)  # stable for the master's lifetime
+    payload = (None if key in link.sent_defs
+               else definition_payload(task.definition))
+    try:
+        return pickle.dumps((seq, key, payload, task.task_id, task.name,
+                             specs, writebacks, puts), protocol=PROTOCOL)
+    except Exception as exc:
+        raise SerializationError(
+            f"task {task.name!r}: arguments are not picklable ({exc!r}); "
+            f"pass ndarray/list/bytearray data or use backend='threads'"
+        ) from exc
 
 
 def run_body(func, values, task_id: int, name: str, slot: int, events) -> float:
     """Run one task body off the master; returns its duration.
 
-    The one place a remote body (an mp worker's, a dist agent slot's)
-    is timed and traced: with *events* not ``None`` (tracing on) a
-    ``TASK_START``/``TASK_END`` pair for thread *slot* is appended
-    around the call — the end marked ``("error",)`` when the body
-    raises, which it then does to the caller.
+    The one place a remote body is timed and traced: with *events* not
+    ``None`` (tracing on) a ``TASK_START``/``TASK_END`` pair for thread
+    *slot* is appended around the call — the end marked ``("error",)``
+    when the body raises, which it then does to the caller.
     """
 
     def mark(kind: str, *extra) -> None:
         if events is not None:
-            events.append(TraceEvent(
-                time=perf_counter(), kind=kind, task_id=task_id,
-                task_name=name, thread=slot, extra=extra,
-            ))
+            events.append(tuple.__new__(TraceEvent, (
+                perf_counter(), kind, task_id, name, slot, extra)))
 
     mark(EventKind.TASK_START)
     try:
@@ -84,6 +105,91 @@ def run_body(func, values, task_id: int, name: str, slot: int, events) -> float:
         raise
     mark(EventKind.TASK_END)
     return duration
+
+
+def run_record(record: tuple, resolver, funcs: dict, slot: int,
+               events) -> tuple:
+    """Run one unpickled :func:`task_record`; returns its reply
+    ``(seq, err, duration, events, writebacks)``.  Never raises: a
+    failure anywhere is the reply's remote-error triple.
+
+    *resolver* has ``resolve(spec)`` for every non-inline value spec
+    (refusing, via :func:`repro.net.codec.unserved`, a tag it does not
+    serve) and ``put(key, version, obj)`` for the record's puts;
+    *funcs* caches definition key -> function; *events* is the trace
+    ring (``None``: tracing off), drained into the reply.
+    """
+
+    seq, def_key, def_payload, task_id, name, specs, writebacks, puts = record
+    err = None
+    out: list = []
+    duration = 0.0
+    try:
+        func = funcs.get(def_key)
+        if func is None:
+            func = funcs[def_key] = resolve_definition_func(def_payload)
+        resolve = resolver.resolve
+        values = [spec[1] if spec[0] == INLINE else resolve(spec)
+                  for spec in specs]
+        duration = run_body(func, values, task_id, name, slot, events)
+        for pos, key, version in puts:
+            resolver.put(key, version, values[pos])
+        out = collect_writebacks(writebacks, values)
+    except BaseException as exc:  # noqa: BLE001 - shipped to master
+        err = format_remote_error(exc)
+    drained: list = []
+    if events:
+        drained = list(events)
+        events.clear()
+    return seq, err, duration, drained, out
+
+
+def reply_bytes(reply: tuple) -> bytes:
+    """A reply pickled; one whose write-backs do not pickle becomes
+    that failure."""
+
+    try:
+        return pickle.dumps(reply, protocol=PROTOCOL)
+    except Exception as exc:  # e.g. an unpicklable write-back value
+        return pickle.dumps(
+            (reply[0], format_remote_error(exc), reply[2], [], []),
+            protocol=PROTOCOL)
+
+
+class _Attachments:
+    """A process worker's resolver: arena handles, each attached view
+    cached (a graph names the same blocks over and over; bounded, so a
+    long run over ever-new slices cannot grow it forever)."""
+
+    def __init__(self):
+        self._attach = lru_cache(maxsize=4096)(
+            lambda handle: attach_handle(ArenaHandle(*handle)))
+
+    def resolve(self, spec):
+        if spec[0] != HANDLE:
+            unserved(spec, "a process worker")
+        return self._attach(spec[1])
+
+
+class _RelayedStore:
+    """The resolver of a worker behind a ``--processes`` agent slot: the
+    agent's node store, asked across the pipe (the slot answers in
+    :meth:`repro.dist.agent.AgentServer._relay`)."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def resolve(self, spec):
+        self._conn.send_bytes(
+            pickle.dumps((MSG_RESOLVE, spec), protocol=PROTOCOL))
+        value, error = pickle.loads(self._conn.recv_bytes())
+        if error is not None:
+            raise error
+        return value
+
+    def put(self, key, version, obj) -> None:
+        self._conn.send_bytes(
+            pickle.dumps((MSG_PUT, key, version, obj), protocol=PROTOCOL))
 
 
 def _neutralise_inherited_state() -> None:
@@ -129,7 +235,8 @@ def _neutralise_inherited_state() -> None:
     _arena._default_lock = threading.Lock()
 
 
-def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
+def worker_main(conn, slot: int, trace: bool, ring_capacity: int,
+                relayed: bool = False) -> None:
     """Run the task records of every frame from *conn*, replying after
     each, until a stop message (or EOF/unpickle death).
 
@@ -137,26 +244,16 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
     timeline (the same index as its master-side proxy thread), so the
     observability stack sees worker processes as threads.  Trace events
     are buffered in a bounded ring and piggy-backed on every reply —
-    there is no separate trace channel to flush or lose.
+    there is no separate trace channel to flush or lose.  *relayed*:
+    the pipe's other end is a ``--processes`` agent slot, whose store
+    resolves the values.
     """
 
     _neutralise_inherited_state()
 
-    #: The attached view per handle, beside the segment cache: a graph
-    #: names the same blocks over and over (bounded: a long run over
-    #: ever-new slices must not grow it forever).
-    attach = lru_cache(maxsize=4096)(
-        lambda handle: attach_handle(ArenaHandle(*handle)))
-    func_cache: dict = {}
-    events: deque = deque(maxlen=max(int(ring_capacity), 2))
-
-    def send(msg: tuple) -> None:
-        conn.send_bytes(pickle.dumps(msg, protocol=PROTOCOL))
-
-    def drain_events() -> list:
-        out = list(events)
-        events.clear()
-        return out
+    resolver = _RelayedStore(conn) if relayed else _Attachments()
+    funcs: dict = {}
+    events = deque(maxlen=max(int(ring_capacity), 2)) if trace else None
 
     def messages():
         """The records of every frame (and the stop message), in order."""
@@ -170,39 +267,17 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int) -> None:
             while stream.tell() < len(frame):
                 yield pickle.load(stream)
 
-    send((MSG_READY, None))
     try:
+        conn.send_bytes(pickle.dumps((MSG_READY, None), protocol=PROTOCOL))
         for msg in messages():
             if msg[0] == MSG_STOP:
-                send((MSG_BYE, drain_events()))
+                conn.send_bytes(pickle.dumps(
+                    (MSG_BYE, list(events or ())), protocol=PROTOCOL))
                 return
-            (seq, def_key, def_payload, task_id, task_name,
-             enc_values, wb_specs) = msg
-            func = func_cache.get(def_key)
-            err = None
-            wb_values: list = []
-            duration = 0.0
-            try:
-                if func is None:
-                    func = func_cache[def_key] = resolve_definition_func(
-                        def_payload
-                    )
-                values = decode_values(enc_values, attach)
-                duration = run_body(func, values, task_id, task_name, slot,
-                                    events if trace else None)
-                wb_values = collect_writebacks(wb_specs, values)
-            except BaseException as exc:  # noqa: BLE001 - shipped to master
-                err = format_remote_error(exc)
-            try:
-                send((MSG_DONE, seq, err, duration, drain_events(), wb_values))
-            except (BrokenPipeError, OSError):
-                return
-            except Exception as exc:  # e.g. unpicklable write-back value
-                try:
-                    send((MSG_DONE, seq, format_remote_error(exc), duration,
-                          [], []))
-                except Exception:
-                    return
+            conn.send_bytes(reply_bytes(
+                run_record(msg, resolver, funcs, slot, events)))
+    except (BrokenPipeError, OSError):
+        return
     finally:
         try:
             conn.close()

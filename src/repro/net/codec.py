@@ -14,10 +14,43 @@ nowhere else:
   the latter's raw bytes are pointers;
 * the **landing rule** — how returned content overwrites the caller's
   original object in place (:func:`land`);
-* the wire form of **region slices**;
 * **definition addressing** — a task function as ``(module, qualname)``
   and the import-and-walk inverse;
-* the **remote-error triple** a failed body crosses as.
+* the **value specs** of a task record (below);
+* the **remote-error triple** a failed body crosses as, and the two
+  structured errors of a remote end: :class:`SerializationError` and
+  :class:`WorkerLostError`.
+
+A task leaves the master as one positional record
+(:func:`repro.mp.worker.task_record`) whether a worker process or a
+node agent runs it, and each call value rides in it as one of six
+value specs; the remote end's resolver turns a spec into the object
+the body gets, and refuses a tag it does not serve:
+
+``("v", value)``
+    Inline: pickled in place (scalars, small objects, read-only
+    copies).  Every resolver serves it.
+``("a", handle)``
+    Arena handle: a block of a shared-memory arena
+    (:mod:`repro.mp.arena`); worker writes land in place.  Process
+    workers only.
+``("r", key, version)``
+    Resident reference: the node store's object under *key*, once its
+    content version is at least *version*.
+``("d", key, version, meta, payload)``
+    Data ship: the blob stored under *key* at *version*, then used —
+    the cache miss ``dist.bytes_moved`` counts.
+``("f", meta)``
+    Fresh allocation from *meta* alone: a renamed output's content is
+    junk, so only its shape crosses.
+``("g", meta, parts)``
+    Region parts: allocated from *meta*, then only the declared read
+    slices filled from ``parts = [(slices, meta, payload), ...]``.
+    Never cached: disjoint regions of one array may be written on
+    different nodes at once.
+
+The last four are a node agent's (its store keys are ``"{sid}:{serial}"``
+strings: the session id namespaces masters sharing one agent).
 
 Pickles cross only between trusted processes — the security model of
 :mod:`repro.mp`'s pipes (see ``docs/distributed.md``).
@@ -33,7 +66,16 @@ from typing import Any, Optional
 import numpy as np
 
 __all__ = [
+    "FRESH",
+    "HANDLE",
+    "INLINE",
+    "PARTS",
     "PROTOCOL",
+    "RESIDENT",
+    "RemoteTaskError",
+    "SHIP",
+    "SerializationError",
+    "WorkerLostError",
     "apply_blob",
     "decode_blob",
     "definition_address",
@@ -41,11 +83,13 @@ __all__ = [
     "format_remote_error",
     "land",
     "resolve_address",
-    "slices_from_spec",
-    "slices_spec",
+    "unserved",
 ]
 
 PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+#: The value-spec tags (module docstring).
+INLINE, HANDLE, RESIDENT, SHIP, FRESH, PARTS = "v", "a", "r", "d", "f", "g"
 
 
 def encode_blob(obj: Any) -> tuple[dict, bytes]:
@@ -107,16 +151,6 @@ def apply_blob(target: Any, meta: dict, payload: bytes,
     land(target, _content(meta, payload), slices)
 
 
-def slices_spec(slices: tuple) -> tuple:
-    """JSON/pickle-stable form of a tuple of :class:`slice` objects."""
-
-    return tuple((s.start, s.stop, s.step) for s in slices)
-
-
-def slices_from_spec(spec) -> tuple:
-    return tuple(slice(a, b, c) for a, b, c in spec)
-
-
 def definition_address(func) -> Optional[tuple[str, str]]:
     """``(module, qualname)`` when *func* is reachable by name from an
     importable module; ``None`` for closures and other ``<locals>``."""
@@ -146,4 +180,53 @@ def format_remote_error(exc: BaseException) -> tuple[str, str, str]:
         type(exc).__name__,
         str(exc),
         "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),
+    )
+
+
+class SerializationError(TypeError):
+    """A task cannot cross to its remote end safely: an argument the
+    wire cannot carry (or carry back), a function that cannot be found
+    there, or a value spec the receiving resolver does not serve.
+    ``slot`` (the worker thread index) and ``node`` (the cluster node,
+    ``None`` for a process worker) name the remote end, stamped by the
+    dispatching backend unless the raiser knew them."""
+
+    slot: Optional[int] = None
+    node: Optional[str] = None
+
+
+class WorkerLostError(RuntimeError):
+    """A worker process or node agent died and the task could not be
+    recovered; ``slot`` and ``node`` as for :class:`SerializationError`."""
+
+    slot: Optional[int] = None
+    node: Optional[str] = None
+
+
+class RemoteTaskError(RuntimeError):
+    """A task body raised on a remote end.
+
+    Carries the remote exception's type name, message and formatted
+    traceback (the original object may not be picklable, so it never
+    crosses).
+    """
+
+    def __init__(self, exc_type: str, message: str, remote_traceback: str):
+        super().__init__(f"{exc_type}: {message}")
+        self.exc_type = exc_type
+        self.remote_traceback = remote_traceback
+
+    def __str__(self) -> str:
+        base = super().__str__()
+        if self.remote_traceback:
+            return f"{base}\n--- remote traceback ---\n{self.remote_traceback}"
+        return base
+
+
+def unserved(spec, who: str):
+    """Raise the structured refusal of a resolver given *spec*."""
+
+    raise SerializationError(
+        f"{who} does not serve value spec {spec[0]!r}; the master and "
+        f"its remote end disagree on the task record"
     )

@@ -24,8 +24,8 @@ from repro.apps.multisort import multisort
 from repro.dist import (
     AgentServer,
     DistDataLossError,
-    DistSerializationError,
     RemoteTaskError,
+    SerializationError,
 )
 from repro.obs.exposition import render_registry
 
@@ -229,30 +229,39 @@ class TestParity:
         assert np.array_equal(c_ref, c_d)
 
     def test_processes_agent_mode(self):
-        agent = AgentServer("tcp:127.0.0.1:0", slots=2, processes=True).start()
-        try:
-            rng = np.random.default_rng(5)
-            a = rng.random((16, 16))
-            b = rng.random((16, 16))
-            c = rng.random((16, 16))
-            expect = c + a * b
-            with SmpssRuntime(backend="cluster", nodes=[agent.address]) as rt:
+        # One program, three remote ends: process workers, threads-agent
+        # slots and --processes agent slots must give bitwise-equal data
+        # (region writes, renaming and bytearrays included).
+        rng = np.random.default_rng(5)
+        a = rng.random((16, 16))
+        b = rng.random((16, 16))
+        c0 = rng.random((16, 16))
+        expect = c0 + a * b
+        data0, buf0 = rng.random(2048), bytearray(b"ab")
+        ref, ref_buf = data0.copy(), bytearray(buf0)
+        multisort(ref, quicksize=128)
+        bump_bytes_t(ref_buf)
+
+        def program(**where):
+            c, data, buf = c0.copy(), data0.copy(), bytearray(buf0)
+            with SmpssRuntime(**where) as rt:
                 axpy_t(a, b, c)
                 rt.barrier()
             assert np.array_equal(expect, c)
-            # Region writes, renaming and bytearrays through the agent's
-            # pickled relay to its worker process.
-            data, buf = rng.random(2048), bytearray(b"ab")
-            ref, ref_buf = data.copy(), bytearray(buf)
-            multisort(ref, quicksize=128)
-            bump_bytes_t(ref_buf)
-            with SmpssRuntime(backend="cluster", nodes=[agent.address]) as rt:
+            with SmpssRuntime(**where) as rt:
                 multisort(data, quicksize=128)
                 bump_bytes_t(buf)
                 rt.barrier()
             assert np.array_equal(ref, data) and buf == ref_buf
-        finally:
-            agent.close()
+
+        program(backend="processes", num_workers=2)
+        for processes in (False, True):
+            agent = AgentServer(
+                "tcp:127.0.0.1:0", slots=2, processes=processes).start()
+            try:
+                program(backend="cluster", nodes=[agent.address])
+            finally:
+                agent.close()
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +703,7 @@ class TestFailures:
             with cluster(agents) as rt:
                 opaque_t(ctx, a)
                 rt.barrier()
-        assert isinstance(exc.value.__cause__, DistSerializationError)
+        assert isinstance(exc.value.__cause__, SerializationError)
 
 
 # ---------------------------------------------------------------------------

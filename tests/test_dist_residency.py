@@ -11,6 +11,7 @@ live in ``tests/test_net.py``.
 """
 
 import gc
+import pickle
 import sys
 import threading
 import time
@@ -18,22 +19,25 @@ import time
 import numpy as np
 import pytest
 
-from repro.dist.encoding import (
-    DistSerializationError,
-    alloc_from_meta,
-    alloc_meta,
-    content_checksum,
-)
+from repro import css_task
+from repro.core.backend import Link
+from repro.core.invocation import plan_for
+from repro.dist.encoding import alloc_from_meta, alloc_meta, content_checksum
 from repro.dist.residency import ResidencyMap
+from repro.mp.worker import task_record
 from repro.net.codec import (
+    SerializationError,
     apply_blob,
     decode_blob,
     encode_blob,
-    slices_from_spec,
-    slices_spec,
 )
 
 pytestmark = pytest.mark.dist
+
+
+@css_task("inout(a)")
+def _touch_t(a):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +317,14 @@ class TestEncoding:
         assert not out.any()  # deterministic zeros
         assert alloc_from_meta(alloc_meta([1, 2, 3])) == [None] * 3
         assert alloc_from_meta(alloc_meta(bytearray(5))) == bytearray(5)
-        with pytest.raises(DistSerializationError):
+        with pytest.raises(SerializationError):
             alloc_meta(object())
 
-    def test_slices_spec_roundtrip_preserves_full_dims(self):
+    def test_record_slices_roundtrip_preserves_full_dims(self):
         slices = (slice(2, 7), slice(None), slice(0, 4, 2))
-        assert slices_from_spec(slices_spec(slices)) == slices
+        task = plan_for(_touch_t.definition).instantiate((0,), {}, {})
+        record = task_record(task, Link(1), 1, [], [(0, slices)])
+        assert pickle.loads(record)[6] == [(0, slices)]
 
     def test_content_checksum_tracks_mutation(self):
         a = np.arange(10.0)

@@ -540,6 +540,26 @@ class TestOneOfEach:
         assert _modules_containing(
             "EventKind.TASK_START", "mp", "dist") == ["mp/worker.py"]
 
+    def test_one_remote_task_record(self):
+        """Process workers and agent slots get one record, run it through
+        one runner and answer one reply; the value-spec tags are written
+        in ``net.codec`` only, and no dict record or reply is left."""
+
+        remote = ("mp", "dist", "net")
+        assert _modules_containing("def run_record(", *remote) == [
+            "mp/worker.py"]
+        assert _modules_containing("run_record(", *remote) == [
+            "dist/agent.py", "mp/worker.py"]
+        assert _modules_containing("def task_record(", *remote) == [
+            "mp/worker.py"]
+        for gone in ("_resolve_values", "_resolve_func", '"ret"', '"out"',
+                     "MSG_DONE", "slices_spec"):
+            assert _modules_containing(gone, *remote) == [], gone
+        for tag in "vardfgs":  # the spec forms are spelled by name there
+            assert _modules_containing(f'("{tag}", ', "mp", "dist") == [], tag
+        assert _modules_containing('= "v", "a", "r", "d", "f", "g"',
+                                   *remote) == ["net/codec.py"]
+
     def test_one_acquire_lookup(self):
         assert _modules_containing("chains.get(None)", "core", "sim") == [
             "core/dependencies.py"]
@@ -685,11 +705,11 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total once the live stream and the replay carried
-#: the Chrome trace record (one trace-event record) and the
-#: ``rename_inout`` knob went: 102 lines below the one task-graph
-#: document's 24 666.
-LINE_BUDGET = 24564
+#: The ``src/repro`` total once process workers and cluster agents
+#: shared one task record, one reply, one runner and one error pair
+#: (and ``start()`` became all or nothing): one line below the one
+#: trace-event record's 24 564.
+LINE_BUDGET = 24563
 
 
 class TestOneMeasurementSystem:
