@@ -1,12 +1,11 @@
 """The execution-backend contract: where a ready task's body runs.
 
 Everything above "a worker runs one ready task and reports completion"
-(tracker, renaming, scheduler, blocking conditions) is
-:class:`~repro.core.runtime.SmpssRuntime` and the same for every
-backend; everything below it is an :class:`ExecutionBackend`, built by
-:func:`make_backend`.  The member table, the never-raises rule and the
-one-redispatch policy are specified in ``docs/execution_backends.md``
-("Backend contract").
+(tracker, renaming, scheduler, blocking conditions) is the same for
+every backend; everything below it is an :class:`ExecutionBackend`,
+built by :func:`make_backend`.  ``docs/execution_backends.md``
+("Backend contract") specifies the members, the never-raises rule and
+the one-redispatch policy.
 """
 
 from __future__ import annotations
@@ -18,23 +17,16 @@ from typing import Callable, Optional
 from ..net.codec import RemoteTaskError, SerializationError, WorkerLostError
 from .invocation import resolve_call_values
 
-__all__ = [
-    "ExecutionBackend",
-    "Link",
-    "RemoteBackend",
-    "ThreadBackend",
-    "make_backend",
-]
+__all__ = ["ExecutionBackend", "Link", "RemoteBackend", "ThreadBackend",
+           "make_backend"]
 
 
 class ExecutionBackend:
     """What the runtime needs from the thing that runs task bodies."""
 
-    #: ``True``: bodies run outside the calling thread.  The main thread
-    #: then *waits* at blocking conditions instead of helping (a body on
-    #: the master would hold the GIL the proxy threads' bookkeeping
-    #: needs), and the remote end — not the runtime — emits the task's
-    #: start/end trace events.
+    #: ``True``: bodies run off the master, one dispatcher drives every
+    #: worker (``send``/``receive``, not ``run``), the main thread waits
+    #: instead of helping, and the remote end emits the trace events.
     remote = False
     #: Workers lost / tasks re-dispatched so far.
     deaths = 0
@@ -42,15 +34,13 @@ class ExecutionBackend:
     #: Scheduler placement hook ``task -> thread index or None``;
     #: ``None`` keeps the scheduler's default placement.
     placement: Optional[Callable] = None
-    #: Most ready tasks the worker loop hands over at once.  Above 1 the
-    #: backend also has ``run_frame(tasks, thread)``, yielding ``(task,
-    #: cause, duration)`` as each finishes and never raising, and
-    #: ``expected(task, thread)``: seconds its body last took, or None.
+    #: Most ready tasks one dispatch hands over at once; above 1 the
+    #: backend has ``expected(task, thread)``, the body's last seconds.
     max_batch = 1
 
     def start(self) -> int:
-        """Bring the workers up; returns how many worker threads
-        (indices ``1..n``) the owner must drive."""
+        """Bring the workers up; returns how many worker slots (thread
+        indices ``1..n``) the owner must drive."""
 
         raise NotImplementedError
 
@@ -59,15 +49,14 @@ class ExecutionBackend:
         backend whose :meth:`start` failed half-way."""
 
     def run(self, task, thread: int) -> tuple[Optional[BaseException], float]:
-        """Execute *task* for worker *thread*; ``(cause, duration)``.
-        Never raises: ``cause`` is ``None`` or the exception to wrap in
-        a ``TaskExecutionError``."""
+        """Execute *task* on the calling worker *thread*; ``(cause,
+        duration)``, ``cause`` ``None`` or what to wrap.  Never raises."""
 
         raise NotImplementedError
 
     def liveness(self) -> list[dict]:
         """One ``{"slot", "alive", ...}`` row per worker: display data
-        (health watchdog, serve ``/health``), never control flow."""
+        only (health watchdog, serve ``/health``)."""
 
         return []
 
@@ -126,8 +115,8 @@ class ThreadBackend(ExecutionBackend):
 
 
 class Link:
-    """The master half of one proxy thread's channel to its remote end
-    (driven by that one thread, so it needs no lock)."""
+    """The master half of one worker's channel to its remote end (only
+    the dispatcher thread touches it, so it needs no lock)."""
 
     def __init__(self, slot: int, **ends):
         self.slot = slot
@@ -139,6 +128,8 @@ class Link:
         self.durations: dict = {}
         #: 1 + how many times the remote end has been replaced.
         self.generation = 1
+        #: Unanswered ``[task, values, attempts, seq, request]`` records.
+        self.pending: list = []
         #: The transport's own attributes (a process, a socket, ...).
         self.__dict__.update(ends)
 
@@ -150,22 +141,19 @@ class Link:
 
 
 class RemoteBackend(ExecutionBackend):
-    """Dispatch / death / one-redispatch, written once.
+    """Dispatch / death / one-redispatch, written once, as per-link
+    state the dispatcher advances (:meth:`send`, :meth:`receive`).
 
-    A subclass owns its transport.  It sets ``link_errors`` (what
-    ``_send`` and ``_recv`` raise when the remote end is gone) and may
-    widen ``refusals`` (what its hooks raise for a task that cannot be
-    shipped — returned as the ``cause``, link untouched); ``lost_error``
-    and ``remote_error`` are the structured errors of every remote end.
-    A refusal or loss that names no slot yet is stamped with the link's
-    slot and node.  The subclass implements
-    ``_encode(task, values, link, seq) -> request`` (the task's whole
-    wire record, with what finds its definition's function until
-    ``link.sent_defs`` has the definition's ``id``), ``_send(link,
-    requests)`` (one frame), ``_recv(link, seq) -> (err, duration,
-    events, result)``, ``_land(link, values, request, result)``,
-    ``_revive(link)`` (fresh remote end + ``link.renewed()``, or raise
-    ``lost_error``) and ``_describe(link) -> str``.
+    A subclass owns its transport: it sets ``link_errors`` (what
+    ``_send`` and ``_read`` raise for a gone remote end), may widen
+    ``refusals`` (a task that cannot be shipped: its cause), and
+    implements ``fds(thread)`` (empty while the link has no remote
+    end), ``_encode(task, values, link, seq) -> request`` (the record;
+    the definition rides until ``link.sent_defs`` has its ``id``),
+    ``_send(link, requests)`` (one frame), ``_read(link, fd)`` (one
+    read: every ``(seq, err, duration, events, result)`` reply it
+    completed), ``_land``, ``_revive(link)`` (fresh remote end +
+    ``link.renewed()``, or raise ``lost_error``) and ``_describe``.
     """
 
     remote = True
@@ -181,16 +169,15 @@ class RemoteBackend(ExecutionBackend):
         #: events; ``None``: tracing is off and they record nothing.
         self._tracer = tracer
         self._ring_capacity = ring_capacity
-        #: ``on_dispatch(task, thread)`` as a task leaves: the remote
-        #: task_start event only ships back *with* the reply, so a live
-        #: dashboard would otherwise see the task leave the queue only
-        #: once it was already done.
+        #: ``on_dispatch(task, thread)`` as a task leaves: its remote
+        #: task_start only ships back *with* the reply, too late for a
+        #: live dashboard.
         self._on_dispatch = on_dispatch
         self._metrics = metrics
         self._m_deaths = metrics.counter(deaths_metric)
         self._m_redispatch = metrics.counter(redispatch_metric)
-        #: ``_links[thread - 1]`` is worker *thread*'s link.
-        self._links: list = []
+        #: ``links[thread - 1]`` is worker *thread*'s link.
+        self.links: list = []
 
     @property
     def deaths(self) -> int:
@@ -200,96 +187,118 @@ class RemoteBackend(ExecutionBackend):
     def redispatched(self) -> int:
         return self._m_redispatch.value
 
-    def run(self, task, thread: int) -> tuple[Optional[BaseException], float]:
-        ((_task, cause, duration),) = self._dispatch((task,), thread)
-        return cause, duration
-
     def expected(self, task, thread: int) -> Optional[float]:
-        return self._links[thread - 1].durations.get(id(task.definition))
+        return self.links[thread - 1].durations.get(id(task.definition))
 
-    def _dispatch(self, tasks, thread: int):
-        """Ship *tasks* to worker *thread*'s remote end as one frame;
-        yield ``(task, cause, duration)`` as each one's reply arrives.
-        A dead link charges the attempt to the first unacknowledged
-        task, the one that was running (the replies before it were read
-        and honoured); the records behind it never started and are sent
-        again with it, uncharged."""
+    def send(self, thread: int, tasks) -> list:
+        """Ship *tasks* to worker *thread*'s idle link as one frame;
+        the ``(task, cause, duration)`` of each task settled at once
+        (refused, or lost for good).  Never raises."""
 
-        pending = [[task, None, 0] for task in tasks]  # [.., values, attempts]
+        out: list = []
+        pending = [[task, None, 0, None, None] for task in tasks]
         try:
-            link = self._links[thread - 1]
+            link = self.links[thread - 1]
             for record in pending:
                 if self._on_dispatch is not None:
                     self._on_dispatch(record[0], link.slot)
                 record[1] = resolve_call_values(record[0])
-            while pending:  # the unacknowledged records, in order
-                frame = []  # (seq, request) of each one this round sends
-                try:
-                    for record in pending[:]:
-                        task, values, _ = record
-                        try:
-                            request = self._encode(
-                                task, values, link, link.seq + 1)
-                        except self.refusals as exc:
-                            pending.remove(record)
-                            yield task, self._stamp(exc, link), 0.0
-                        else:
-                            link.seq += 1
-                            frame.append((link.seq, request))
-                    if frame:
-                        self._send(link, [request for _, request in frame])
-                    for seq, request in frame:
-                        err, duration, events, result = self._recv(link, seq)
-                        task, values, _ = pending[0]
-                        link.sent_defs.add(id(task.definition))
-                        if events and self._tracer is not None:
-                            # Proxy-thread context: events land in this
-                            # thread's ring buffer and merge by
-                            # timestamp with everyone else.
-                            self._tracer.ingest(events)
-                        if err is None:
-                            link.durations[id(task.definition)] = duration
-                            self._land(link, values, request, result)
-                        del pending[0]
-                        yield task, err and self.remote_error(*err), duration
-                except self.link_errors as exc:
-                    yield from self._link_lost(link, exc, pending)
+            link.pending = pending
+            self._flush(link, out)
         except Exception as exc:  # noqa: BLE001 - reported at barrier
-            # Not an expected failure but a master-side bug; it must
-            # still surface at the barrier — a proxy thread dying
-            # silently would leave the runtime's running count stuck
-            # and hang the main thread forever.
-            for task, _, _ in pending:
-                yield task, exc, 0.0
+            self._abandon(pending, exc, out)
+        return out
 
-    run_frame = _dispatch
+    def receive(self, thread: int, fd) -> list:
+        """Read worker *thread*'s link once (*fd* polled readable); the
+        ``(task, cause, duration)`` of each record that read answered,
+        in order, and of each a lost link settles.  Never raises."""
 
-    def _link_lost(self, link: Link, exc, pending: list):
-        """Count the death, charge ``pending[0]``, revive the link."""
+        out: list = []
+        pending: list = []
+        try:
+            link = self.links[thread - 1]
+            pending = link.pending
+            try:
+                replies = self._read(link, fd)
+            except self.link_errors as exc:
+                self._link_lost(link, exc, out)
+                return out
+            for seq, err, duration, events, result in replies:
+                if not pending or pending[0][3] != seq:
+                    continue  # stale: no longer in flight
+                task, values, _, _, request = pending[0]
+                link.sent_defs.add(id(task.definition))
+                if events and self._tracer is not None:
+                    self._tracer.ingest(events)  # merged by timestamp
+                if err is None:
+                    link.durations[id(task.definition)] = duration
+                    self._land(link, values, request, result)
+                del pending[0]
+                out.append((task, err and self.remote_error(*err), duration))
+        except Exception as exc:  # noqa: BLE001 - reported at barrier
+            self._abandon(pending, exc, out)
+        return out
+
+    @staticmethod
+    def _abandon(pending: list, exc: BaseException, out: list) -> None:
+        """Settle every record left with *exc* — also a master-side
+        bug: a record left unsettled would hang the barrier."""
+
+        out += [(record[0], exc, 0.0) for record in pending]
+        pending.clear()
+
+    def _flush(self, link: Link, out: list) -> None:
+        """Number, encode and send *link*'s records as one frame; a
+        refused record is settled at once."""
+
+        frame = []
+        try:
+            for record in link.pending[:]:
+                try:
+                    request = self._encode(
+                        record[0], record[1], link, link.seq + 1)
+                except self.refusals as exc:
+                    link.pending.remove(record)
+                    out.append((record[0], self._stamp(exc, link), 0.0))
+                else:
+                    link.seq += 1
+                    record[3:] = link.seq, request
+                    frame.append(request)
+            if frame:
+                self._send(link, frame)
+        except self.link_errors as exc:
+            self._link_lost(link, exc, out)
+
+    def _link_lost(self, link: Link, exc, out: list) -> None:
+        """Count the death; charge the first unanswered record (the one
+        that was running: the replies before it were read and
+        honoured); revive the link and send the records behind it
+        again, uncharged (they never started)."""
 
         who = self._describe(link)
         self._link_died(link, exc)
-        record = pending[0]
-        record[2] += 1
-        if record[2] > 1:
-            del pending[0]
-            task = record[0]
-            yield task, self._stamp(self.lost_error(
-                f"{who} died while running task #{task.task_id} "
-                f"{task.name!r}, which had already been "
-                f"re-dispatched once; giving up"
-            ), link), 0.0
+        charged = link.pending[0] if link.pending else None
+        if charged is not None:
+            charged[2] += 1
+            if charged[2] > 1:
+                del link.pending[0]
+                task = charged[0]
+                out.append((task, self._stamp(self.lost_error(
+                    f"{who} died while running task #{task.task_id} "
+                    f"{task.name!r}, which had already been "
+                    f"re-dispatched once; giving up"
+                ), link), 0.0))
         try:
-            # Also after giving up: the rest of the frame and later
-            # tasks on this proxy thread need a live remote end.
+            # Also after giving up, and on an idle link: the rest of
+            # the frame and later tasks need a live remote end.
             self._revive(link)
         except self.lost_error as unrevivable:
-            self._stamp(unrevivable, link)
-            while pending:
-                yield pending.pop(0)[0], unrevivable, 0.0
-        else:
-            if record[2] == 1:
-                self._m_redispatch.inc()
+            self._abandon(link.pending, self._stamp(unrevivable, link), out)
+            return
+        if charged is not None and charged[2] == 1:
+            self._m_redispatch.inc()
+        self._flush(link, out)
 
     @staticmethod
     def _stamp(exc: BaseException, link: Link) -> BaseException:
@@ -301,27 +310,18 @@ class RemoteBackend(ExecutionBackend):
         return exc
 
     def _link_died(self, link: Link, exc: BaseException) -> None:
-        """Count one lost remote end."""
-
-        self._m_deaths.inc()
+        self._m_deaths.inc()  # one lost remote end
 
 
 def make_backend(config, *, metrics, tracer=None, on_dispatch=None,
                  sanitizer=None, tls=None) -> ExecutionBackend:
-    """The (unstarted) backend ``config.backend`` names.
+    """The (unstarted) backend ``config.backend`` names: the one name ->
+    factory table (mp and dist sit above core, so they import lazily).
+    *tracer* is ``None`` when tracing is off; the other arguments are
+    what the backends take instead of a reference to their owner."""
 
-    This is the one name -> factory table: nothing else in core (or
-    serve) names a backend module.  mp and dist sit above core in the
-    layering, so their entries import lazily.  *tracer* is the
-    merged-timeline tracer, or ``None`` when tracing is off; the other
-    arguments are what the individual backends take instead of a
-    reference to their owner.
-    """
-
-    remote = {
-        "metrics": metrics, "tracer": tracer, "on_dispatch": on_dispatch,
-        "ring_capacity": config.trace_buffer_size,
-    }
+    remote = {"metrics": metrics, "tracer": tracer, "ring_capacity":
+              config.trace_buffer_size, "on_dispatch": on_dispatch}
 
     def threads():
         return ThreadBackend(

@@ -7,31 +7,24 @@ only implementation.  A :class:`GraphDomain` is one isolated dependency
 graph behind its own lock; a :class:`WorkerLoop` pops ready tasks from
 one scheduler, hands each to the execution backend, completes it in
 *the task's* domain (``task.domain``, set at analysis) and pushes the
-released successors.  :class:`~repro.core.runtime.SmpssRuntime` is the
-loop over a single domain with the main thread helping; the task-graph
-service (:mod:`repro.serve`) drives the same loop over one domain per
-submitted graph.
+released successors — from a thread per worker, or, for a remote
+backend, from one dispatcher thread for all of them.
+:class:`~repro.core.runtime.SmpssRuntime` is the loop over a single
+domain with the main thread helping; the task-graph service
+(:mod:`repro.serve`) drives it over one domain per submitted graph.
 
-Locking discipline:
-
-* ``domain.lock`` serialises one domain's dependency subsystem —
-  tracker analysis and graph completion.  Holding it never blocks on
-  the scheduler, and domains share nothing, so two domains never
-  contend.
-* ``_sched_cv`` (its own condition variable) serialises the ready
-  lists, the running-task count, and all sleeping/wakeup traffic.
-
-Analysis therefore never contends with worker pop/steal traffic: a
-submission takes a domain lock while workers take only the scheduler
-lock, and the two meet only for the brief ready-list push.  Completions
-batch their "last dependence removed" wakeups — one ``notify(k)`` for
-the ``k`` released successors instead of a ``notify_all`` per task — so
-an N-worker loop is not stampeded N ways on every fine-grained
-completion.
+Locking: ``domain.lock`` serialises one domain's tracker analysis and
+graph completion and never blocks on the scheduler (domains share
+nothing, so two never contend); ``_sched_lock`` serialises the ready
+lists, the running count and all sleeping/wakeup traffic.  A
+submission and the workers meet only for the brief ready-list push,
+and a completion wakes one worker per released successor, not all.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import threading
 from time import perf_counter
 from typing import Callable, Optional
@@ -43,8 +36,8 @@ from .task import TaskInstance
 __all__ = ["GraphDomain", "TaskExecutionError", "WorkerLoop"]
 
 #: Expected body time (seconds) a frame may hold: about one remote
-#: dispatch, the cost sharing a message saves per task.  Longer bodies
-#: gain nothing from it and would hide from the other workers meanwhile.
+#: dispatch, what sharing a message saves per task; longer bodies gain
+#: nothing and would hide from the other workers meanwhile.
 FRAME_SECONDS = 100e-6
 
 
@@ -61,39 +54,26 @@ class GraphDomain:
     """One isolated dependency domain behind its own lock.
 
     Owns a private graph + tracker (its own version chains, renaming
-    namespace, and memory accounting) and funnels every mutation
-    through ``lock``, which is held per call and never across calls.
-    Readiness is decided while still holding the lock, so a completion
-    racing an analysis can never double-release a task.
-
-    ``failure`` is the first reason the domain stopped (a
-    :class:`TaskExecutionError`, or whatever the owner passed to
-    :meth:`fail`).  A worker never runs a task whose domain has
-    failed: such tasks are retired unrun, so a failed domain still
-    drains.  *on_drained* is called with the domain, outside every
-    lock, by the worker whose completion left it with nothing pending —
-    exactly once for a domain that is fully analysed before any of its
-    tasks is released.  *release_eagerly* frees dead renamed buffers at every
-    completion instead of at :meth:`write_back`.  ``executed`` counts
-    the tasks whose body actually ran.
+    namespace and memory accounting); every mutation holds ``lock`` for
+    one call, and readiness is decided under it, so a completion racing
+    an analysis never double-releases a task.  ``failure`` is the first
+    reason the domain stopped (a :class:`TaskExecutionError`, or what
+    the owner passed to :meth:`fail`); a task of a failed domain is
+    retired unrun, so it still drains.  *on_drained* is called with the
+    domain, outside every lock, by the completion that left it with
+    nothing pending.  *release_eagerly* frees dead renamed buffers at
+    every completion instead of at :meth:`write_back`.  ``executed``
+    counts the tasks whose body ran.
     """
 
-    def __init__(
-        self,
-        *,
-        tracker_config: Optional[TrackerConfig] = None,
-        tracer=None,
-        keep_finished: bool = False,
-        release_eagerly: bool = True,
-        on_drained: Optional[Callable[["GraphDomain"], None]] = None,
-    ):
+    def __init__(self, *, tracker_config: Optional[TrackerConfig] = None,
+                 tracer=None, keep_finished: bool = False,
+                 release_eagerly: bool = True,
+                 on_drained: Optional[Callable[["GraphDomain"], None]] = None):
         self.lock = threading.Lock()
         self.graph = TaskGraph(keep_finished=keep_finished, tracer=tracer)
         self.tracker = DependencyTracker(
-            self.graph,
-            config=tracker_config or TrackerConfig(),
-            tracer=tracer,
-        )
+            self.graph, config=tracker_config or TrackerConfig(), tracer=tracer)
         self.release_eagerly = release_eagerly
         self.on_drained = on_drained
         self.failure: Optional[BaseException] = None
@@ -101,41 +81,42 @@ class GraphDomain:
 
     def analyze(self, task: TaskInstance) -> bool:
         """Add *task* to the domain; ``True`` when it is ready now.
-
-        Read outside the lock, readiness would race a worker completing
-        the task's last predecessor in the window between analysis and
-        the check — both sides would push, and the task would run
-        twice.  Completions mutate ``num_pending_deps`` only under this
-        lock, so the capture is consistent: a task with pending deps
-        here is (or will be) in a predecessor's successor set and gets
-        released by exactly one completion.
-        """
+        Decided under the lock, where completions change
+        ``num_pending_deps``: read outside it, a worker completing the
+        last predecessor in between would push the task too (twice run)."""
 
         task.domain = self
         with self.lock:
             self.tracker.analyze(task)
             return task.num_pending_deps == 0
 
-    def complete(
-        self, task: TaskInstance, failure: Optional[BaseException] = None,
-        ran: bool = True,
-    ) -> tuple[list, bool]:
+    def complete(self, task: TaskInstance,
+                 failure: Optional[BaseException] = None,
+                 ran: bool = True) -> tuple[list, bool]:
         """Retire *task* (``ran=False``: unrun, its domain had failed);
-        ``(newly_ready, drained)``.
-
-        A *failure* is recorded before the successors are released, so
-        none of them can be dispatched ahead of it.
-        """
+        ``(newly_ready, drained)``.  A *failure* is recorded before the
+        successors are released, so none of them can run ahead of it."""
 
         with self.lock:
-            if ran:
-                self.executed += 1
-            if failure is not None and self.failure is None:
-                self.failure = failure
-            newly_ready = self.graph.complete(task)
-            if self.release_eagerly:
-                self.tracker.release_after(task)
-            return newly_ready, self.graph.pending_count == 0
+            return (self._retire(task, failure, ran),
+                    self.graph.pending_count == 0)
+
+    def complete_all(self, entries) -> tuple[list, bool]:
+        """:meth:`complete` each ``(task, failure, ran)`` under one lock
+        acquisition; ``([newly_ready, ...], drained)``."""
+
+        with self.lock:
+            return ([self._retire(*entry) for entry in entries],
+                    self.graph.pending_count == 0)
+
+    def _retire(self, task, failure, ran: bool) -> list:
+        self.executed += ran
+        if failure is not None and self.failure is None:
+            self.failure = failure
+        newly_ready = self.graph.complete(task)
+        if self.release_eagerly:
+            self.tracker.release_after(task)
+        return newly_ready
 
     def fail(self, failure: BaseException) -> None:
         """Stop the domain: its queued tasks will be retired unrun."""
@@ -154,20 +135,35 @@ class GraphDomain:
             return count
 
 
+class _Wake:
+    """The dispatcher's stand-in for the workers' condition: a notify
+    (a release, the live gate, a stop; all under the scheduler lock)
+    writes to the wake pipe only while the dispatcher sleeps."""
+
+    def __init__(self):
+        self.fd, self._write = os.pipe()
+        self.armed = False
+
+    def notify(self, n: int = 1) -> None:
+        if self.armed:
+            self.armed = False
+            os.write(self._write, b"w")
+
+    notify_all = notify
+
+
 class WorkerLoop:
-    """Worker threads executing ready tasks of any number of domains.
+    """Loop threads executing ready tasks of any number of domains.
 
-    The owner composes one and supplies, at :meth:`start_backend`, an
+    The owner supplies, at :meth:`start_backend`, an
     :class:`~repro.core.backend.ExecutionBackend` and the scheduler to
-    build once the fleet's size is known; then the domains: it analyses
-    tasks into a :class:`GraphDomain`, hands the ready ones to
-    :meth:`release`, and the loop does the rest.  Thread 0 is the
-    owner's own thread; it may call :meth:`_execute` on a task it
-    popped itself (the runtime's main-thread helping).
-
-    *metrics* is the registry receiving per-task duration and
-    ready-depth histograms (``None``: none are kept); *tracer* gets the
-    ``task_end`` event of bodies that ran on the calling thread.
+    build once the fleet's size is known; then it analyses tasks into
+    :class:`GraphDomain` s, hands the ready ones to :meth:`release`, and
+    the loop does the rest.  Thread 0 is the owner's; it may
+    :meth:`_execute` a task it popped itself (main-thread helping).
+    *metrics* receives per-task duration and ready-depth histograms
+    (``None``: none); *tracer* the ``task_end`` of a body run on a loop
+    thread.
     """
 
     def __init__(self, metrics=None, tracer=None):
@@ -176,44 +172,42 @@ class WorkerLoop:
         self.backend = None
         self._task_metrics = metrics
         self._task_hists: dict = {}
-        self._m_ready_depth = (
-            metrics.histogram("ready_queue_depth") if metrics is not None
-            else None
-        )
+        self._m_ready_depth = (None if metrics is None
+                               else metrics.histogram("ready_queue_depth"))
         self._trace = tracer
         self._threads: list[threading.Thread] = []
-        #: Scheduler lock: ready lists, running count, wakeup traffic.
-        #: Two conditions share it so wakeups are targeted — workers
-        #: sleep on ``_sched_cv`` (woken ``notify(k)`` per batch of k
-        #: released tasks), the owner's thread sleeps on ``_main_cv``
-        #: (woken once per completion, and only while actually waiting,
-        #: because its blocking predicates — barrier, window, memory
-        #: limit, ``wait_for`` — can flip on any completion).
+        #: Workers sleep on ``_sched_cv`` (``notify(k)`` per k released
+        #: tasks; a dispatcher polls a :class:`_Wake` instead), the
+        #: owner's thread on ``_main_cv``, woken per completion only
+        #: while it waits (barrier, window, memory limit, ``wait_for``
+        #: can flip on any completion).
         self._sched_lock = threading.Lock()
         self._sched_cv = threading.Condition(self._sched_lock)
         self._main_cv = threading.Condition(self._sched_lock)
         self._main_parked = False
         self._running = 0
-        #: Worker threads currently blocked in ``cv.wait()`` (the live
-        #: dashboard's "parked" count; main-thread waiting is the
-        #: separate ``_main_parked`` flag).
+        #: Worker threads blocked in ``cv.wait()`` (the live dashboard's
+        #: "parked"; the main thread's waiting is ``_main_parked``).
         self._parked = 0
-        #: Per-thread task currently executing (``None`` when idle).
-        #: Written only by the owning thread; readers (live snapshots)
-        #: take a racy but self-consistent-enough glance.
+        #: Per-thread task running (``None``: idle), written only by the
+        #: thread driving the slot; readers take a racy glance.
         self._current: list = []
+        #: Bodies run, per thread index: one writer each, so no lock.
+        self._executed: list = [0]
         #: The health monitor's flight recorder (``None`` when health is
         #: off): the completion path appends one plain tuple per task.
         self.flight = None
         self._stop = False
-        self.tasks_executed = 0
+
+    @property
+    def tasks_executed(self) -> int:
+        return sum(self._executed)
 
     def start_backend(self, backend, make_scheduler) -> int:
-        """Bring *backend*'s ``n`` workers up and build the scheduler,
-        ``make_scheduler(n + 1)`` (thread 0 is the owner's); returns
-        ``n``.  No loop thread exists yet, so forked children start
-        from a quiet image; a start that fails half-way is stopped
-        again."""
+        """Bring *backend*'s ``n`` workers up (before any loop thread,
+        so forked children start from a quiet image; a start failing
+        half-way is stopped again) and build the scheduler,
+        ``make_scheduler(n + 1)`` (thread 0 is the owner's); ``n``."""
 
         try:
             workers = backend.start()
@@ -223,26 +217,31 @@ class WorkerLoop:
         self.backend = backend
         self.scheduler = make_scheduler(workers + 1)
         self._current = [None] * (workers + 1)
+        self._executed = [0] * (workers + 1)
+        self._sched_cv = (_Wake() if backend.remote
+                          else threading.Condition(self._sched_lock))
         return workers
 
     def start_workers(self, name: str) -> None:
-        """One thread per backend worker: indices ``1..n`` of the
-        scheduler's ``n + 1`` threads, named ``<name>-<index>``."""
+        """One thread per backend worker — indices ``1..n`` of the
+        scheduler's ``n + 1`` threads, named ``<name>-<index>`` — or
+        one dispatcher, ``<name>-dispatch``, for a remote backend."""
 
         self._stop = False
-        self._threads = []
-        for idx in range(1, self.scheduler.num_threads):
-            thread = threading.Thread(
-                target=self._worker_loop, args=(idx,), name=f"{name}-{idx}",
-                daemon=True,
-            )
-            self._threads.append(thread)
+        self._threads = [
+            threading.Thread(target=self._dispatch_loop,
+                             name=f"{name}-dispatch", daemon=True)
+        ] if self.backend.remote else [
+            threading.Thread(target=self._worker_loop, args=(idx,),
+                             name=f"{name}-{idx}", daemon=True)
+            for idx in range(1, self.scheduler.num_threads)
+        ]
+        for thread in self._threads:
             thread.start()
 
     def stop_workers(self, timeout: Optional[float] = None) -> None:
-        """Stop popping, join the workers (each finishes the task it is
-        running; at most *timeout* seconds per thread), stop the
-        backend.  Tasks still queued stay queued."""
+        """Stop popping, join the loop threads (at most *timeout* s each;
+        running tasks finish, queued ones stay), stop the backend."""
 
         with self._sched_lock:
             self._stop = True
@@ -250,22 +249,25 @@ class WorkerLoop:
             self._main_cv.notify_all()
         for thread in self._threads:
             thread.join(timeout)
-        # After the workers have joined no task is in flight; stop()
-        # never raises, so every child is reaped and every socket
-        # closed even when we got here through an exception.  The
-        # stopped backend stays readable (deaths, for report()).
+        wake = self._sched_cv
+        if isinstance(wake, _Wake) and wake.fd is not None:
+            os.close(wake.fd)
+            os.close(wake._write)
+            wake.fd = None
+        # Nothing in flight now.  stop() never raises (every child reaped,
+        # every socket closed); the stopped backend stays readable.
         if self.backend is not None:  # None: its start failed
             self.backend.stop()
 
     def liveness(self) -> list[dict]:
         """The backend's per-slot rows (under processes: pid, OS-level
         alive, respawn generation); a slot is alive only while the loop
-        thread driving it is too."""
+        thread driving it (its own, or the dispatcher) is too."""
 
-        return [
-            {**row, "alive": row["alive"] and thread.is_alive()}
-            for row, thread in zip(self.backend.liveness(), self._threads)
-        ]
+        rows = self.backend.liveness()
+        threads = self._threads * (len(rows) if self.backend.remote else 1)
+        return [{**row, "alive": row["alive"] and thread.is_alive()}
+                for row, thread in zip(rows, threads)]
 
     def release(self, tasks) -> None:
         """Queue *tasks* — analysed and found ready — and wake one
@@ -279,7 +281,6 @@ class WorkerLoop:
     def _worker_loop(self, idx: int) -> None:
         cv = self._sched_cv
         scheduler = self.scheduler
-        spare = self.backend.max_batch - 1
         while True:
             with cv:
                 while True:
@@ -294,15 +295,151 @@ class WorkerLoop:
                         cv.wait()
                     finally:
                         self._parked -= 1
-                rest = self._pop_frame(task, idx, spare) if spare else None
-            self._execute(task, idx, rest)
+            self._execute(task, idx)
+
+    def _execute(self, task: TaskInstance, thread: int) -> None:
+        """Run *task* on this thread and complete it."""
+
+        domain = task.domain
+        failure = None
+        ran = domain.failure is None
+        if ran:
+            self._current[thread] = task
+            cause, duration = self.backend.run(task, thread)
+            if cause is not None:
+                failure = TaskExecutionError(task, cause)
+            task.executed_by = thread
+            self._current[thread] = None
+            # Counted and traced before the completion that may let a
+            # barrier return.
+            self._executed[thread] += 1
+            if self._trace is not None:
+                self._trace.task_end(task, thread)
+        newly_ready, drained = domain.complete(task, failure, ran)
+        if ran and self.flight is not None:
+            # Outside both locks: the ring append is GIL-atomic and
+            # busy[thread] has one writer (the <5% health overhead pin).
+            self.flight.note_task(task.task_id, task.definition.name,
+                                  thread, perf_counter(), duration)
+        with self._sched_lock:
+            if ran and self._task_metrics is not None:
+                self._observe(task, duration)
+            self._running -= 1
+            # One notify per released task; the owner's only if asleep.
+            if newly_ready:
+                self.scheduler.push_ready_batch(newly_ready, thread)
+                self._sched_cv.notify(len(newly_ready))
+            if self._main_parked:
+                self._main_cv.notify()
+        if drained and domain.on_drained is not None:
+            domain.on_drained(domain)
+
+    def _observe(self, task: TaskInstance, duration: float) -> None:
+        """Per-task histograms (under the scheduler lock)."""
+
+        name = task.definition.name
+        hist = self._task_hists.get(name)
+        if hist is None:
+            hist = self._task_hists[name] = self._task_metrics.histogram(
+                "task_duration_seconds", task=name)
+        hist.observe(duration)
+        self._m_ready_depth.observe(self.scheduler.ready_count)
+
+    def _dispatch_loop(self) -> None:
+        """Drive every worker of a remote backend from this one thread:
+        each :meth:`_turn` completes the last outcomes and sends a frame
+        to every idle link, then the loop sleeps in one poll over every
+        link and the wake pipe and reads each readable link once.  No
+        task is referenced while it sleeps (a dropped array must die at
+        its barrier)."""
+
+        backend, wake = self.backend, self._sched_cv
+        poller = select.poll()
+        poller.register(wake.fd, select.POLLIN)
+        owner: dict = {}    # fd -> the thread index of its link
+        watched: dict = {}  # thread index -> its fds registered
+
+        def settled(thread: int, outcomes: list) -> list:
+            fds = backend.fds(thread)
+            if fds != watched.get(thread, ()):
+                for fd in watched.get(thread, ()):
+                    poller.unregister(fd)
+                    del owner[fd]
+                for fd in fds:
+                    poller.register(fd, select.POLLIN)
+                    owner[fd] = thread
+                watched[thread] = fds
+            pending = backend.links[thread - 1].pending
+            self._current[thread] = pending[0][0] if pending else None
+            return [(task, thread, cause, duration, True)
+                    for task, cause, duration in outcomes]
+
+        for link in backend.links:
+            settled(link.slot, ())
+        done: list = []  # (task, thread, cause, duration, ran)
+        while (done := self._turn(done, settled)) is not None:
+            read = set()
+            for fd, _event in poller.poll(0 if done else None):
+                thread = owner.get(fd)  # None: a link revived since
+                if fd == wake.fd:
+                    os.read(fd, 64)
+                elif thread is not None and thread not in read:
+                    read.add(thread)  # one read per link per wake-up
+                    done += settled(thread, backend.receive(thread, fd))
+            wake.armed = False
+
+    def _turn(self, done: list, settled):
+        """Complete *done* and pop a frame for every idle link with its
+        thread index (§III's ready lists, placement and stealing as
+        ever) under one scheduler-lock acquisition, then send them; the
+        outcomes known at once (a failed domain's tasks retired unrun,
+        refusals), or ``None`` once stopped with nothing in flight."""
+
+        released, drained = self._retire(done) if done else ((), ())
+        links, scheduler = self.backend.links, self.scheduler
+        spare = self.backend.max_batch - 1
+        frames = []
+        with self._sched_lock:
+            if self._task_metrics is not None:
+                for task, _, _, duration, ran in done:
+                    if ran:
+                        self._observe(task, duration)
+            self._running -= len(done)
+            for thread, ready in released:
+                scheduler.push_ready_batch(ready, thread)
+            if done and self._main_parked:
+                self._main_cv.notify()
+            stopping = self._stop
+            idle = False
+            for link in () if stopping else links:
+                task = (None if link.pending or not scheduler.has_ready()
+                        else scheduler.pop(link.slot))
+                if task is not None:
+                    self._running += 1
+                    rest = spare and self._pop_frame(task, link.slot, spare)
+                    frames.append((link.slot, [task, *(rest or ())]))
+                elif not link.pending:
+                    idle = True
+            # A release or the gate writes the wake pipe only if one idles.
+            self._sched_cv.armed = idle
+        for domain in drained:
+            domain.on_drained(domain)
+        if stopping and not any(link.pending for link in links):
+            return None
+        done = []
+        for thread, tasks in frames:
+            ship = [task for task in tasks if task.domain.failure is None]
+            done += [(task, thread, None, 0.0, False) for task in tasks
+                     if task.domain.failure is not None]
+            if ship:
+                done += settled(thread, self.backend.send(thread, ship))
+        return done
 
     def _pop_frame(self, task: TaskInstance, idx: int, spare: int):
         """The further ready tasks worker *idx* ships with *task* (under
-        the scheduler lock), or ``None``: at most *spare*, never more
-        than its fair share of what is ready, and only while the bodies
-        so far are expected to fit in :data:`FRAME_SECONDS` (unknown:
-        no)."""
+        the scheduler lock), or ``None``: at most *spare* and its fair
+        share, while the bodies are expected to fit :data:`FRAME_SECONDS`
+        (unknown: no)."""
 
         scheduler = self.scheduler
         expected = self.backend.expected
@@ -321,75 +458,32 @@ class WorkerLoop:
             rest.append(task)
         return rest or None
 
-    def _execute(self, task: TaskInstance, thread: int, rest=None,
-                 outcome=None) -> None:
-        """Run *task* and complete it.  With *rest* (popped with it) the
-        tasks cross as one frame and each is completed, through here
-        with its *outcome*, as its own reply arrives."""
+    def _retire(self, done: list) -> tuple[list, list]:
+        """Count *done* (its task_end came with the reply) and complete
+        it, one lock per domain; ``(thread, newly_ready)`` pairs and
+        the drained domains."""
 
-        backend = self.backend
-        if rest is not None:
-            frame = []
-            for task in (task, *rest):
-                if task.domain.failure is None:
-                    frame.append(task)
-                else:
-                    self._execute(task, thread)  # retired unrun
-            for task, *outcome in backend.run_frame(frame, thread):
-                self._execute(task, thread, None, outcome)
-            return
-        domain = task.domain
-        failure = None
-        ran = outcome is not None or domain.failure is None
-        if ran:
-            self._current[thread] = task
-            cause, duration = outcome or backend.run(task, thread)
-            if cause is not None:
-                failure = TaskExecutionError(task, cause)
-            task.executed_by = thread
-            self._current[thread] = None
-        newly_ready, drained = domain.complete(task, failure, ran)
-        flight = self.flight
-        if ran and flight is not None:
-            # One tuple per completion into the bounded ring, outside
-            # both locks: the deque append is GIL-atomic,
-            # busy[thread] has this worker as its only writer, and the
-            # recorder's scalar races are benign telemetry.  Keeping
-            # this off the scheduler lock keeps the health layer out of
-            # the serialized completion path (the <5% overhead pin).
-            # health=True implies metrics, so duration is real.
-            flight.note_task(
-                task.task_id, task.definition.name, thread,
-                perf_counter(), duration,
-            )
-        with self._sched_lock:
+        groups: dict = {}
+        for task, thread, cause, duration, ran in done:
+            failure = None
             if ran:
-                if self._task_metrics is not None:
-                    name = task.definition.name
-                    hist = self._task_hists.get(name)
-                    if hist is None:
-                        hist = self._task_metrics.histogram(
-                            "task_duration_seconds", task=name
-                        )
-                        self._task_hists[name] = hist
-                    hist.observe(duration)
-                    self._m_ready_depth.observe(self.scheduler.ready_count)
-                self.tasks_executed += 1
-                if self._trace is not None and not backend.remote:
-                    # A remote worker records its own task_start/task_end
-                    # (same monotonic clock, same thread index) and ships
-                    # them back with the reply: no duplicate pair here.
-                    self._trace.task_end(task, thread)
-            self._running -= 1
-            # Batched wakeups.  Workers: one notify per released
-            # successor (the completing thread re-pops without sleeping,
-            # so the batch need not over-wake).  Owner's thread: a
-            # single targeted notify, and only while it is actually
-            # sleeping.
-            if newly_ready:
-                self.scheduler.push_ready_batch(newly_ready, thread)
-                self._sched_cv.notify(len(newly_ready))
-            if self._main_parked:
-                self._main_cv.notify()
-        if drained and domain.on_drained is not None:
-            domain.on_drained(domain)
+                if cause is not None:
+                    failure = TaskExecutionError(task, cause)
+                task.executed_by = thread
+                self._executed[thread] += 1
+            groups.setdefault(task.domain, []).append(
+                (thread, (task, failure, ran)))
+        released, drained = [], []
+        for domain, group in groups.items():
+            readies, empty = domain.complete_all([entry for _, entry in group])
+            released += [(thread, ready) for (thread, _), ready
+                         in zip(group, readies) if ready]
+            if empty and domain.on_drained is not None:
+                drained.append(domain)
+        if self.flight is not None:
+            now = perf_counter()
+            for task, thread, _, duration, ran in done:
+                if ran:
+                    self.flight.note_task(task.task_id, task.definition.name,
+                                          thread, now, duration)
+        return released, drained

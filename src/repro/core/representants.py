@@ -23,7 +23,7 @@ __all__ = ["Representant", "RepresentantTable"]
 
 
 class Representant:
-    """A proxy address standing in for a collection of real addresses."""
+    """A token address standing in for a collection of real addresses."""
 
     __slots__ = ("label", "payload")
 

@@ -8,28 +8,18 @@ Whenever it reaches a blocking condition (a barrier, a memory limit, or
 a graph size limit), it behaves as a worker thread until an unblocking
 condition is reached."
 
-This backend executes real Python task bodies on real
-:class:`threading.Thread` workers under the exact section III policy.
-Numerical kernels (numpy) release the GIL, so the backend is also a
-practical parallel runtime for array-heavy tasks; the performance
-*figures* of the paper are regenerated by the cost-model simulator in
-:mod:`repro.sim`, which drives the same scheduler code over virtual
-cores.
-
-*Where* a ready task's body runs is an
-:class:`~repro.core.backend.ExecutionBackend`'s business, chosen by the
-``backend`` knob through :func:`~repro.core.backend.make_backend`; this
-module knows no backend by name.  Under a *remote* backend the worker
-threads become *proxy threads*: each forwards its task's body to a
-worker elsewhere (a forked process, a node agent) and blocks, GIL
-released, for the reply; the rest of the runtime is unchanged.
-
-The execute/complete path — pop, run, complete in the task's domain,
-release successors, targeted wake-ups — lives in
-:mod:`repro.core.execution`, and barrier, ``wait_on`` and ``wait_for``
-in :mod:`repro.core.frontend`, shared with the recorder and the
-simulator.  This class drives one worker loop and adds submission and
-the main thread's helping.
+Task bodies are real Python run under the exact section III policy;
+numpy kernels release the GIL, so this is a practical parallel runtime
+for array-heavy tasks (the paper's *figures* come from the simulator in
+:mod:`repro.sim`, which drives the same scheduler code).  *Where* a body
+runs is an :class:`~repro.core.backend.ExecutionBackend`'s business,
+chosen by the ``backend`` knob through
+:func:`~repro.core.backend.make_backend`: worker threads, or, for a
+remote backend, one dispatcher thread feeding forked processes or node
+agents.  The execute/complete path lives in :mod:`repro.core.execution`
+and barrier, ``wait_on`` and ``wait_for`` in :mod:`repro.core.frontend`;
+this class drives one worker loop and adds submission and the main
+thread's helping.
 """
 
 from __future__ import annotations
@@ -99,7 +89,6 @@ class SmpssRuntime(ActiveRuntime):
             tracer=self.tracer,
         )
         self._sched_lock = loop._sched_lock
-        self._sched_cv = loop._sched_cv
         self._main_cv = loop._main_cv
         #: Set by start(): the ready lists and the per-thread running
         #: task (``backend``, where task bodies run, too).
@@ -118,14 +107,13 @@ class SmpssRuntime(ActiveRuntime):
         #: repro.check.Sanitizer when config.sanitize, else None.
         self.sanitizer = None
 
+    #: The dispatcher's wake under a remote backend: read once it is up.
+    _sched_cv = _loop_tap("_sched_cv")
     _running = _loop_tap("_running")
     _parked = _loop_tap("_parked")
     _main_parked = _loop_tap("_main_parked")
     tasks_executed = _loop_tap("tasks_executed")
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> "SmpssRuntime":
         if self._started:
             raise RuntimeError("runtime already started")
@@ -146,9 +134,8 @@ class SmpssRuntime(ActiveRuntime):
                     tracer=self.tracer,
                     metrics=self.metrics if self._metrics_on else None,
                 )
-            # Started (forked, connected) *before* the proxy threads exist,
-            # so children start from a quiet image; and before the scheduler
-            # exists, because a fleet's size is only known once it is up.
+            # Before the loop threads (forked children start from a quiet
+            # image) and the scheduler (a fleet's size is known once up).
             loop = self._loop
             self.config.num_workers = loop.start_backend(
                 make_backend(
@@ -169,10 +156,9 @@ class SmpssRuntime(ActiveRuntime):
             self._max_pending = self.config.max_pending_tasks
             self._mem_limit = self.config.memory_limit_bytes
             if self.config.address is not None or self.config.live:
-                # Imported here, not at module level: obs and live sit above
-                # core.  Bound after the backend (the server threads must not
-                # be duplicated into forked workers) and before the proxy /
-                # worker threads, so no dispatch escapes a paused start.
+                # obs and live sit above core.  After the backend (no server
+                # thread may be forked into a worker), before the loop
+                # threads (no dispatch escapes a paused start).
                 from ..obs.exposition import open_endpoint
 
                 self._endpoint = open_endpoint(self, self.config.address)
@@ -182,10 +168,8 @@ class SmpssRuntime(ActiveRuntime):
 
                 self.live = LiveSession(self, self._endpoint)
             if self.config.health:
-                # Imported here, not at module level: obs sits above core.
-                # Started after the backend (the watchdog thread must not
-                # be duplicated into forked workers) and before the worker
-                # threads, so the first sample sees a live runtime.
+                # obs sits above core.  After the backend (the watchdog must
+                # not be forked into a worker), before the loop threads.
                 from ..obs.health import HealthMonitor
 
                 self.health = HealthMonitor(self)
@@ -241,9 +225,6 @@ class SmpssRuntime(ActiveRuntime):
                     os.rmdir(os.path.dirname(self.address))
         self._started = False
 
-    # ------------------------------------------------------------------
-    # submission (main thread only)
-    # ------------------------------------------------------------------
     def submit(self, definition, args: tuple, kwargs: dict) -> TaskInstance:
         if not self._started:
             raise RuntimeError("runtime is not started")
@@ -278,15 +259,12 @@ class SmpssRuntime(ActiveRuntime):
             )
         return task
 
-    # ------------------------------------------------------------------
-    # execution machinery
-    # ------------------------------------------------------------------
     def _main_help(self, predicate: Callable[[], bool]) -> None:
         """Run tasks on the main thread while *predicate* holds.
 
         Under a remote backend the main thread waits instead of
         helping: running a pure-Python body here would hold the master
-        GIL and starve the proxy threads' completion bookkeeping, which
+        GIL and starve the dispatcher's completion bookkeeping, which
         is exactly the serial overhead such a backend exists to remove.
         """
 
@@ -328,9 +306,6 @@ class SmpssRuntime(ActiveRuntime):
 
         self.live.notify_dispatch(task, thread)
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     @property
     def num_threads(self) -> int:
         """Total execution slots (workers + the main thread)."""

@@ -79,34 +79,23 @@ class SchedulerStats:
 class DispatchGate:
     """Debugger control over the worker dispatch point (``repro.live``).
 
-    The gate sits between "a ready task exists" and "a thread runs it":
-    :meth:`SmpssScheduler.pop` consults it *under the scheduler lock*
-    before committing a selection.  While paused, ``pop`` returns
-    ``None`` and threads fall into their normal empty-queue parking on
-    the runtime's condition variables — paused workers block, they do
-    not spin.  ``step(n)`` grants *n* dispatch tickets; breakpoints
-    (by task-type name or task id) hold a matching task at the boundary
-    *before* it starts and pause the whole runtime.
-
-    Locking contract: :meth:`admit` and :meth:`should_hold` are called
-    by the scheduler with the runtime's scheduler lock already held and
-    therefore touch plain fields only.  The control methods
-    (:meth:`pause` / :meth:`resume` / :meth:`step` / breakpoint edits)
-    are for *other* threads — the live control server, a debugger REPL —
-    and take that same lock themselves, waking parked threads through
-    the condition variables the runtime registered via :meth:`bind`.
+    :meth:`SmpssScheduler.pop` consults the gate *under the scheduler
+    lock* before committing a selection: while paused it returns
+    ``None`` and threads park as on an empty queue (no spinning);
+    ``step(n)`` grants *n* dispatch tickets; breakpoints (task-type name
+    or task id) hold a matching task *before* it starts and pause the
+    whole runtime.  :meth:`admit` and :meth:`should_hold` run with that
+    lock held and touch plain fields only; the control methods, for
+    other threads (the live server, a REPL), take the lock themselves
+    and wake parked threads — worker threads, or a remote backend's
+    dispatcher — through the conditions registered with :meth:`bind`.
     """
 
     def __init__(self):
         self.paused = False
-        #: "Any control is active" — ``paused or breakpoints exist``.
-        #: The gate only *occupies a scheduler's ``gate`` slot while
-        #: engaged* (see :meth:`install`): a live session whose gate is
-        #: wide open leaves ``scheduler.gate`` as ``None``, so dispatch
-        #: pays exactly the ``live=False`` cost — one attribute load
-        #: and a ``None`` check.  ``should_hold`` setting ``paused``
-        #: never changes this (a hold requires breakpoints, so the gate
-        #: is already engaged and installed).
+        #: ``paused or breakpoints exist``.  The gate occupies a
+        #: scheduler's ``gate`` slot only while engaged (:meth:`install`),
+        #: so an idle live session costs dispatch one ``None`` check.
         self.engaged = False
         self._schedulers: list = []
         #: Dispatch tickets granted by :meth:`step` (consumed by

@@ -1,42 +1,34 @@
 """The node agent: one process per node, owning that node's executors.
 
-``python -m repro dist agent ADDR`` starts one of these.  An agent
-listens on a single address and serves two kinds of connection, both
-speaking the frame protocol (:mod:`repro.net.frames`):
+``python -m repro dist agent ADDR`` starts one.  It listens on a single
+address and serves, in the frame protocol (:mod:`repro.net.frames`), one
+**control** connection per master (fetch a resident datum's bytes,
+evict keys, stats, stop) and one **dispatch** connection per execution
+slot, on which the master's dispatcher sends task frames and reads
+``done`` frames.
 
-* one **control** connection per master — fetch a resident datum's
-  bytes, evict keys, stats, stop;
-* one **dispatch** connection per execution slot — a task-loop mirror
-  of the mp backend's pipe: the master's proxy thread sends one task
-  frame and blocks for the ``done`` frame.
+Each dispatch connection has its own thread; every task frame carries
+the one task record (:func:`repro.mp.worker.task_record`), answered by
+the one reply.  By default the record runs on that thread through the
+runner a process worker uses (:func:`repro.mp.worker.run_record`; numpy
+kernels release the GIL, so slots overlap); with ``--processes`` each
+connection lazily forks a :class:`~repro.mp.executor.WorkerProcess` and
+relays the record to it unchanged, so pure-Python bodies get real cores.
 
-Every dispatch connection is served by its own thread, and every task
-frame carries the one task record (:func:`repro.mp.worker.task_record`),
-answered by the one reply.  In the default threads mode the record runs
-right on that thread, through the runner a process worker uses
-(:func:`repro.mp.worker.run_record`; numpy kernels release the GIL, so
-slots genuinely overlap); with ``--processes`` each dispatch connection
-lazily forks a dedicated :class:`~repro.mp.executor.WorkerProcess` (the
-mp backend's own worker primitive) and relays the record to it
-unchanged, so pure-Python bodies get real cores too.
-
-The **store** is the agent half of the residency protocol and the
-resolver of every slot: a dict of ``key -> (content_version, object)``
-plus a condition variable.  A task referencing a resident datum waits
-until the store holds at least that version — covering the window
-where the producing task's ``done`` frame has landed on the master but
-a sibling slot's consumer frame overtakes the data on this node.
-
-Trace events are recorded with ``thread = global slot index`` on the
-same ``perf_counter`` clock as the master (one host in tests; on real
-multi-host fleets the merged timeline is per-node-accurate only) and
-piggy-back on every ``done`` frame, exactly like mp worker rings.
+The **store** is the agent half of the residency protocol and every
+slot's resolver: ``key -> (content_version, object)`` plus a condition
+variable.  A task naming a resident datum waits until the store holds
+at least that version — a sibling slot's consumer frame may overtake the
+data on this node.  Trace events carry ``thread = global slot index``
+on the master's ``perf_counter`` clock (exact on one host) and
+piggy-back on every ``done`` frame, like mp worker rings.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import select
 import socket
 import threading
 from collections import deque
@@ -184,9 +176,6 @@ class AgentServer:
         #: Tasks completed by this agent (telemetry; racy read is fine).
         self.tasks_run = 0
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> "AgentServer":
         self._listener, self.address, self._unix_path = listen(
             self.requested_address)
@@ -228,9 +217,6 @@ class AgentServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # connection plumbing
-    # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
         listener = self._listener
         while not self._closing.is_set():
@@ -272,9 +258,6 @@ class AgentServer:
         finally:
             self._drop_conn(conn)
 
-    # ------------------------------------------------------------------
-    # control plane
-    # ------------------------------------------------------------------
     def _control_loop(self, conn: socket.socket, inbox) -> None:
         send_frame(conn, {
             "k": "hello", "slots": self.slots, "pid": os.getpid(),
@@ -333,9 +316,6 @@ class AgentServer:
             "version": have_version, "meta": meta,
         }, payload)
 
-    # ------------------------------------------------------------------
-    # dispatch plane
-    # ------------------------------------------------------------------
     def _dispatch_loop(self, conn: socket.socket, inbox, hello: dict) -> None:
         slot = int(hello.get("slot", 0))
         sid = str(hello.get("sid", ""))
@@ -397,8 +377,16 @@ class AgentServer:
         try:
             if not local:
                 local.append(WorkerProcess(slot, trace, ring, relayed=True))
-            local[0].send([record])
-            return (seq, *local[0].recv(seq, serve))
+            worker = local[0]
+            worker.send([record])
+            poller = select.poll()
+            for fd in worker.fds:
+                poller.register(fd, select.POLLIN)
+            while True:  # the worker's store requests, then its reply
+                for msg in worker.read(poller.poll()[0][0]):
+                    if msg[0] == seq:
+                        return msg
+                    serve(msg)
         except (WorkerDied, WorkerLostError) as exc:
             if local:  # replaced at the next task
                 local.pop().kill()

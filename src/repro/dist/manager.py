@@ -3,36 +3,23 @@
 :class:`ClusterBackend` is the third execution backend, behind the same
 contract (:mod:`repro.core.backend`) as
 :class:`~repro.mp.executor.ProcessBackend`: the master keeps the
-paper's entire task-graph machinery — dependency tracker, renaming,
-scheduler, memory limit — byte-identical, and each worker thread
-becomes a proxy that forwards the task body to a remote **node agent**
-(:mod:`repro.dist.agent`) over one persistent socket per slot, blocking
-until the ``done`` frame.
+paper's whole task-graph machinery, and the worker loop's dispatcher
+forwards task bodies to remote **node agents** (:mod:`repro.dist.agent`)
+over one persistent socket per slot.  What is new is the **datum
+residency** layer (:mod:`repro.dist.residency`, ``docs/distributed.md``):
+a task's inputs ship only when the target node lacks their current
+version; a whole-object output rides home on its task's ``done`` frame
+while it is its datum's newest version, and a superseded one stays put;
+the scheduler's placement hook steers a ready task toward the node
+holding most of its input bytes (§VI's locality argument across
+address spaces).
 
-What is genuinely new versus the process backend is the **datum
-residency** layer (:mod:`repro.dist.residency`):
-
-* a task's inputs ship only when the target node does not already hold
-  their current version — repeat submissions over the same arrays move
-  almost nothing (``dist.cache_hits``);
-* a whole-object output rides home on its task's ``done`` frame while
-  it is its datum's newest version (the barrier or a ``wait_on`` would
-  fetch exactly those bytes) and the node keeps its copy; a version a
-  later writer has superseded stays put, fetched only if its reader is
-  dispatched elsewhere — the paper's section-VI locality argument,
-  generalised across address spaces;
-* the scheduler's placement hook steers each ready task toward the
-  node already holding the most input bytes (cf. the Myrmics/COMPSs
-  locality schedulers in PAPERS.md), falling back to normal stealing.
-
-The failure policy is :class:`~repro.core.backend.RemoteBackend`'s (one
-automatic re-dispatch, then :class:`~repro.net.codec.WorkerLostError`);
-this module's half: a dead agent is detected by its sockets dying and
-counted once however many of its slots notice; a dead node's slots
-remap to surviving nodes (so the proxy threads never change); resident
-data that died with the node is re-fetched from the master copy when
-current, and otherwise raises
-:class:`~repro.dist.encoding.DistDataLossError` — run with
+Failures follow :class:`~repro.core.backend.RemoteBackend` (one
+re-dispatch, then :class:`~repro.net.codec.WorkerLostError`).  A dead
+agent is counted once however many of its slots notice; its slots remap
+to surviving nodes (slot indices never change); resident data that died
+with it is re-shipped from the master copy when current, and otherwise
+raises :class:`~repro.dist.encoding.DistDataLossError` — run with
 ``dist_write_through=True`` when agents are expected to die.
 """
 
@@ -68,12 +55,11 @@ from .residency import ResidencyMap
 
 __all__ = ["ClusterBackend"]
 
-#: Read timeout for control-channel round trips (fetch may move a large
-#: array; dispatch channels have NO timeout — tasks take as long as
-#: they take, and death is detected by the socket dying, not a clock).
+#: Control round-trip read timeout (a fetch may move a large array).
+#: Dispatch sockets have none: a task takes as long as it takes, and a
+#: death shows as the socket dying, not as a clock running out.
 _CONTROL_TIMEOUT = 120.0
-#: Per-attempt dial + hello timeout for agent connections
-#: (``connect_retry`` adds bounded backoff on top of this).
+#: Per-attempt dial + hello timeout (``connect_retry`` adds backoff).
 _CONNECT_TIMEOUT = 10.0
 
 _SHIPPABLE = (np.ndarray, list, bytearray)
@@ -140,12 +126,8 @@ class ClusterBackend(RemoteBackend):
         self._g_tasks: dict[str, Any] = {}
         self._g_alive: dict[str, Any] = {}
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> int:
-        """Connect to every agent; the fleet's slot count is the number
-        of worker threads the runtime drives."""
+        """Connect to every agent; the fleet's slot count."""
 
         if not self._addresses:
             raise TypeError("backend='cluster' needs at least one node")
@@ -173,10 +155,10 @@ class ClusterBackend(RemoteBackend):
         for node in self._nodes:
             for slot_id in node.slot_ids:
                 # One dispatch socket per slot; after its node dies the
-                # driving thread remaps the link to a survivor.
+                # dispatcher remaps the link to a survivor.
                 link = Link(slot_id)
                 self._open_dispatch(link, node)
-                self._links.append(link)
+                self.links.append(link)
         return slot - 1
 
     def _dial(self, node: _Node, dial, want: str, **hello):
@@ -204,17 +186,14 @@ class ClusterBackend(RemoteBackend):
         link.node = node
 
     def stop(self) -> None:
-        """Release this session on every agent and close all sockets.
-
-        Agents are long-lived daemons shared between runs; stop never
-        kills them, it only drops this session's resident data.  Never
-        raises — called from runtime shutdown paths.
-        """
+        """Release this session on every agent (shared, long-lived: they
+        only drop its resident data) and close all sockets.  Never
+        raises."""
 
         if self._stopped:
             return
         self._stopped = True
-        for link in self._links:
+        for link in self.links:
             if link.conn is None:
                 continue
             try:
@@ -237,18 +216,17 @@ class ClusterBackend(RemoteBackend):
             hang_up(sock)
             node.control = None
 
-    # ------------------------------------------------------------------
-    # the transport half of RemoteBackend's dispatch policy
-    # ------------------------------------------------------------------
     def _send(self, link: Link, requests: list) -> None:
         for header, record, _commits, _writebacks in requests:
             send_frame(link.conn, header, record)
 
-    def _recv(self, link: Link, seq: int):
-        while True:
-            header, reply = recv_frame(link.inbox)
-            if header.get("k") == "done" and header.get("seq") == seq:
-                return pickle.loads(reply)[1:]
+    def fds(self, thread: int) -> tuple:
+        conn = self.links[thread - 1].conn
+        return () if conn is None else (conn.fileno(),)
+
+    def _read(self, link: Link, fd) -> list:
+        return [pickle.loads(reply) for header, reply in link.inbox.frames()
+                if header.get("k") == "done"]
 
     def _land(self, link: Link, values: list, request, writebacks) -> None:
         apply_writebacks(request[3], writebacks, values)
@@ -269,16 +247,10 @@ class ClusterBackend(RemoteBackend):
     def _describe(self, link: Link) -> str:
         return f"agent {link.node.name} ({link.node.address})"
 
-    # ------------------------------------------------------------------
-    # encoding (the residency decisions happen here)
-    # ------------------------------------------------------------------
     def _encode(self, task, values: list, link: Link, seq: int):
-        """Build the task frame for *link*'s node; ``(header, record,
-        commits, writebacks)``.
-
-        ``commits`` is ``[(entry, v_after, master_too), ...]`` — the
-        residency bookkeeping to apply once the agent reports success.
-        """
+        """The task frame for *link*'s node, ``(header, record, commits,
+        writebacks)``; ``commits`` are the ``(entry, v_after,
+        master_too)`` to apply once the agent reports success."""
 
         if link.node.dead:
             # Noticed by a sibling slot or a fetch while this link idled.
@@ -414,18 +386,11 @@ class ClusterBackend(RemoteBackend):
         self._residency.record_copy(entry, node.name)
         return (SHIP, entry.key, entry.version, meta, payload)
 
-    # ------------------------------------------------------------------
-    # residency plumbing (fetch home, barrier, death)
-    # ------------------------------------------------------------------
     def fetch_version(self, version) -> None:
-        """Make the master copy of *version*'s storage current.
-
-        Installed as ``tracker.residency_fetch`` (the renaming engine
-        calls it before cloning a predecessor) and used by
-        ``runtime.acquire`` / the barrier.  No-op for region-mode data
-        (written home eagerly) and for versions that never materialised
-        master-side (they were never dispatched either).
-        """
+        """Make the master copy of *version*'s storage current (the
+        tracker's ``residency_fetch``, before the renaming engine clones
+        a predecessor; ``acquire``).  No-op for region-mode data and for
+        versions never materialised here (never dispatched either)."""
 
         entry = self._residency.get(_master_storage(version))
         if entry is not None:
@@ -449,8 +414,9 @@ class ClusterBackend(RemoteBackend):
 
     def _fetch_home(self, entry) -> None:
         """Pull *entry*'s current bytes from a holder into the master
-        copy, unless it has them (two readers of one stale datum on two
-        proxy threads: the second finds the first one's fetch done)."""
+        copy, unless it has them (the dispatcher and the main thread
+        after one stale datum: the second finds the first one's fetch
+        done)."""
 
         with self._fetch_lock:
             obj = entry.obj
@@ -474,18 +440,12 @@ class ClusterBackend(RemoteBackend):
         )
 
     def barrier_sync(self) -> None:
-        """Residency half of a barrier: all data home, caches pruned.
-
-        Fetches every master-stale datum home (the barrier's write-back
-        pass then copies renamed storage into user objects exactly as
-        under the threads backend), then evicts, here and on the agents,
-        everything except the user-owned arrays the user still holds
-        (:meth:`ResidencyMap.doomed`) — renamed buffers die with the
-        barrier, arrays the user dropped died before it, and the
-        surviving entries are what makes a *second* submission of the
-        same graph cheap (their remote copies are still valid unless
-        :meth:`ResidencyMap.verify` catches a master-side mutation).
-        """
+        """Residency half of a barrier: fetch every master-stale datum
+        home (the write-back pass then runs as under threads), then
+        evict here and on the agents all but the user-owned arrays the
+        user still holds (:meth:`ResidencyMap.doomed`) — the survivors
+        make a *second* submission of the same graph cheap, unless
+        :meth:`ResidencyMap.verify` catches a master-side mutation."""
 
         residency = self._residency
         for entry in residency.entries():
@@ -513,14 +473,13 @@ class ClusterBackend(RemoteBackend):
 
     def _revive(self, link: Link) -> None:
         """Point a dead node's slot at a surviving agent (same slot id,
-        fresh socket) so its proxy thread keeps draining the scheduler."""
+        fresh socket) so the dispatcher keeps draining its ready list."""
 
         survivors = [n for n in self._nodes if not n.dead]
         if not survivors:
             raise WorkerLostError(
                 f"all {len(self._nodes)} agent(s) are gone; cannot re-home "
-                f"slot {link.slot}"
-            )
+                f"slot {link.slot}")
         hang_up(link.conn)
         link.conn = None
         last_exc: Optional[Exception] = None
@@ -536,20 +495,12 @@ class ClusterBackend(RemoteBackend):
             link.renewed()
             return
         raise WorkerLostError(
-            f"no surviving agent would accept slot {link.slot}: {last_exc}"
-        )
+            f"no surviving agent would accept slot {link.slot}: {last_exc}")
 
-    # ------------------------------------------------------------------
-    # placement
-    # ------------------------------------------------------------------
     def placement(self, task) -> Optional[int]:
         """Scheduler hook: the slot of the node holding the most input
-        bytes, or ``None`` for default placement.
-
-        Called under the scheduler lock — it only peeks at already-
-        materialised storages and the residency map (lock order is
-        scheduler → residency, network never happens here).
-        """
+        bytes, or ``None``.  Called under the scheduler lock, so it only
+        peeks at storages and the residency map (never the network)."""
 
         objs = [
             _master_storage(version) for _name, version in task.reads
@@ -571,19 +522,9 @@ class ClusterBackend(RemoteBackend):
         node.rr += 1
         return node.slot_ids[node.rr % len(node.slot_ids)]
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def liveness(self) -> list[dict]:
         """Per-slot liveness, the mp backend's shape plus ``node``."""
 
-        return [
-            {
-                "slot": link.slot,
-                "pid": link.node.pid,
-                "alive": not link.node.dead,
-                "generation": link.generation,
-                "node": link.node.name,
-            }
-            for link in self._links
-        ]
+        return [{"slot": link.slot, "pid": link.node.pid,
+                 "alive": not link.node.dead, "generation": link.generation,
+                 "node": link.node.name} for link in self.links]

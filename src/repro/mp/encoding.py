@@ -160,7 +160,7 @@ def apply_writebacks(specs: list, payloads: list, values: list) -> None:
     """Master-side: land a reply's write-backs in the task's resolved
     storage.
 
-    Runs on the proxy thread *before* the task is marked complete, so
+    Runs on the dispatcher *before* the task is marked complete, so
     successors (and the barrier's write-back pass) observe the data
     exactly as if the task had executed locally.
     """

@@ -1,48 +1,47 @@
 """Master-side process pool: worker processes behind the backend contract.
 
-The process backend keeps the paper's master/worker split intact: the
-master's :class:`~repro.core.runtime.SmpssRuntime` still owns the
-dependency tracker, the scheduler, renaming, and the memory limit.
-What changes is only *where a task body runs*: each master worker
-thread becomes a **proxy thread** that pops tasks exactly as before
-but forwards the body — with the few more ready tasks the worker loop
-popped beside it, as one frame — to a dedicated long-lived worker
-process over a pipe, blocking (GIL released) for each reply.  Completion
-bookkeeping then proceeds on the proxy thread unchanged, reply by reply,
-so every structural feature of the runtime works identically under both
-backends.  Arrays reach the workers through shared memory
+The master's :class:`~repro.core.runtime.SmpssRuntime` still owns the
+dependency tracker, the scheduler, renaming and the memory limit; only
+*where a task body runs* changes.  The worker loop's one dispatcher
+thread pops tasks for each worker exactly as a worker thread would
+(with the few more ready tasks a frame may carry), sends them as one
+pipe message to that worker's long-lived process, and completes each
+as its reply is read.  Arrays reach the workers through shared memory
 (:mod:`repro.mp.residency`).
 
 The dispatch / death / one-redispatch policy is
 :class:`~repro.core.backend.RemoteBackend`'s.  This module's own is
-:class:`WorkerProcess` — fork + ready handshake + send/recv + kill of
-one :func:`~repro.mp.worker.worker_main` child (also what backs a
+:class:`WorkerProcess` — fork + ready handshake + send/read + kill of
+one :func:`~repro.mp.worker.worker_main` child (also behind a
 ``--processes`` slot of a :mod:`repro.dist` agent) — and the pipe
-transport: death is detected via ``Process.sentinel``, registered at
-spawn in one ``select.poll`` together with the pipe, so a SIGKILL
-mid-task wakes the proxy immediately instead of hanging a recv.
+transport: each pipe is polled beside its worker's ``Process.sentinel``,
+so a SIGKILL wakes the dispatcher at once, and one read of a pipe
+parses every reply it completed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
-import select
-import threading
+import struct
 from typing import Optional
 
 from ..core.backend import Link, RemoteBackend
 from ..net.codec import PROTOCOL, WorkerLostError
 from .encoding import apply_writebacks, encode_values, writeback_specs
 from .residency import ArenaResidency
-from .worker import MSG_BYE, MSG_STOP, task_record, worker_main
+from .worker import MSG_STOP, task_record, worker_main
 
 __all__ = ["ProcessBackend", "WorkerDied", "WorkerProcess"]
 
 #: Seconds to wait for a freshly forked worker's ready handshake.
 _HANDSHAKE_TIMEOUT = 30.0
-#: Seconds to wait for a worker's goodbye message at shutdown.
-_GOODBYE_TIMEOUT = 5.0
+#: Seconds a stopped worker gets to exit before it is terminated.
+_STOP_TIMEOUT = 5.0
+#: A ``multiprocessing`` message's length prefix (-1: a 64-bit follows).
+_SIZE = struct.Struct("!i")
+_BIG_SIZE = struct.Struct("!Q")
 
 
 class WorkerDied(Exception):
@@ -52,24 +51,19 @@ class WorkerDied(Exception):
 class WorkerProcess:
     """One forked :func:`worker_main` child and the master end of its pipe.
 
-    Forked from a quiet single-threaded image when the owner can arrange
-    it; respawns after a death necessarily fork from a threaded master,
-    so the worker entry point neutralises all inherited runtime state
-    first thing.  *relayed*: a ``--processes`` agent slot owns it, and
-    its store resolves the worker's values (:meth:`recv`'s *serve*).
+    Forked from a quiet image when the owner can arrange it (a respawn
+    forks from a threaded master, so the worker first neutralises all
+    inherited runtime state).  *relayed*: a ``--processes`` agent slot
+    owns it, and its store resolves the worker's values.
     """
 
     def __init__(self, slot: int, trace: bool, ring_capacity: int,
                  relayed: bool = False):
         ctx = multiprocessing.get_context("fork")
-        self.slot = slot
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=worker_main,
-            args=(child_conn, slot, trace, ring_capacity, relayed),
-            name=f"repro-mp-worker-{slot}",
-            daemon=True,
-        )
+            target=worker_main, name=f"repro-mp-worker-{slot}", daemon=True,
+            args=(child_conn, slot, trace, ring_capacity, relayed))
         self.proc.start()
         child_conn.close()  # our copy; the child keeps its end open
         try:
@@ -84,17 +78,24 @@ class WorkerProcess:
                 f"handshake ({exc!r})")
             lost.slot = slot
             raise lost from exc
-        self._poll = select.poll()
-        self._poll.register(self.conn, select.POLLIN)
-        self._poll.register(self.proc.sentinel, select.POLLIN)
+        #: Bytes read and not yet parsed, and what that message lacks.
+        self._unread = b""
+        self._missing = 0
 
     @property
     def pid(self) -> Optional[int]:
         return self.proc.pid
 
+    @property
+    def fds(self) -> tuple:
+        """What to poll: the pipe and the sentinel (none once killed)."""
+
+        return () if self.conn is None else (self.conn.fileno(),
+                                             self.proc.sentinel)
+
     def send(self, records: list) -> None:
-        """One frame: :func:`~repro.mp.worker.task_record` s back to
-        back.  Raises :class:`WorkerDied` when the worker is gone."""
+        """One frame, one write: :func:`~repro.mp.worker.task_record` s
+        back to back.  :class:`WorkerDied` when the worker is gone."""
 
         conn = self.conn
         if conn is None:  # a respawn failed and left the slot killed
@@ -104,27 +105,40 @@ class WorkerProcess:
         except OSError as exc:  # died between tasks: nobody reads the pipe
             raise WorkerDied from exc
 
-    def recv(self, seq: int, serve=None) -> tuple:
-        """Block for record *seq*'s reply; ``(err, duration, events,
-        writebacks)``.  A relayed worker's store requests on the way go
-        to *serve*.  Raises :class:`WorkerDied` when the worker is gone
-        (after every reply it had written has been read)."""
+    def read(self, fd=None) -> list:
+        """Every message one read of the pipe completes (*fd* polled
+        readable; the sentinel: the worker exited).  :class:`WorkerDied`
+        when the worker is gone, after every message it wrote is read."""
 
         conn = self.conn
-        while True:
-            if (self._poll.poll()[0][0] != conn.fileno()
-                    and not conn.poll(0)):
-                # Only the sentinel fired, and no bytes raced the death.
-                raise WorkerDied
+        if conn is None or (fd == self.proc.sentinel and not conn.poll(0)):
+            raise WorkerDied
+        try:
+            chunk = os.read(conn.fileno(), max(65536, self._missing))
+        except OSError as exc:
+            raise WorkerDied from exc
+        if not chunk:
+            raise WorkerDied  # EOF, perhaps mid-message
+        buf = self._unread + chunk if self._unread else chunk
+        messages, pos, end = [], 0, len(buf)
+        self._missing = 0
+        while end - pos >= 4:
+            size, head = _SIZE.unpack_from(buf, pos)[0], 4
+            if size == -1:
+                if end - pos < 12:
+                    break
+                size, head = _BIG_SIZE.unpack_from(buf, pos + 4)[0], 12
+            if pos + head + size > end:
+                self._missing = pos + head + size - end
+                break
             try:
-                msg = pickle.loads(conn.recv_bytes())
-            except Exception as exc:  # EOF, or a torn final message
+                messages.append(pickle.loads(
+                    memoryview(buf)[pos + head:pos + head + size]))
+            except Exception as exc:
                 raise WorkerDied from exc
-            if msg[0] == seq:
-                return msg[1:]
-            if serve is not None:
-                serve(msg)
-            # otherwise an unexpected/stale message: keep waiting
+            pos += head + size
+        self._unread = buf[pos:]
+        return messages
 
     def kill(self) -> None:
         """Leave the child dead and the pipe closed; never raises."""
@@ -147,8 +161,8 @@ class WorkerProcess:
 class ProcessBackend(RemoteBackend):
     """Executes task bodies in forked worker processes.
 
-    The owner calls :meth:`start` (which forks) *before* its proxy
-    threads exist, so children start from a quiet interpreter.
+    The owner calls :meth:`start` (which forks) *before* its dispatcher
+    thread exists, so children start from a quiet interpreter.
     """
 
     link_errors = (WorkerDied,)
@@ -157,18 +171,14 @@ class ProcessBackend(RemoteBackend):
     def __init__(self, num_workers: int, **wiring):
         super().__init__("mp.worker_deaths", "mp.redispatched_tasks", **wiring)
         self.num_workers = num_workers
-        self._spawn_lock = threading.Lock()
         self._stopped = False
         self._residency = ArenaResidency()
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> int:
         self._stopped = False
-        self._links = []
+        self.links = []
         for slot in range(1, self.num_workers + 1):
-            self._links.append(Link(slot, process=self._spawn(slot)))
+            self.links.append(Link(slot, process=self._spawn(slot)))
         return self.num_workers
 
     def _spawn(self, slot: int) -> WorkerProcess:
@@ -176,38 +186,28 @@ class ProcessBackend(RemoteBackend):
             slot, self._tracer is not None, self._ring_capacity)
 
     def stop(self) -> None:
-        """Graceful shutdown: stop message, goodbye trace flush, join.
-
-        Always leaves every child dead and every pipe closed, whatever
-        state the workers were in; never raises.
+        """Send every worker the stop message and join it.  Always
+        leaves every child dead and every pipe closed, whatever state
+        the workers were in; never raises.  (A worker's trace ring is
+        drained into each reply, so there is nothing left to collect.)
         """
 
         if self._stopped:
             return
         self._stopped = True
-        workers = [link.process for link in self._links]
-        self._links = []
+        workers = [link.process for link in self.links]
+        self.links = []
         for worker in workers:
             try:
                 worker.send([pickle.dumps((MSG_STOP,), protocol=PROTOCOL)])
             except WorkerDied:
                 pass
         for worker in workers:
-            try:
-                if worker.conn is not None and worker.conn.poll(_GOODBYE_TIMEOUT):
-                    msg = pickle.loads(worker.conn.recv_bytes())
-                    if msg[0] == MSG_BYE and msg[1] and self._tracer is not None:
-                        self._tracer.ingest(msg[1])
-            except Exception:
-                pass
-            worker.proc.join(timeout=2.0)
+            worker.proc.join(timeout=_STOP_TIMEOUT)
             worker.kill()
         # Data a failed run's tasks wrote is still the program's to read.
         self._residency.close()
 
-    # ------------------------------------------------------------------
-    # the transport half of RemoteBackend's dispatch policy
-    # ------------------------------------------------------------------
     def _encode(self, task, values: list, link: Link, seq: int):
         encoded = encode_values(values, self._residency)
         wb_specs = writeback_specs(task, values, encoded)
@@ -216,8 +216,11 @@ class ProcessBackend(RemoteBackend):
     def _send(self, link: Link, requests: list) -> None:
         link.process.send([record for record, _wb_specs in requests])
 
-    def _recv(self, link: Link, seq: int):
-        return link.process.recv(seq)
+    def fds(self, thread: int) -> tuple:
+        return self.links[thread - 1].process.fds
+
+    def _read(self, link: Link, fd) -> list:
+        return link.process.read(fd)
 
     def _land(self, link: Link, values: list, request, wb_values) -> None:
         apply_writebacks(request[1], wb_values, values)
@@ -230,29 +233,18 @@ class ProcessBackend(RemoteBackend):
             self._residency.fetch(version.resolve_storage())
 
     def _revive(self, link: Link) -> None:
-        with self._spawn_lock:
-            link.process.kill()
-            link.process = self._spawn(link.slot)
+        link.process.kill()
+        link.process = self._spawn(link.slot)
         link.renewed()
 
     def _describe(self, link: Link) -> str:
         return f"worker {link.slot} (pid {link.process.pid})"
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def liveness(self) -> list[dict]:
         """``generation`` > 1: the slot was respawned after a death;
-        ``alive`` is the OS-level :meth:`Process.is_alive` (a dead, not
-        yet respawned worker shows up here before the next dispatch to
-        its slot notices).  Lock-free snapshot."""
+        ``alive`` is the OS-level :meth:`Process.is_alive` (a dead
+        worker shows until the dispatcher has respawned it)."""
 
-        return [
-            {
-                "slot": link.slot,
-                "pid": link.process.pid,
-                "alive": link.process.proc.is_alive(),
-                "generation": link.generation,
-            }
-            for link in self._links
-        ]
+        return [{"slot": link.slot, "pid": link.process.pid,
+                 "alive": link.process.proc.is_alive(),
+                 "generation": link.generation} for link in self.links]

@@ -44,9 +44,8 @@ __all__ = ["task_record", "run_body", "run_record", "reply_bytes",
 
 #: message tag (master -> worker); every other message is a frame
 MSG_STOP = "stop"
-#: message tags (worker -> master); every other message is a reply
+#: message tag (worker -> master); every other message is a reply
 MSG_READY = "ready"
-MSG_BYE = "bye"
 #: a relayed worker's store requests (worker -> agent slot)
 MSG_RESOLVE = "resolve"
 MSG_PUT = "put"
@@ -240,13 +239,11 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int,
     """Run the task records of every frame from *conn*, replying after
     each, until a stop message (or EOF/unpickle death).
 
-    *slot* is the thread index this worker represents in the merged
-    timeline (the same index as its master-side proxy thread), so the
-    observability stack sees worker processes as threads.  Trace events
-    are buffered in a bounded ring and piggy-backed on every reply —
-    there is no separate trace channel to flush or lose.  *relayed*:
-    the pipe's other end is a ``--processes`` agent slot, whose store
-    resolves the values.
+    *slot* is the worker's thread index on the master, so the merged
+    timeline shows worker processes as threads; trace events wait in a
+    bounded ring and ride every reply (there is no trace channel to
+    flush or lose).  *relayed*: the pipe's other end is a
+    ``--processes`` agent slot, whose store resolves the values.
     """
 
     _neutralise_inherited_state()
@@ -271,8 +268,6 @@ def worker_main(conn, slot: int, trace: bool, ring_capacity: int,
         conn.send_bytes(pickle.dumps((MSG_READY, None), protocol=PROTOCOL))
         for msg in messages():
             if msg[0] == MSG_STOP:
-                conn.send_bytes(pickle.dumps(
-                    (MSG_BYE, list(events or ())), protocol=PROTOCOL))
                 return
             conn.send_bytes(reply_bytes(
                 run_record(msg, resolver, funcs, slot, events)))

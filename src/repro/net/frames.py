@@ -132,22 +132,24 @@ def recv_frame(
             sock.settimeout(timeout)
         except OSError as exc:  # closed under us (EBADF): same contract
             raise NetClosed(str(exc)) from None
-    prefix = recv_exact(sock, _PREFIX.size)
+    head_len, payload_len = _lengths(recv_exact(sock, _PREFIX.size))
+    try:
+        header = _DECODE(recv_exact(sock, head_len).decode())
+    except ValueError as exc:
+        raise FrameError(f"frame header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise FrameError("frame header must be a JSON object")
+    return header, recv_exact(sock, payload_len)
+
+
+def _lengths(prefix: bytes) -> tuple[int, int]:
     head_len, payload_len = _PREFIX.unpack(prefix)
     if head_len > MAX_HEADER_BYTES or payload_len > MAX_PAYLOAD_BYTES:
         raise FrameError(
             f"implausible frame ({head_len} header / {payload_len} payload "
             f"bytes); not a repro frame stream"
         )
-    head = recv_exact(sock, head_len)
-    try:
-        header = _DECODE(head.decode())
-    except ValueError as exc:
-        raise FrameError(f"frame header is not JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise FrameError("frame header must be a JSON object")
-    payload = recv_exact(sock, payload_len)
-    return header, payload
+    return head_len, payload_len
 
 
 def encode_record(record: dict) -> tuple[bytes, Sequence]:
@@ -182,7 +184,8 @@ class RecordReader:
         self._sock = sock
         self.settimeout = sock.settimeout
         self._buffer = b""  # everything received and not yet handed on,
-        self._pos = 0       # from this offset
+        self._pos = 0       # from this offset;
+        self._missing = 0   # what the frame there still needs (frames())
 
     def recv(self, n: int) -> bytes:
         if self._pos == len(self._buffer) and n < 65536:
@@ -191,9 +194,26 @@ class RecordReader:
         self._pos += len(chunk)
         return chunk or self._sock.recv(n)
 
-    def _fill(self) -> None:
+    def frames(self) -> list[tuple[dict, bytes]]:
+        """One read of the socket, then every frame now whole in the
+        buffer (a poll loop's inbound half: one ``recv`` per wake-up)."""
+
+        self._fill(self._missing)
+        out = []
+        while (have := len(self._buffer) - self._pos) >= _PREFIX.size:
+            head_len, payload_len = _lengths(
+                self._buffer[self._pos:self._pos + _PREFIX.size])
+            self._missing = _PREFIX.size + head_len + payload_len - have
+            if self._missing > 0:
+                break
+            out.append(recv_frame(self))
+        return out
+
+    def _fill(self, more: int = 0) -> None:
+        sock = self._sock
         try:
-            chunk = self._sock.recv(65536)
+            # Gulps; a frame known to need *more* asks for all of it.
+            chunk = sock.recv(65536) if more <= 65536 else sock.recv(more)
         except (TimeoutError, socket.timeout):
             raise NetTimeout(
                 f"no record within {self._sock.gettimeout()}s") from None
@@ -228,12 +248,10 @@ class RecordReader:
     def read(self, timeout: Optional[float] = None) -> dict:
         """Next record, its ``frames`` count replaced by the blobs that
         followed the line; blank and unparseable lines are skipped.
-
         :class:`NetTimeout` when no whole line arrives in *timeout*
-        (``None``: the socket's own) — the partial line is kept, the call
-        can be repeated; :class:`NetClosed` at end of stream, and when an
-        attachment stalls (its head is consumed, the stream is lost);
-        :class:`FrameError` for a line or count beyond the guard rails.
+        (``None``: the socket's own; the call can be repeated);
+        :class:`NetClosed` at end of stream or when an attachment stalls
+        (the stream is lost); :class:`FrameError` past the guard rails.
         """
 
         if timeout is not None:

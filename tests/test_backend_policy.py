@@ -4,9 +4,12 @@
 backends used to copy from each other: ship the definition once per
 link, sequence requests, and on a dead link count it, revive it, and
 re-dispatch **exactly once**.  No pipe, socket or child process here —
-the fake backend scripts what each exchange does, so every branch of
-the policy (including the "second loss" and "cannot revive" cases the
-end-to-end death tests cannot reach deterministically) is pinned.
+the fake backend scripts what each read of the link brings, and
+:func:`run_frame` advances the link's state the way the worker loop's
+dispatcher does (``send``, then ``receive`` until nothing is in
+flight), so every branch of the policy (including the "second loss"
+and "cannot revive" cases the end-to-end death tests cannot reach
+deterministically) is pinned.
 """
 
 from types import SimpleNamespace
@@ -43,10 +46,11 @@ class Unshippable:
 
 
 class FakeBackend(RemoteBackend):
-    """*script* says what waiting for each reply does, in order:
-    ``"die"``, ``"ok"`` or an error triple; *revivable* whether revival
-    works.  ``sent`` lists every record of every frame, so a record that
-    is sent again after a death shows twice."""
+    """*script* says what each read of the link brings, in order:
+    ``"die"``, or the next reply — ``"ok"`` or an error triple;
+    *revivable* whether revival works.  ``sent`` lists every record of
+    every frame, so a record that is sent again after a death shows
+    twice."""
 
     lost_error = FakeLost
     remote_error = FakeRemoteError
@@ -61,7 +65,7 @@ class FakeBackend(RemoteBackend):
             tracer=tracer,
             on_dispatch=lambda task, thread: self.dispatched.append(thread),
         )
-        self._links = [Link(1)]
+        self.links = [Link(1)]
         self.script = list(script)
         self.revivable = revivable
         self.sent = []      # (seq, definition payload) per record sent
@@ -80,17 +84,21 @@ class FakeBackend(RemoteBackend):
             payload = None
         return seq, payload, list(values)
 
+    def fds(self, thread):
+        return ()
+
     def _send(self, link, requests):
         self.frames.append(len(requests))
         self.sent += [(seq, payload) for seq, payload, _ in requests]
-        self.inflight = {seq: values for seq, _, values in requests}
+        self.inflight = [(seq, values) for seq, _, values in requests]
 
-    def _recv(self, link, seq):
+    def _read(self, link, fd):
         step = self.script.pop(0)
         if step == "die":
             raise LinkDown
         err = None if step == "ok" else step
-        return err, 0.25, ["event"], [v * 2 for v in self.inflight[seq]]
+        seq, values = self.inflight.pop(0)
+        return [(seq, err, 0.25, ["event"], [v * 2 for v in values])]
 
     def _land(self, link, values, request, result):
         self.landed.append(result)
@@ -118,11 +126,29 @@ def _counters(backend):
     return backend.deaths, backend.redispatched
 
 
+def run_frame(backend, tasks, thread):
+    """The dispatcher's part in one frame: send it, then read worker
+    *thread*'s link until none of its records is in flight; yields
+    each ``(task, cause, duration)`` as it is settled."""
+
+    yield from backend.send(thread, tasks)
+    links = backend.links
+    while thread <= len(links) and links[thread - 1].pending:
+        yield from backend.receive(thread, None)
+
+
+def run(backend, task, thread):
+    """One task as the frame of one; ``(cause, duration)``."""
+
+    ((_task, cause, duration),) = run_frame(backend, [task], thread)
+    return cause, duration
+
+
 class TestRemoteDispatchPolicy:
     def test_success_lands_and_ships_definition_once_per_link(self):
         backend = FakeBackend(["ok", "ok"])
-        assert backend.run(_task(), 1) == (None, 0.25)
-        assert backend.run(_task(), 1) == (None, 0.25)
+        assert run(backend, _task(), 1) == (None, 0.25)
+        assert run(backend, _task(), 1) == (None, 0.25)
         assert backend.sent == [(1, ("def", "probe_t")), (2, None)]
         assert backend.landed == [[42], [42]]
         assert backend.dispatched == [1, 1]
@@ -130,10 +156,10 @@ class TestRemoteDispatchPolicy:
 
     def test_first_death_revives_and_redispatches_once(self):
         backend = FakeBackend(["die", "ok"])
-        assert backend.run(_task(), 1) == (None, 0.25)
+        assert run(backend, _task(), 1) == (None, 0.25)
         assert _counters(backend) == (1, 1)
         assert backend.revivals == 1
-        assert backend._links[0].generation == 2
+        assert backend.links[0].generation == 2
         # The fresh remote end is taught the definition again.
         assert backend.sent == [(1, ("def", "probe_t")), (2, ("def", "probe_t"))]
         assert backend.landed == [[42]]
@@ -141,7 +167,7 @@ class TestRemoteDispatchPolicy:
     def test_second_death_gives_up_naming_the_task(self):
         backend = FakeBackend(["die", "die", "ok"])
         task = _task()
-        cause, duration = backend.run(task, 1)
+        cause, duration = run(backend, task, 1)
         assert isinstance(cause, FakeLost) and duration == 0.0
         assert f"#{task.task_id}" in str(cause)
         assert "'probe_t'" in str(cause) and "fake worker 1" in str(cause)
@@ -150,25 +176,25 @@ class TestRemoteDispatchPolicy:
         assert backend.landed == []
         # The slot was revived anyway: its next task runs normally.
         assert backend.revivals == 2
-        assert backend.run(_task(), 1) == (None, 0.25)
+        assert run(backend, _task(), 1) == (None, 0.25)
 
     def test_revive_failure_is_the_lost_error(self):
         backend = FakeBackend(["die"], revivable=False)
-        cause, _ = backend.run(_task(), 1)
+        cause, _ = run(backend, _task(), 1)
         assert isinstance(cause, FakeLost)
         assert "nothing left to take slot 1" in str(cause)
         assert _counters(backend) == (1, 0)
 
     def test_unserialisable_argument_never_touches_the_link(self):
         backend = FakeBackend([])
-        cause, duration = backend.run(_task(Unshippable()), 1)
+        cause, duration = run(backend, _task(Unshippable()), 1)
         assert isinstance(cause, Refused) and duration == 0.0
-        assert backend.sent == [] and backend._links[0].seq == 0
+        assert backend.sent == [] and backend.links[0].seq == 0
         assert _counters(backend) == (0, 0)
 
     def test_remote_error_is_mapped_and_nothing_lands(self):
         backend = FakeBackend([("ValueError", "bad", "tb")])
-        cause, duration = backend.run(_task(), 1)
+        cause, duration = run(backend, _task(), 1)
         assert isinstance(cause, FakeRemoteError) and duration == 0.25
         assert str(cause) == "ValueError: bad"
         assert backend.landed == []
@@ -183,14 +209,14 @@ class TestRemoteDispatchPolicy:
 
         sink = Sink()
         backend = FakeBackend(["ok"], tracer=sink)
-        backend.run(_task(), 1)
+        run(backend, _task(), 1)
         assert sink.events == ["event"]
 
     def test_run_never_raises(self):
         backend = FakeBackend([])  # script exhausted: a master-side bug
-        cause, duration = backend.run(_task(), 1)
+        cause, duration = run(backend, _task(), 1)
         assert isinstance(cause, IndexError) and duration == 0.0
-        cause, _ = backend.run(_task(), 7)  # no such link
+        cause, _ = run(backend, _task(), 7)  # no such link
         assert isinstance(cause, IndexError)
 
 
@@ -204,7 +230,7 @@ class TestFrameDispatchPolicy:
     def test_a_frame_is_one_send_and_lands_record_by_record(self):
         backend = FakeBackend(["ok"] * 5)
         tasks = [_task(k) for k in (1, 2, 3)]
-        replies = backend.run_frame(tasks, 1)
+        replies = run_frame(backend, tasks, 1)
         assert next(replies) == (tasks[0], None, 0.25)
         assert backend.landed == [[2]]      # landed as its own reply came
         assert list(replies) == [(task, None, 0.25) for task in tasks[1:]]
@@ -212,13 +238,13 @@ class TestFrameDispatchPolicy:
         # No reply had confirmed the definition when the frame left.
         assert backend.sent == [(1, DEF), (2, DEF), (3, DEF)]
         assert backend.dispatched == [1, 1, 1]
-        list(backend.run_frame([_task(), _task()], 1))
+        list(run_frame(backend, [_task(), _task()], 1))
         assert backend.sent[3:] == [(4, None), (5, None)]
 
     def test_death_at_record_k_charges_k_and_resends_the_rest(self):
         backend = FakeBackend(["ok", "die", "ok", "ok", "ok"])
         tasks = [_task(k) for k in (1, 2, 3, 4)]
-        assert list(backend.run_frame(tasks, 1)) == [
+        assert list(run_frame(backend, tasks, 1)) == [
             (task, None, 0.25) for task in tasks]
         # Record 0 landed once, before the death; 1 was running and is
         # re-dispatched once; 2 and 3 never started and ride with it.
@@ -230,7 +256,7 @@ class TestFrameDispatchPolicy:
     def test_second_death_of_one_record_fails_it_alone(self):
         backend = FakeBackend(["ok", "die", "die", "ok", "ok"])
         tasks = [_task(k) for k in (1, 2, 3, 4)]
-        out = list(backend.run_frame(tasks, 1))
+        out = list(run_frame(backend, tasks, 1))
         assert [task for task, _, _ in out] == tasks
         assert [cause for _, cause, _ in out[:1] + out[2:]] == [None] * 3
         lost = out[1][1]
@@ -244,7 +270,7 @@ class TestFrameDispatchPolicy:
     def test_body_error_mid_frame_fails_only_its_task(self):
         backend = FakeBackend(["ok", ("ValueError", "bad", "tb"), "ok"])
         tasks = [_task(k) for k in (1, 2, 3)]
-        out = list(backend.run_frame(tasks, 1))
+        out = list(run_frame(backend, tasks, 1))
         assert [type(cause) for _, cause, _ in out] == [
             type(None), FakeRemoteError, type(None)]
         assert backend.landed == [[2], [6]] and backend.frames == [3]
@@ -252,15 +278,15 @@ class TestFrameDispatchPolicy:
     def test_refused_record_leaves_the_rest_of_the_frame_alone(self):
         backend = FakeBackend(["ok", "ok"])
         tasks = [_task(1), _task(Unshippable()), _task(3)]
-        out = {task: cause for task, cause, _ in backend.run_frame(tasks, 1)}
+        out = {task: cause for task, cause, _ in run_frame(backend, tasks, 1)}
         assert isinstance(out[tasks[1]], Refused)
         assert out[tasks[0]] is None and out[tasks[2]] is None
-        assert backend.frames == [2] and backend._links[0].seq == 2
+        assert backend.frames == [2] and backend.links[0].seq == 2
 
     def test_unrevivable_link_fails_every_record_left(self):
         backend = FakeBackend(["ok", "die"], revivable=False)
         tasks = [_task(k) for k in (1, 2, 3)]
-        out = list(backend.run_frame(tasks, 1))
+        out = list(run_frame(backend, tasks, 1))
         assert out[0] == (tasks[0], None, 0.25)
         assert [type(cause) for _, cause, _ in out[1:]] == [FakeLost] * 2
         assert _counters(backend) == (1, 0)
@@ -268,7 +294,7 @@ class TestFrameDispatchPolicy:
     def test_run_frame_never_raises(self):
         backend = FakeBackend(["ok"])  # script exhausted: a master-side bug
         tasks = [_task(k) for k in (1, 2, 3)]
-        out = list(backend.run_frame(tasks, 1))
+        out = list(run_frame(backend, tasks, 1))
         assert out[0] == (tasks[0], None, 0.25)
         assert [(task, type(cause)) for task, cause, _ in out[1:]] == [
             (tasks[1], IndexError), (tasks[2], IndexError)]
@@ -276,9 +302,9 @@ class TestFrameDispatchPolicy:
     def test_expected_is_the_duration_the_last_reply_reported(self):
         backend = FakeBackend(["ok", ("ValueError", "bad", "tb")])
         assert backend.expected(_task(), 1) is None
-        backend.run(_task(), 1)
+        run(backend, _task(), 1)
         assert backend.expected(_task(), 1) == 0.25
-        backend.run(_task(), 1)     # a body that raised reports no time
+        run(backend, _task(), 1)     # a body that raised reports no time
         assert backend.expected(_task(), 1) == 0.25
 
 

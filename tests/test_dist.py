@@ -65,6 +65,17 @@ def slow_incr_t(a):
     a += 1
 
 
+#: A gated body's start signal and go-ahead (the agents run in process).
+STARTED, GO = threading.Event(), threading.Event()
+
+
+@css_task("inout(a)")
+def gated_incr_t(a):
+    STARTED.set()
+    GO.wait(10.0)
+    a += 1
+
+
 @css_task("inout(a)")
 def boom_t(a):
     raise ValueError("remote kaboom")
@@ -122,9 +133,9 @@ def pin(rt, where):
     """Fix the schedule: each task runs on node ``where(k)``, *k* its
     submission number since this call, and nothing is stolen — so the
     counts below are the protocol's, not of who won a race for a list.
-    For two one-slot agents and tasks submitted under :func:`hold` only:
-    a completion's wake-up then reaches the one other thread, and the
-    gate's ``resume`` wakes both."""
+    For two one-slot agents: the one dispatcher pops for every idle
+    slot on each wake-up, so a task left on a slot's list is never
+    stranded there."""
 
     scheduler = rt.scheduler
     slots = [node.slot_ids[0] for node in rt.backend._nodes]
@@ -155,6 +166,10 @@ def count_traffic(rt, monkeypatch):
         plain = getattr(manager_module, name)
         monkeypatch.setattr(manager_module, name, lambda *a, _f=plain, **kw: (
             frames.append(_f.__name__), _f(*a, **kw))[1])
+    # The dispatcher parses its replies out of a link's buffer.
+    parse = manager_module.RecordReader.frames
+    monkeypatch.setattr(manager_module.RecordReader, "frames", lambda inbox: (
+        got := parse(inbox), frames.extend(["recv_frame"] * len(got)))[0])
     return control, frames
 
 
@@ -630,30 +645,60 @@ class TestOutputsRideHome:
             assert control.count("fetch") == 0
             assert len(frames) <= 34, frames   # 16 x (task + done) + 2 evict
 
+    def test_master_threads_pin(self, agents):
+        """The counted pin CI's bench-gate runs: two 2-slot agents are
+        driven by the main thread and one dispatcher, not a thread per
+        slot."""
+
+        before = set(threading.enumerate())
+        arrays = [np.zeros(4) for _ in range(8)]
+        with cluster(agents) as rt:
+            for a in arrays:
+                slow_incr_t(a)
+            started = [t.name for t in threading.enumerate()
+                       if t not in before
+                       and not t.name.startswith("repro-dist-agent")]
+            rt.barrier()
+            assert [row["slot"] for row in rt._loop.liveness()] == [
+                1, 2, 3, 4]
+        assert started == ["smpss-worker-dispatch"]
+        assert all(np.array_equal(a, np.ones(4)) for a in arrays)
+
 
 # ---------------------------------------------------------------------------
 # failure semantics
 # ---------------------------------------------------------------------------
 
 class TestFailures:
-    def test_agent_death_recovers_with_one_redispatch(self, agents):
+    def test_agent_death_recovers_with_one_redispatch(self, pair):
+        # The first task runs on node 1 and holds there; node 1 dies
+        # between its start and its go-ahead.  Every other even task
+        # waits behind it on node 1's slot, the odd ones run on node 0.
         rng = np.random.default_rng(23)
         arrays = [rng.random((8, 8)) for _ in range(8)]
         expect = [a + 1 for a in arrays]
-        killer = threading.Timer(0.1, agents[1].kill)
-        with cluster(agents, dist_write_through=True) as rt:
-            killer.start()
-            for a in arrays:
-                slow_incr_t(a)
-            rt.barrier()
-            deaths = rt.metrics.counter("dist.agent_deaths").value
-            redispatched = rt.metrics.counter(
-                "dist.redispatched_tasks").value
-            text = render_registry(rt.metrics)
-        killer.cancel()
+        STARTED.clear()
+        GO.clear()
+        try:
+            with cluster(pair, dist_write_through=True) as rt:
+                pin(rt, lambda k: 1 - k % 2)
+                with hold(rt):
+                    gated_incr_t(arrays[0])
+                    for a in arrays[1:]:
+                        incr_t(a)
+                assert STARTED.wait(10.0)
+                pair[1].kill()
+                GO.set()
+                rt.barrier()
+                deaths = rt.metrics.counter("dist.agent_deaths").value
+                redispatched = rt.metrics.counter(
+                    "dist.redispatched_tasks").value
+                text = render_registry(rt.metrics)
+        finally:
+            GO.set()
         assert all(np.array_equal(e, a) for e, a in zip(expect, arrays))
-        assert deaths >= 1
-        assert redispatched >= 1
+        assert deaths == 1
+        assert redispatched == 1
         # Prometheus exposition carries the death counters and the
         # per-node gauges.
         assert "repro_dist_agent_deaths" in text

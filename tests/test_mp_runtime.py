@@ -13,6 +13,7 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from multiprocessing.connection import Connection
 
@@ -571,19 +572,20 @@ def _hold(rt):
 
 
 def _record_frames(rt, known=True) -> list:
-    """The task ids of every frame *rt*'s backend ships from now on
-    (``run`` is the frame of one).  *known*: call every body's expected
-    time zero, so that only the fair share sizes a frame and the
-    frames below do not depend on this host's clock."""
+    """The task ids of every frame the dispatcher sends to *rt*'s
+    backend from now on (a single task is the frame of one).  *known*:
+    call every body's expected time zero, so that only the fair share
+    sizes a frame and the frames below do not depend on this host's
+    clock."""
 
     frames: list = []
-    dispatch = rt.backend._dispatch
+    send = rt.backend.send
 
-    def recording(tasks, thread):
+    def recording(thread, tasks):
         frames.append([task.task_id for task in tasks])
-        return dispatch(tasks, thread)
+        return send(thread, tasks)
 
-    rt.backend._dispatch = rt.backend.run_frame = recording
+    rt.backend.send = recording
     if known:
         rt.backend.expected = lambda task, thread: 0.0
     return frames
@@ -802,6 +804,82 @@ class TestFrames:
             assert chained == 64
             assert independent <= 16, independent
             assert cells[0][0] == 2 + 64 and cells[63][0] == 1
+
+    def test_reads_pin(self, monkeypatch):
+        """The counted pin CI's bench-gate runs: 64 independent arena
+        tasks released at once to 2 workers cost the master fewer reads
+        of the workers' pipes than replies — one read per link per
+        wake-up parses every reply it completed (a reply per
+        ``recv_bytes`` took two reads each: 128)."""
+
+        reads = []
+        read = os.read
+        with SharedArena() as arena:
+            one = arena.array(np.ones(4))
+            cells = [arena.zeros((4,)) for _ in range(64)]
+            with SmpssRuntime(num_workers=2, backend="processes") as rt:
+                for cell in cells[:8]:  # both links learn the body's time
+                    accum_t(one, cell)
+                rt.barrier()
+                pipes = {link.process.conn.fileno()
+                         for link in rt.backend.links}
+                monkeypatch.setattr(os, "read", lambda fd, n: (
+                    reads.append(fd) if fd in pipes else None, read(fd, n))[1])
+                with _hold(rt):
+                    for cell in cells:
+                        accum_t(one, cell)
+                rt.barrier()
+                monkeypatch.undo()
+            assert all(cell[0] == 1 for cell in cells[8:])
+        assert 0 < len(reads) < 64, len(reads)
+
+    def test_master_threads_pin(self):
+        """The counted pin CI's bench-gate runs: four worker processes
+        are driven by the main thread and one dispatcher, not a thread
+        each."""
+
+        before = set(threading.enumerate())
+        with SharedArena() as arena:
+            cells = [arena.zeros((1,)) for _ in range(16)]
+            with SmpssRuntime(num_workers=4, backend="processes") as rt:
+                for cell in cells:
+                    slow_incr_t(cell)
+                started = [t.name for t in threading.enumerate()
+                           if t not in before]
+                rt.barrier()
+                assert [row["slot"] for row in rt._loop.liveness()] == [
+                    1, 2, 3, 4]
+            assert all(cell[0] == 1 for cell in cells)
+        assert started == ["smpss-worker-dispatch"]
+
+
+class TestCompletionOrder:
+    def test_end_event_and_count_land_before_completion(self, monkeypatch):
+        """A task's remote task_end is ingested and the task counted
+        before the completion that can let a barrier return."""
+
+        from repro.core.execution import GraphDomain
+        from repro.core.tracing import EventKind
+
+        seen = []
+        complete_all = GraphDomain.complete_all
+
+        def probing(domain, entries):
+            ended = {event.task_id for event in rt.tracer.events
+                     if event.kind == EventKind.TASK_END}
+            seen.extend((task.task_id in ended, rt.tasks_executed)
+                        for task, _, _ in entries)
+            return complete_all(domain, entries)
+
+        monkeypatch.setattr(GraphDomain, "complete_all", probing)
+        with SharedArena() as arena:
+            cell = arena.zeros((1,))
+            with SmpssRuntime(num_workers=1, backend="processes",
+                              trace=True) as rt:
+                for _ in range(5):
+                    incr_t(cell)
+                rt.barrier()
+        assert seen == [(True, k) for k in range(1, 6)]
 
 
 class TestHandshake:

@@ -130,8 +130,9 @@ class TestTraceCriticalPath:
         "backend", ["threads", pytest.param("processes", marks=pytest.mark.mp)]
     )
     def test_every_link_is_a_traced_edge(self, backend):
-        """Off the threads path a task's releasing "thread" is a proxy;
-        the path must still follow real dependency edges only."""
+        """Off the threads path a task's releasing "thread" is a slot
+        the dispatcher drives; the path must still follow real
+        dependency edges only."""
 
         rt = SmpssRuntime(num_workers=2, backend=backend, trace=True)
         with rt:

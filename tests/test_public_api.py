@@ -361,8 +361,8 @@ class TestOneWorkerLoop:
     and both the runtime and the serve engine run on it."""
 
     def _backend_run_callers(self):
-        """``path:function`` of every ``<...backend>.run(...)`` or
-        ``<...backend>.run_frame(...)`` call."""
+        """``path:function`` of every ``<...backend>.run(...)``,
+        ``.send(...)`` or ``.receive(...)`` call."""
 
         hits = set()
         for path in SRC.rglob("*.py"):
@@ -372,7 +372,7 @@ class TestOneWorkerLoop:
                 for node in ast.walk(func):
                     if not (isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Attribute)
-                            and node.func.attr in ("run", "run_frame")):
+                            and node.func.attr in ("run", "send", "receive")):
                         continue
                     receiver = node.func.value
                     name = getattr(receiver, "attr", None) or getattr(
@@ -388,10 +388,22 @@ class TestOneWorkerLoop:
         ] == ["core/execution.py"]
 
     def test_backend_run_is_invoked_from_one_place(self):
-        assert self._backend_run_callers() == ["core/execution.py:_execute"]
+        """A local body runs from ``_execute``; a remote worker is fed
+        and read only by the one dispatcher loop."""
+
+        assert self._backend_run_callers() == [
+            "core/execution.py:_dispatch_loop", "core/execution.py:_execute",
+            "core/execution.py:_turn"]
         source = (SRC / "core" / "execution.py").read_text()
         assert source.count("backend.run(") == 1
-        assert source.count("backend.run_frame(") == 1
+        assert source.count("backend.send(") == 1
+        assert source.count("backend.receive(") == 1
+        from repro.core.backend import ExecutionBackend, RemoteBackend
+
+        # No per-worker blocking path beside the dispatcher.
+        assert RemoteBackend.run is ExecutionBackend.run
+        for gone in ("run_frame", "_dispatch", "_recv"):
+            assert not hasattr(RemoteBackend, gone), gone
 
     def test_one_dispatch_path_ships_frames(self):
         """No one-task exchange left beside the frame, and nothing a
@@ -705,11 +717,9 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total once process workers and cluster agents
-#: shared one task record, one reply, one runner and one error pair
-#: (and ``start()`` became all or nothing): one line below the one
-#: trace-event record's 24 564.
-LINE_BUDGET = 24563
+#: The ``src/repro`` total once one dispatcher thread drove every
+#: remote worker (8 lines below the one remote task record's 24 563).
+LINE_BUDGET = 24555
 
 
 class TestOneMeasurementSystem:

@@ -66,7 +66,8 @@ class TestOneRunner:
         try:
             record = _record((INLINE, np.zeros(2)), ("r", "s:1", 0))
             worker.send([pickle.dumps(record)])
-            err = worker.recv(1)[0]
+            (reply,) = worker.read()
+            err = reply[1]
         finally:
             worker.kill()
         assert err[0] == "SerializationError"

@@ -301,6 +301,31 @@ class TestTracing:
         assert len(intervals) == 2
         assert analyze_tracer(rt.tracer).makespan > 0
 
+    def test_end_event_and_count_land_before_completion(self, monkeypatch):
+        """A task's task_end is written and the task counted before the
+        completion that can let a barrier return."""
+
+        from repro.core.execution import GraphDomain
+        from repro.core.tracing import EventKind
+
+        seen = []
+        complete = GraphDomain.complete
+
+        def probing(domain, task, *args):
+            ended = {event.task_id for event in rt.tracer.events
+                     if event.kind == EventKind.TASK_END}
+            seen.append((task.task_id in ended, rt.tasks_executed))
+            return complete(domain, task, *args)
+
+        monkeypatch.setattr(GraphDomain, "complete", probing)
+        a = np.zeros(1)
+        rt = SmpssRuntime(num_workers=1, trace=True)
+        with rt:
+            for _ in range(5):
+                incr_t(a)
+            rt.barrier()
+        assert seen == [(True, k) for k in range(1, 6)]
+
 
 @css_task("output(a)")
 def fill_one_t(a):
