@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 from .dependencies import DependencyTracker, TrackerConfig
 from .graph import TaskGraph
-from .task import TaskInstance
+from .task import TaskInstance, TaskState
 
 __all__ = ["GraphDomain", "TaskExecutionError", "WorkerLoop"]
 
@@ -198,6 +198,8 @@ class WorkerLoop:
         #: off): the completion path appends one plain tuple per task.
         self.flight = None
         self._stop = False
+        #: What killed the dispatcher (``None``: it lives, or never ran).
+        self._died: Optional[BaseException] = None
 
     @property
     def tasks_executed(self) -> int:
@@ -274,9 +276,12 @@ class WorkerLoop:
         worker per task."""
 
         with self._sched_lock:
-            for task in tasks:
-                self.scheduler.push_new(task)
-            self._sched_cv.notify(len(tasks))
+            if self._died is None:
+                for task in tasks:
+                    self.scheduler.push_new(task)
+                self._sched_cv.notify(len(tasks))
+                return
+        self._drain(list(tasks), self._died)  # nobody left to run them
 
     def _worker_loop(self, idx: int) -> None:
         cv = self._sched_cv
@@ -351,7 +356,7 @@ class WorkerLoop:
         to every idle link, then the loop sleeps in one poll over every
         link and the wake pipe and reads each readable link once.  No
         task is referenced while it sleeps (a dropped array must die at
-        its barrier)."""
+        its barrier).  An exception escaping the loop: :meth:`_abort`."""
 
         backend, wake = self.backend, self._sched_cv
         poller = select.poll()
@@ -374,19 +379,54 @@ class WorkerLoop:
             return [(task, thread, cause, duration, True)
                     for task, cause, duration in outcomes]
 
-        for link in backend.links:
-            settled(link.slot, ())
         done: list = []  # (task, thread, cause, duration, ran)
-        while (done := self._turn(done, settled)) is not None:
-            read = set()
-            for fd, _event in poller.poll(0 if done else None):
-                thread = owner.get(fd)  # None: a link revived since
-                if fd == wake.fd:
-                    os.read(fd, 64)
-                elif thread is not None and thread not in read:
-                    read.add(thread)  # one read per link per wake-up
-                    done += settled(thread, backend.receive(thread, fd))
-            wake.armed = False
+        try:
+            for link in backend.links:
+                settled(link.slot, ())
+            while (done := self._turn(done, settled)) is not None:
+                read = set()
+                for fd, _event in poller.poll(0 if done else None):
+                    thread = owner.get(fd)  # None: a link revived since
+                    if fd == wake.fd:
+                        os.read(fd, 64)
+                    elif thread is not None and thread not in read:
+                        read.add(thread)  # one read per link per wake-up
+                        done += settled(thread, backend.receive(thread, fd))
+                wake.armed = False
+        except BaseException as exc:  # noqa: BLE001 - the barrier raises it
+            self._abort(exc, [entry[0] for entry in done])
+
+    def _abort(self, exc: BaseException, stranded: list) -> None:
+        """The dispatcher dies of *exc*: retire what it held unrun
+        (*stranded*, the links' records, the ready lists), stop, and
+        wake the owner, whose barrier raises *exc* instead of hanging."""
+
+        with self._sched_lock:
+            self._stop, self._died = True, exc
+            for link in self.backend.links:
+                stranded += [record[0] for record in link.pending]
+                link.pending.clear()
+            while (task := self.scheduler.pop(0)) is not None:
+                stranded.append(task)
+        try:
+            self._drain(stranded, exc)
+        finally:
+            with self._sched_lock:
+                self._main_cv.notify_all()
+
+    def _drain(self, tasks: list, exc: BaseException) -> None:
+        """Fail the domains of *tasks* with *exc*; retire them, and each
+        successor that releases, unrun, so every domain drains."""
+
+        for task in tasks:
+            task.domain.fail(exc)
+        while tasks:
+            released, drained = self._retire([
+                (task, 0, None, 0.0, False) for task in tasks
+                if task.state is not TaskState.FINISHED])
+            for domain in drained:
+                domain.on_drained(domain)
+            tasks = [task for _, ready in released for task in ready]
 
     def _turn(self, done: list, settled):
         """Complete *done* and pop a frame for every idle link with its
@@ -398,7 +438,7 @@ class WorkerLoop:
         released, drained = self._retire(done) if done else ((), ())
         links, scheduler = self.backend.links, self.scheduler
         spare = self.backend.max_batch - 1
-        frames = []
+        frames = {}
         with self._sched_lock:
             if self._task_metrics is not None:
                 for task, _, _, duration, ran in done:
@@ -410,24 +450,29 @@ class WorkerLoop:
             if done and self._main_parked:
                 self._main_cv.notify()
             stopping = self._stop
-            idle = False
-            for link in () if stopping else links:
-                task = (None if link.pending or not scheduler.has_ready()
-                        else scheduler.pop(link.slot))
-                if task is not None:
-                    self._running += 1
-                    rest = spare and self._pop_frame(task, link.slot, spare)
-                    frames.append((link.slot, [task, *(rest or ())]))
-                elif not link.pending:
-                    idle = True
+            idle = [] if stopping else [
+                link.slot for link in links if not link.pending]
+            # Every idle link's own work (high, own, main) before any
+            # link steals: a steal that could wait breaks placement.
+            for steal in (False, True):
+                for slot in idle:
+                    if slot in frames or not scheduler.has_ready() or not (
+                            steal or scheduler.has_own(slot)):
+                        continue
+                    task = scheduler.pop(slot)
+                    if task is not None:
+                        self._running += 1
+                        rest = spare and self._pop_frame(
+                            task, slot, spare, steal)
+                        frames[slot] = [task, *(rest or ())]
             # A release or the gate writes the wake pipe only if one idles.
-            self._sched_cv.armed = idle
+            self._sched_cv.armed = len(frames) < len(idle)
         for domain in drained:
             domain.on_drained(domain)
         if stopping and not any(link.pending for link in links):
             return None
         done = []
-        for thread, tasks in frames:
+        for thread, tasks in frames.items():
             ship = [task for task in tasks if task.domain.failure is None]
             done += [(task, thread, None, 0.0, False) for task in tasks
                      if task.domain.failure is not None]
@@ -435,11 +480,12 @@ class WorkerLoop:
                 done += settled(thread, self.backend.send(thread, ship))
         return done
 
-    def _pop_frame(self, task: TaskInstance, idx: int, spare: int):
+    def _pop_frame(self, task: TaskInstance, idx: int, spare: int,
+                   steal: bool = True):
         """The further ready tasks worker *idx* ships with *task* (under
         the scheduler lock), or ``None``: at most *spare* and its fair
         share, while the bodies are expected to fit :data:`FRAME_SECONDS`
-        (unknown: no)."""
+        (unknown: no), stolen ones only if *steal*."""
 
         scheduler = self.scheduler
         expected = self.backend.expected
@@ -448,7 +494,8 @@ class WorkerLoop:
         room = FRAME_SECONDS
         while len(rest) < share:
             took = expected(task, idx)
-            if took is None or took >= room:
+            if took is None or took >= room or not (
+                    steal or scheduler.has_own(idx)):
                 break
             room -= took
             task = scheduler.pop(idx)

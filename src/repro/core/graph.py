@@ -95,9 +95,6 @@ class TaskGraph:
         self.stats = GraphStats()
         self._pending = 0  # tasks not yet FINISHED
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
     def add_task(self, task: TaskInstance) -> None:
         task_id = task.task_id
         tasks = self._tasks
@@ -145,9 +142,6 @@ class TaskGraph:
     def note_rename(self) -> None:
         self.stats.renames += 1
 
-    # ------------------------------------------------------------------
-    # execution-side updates
-    # ------------------------------------------------------------------
     def complete(self, task: TaskInstance) -> list[TaskInstance]:
         """Retire *task*; return successors that became ready.
 
@@ -185,9 +179,6 @@ class TaskGraph:
             newly_ready.sort(key=lambda t: t.task_id)
         return newly_ready
 
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
     @property
     def pending_count(self) -> int:
         """Tasks added but not yet finished (the graph-size condition)."""

@@ -288,9 +288,6 @@ class SmpssScheduler:
         self.placement = None
         self._ready_count = 0
 
-    # ------------------------------------------------------------------
-    # insertion
-    # ------------------------------------------------------------------
     def push_new(self, task: TaskInstance) -> None:
         """A task added to the graph with no unsatisfied dependency.
 
@@ -362,9 +359,6 @@ class SmpssScheduler:
 
         return self.locals[thread]
 
-    # ------------------------------------------------------------------
-    # selection
-    # ------------------------------------------------------------------
     def pop(self, thread: int) -> Optional[TaskInstance]:
         """Pick the next task for *thread* according to the policy."""
 
@@ -437,15 +431,17 @@ class SmpssScheduler:
     #: Which end of the victim's deque a thief takes: FIFO, see above.
     _steal_from = staticmethod(deque.popleft)
 
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
     @property
     def ready_count(self) -> int:
         return self._ready_count
 
     def has_ready(self) -> bool:
         return self._ready_count > 0
+
+    def has_own(self, thread: int) -> bool:
+        """Whether *thread* finds a task without stealing one."""
+
+        return bool(self.high or self.main or self._own(thread))
 
     def queue_depths(self) -> dict:
         """Instantaneous per-list depths (read under the owner's lock).

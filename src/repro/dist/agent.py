@@ -1,27 +1,28 @@
 """The node agent: one process per node, owning that node's executors.
 
 ``python -m repro dist agent ADDR`` starts one.  It listens on a single
-address and serves, in the frame protocol (:mod:`repro.net.frames`), one
-**control** connection per master (fetch a resident datum's bytes,
-evict keys, stats, stop) and one **dispatch** connection per execution
-slot, on which the master's dispatcher sends task frames and reads
-``done`` frames.
+address and serves one **control** connection per master (frames of
+:mod:`repro.net.frames`: fetch a resident datum's bytes, evict keys,
+stats, stop) and one **dispatch** connection per execution slot.  After
+its hello (refused if it names another stream version) a dispatch
+connection is a record stream, as a process worker's pipe: task records
+(:func:`repro.mp.worker.task_record`) in, one reply each out.
 
-Each dispatch connection has its own thread; every task frame carries
-the one task record (:func:`repro.mp.worker.task_record`), answered by
-the one reply.  By default the record runs on that thread through the
+Each dispatch connection has its own thread: it reads once, runs every
+record that read completed and answers them in one write, until the
+master hangs up.  By default a record runs on that thread through the
 runner a process worker uses (:func:`repro.mp.worker.run_record`; numpy
 kernels release the GIL, so slots overlap); with ``--processes`` each
 connection lazily forks a :class:`~repro.mp.executor.WorkerProcess` and
-relays the record to it unchanged, so pure-Python bodies get real cores.
+relays the records to it unchanged, so pure-Python bodies get real cores.
 
 The **store** is the agent half of the residency protocol and every
 slot's resolver: ``key -> (content_version, object)`` plus a condition
 variable.  A task naming a resident datum waits until the store holds
-at least that version — a sibling slot's consumer frame may overtake the
-data on this node.  Trace events carry ``thread = global slot index``
-on the master's ``perf_counter`` clock (exact on one host) and
-piggy-back on every ``done`` frame, like mp worker rings.
+at least that version — a sibling slot's consumer record may overtake
+the data on this node.  Trace events carry ``thread = global slot
+index`` on the master's ``perf_counter`` clock (exact on one host) and
+piggy-back on every reply, like mp worker rings.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..mp.executor import WorkerDied, WorkerProcess
-from ..mp.worker import MSG_PUT, reply_bytes, run_record
-from ..net.client import NetClosed, NetTimeout
+from ..mp.worker import MSG_PUT, MSG_RESOLVE, reply_bytes, run_record
 from ..net.codec import (
     FRESH,
     PARTS,
@@ -53,7 +53,14 @@ from ..net.codec import (
     format_remote_error,
     unserved,
 )
-from ..net.frames import RecordReader, recv_frame, send_frame
+from ..net.frames import (
+    STREAM_VERSION,
+    MessageReader,
+    RecordReader,
+    recv_frame,
+    send_frame,
+    send_messages,
+)
 from ..net.protocol import hang_up, listen, tune
 from .encoding import alloc_from_meta
 
@@ -245,7 +252,7 @@ class AgentServer:
         try:
             try:
                 hello, _ = recv_frame(inbox, timeout=30.0)
-            except (NetClosed, NetTimeout, ConnectionError):
+            except OSError:  # repro.net errors, a timeout included
                 return
             if hello.get("k") != "hello":
                 return
@@ -254,7 +261,7 @@ class AgentServer:
             if role == "control":
                 self._control_loop(conn, inbox)
             elif role == "dispatch":
-                self._dispatch_loop(conn, inbox, hello)
+                self._dispatch_loop(conn, hello)
         finally:
             self._drop_conn(conn)
 
@@ -267,7 +274,7 @@ class AgentServer:
         while True:
             try:
                 header, _payload = recv_frame(inbox)
-            except (NetClosed, ConnectionError, OSError):
+            except OSError:
                 return
             kind = header.get("k")
             try:
@@ -297,7 +304,7 @@ class AgentServer:
                 else:
                     send_frame(conn, {"k": "error",
                                       "error": f"unknown control op {kind!r}"})
-            except (NetClosed, ConnectionError, OSError):
+            except OSError:
                 return
 
     def _handle_fetch(self, conn: socket.socket, header: dict) -> None:
@@ -316,53 +323,53 @@ class AgentServer:
             "version": have_version, "meta": meta,
         }, payload)
 
-    def _dispatch_loop(self, conn: socket.socket, inbox, hello: dict) -> None:
+    def _dispatch_loop(self, conn: socket.socket, hello: dict) -> None:
         slot = int(hello.get("slot", 0))
         sid = str(hello.get("sid", ""))
         trace = bool(hello.get("trace"))
         ring = int(hello.get("ring", 1 << 16))
+        if hello.get("stream") != STREAM_VERSION:
+            send_frame(conn, {"k": "error", "error": (
+                f"record stream version {hello.get('stream')!r}; this agent "
+                f"speaks version {STREAM_VERSION}")})
+            return
         send_frame(conn, {"k": "ok", "slot": slot})
+        # The master writes no record before it has read the ok, so the
+        # hello's inbox holds nothing more.
+        records = MessageReader(conn.recv)
         events = deque(maxlen=max(ring, 2)) if trace else None
         #: This connection's worker process (``--processes`` only):
         #: forked at the first task, replaced after it dies.
         local: list[WorkerProcess] = []
         try:
             while True:
-                try:
-                    header, record = recv_frame(inbox)
-                except (NetClosed, ConnectionError, OSError):
-                    return
-                kind = header.get("k")
-                if kind == "bye":
-                    return
-                if kind != "task":
+                batch = records.messages()
+                if not batch:  # the read ended inside a message
                     continue
                 if self.processes:
-                    reply = self._relay(record, header.get("seq"), slot,
-                                        trace, ring, local)
+                    replies = self._relay(batch, slot, trace, ring, local)
                 else:
-                    # Definitions are cached per session id: def_key is
+                    # Definitions are cached per session id (def_key is
                     # id()-based on the master, so two masters sharing
-                    # one agent could collide; dropped at release.
-                    reply = run_record(pickle.loads(record), self.store,
-                                       self._funcs.setdefault(sid, {}),
-                                       slot, events)
-                if reply[1] is None:
-                    self.tasks_run += 1
-                try:
-                    send_frame(conn, {"k": "done", "seq": reply[0]},
-                               reply_bytes(reply))
-                except (NetClosed, ConnectionError, OSError):
-                    return
+                    # one agent could collide); dropped at release.
+                    funcs = self._funcs.setdefault(sid, {})
+                    replies = [run_record(pickle.loads(record), self.store,
+                                          funcs, slot, events)
+                               for record in batch]
+                self.tasks_run += sum(reply[1] is None for reply in replies)
+                send_messages(conn, map(reply_bytes, replies))
+        except (EOFError, OSError):
+            return  # the master hung up
         finally:
             for worker in local:
                 worker.kill()
 
-    def _relay(self, record: bytes, seq, slot: int, trace: bool, ring: int,
-               local: list) -> tuple:
-        """A ``--processes`` slot runs *record* in its worker process:
-        the record crosses unchanged, and the worker's resolver asks
-        this agent's store across the pipe (answered here)."""
+    def _relay(self, records: list, slot: int, trace: bool, ring: int,
+               local: list) -> list:
+        """A ``--processes`` slot runs *records* in its worker process:
+        they cross unchanged, as one pipe message, and the worker's
+        resolver asks this agent's store across the pipe (answered
+        here); their replies, in order."""
 
         def serve(msg) -> None:
             if msg[0] == MSG_PUT:
@@ -374,22 +381,26 @@ class AgentServer:
                 answer = (None, exc)
             local[0].conn.send_bytes(pickle.dumps(answer, protocol=PROTOCOL))
 
+        replies: list = []
         try:
             if not local:
                 local.append(WorkerProcess(slot, trace, ring, relayed=True))
             worker = local[0]
-            worker.send([record])
+            worker.send(records)
             poller = select.poll()
             for fd in worker.fds:
                 poller.register(fd, select.POLLIN)
-            while True:  # the worker's store requests, then its reply
+            while len(replies) < len(records):  # store requests and replies
                 for msg in worker.read(poller.poll()[0][0]):
-                    if msg[0] == seq:
-                        return msg
-                    serve(msg)
+                    if msg[0] in (MSG_PUT, MSG_RESOLVE):
+                        serve(msg)
+                    else:
+                        replies.append(msg)
         except (WorkerDied, WorkerLostError) as exc:
             if local:  # replaced at the next task
                 local.pop().kill()
-            lost = WorkerLostError(
-                f"the worker process of agent slot {slot} died ({exc!r})")
-            return seq, format_remote_error(lost), 0.0, [], []
+            lost = format_remote_error(WorkerLostError(
+                f"the worker process of agent slot {slot} died ({exc!r})"))
+            replies += [(pickle.loads(record)[0], lost, 0.0, [], [])
+                        for record in records[len(replies):]]
+        return replies

@@ -2,7 +2,7 @@
 
 A task crosses to a node agent as the same positional record a process
 worker gets (:func:`repro.mp.worker.task_record`, its value specs in
-:mod:`repro.net.codec`), as ONE frame's payload.  The cluster's part is
+:mod:`repro.net.codec`), one message of a record stream.  The cluster's part is
 **datum residency**: content already resident on the target node rides
 as a reference, not as bytes, and the record's puts tell the agent which
 written values its store keeps.  Here: which values may ride inline,
@@ -56,10 +56,6 @@ class DistDataLossError(RuntimeError):
     """
 
 
-# ---------------------------------------------------------------------------
-# remote allocation
-# ---------------------------------------------------------------------------
-
 def alloc_meta(obj: Any) -> dict:
     """How an agent allocates storage shaped like *obj* locally."""
 
@@ -89,10 +85,6 @@ def alloc_from_meta(meta: dict) -> Any:
         return [None] * meta["n"]
     return bytearray(meta["n"])
 
-
-# ---------------------------------------------------------------------------
-# content checksums (survivor-cache verification)
-# ---------------------------------------------------------------------------
 
 def content_checksum(obj: Any) -> Optional[int]:
     """Cheap adler32 over a value's current content.

@@ -8,8 +8,8 @@ forwards task bodies to remote **node agents** (:mod:`repro.dist.agent`)
 over one persistent socket per slot.  What is new is the **datum
 residency** layer (:mod:`repro.dist.residency`, ``docs/distributed.md``):
 a task's inputs ship only when the target node lacks their current
-version; a whole-object output rides home on its task's ``done`` frame
-while it is its datum's newest version, and a superseded one stays put;
+version; a whole-object output rides home on its task's reply while it
+is its datum's newest version, and a superseded one stays put;
 the scheduler's placement hook steers a ready task toward the node
 holding most of its input bytes (§VI's locality argument across
 address spaces).
@@ -36,7 +36,6 @@ from ..core.backend import Link, RemoteBackend
 from ..core.renaming import StorageKind
 from ..mp.encoding import apply_writebacks
 from ..mp.worker import task_record
-from ..net.client import NetClosed, NetTimeout
 from ..net.codec import (
     FRESH,
     INLINE,
@@ -48,7 +47,14 @@ from ..net.codec import (
     apply_blob,
     encode_blob,
 )
-from ..net.frames import FrameError, RecordReader, recv_frame, send_frame
+from ..net.frames import (
+    STREAM_VERSION,
+    MessageReader,
+    RecordReader,
+    recv_frame,
+    send_frame,
+    send_messages,
+)
 from ..net.protocol import connect, connect_retry, hang_up
 from .encoding import DistDataLossError, SCALAR_TYPES, alloc_meta
 from .residency import ResidencyMap
@@ -93,9 +99,10 @@ def _master_storage(version):
     return root._storage
 
 
-#: What a dead agent's socket raises, on whichever side notices.
-_NET_ERRORS = (NetClosed, NetTimeout, FrameError, ConnectionError, OSError,
-               EOFError)
+#: What a dead agent's socket raises, on whichever side notices (the
+#: ``repro.net`` errors are all ``OSError`` s; a record stream's end is
+#: an ``EOFError``).
+_NET_ERRORS = (OSError, EOFError)
 
 
 class ClusterBackend(RemoteBackend):
@@ -103,6 +110,7 @@ class ClusterBackend(RemoteBackend):
 
     refusals = (SerializationError, DistDataLossError, WorkerLostError)
     link_errors = _NET_ERRORS
+    max_batch = 8
 
     def __init__(self, nodes, write_through: bool = False, **wiring):
         super().__init__(
@@ -173,16 +181,23 @@ class ClusterBackend(RemoteBackend):
         if reply.get("k") != want:
             sock.close()
             raise ConnectionError(
+                f"{node.address!r} refused the {hello['role']} hello: "
+                f"{reply['error']}" if reply.get("k") == "error" else
                 f"{node.address!r} did not answer a {hello['role']} hello "
                 f"like a repro dist agent (got {reply.get('k')!r})"
             )
         return sock, inbox, reply
 
     def _open_dispatch(self, link: Link, node: _Node) -> None:
-        link.conn, link.inbox, _ = self._dial(
+        """*link*'s record stream to *node* (the agent writes nothing
+        between its ok and the first reply: the inbox is left empty)."""
+
+        link.conn, _, _ = self._dial(
             node, connect, "ok", role="dispatch", slot=link.slot,
-            trace=self._tracer is not None, ring=self._ring_capacity)
+            stream=STREAM_VERSION, trace=self._tracer is not None,
+            ring=self._ring_capacity)
         link.conn.settimeout(None)  # tasks take as long as they take
+        link.replies = MessageReader(link.conn.recv)
         link.node = node
 
     def stop(self) -> None:
@@ -194,13 +209,7 @@ class ClusterBackend(RemoteBackend):
             return
         self._stopped = True
         for link in self.links:
-            if link.conn is None:
-                continue
-            try:
-                send_frame(link.conn, {"k": "bye"})
-            except Exception:
-                pass
-            hang_up(link.conn)
+            hang_up(link.conn)  # the agent's slot ends at the hang-up
             link.conn = None
         for node in self._nodes:
             sock = node.control
@@ -217,25 +226,23 @@ class ClusterBackend(RemoteBackend):
             node.control = None
 
     def _send(self, link: Link, requests: list) -> None:
-        for header, record, _commits, _writebacks in requests:
-            send_frame(link.conn, header, record)
+        send_messages(link.conn, [request[0] for request in requests])
 
     def fds(self, thread: int) -> tuple:
         conn = self.links[thread - 1].conn
         return () if conn is None else (conn.fileno(),)
 
     def _read(self, link: Link, fd) -> list:
-        return [pickle.loads(reply) for header, reply in link.inbox.frames()
-                if header.get("k") == "done"]
+        return [pickle.loads(reply) for reply in link.replies.messages()]
 
     def _land(self, link: Link, values: list, request, writebacks) -> None:
-        apply_writebacks(request[3], writebacks, values)
+        apply_writebacks(request[2], writebacks, values)
         for value in writebacks:
             self._m_bytes.inc(value.nbytes if isinstance(value, np.ndarray)
                               else len(encode_blob(value)[1]))
         node = link.node
         residency = self._residency
-        for entry, v_after, master_too in request[2]:
+        for entry, v_after, master_too in request[1]:
             residency.commit_write(
                 entry, node.name, v_after, master_too=master_too)
         node.tasks_run += 1
@@ -248,7 +255,7 @@ class ClusterBackend(RemoteBackend):
         return f"agent {link.node.name} ({link.node.address})"
 
     def _encode(self, task, values: list, link: Link, seq: int):
-        """The task frame for *link*'s node, ``(header, record, commits,
+        """The task record for *link*'s node, ``(record, commits,
         writebacks)``; ``commits`` are the ``(entry, v_after,
         master_too)`` to apply once the agent reports success."""
 
@@ -370,7 +377,7 @@ class ClusterBackend(RemoteBackend):
             specs[pos] = (INLINE, value)
 
         record = task_record(task, link, seq, specs, writebacks, puts)
-        return {"k": "task", "seq": seq}, record, commits, writebacks
+        return record, commits, writebacks
 
     def _content_spec(self, entry, node: _Node):
         """A resident reference when *node* holds current content, else
@@ -388,13 +395,15 @@ class ClusterBackend(RemoteBackend):
 
     def fetch_version(self, version) -> None:
         """Make the master copy of *version*'s storage current (the
-        tracker's ``residency_fetch``, before the renaming engine clones
-        a predecessor; ``acquire``).  No-op for region-mode data and for
-        versions never materialised here (never dispatched either)."""
+        tracker's ``residency_fetch``: a renaming clone, ``acquire``,
+        ``wait_for``), and checked again at its next dispatch: the
+        program may write what it was handed.  No-op for region-mode
+        data and versions never materialised (nor dispatched) here."""
 
         entry = self._residency.get(_master_storage(version))
         if entry is not None:
             self._fetch_home(entry)
+            entry.checked_gen = -1
 
     def _control(self, name: str, request: dict,
                  reply: bool = True) -> tuple[dict, bytes]:

@@ -132,9 +132,6 @@ class ResidencyMap:
         #: checksums are re-verified at most once per generation.
         self.generation = 0
 
-    # ------------------------------------------------------------------
-    # lookup / registration
-    # ------------------------------------------------------------------
     def ensure(self, obj: Any, is_base: bool) -> ResidencyEntry:
         with self._lock:
             entry = self.get(obj)
@@ -164,9 +161,6 @@ class ResidencyMap:
         with self._lock:
             return len(self._by_key)
 
-    # ------------------------------------------------------------------
-    # verification
-    # ------------------------------------------------------------------
     def verify(self, entry: ResidencyEntry) -> bool:
         """Re-check a surviving entry's content once per generation.
 
@@ -191,9 +185,6 @@ class ResidencyMap:
             entry.checksum = current
             return False
 
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
     def record_copy(self, entry: ResidencyEntry, node: str) -> None:
         with self._lock:
             entry.copies[node] = entry.version
@@ -271,9 +262,6 @@ class ResidencyMap:
                     by_node.setdefault(node, []).append(entry.key)
         return by_node
 
-    # ------------------------------------------------------------------
-    # placement / telemetry
-    # ------------------------------------------------------------------
     def node_bytes(self, objs: Optional[Iterable] = None) -> dict[str, int]:
         """Per-node current-version resident bytes across *objs* (the
         placement hook's question), or across every entry (telemetry)."""

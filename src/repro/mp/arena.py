@@ -113,9 +113,6 @@ class SharedArena:
         #: (any thread, even under ``_lock``) until the next allocation.
         self._freed: deque = deque()
 
-    # ------------------------------------------------------------------
-    # allocation
-    # ------------------------------------------------------------------
     def _new_segment(self, at_least: int) -> shared_memory.SharedMemory:
         size = max(self.segment_bytes, at_least)
         name = f"{SEGMENT_PREFIX}-{self._uid}-{len(self._segments)}"
@@ -186,9 +183,6 @@ class SharedArena:
         block[...] = source
         return block
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     @property
     def segment_names(self) -> list[str]:
         return [shm.name for shm in self._segments]
@@ -233,10 +227,6 @@ class SharedArena:
         except Exception:
             pass
 
-
-# ---------------------------------------------------------------------------
-# handles
-# ---------------------------------------------------------------------------
 
 def span_of(value: np.ndarray) -> tuple[int, int]:
     """``[lo, hi)``: the byte addresses *value*'s elements occupy."""
@@ -312,10 +302,6 @@ def attach_handle(handle: ArenaHandle) -> np.ndarray:
         strides=handle.strides,
     )
 
-
-# ---------------------------------------------------------------------------
-# the process-default arena
-# ---------------------------------------------------------------------------
 
 _default: Optional[SharedArena] = None
 _default_lock = threading.Lock()

@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# task definitions
-# ---------------------------------------------------------------------------
-
 def definition_payload(definition) -> tuple:
     """How a worker locates the task function.
 
@@ -86,10 +82,6 @@ def resolve_definition_func(payload: tuple):
     )
 
 
-# ---------------------------------------------------------------------------
-# call values
-# ---------------------------------------------------------------------------
-
 def encode_values(values: list, residency) -> list:
     """Encode resolved call *values* for the wire.
 
@@ -109,10 +101,6 @@ def encode_values(values: list, residency) -> list:
         for value in values
     ]
 
-
-# ---------------------------------------------------------------------------
-# write-back
-# ---------------------------------------------------------------------------
 
 def writeback_specs(task: TaskInstance, values: list, encoded: list) -> list:
     """Which positions the worker must return, as ``(pos, slices)``;

@@ -16,7 +16,8 @@ one :func:`~repro.mp.worker.worker_main` child (also behind a
 ``--processes`` slot of a :mod:`repro.dist` agent) — and the pipe
 transport: each pipe is polled beside its worker's ``Process.sentinel``,
 so a SIGKILL wakes the dispatcher at once, and one read of a pipe
-parses every reply it completed.
+parses every reply it completed (:class:`~repro.net.frames.MessageReader`,
+the parser of a cluster dispatch socket too).
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import struct
 from typing import Optional
 
 from ..core.backend import Link, RemoteBackend
 from ..net.codec import PROTOCOL, WorkerLostError
+from ..net.frames import MessageReader
 from .encoding import apply_writebacks, encode_values, writeback_specs
 from .residency import ArenaResidency
 from .worker import MSG_STOP, task_record, worker_main
@@ -39,9 +40,6 @@ __all__ = ["ProcessBackend", "WorkerDied", "WorkerProcess"]
 _HANDSHAKE_TIMEOUT = 30.0
 #: Seconds a stopped worker gets to exit before it is terminated.
 _STOP_TIMEOUT = 5.0
-#: A ``multiprocessing`` message's length prefix (-1: a 64-bit follows).
-_SIZE = struct.Struct("!i")
-_BIG_SIZE = struct.Struct("!Q")
 
 
 class WorkerDied(Exception):
@@ -78,9 +76,8 @@ class WorkerProcess:
                 f"handshake ({exc!r})")
             lost.slot = slot
             raise lost from exc
-        #: Bytes read and not yet parsed, and what that message lacks.
-        self._unread = b""
-        self._missing = 0
+        fd = self.conn.fileno()
+        self._replies = MessageReader(lambda n: os.read(fd, n))
 
     @property
     def pid(self) -> Optional[int]:
@@ -114,31 +111,10 @@ class WorkerProcess:
         if conn is None or (fd == self.proc.sentinel and not conn.poll(0)):
             raise WorkerDied
         try:
-            chunk = os.read(conn.fileno(), max(65536, self._missing))
-        except OSError as exc:
+            return [pickle.loads(message)
+                    for message in self._replies.messages()]
+        except Exception as exc:  # EOF (perhaps mid-message), a bad read
             raise WorkerDied from exc
-        if not chunk:
-            raise WorkerDied  # EOF, perhaps mid-message
-        buf = self._unread + chunk if self._unread else chunk
-        messages, pos, end = [], 0, len(buf)
-        self._missing = 0
-        while end - pos >= 4:
-            size, head = _SIZE.unpack_from(buf, pos)[0], 4
-            if size == -1:
-                if end - pos < 12:
-                    break
-                size, head = _BIG_SIZE.unpack_from(buf, pos + 4)[0], 12
-            if pos + head + size > end:
-                self._missing = pos + head + size - end
-                break
-            try:
-                messages.append(pickle.loads(
-                    memoryview(buf)[pos + head:pos + head + size]))
-            except Exception as exc:
-                raise WorkerDied from exc
-            pos += head + size
-        self._unread = buf[pos:]
-        return messages
 
     def kill(self) -> None:
         """Leave the child dead and the pipe closed; never raises."""

@@ -64,8 +64,8 @@ def task_record(task, link, seq: int, specs: list, writebacks: list,
     agents only; empty for a process worker) the ``(pos, key, version)``
     a node store keeps once the body ran.  The definition payload rides
     until a reply has confirmed *link* knows it; a task whose values do
-    not pickle is refused.  A frame is one or more records back to back
-    (a pickle delimits itself), each answered by its own reply."""
+    not pickle is refused.  Each record is answered by its own reply; a
+    pipe message may hold several back to back (a pickle delimits itself)."""
 
     key = id(task.definition)  # stable for the master's lifetime
     payload = (None if key in link.sent_defs

@@ -63,9 +63,6 @@ class Client:
         self._closed = False
         self.hello: dict = {}
 
-    # ------------------------------------------------------------------
-    # receiving
-    # ------------------------------------------------------------------
     def recv(self, timeout: Optional[float] = None) -> dict:
         """Next record (buffered events first).  Raises
         :class:`NetTimeout` / :class:`NetClosed`."""
@@ -131,9 +128,6 @@ class Client:
             if predicate(record):
                 return record
 
-    # ------------------------------------------------------------------
-    # commands
-    # ------------------------------------------------------------------
     def request(self, cmd: str, **fields) -> dict:
         """Send a command; block for its ack; return the whole ack
         (``ok`` plus ``data`` or a possibly structured ``error``).
@@ -173,9 +167,6 @@ class Client:
             )
         return reply.get("data", {})
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def detach(self) -> None:
         """Orderly goodbye (the server drops only this connection)."""
 

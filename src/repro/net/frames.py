@@ -1,4 +1,4 @@
-"""Length-prefixed binary frames for bulk data transport.
+"""Length-prefixed binary frames and record streams.
 
 The JSON-lines protocol (:mod:`repro.net.protocol`) is the right wire
 for commands and events, but array content must not be spelled out in
@@ -10,27 +10,25 @@ binary payload::
     |   u32 big-e   |   u32 big-e    |  UTF-8, compact  | raw bytes |
     +---------------+----------------+------------------+-----------+
 
-The header names what the payload is (``kind``, blob metadata, a task
-sequence number); the payload is whatever bytes the two ends agreed on
-— ndarray content, a pickled task message.  The distributed backend
-(:mod:`repro.dist`) makes every master<->agent hop one frame in each
-direction.  A JSON-lines surface with bulk data to move (the task-graph
-service) **attaches** frames to a record instead: a line that says
-``"frames": N`` is followed by N frames, each a datum blob of
+The distributed backend's hellos and control requests are frames.  The
+task-graph service **attaches** frames to a JSON line instead: a line
+that says ``"frames": N`` is followed by N frames, each a datum blob of
 :mod:`repro.net.codec` (:func:`send_record`, :class:`RecordReader`).
+A **record stream** — a process worker's pipe, a cluster dispatch
+socket — carries task records and replies, each one message behind
+``multiprocessing``'s length prefix (``!i``, or ``-1`` then ``!Q`` from
+2 GiB up) and no header; :class:`MessageReader` parses both.
 
-A frame costs **one syscall and no timer**: prefix, header and payload
-leave in a single gather write (``sendmsg``), so a small frame is one
-TCP segment and a large payload is never copied into a joined buffer.
-Two writes per frame would make the request -> reply dist protocol
-write-write-read, which Nagle holds back until the peer's delayed ACK
-(~40 ms each way); every TCP socket ``repro.net`` makes also carries
-``TCP_NODELAY`` (:func:`repro.net.protocol.tune`), so the tail of a
-frame larger than the socket buffer does not wait either.
-
-Frames are point-to-point between trusted processes (payloads may be
-pickled), the same trust model as :mod:`repro.mp`'s pipes — never
-expose an agent port to an untrusted network.
+A frame, or a batch of messages (:func:`send_messages`), costs **one
+syscall and no timer**: a single gather write (``sendmsg``), so a small
+one is one TCP segment and a payload is never copied into a joined
+buffer.  Two writes would make request -> reply write-write-read, which
+Nagle holds back until the peer's delayed ACK (~40 ms each way); every
+TCP socket ``repro.net`` makes also carries ``TCP_NODELAY``
+(:func:`repro.net.protocol.tune`), so the tail of a large write does
+not wait either.  Both are point-to-point between trusted processes
+(payloads may be pickled), as :mod:`repro.mp`'s pipes — never expose
+an agent port to an untrusted network.
 """
 
 from __future__ import annotations
@@ -44,17 +42,26 @@ from .protocol import NetClosed, NetTimeout, decode, encode
 
 __all__ = [
     "FrameError",
+    "MessageReader",
     "RecordReader",
     "encode_record",
     "send_record",
     "send_frame",
+    "send_messages",
     "recv_frame",
     "recv_exact",
+    "STREAM_VERSION",
     "MAX_HEADER_BYTES",
     "MAX_PAYLOAD_BYTES",
 ]
 
 _PREFIX = struct.Struct("!II")
+#: A record stream message's length prefix (-1: a 64-bit one follows).
+_SIZE = struct.Struct("!i")
+_BIG_SIZE = struct.Struct("!Q")
+#: The record stream's version, named in a cluster dispatch hello (the
+#: JSON-headed task frames it replaces were version 1).
+STREAM_VERSION = 2
 #: Built once (``json.dumps(..., separators=...)`` would per call).
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 _DECODE = json.JSONDecoder().decode
@@ -78,7 +85,24 @@ def send_frame(sock: socket.socket, header: dict, payload=b"") -> None:
 
     head = _ENCODE(header).encode()
     body = memoryview(payload).cast("B")
-    pending = [memoryview(_PREFIX.pack(len(head), len(body)) + head), body]
+    _gather(sock, [memoryview(_PREFIX.pack(len(head), len(body)) + head),
+                   body])
+
+
+def send_messages(sock: socket.socket, messages) -> None:
+    """Write *messages* (bytes-like) to a record stream in one gather
+    write; :class:`NetClosed` on a dead socket."""
+
+    pending = []
+    for message in messages:
+        body = memoryview(message).cast("B")
+        size = len(body)
+        pending += [_SIZE.pack(size) if size <= 0x7fffffff
+                    else _SIZE.pack(-1) + _BIG_SIZE.pack(size), body]
+    _gather(sock, pending)
+
+
+def _gather(sock: socket.socket, pending: list) -> None:
     try:
         while pending:
             # The kernel may take any prefix of the gather list (a
@@ -90,17 +114,14 @@ def send_frame(sock: socket.socket, header: dict, payload=b"") -> None:
             if pending:
                 pending[0] = pending[0][sent:]
     except OSError as exc:
-        raise NetClosed(f"peer gone while sending frame: {exc}") from None
+        raise NetClosed(f"peer gone while sending: {exc}") from None
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:
     """Read exactly *n* bytes; :class:`NetClosed` on EOF, preserving
     the socket's current timeout for :class:`NetTimeout`."""
 
-    if n == 0:
-        return b""
-    chunks: list[bytes] = []
-    remaining = n
+    chunks, remaining = [], n
     while remaining:
         try:
             chunk = sock.recv(min(remaining, 1 << 20))
@@ -132,7 +153,11 @@ def recv_frame(
             sock.settimeout(timeout)
         except OSError as exc:  # closed under us (EBADF): same contract
             raise NetClosed(str(exc)) from None
-    head_len, payload_len = _lengths(recv_exact(sock, _PREFIX.size))
+    head_len, payload_len = _PREFIX.unpack(recv_exact(sock, _PREFIX.size))
+    if head_len > MAX_HEADER_BYTES or payload_len > MAX_PAYLOAD_BYTES:
+        raise FrameError(
+            f"implausible frame ({head_len} header / {payload_len} payload "
+            f"bytes); not a repro frame stream")
     try:
         header = _DECODE(recv_exact(sock, head_len).decode())
     except ValueError as exc:
@@ -140,16 +165,6 @@ def recv_frame(
     if not isinstance(header, dict):
         raise FrameError("frame header must be a JSON object")
     return header, recv_exact(sock, payload_len)
-
-
-def _lengths(prefix: bytes) -> tuple[int, int]:
-    head_len, payload_len = _PREFIX.unpack(prefix)
-    if head_len > MAX_HEADER_BYTES or payload_len > MAX_PAYLOAD_BYTES:
-        raise FrameError(
-            f"implausible frame ({head_len} header / {payload_len} payload "
-            f"bytes); not a repro frame stream"
-        )
-    return head_len, payload_len
 
 
 def encode_record(record: dict) -> tuple[bytes, Sequence]:
@@ -184,8 +199,7 @@ class RecordReader:
         self._sock = sock
         self.settimeout = sock.settimeout
         self._buffer = b""  # everything received and not yet handed on,
-        self._pos = 0       # from this offset;
-        self._missing = 0   # what the frame there still needs (frames())
+        self._pos = 0       # from this offset
 
     def recv(self, n: int) -> bytes:
         if self._pos == len(self._buffer) and n < 65536:
@@ -194,26 +208,10 @@ class RecordReader:
         self._pos += len(chunk)
         return chunk or self._sock.recv(n)
 
-    def frames(self) -> list[tuple[dict, bytes]]:
-        """One read of the socket, then every frame now whole in the
-        buffer (a poll loop's inbound half: one ``recv`` per wake-up)."""
-
-        self._fill(self._missing)
-        out = []
-        while (have := len(self._buffer) - self._pos) >= _PREFIX.size:
-            head_len, payload_len = _lengths(
-                self._buffer[self._pos:self._pos + _PREFIX.size])
-            self._missing = _PREFIX.size + head_len + payload_len - have
-            if self._missing > 0:
-                break
-            out.append(recv_frame(self))
-        return out
-
-    def _fill(self, more: int = 0) -> None:
+    def _fill(self) -> None:
         sock = self._sock
         try:
-            # Gulps; a frame known to need *more* asks for all of it.
-            chunk = sock.recv(65536) if more <= 65536 else sock.recv(more)
+            chunk = sock.recv(65536)
         except (TimeoutError, socket.timeout):
             raise NetTimeout(
                 f"no record within {self._sock.gettimeout()}s") from None
@@ -271,3 +269,46 @@ class RecordReader:
             except NetTimeout as exc:
                 raise NetClosed(f"record lost mid-attachment: {exc}") from None
         return record
+
+
+class MessageReader:
+    """The inbound half of a record stream over ``read(n)`` (up to *n*
+    bytes of the channel, ``b""`` at its end)."""
+
+    def __init__(self, read):
+        self._read = read
+        self._parts: list = []  # bytes read and not yet handed on
+        self._missing = 0       # what the first message there lacks
+
+    def messages(self) -> list:
+        """Read once; every message that completed, as memoryviews (one
+        longer than a read is joined once, when whole).  ``EOFError`` at
+        the end of the stream, :class:`FrameError` on a foreign prefix."""
+
+        chunk = self._read(max(65536, self._missing))
+        if not chunk:
+            raise EOFError("the peer closed the record stream")
+        self._parts.append(chunk)
+        if len(chunk) < self._missing:
+            self._missing -= len(chunk)
+            return []
+        buf = b"".join(self._parts)
+        view = memoryview(buf)
+        out, pos, end = [], 0, len(buf)
+        self._missing = 0
+        while end - pos >= 4:
+            size, head = _SIZE.unpack_from(buf, pos)[0], 4
+            if size < 0:
+                if size != -1:
+                    raise FrameError(f"message length {size}; not a record "
+                                     f"stream")
+                if end - pos < 12:
+                    break
+                size, head = _BIG_SIZE.unpack_from(buf, pos + 4)[0], 12
+            if pos + head + size > end:
+                self._missing = pos + head + size - end
+                break
+            out.append(view[pos + head:pos + head + size])
+            pos += head + size
+        self._parts = [buf[pos:]] if pos < end else []
+        return out

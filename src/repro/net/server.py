@@ -101,9 +101,6 @@ class Server:
         )
         self._accept_thread.start()
 
-    # ------------------------------------------------------------------
-    # publishing (called from the owner's publisher thread)
-    # ------------------------------------------------------------------
     def publish(self, record: dict, retain: bool = True) -> None:
         """Send *record* to every connected client.
 
@@ -144,9 +141,6 @@ class Server:
         with self._lock:
             return len(self._clients)
 
-    # ------------------------------------------------------------------
-    # accepting / command routing
-    # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
         while True:
             try:
@@ -227,9 +221,6 @@ class Server:
             ack["error"] = str(exc) if to_wire is None else to_wire()
         return ack
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         with self._lock:
             if self._closed:

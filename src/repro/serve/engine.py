@@ -145,9 +145,6 @@ class ServeEngine:
         )
         self._loop.start_workers("repro-serve-worker")
 
-    # ------------------------------------------------------------------
-    # tenants
-    # ------------------------------------------------------------------
     def tenant(self, name: str) -> _TenantState:
         with self._lock:
             state = self._tenants.get(name)
@@ -167,9 +164,6 @@ class ServeEngine:
         ).inc()
         return exc
 
-    # ------------------------------------------------------------------
-    # submission
-    # ------------------------------------------------------------------
     def submit_graph(self, tenant_name: str, spec: dict) -> GraphJob:
         """Admit, analyse, and enqueue one graph; returns its job.
 
@@ -294,9 +288,6 @@ class ServeEngine:
         merged.update(constants)
         return plan.instantiate(tuple(args), {}, merged)
 
-    # ------------------------------------------------------------------
-    # finalize / cancellation / lifecycle
-    # ------------------------------------------------------------------
     def _release_admission(self, tenant: _TenantState, nbytes: int) -> None:
         with self._lock:
             tenant.inflight -= 1
@@ -378,9 +369,6 @@ class ServeEngine:
             ))
             self._finalize(domain)
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def queue_depth(self) -> int:
         """Ready tasks not yet popped, sampled now (every reader of the
         ``serve.queue_depth`` gauge samples through here first)."""

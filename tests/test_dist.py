@@ -9,6 +9,7 @@ death, structured data-loss errors in lazy mode — pinned down here.
 """
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -27,10 +28,11 @@ from repro.dist import (
     RemoteTaskError,
     SerializationError,
 )
+from repro.net import connect, recv_frame, send_frame
 from repro.obs.exposition import render_registry
 
 from .test_mp_runtime import _hold as hold  # a paused DispatchGate on rt
-from .test_mp_runtime import slow_fill_t
+from .test_mp_runtime import _barrier_within, _dispatcher_fault, slow_fill_t
 
 pytestmark = pytest.mark.dist
 
@@ -154,8 +156,10 @@ def pin(rt, where):
 
 
 def count_traffic(rt, monkeypatch):
-    """``(control, frames)``: the kind of every control-channel request
-    and of every frame the master sends or receives from now on."""
+    """``(control, frames)``: the kind of every control-channel request,
+    and one entry per message the master sends or parses from now on —
+    ``"record"`` and ``"reply"`` on the dispatch sockets' record streams,
+    ``"send_frame"`` and ``"recv_frame"`` on the control channels."""
 
     control, frames = [], []
     backend = rt.backend
@@ -166,10 +170,14 @@ def count_traffic(rt, monkeypatch):
         plain = getattr(manager_module, name)
         monkeypatch.setattr(manager_module, name, lambda *a, _f=plain, **kw: (
             frames.append(_f.__name__), _f(*a, **kw))[1])
-    # The dispatcher parses its replies out of a link's buffer.
-    parse = manager_module.RecordReader.frames
-    monkeypatch.setattr(manager_module.RecordReader, "frames", lambda inbox: (
-        got := parse(inbox), frames.extend(["recv_frame"] * len(got)))[0])
+    send = manager_module.send_messages
+    monkeypatch.setattr(manager_module, "send_messages", lambda sock, msgs: (
+        msgs := list(msgs), frames.extend(["record"] * len(msgs)),
+        send(sock, msgs))[2])
+    # The dispatcher parses every reply of one read in one call.
+    for link in backend.links:
+        link.replies.messages = lambda _parse=link.replies.messages: (
+            got := _parse(), frames.extend(["reply"] * len(got)))[0]
     return control, frames
 
 
@@ -284,6 +292,21 @@ class TestParity:
 # ---------------------------------------------------------------------------
 
 class TestResidencyCache:
+    @pytest.mark.parametrize("backend", ["threads", "processes", "cluster"])
+    def test_a_write_after_wait_on_is_dispatched(self, pair, backend):
+        # The program writes the master copy wait_on handed it: the next
+        # task must read that, not a node's copy from before it.
+        kwargs = ({"nodes": [pair[0].address]} if backend == "cluster"
+                  else {"num_workers": 1})
+        a = np.zeros(4)
+        with SmpssRuntime(backend=backend, **kwargs) as rt:
+            incr_t(a)
+            x = wait_on(a)
+            x[...] = 100
+            incr_t(a)
+            rt.barrier()
+        assert np.array_equal(a, np.full(4, 101.0))
+
     def test_second_submission_ships_fewer_bytes(self, agents):
         rng = np.random.default_rng(13)
         A = [rng.random((64, 64)) for _ in range(6)]
@@ -615,7 +638,8 @@ class TestOutputsRideHome:
         """The counted pin CI's bench-gate runs: the warmed 16-task
         mul -> accum tile round of ``cluster_tiles`` on a fixed schedule
         (mul k on node k % 2, the accumulate chain on node 0) sends no
-        ``fetch``, at most 34 frames, and moves exactly 18 tiles."""
+        ``fetch``, one record and one reply per task plus the 2 evicts,
+        and moves exactly 18 tiles."""
 
         rng = np.random.default_rng(43)
         fixed = [list(rng.random((6, 48, 48))) for _ in range(2)]
@@ -643,7 +667,34 @@ class TestOutputsRideHome:
             # to the accumulator's node, the accumulator out and home.
             assert moved(rt) - before == 18 * TILE
             assert control.count("fetch") == 0
-            assert len(frames) <= 34, frames   # 16 x (task + done) + 2 evict
+            assert frames.count("record") == frames.count("reply") == 16
+            assert len(frames) <= 34, frames   # + 2 evict
+
+    def test_reads_pin(self, pair, monkeypatch):
+        """The counted pin CI's bench-gate runs: 64 independent tasks
+        released at once to two one-slot agents cost the master fewer
+        reads of the dispatch sockets than replies — one read per link
+        per wake-up parses every reply it completed."""
+
+        recvs = []
+        recv = socket.socket.recv
+        monkeypatch.setattr(socket.socket, "recv", lambda sock, *args: (
+            recvs.append(sock), recv(sock, *args))[1])
+        one = np.ones(4)
+        cells = [np.zeros(4) for _ in range(64)]
+        with cluster(pair) as rt:
+            for cell in cells[:8]:  # both links learn the body's time
+                accum_t(one, cell)
+            rt.barrier()
+            links = {link.conn for link in rt.backend.links}
+            recvs.clear()
+            with hold(rt):
+                for cell in cells:
+                    accum_t(one, cell)
+            rt.barrier()
+            reads = sum(sock in links for sock in recvs)
+        assert all(cell[0] == 1 for cell in cells[8:])
+        assert 0 < reads < 64, reads
 
     def test_master_threads_pin(self, agents):
         """The counted pin CI's bench-gate runs: two 2-slot agents are
@@ -729,6 +780,35 @@ class TestFailures:
         assert f"last writer {writer}" in str(root)
         assert rt.metrics.counter("dist.agent_deaths").value == 1
         assert np.array_equal(a, np.zeros((8, 8)))  # the stale master copy
+
+    def test_a_dying_dispatcher_fails_the_barrier(self, pair, monkeypatch):
+        _dispatcher_fault(monkeypatch)
+        arrays = [np.zeros(4) for _ in range(6)]
+        with pytest.raises(RuntimeError, match="injected dispatcher fault"):
+            with cluster(pair) as rt:
+                for a in arrays:
+                    incr_t(a)
+                _barrier_within(rt)
+        assert not rt._loop._threads[0].is_alive()
+
+    @pytest.mark.parametrize("stream", [None, 1])
+    def test_an_agent_refuses_another_record_stream(self, pair, stream):
+        hello = {"k": "hello", "sid": "s", "role": "dispatch", "slot": 1}
+        if stream is not None:
+            hello["stream"] = stream
+        with connect(pair[0].address, timeout=5.0) as sock:
+            send_frame(sock, hello)
+            reply, _ = recv_frame(sock, timeout=5.0)
+        assert reply["k"] == "error"
+        assert f"record stream version {stream!r}" in reply["error"]
+
+    def test_a_master_of_another_stream_version_raises(
+            self, pair, monkeypatch):
+        monkeypatch.setattr(manager_module, "STREAM_VERSION", 99)
+        with pytest.raises(ConnectionError) as exc:
+            cluster(pair).start()
+        assert pair[0].address in str(exc.value)
+        assert "record stream version 99" in str(exc.value)
 
     def test_remote_error_carries_traceback(self, agents):
         a = np.zeros(4)

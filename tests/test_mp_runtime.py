@@ -552,6 +552,68 @@ class TestWorkerLoss:
         assert not any(name in leaked for name in names)
 
 
+def _dispatcher_fault(monkeypatch):
+    """Make the dispatcher's next completion raise, once: an exception
+    escaping its loop, as a master-side bug would."""
+
+    from repro.core.execution import WorkerLoop
+
+    retire = WorkerLoop._retire
+    raised = []
+
+    def once(loop, done):
+        if not raised:
+            raised.append(done)
+            raise RuntimeError("injected dispatcher fault")
+        return retire(loop, done)
+
+    monkeypatch.setattr(WorkerLoop, "_retire", once)
+
+
+def _barrier_within(rt, seconds=10.0):
+    """``rt.barrier()``, failed with :class:`TimeoutError` rather than
+    hung when it has not returned within *seconds*."""
+
+    def expire():
+        rt.domain.fail(TimeoutError(f"barrier still waiting after {seconds}s"))
+        with rt._sched_lock:
+            rt._main_cv.notify_all()
+
+    watchdog = threading.Timer(seconds, expire)
+    watchdog.start()
+    try:
+        rt.barrier()
+    finally:
+        watchdog.cancel()
+        watchdog.join()
+
+
+class TestDispatcherDeath:
+    def test_a_dying_dispatcher_fails_the_barrier(self, monkeypatch):
+        _dispatcher_fault(monkeypatch)
+        cells = [np.zeros(2) for _ in range(6)]
+        with pytest.raises(RuntimeError, match="injected dispatcher fault"):
+            with SmpssRuntime(num_workers=2, backend="processes") as rt:
+                for cell in cells:
+                    incr_t(cell)
+                _barrier_within(rt)
+        assert not rt._loop._threads[0].is_alive()
+        assert all(not link.pending for link in rt.backend.links)
+
+    def test_a_turn_serves_own_lists_before_stealing(self):
+        # The one ready task is on worker 2's list: worker 1, idle in the
+        # same turn, must not steal it.
+        with SharedArena() as arena:
+            cell = arena.zeros((1,))
+            with SmpssRuntime(num_workers=2, backend="processes") as rt:
+                rt.scheduler.placement = lambda task: 2
+                with _hold(rt):
+                    incr_t(cell)
+                rt.barrier()
+                assert rt.scheduler.stats.steals == 0
+            assert cell[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # frames: several ready tasks per pipe message, one reply each
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ from repro.net import Client, NetClosed, NetTimeout, Server
 from repro.net.frames import (
     MAX_HEADER_BYTES,
     FrameError,
+    MessageReader,
     RecordReader,
     encode_record,
     recv_frame,
     send_frame,
+    send_messages,
     send_record,
 )
 from repro.net.protocol import listen, tune
@@ -652,6 +654,79 @@ class TestBufferedFrames:
             a.close()
         with pytest.raises(NetClosed if eof else NetTimeout):
             recv_frame(RecordReader(_Drip(b, k)), timeout=0.1)
+
+
+def _chunks(wire, k):
+    """A ``read(n)`` over *wire* that hands over at most *k* bytes per
+    call, and the sizes it was asked for."""
+
+    asked, pos = [], [0]
+
+    def read(n):
+        asked.append(n)
+        chunk = wire[pos[0]:pos[0] + min(n, k)]
+        pos[0] += len(chunk)
+        return chunk
+
+    return read, asked
+
+
+@pytest.mark.dist
+class TestRecordStream:
+    """A record stream — a worker pipe, a cluster dispatch socket:
+    ``multiprocessing``'s length-prefixed messages, parsed by one
+    ``MessageReader`` however the bytes arrive."""
+
+    MESSAGES = [b"x" * 300, b"", bytes(range(256)) * 300, b"tail"]
+
+    def test_send_messages_writes_what_a_pipe_carries(self, pair):
+        from multiprocessing.connection import Connection
+
+        a, b = pair
+        send_messages(a, self.MESSAGES)
+        conn = Connection(b.detach())
+        try:
+            assert [conn.recv_bytes() for _ in self.MESSAGES] == self.MESSAGES
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("k", [1, 7, 4096, 1 << 20])
+    def test_any_chunking_returns_the_same_messages(self, k):
+        wire = b"".join(struct.pack("!i", len(m)) + m for m in self.MESSAGES)
+        read, _ = _chunks(wire, k)
+        reader, got = MessageReader(read), []
+        while len(got) < len(self.MESSAGES):
+            got += [bytes(m) for m in reader.messages()]
+        assert got == self.MESSAGES
+        with pytest.raises(EOFError):
+            reader.messages()
+
+    def test_one_read_returns_every_whole_message_and_asks_for_the_rest(self):
+        big = b"b" * 200_000
+        wire = b"".join(struct.pack("!i", len(m)) + m
+                        for m in (b"one", b"two", big))
+        read, asked = _chunks(wire, 65536)
+        reader = MessageReader(read)
+        assert [bytes(m) for m in reader.messages()] == [b"one", b"two"]
+        assert reader.messages() == []
+        # The partial message's size is known: the next read asks for
+        # all it lacks rather than another 64 KiB.
+        assert asked[-1] > 65536
+        while not (got := reader.messages()):
+            pass
+        assert [bytes(m) for m in got] == [big]
+
+    @pytest.mark.parametrize("k", [3, 99])
+    def test_the_64_bit_prefix(self, k):
+        wire = struct.pack("!i", -1) + struct.pack("!Q", 5) + b"hello"
+        reader, got = MessageReader(_chunks(wire, k)[0]), []
+        while not got:
+            got = reader.messages()
+        assert [bytes(m) for m in got] == [b"hello"]
+
+    def test_a_foreign_prefix_is_a_frame_error(self):
+        with pytest.raises(FrameError, match="not a record stream"):
+            MessageReader(_chunks(struct.pack("!i", -5), 99)[0]).messages()
 
 
 @pytest.mark.dist

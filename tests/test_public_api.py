@@ -318,16 +318,22 @@ class TestOneServerOneCodec:
 
     def test_one_record_reader(self):
         """Client and server read lines and attachments through
-        ``RecordReader``, master and agent their frames; none splits a
-        buffer of its own, and it is the only reader class."""
+        ``RecordReader``, master and agent their control frames; none
+        splits a buffer of its own.  A record stream — a worker pipe, a
+        cluster dispatch socket — is read through ``MessageReader``
+        alone: the length prefix is parsed once, in ``net/frames.py``."""
 
-        assert _modules_containing(
-            "RecordReader(", "net", "serve", "live", "obs", "dist"
-        ) == ["dist/agent.py", "dist/manager.py",
-              "net/client.py", "net/server.py"]
-        assert _modules_containing(
-            'split(b"\\n"', "net", "serve", "live", "obs", "dist") == []
-        assert _modules_containing("recv(65536)", "net") == ["net/frames.py"]
+        packages = ("net", "serve", "live", "obs", "dist", "mp", "core")
+        assert _modules_containing("RecordReader(", *packages) == [
+            "dist/agent.py", "dist/manager.py",
+            "net/client.py", "net/server.py"]
+        assert _modules_containing("MessageReader(", *packages) == [
+            "dist/agent.py", "dist/manager.py", "mp/executor.py"]
+        for parse in ('split(b"\\n"', '"!i"', '"!Q"', "unpack_from("):
+            assert _modules_containing(parse, *packages) == (
+                [] if "split" in parse else ["net/frames.py"]), parse
+        assert _modules_containing("recv(65536)", *packages) == [
+            "net/frames.py"]
 
 
     def test_one_observation_endpoint(self):
@@ -417,7 +423,7 @@ class TestOneWorkerLoop:
         from repro.mp.executor import ProcessBackend
 
         assert (ExecutionBackend.max_batch, ProcessBackend.max_batch,
-                ClusterBackend.max_batch) == (1, 8, 1)
+                ClusterBackend.max_batch) == (1, 8, 8)
         assert len(dataclasses.fields(RuntimeConfig)) == 20
 
     def test_runtime_and_engine_both_reach_that_loop(self):
@@ -719,7 +725,7 @@ class TestOneOfEach:
 
 #: The ``src/repro`` total once one dispatcher thread drove every
 #: remote worker (8 lines below the one remote task record's 24 563).
-LINE_BUDGET = 24555
+LINE_BUDGET = 24550
 
 
 class TestOneMeasurementSystem:
