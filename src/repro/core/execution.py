@@ -230,16 +230,17 @@ class WorkerLoop:
         one dispatcher, ``<name>-dispatch``, for a remote backend."""
 
         self._stop = False
-        self._threads = [
+        threads, self._threads = [
             threading.Thread(target=self._dispatch_loop,
                              name=f"{name}-dispatch", daemon=True)
         ] if self.backend.remote else [
             threading.Thread(target=self._worker_loop, args=(idx,),
                              name=f"{name}-{idx}", daemon=True)
             for idx in range(1, self.scheduler.num_threads)
-        ]
-        for thread in self._threads:
+        ], []
+        for thread in threads:  # stop_workers joins only started ones
             thread.start()
+            self._threads.append(thread)
 
     def stop_workers(self, timeout: Optional[float] = None) -> None:
         """Stop popping, join the loop threads (at most *timeout* s each;

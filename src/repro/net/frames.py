@@ -19,12 +19,13 @@ socket — carries task records and replies, each one message behind
 ``multiprocessing``'s length prefix (``!i``, or ``-1`` then ``!Q`` from
 2 GiB up) and no header; :class:`MessageReader` parses both.
 
-A frame, or a batch of messages (:func:`send_messages`), costs **one
-syscall and no timer**: a single gather write (``sendmsg``), so a small
-one is one TCP segment and a payload is never copied into a joined
-buffer.  Two writes would make request -> reply write-write-read, which
-Nagle holds back until the peer's delayed ACK (~40 ms each way); every
-TCP socket ``repro.net`` makes also carries ``TCP_NODELAY``
+A frame, a record with all its attachments (:func:`send_record`), or a
+batch of messages (:func:`send_messages`) costs **one syscall and no
+timer**: a single gather write (``sendmsg``), so a small one is one TCP
+segment and a payload is never copied into a joined buffer.  Two
+writes would make request -> reply write-write-read, which Nagle holds
+back until the peer's delayed ACK (~40 ms each way); every TCP socket
+``repro.net`` makes also carries ``TCP_NODELAY``
 (:func:`repro.net.protocol.tune`), so the tail of a large write does
 not wait either.  Both are point-to-point between trusted processes
 (payloads may be pickled), as :mod:`repro.mp`'s pipes — never expose
@@ -83,10 +84,7 @@ def send_frame(sock: socket.socket, header: dict, payload=b"") -> None:
     ``bytearray``, ``memoryview``); it is gathered, never copied.
     """
 
-    head = _ENCODE(header).encode()
-    body = memoryview(payload).cast("B")
-    _gather(sock, [memoryview(_PREFIX.pack(len(head), len(body)) + head),
-                   body])
+    send_record(sock, b"", ((header, payload),))
 
 
 def send_messages(sock: socket.socket, messages) -> None:
@@ -103,16 +101,18 @@ def send_messages(sock: socket.socket, messages) -> None:
 
 
 def _gather(sock: socket.socket, pending: list) -> None:
+    done = 0
     try:
-        while pending:
+        while done < len(pending):
             # The kernel may take any prefix of the gather list (a
-            # payload beyond the socket buffer, a signal): drop what
+            # payload beyond the socket buffer, a signal): skip what
             # went out whole, trim the buffer it stopped in, go again.
-            sent = sock.sendmsg(pending)
-            while pending and sent >= len(pending[0]):
-                sent -= len(pending.pop(0))
-            if pending:
-                pending[0] = pending[0][sent:]
+            sent = sock.sendmsg(pending[done:done + 1024])  # IOV_MAX
+            while done < len(pending) and sent >= len(pending[done]):
+                sent -= len(pending[done])
+                done += 1
+            if done < len(pending):
+                pending[done] = pending[done][sent:]
     except OSError as exc:
         raise NetClosed(f"peer gone while sending: {exc}") from None
 
@@ -179,13 +179,17 @@ def encode_record(record: dict) -> tuple[bytes, Sequence]:
 
 
 def send_record(sock: socket.socket, line: bytes, frames: Sequence = ()) -> None:
-    """Write one encoded record.  Where several threads write to *sock*
-    the caller holds its write lock across the call, so nothing splices
-    between a line and the attachments it announced."""
+    """Write one encoded record, line and attachments, in one gather
+    write.  Where several threads write to *sock* the caller holds its
+    write lock across the call, so nothing splices between a line and
+    the attachments it announced."""
 
-    sock.sendall(line)
+    pending = [line]
     for meta, payload in frames:
-        send_frame(sock, meta, payload)
+        head = _ENCODE(meta).encode()
+        body = memoryview(payload).cast("B")
+        pending += [_PREFIX.pack(len(head), len(body)) + head, body]
+    _gather(sock, pending)
 
 
 class RecordReader:

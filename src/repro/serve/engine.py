@@ -87,15 +87,16 @@ class GraphJob:
     """One accepted submission, from analysis to write-back."""
 
     __slots__ = (
-        "tenant", "domain", "data", "nbytes", "task_count",
+        "tenant", "domain", "data", "written", "nbytes", "task_count",
         "error", "results", "frames", "seconds", "done", "_t0",
     )
 
     def __init__(self, tenant: _TenantState, domain: GraphDomain,
-                 data: dict, nbytes: int, task_count: int):
+                 data: dict, written: set, nbytes: int, task_count: int):
         self.tenant = tenant
         self.domain = domain
         self.data = data          # datum_id -> server-side object
+        self.written = written    # the datum_ids the ack ships home
         self.nbytes = nbytes
         self.task_count = task_count
         self.error: Optional[dict] = None
@@ -124,7 +125,7 @@ class ServeEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.backend = backend
         self.num_workers = workers
-        self._definitions: dict[tuple, object] = {}
+        self._definitions: dict[tuple, tuple] = {}  # (def, plan, reads_only)
         self._tenants: dict[str, _TenantState] = {}
         #: Jobs admitted and not yet finalized, by domain; leaving this
         #: map (under the lock) is what makes a finalize happen once.
@@ -143,7 +144,11 @@ class ServeEngine:
             ),
             CentralQueueScheduler,
         )
-        self._loop.start_workers("repro-serve-worker")
+        try:
+            self._loop.start_workers("repro-serve-worker")
+        except BaseException:
+            self._loop.stop_workers()  # a processes fleet is already up
+            raise
 
     def tenant(self, name: str) -> _TenantState:
         with self._lock:
@@ -224,21 +229,18 @@ class ServeEngine:
             raise self.reject(tenant_name, over)
 
         try:
-            data = {
-                datum_id: sp.decode_datum(blob)
-                for datum_id, blob in blobs.items()
-            }
+            data = {datum_id: sp.decode_datum(blob)
+                    for datum_id, blob in blobs.items()}
             constants = {
                 key: sp.decode_value(value, frames)
                 for key, value in (spec.get("constants") or {}).items()
             }
-            tasks = [
-                self._instantiate(task_spec, data, constants, frames)
-                for task_spec in task_specs
-            ]
+            written: set = set()
+            tasks = [self._instantiate(t, data, constants, frames, written)
+                     for t in task_specs]
             domain = GraphDomain(on_drained=self._finalize)
             domain.tracker.residency_fetch = self._loop.backend.fetch_version
-            job = GraphJob(tenant, domain, data, nbytes, len(tasks))
+            job = GraphJob(tenant, domain, data, written, nbytes, len(tasks))
             # Nothing of this domain runs until release() below, so a
             # task ready at its own analysis is still ready after the
             # whole batch.
@@ -260,17 +262,23 @@ class ServeEngine:
         return job
 
     def _instantiate(self, task_spec: dict, data: dict, constants: dict,
-                     frames):
+                     frames, written: set):
+        # A datum passed anywhere but a declared input (opaque,
+        # undeclared, inout, output) joins *written*: the ack ships it.
         ref = task_spec.get("def")
         if not isinstance(ref, (list, tuple)) or len(ref) != 2:
             raise ServeError(f"malformed task definition ref {ref!r}")
         key = (ref[0], ref[1])
-        definition = self._definitions.get(key)
-        if definition is None:
+        entry = self._definitions.get(key)
+        if entry is None:
             definition = sp.resolve_definition(ref)
-            self._definitions[key] = definition
+            plan = plan_for(definition)
+            reads_only = {pos for _n, d, pos in plan.access_specs if d.reads}
+            entry = self._definitions[key] = (definition, plan, reads_only
+                                              - {p for p, _ in plan.written})
+        definition, plan, reads_only = entry
         args = []
-        for argspec in task_spec.get("args") or []:
+        for pos, argspec in enumerate(task_spec.get("args") or []):
             if "d" in argspec:
                 datum_id = argspec["d"]
                 if datum_id not in data:
@@ -279,11 +287,10 @@ class ServeEngine:
                         f"datum {datum_id!r}"
                     )
                 args.append(data[datum_id])
+                if pos not in reads_only:
+                    written.add(datum_id)
             else:
                 args.append(sp.decode_value(argspec, frames))
-        plan = definition._invocation_plan
-        if plan is None:
-            plan = plan_for(definition)
         merged = dict(getattr(definition, "constants", None) or {})
         merged.update(constants)
         return plan.instantiate(tuple(args), {}, merged)
@@ -320,6 +327,7 @@ class ServeEngine:
             job.results = {
                 datum_id: sp.attach(job.frames, sp.encode_datum(obj))
                 for datum_id, obj in job.data.items()
+                if datum_id in job.written
             }
             tenant.m_completed.inc()
         else:

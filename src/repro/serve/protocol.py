@@ -11,8 +11,9 @@ bulk data as binary frames (:mod:`repro.net.frames`)::
      "tasks": [{"def": [module, qualname], "args": [argspec, ...]}, ...]}
     <K frames>
 
-and its ack (``"frames": K`` again, K frames behind it) returns every
-datum's post-barrier content the same way::
+and its ack (``"frames": K`` again, K frames behind it; each record is
+one gather write) returns the post-barrier content of every datum some
+task may write — one only ever passed to an ``input`` parameter stays out::
 
     {"results": {datum_id: attachment_index, ...}, "tasks": N, "seconds": s}
 

@@ -14,10 +14,11 @@ side, and any synchronisation point (``barrier``, ``wait_on``,
 ``gather``) ships the whole batch as ONE graph — tasks referenced by
 module/qualname (the mp backend's registration rule), tracked data by
 value, as binary frames behind the command's line.  The server analyses
-dependencies, runs the graph on its fleet, and the ack carries every
-datum's post-barrier bytes the same way, which the session writes back
-into the caller's original arrays — results are bitwise identical to
-local execution.
+dependencies, runs the graph on its fleet, and the ack carries the
+post-barrier bytes of only what the graph may write (a datum every task
+declares ``input`` is left out), which the session writes back into the
+caller's original arrays — results are bitwise identical to local
+execution.  Each direction is one gather write (``run`` and its ack).
 
 Unlike :class:`~repro.core.runtime.SmpssRuntime`, a session is not
 *exclusive*: many sessions may be active concurrently on different
@@ -34,6 +35,8 @@ import os
 from typing import Optional
 
 from ..core import api as _api
+from ..core.dependencies import _SCALAR_TYPES
+from ..core.invocation import plan_for
 from ..net.client import Client
 from . import protocol as sp
 from .errors import GraphRejected, RemoteGraphError, ServeError
@@ -102,7 +105,6 @@ class ServeSession:
         self._transport: Optional[_Transport] = None
         self._batch: list[tuple] = []      # (definition, values)
         self._datums: dict[int, tuple] = {}  # id(obj) -> (datum_id, obj)
-        self._datum_serial = 0
         self._started = False
         #: Server facts from the open ack (limits, fleet shape).
         self.server_info: dict = {}
@@ -163,20 +165,23 @@ class ServeSession:
         return False
 
     def submit(self, definition, args: tuple, kwargs: dict):
-        """Record one task call; ships at the next synchronisation."""
+        """Record one task call; ships at the next synchronisation.  It
+        binds as the local runtime does: a bad call raises here."""
 
         if not self._started:
             raise ServeError("session is not started")
-        bound = definition._signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        values = tuple(
-            bound.arguments[name] for name in definition.param_names
-        )
-        for value in values:
-            if sp.is_datum(value):
-                self._register(value)
-        self._batch.append((definition, values))
-        return None
+        plan = definition._invocation_plan or plan_for(definition)
+        n = len(args)
+        if kwargs or not plan.n_required <= n <= plan.n_params:
+            args = tuple(definition.bind_dict(args, kwargs).values())
+        elif n < plan.n_params:
+            args += plan.defaults_tail[n - plan.n_required:]
+        datums = self._datums
+        for value in args:  # a tracked datum (sp.is_datum, inline)
+            if id(value) not in datums and not isinstance(
+                    value, _SCALAR_TYPES):
+                datums[id(value)] = (f"d{len(datums)}", value)
+        self._batch.append((definition, args))
 
     def barrier(self) -> None:
         """Ship the batch as one graph; write results back; block."""
@@ -207,41 +212,23 @@ class ServeSession:
     # ------------------------------------------------------------------
     # shipping
     # ------------------------------------------------------------------
-    def _register(self, obj) -> str:
-        key = id(obj)
-        entry = self._datums.get(key)
-        if entry is not None and entry[1] is obj:
-            return entry[0]
-        datum_id = f"d{self._datum_serial}"
-        self._datum_serial += 1
-        self._datums[key] = (datum_id, obj)
-        return datum_id
-
     def flush(self) -> None:
         if not self._batch:
             return
         if self._transport is None:
             raise ServeError("session is not started")
-        tasks = []
+        # The datums submit registered (each batch value held alive by
+        # the batch, so no id is reused meanwhile).
+        datums = self._datums
         frames: list[tuple] = []  # the record's attachments, by index
-        data: dict[str, int] = {}
-        for definition, values in self._batch:
-            ref = sp.definition_ref(definition)
-            argspecs = []
-            for value in values:
-                if sp.is_datum(value):
-                    datum_id = self._register(value)
-                    if datum_id not in data:
-                        data[datum_id] = sp.attach(
-                            frames, sp.encode_datum(value))
-                    argspecs.append({"d": datum_id})
-                else:
-                    argspecs.append(sp.encode_value(value, frames))
-            tasks.append({"def": ref, "args": argspecs})
-        constants = {
-            key: sp.encode_value(value, frames)
-            for key, value in self.constants.items()
-        }
+        data = {datum_id: sp.attach(frames, sp.encode_datum(obj))
+                for datum_id, obj in datums.values()}
+        tasks = [{"def": sp.definition_ref(definition), "args": [
+            {"d": datums[id(value)][0]} if sp.is_datum(value)
+            else sp.encode_value(value, frames) for value in values]}
+            for definition, values in self._batch]
+        constants = {key: sp.encode_value(value, frames)
+                     for key, value in self.constants.items()}
         ack = self._transport.rpc(
             "run", tasks=tasks, data=data, constants=constants, frames=frames
         )
@@ -251,13 +238,11 @@ class ServeSession:
             self._batch.clear()
             self._datums.clear()
             raise self._error_from(ack.get("error"))
-        results = ack.get("data", {}).get("results", {})
-        by_id = {did: obj for did, obj in self._datums.values()}
-        blobs = ack.get("frames", ())
-        for datum_id, index in results.items():
-            target = by_id.get(datum_id)
-            if target is not None:
-                sp.write_back_into(target, sp.attachment(blobs, index))
+        by_id, blobs = dict(datums.values()), ack.get("frames", ())
+        for datum_id, index in ack.get("data", {}).get("results", {}).items():
+            if datum_id in by_id:
+                sp.write_back_into(by_id[datum_id],
+                                   sp.attachment(blobs, index))
         self.graphs_submitted += 1
         self._batch.clear()
         self._datums.clear()

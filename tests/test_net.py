@@ -750,6 +750,21 @@ class TestRecords:
         writer.join(5.0)
         assert not writer.is_alive()
 
+    def test_one_gather_write_past_iov_max(self, pair):
+        """A record is one gather list of 1 + 2N buffers; past the
+        kernel's IOV_MAX (1 024) it goes out in slices, in order."""
+
+        a, b = pair
+        record = {"cmd": "run", "seq": 1,
+                  "frames": [({"i": i}, bytes([i % 256]) * (i % 7))
+                             for i in range(700)]}
+        writer = threading.Thread(
+            target=send_record, args=(a, *encode_record(record)))
+        writer.start()
+        assert RecordReader(b).read(timeout=5.0) == record
+        writer.join(5.0)
+        assert not writer.is_alive()
+
     def test_a_line_timeout_keeps_the_partial_line(self, pair):
         a, b = pair
         reader = RecordReader(b)

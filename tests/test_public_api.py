@@ -723,9 +723,9 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total once one dispatcher thread drove every
-#: remote worker (8 lines below the one remote task record's 24 563).
-LINE_BUDGET = 24550
+#: The ``src/repro`` total once a served graph crossed the socket in one
+#: write each way (1 line below one record stream's 24 550).
+LINE_BUDGET = 24549
 
 
 class TestOneMeasurementSystem:

@@ -134,6 +134,23 @@ class TestStartIsAllOrNothing:
         with SmpssRuntime(num_workers=1) as rt:
             rt.barrier()
 
+    @pytest.mark.parametrize("backend,last", [
+        ("threads", "smpss-worker-2"), ("processes", "smpss-worker-dispatch")])
+    def test_a_loop_thread_that_fails_to_start_stops_the_rest(
+            self, backend, last, monkeypatch):
+        start = threading.Thread.start
+
+        def failing(thread):
+            if thread.name == last:
+                monkeypatch.setattr(threading.Thread, "start", start)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            SmpssRuntime(num_workers=2, backend=backend).start()
+        assert _worker_children() == [] and _runtime_threads() == []
+
     def test_a_failed_endpoint_bind_stops_the_workers(self):
         taken = socket.socket()
         taken.bind(("127.0.0.1", 0))

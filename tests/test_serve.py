@@ -27,7 +27,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import SmpssRuntime, css_task, wait_on
+from repro import InvocationError, SmpssRuntime, css_task, wait_on
 from repro.apps.cholesky import cholesky_hyper
 from repro.apps.multisort import multisort, sequential_sort
 from repro.blas.hypermatrix import HyperMatrix
@@ -121,6 +121,18 @@ def mutate_t(x, how):
 @css_task("inout(seen)")
 def note_t(seen, value):
     seen.append(value)
+
+
+@css_task("input(a, r{0..1}) inout(c) output(o) opaque(p)")
+def mixed_t(a, r, c, o, p, u):
+    c += a.sum() + r[0:2].sum() + p.sum() + u.sum()
+    o[...] = c * 2.0
+
+
+@css_task("input(a) inout(c)")
+def axpy_t(a, c, alpha=2.0, beta=1.0):
+    c *= beta
+    c += alpha * a
 
 
 #: Gate for in-flight tests: tasks park here until the test opens it.
@@ -460,6 +472,98 @@ class TestServedParity:
                 rt.barrier()
             assert rt.graphs_submitted == 3
         assert (a == 3.0).all()
+
+
+class TestAckCarriesOnlyWrites:
+    """The ack leaves out a datum that every task of the graph declares
+    ``input`` (whole or region): the graph never writes it, so nothing
+    of it crosses back.  Opaque, undeclared, ``inout`` and ``output``
+    uses bring it home."""
+
+    @staticmethod
+    def _graph(x):
+        mixed_t(x["a"], x["r"], x["c"], x["o"], x["p"], x["u"])
+        read_t(x["a"])
+        copy_t(x["c"], x["d"])  # c is an input here, inout above
+
+    @staticmethod
+    def _arrays():
+        rng = np.random.default_rng(11)
+        return {name: rng.standard_normal(4) for name in "arcopud"}
+
+    @pytest.mark.parametrize(
+        "backend", ["threads", pytest.param("processes", marks=pytest.mark.mp)])
+    def test_results_are_what_the_graph_may_write(self, backend):
+        local, served, shipped = self._arrays(), self._arrays(), []
+        with SmpssRuntime(num_workers=2):
+            self._graph(local)
+        d = ServeDaemon("tcp:127.0.0.1:0", workers=2, backend=backend)
+        try:
+            with connect(d.address, tenant="acked") as rt:
+                rpc = rt._transport.rpc
+
+                def recording(cmd, **fields):
+                    ack = rpc(cmd, **fields)
+                    names = {datum_id: name
+                             for datum_id, obj in rt._datums.values()
+                             for name, arr in served.items() if arr is obj}
+                    shipped.extend(
+                        names[datum_id] for datum_id in ack["data"]["results"])
+                    return ack
+
+                rt._transport.rpc = recording
+                self._graph(served)
+                rt.barrier()
+        finally:
+            d.close()
+        assert sorted(shipped) == sorted("copud")
+        for name, want in local.items():
+            assert served[name].tobytes() == want.tobytes(), name
+
+
+class TestServedBinding:
+    """A served call binds through the task's invocation plan, exactly
+    as a local one: same values, same errors."""
+
+    @staticmethod
+    def _calls(a, cs):
+        axpy_t(a, cs[0])
+        axpy_t(a, cs[1], 2.0, 1.0)
+        axpy_t(c=cs[2], a=a)
+        axpy_t(a, cs[3], beta=1.0)
+        axpy_t(a, cs[4], 0.5)
+
+    def test_keywords_and_defaults_bind_as_locally(self, daemon):
+        a = np.arange(4.0) / 3.0
+        local = [np.full(4, 0.1) for _ in range(5)]
+        served = [np.full(4, 0.1) for _ in range(5)]
+        with SmpssRuntime(num_workers=2):
+            self._calls(a, local)
+        with connect(daemon.address, tenant="binder"):
+            self._calls(a, served)
+        assert [c.tobytes() for c in served] == [c.tobytes() for c in local]
+        assert len({c.tobytes() for c in served[:4]}) == 1
+
+    def test_a_bad_call_names_its_task(self, daemon):
+        a, c = np.zeros(2), np.zeros(2)
+        bad = (lambda: axpy_t(a), lambda: axpy_t(a, c, 1.0, 1.0, 1.0),
+               lambda: axpy_t(a, c, gamma=1.0))
+
+        def messages():
+            out = []
+            for call in bad:
+                with pytest.raises(InvocationError) as info:
+                    call()
+                out.append(str(info.value))
+            return out
+
+        with SmpssRuntime(num_workers=1):
+            local = messages()
+        with connect(daemon.address, tenant="bad") as rt:
+            served = messages()
+            assert rt._batch == []
+        assert served == local
+        assert all(m.startswith("task 'axpy_t': ") for m in local), local
 
 
 class TestConcurrentSessions:
@@ -978,26 +1082,123 @@ class _CountingSocket:
         return getattr(self._sock, name)
 
 
+def _noting(writers, write):
+    """*write* (a ``socket.socket`` method) noting each caller socket."""
+
+    def noted(sock, *args):
+        writers.append(sock)
+        return write(sock, *args)
+
+    return noted
+
+
 class TestWireBytes:
-    def test_wire_bytes_pin(self, daemon):
-        """Three 64x64 float64 datums: each direction moves their bytes
-        plus a small envelope — text-encoded content (4/3 of it) would
-        be 32 KiB over."""
+    def test_wire_bytes_pin(self, daemon, monkeypatch):
+        """Three 64x64 float64 datums: the run moves their bytes plus a
+        small envelope, the ack the one the graph writes — text-encoded
+        content (4/3 of it) would be 32 KiB over — and each is one
+        socket write."""
 
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 64, 64))
         c = np.zeros((64, 64))
         payload = a.nbytes + b.nbytes + c.nbytes
+        writers = []
         with connect(daemon.address, tenant="counted") as rt:
             transport = rt._transport
             counting = _CountingSocket(transport._sock)
             transport._sock = transport._reader._sock = counting
             gemm_t(a, b, c)
-            rt.barrier()
+            with monkeypatch.context() as m:
+                for name in ("send", "sendall", "sendmsg"):
+                    m.setattr(socket.socket, name, _noting(
+                        writers, getattr(socket.socket, name)))
+                rt.barrier()
             sent, received = counting.sent, counting.received
         assert c.tobytes() == (a @ b).tobytes()
         assert payload <= sent <= payload + 2048
-        assert payload <= received <= payload + 2048
+        # Only c is written (a and b are inputs): only c comes back.
+        assert c.nbytes <= received <= c.nbytes + 2048
+        # One gather write each way: the run, then its ack.
+        assert writers == [counting._sock, writers[-1]] \
+            and writers[-1] is not counting._sock, writers
+
+
+def test_served_submit_call_pin(daemon):
+    """1 000 positional submits on a served session make exactly 0
+    Python-level calls from ``ServeSession.submit`` itself: the plan
+    binds the call and each datum is registered inline, with C builtins
+    only (the ``inspect.Signature`` binder made 12 000).  Keyword calls
+    go through ``bind_dict`` as on the local runtime.  A count, not a
+    timing (CI's bench-gate job); it may only fall."""
+
+    import gc
+    import sys
+
+    from repro.serve.session import ServeSession
+
+    submit = ServeSession.submit.__code__
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_back is not None \
+                and frame.f_back.f_code is submit:
+            calls.append(frame.f_code.co_name)
+
+    a, b = np.ones((2, 2)), np.ones((2, 2))
+    cs = [np.zeros((2, 2)) for _ in range(1000)]
+    outer = sys.getprofile()
+    collecting = gc.isenabled()
+    with connect(daemon.address, tenant="pinned") as rt:
+        gemm_t(a, b, np.zeros((2, 2)))  # the invocation plan is built once
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            for c in cs:
+                gemm_t(a, b, c)
+        finally:
+            sys.setprofile(outer)
+            if collecting:
+                gc.enable()
+        rt.barrier()
+    assert len(calls) == 0, sorted(set(calls))
+    assert all((c == 2.0).all() for c in cs)
+
+
+class TestEngineStartIsAllOrNothing:
+    """An engine or daemon that fails to start leaves no worker thread,
+    process, socket or segment behind (the conftest leak fixture)."""
+
+    @pytest.mark.parametrize(
+        "backend", ["threads", pytest.param("processes", marks=pytest.mark.mp)])
+    def test_a_failed_worker_start_stops_the_fleet(self, backend, monkeypatch):
+        start = threading.Thread.start
+
+        def failing(thread):
+            # The loop's last thread: under threads, worker 1 is running.
+            if thread.name in ("repro-serve-worker-2",
+                               "repro-serve-worker-dispatch"):
+                monkeypatch.setattr(threading.Thread, "start", start)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            ServeEngine(workers=2, backend=backend)
+        assert _serve_threads() == []
+
+    def test_a_daemon_on_a_taken_address_leaves_nothing(self):
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        try:
+            with pytest.raises(OSError):
+                ServeDaemon(f"tcp:127.0.0.1:{taken.getsockname()[1]}",
+                            workers=2)
+        finally:
+            taken.close()
+        assert _serve_threads() == []
 
 
 # ---------------------------------------------------------------------------
