@@ -579,7 +579,7 @@ class _Interp:
             if t.finished:
                 continue
             self.graph.complete(t)
-            stack.extend(t.predecessors)
+            stack.extend(t.predecessors)  # any order: all of them finish
 
     def _chains(self, datum: Datum):
         """``(datum, chain)`` for every live chain the tracker holds on

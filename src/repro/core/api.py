@@ -204,9 +204,11 @@ def css_task(pragma: str = "", constants: Optional[dict] = None) -> Callable:
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            runtime = current_runtime()
-            if runtime is None:
+            # current_runtime(), inline: a submission pays no call for it.
+            stack = getattr(_tls, "stack", None)
+            if not stack:
                 return func(*args, **kwargs)
+            runtime = stack[-1]
             # "SMPSs treats task calls inside tasks as normal function
             # calls" (sections VII.B/D): a call made from within an
             # executing task body runs inline, it does not nest.  The

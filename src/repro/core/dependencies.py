@@ -84,10 +84,6 @@ class _Chain:
         self.current = initial
         self.version_count = 1
 
-    def roll(self, version: Version) -> None:
-        self.current = version
-        self.version_count += 1
-
 
 class TrackedDatum:
     """Per-base-object tracking state."""
@@ -390,7 +386,7 @@ class DependencyTracker:
             hazard = producer is not None or pending_readers
             if hazard and renaming:
                 newv = Version(datum, chain.version_count, StorageKind.FRESH)
-                graph.note_rename()
+                graph.stats.renames += 1
                 if self.tracer:
                     self.tracer.rename(task, datum, StorageKind.FRESH)
             else:
@@ -398,7 +394,8 @@ class DependencyTracker:
                     self._hazard_edges(cur, pending_readers, task)
                 newv = Version(datum, chain.version_count, StorageKind.SAME, prev=cur)
             newv.producer = task
-            chain.roll(newv)
+            chain.current = newv
+            chain.version_count += 1
             task.writes.append((name, newv))
             return
 
@@ -414,7 +411,7 @@ class DependencyTracker:
             )
             if pending_readers and renaming:
                 newv = Version(datum, chain.version_count, StorageKind.CLONE, prev=cur)
-                graph.note_rename()
+                graph.stats.renames += 1
                 if self.tracer:
                     self.tracer.rename(task, datum, StorageKind.CLONE)
             else:
@@ -422,7 +419,8 @@ class DependencyTracker:
                     graph.add_dependency(reader, task, EdgeKind.ANTI)
                 newv = Version(datum, chain.version_count, StorageKind.SAME, prev=cur)
             newv.producer = task
-            chain.roll(newv)
+            chain.current = newv
+            chain.version_count += 1
             # The task reads the previous value (and a CLONE resolves
             # from it at execution time): register as a reader so the
             # memory manager keeps the buffer alive until then.

@@ -17,8 +17,11 @@ Locking: ``domain.lock`` serialises one domain's tracker analysis and
 graph completion and never blocks on the scheduler (domains share
 nothing, so two never contend); ``_sched_lock`` serialises the ready
 lists, the running count and all sleeping/wakeup traffic.  A
-submission and the workers meet only for the brief ready-list push,
-and a completion wakes one worker per released successor, not all.
+submission and the workers meet only for the brief ready-list push.
+A worker publishes a completion and pops its own next task in one
+scheduler-lock section, and wakes parked workers only: at most one
+per released successor it does not take itself, none while no worker
+sleeps.
 """
 
 from __future__ import annotations
@@ -98,25 +101,13 @@ class GraphDomain:
         successors are released, so none of them can run ahead of it."""
 
         with self.lock:
-            return (self._retire(task, failure, ran),
-                    self.graph.pending_count == 0)
-
-    def complete_all(self, entries) -> tuple[list, bool]:
-        """:meth:`complete` each ``(task, failure, ran)`` under one lock
-        acquisition; ``([newly_ready, ...], drained)``."""
-
-        with self.lock:
-            return ([self._retire(*entry) for entry in entries],
-                    self.graph.pending_count == 0)
-
-    def _retire(self, task, failure, ran: bool) -> list:
-        self.executed += ran
-        if failure is not None and self.failure is None:
-            self.failure = failure
-        newly_ready = self.graph.complete(task)
-        if self.release_eagerly:
-            self.tracker.release_after(task)
-        return newly_ready
+            self.executed += ran
+            if failure is not None and self.failure is None:
+                self.failure = failure
+            newly_ready = self.graph.complete(task)
+            if self.release_eagerly:
+                self.tracker.release_after(task)
+            return newly_ready, self.graph._pending == 0
 
     def fail(self, failure: BaseException) -> None:
         """Stop the domain: its queued tasks will be retired unrun."""
@@ -162,8 +153,9 @@ class WorkerLoop:
     the loop does the rest.  Thread 0 is the owner's; it may
     :meth:`_execute` a task it popped itself (main-thread helping).
     *metrics* receives per-task duration and ready-depth histograms
-    (``None``: none); *tracer* the ``task_end`` of a body run on a loop
-    thread.
+    (``None``: none), written inline under the scheduler lock (see
+    :class:`~repro.obs.metrics.HistogramMetric`); *tracer* the
+    ``task_end`` of a body run on a loop thread.
     """
 
     def __init__(self, metrics=None, tracer=None):
@@ -176,11 +168,9 @@ class WorkerLoop:
                                else metrics.histogram("ready_queue_depth"))
         self._trace = tracer
         self._threads: list[threading.Thread] = []
-        #: Workers sleep on ``_sched_cv`` (``notify(k)`` per k released
-        #: tasks; a dispatcher polls a :class:`_Wake` instead), the
-        #: owner's thread on ``_main_cv``, woken per completion only
-        #: while it waits (barrier, window, memory limit, ``wait_for``
-        #: can flip on any completion).
+        #: Workers sleep on ``_sched_cv`` (a dispatcher polls a
+        #: :class:`_Wake` instead), the owner's thread on ``_main_cv``,
+        #: woken per completion while it waits (any can end its wait).
         self._sched_lock = threading.Lock()
         self._sched_cv = threading.Condition(self._sched_lock)
         self._main_cv = threading.Condition(self._sched_lock)
@@ -273,20 +263,22 @@ class WorkerLoop:
                 for row, thread in zip(rows, threads)]
 
     def release(self, tasks) -> None:
-        """Queue *tasks* — analysed and found ready — and wake one
-        worker per task."""
+        """Queue *tasks*, analysed and found ready; wake up to one parked
+        worker per task (a remote backend's dispatcher: always)."""
 
         with self._sched_lock:
             if self._died is None:
                 for task in tasks:
                     self.scheduler.push_new(task)
-                self._sched_cv.notify(len(tasks))
+                if self._parked or self.backend.remote:
+                    self._sched_cv.notify(len(tasks))
                 return
         self._drain(list(tasks), self._died)  # nobody left to run them
 
     def _worker_loop(self, idx: int) -> None:
         cv = self._sched_cv
         scheduler = self.scheduler
+        execute = self._execute
         while True:
             with cv:
                 while True:
@@ -301,10 +293,13 @@ class WorkerLoop:
                         cv.wait()
                     finally:
                         self._parked -= 1
-            self._execute(task, idx)
+            while task is not None:
+                task = execute(task, idx)
 
-    def _execute(self, task: TaskInstance, thread: int) -> None:
-        """Run *task* on this thread and complete it."""
+    def _execute(self, task: TaskInstance, thread: int,
+                 take: bool = True) -> Optional[TaskInstance]:
+        """Run *task* on this thread and complete it; return the next
+        task popped for it in the same scheduler-lock section, if *take*."""
 
         domain = task.domain
         failure = None
@@ -327,29 +322,37 @@ class WorkerLoop:
             # busy[thread] has one writer (the <5% health overhead pin).
             self.flight.note_task(task.task_id, task.definition.name,
                                   thread, perf_counter(), duration)
+        scheduler = self.scheduler
         with self._sched_lock:
             if ran and self._task_metrics is not None:
-                self._observe(task, duration)
-            self._running -= 1
-            # One notify per released task; the owner's only if asleep.
+                # HistogramMetric.observe, inline: no call per task.
+                name = task.definition.name
+                hist = self._task_hists.get(name) or self._task_hist(name)
+                for hist, value in ((hist, duration), (self._m_ready_depth,
+                                                       scheduler._ready_count)):
+                    raw = hist._raw
+                    raw.append(value)
+                    if len(raw) >= hist._FOLD_AT:
+                        hist._fold()
             if newly_ready:
-                self.scheduler.push_ready_batch(newly_ready, thread)
-                self._sched_cv.notify(len(newly_ready))
+                scheduler.push_ready_batch(newly_ready, thread)
+            nxt = scheduler.pop(thread) if take and not self._stop else None
+            took = nxt is not None
+            self._running += took - 1
+            # Parked workers only, one per released task not taken here;
+            # the owner only if asleep.
+            if self._parked and len(newly_ready) > took:
+                self._sched_cv.notify(len(newly_ready) - took)
             if self._main_parked:
                 self._main_cv.notify()
         if drained and domain.on_drained is not None:
             domain.on_drained(domain)
+        return nxt
 
-    def _observe(self, task: TaskInstance, duration: float) -> None:
-        """Per-task histograms (under the scheduler lock)."""
-
-        name = task.definition.name
-        hist = self._task_hists.get(name)
-        if hist is None:
-            hist = self._task_hists[name] = self._task_metrics.histogram(
-                "task_duration_seconds", task=name)
-        hist.observe(duration)
-        self._m_ready_depth.observe(self.scheduler.ready_count)
+    def _task_hist(self, name: str):
+        hist = self._task_hists[name] = self._task_metrics.histogram(
+            "task_duration_seconds", task=name)
+        return hist
 
     def _dispatch_loop(self) -> None:
         """Drive every worker of a remote backend from this one thread:
@@ -444,7 +447,10 @@ class WorkerLoop:
             if self._task_metrics is not None:
                 for task, _, _, duration, ran in done:
                     if ran:
-                        self._observe(task, duration)
+                        name = task.definition.name
+                        (self._task_hists.get(name) or self._task_hist(name)
+                         ).observe(duration)
+                        self._m_ready_depth.observe(scheduler.ready_count)
             self._running -= len(done)
             for thread, ready in released:
                 scheduler.push_ready_batch(ready, thread)
@@ -508,10 +514,9 @@ class WorkerLoop:
 
     def _retire(self, done: list) -> tuple[list, list]:
         """Count *done* (its task_end came with the reply) and complete
-        it, one lock per domain; ``(thread, newly_ready)`` pairs and
-        the drained domains."""
+        it; ``(thread, newly_ready)`` pairs and the drained domains."""
 
-        groups: dict = {}
+        released, drained = [], []
         for task, thread, cause, duration, ran in done:
             failure = None
             if ran:
@@ -519,13 +524,10 @@ class WorkerLoop:
                     failure = TaskExecutionError(task, cause)
                 task.executed_by = thread
                 self._executed[thread] += 1
-            groups.setdefault(task.domain, []).append(
-                (thread, (task, failure, ran)))
-        released, drained = [], []
-        for domain, group in groups.items():
-            readies, empty = domain.complete_all([entry for _, entry in group])
-            released += [(thread, ready) for (thread, _), ready
-                         in zip(group, readies) if ready]
+            domain = task.domain
+            ready, empty = domain.complete(task, failure, ran)
+            if ready:
+                released.append((thread, ready))
             if empty and domain.on_drained is not None:
                 drained.append(domain)
         if self.flight is not None:

@@ -95,6 +95,7 @@ class ActiveRuntime:
 
     def start(self) -> "ActiveRuntime":
         _api.push_runtime(self)
+        self._tls.in_task = False  # unset, in_task_body raises per call
         return self
 
     def shutdown(self) -> None:

@@ -139,9 +139,6 @@ class TaskGraph:
             self.tracer.edge(pred, succ, kind)
         return True
 
-    def note_rename(self) -> None:
-        self.stats.renames += 1
-
     def complete(self, task: TaskInstance) -> list[TaskInstance]:
         """Retire *task*; return successors that became ready.
 
@@ -169,19 +166,24 @@ class TaskGraph:
             del self._tasks[task.task_id]
         # Leave the versions it touched: a retired graph is acyclic and
         # dies by reference count (wait_for still reads ``task.writes``).
+        # A reader leaving prunes its version's list once finished
+        # readers are the majority: O(1) amortised in any order.
         for _name, version in task.reads:
-            version.unlink_reader()
+            version._gone += 1
+            if 2 * version._gone > len(version.readers):
+                version.pending_readers()
         for _name, version in task.writes:
             version.producer = None
         # Deterministic order: invocation order, like the runtime's
         # sequential dependency analysis would release them.
         if len(newly_ready) > 1:
-            newly_ready.sort(key=lambda t: t.task_id)
+            newly_ready.sort(key=_TASK_ID)
         return newly_ready
 
     @property
     def pending_count(self) -> int:
-        """Tasks added but not yet finished (the graph-size condition)."""
+        """Tasks added but not yet finished (the graph-size condition;
+        the core's hot paths read ``_pending`` itself)."""
 
         return self._pending
 

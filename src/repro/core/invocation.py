@@ -27,6 +27,7 @@ import numpy as np
 
 from .pragma import Expr, PragmaError
 from .regions import FULL_DIM, Region, RegionError, check_intervals
+from .renaming import StorageKind
 from .task import InvocationError, ParamAccess, TaskDefinition, TaskInstance
 
 __all__ = ["InvocationPlan", "instantiate", "plan_for"]
@@ -285,12 +286,15 @@ def resolve_call_values(task: TaskInstance, sanitizer=None) -> list:
 
     values = list(task.call_values)
     positions = task.definition.positions
-    for name, version in task.reads:
-        if not version.datum.region_mode:
-            values[positions[name]] = version.resolve_storage()
-    for name, version in task.writes:
-        if not version.datum.region_mode:
-            values[positions[name]] = version.resolve_storage()
+    for name, version in (*task.reads, *task.writes):
+        datum = version.datum
+        if not datum.region_mode:
+            # resolve_storage, flat: read the storage owner (root) once.
+            root = version._root or version
+            storage = (datum.base if root.kind is StorageKind.INITIAL
+                       else root._storage)
+            values[positions[name]] = (
+                root.resolve_storage() if storage is None else storage)
     if sanitizer is not None:
         values = sanitizer.wrap(task, values)
     return values

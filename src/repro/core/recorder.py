@@ -184,7 +184,7 @@ class RecordingRuntime(ActiveRuntime):
         while stack:
             task = stack.pop()
             if task.state is not TaskState.FINISHED:
-                stack.extend(task.predecessors)
+                stack.extend(task.predecessors)  # any order: all finish
                 self.graph.complete(task)
 
     def finish(self) -> RecordedProgram:

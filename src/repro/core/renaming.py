@@ -256,7 +256,8 @@ class Version:
         self.prev = prev
         #: TaskInstance that produces this version (None: initial data).
         self.producer = producer
-        #: TaskInstances that read this version (see :meth:`unlink_reader`).
+        #: TaskInstances that read this version; ``_gone`` of them have
+        #: finished since the last prune (``TaskGraph.complete``).
         self.readers: list = []
         self._gone = 0
         self._storage: Any = None
@@ -356,18 +357,14 @@ class Version:
     def pending_readers(self) -> list:
         """Readers whose task has not finished yet; prunes the rest."""
 
-        still = [t for t in self.readers if t.state is not TaskState.FINISHED]
+        still = []
+        finished = TaskState.FINISHED
+        for task in self.readers:  # a loop, not a comprehension's call
+            if task.state is not finished:
+                still.append(task)
         self.readers = still
         self._gone = 0
         return still
-
-    def unlink_reader(self) -> None:
-        """One more reader finished: prune once finished readers are the
-        majority, O(1) amortised in any retirement order."""
-
-        self._gone += 1
-        if 2 * self._gone > len(self.readers):
-            self.pending_readers()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

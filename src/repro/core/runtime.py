@@ -238,15 +238,18 @@ class SmpssRuntime(ActiveRuntime):
         t0 = perf_counter() if metrics_on else 0.0
         ready_now = self.domain.analyze(task)
         if metrics_on:
-            self._m_analysis.observe(perf_counter() - t0)
+            raw = self._m_analysis._raw  # observe(), inline: no call
+            raw.append(perf_counter() - t0)
+            if len(raw) >= self._m_analysis._FOLD_AT:
+                self._m_analysis._fold()
         if self.tracer is not None:
             self.tracer.task_added(task)
         if ready_now:
             self._loop.release((task,))
-        if self.graph.pending_count > self._max_pending:
+        if self.graph._pending > self._max_pending:
             # Graph-size blocking condition: behave as a worker.
             self._main_help(
-                lambda: self.graph.pending_count > self._max_pending
+                lambda: self.graph._pending > self._max_pending
             )
         limit = self._mem_limit
         if limit is not None and self.tracker.renamed_bytes > limit:
@@ -298,7 +301,7 @@ class SmpssRuntime(ActiveRuntime):
                         self._main_cv.wait()
                     finally:
                         loop._main_parked = False
-            loop._execute(task, 0)
+            loop._execute(task, 0, False)
 
     def _notify_dispatch(self, task: TaskInstance, thread: int) -> None:
         """A remote backend's ``on_dispatch`` hook (``live=True`` only);

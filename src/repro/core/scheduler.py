@@ -136,11 +136,6 @@ class DispatchGate:
         self._schedulers.append(scheduler)
         scheduler.gate = self if self.engaged else None
 
-    def _sync_installed(self) -> None:
-        gate = self if self.engaged else None
-        for scheduler in self._schedulers:
-            scheduler.gate = gate
-
     # -- scheduler side (lock already held) -----------------------------
     def admit(self) -> bool:
         """May the calling thread dispatch one task right now?"""
@@ -186,17 +181,17 @@ class DispatchGate:
             else:
                 cv.notify(n)
 
-    def _recompute_engaged(self) -> None:
-        self.engaged = bool(
-            self.paused or self.break_names or self.break_ids
-        )
-        self._sync_installed()
+    def _engage(self) -> None:
+        """Recompute :attr:`engaged` and (un)install accordingly."""
+
+        self.engaged = bool(self.paused or self.break_names or self.break_ids)
+        for scheduler in self._schedulers:
+            scheduler.gate = self if self.engaged else None
 
     def pause(self) -> None:
         with self._lock:
             self.paused = True
-            self.engaged = True
-            self._sync_installed()
+            self._engage()
 
     def resume(self) -> None:
         """Drop the gate: clear pause and any unused step budget."""
@@ -204,7 +199,7 @@ class DispatchGate:
         with self._lock:
             self.paused = False
             self.step_budget = 0
-            self._recompute_engaged()
+            self._engage()
             self._notify()
 
     def step(self, n: int = 1) -> None:
@@ -219,8 +214,7 @@ class DispatchGate:
             raise ValueError("step(n) needs n >= 1")
         with self._lock:
             self.paused = True
-            self.engaged = True
-            self._sync_installed()
+            self._engage()
             self.step_budget += n
             self._notify(n)
 
@@ -233,15 +227,14 @@ class DispatchGate:
                 self.break_names.add(name)
             if task_id is not None:
                 self.break_ids.add(int(task_id))
-            self.engaged = True
-            self._sync_installed()
+            self._engage()
 
     def clear_breaks(self) -> None:
         with self._lock:
             self.break_names.clear()
             self.break_ids.clear()
             self._skip_ids.clear()
-            self._recompute_engaged()
+            self._engage()
 
     def state(self) -> dict:
         """Plain-data control state (for snapshots; lock-free read of
@@ -324,10 +317,8 @@ class SmpssScheduler:
         High-priority tasks are "scheduled as soon as possible
         independently of any locality consideration", so they go to the
         global high list; others go to the unlocking thread's own list.
-        A single entry point lets the threaded runtime insert a whole
-        completion's worth of unlocked successors under one
-        scheduler-lock acquisition and pairs with its batched
-        ``notify(len(tasks))`` wakeup.
+        The worker loop pushes a whole completion's worth of unlocked
+        successors at once, in the section that pops its next task.
         """
 
         own = self._own(thread)

@@ -187,7 +187,10 @@ class TaskInstance:
     A plain ``__slots__`` class with a hand-written ``__init__``: one of
     these is allocated per submission, so the generated-dataclass
     machinery (per-field defaults resolution, ``__set_name__`` walks)
-    is measurable overhead on the fast path.
+    is measurable overhead on the fast path.  Equality and hashing are
+    ``object``'s (identity, in C): an edge set's iteration order is
+    therefore arbitrary, and whoever needs an order sorts by
+    ``task_id``.
     """
 
     __slots__ = (
@@ -287,12 +290,6 @@ class TaskInstance:
     @property
     def is_ready(self) -> bool:
         return self.num_pending_deps == 0 and self.state is TaskState.BLOCKED
-
-    def __hash__(self) -> int:
-        return self.task_id
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Task #{self.task_id} {self.name} {self.state.value}>"

@@ -184,14 +184,21 @@ class AgentServer:
         self.tasks_run = 0
 
     def start(self) -> "AgentServer":
+        """Listen and accept, all or nothing (a failure closes both)."""
+
         self._listener, self.address, self._unix_path = listen(
             self.requested_address)
         self._closing.clear()
-        self._accept_thread = threading.Thread(
+        thread = threading.Thread(
             target=self._accept_loop, name="repro-dist-agent-accept",
             daemon=True,
         )
-        self._accept_thread.start()
+        try:
+            thread.start()
+        except BaseException:
+            self.close()
+            raise
+        self._accept_thread = thread
         return self
 
     @property
@@ -207,6 +214,9 @@ class AgentServer:
         listener, self._listener = self._listener, None
         unix_path, self._unix_path = self._unix_path, None
         hang_up(listener, unix_path)
+        thread, self._accept_thread = self._accept_thread, None
+        if thread is not None:
+            thread.join()
         with self._conn_lock:
             conns = list(self._conns)
             self._conns.clear()

@@ -116,7 +116,8 @@ def explain_blocked(runtime, task) -> dict:
     created the version (``initial``/``same``/``fresh``/``clone``), and
     the producing task — including which worker is executing it right
     now, when one is.  Predecessors that arrived through explicit
-    anti/output edges (renaming off) are reported without a parameter.
+    anti/output edges (renaming off) are reported without a parameter,
+    in task-id order, so every identical run has the same wait chain.
 
     Pure reads — the caller decides whether to hold the tracker lock
     (the watchdog does; the stall path runs when no worker is active).
@@ -136,7 +137,7 @@ def explain_blocked(runtime, task) -> dict:
             "producer": _task_brief(runtime, producer),
         }
         waiting_on.append(entry)
-    for pred in task.predecessors:
+    for pred in sorted(task.predecessors, key=lambda t: t.task_id):
         if pred.state is TaskState.FINISHED or pred.task_id in explained:
             continue
         waiting_on.append({

@@ -17,7 +17,7 @@ Design notes:
   the same name with ``task="strsm_t"`` are separate series;
 * lookup returns the *same* object every time — hot paths cache the
   returned metric and pay one attribute increment per event;
-* histograms bucket by power of two (``math.frexp`` exponent), cheap
+* histograms bucket by power of two (``frexp`` exponent), cheap
   enough for per-task observation and sufficient for the order-of-
   magnitude questions (is analysis 1us or 100us?) the paper's section
   VI block-size discussion turns on.
@@ -28,8 +28,9 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 from typing import Iterator, Optional
+
+import numpy as np
 
 __all__ = [
     "CounterMetric",
@@ -89,13 +90,15 @@ class HistogramMetric:
     ``k``.  Negative and zero observations land in a single underflow
     bucket (key ``None`` in the snapshot).
 
-    Aggregation is *deferred*: :meth:`observe` only appends to a raw
-    buffer (a single C-level list append — histograms sit on the
-    runtime's per-task hot path), and the tallies are folded in when
-    they are read, or whenever the buffer reaches a bounded size, so
-    memory stays O(1) amortised on long runs.  Like the registry
-    itself, a single histogram is not internally locked — the owning
-    runtime serialises updates to it.
+    Aggregation is *deferred*: an observation is only appended to the
+    raw buffer ``_raw``, and the tallies are folded in when they are
+    read, or whenever the buffer reaches ``_FOLD_AT``, so memory stays
+    O(1) amortised on long runs.  The runtime's per-task hot paths skip
+    :meth:`observe`'s Python call and write its two steps inline
+    (``h._raw.append(v)``, then ``h._fold()`` once ``len(h._raw)``
+    reaches ``h._FOLD_AT``).  Like the registry itself, a single
+    histogram is not internally locked — the owning runtime serialises
+    updates to it.
     """
 
     __slots__ = ("name", "labels", "buckets", "_count", "_sum", "_min", "_max", "_raw")
@@ -133,12 +136,17 @@ class HistogramMetric:
             self._min = lo
         if hi > self._max:
             self._max = hi
+        # Bucket keys by numpy: one frexp over the buffer, not a loop.
+        values = np.asarray(raw, dtype=np.float64)
+        positive = values > 0
         buckets = self.buckets
-        frexp = math.frexp
-        get = buckets.get
-        for value in raw:
-            key = frexp(value)[1] if value > 0 else None
-            buckets[key] = get(key, 0) + 1
+        underflow = len(raw) - int(np.count_nonzero(positive))
+        if underflow:
+            buckets[None] = buckets.get(None, 0) + underflow
+        keys, counts = np.unique(np.frexp(values[positive])[1],
+                                 return_counts=True)
+        for key, n in zip(keys.tolist(), counts.tolist()):
+            buckets[key] = buckets.get(key, 0) + n
 
     @property
     def count(self) -> int:
@@ -171,8 +179,8 @@ class HistogramMetric:
         The estimate merges two populations *without* folding the raw
         buffer: the not-yet-folded observations contribute their exact
         values, and each already-folded bucket contributes its count at
-        the bucket's upper bound (``2**k`` for bucket *k*; the
-        underflow bucket at ``0.0``).  While nothing has been folded —
+        the bucket's upper bound (``2**k`` for bucket *k*, ``inf`` past
+        the largest float; underflow at ``0.0``).  While nothing is folded —
         fewer than ``_FOLD_AT`` observations, the common case for
         per-task-type duration series — the result is therefore the
         exact nearest-rank quantile; after folding it is conservative
@@ -189,7 +197,7 @@ class HistogramMetric:
             return None
         rank = max(1, math.ceil(q * total))
         points = [
-            (0.0 if key is None else 2.0 ** key, n)
+            (0.0 if key is None else 2.0 ** key if key < 1024 else math.inf, n)
             for key, n in self.buckets.items()
         ]
         points.extend((value, 1) for value in self._raw)
@@ -275,12 +283,6 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> HistogramMetric:
         return self._get(HistogramMetric, name, labels)
 
-    def timer(self, name: str, **labels) -> "_Timer":
-        """``with registry.timer("analysis_seconds"):`` observes the
-        elapsed wall-clock into the named histogram."""
-
-        return _Timer(self.histogram(name, **labels))
-
     # -- ingestion ---------------------------------------------------------
     def ingest_scheduler_stats(self, stats, prefix: str = "scheduler") -> None:
         """Mirror a :class:`~repro.core.scheduler.SchedulerStats` into
@@ -340,21 +342,6 @@ class MetricsRegistry:
                 self.gauge(name, **labels_dict).set(metric.value)
             elif isinstance(metric, HistogramMetric):
                 self.histogram(name, **labels_dict).merge(metric)
-
-
-class _Timer:
-    __slots__ = ("histogram", "_start")
-
-    def __init__(self, histogram: HistogramMetric):
-        self.histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.histogram.observe(time.perf_counter() - self._start)
 
 
 # ---------------------------------------------------------------------------

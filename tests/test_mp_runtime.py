@@ -924,16 +924,15 @@ class TestCompletionOrder:
         from repro.core.tracing import EventKind
 
         seen = []
-        complete_all = GraphDomain.complete_all
+        complete = GraphDomain.complete
 
-        def probing(domain, entries):
+        def probing(domain, task, *args):
             ended = {event.task_id for event in rt.tracer.events
                      if event.kind == EventKind.TASK_END}
-            seen.extend((task.task_id in ended, rt.tasks_executed)
-                        for task, _, _ in entries)
-            return complete_all(domain, entries)
+            seen.append((task.task_id in ended, rt.tasks_executed))
+            return complete(domain, task, *args)
 
-        monkeypatch.setattr(GraphDomain, "complete_all", probing)
+        monkeypatch.setattr(GraphDomain, "complete", probing)
         with SharedArena() as arena:
             cell = arena.zeros((1,))
             with SmpssRuntime(num_workers=1, backend="processes",

@@ -278,6 +278,36 @@ class TestExplainer:
                 _release(flag)
             rt.barrier()
 
+    def test_identical_wedged_runs_give_identical_wait_chains(
+            self, tmp_path):
+        """With renaming off, a writer's predecessors arrive as explicit
+        edges only (one output, two anti), a set without an order of
+        its own: the chain must still walk them in task-id order."""
+
+        def wedged_chain(run: int) -> list:
+            flag = str(tmp_path / f"flag{run}")
+            a, b, c = np.zeros(2), np.zeros(2), np.zeros(2)
+            with SmpssRuntime(
+                num_workers=1, health=True, health_interval=5.0,
+                health_dump_dir=str(tmp_path), enable_renaming=False,
+            ) as rt:
+                wedge_t(flag, a)
+                follow_t(a, b)
+                follow_t(a, c)
+                writer = wedge_t(flag, a)   # after both readers of a
+                time.sleep(0.1)  # let the wedge start running
+                try:
+                    return wait_chain(rt, writer)
+                finally:
+                    _release(flag)
+                    rt.barrier()
+
+        first, second = wedged_chain(0), wedged_chain(1)
+        assert first == second
+        assert [len(link["waiting_on"]) for link in first] == [3, 0]
+        assert [p["producer"]["task_id"] for p in first[0]["waiting_on"]] \
+            == [1, 2, 3]
+
     def test_explain_unknown_id_raises(self, tmp_path):
         with SmpssRuntime(
             num_workers=1, health=True, health_interval=5.0,

@@ -151,6 +151,32 @@ class TestStartIsAllOrNothing:
             SmpssRuntime(num_workers=2, backend=backend).start()
         assert _worker_children() == [] and _runtime_threads() == []
 
+    @pytest.mark.parametrize("address", ["tcp:127.0.0.1:0", "unix"])
+    def test_an_agent_whose_accept_thread_fails_closes_its_socket(
+            self, address, tmp_path, monkeypatch):
+        from repro.dist.agent import AgentServer
+
+        if address == "unix":
+            address = str(tmp_path / "agent.sock")
+        start = threading.Thread.start
+
+        def failing(thread):
+            monkeypatch.setattr(threading.Thread, "start", start)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", failing)
+        agent = AgentServer(address, slots=1)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            with agent:
+                pass
+        assert agent._listener is None and agent._accept_thread is None
+        assert list(tmp_path.iterdir()) == []
+        # The address is free again, and a started agent closes whole.
+        with AgentServer(agent.address, slots=1) as again:
+            accept = again._accept_thread
+            assert accept.is_alive()
+        assert not accept.is_alive()  # close() joined it
+
     def test_a_failed_endpoint_bind_stops_the_workers(self):
         taken = socket.socket()
         taken.bind(("127.0.0.1", 0))

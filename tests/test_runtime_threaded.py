@@ -334,13 +334,13 @@ def fill_one_t(a):
 
 def test_submit_call_pin():
     """1 000 whole-data submits of independent tasks, each ready at
-    submission, make exactly 5 000 Python-level calls from
+    submission, make exactly 3 000 Python-level calls from
     ``SmpssRuntime.submit`` itself: the plan's ``instantiate``, the
-    domain's ``analyze``, the analysis histogram's ``observe``, the
-    worker loop's ``release`` and the graph's ``pending_count``.  That
-    is the count before barrier, ``wait_on`` and ``wait_for`` moved
-    into ``repro.core.frontend``: the hot path pays nothing for the
-    shared front end.  A count, not a timing (CI's bench-gate job).
+    domain's ``analyze`` and the worker loop's ``release``.  The
+    analysis histogram is written inline and the graph's pending count
+    read as a field; barrier, ``wait_on`` and ``wait_for`` live in
+    ``repro.core.frontend``, and the hot path pays nothing for them.
+    A count, not a timing (CI's bench-gate job).
     """
 
     import gc
@@ -372,5 +372,197 @@ def test_submit_call_pin():
             if collecting:
                 gc.enable()
         rt.barrier()
-    assert len(calls) == 5000, sorted(set(calls))
+    assert len(calls) == 3000, sorted(set(calls))
     assert all((a == 1.0).all() for a in arrays)
+
+
+#: Lets ``hold_t`` return (a module global: the body sleeps on it
+#: without a Python call, so a profile sees nothing while it waits).
+_HOLD: list = []
+
+
+@css_task("inout(a)")
+def hold_t(a):
+    while not _HOLD:
+        time.sleep(0.001)
+
+
+def _held(rt, a) -> None:
+    """Submit a ``hold_t`` on *a* and return once a worker runs it."""
+
+    _HOLD.clear()
+    hold_t(a)
+    while not any(task is not None and task.name == "hold_t"
+                  for task in rt._current):
+        time.sleep(0.001)
+
+
+def test_task_call_pin():
+    """1 000 whole-data tasks, each ready at submission, cost exactly 25
+    Python-level calls each over both threads on ``num_workers=1``.
+    17 on the main thread: the ``@css_task`` wrapper, ``in_task_body``,
+    ``submit``, ``instantiate``, ``TaskInstance.__init__``, the domain's
+    and the tracker's ``analyze``, ``add_task``, ``_analyze_whole``, a
+    new datum's ``TrackedDatum.__init__``, ``adapter_for``,
+    ``whole_chain``, ``_Chain.__init__`` and two ``Version.__init__``,
+    ``release`` and ``push_new``.  8 on the worker: ``_execute``, the
+    backend's ``run``, ``resolve_call_values``, the body, the domain's
+    and the graph's ``complete``, and the fused ``pop`` with its
+    ``_select``.  The per-task histograms are written inline, no
+    notify goes out (nobody sleeps), and the worker takes each next
+    task in the section that publishes the last.  The worker is held in
+    a body while the main thread submits, then runs the 1 000 back to
+    back and parks: the count ends at its ``Condition.wait``.  A count,
+    not a timing (CI's bench-gate job); it may only fall.
+    """
+
+    import gc
+    import sys
+
+    wait = threading.Condition.wait.__code__
+    calls = []
+    counting = [False]
+
+    def profile(frame, event, _arg):
+        if event == "call" and counting[0]:
+            calls.append(frame.f_code.co_name)
+            if frame.f_code is wait:
+                counting[0] = False  # the worker parks: the run is over
+
+    arrays = [np.zeros(1) for _ in range(1000)]
+    outer = sys.getprofile()
+    outer_threads = threading.getprofile()
+    collecting = gc.isenabled()
+    threading.setprofile(profile)   # the worker thread starts with it
+    try:
+        with SmpssRuntime(num_workers=1) as rt:
+            # Plans and per-task histograms are built once, before.
+            _HOLD.append(True)
+            fill_one_t(np.zeros(1))
+            hold_t(np.zeros(1))
+            rt.barrier()
+            _held(rt, np.zeros(1))
+            gc.collect()
+            gc.disable()
+            counting[0] = True
+            sys.setprofile(profile)
+            try:
+                for a in arrays:
+                    fill_one_t(a)
+            finally:
+                sys.setprofile(outer)
+            _HOLD.append(True)
+            while counting[0]:
+                time.sleep(0.001)
+            rt.barrier()
+    finally:
+        threading.setprofile(outer_threads)
+        counting[0] = False
+        if collecting:
+            gc.enable()
+    # Outside the 1 000: the held task's completion (the domain's and
+    # the graph's complete, a reader prune), the last task's pop that
+    # finds none, and the park (the condition's enter, a pop, its wait).
+    assert len(calls) == 25 * 1000 + 7, sorted(set(calls))
+    assert all((a == 1.0).all() for a in arrays)
+
+
+def _gate(rt):
+    """A paused dispatch gate installed on *rt*'s scheduler."""
+
+    from repro.core.scheduler import DispatchGate
+
+    gate = DispatchGate()
+    gate.bind(rt._sched_lock, rt._sched_cv, rt._main_cv)
+    gate.install(rt.scheduler)
+    return gate
+
+
+#: What the bodies below ran, in order (untracked: no edge between them).
+_ORDER: list = []
+
+
+@css_task("inout(a) highpriority")
+def urgent_t(a):
+    _ORDER.append("urgent")
+
+
+@css_task("inout(a)")
+def next_t(a):
+    _ORDER.append("next")
+
+
+@css_task("input(a) output(b)")
+def slow_copy_t(a, b):
+    time.sleep(0.2)
+    b[:] = a
+
+
+def _wait_until(predicate, timeout=10.0):
+    limit = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < limit, "timed out"
+        time.sleep(0.001)
+
+
+class TestFusedPop:
+    """A worker publishes a completion and pops its next task in one
+    scheduler-lock section; the pop is the scheduler's, gate included."""
+
+    def test_paused_gate_keeps_the_released_successor(self):
+        a = np.zeros(1)
+        with SmpssRuntime(num_workers=1) as rt:
+            _held(rt, a)
+            incr_t(a)                   # released by the held task
+            gate = _gate(rt)
+            gate.pause()
+            _HOLD.append(True)
+            _wait_until(lambda: rt._loop._parked == 1)
+            assert rt.tasks_executed == 1
+            assert rt.scheduler.queue_depths()["locals"][1] == 1
+            gate.resume()
+            rt.barrier()
+            assert rt.tasks_executed == 2
+        assert a[0] == 1
+
+    def test_high_priority_before_own_lifo_successor(self):
+        a, b = np.zeros(1), np.zeros(1)
+        _ORDER.clear()
+        with SmpssRuntime(num_workers=1) as rt:
+            _held(rt, a)
+            follow = next_t(a)      # the held task releases it: own list
+            urgent = urgent_t(b)    # released by the main thread: high
+            _HOLD.append(True)
+            # The main thread stays out of it until the worker is done.
+            _wait_until(lambda: rt.tasks_executed == 3)
+            rt.barrier()
+        assert _ORDER == ["urgent", "next"]
+        assert urgent.executed_by == follow.executed_by == 1
+
+    def test_a_released_task_not_taken_wakes_a_parked_worker(self):
+        a, b, c = np.zeros(1), np.zeros(1), np.zeros(1)
+        with SmpssRuntime(num_workers=2) as rt:
+            _held(rt, a)
+            _wait_until(lambda: rt._loop._parked == 1)
+            first, second = slow_copy_t(a, b), slow_copy_t(a, c)
+            _HOLD.append(True)   # releases both: one taken, one woken for
+            _wait_until(lambda: rt.tasks_executed == 3)
+            assert {first.executed_by, second.executed_by} == {1, 2}
+            rt.barrier()
+
+    def test_stop_workers_leaves_queued_tasks_queued(self):
+        a, b = np.zeros(1), np.zeros(1)
+        with SmpssRuntime(num_workers=1) as rt:
+            _held(rt, a)
+            incr_t(a)        # released to the worker by the held task
+            incr_t(b)        # ready now, in the main list
+            stopper = threading.Thread(target=rt._loop.stop_workers)
+            stopper.start()
+            _wait_until(lambda: rt._loop._stop)
+            _HOLD.append(True)
+            stopper.join()
+            assert rt.tasks_executed == 1
+            assert rt.scheduler.ready_count == 2
+            rt.barrier()     # the main thread runs what stayed queued
+            assert rt.tasks_executed == 3
+        assert a[0] == 1 and b[0] == 1
