@@ -24,9 +24,6 @@ __all__ = [
     "spotrf_t",
     "strsm_t",
     "ssyrk_t",
-    "sadd_t",
-    "ssub_t",
-    "scopy_t",
     "get_block_t",
     "put_block_t",
     "seqquick_t",
@@ -73,32 +70,6 @@ def ssyrk_t(a, b):
     """Figure 2: symmetric rank-k update of the diagonal tile."""
 
     kernels.syrk(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Strassen helper tasks (section VI.C: "block multiplications, additions
-# and substractions")
-# ---------------------------------------------------------------------------
-
-@css_task("input(a, b) output(c)")
-def sadd_t(a, b, c):
-    """``c = a + b``; ``output`` directionality makes reuse renameable."""
-
-    kernels.geadd(a, b, c)
-
-
-@css_task("input(a, b) output(c)")
-def ssub_t(a, b, c):
-    """``c = a - b``."""
-
-    kernels.gesub(a, b, c)
-
-
-@css_task("input(a) output(b)")
-def scopy_t(a, b):
-    """``b = a`` (tile copy)."""
-
-    kernels.gecopy(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .renaming import (
     Version,
     default_registry,
 )
-from .task import Direction, TaskInstance
+from .task import NO_EDGES, Direction, TaskInstance, TaskState
 
 __all__ = ["TrackerConfig", "DependencyTracker", "DependencyError", "TrackedDatum"]
 
@@ -125,31 +125,14 @@ class TrackedDatum:
             self.chains[None] = chain
         return chain
 
-    def chain_for(self, key: Region, low=None) -> _Chain:
-        """*key*'s chain, made on first use (*low*: :meth:`_indexable`)."""
+    def chain_for(self, key: Region) -> _Chain:
+        """*key*'s chain, made on first use (see :meth:`overlapping`)."""
 
         chain = self.chains.get(key)
         if chain is None:
-            chain = _Chain(key, Version(self, 0, StorageKind.INITIAL))
-            low = low or self._indexable(key)
-            if low is None:
-                self._unindexed += (chain,)
-            else:
-                if not self._by_low:
-                    self._by_low = []
-                insort(self._by_low, (low[0], len(self.chains), chain))
-                self._widest = max(self._widest, low[1] - low[0] + 1)
-            self.chains[key] = chain
+            self.overlapping(key, True)
+            chain = self.chains[key]
         return chain
-
-    def _indexable(self, key: Region) -> Optional[tuple[int, int]]:
-        """*key*'s dimension-0 interval, if the index can order by it."""
-
-        if not key or key[0] == FULL_DIM:
-            return None
-        if self._by_low and len(self._by_low[0][2].key) != len(key):
-            return None
-        return key[0]
 
     def window(self, low: tuple[int, int]) -> list:
         """The indexed ``(l, birth, chain)`` entries that can meet *low*
@@ -159,9 +142,11 @@ class TrackedDatum:
         return by_low[bisect_left(by_low, (low[0] - self._widest + 1,)):
                       bisect_left(by_low, (low[1] + 1,))]
 
-    def overlapping(self, region: Region, low=None) -> list[_Chain]:
-        """Every chain whose key shares an element with *region* (*low*:
-        its :meth:`_indexable`, computed here when not given).
+    def overlapping(self, region: Region, make: bool = False) -> list:
+        """Every chain whose key shares an element with *region*, in the
+        order unindexed, indexed by (lower bound, birth), whole object;
+        with *make*, *region*'s own chain is made first when missing, so
+        it is among them.
 
         Only an indexable region's :meth:`window` is tested, and in one
         dimension the window settled ``l <= hi``, so ``u >= lo`` decides.
@@ -169,17 +154,39 @@ class TrackedDatum:
         chains, never a different answer).
         """
 
-        low = low or self._indexable(region)
-        hits = [c for c in self._unindexed if c.key.overlaps(region)]
+        chains, by_low = self.chains, self._by_low
+        # The dimension-0 interval, when the index can order by it.
+        low = region[0] if region else FULL_DIM
+        if low == FULL_DIM or by_low and len(by_low[0][2].key) != len(region):
+            low = None
+        if make and region not in chains:
+            chain = _Chain(region, Version(self, 0, StorageKind.INITIAL))
+            if low is None:
+                self._unindexed += (chain,)
+            else:
+                if not by_low:
+                    by_low = self._by_low = []
+                insort(by_low, (low[0], len(chains), chain))
+                self._widest = max(self._widest, low[1] - low[0] + 1)
+            chains[region] = chain
+        hits = []
+        for chain in self._unindexed:
+            if chain.key.overlaps(region):
+                hits.append(chain)
         if low is None:
-            hits += [c for _, _, c in self._by_low if c.key.overlaps(region)]
+            for _l, _birth, chain in by_low:
+                if chain.key.overlaps(region):
+                    hits.append(chain)
         elif len(region) == 1:
             lo = low[0]
-            hits += [c for _, _, c in self.window(low) if c.key[0][1] >= lo]
+            for _l, _birth, chain in self.window(low):
+                if chain.key[0][1] >= lo:
+                    hits.append(chain)
         else:
-            hits += [c for _, _, c in self.window(low)
-                     if c.key.overlaps(region)]
-        whole = self.chains.get(None)
+            for _l, _birth, chain in self.window(low):
+                if chain.key.overlaps(region):
+                    hits.append(chain)
+        whole = chains.get(None)
         if whole is not None:  # the whole object overlaps everything
             hits.append(whole)
         return hits
@@ -348,7 +355,8 @@ class DependencyTracker:
                 )
                 data[id(value)] = datum
             if region is None and datum.region_mode:
-                region = Region.full(self._rank_of(datum))
+                shape = datum.adapter.shape_of(datum.base)
+                region = Region.full(len(shape) if shape else 1)
             if region is not None:
                 self._analyze_region(task, datum, region, direction, name)
             else:
@@ -370,72 +378,49 @@ class DependencyTracker:
             producer = cur.producer
             if producer is not None:
                 graph.add_dependency(producer, task, EdgeKind.TRUE)
-            cur.readers.append(task)
+            if cur.readers:
+                cur.readers.append(task)
+            else:
+                cur.readers = [task]
             task.reads.append((name, cur))
             return
 
-        renaming = self.config.enable_renaming and datum.adapter.renamable
-
-        if direction is Direction.OUTPUT:
-            producer = cur.producer
-            pending_readers = (
-                [t for t in cur.pending_readers() if t is not task]
-                if cur.readers
-                else []
-            )
-            hazard = producer is not None or pending_readers
-            if hazard and renaming:
-                newv = Version(datum, chain.version_count, StorageKind.FRESH)
-                graph.stats.renames += 1
-                if self.tracer:
-                    self.tracer.rename(task, datum, StorageKind.FRESH)
-            else:
-                if hazard:  # renaming unavailable: explicit edges
-                    self._hazard_edges(cur, pending_readers, task)
-                newv = Version(datum, chain.version_count, StorageKind.SAME, prev=cur)
-            newv.producer = task
-            chain.current = newv
-            chain.version_count += 1
-            task.writes.append((name, newv))
-            return
-
-        if direction is Direction.INOUT:
-            producer = cur.producer
-            if producer is not None:
-                # reads the previous value: always a RAW dependency
-                graph.add_dependency(producer, task, EdgeKind.TRUE)
-            pending_readers = (
-                [t for t in cur.pending_readers() if t is not task]
-                if cur.readers
-                else []
-            )
-            if pending_readers and renaming:
-                newv = Version(datum, chain.version_count, StorageKind.CLONE, prev=cur)
-                graph.stats.renames += 1
-                if self.tracer:
-                    self.tracer.rename(task, datum, StorageKind.CLONE)
-            else:
-                for reader in pending_readers:
-                    graph.add_dependency(reader, task, EdgeKind.ANTI)
-                newv = Version(datum, chain.version_count, StorageKind.SAME, prev=cur)
-            newv.producer = task
-            chain.current = newv
-            chain.version_count += 1
+        # A write: an inout reads the previous value, always a RAW
+        # dependency; its hazards are the pending readers, an output's
+        # the producer too.  Renaming removes them, else explicit edges.
+        inout = direction is Direction.INOUT
+        producer = cur.producer
+        if inout and producer is not None:
+            graph.add_dependency(producer, task, EdgeKind.TRUE)
+        pending_readers = [t for t in cur.pending_readers() if t is not task] \
+            if cur.readers else []
+        if (pending_readers or producer is not None and not inout) \
+                and self.config.enable_renaming and datum.adapter.renamable:
+            kind = StorageKind.CLONE if inout else StorageKind.FRESH
+            newv = Version(datum, chain.version_count, kind,
+                           prev=cur if inout else None)
+            graph.stats.renames += 1
+            if self.tracer:
+                self.tracer.rename(task, datum, kind)
+        else:
+            if producer is not None and not inout:
+                graph.add_dependency(producer, task, EdgeKind.OUTPUT)
+            for reader in pending_readers:
+                graph.add_dependency(reader, task, EdgeKind.ANTI)
+            newv = Version(datum, chain.version_count, StorageKind.SAME, prev=cur)
+        newv.producer = task
+        chain.current = newv
+        chain.version_count += 1
+        if inout:
             # The task reads the previous value (and a CLONE resolves
             # from it at execution time): register as a reader so the
             # memory manager keeps the buffer alive until then.
-            cur.readers.append(task)
+            if cur.readers:
+                cur.readers.append(task)
+            else:
+                cur.readers = [task]
             task.reads.append((name, cur))
-            task.writes.append((name, newv))
-            return
-
-        raise DependencyError(f"unexpected direction {direction}")  # pragma: no cover
-
-    def _hazard_edges(self, cur: Version, pending_readers, task) -> None:
-        if cur.producer is not None:
-            self.graph.add_dependency(cur.producer, task, EdgeKind.OUTPUT)
-        for reader in pending_readers:
-            self.graph.add_dependency(reader, task, EdgeKind.ANTI)
+        task.writes.append((name, newv))
 
     # ------------------------------------------------------------------
     # region path (edge-based, no renaming)
@@ -456,42 +441,68 @@ class DependencyTracker:
                 )
             datum.region_mode = True
 
-        # The target chain first, so it is one of the overlapping ones.
-        low = datum._indexable(region)
-        target = datum.chain_for(region, low)
-        overlapping = datum.overlapping(region, low)
-
-        add = self.graph.add_dependency  # ignores finished and self edges
+        # The target chain is made first, so it is one of the overlapping ones.
+        hits = datum.overlapping(region, True)
+        target = datum.chains[region]
+        # The candidate edges in the order TaskGraph.add_dependency would
+        # see them: TRUE from every producer, then per chain OUTPUT from
+        # its producer (an inout took TRUE already) and ANTI from its
+        # pending readers.  Every chain is rolled, not only the target,
+        # so its future readers order after this write (transitively
+        # after the displaced producer via the OUTPUT edge).
+        edges = []
+        finished = TaskState.FINISHED
         reads = direction is not Direction.OUTPUT
         if reads:
-            for chain in overlapping:
+            for chain in hits:
                 producer = chain.current.producer
                 if producer is not None:
-                    add(producer, task, EdgeKind.TRUE)
-            target.current.readers.append(task)
-            task.reads.append((name, target.current))
-
+                    edges.append((producer, EdgeKind.TRUE))
+            cur = target.current
+            if cur.readers:
+                cur.readers.append(task)
+            else:
+                cur.readers = [task]
+            task.reads.append((name, cur))
         if direction is not Direction.INPUT:
-            # Roll every overlapping chain, not only the target, so its
-            # future readers order after this write (transitively after
-            # the displaced producer via the OUTPUT edge).
-            for chain in overlapping:
+            for chain in hits:
                 cur = chain.current
-                # An inout already took its TRUE edge to the producer.
                 if not reads and cur.producer is not None:
-                    add(cur.producer, task, EdgeKind.OUTPUT)
-                if cur.readers:
-                    for reader in cur.pending_readers():
-                        add(reader, task, EdgeKind.ANTI)
+                    edges.append((cur.producer, EdgeKind.OUTPUT))
+                for reader in cur.readers:
+                    if reader.state is not finished:
+                        edges.append((reader, EdgeKind.ANTI))
                 chain.current = Version(
                     datum, chain.version_count, StorageKind.SAME, cur, task)
                 chain.version_count += 1
-                if chain is target:
-                    task.writes.append((name, chain.current))
-
-    def _rank_of(self, datum: TrackedDatum) -> int:
-        shape = datum.adapter.shape_of(datum.base)
-        return len(shape) if shape else 1
+            task.writes.append((name, target.current))
+        if not edges:
+            return
+        # TaskGraph.add_dependency, inline: a finished, repeated or self
+        # predecessor adds no edge.
+        graph = self.graph
+        stats, tracer = graph.stats, graph.tracer
+        kept = graph._edges if graph.keep_finished else None
+        preds = task.predecessors
+        for pred, kind in edges:
+            if pred is task or pred.state is finished:
+                continue
+            successors = pred.successors
+            if task in successors:
+                continue
+            if successors is NO_EDGES:
+                successors = pred.successors = set()
+            successors.add(task)
+            if preds is NO_EDGES:
+                preds = task.predecessors = set()
+            preds.add(pred)
+            task.num_pending_deps += 1
+            stats.total_edges += 1
+            stats.edges_by_kind[kind] += 1
+            if kept is not None:
+                kept[(pred.task_id, task.task_id)] = kind
+            if tracer is not None:
+                tracer.edge(pred, task, kind)
 
     # ------------------------------------------------------------------
     # barriers

@@ -114,6 +114,7 @@ class TaskGraph:
         Returns ``True`` if a new edge was created (duplicate accesses
         to the same datum produce a single edge).  Edges to already
         finished predecessors are ignored — the dependency is satisfied.
+        ``DependencyTracker._analyze_region`` inlines this bookkeeping.
         """
 
         if pred is succ:

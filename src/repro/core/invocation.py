@@ -10,18 +10,17 @@ each task invocation").
 :func:`plan_for` precompiles, once per :class:`TaskDefinition`, an
 :class:`InvocationPlan` of everything that does not depend on argument
 *values*: parameter order, per-clause direction/position tuples, the
-defaults tail, and a resolver per bound — a bare parameter name reads
-the call's value tuple, an integer literal is a constant, any other
-expression is evaluated over the names it references alone.  Every
-call shape binds to that one tuple, so a task without specifiers
-allocates nothing else and a region task one
-:class:`~repro.core.regions.Region` per region access: the paper's
-per-``task_add`` overhead, which caps fine-grained submission.
+defaults tail, and every bound as data one resolver reads (a parameter
+position, a constant, or an expression over the names it references).
+Every call shape binds to that one tuple, so a task without specifiers
+allocates nothing else and a region task one ``Region`` and one
+``ParamAccess`` per region access, both built as C-level tuples: the
+paper's per-``task_add`` overhead, which caps fine-grained submission.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,133 +32,150 @@ from .task import InvocationError, ParamAccess, TaskDefinition, TaskInstance
 __all__ = ["InvocationPlan", "instantiate", "plan_for"]
 
 _INTS = (int, np.integer)
+_new = tuple.__new__
 
 
-def _env(slots: tuple, values: tuple, constants: Optional[dict]) -> dict:
+def _bound(expr: Expr, positions: dict) -> tuple:
+    """One bound or dimension as data the resolver reads:
+    ``(position, None)`` for a bare parameter name, ``(None, value)``
+    for an integer literal, and ``(None, (expr, slots))`` for any other
+    expression, over the ``(name, position)`` slots it references."""
+
+    source = expr.source.strip()
+    if source.isdecimal():
+        return None, int(source)
+    pos = positions.get(source)
+    if pos is not None:
+        return pos, None
+    return None, (expr, tuple(
+        (name, positions.get(name)) for name in sorted(expr.names())))
+
+
+def _value(pos, value, values: tuple, constants, clause: tuple) -> int:
+    """A bound that is not a plain ``int`` already: an ``np.integer``
+    argument (never a ``bool``), or an expression evaluated over the
+    names it references.  Any other argument raises."""
+
+    if pos is None:
+        expr, slots = value
+        return expr.evaluate(_env(slots, values, constants, clause))
+    if isinstance(value, _INTS) and not isinstance(value, bool):
+        return int(value)
+    raise InvocationError(
+        f"task {clause[0]!r}: parameter {clause[6][pos]!r} bounds {clause[2]}:"
+        f" bounds take int or np.integer, got {type(value).__name__} {value!r}")
+
+
+def _env(slots: tuple, values: tuple, constants: Optional[dict],
+         clause: tuple) -> dict:
     """The environment of one expression for one call: each referenced
-    name is its ``int``/``np.integer`` argument (never a ``bool``), else
-    the constant of that name, else absent."""
+    parameter is its integer argument, any other name the constant of
+    that name, else absent."""
 
     env = {}
     for name, pos in slots:
-        value = None if pos is None else values[pos]
-        if isinstance(value, _INTS) and not isinstance(value, bool):
-            env[name] = int(value)
+        if pos is not None:
+            env[name] = _value(pos, values[pos], values, constants, clause)
         elif constants and name in constants:
             env[name] = constants[name]
     return env
 
 
-def _bound(expr: Expr, positions: dict) -> Callable:
-    """``fn(values, constants) -> int`` for one bound or dimension."""
+def _clause(definition: TaskDefinition, spec, positions: dict) -> tuple:
+    """The resolver's data for one clause appearance with specifiers:
+    ``(task, param, label, dims, regions, computed, param names)``."""
 
-    source = expr.source.strip()
-    if source.isdecimal():
-        value = int(source)
-        return lambda values, constants: value
-    slots = tuple((name, positions.get(name)) for name in expr.names())
-
-    def evaluate(values, constants):
-        return expr.evaluate(_env(slots, values, constants))
-
-    pos = positions.get(source)
-    if pos is None:
-        return evaluate
-
-    def read(values, constants):
-        value = values[pos]
-        return value if value.__class__ is int else evaluate(values, constants)
-
-    return read
+    regions = tuple(None if r.full else (_bound(r.lower, positions), _bound(
+        r.upper, positions), r.is_length) for r in spec.regions)
+    return (definition.name, spec.name, str(spec),
+            tuple(_bound(dim, positions) for dim in spec.dims), regions,
+            tuple(r is not None for r in regions), definition.param_names)
 
 
-def _resolver(definition: TaskDefinition, spec, positions: dict) -> Callable:
-    """``fn(value, values, constants) -> Optional[Region]`` for one clause
-    appearance with specifiers: an ndarray argument is checked against
-    the evaluable dimensions, then the region (if any) is resolved."""
+def _resolve(clause: tuple, value, values: tuple, constants):
+    """The region of one clause appearance for one call (``None`` when
+    it declares dimensions only), after checking an ndarray argument
+    against the evaluable dimensions."""
 
-    task, param, label = definition.name, spec.name, str(spec)
-    dims = tuple(_bound(dim, positions) for dim in spec.dims)
-    regions = tuple(
-        None if r.full
-        else (_bound(r.lower, positions), _bound(r.upper, positions),
-              r.is_length)
-        for r in spec.regions
-    )
-    computed = tuple(bounds is not None for bounds in regions)
-
-    def resolve(value, values, constants):
-        if isinstance(value, np.ndarray):
-            shape = value.shape
-        else:
-            try:
-                shape = (len(value),)
-            except TypeError:
-                shape = ()
-        declared = ()
-        if dims and (regions or isinstance(value, np.ndarray)):
-            declared = []
-            for dim in dims:
-                try:
-                    declared.append(dim(values, constants))
-                except PragmaError:
-                    declared.append(None)  # an unknown constant: skip
-            if isinstance(value, np.ndarray) and None not in declared \
-                    and tuple(declared) != shape:
-                raise InvocationError(
-                    f"task {task!r}: parameter {param!r} declared as {label} "
-                    f"(shape {tuple(declared)}) but the argument has shape "
-                    f"{shape}"
-                )
-        if not regions:
-            return None
-        intervals = []
-        empty = False
-        for d, bounds in enumerate(regions):
-            extent = declared[d] if d < len(declared) else None
-            if extent is None and d < len(shape):
-                extent = shape[d]
-            if bounds is None:  # {}: the whole dimension
-                intervals.append(FULL_DIM if extent is None else (0, extent - 1))
-                continue
-            lower, upper, is_length = bounds
-            try:
-                lo = lower(values, constants)
-                hi = upper(values, constants)
-                if is_length:
-                    if hi < 0:
-                        raise PragmaError(f"negative region length {hi}")
-                    hi += lo - 1
-            except PragmaError as exc:
-                raise InvocationError(
-                    f"task {task!r}: cannot resolve region of parameter "
-                    f"{param!r}: {exc}"
-                ) from exc
-            if extent is not None and hi >= extent:
-                raise InvocationError(
-                    f"task {task!r}: region {{{lo}..{hi}}} of parameter "
-                    f"{param!r} exceeds its extent {extent}"
-                )
-            empty = empty or hi < lo
-            intervals.append((lo, hi))
+    task, param, label, dims, regions, computed, _names = clause
+    if isinstance(value, np.ndarray):
+        shape = value.shape
+    else:
         try:
-            if empty:  # computed (0, -1) is empty too, not FULL_DIM
-                check_intervals(tuple(intervals), computed)
-            return Region(intervals)
+            shape = (len(value),)
+        except TypeError:
+            shape = ()
+    declared = ()
+    if dims and (regions or isinstance(value, np.ndarray)):
+        declared = []
+        for pos, extent in dims:
+            extent = extent if pos is None else values[pos]
+            if extent.__class__ is not int:
+                try:
+                    extent = _value(pos, extent, values, constants, clause)
+                except PragmaError:
+                    extent = None  # an unknown constant: skip
+            declared.append(extent)
+        if isinstance(value, np.ndarray) and None not in declared \
+                and tuple(declared) != shape:
+            raise InvocationError(
+                f"task {task!r}: parameter {param!r} declared as {label} "
+                f"(shape {tuple(declared)}) but the argument has shape "
+                f"{shape}"
+            )
+    if not regions:
+        return None
+    intervals = []
+    bad = False
+    for d, bounds in enumerate(regions):
+        extent = declared[d] if d < len(declared) else None
+        if extent is None and d < len(shape):
+            extent = shape[d]
+        if bounds is None:  # {}: the whole dimension
+            intervals.append(FULL_DIM if extent is None else (0, extent - 1))
+            bad = bad or extent is not None and extent < 0
+            continue
+        (lpos, lo), (hpos, hi), is_length = bounds
+        lo = lo if lpos is None else values[lpos]
+        hi = hi if hpos is None else values[hpos]
+        try:
+            if lo.__class__ is not int:
+                lo = _value(lpos, lo, values, constants, clause)
+            if hi.__class__ is not int:
+                hi = _value(hpos, hi, values, constants, clause)
+            if is_length:
+                if hi < 0:
+                    raise PragmaError(f"negative region length {hi}")
+                hi += lo - 1
+        except PragmaError as exc:
+            raise InvocationError(
+                f"task {task!r}: cannot resolve region of parameter "
+                f"{param!r}: {exc}"
+            ) from exc
+        if extent is not None and hi >= extent:
+            raise InvocationError(
+                f"task {task!r}: region {{{lo}..{hi}}} of parameter "
+                f"{param!r} exceeds its extent {extent}"
+            )
+        bad = bad or lo < 0 or hi < lo
+        intervals.append((lo, hi))
+    if bad:  # a computed (0, -1) is empty too, not FULL_DIM
+        try:
+            check_intervals(tuple(intervals), computed)
         except RegionError as exc:
             raise InvocationError(
-                f"task {task!r}: invalid region for parameter {param!r}: {exc}"
+                f"task {task!r}: invalid region for parameter {param!r}: "
+                f"{exc}"
             ) from exc
-
-    return resolve
+    return _new(Region, intervals)
 
 
 class InvocationPlan:
     """Precompiled call-site binding for one :class:`TaskDefinition`:
     ordered parameter names, the ``(name, direction, position)`` triple
     of every clause appearance, the defaults tail, and — when any clause
-    has dimension/region specifiers — a resolver per clause appearance
-    (``None`` for one without)."""
+    has dimension/region specifiers — that triple plus the resolver's
+    data of every clause appearance (``None`` for one without)."""
 
     __slots__ = (
         "definition",
@@ -168,7 +184,7 @@ class InvocationPlan:
         "n_required",
         "defaults_tail",
         "access_specs",
-        "resolvers",
+        "clauses",
         "written",
         "high_priority",
         "own_constants",
@@ -200,10 +216,10 @@ class InvocationPlan:
             (spec.name, spec.direction, positions[spec.name])
             for spec in definition.params
         )
-        self.resolvers = tuple(
-            _resolver(definition, spec, positions)
-            if spec.dims or spec.regions else None
-            for spec in definition.params
+        self.clauses = tuple(
+            (*specs, _clause(definition, spec, positions)
+             if spec.dims or spec.regions else None)
+            for specs, spec in zip(self.access_specs, definition.params)
         ) if definition.needs_expressions else None
         #: :meth:`TaskInstance.written` of an instance without regions.
         self.written = tuple(
@@ -228,19 +244,18 @@ class InvocationPlan:
         # arguments of a task without specifiers derive from it lazily
         # (TaskInstance.call_values); nothing else is allocated.
         accesses = None
-        resolvers = self.resolvers
-        if resolvers is not None:
+        clauses = self.clauses
+        if clauses is not None:
             # Dimension/region specifiers: resolve them against the
             # actual argument values (the paper's section V.A).
             if self.own_constants:
                 constants = {**constants, **self.own_constants} \
                     if constants else self.own_constants
-            accesses = [
-                ParamAccess(name, direction, args[pos], resolve and resolve(
-                    args[pos], args, constants), pos)
-                for (name, direction, pos), resolve
-                in zip(self.access_specs, resolvers)
-            ]
+            accesses = []
+            for name, direction, pos, clause in clauses:
+                value = args[pos]
+                accesses.append(_new(ParamAccess, (name, direction, value, (
+                    clause and _resolve(clause, value, args, constants)), pos)))
         return TaskInstance(self.definition, accesses, arguments, None,
                             self.high_priority, args)
 

@@ -257,8 +257,10 @@ class Version:
         #: TaskInstance that produces this version (None: initial data).
         self.producer = producer
         #: TaskInstances that read this version; ``_gone`` of them have
-        #: finished since the last prune (``TaskGraph.complete``).
-        self.readers: list = []
+        #: finished since the last prune (``TaskGraph.complete``).  The
+        #: empty tuple until the first reader: most region versions and
+        #: renamed outputs are never read before the chain rolls on.
+        self.readers: list = ()
         self._gone = 0
         self._storage: Any = None
         #: Materialisation lock — only FRESH/CLONE versions ever

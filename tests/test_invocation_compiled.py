@@ -5,7 +5,9 @@ task definition.  This property test holds it against a reference
 written here from the definitions alone: build the environment of
 every ``int``/``np.integer`` argument (never a ``bool``) over the
 merged constants, and evaluate each clause with ``Expr.evaluate`` and
-``RegionSpec.bounds``.  Pragmas, argument values and call shapes are
+``RegionSpec.bounds`` once every parameter a bound names holds such an
+integer (a ``float`` or ``bool`` there is an error, not an absent
+name).  Pragmas, argument values and call shapes are
 generated; accesses must match field for field, and a call the
 reference rejects must raise the same exception with the same message.
 """
@@ -13,7 +15,8 @@ reference rejects must raise the same exception with the same message.
 import inspect
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import css_task
 from repro.core.invocation import instantiate
@@ -30,11 +33,27 @@ def _task(data, grid, lo, hi, n=4, k=2):  # noqa: ARG001
 
 # -- the reference: evaluate the parsed pragma against the bound call -----
 
-def _reference_region(definition, spec, value, env):
+def _checked(definition, spec, expr, arguments):
+    """*expr*, once every parameter it names (in name order) holds an
+    ``int``/``np.integer`` that is not a ``bool``."""
+
+    for name in sorted(expr.names()):
+        value = arguments.get(name, 0)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise InvocationError(
+                f"task {definition.name!r}: parameter {name!r} bounds "
+                f"{spec}: bounds take int or np.integer, got "
+                f"{type(value).__name__} {value!r}"
+            )
+    return expr
+
+
+def _reference_region(definition, spec, value, env, arguments):
     declared = []
     for dim in spec.dims:
         try:
-            declared.append(dim.evaluate(env))
+            declared.append(
+                _checked(definition, spec, dim, arguments).evaluate(env))
         except PragmaError:
             declared.append(None)
     if spec.dims and isinstance(value, np.ndarray) and None not in declared \
@@ -53,7 +72,17 @@ def _reference_region(definition, spec, value, env):
         if extent is None and d < len(shape):
             extent = shape[d]
         try:
-            lo, hi = rspec.bounds(env, extent)
+            if rspec.full:
+                lo, hi = rspec.bounds(env, extent)
+            else:
+                lo = _checked(definition, spec, rspec.lower,
+                              arguments).evaluate(env)
+                hi = _checked(definition, spec, rspec.upper,
+                              arguments).evaluate(env)
+                if rspec.is_length:
+                    if hi < 0:
+                        raise PragmaError(f"negative region length {hi}")
+                    hi += lo - 1
         except PragmaError as exc:
             raise InvocationError(
                 f"task {definition.name!r}: cannot resolve region of "
@@ -89,7 +118,8 @@ def _reference(definition, arguments, constants):
             env[name] = int(value)
     return [
         (spec.name, spec.direction, id(arguments[spec.name]),
-         _reference_region(definition, spec, arguments[spec.name], env),
+         _reference_region(definition, spec, arguments[spec.name], env,
+                           arguments),
          PARAMS.index(spec.name))
         for spec in definition.params
     ]
@@ -172,6 +202,9 @@ runtime_constants = st.one_of(st.just({}), st.tuples(
 
 @settings(max_examples=600, deadline=None)
 @given(pragmas(), calls(), own_constants, runtime_constants)
+@example(  # {} under a declared extent below zero: an empty interval
+    "input(data[C][lo + D]{}{}) input(grid[lo][lo])",
+    ((np.zeros(16), np.zeros((6, 5)), 0, 0, 0, 0), {}), {"C": -1}, {})
 def test_compiled_plan_matches_the_reference(pragma, call, own, runtime):
     task = css_task(pragma, constants=own)(_task)
     args, kwargs = call
@@ -198,3 +231,58 @@ def test_compiled_plan_matches_the_reference(pragma, call, own, runtime):
             type(resolved) is Region
             and all(type(b) is int for iv in resolved for b in iv))
     assert inst.arguments == dict(bound.arguments)
+
+
+# -- a bound's parameter holds an integer, or the call is refused -----------
+
+@css_task("inout(a[n])")
+def _shaped(a, n):  # noqa: ARG001
+    pass
+
+
+@css_task("inout(data{lo..hi})")
+def _ranged(data, lo, hi):  # noqa: ARG001
+    pass
+
+
+@css_task("inout(a[N])")
+def _constant_shaped(a):  # noqa: ARG001
+    pass
+
+
+def _refusal(task, *args) -> str:
+    try:
+        instantiate(task.definition, args, {})
+    except InvocationError as exc:
+        return str(exc)
+    raise AssertionError(f"{task.definition.name} accepted {args[1:]}")
+
+
+def test_a_dimension_parameter_that_is_not_an_integer_is_refused():
+    a = np.zeros(8)
+    assert _refusal(_shaped, a, 9.0) == (
+        "task '_shaped': parameter 'n' bounds a[n]: bounds take int or "
+        "np.integer, got float 9.0")
+    assert _refusal(_shaped, a, True) == (
+        "task '_shaped': parameter 'n' bounds a[n]: bounds take int or "
+        "np.integer, got bool True")
+    assert "but the argument has shape (8,)" in _refusal(_shaped, a, 9)
+    assert instantiate(_shaped.definition, (a, np.int64(8)), {}).accesses
+
+
+def test_a_region_parameter_that_is_not_an_integer_is_refused():
+    assert _refusal(_ranged, np.zeros(8), 1.0, 3) == (
+        "task '_ranged': parameter 'lo' bounds data{lo..hi}: bounds take "
+        "int or np.integer, got float 1.0")
+    assert _refusal(_ranged, np.zeros(8), 1, None) == (
+        "task '_ranged': parameter 'hi' bounds data{lo..hi}: bounds take "
+        "int or np.integer, got NoneType None")
+
+
+def test_a_name_that_is_neither_parameter_nor_constant_is_skipped():
+    (access,) = instantiate(_constant_shaped.definition, (np.zeros(8),), {}
+                            ).accesses
+    assert access.region is None  # no N: the shape check is skipped
+    with pytest.raises(InvocationError, match=r"\(shape \(9,\)\)"):
+        instantiate(_constant_shaped.definition, (np.zeros(8),), {},
+                    {"N": 9})

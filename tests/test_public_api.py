@@ -723,9 +723,10 @@ class TestOneOfEach:
         assert total <= LINE_BUDGET, total
 
 
-#: The ``src/repro`` total once a served graph crossed the socket in one
-#: write each way (1 line below one record stream's 24 550).
-LINE_BUDGET = 24549
+#: The ``src/repro`` total once region-mode bounds became data and a
+#: region access one chain lookup (a tightening: 24 544 already at the
+#: one-lock-section threads path, which left the budget at 24 549).
+LINE_BUDGET = 24544
 
 
 class TestOneMeasurementSystem:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro import record_program
+from repro.apps.strassen import _sadd_t as sadd_t  # the add Strassen runs
 from repro.apps.tasks import (
     get_block_t,
     place_t,
-    sadd_t,
     seqmerge_t,
     seqquick_t,
     sgemm_t,
