@@ -92,9 +92,6 @@ class _Unknown:
 
     __slots__ = ()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unknown>"
-
 
 UNKNOWN = _Unknown()
 
@@ -109,9 +106,6 @@ class _Intrinsic:
 
     def attr(self, attr: str) -> "_Intrinsic":
         return _Intrinsic(f"{self.name}.{attr}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<intrinsic {self.name}>"
 
 
 class _RuntimeHandle:

@@ -126,15 +126,15 @@ class Link:
         self.sent_defs: set = set()
         #: Definition key -> the body duration its last reply reported.
         self.durations: dict = {}
-        #: 1 + how many times the remote end has been replaced.
+        #: 1 + how many times the remote end has been torn down.
         self.generation = 1
-        #: Unanswered ``[task, values, attempts, seq, request]`` records.
+        #: Unanswered ``[task, values, attempts, seq, landing]`` records.
         self.pending: list = []
         #: The transport's own attributes (a process, a socket, ...).
         self.__dict__.update(ends)
 
     def renewed(self) -> None:
-        """A fresh remote end is behind this link: it knows nothing."""
+        """The remote end is gone; a fresh one (if any) knows nothing."""
 
         self.generation += 1
         self.sent_defs = set()
@@ -148,12 +148,13 @@ class RemoteBackend(ExecutionBackend):
     ``_send`` and ``_read`` raise for a gone remote end), may widen
     ``refusals`` (a task that cannot be shipped: its cause), and
     implements ``fds(thread)`` (empty while the link has no remote
-    end), ``_encode(task, values, link, seq) -> request`` (the record;
-    the definition rides until ``link.sent_defs`` has its ``id``),
-    ``_send(link, requests)`` (one frame), ``_read(link, fd)`` (one
+    end), ``_encode(task, values, link, seq) -> (record, landing)``
+    (the definition rides until ``link.sent_defs`` has its ``id``;
+    ``_land(link, values, landing, result)`` only if ``landing``),
+    ``_send(link, records)`` (one frame), ``_read(link, fd)`` (one
     read: every ``(seq, err, duration, events, result)`` reply it
-    completed), ``_land``, ``_revive(link)`` (fresh remote end +
-    ``link.renewed()``, or raise ``lost_error``) and ``_describe``.
+    completed), ``_revive(link)`` (``link.renewed()`` once the old end
+    is gone; a fresh one or ``lost_error``) and ``_describe``.
     """
 
     remote = True
@@ -192,8 +193,8 @@ class RemoteBackend(ExecutionBackend):
 
     def send(self, thread: int, tasks) -> list:
         """Ship *tasks* to worker *thread*'s idle link as one frame;
-        the ``(task, cause, duration)`` of each task settled at once
-        (refused, or lost for good).  Never raises."""
+        the entry of each task settled at once (refused, or lost for
+        good).  Never raises."""
 
         out: list = []
         pending = [[task, None, 0, None, None] for task in tasks]
@@ -201,18 +202,18 @@ class RemoteBackend(ExecutionBackend):
             link = self.links[thread - 1]
             for record in pending:
                 if self._on_dispatch is not None:
-                    self._on_dispatch(record[0], link.slot)
+                    self._on_dispatch(record[0], thread)
                 record[1] = resolve_call_values(record[0])
             link.pending = pending
             self._flush(link, out)
         except Exception as exc:  # noqa: BLE001 - reported at barrier
-            self._abandon(pending, exc, out)
+            self._abandon(pending, exc, out, thread)
         return out
 
     def receive(self, thread: int, fd) -> list:
         """Read worker *thread*'s link once (*fd* polled readable); the
-        ``(task, cause, duration)`` of each record that read answered,
-        in order, and of each a lost link settles.  Never raises."""
+        entry of each record that read answered, in order, and of each
+        a lost link settles.  Never raises."""
 
         out: list = []
         pending: list = []
@@ -227,25 +228,27 @@ class RemoteBackend(ExecutionBackend):
             for seq, err, duration, events, result in replies:
                 if not pending or pending[0][3] != seq:
                     continue  # stale: no longer in flight
-                task, values, _, _, request = pending[0]
+                task, values, _, _, landing = pending[0]
                 link.sent_defs.add(id(task.definition))
                 if events and self._tracer is not None:
                     self._tracer.ingest(events)  # merged by timestamp
                 if err is None:
                     link.durations[id(task.definition)] = duration
-                    self._land(link, values, request, result)
+                    if landing is not None:
+                        self._land(link, values, landing, result)
                 del pending[0]
-                out.append((task, err and self.remote_error(*err), duration))
+                out.append((task, thread, err and self.remote_error(*err),
+                            duration, True))
         except Exception as exc:  # noqa: BLE001 - reported at barrier
-            self._abandon(pending, exc, out)
+            self._abandon(pending, exc, out, thread)
         return out
 
     @staticmethod
-    def _abandon(pending: list, exc: BaseException, out: list) -> None:
+    def _abandon(pending: list, exc, out: list, thread: int) -> None:
         """Settle every record left with *exc* — also a master-side
         bug: a record left unsettled would hang the barrier."""
 
-        out += [(record[0], exc, 0.0) for record in pending]
+        out += [(record[0], thread, exc, 0.0, True) for record in pending]
         pending.clear()
 
     def _flush(self, link: Link, out: list) -> None:
@@ -256,15 +259,16 @@ class RemoteBackend(ExecutionBackend):
         try:
             for record in link.pending[:]:
                 try:
-                    request = self._encode(
+                    encoded, landing = self._encode(
                         record[0], record[1], link, link.seq + 1)
                 except self.refusals as exc:
                     link.pending.remove(record)
-                    out.append((record[0], self._stamp(exc, link), 0.0))
+                    out.append((record[0], link.slot,
+                                self._stamp(exc, link), 0.0, True))
                 else:
                     link.seq += 1
-                    record[3:] = link.seq, request
-                    frame.append(request)
+                    record[3:] = link.seq, landing
+                    frame.append(encoded)
             if frame:
                 self._send(link, frame)
         except self.link_errors as exc:
@@ -284,17 +288,18 @@ class RemoteBackend(ExecutionBackend):
             if charged[2] > 1:
                 del link.pending[0]
                 task = charged[0]
-                out.append((task, self._stamp(self.lost_error(
+                out.append((task, link.slot, self._stamp(self.lost_error(
                     f"{who} died while running task #{task.task_id} "
                     f"{task.name!r}, which had already been "
                     f"re-dispatched once; giving up"
-                ), link), 0.0))
+                ), link), 0.0, True))
         try:
             # Also after giving up, and on an idle link: the rest of
             # the frame and later tasks need a live remote end.
             self._revive(link)
         except self.lost_error as unrevivable:
-            self._abandon(link.pending, self._stamp(unrevivable, link), out)
+            self._abandon(link.pending, self._stamp(unrevivable, link),
+                          out, link.slot)
             return
         if charged is not None and charged[2] == 1:
             self._m_redispatch.inc()

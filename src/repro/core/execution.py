@@ -190,6 +190,7 @@ class WorkerLoop:
         self._stop = False
         #: What killed the dispatcher (``None``: it lives, or never ran).
         self._died: Optional[BaseException] = None
+        self._frames: dict = {}  # a turn's frames until sent
 
     @property
     def tasks_executed(self) -> int:
@@ -358,36 +359,35 @@ class WorkerLoop:
         """Drive every worker of a remote backend from this one thread:
         each :meth:`_turn` completes the last outcomes and sends a frame
         to every idle link, then the loop sleeps in one poll over every
-        link and the wake pipe and reads each readable link once.  No
-        task is referenced while it sleeps (a dropped array must die at
-        its barrier).  An exception escaping the loop: :meth:`_abort`."""
+        link and the wake pipe and reads each readable link once (its
+        fds again only when its ``generation`` moves).  No task is
+        referenced while it sleeps (a dropped array must die at its
+        barrier).  An exception escaping the loop: :meth:`_abort`."""
 
-        backend, wake = self.backend, self._sched_cv
+        backend, wake, current = self.backend, self._sched_cv, self._current
         poller = select.poll()
         poller.register(wake.fd, select.POLLIN)
         owner: dict = {}    # fd -> the thread index of its link
-        watched: dict = {}  # thread index -> its fds registered
-
-        def settled(thread: int, outcomes: list) -> list:
-            fds = backend.fds(thread)
-            if fds != watched.get(thread, ()):
-                for fd in watched.get(thread, ()):
-                    poller.unregister(fd)
-                    del owner[fd]
-                for fd in fds:
-                    poller.register(fd, select.POLLIN)
-                    owner[fd] = thread
-                watched[thread] = fds
-            pending = backend.links[thread - 1].pending
-            self._current[thread] = pending[0][0] if pending else None
-            return [(task, thread, cause, duration, True)
-                    for task, cause, duration in outcomes]
-
-        done: list = []  # (task, thread, cause, duration, ran)
+        watched: dict = {}  # thread index -> (generation, fds registered)
+        done: list = []     # (task, thread, cause, duration, ran)
         try:
-            for link in backend.links:
-                settled(link.slot, ())
-            while (done := self._turn(done, settled)) is not None:
+            while (done := self._turn(done)) is not None:
+                moved = []
+                for link in backend.links:
+                    pending = link.pending
+                    current[link.slot] = pending[0][0] if pending else None
+                    seen = watched.get(link.slot)
+                    if seen is None or seen[0] != link.generation:
+                        moved.append(link)
+                        for fd in seen[1] if seen else ():
+                            poller.unregister(fd)
+                            del owner[fd]
+                for link in moved:  # after every unregister: fds recycle
+                    fds = backend.fds(link.slot)
+                    for fd in fds:
+                        poller.register(fd, select.POLLIN)
+                        owner[fd] = link.slot
+                    watched[link.slot] = link.generation, fds
                 read = set()
                 for fd, _event in poller.poll(0 if done else None):
                     thread = owner.get(fd)  # None: a link revived since
@@ -395,25 +395,27 @@ class WorkerLoop:
                         os.read(fd, 64)
                     elif thread is not None and thread not in read:
                         read.add(thread)  # one read per link per wake-up
-                        done += settled(thread, backend.receive(thread, fd))
+                        done += backend.receive(thread, fd)
                 wake.armed = False
         except BaseException as exc:  # noqa: BLE001 - the barrier raises it
             self._abort(exc, [entry[0] for entry in done])
 
     def _abort(self, exc: BaseException, stranded: list) -> None:
         """The dispatcher dies of *exc*: retire what it held unrun
-        (*stranded*, the links' records, the ready lists), stop, and
-        wake the owner, whose barrier raises *exc* instead of hanging."""
+        (*stranded*, a turn's frames, the links' records, the ready
+        lists), stop, and wake the owner, whose barrier raises *exc*
+        instead of hanging."""
 
         with self._sched_lock:
             self._stop, self._died = True, exc
+            stranded += [t for frame in self._frames.values() for t in frame]
             for link in self.backend.links:
                 stranded += [record[0] for record in link.pending]
                 link.pending.clear()
             while (task := self.scheduler.pop(0)) is not None:
                 stranded.append(task)
-        try:
-            self._drain(stranded, exc)
+        try:  # a frame being sent is on its link too: each task once
+            self._drain(list(dict.fromkeys(stranded)), exc)
         finally:
             with self._sched_lock:
                 self._main_cv.notify_all()
@@ -432,7 +434,7 @@ class WorkerLoop:
                 domain.on_drained(domain)
             tasks = [task for _, ready in released for task in ready]
 
-    def _turn(self, done: list, settled):
+    def _turn(self, done: list):
         """Complete *done* and pop a frame for every idle link with its
         thread index (§III's ready lists, placement and stealing as
         ever) under one scheduler-lock acquisition, then send them; the
@@ -440,17 +442,22 @@ class WorkerLoop:
         refusals), or ``None`` once stopped with nothing in flight."""
 
         released, drained = self._retire(done) if done else ((), ())
+        for domain in drained:  # first: a raise below must not lose it
+            domain.on_drained(domain)
         links, scheduler = self.backend.links, self.scheduler
         spare = self.backend.max_batch - 1
-        frames = {}
+        frames = self._frames = {}  # :meth:`_abort` strands them
         with self._sched_lock:
-            if self._task_metrics is not None:
+            if done and self._task_metrics is not None:
+                depth = scheduler._ready_count  # observe(), inline
                 for task, _, _, duration, ran in done:
-                    if ran:
-                        name = task.definition.name
-                        (self._task_hists.get(name) or self._task_hist(name)
-                         ).observe(duration)
-                        self._m_ready_depth.observe(scheduler.ready_count)
+                    name = task.definition.name
+                    for hist, value in ((
+                            self._task_hists.get(name) or self._task_hist(name),
+                            duration), (self._m_ready_depth, depth)) if ran else ():
+                        hist._raw.append(value)
+                        if len(hist._raw) >= hist._FOLD_AT:
+                            hist._fold()
             self._running -= len(done)
             for thread, ready in released:
                 scheduler.push_ready_batch(ready, thread)
@@ -463,19 +470,17 @@ class WorkerLoop:
             # link steals: a steal that could wait breaks placement.
             for steal in (False, True):
                 for slot in idle:
-                    if slot in frames or not scheduler.has_ready() or not (
+                    if slot in frames or not scheduler._ready_count or not (
                             steal or scheduler.has_own(slot)):
                         continue
                     task = scheduler.pop(slot)
                     if task is not None:
                         self._running += 1
-                        rest = spare and self._pop_frame(
-                            task, slot, spare, steal)
-                        frames[slot] = [task, *(rest or ())]
+                        frames[slot] = frame = [task]
+                        if spare:
+                            self._pop_frame(frame, slot, spare, steal)
             # A release or the gate writes the wake pipe only if one idles.
             self._sched_cv.armed = len(frames) < len(idle)
-        for domain in drained:
-            domain.on_drained(domain)
         if stopping and not any(link.pending for link in links):
             return None
         done = []
@@ -484,22 +489,24 @@ class WorkerLoop:
             done += [(task, thread, None, 0.0, False) for task in tasks
                      if task.domain.failure is not None]
             if ship:
-                done += settled(thread, self.backend.send(thread, ship))
+                done += self.backend.send(thread, ship)
+        self._frames = {}
         return done
 
-    def _pop_frame(self, task: TaskInstance, idx: int, spare: int,
-                   steal: bool = True):
-        """The further ready tasks worker *idx* ships with *task* (under
-        the scheduler lock), or ``None``: at most *spare* and its fair
-        share, while the bodies are expected to fit :data:`FRAME_SECONDS`
-        (unknown: no), stolen ones only if *steal*."""
+    def _pop_frame(self, frame: list, idx: int, spare: int,
+                   steal: bool = True) -> None:
+        """Append to *frame* the further ready tasks worker *idx* ships
+        with its first (under the scheduler lock): at most *spare* and
+        its fair share, while the bodies are expected to fit
+        :data:`FRAME_SECONDS` (unknown: no), stolen ones only if *steal*."""
 
         scheduler = self.scheduler
         expected = self.backend.expected
-        share = min(spare, scheduler.ready_count // (scheduler.num_threads - 1))
-        rest = []
+        share = min(spare, scheduler._ready_count
+                    // (scheduler.num_threads - 1)) + 1
         room = FRAME_SECONDS
-        while len(rest) < share:
+        task = frame[0]
+        while len(frame) < share:
             took = expected(task, idx)
             if took is None or took >= room or not (
                     steal or scheduler.has_own(idx)):
@@ -509,8 +516,7 @@ class WorkerLoop:
             if task is None:  # the live gate closed
                 break
             self._running += 1
-            rest.append(task)
-        return rest or None
+            frame.append(task)
 
     def _retire(self, done: list) -> tuple[list, list]:
         """Count *done* (its task_end came with the reply) and complete

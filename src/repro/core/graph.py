@@ -172,7 +172,10 @@ class TaskGraph:
         for _name, version in task.reads:
             version._gone += 1
             if 2 * version._gone > len(version.readers):
-                version.pending_readers()
+                if version.readers.count(task) == len(version.readers):
+                    version.readers, version._gone = [], 0  # it was all
+                else:
+                    version.pending_readers()
         for _name, version in task.writes:
             version.producer = None
         # Deterministic order: invocation order, like the runtime's

@@ -94,6 +94,7 @@ class SmpssRuntime(ActiveRuntime):
         #: task (``backend``, where task bodies run, too).
         self.scheduler = self._current = None
         self._m_analysis = self.metrics.histogram("analysis_seconds")
+        self._gauges: dict = {}  # (name, thread) -> a gauge handle
         self._m_barrier = self.metrics.histogram("barrier_wait_seconds")
         #: repro.live.LiveSession when config.live, else None.
         self.live = None
@@ -316,31 +317,30 @@ class SmpssRuntime(ActiveRuntime):
         return self.config.num_workers + 1
 
     def _sync_metrics(self) -> None:
-        """Mirror runtime-owned aggregates into the metrics registry."""
+        """Mirror runtime-owned aggregates into the metrics registry,
+        through gauge handles held from the first sync on."""
 
-        m = self.metrics
-        m.gauge("tasks_executed").set(self.tasks_executed)
-        m.ingest_scheduler_stats(self.scheduler.stats)
+        m, held = self.metrics, self._gauges
+        m.ingest_scheduler_stats(self.scheduler.stats, held=held)
         # Instantaneous control/occupancy gauges — the same numbers the
         # live dashboard snapshots, so `repro.obs report` and an attached
         # client read one source of truth.
         depths = self.scheduler.queue_depths()
-        m.gauge("scheduler.high_depth").set(depths["high"])
-        m.gauge("scheduler.main_depth").set(depths["main"])
-        for idx, depth in enumerate(depths["locals"]):
-            m.gauge("scheduler.ready_depth", thread=idx).set(depth)
-        m.gauge("scheduler.parked_workers").set(self._parked)
-        gate = self.scheduler.gate
-        m.gauge("scheduler.paused").set(
-            int(gate.paused) if gate is not None else 0)
-        m.gauge("scheduler.step_budget").set(
-            gate.step_budget if gate is not None else 0)
-        m.gauge("renaming.live_bytes").set(self.tracker.renamed_bytes)
-        m.gauge("renaming.total_buffers").set(
-            self.tracker.total_renamed_buffers)
-        stats = self.graph.stats
-        for name in ("total_tasks", "total_edges", "renames"):
-            m.gauge(f"graph.{name}").set(getattr(stats, name))
+        gate, tracker, stats = self.scheduler.gate, self.tracker, self.graph.stats
+        m.set_gauges([(name, None, value) for name, value in (
+            ("tasks_executed", self._loop.tasks_executed),
+            ("scheduler.high_depth", depths["high"]),
+            ("scheduler.main_depth", depths["main"]),
+            ("scheduler.parked_workers", self._loop._parked),
+            ("scheduler.paused", int(gate.paused) if gate is not None else 0),
+            ("scheduler.step_budget", 0 if gate is None else gate.step_budget),
+            ("renaming.live_bytes", tracker.renamed_bytes),
+            ("renaming.total_buffers", tracker.total_renamed_buffers),
+            ("graph.total_tasks", stats.total_tasks),
+            ("graph.total_edges", stats.total_edges),
+            ("graph.renames", stats.renames),
+        )] + [("scheduler.ready_depth", idx, depth)
+              for idx, depth in enumerate(depths["locals"])], held)
         dropped = self.tracer.dropped_events if self.tracer is not None else 0
         if dropped:
             m.gauge("trace.dropped_events").set(dropped)

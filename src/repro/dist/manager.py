@@ -14,13 +14,10 @@ the scheduler's placement hook steers a ready task toward the node
 holding most of its input bytes (§VI's locality argument across
 address spaces).
 
-Failures follow :class:`~repro.core.backend.RemoteBackend` (one
-re-dispatch, then :class:`~repro.net.codec.WorkerLostError`).  A dead
-agent is counted once however many of its slots notice; its slots remap
-to surviving nodes (slot indices never change); resident data that died
-with it is re-shipped from the master copy when current, and otherwise
-raises :class:`~repro.dist.encoding.DistDataLossError` — run with
-``dist_write_through=True`` when agents are expected to die.
+Failures follow :class:`~repro.core.backend.RemoteBackend`; what an
+agent's death does to its slots and its resident data (a current master
+copy re-ships, else :class:`~repro.dist.encoding.DistDataLossError`) is
+``docs/distributed.md``'s "Failure semantics".
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ def _master_storage(version):
     """The master-side object holding *version*'s content, or ``None``
     when it never materialised here (nor was it ever dispatched)."""
 
-    root = version.root
+    root = version._root or version  # Version.root, inline
     if root.kind is StorageKind.INITIAL:
         return version.datum.base
     return root._storage
@@ -153,12 +150,11 @@ class ClusterBackend(RemoteBackend):
             self._by_name[node.name] = node
             node.slot_ids = list(range(slot, slot + node.slots))
             slot += node.slots
-            self._g_resident[node.name] = metrics.gauge(
-                "dist.node_resident_bytes", node=node.name)
-            self._g_tasks[node.name] = metrics.gauge(
-                "dist.node_tasks", node=node.name)
-            self._g_alive[node.name] = metrics.gauge(
-                "dist.node_alive", node=node.name)
+            for gauges, name in ((self._g_resident, "node_resident_bytes"),
+                                 (self._g_tasks, "node_tasks"),
+                                 (self._g_alive, "node_alive")):
+                gauges[node.name] = metrics.gauge(f"dist.{name}",
+                                                  node=node.name)
             self._g_alive[node.name].set(1)
         for node in self._nodes:
             for slot_id in node.slot_ids:
@@ -225,8 +221,8 @@ class ClusterBackend(RemoteBackend):
             hang_up(sock)
             node.control = None
 
-    def _send(self, link: Link, requests: list) -> None:
-        send_messages(link.conn, [request[0] for request in requests])
+    def _send(self, link: Link, records: list) -> None:
+        send_messages(link.conn, records)
 
     def fds(self, thread: int) -> tuple:
         conn = self.links[thread - 1].conn
@@ -235,18 +231,19 @@ class ClusterBackend(RemoteBackend):
     def _read(self, link: Link, fd) -> list:
         return [pickle.loads(reply) for reply in link.replies.messages()]
 
-    def _land(self, link: Link, values: list, request, writebacks) -> None:
-        apply_writebacks(request[2], writebacks, values)
-        for value in writebacks:
-            self._m_bytes.inc(value.nbytes if isinstance(value, np.ndarray)
-                              else len(encode_blob(value)[1]))
+    def _land(self, link: Link, values: list, landing, writebacks) -> None:
+        commits, specs = landing
+        if specs:
+            apply_writebacks(specs, writebacks, values)
+            for value in writebacks:  # CounterMetric.inc, inline
+                self._m_bytes.value += (value.nbytes if isinstance(
+                    value, np.ndarray) else len(encode_blob(value)[1]))
         node = link.node
-        residency = self._residency
-        for entry, v_after, master_too in request[1]:
-            residency.commit_write(
+        for entry, v_after, master_too in commits:
+            self._residency.commit_write(
                 entry, node.name, v_after, master_too=master_too)
         node.tasks_run += 1
-        self._g_tasks[node.name].set(node.tasks_run)
+        self._g_tasks[node.name].value = node.tasks_run
 
     def _link_died(self, link: Link, exc: BaseException) -> None:
         self._note_death(link.node, exc)
@@ -255,9 +252,10 @@ class ClusterBackend(RemoteBackend):
         return f"agent {link.node.name} ({link.node.address})"
 
     def _encode(self, task, values: list, link: Link, seq: int):
-        """The task record for *link*'s node, ``(record, commits,
-        writebacks)``; ``commits`` are the ``(entry, v_after,
-        master_too)`` to apply once the agent reports success."""
+        """The task record for *link*'s node and its landing,
+        ``(commits, writebacks)``; ``commits`` are the ``(entry,
+        v_after, master_too)`` to apply once the agent reports
+        success."""
 
         if link.node.dead:
             # Noticed by a sibling slot or a fetch while this link idled.
@@ -265,35 +263,27 @@ class ClusterBackend(RemoteBackend):
         node = link.node
         residency = self._residency
         positions = task.definition.positions
-        write_through = self._write_through
         specs: list = [None] * len(values)
-        writebacks: list = []
-        puts: list = []
-        commits: list = []
-
-        region_positions: set[int] = set()
-        whole_writes: dict[int, Any] = {}
-        read_positions: set[int] = set()
-        for name, version in task.writes:
-            pos = positions[name]
-            if version.datum.region_mode:
-                region_positions.add(pos)
-            else:
-                whole_writes[pos] = version
-        whole_reads: dict[int, Any] = {}
-        for name, version in task.reads:
-            pos = positions[name]
-            read_positions.add(pos)
-            if version.datum.region_mode:
-                region_positions.add(pos)
-            else:
-                whole_reads.setdefault(pos, version)
+        writebacks, puts, commits = [], [], []
+        # pos -> the version a whole-object position ships (a write's
+        # over a read's), the written ones, the region-mode ones.
+        region_positions, whole, whole_writes = set(), {}, set()
+        read_positions = {positions[name] for name, _ in task.reads}
+        for writing, accesses in ((False, task.reads), (True, task.writes)):
+            for name, version in accesses:
+                pos = positions[name]
+                if version.datum.region_mode:
+                    region_positions.add(pos)
+                elif writing:
+                    whole[pos] = version
+                    whole_writes.add(pos)
+                else:
+                    whole.setdefault(pos, version)
 
         # -- region-mode positions: ship declared read slices, return
         #    declared write slices; never cached (disjoint regions of
         #    one array may be written concurrently on different nodes,
         #    so no node ever holds "the" current array).
-        parts_by_pos: dict[int, list] = {}
         seen: set = set()
         for access in task.accesses if region_positions else ():
             pos = access.position
@@ -307,31 +297,30 @@ class ClusterBackend(RemoteBackend):
                     f"the cluster backend ships regions of ndarrays "
                     f"only (use backend='threads')"
                 )
-            if access.region is not None:
-                slices = access.region.to_slices()
-            else:
-                slices = (slice(None),) * value.ndim
+            slices = (access.region.to_slices() if access.region is not None
+                      else (slice(None),) * value.ndim)
             key = (pos, access.region)
-            parts = parts_by_pos.setdefault(pos, [])
+            if specs[pos] is None:
+                specs[pos] = (PARTS, alloc_meta(value), [])
+            parts = specs[pos][2]
             if access.direction.reads and (*key, "r") not in seen:
                 seen.add((*key, "r"))
                 meta, payload = encode_blob(value[slices])
                 parts.append((slices, meta, payload))
-                self._m_bytes.inc(len(payload))
+                self._m_bytes.value += len(payload)
             if access.direction.writes and (*key, "w") not in seen:
                 seen.add((*key, "w"))
                 writebacks.append((pos, slices))
-        for pos, parts in parts_by_pos.items():
-            specs[pos] = (PARTS, alloc_meta(values[pos]), parts)
 
-        # -- whole-object tracked data: residency-versioned.
-        for pos, version in {**whole_reads, **whole_writes}.items():
+        # -- whole-object tracked data: residency-versioned, looked up
+        #    in one section of the map's lock.
+        tracked = []
+        for pos, version in whole.items():
             if specs[pos] is not None:
                 continue
             storage = values[pos]
-            written = pos in whole_writes
             if not isinstance(storage, _SHIPPABLE):
-                if written:
+                if pos in whole_writes:
                     raise SerializationError(
                         f"task {task.name!r}: written parameter "
                         f"{task.definition.param_names[pos]!r} has type "
@@ -341,31 +330,41 @@ class ClusterBackend(RemoteBackend):
                     )
                 specs[pos] = (INLINE, storage)  # read-only copy is safe
                 continue
-            entry = residency.ensure(storage, version.storage_is_base())
-            residency.verify(entry)
-            if pos in read_positions:
-                specs[pos] = self._content_spec(entry, node)
-            else:
+            tracked.append((pos, version, storage))
+        with residency.lock:
+            entries = []
+            for pos, version, storage in tracked:
+                root = version._root or version  # Version.storage_is_base
+                entries.append(residency.ensure(
+                    storage, root.kind is StorageKind.INITIAL))
+        hits = 0
+        for (pos, version, storage), entry in zip(tracked, entries):
+            if pos not in read_positions:
                 # A renamed OUTPUT's content is junk and one overwritten
                 # in place equally dead: ship the shape only.
                 specs[pos] = (FRESH, alloc_meta(storage))
-            if written:
+            elif entry.copies.get(node.name) == entry.version:
+                hits += 1  # current content on the node: a reference
+                specs[pos] = (RESIDENT, entry.key, entry.version)
+            else:
+                specs[pos] = self._ship(entry, node)
+            if pos in whole_writes:
                 v_after = entry.version + 1
                 puts.append((pos, entry.key, v_after))
                 # Home with the reply while no later writer is submitted:
                 # the barrier or a wait_on would fetch exactly these bytes.
-                home = (write_through
+                home = (self._write_through
                         or version.datum.chains[None].current is version)
                 if home:
                     writebacks.append((pos, None))
                 commits.append((entry, v_after, home))
+        self._m_hits.value += hits  # CounterMetric.inc, inline
 
         # -- everything else ships inline.
         opaque = task.definition.opaque_positions
-        for pos in range(len(values)):
+        for pos, value in enumerate(values):
             if specs[pos] is not None:
                 continue
-            value = values[pos]
             if pos in opaque and not isinstance(value, SCALAR_TYPES):
                 raise SerializationError(
                     f"task {task.name!r}: opaque parameter "
@@ -377,15 +376,12 @@ class ClusterBackend(RemoteBackend):
             specs[pos] = (INLINE, value)
 
         record = task_record(task, link, seq, specs, writebacks, puts)
-        return record, commits, writebacks
+        return record, (commits, writebacks)
 
-    def _content_spec(self, entry, node: _Node):
-        """A resident reference when *node* holds current content, else
-        a data ship."""
+    def _ship(self, entry, node: _Node):
+        """A data ship of *entry*'s current content to *node*, which
+        lacks it (fetched home first, if the master copy is stale)."""
 
-        if entry.copies.get(node.name) == entry.version:
-            self._m_hits.inc()
-            return (RESIDENT, entry.key, entry.version)
         self._m_misses.inc()
         self._fetch_home(entry)
         meta, payload = encode_blob(entry.obj)
@@ -458,7 +454,7 @@ class ClusterBackend(RemoteBackend):
 
         residency = self._residency
         for entry in residency.entries():
-            if not entry.master_current():
+            if entry.master_version != entry.version:  # master_current()
                 self._fetch_home(entry)
         for name, keys in residency.evict(residency.doomed()).items():
             self._control(name, {"k": "evict", "keys": keys}, reply=False)
@@ -484,13 +480,14 @@ class ClusterBackend(RemoteBackend):
         """Point a dead node's slot at a surviving agent (same slot id,
         fresh socket) so the dispatcher keeps draining its ready list."""
 
+        hang_up(link.conn)
+        link.conn = None
+        link.renewed()
         survivors = [n for n in self._nodes if not n.dead]
         if not survivors:
             raise WorkerLostError(
                 f"all {len(self._nodes)} agent(s) are gone; cannot re-home "
                 f"slot {link.slot}")
-        hang_up(link.conn)
-        link.conn = None
         last_exc: Optional[Exception] = None
         for _ in range(len(survivors)):
             node = survivors[self._remap_rr % len(survivors)]
@@ -501,7 +498,6 @@ class ClusterBackend(RemoteBackend):
                 last_exc = exc
                 self._note_death(node, exc)
                 continue
-            link.renewed()
             return
         raise WorkerLostError(
             f"no surviving agent would accept slot {link.slot}: {last_exc}")

@@ -14,30 +14,18 @@ storage buffer that has crossed to a node at least once, one
   holds the current bytes; dispatching there ships a reference instead
   of content (the ``dist.cache_hits`` path).
 
-The map never keeps a user's array alive.  A user-owned ``ndarray``
-is held by **weak reference**: while the user keeps it, its remote
-copies give repeat submissions their bytes-moved win; once the user
-drops it, the weakref callback queues the entry's key (and does nothing
-else — the collector can fire it on any thread, even under this map's
-own lock) and :meth:`ResidencyMap.doomed` hands the entry to the next
-barrier for eviction here and on the agents.  Everything else — renamed
-buffers, which die with the barrier anyway, and ``bytearray``/``list``
-objects, which cannot be weakly referenced — is held strongly and
-evicted at every barrier.  Either way Python recycling an ``id()`` can
-never alias two objects onto one wire key: a strong entry pins its
-object, and a dead weak reference is identical to nothing.
+Lifetimes — a user's ``ndarray`` is held by weak reference (its dead
+reference only queues its key, for :meth:`ResidencyMap.doomed` at the
+next barrier), everything else strongly until every barrier — and the
+adler32 checksum (:func:`~repro.dist.encoding.content_checksum`) that
+re-verifies survivors once per barrier generation are specified in
+``docs/distributed.md`` ("Datum residency").
 
-Surviving entries are re-verified once per barrier generation with an
-adler32 content checksum (:func:`~repro.dist.encoding.content_checksum`):
-code mutating an array between barriers — legal, it is the user's
-object — invalidates the remote copies instead of silently reading
-stale bytes.
-
-Locking: one reentrant lock for the whole map.  Callers on the
-dispatch path take it briefly per lookup/commit; the scheduler's
-placement hook takes it under the scheduler lock (lock order is
-always scheduler → residency, and network I/O never happens under
-either).
+Locking: one reentrant lock, ``lock``.  The dispatch path takes it
+once per task around all its lookups (``ensure`` re-enters it) and
+once per commit; the placement hook takes it under the scheduler lock
+(lock order is always scheduler → residency, and network I/O never
+happens under either).
 """
 
 from __future__ import annotations
@@ -45,6 +33,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import deque
+from itertools import repeat
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -67,10 +56,10 @@ class ResidencyEntry:
         self.key = key
         self.oid = id(obj)
         #: User-owned ndarrays are only *referenced*; when one dies its
-        #: key is queued on *dead* and :attr:`obj` reads ``None``.
+        #: key is queued on *dead* and :attr:`obj` (``_ref()``) reads ``None``.
         self.weak = is_base and isinstance(obj, np.ndarray)
         self._ref = weakref.ref(obj, lambda _ref: dead.append(key)) \
-            if self.weak else (lambda: obj)
+            if self.weak else repeat(obj).__next__
         self.is_base = is_base
         self.version = 0
         self.master_version = 0
@@ -99,12 +88,6 @@ class ResidencyEntry:
 
         return not (self.master_current() or self.holders())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ResidencyEntry {self.key} v{self.version} "
-            f"master=v{self.master_version} copies={self.copies}>"
-        )
-
 
 def _size_of(obj: Any) -> int:
     if isinstance(obj, np.ndarray):
@@ -121,7 +104,7 @@ class ResidencyMap:
 
     def __init__(self, sid: str):
         self.sid = sid
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         self._by_id: dict[int, ResidencyEntry] = {}
         self._by_key: dict[str, ResidencyEntry] = {}
         self._serial = 0
@@ -133,32 +116,37 @@ class ResidencyMap:
         self.generation = 0
 
     def ensure(self, obj: Any, is_base: bool) -> ResidencyEntry:
-        with self._lock:
-            entry = self.get(obj)
-            if entry is not None:
+        """*obj*'s entry, made at first use, verified once a generation."""
+
+        with self.lock:
+            entry = self._by_id.get(id(obj))
+            if entry is not None and entry._ref() is obj:
+                if entry.checked_gen != self.generation:
+                    self.verify(entry)
                 return entry
             self._serial += 1
             entry = ResidencyEntry(
                 f"{self.sid}:{self._serial}", obj, is_base, _size_of(obj),
                 self._dead,
             )
+            entry.checked_gen = self.generation  # nothing to compare yet
             self._by_id[id(obj)] = entry
             self._by_key[entry.key] = entry
             return entry
 
     def get(self, obj: Any) -> Optional[ResidencyEntry]:
-        with self._lock:
+        with self.lock:
             entry = self._by_id.get(id(obj))
-            if entry is not None and entry.obj is obj:
+            if entry is not None and entry._ref() is obj:
                 return entry
             return None
 
     def entries(self) -> list[ResidencyEntry]:
-        with self._lock:
+        with self.lock:
             return list(self._by_key.values())
 
     def __len__(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._by_key)
 
     def verify(self, entry: ResidencyEntry) -> bool:
@@ -171,13 +159,13 @@ class ResidencyMap:
         are all older now), so the next dispatch re-ships current bytes.
         """
 
-        with self._lock:
+        with self.lock:
             if entry.checked_gen == self.generation:
                 return True
             entry.checked_gen = self.generation
             if entry.checksum is None or not entry.master_current():
                 return True  # nothing trustworthy to compare against
-            current = content_checksum(entry.obj)
+            current = content_checksum(entry._ref())
             if current == entry.checksum:
                 return True
             entry.version += 1
@@ -186,7 +174,7 @@ class ResidencyMap:
             return False
 
     def record_copy(self, entry: ResidencyEntry, node: str) -> None:
-        with self._lock:
+        with self.lock:
             entry.copies[node] = entry.version
             # First content ship from a current master copy: remember
             # its checksum, or verify() would have nothing to compare
@@ -194,23 +182,24 @@ class ResidencyMap:
             # (read-only cached arrays are exactly the ones users are
             # most tempted to mutate between submissions).
             if entry.checksum is None and entry.master_current():
-                entry.checksum = content_checksum(entry.obj)
+                entry.checksum = content_checksum(entry._ref())
                 entry.checked_gen = self.generation
 
     def commit_write(self, entry: ResidencyEntry, node: str,
                      v_after: int, *, master_too: bool) -> None:
         """A task on *node* produced content version *v_after*."""
 
-        with self._lock:
+        with self.lock:
+            obj = entry._ref()
             entry.version = v_after
             # Older copies elsewhere stay recorded (as stale): eviction
             # must reach every node whose store still holds the key.
             entry.copies[node] = v_after
             entry.last_writer = node
-            entry.nbytes = _size_of(entry.obj)
+            entry.nbytes = obj.nbytes if type(obj) is np.ndarray else _size_of(obj)
             if master_too:
                 entry.master_version = v_after
-                entry.checksum = content_checksum(entry.obj)
+                entry.checksum = content_checksum(obj)
                 entry.checked_gen = self.generation
             else:
                 entry.checksum = None
@@ -218,9 +207,9 @@ class ResidencyMap:
     def mark_master_current(self, entry: ResidencyEntry) -> None:
         """The master just obtained the current bytes (fetch/ship)."""
 
-        with self._lock:
+        with self.lock:
             entry.master_version = entry.version
-            entry.checksum = content_checksum(entry.obj)
+            entry.checksum = content_checksum(entry._ref())
             entry.checked_gen = self.generation
 
     def drop_node(self, node: str) -> list[ResidencyEntry]:
@@ -229,7 +218,7 @@ class ResidencyMap:
         master was stale)."""
 
         lost: list[ResidencyEntry] = []
-        with self._lock:
+        with self.lock:
             for entry in self._by_key.values():
                 if entry.copies.pop(node, None) is None:
                     continue
@@ -242,7 +231,7 @@ class ResidencyMap:
         held one, and the weakly held ones whose object has died since
         the last call (see module docstring)."""
 
-        with self._lock:
+        with self.lock:
             keys = [self._dead.popleft() for _ in range(len(self._dead))]
             gone = [self._by_key[k] for k in keys if k in self._by_key]
             return gone + [e for e in self._by_key.values() if not e.weak]
@@ -252,7 +241,7 @@ class ResidencyMap:
         caller can tell each agent to drop its copies."""
 
         by_node: dict[str, list[str]] = {}
-        with self._lock:
+        with self.lock:
             for entry in entries:
                 if self._by_key.pop(entry.key, None) is None:
                     continue
@@ -267,9 +256,11 @@ class ResidencyMap:
         placement hook's question), or across every entry (telemetry)."""
 
         totals: dict[str, int] = {}
-        with self._lock:
-            for entry in (self._by_key.values() if objs is None
-                          else filter(None, map(self.get, objs))):
-                for node in entry.holders():
-                    totals[node] = totals.get(node, 0) + entry.nbytes
+        with self.lock:  # get() and holders(), inline
+            for entry in self._by_key.values() if objs is None else [
+                    entry for obj in objs if (entry := self._by_id.get(
+                        id(obj))) is not None and entry._ref() is obj]:
+                for node, held in entry.copies.items():
+                    if held == entry.version:
+                        totals[node] = totals.get(node, 0) + entry.nbytes
         return totals

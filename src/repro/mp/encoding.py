@@ -82,29 +82,35 @@ def resolve_definition_func(payload: tuple):
     )
 
 
-def encode_values(values: list, residency) -> list:
-    """Encode resolved call *values* for the wire.
+def encode_values(values: list, residency) -> tuple:
+    """Encode resolved call *values* for the wire; ``(specs, inline)``,
+    *inline*: a value rides inline (only such may need a write-back).
 
     A plain ndarray (any view included) becomes a handle into its own
     arena block or into the copy *residency* (an
     :class:`~repro.mp.residency.ArenaResidency`) keeps of it, as a
-    plain tuple: it pickles ~4x faster than the class.  Everything else
-    is embedded for pickling.  An opaque ndarray parameter therefore
-    writes through shared memory like any other array (the paper's
-    ``put_block``-through-``void*`` idiom).
+    plain tuple (a memo hit, here, with no call): it pickles ~4x faster
+    than the class.  Everything else is embedded for pickling.  An
+    opaque ndarray parameter therefore writes through shared memory
+    like any other array (the paper's ``put_block``-through-``void*``
+    idiom).
     """
 
-    return [
-        (HANDLE, handle) if type(value) is np.ndarray
-        and (handle := residency.handle(value)) is not None
-        else (INLINE, value)
-        for value in values
-    ]
+    memo, specs, inline = residency.memo, [], False
+    for value in values:
+        hit = memo.get(id(value)) if type(value) is np.ndarray else None
+        wire = (hit[1] if hit is not None and hit[0]() is value
+                and not hit[2].pushes  # and the same shape, strides:
+                and (value.shape, value.strides) == hit[1][2::2]
+                else type(value) is np.ndarray and residency.handle(value))
+        specs.append((HANDLE, wire) if wire else (INLINE, value))
+        inline = inline or not wire
+    return specs, inline
 
 
 def writeback_specs(task: TaskInstance, values: list, encoded: list) -> list:
     """Which positions the worker must return, as ``(pos, slices)``;
-    *encoded* is :func:`encode_values`' answer for the same *values*.
+    *encoded* is :func:`encode_values`' specs for the same *values*.
 
     ``slices`` is ``None`` for whole-object write-back and a tuple of
     :class:`slice` objects for region-mode accesses (two workers

@@ -63,6 +63,7 @@ class WorkerProcess:
             target=worker_main, name=f"repro-mp-worker-{slot}", daemon=True,
             args=(child_conn, slot, trace, ring_capacity, relayed))
         self.proc.start()
+        self.sentinel = self.proc.sentinel
         child_conn.close()  # our copy; the child keeps its end open
         try:
             if not self.conn.poll(_HANDSHAKE_TIMEOUT):
@@ -88,7 +89,7 @@ class WorkerProcess:
         """What to poll: the pipe and the sentinel (none once killed)."""
 
         return () if self.conn is None else (self.conn.fileno(),
-                                             self.proc.sentinel)
+                                             self.sentinel)
 
     def send(self, records: list) -> None:
         """One frame, one write: :func:`~repro.mp.worker.task_record` s
@@ -108,11 +109,10 @@ class WorkerProcess:
         when the worker is gone, after every message it wrote is read."""
 
         conn = self.conn
-        if conn is None or (fd == self.proc.sentinel and not conn.poll(0)):
+        if conn is None or (fd == self.sentinel and not conn.poll(0)):
             raise WorkerDied
         try:
-            return [pickle.loads(message)
-                    for message in self._replies.messages()]
+            return list(map(pickle.loads, self._replies.messages()))
         except Exception as exc:  # EOF (perhaps mid-message), a bad read
             raise WorkerDied from exc
 
@@ -185,12 +185,13 @@ class ProcessBackend(RemoteBackend):
         self._residency.close()
 
     def _encode(self, task, values: list, link: Link, seq: int):
-        encoded = encode_values(values, self._residency)
-        wb_specs = writeback_specs(task, values, encoded)
-        return task_record(task, link, seq, encoded, wb_specs), wb_specs
+        specs, inline = encode_values(values, self._residency)
+        writebacks = writeback_specs(task, values, specs) if inline else []
+        return (task_record(task, link, seq, specs, writebacks),
+                writebacks or None)
 
-    def _send(self, link: Link, requests: list) -> None:
-        link.process.send([record for record, _wb_specs in requests])
+    def _send(self, link: Link, records: list) -> None:
+        link.process.send(records)
 
     def fds(self, thread: int) -> tuple:
         return self.links[thread - 1].process.fds
@@ -198,8 +199,8 @@ class ProcessBackend(RemoteBackend):
     def _read(self, link: Link, fd) -> list:
         return link.process.read(fd)
 
-    def _land(self, link: Link, values: list, request, wb_values) -> None:
-        apply_writebacks(request[1], wb_values, values)
+    def _land(self, link: Link, values: list, writebacks, wb_values) -> None:
+        apply_writebacks(writebacks, wb_values, values)
 
     def barrier_sync(self, objs=None) -> None:
         self._residency.sync(objs)
@@ -210,8 +211,8 @@ class ProcessBackend(RemoteBackend):
 
     def _revive(self, link: Link) -> None:
         link.process.kill()
-        link.process = self._spawn(link.slot)
         link.renewed()
+        link.process = self._spawn(link.slot)
 
     def _describe(self, link: Link) -> str:
         return f"worker {link.slot} (pid {link.process.pid})"

@@ -75,20 +75,17 @@ class ArenaResidency:
         self._lock = threading.Lock()
         self._copies: dict = {}  # id(root) -> _Copy
         #: ``id(value) -> (weakref, wire handle, _Copy)``: a graph names
-        #: the same arrays again and again.
-        self._memo: dict = {}
+        #: the same arrays again and again (``encode_values`` reads it).
+        self.memo: dict = {}
         #: Keys of copies whose root died (weakref callbacks only queue).
         self._dead: deque = deque()
 
     def handle(self, value: np.ndarray) -> Optional[tuple]:
         """The wire form of an :class:`~repro.mp.arena.ArenaHandle` to
-        *value*'s bytes in an arena (copying its root in on first use);
-        ``None`` for dtypes whose bytes do not describe the data."""
+        *value*'s bytes in an arena (copying its root in on first use),
+        memoised; ``None`` for dtypes whose bytes do not describe the
+        data."""
 
-        memo = self._memo.get(id(value))
-        if (memo is not None and memo[0]() is value and not memo[2].pushes
-                and value.shape == memo[1][2] and value.strides == memo[1][4]):
-            return memo[1]
         if value.dtype.hasobject or value.dtype.names is not None:
             return None
         root = _root(value)
@@ -102,8 +99,8 @@ class ArenaResidency:
             wire = (copy.segment, copy.offset - copy.start
                     + value.__array_interface__["data"][0],
                     value.shape, value.dtype.str, value.strides)
-            self._memo[id(value)] = (weakref.ref(
-                value, lambda _ref, key=id(value): self._memo.pop(key, None)),
+            self.memo[id(value)] = (weakref.ref(
+                value, lambda _ref, key=id(value): self.memo.pop(key, None)),
                 wire, copy)
             return wire
 
@@ -166,7 +163,7 @@ class ArenaResidency:
                         if isinstance(obj, np.ndarray)}
                 doomed = [self._copies.pop(key) for key in keys
                           if key in self._copies]
-            self._memo = {}
+            self.memo = {}
             for copy in doomed:
                 root = copy.root()
                 if copy.block is not None and root is not None:

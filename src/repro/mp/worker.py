@@ -71,8 +71,9 @@ def task_record(task, link, seq: int, specs: list, writebacks: list,
     payload = (None if key in link.sent_defs
                else definition_payload(task.definition))
     try:
-        return pickle.dumps((seq, key, payload, task.task_id, task.name,
-                             specs, writebacks, puts), protocol=PROTOCOL)
+        return pickle.dumps((seq, key, payload, task.task_id,
+                             task.definition.name, specs, writebacks, puts),
+                            protocol=PROTOCOL)
     except Exception as exc:
         raise SerializationError(
             f"task {task.name!r}: arguments are not picklable ({exc!r}); "

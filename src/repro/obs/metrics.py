@@ -284,16 +284,25 @@ class MetricsRegistry:
         return self._get(HistogramMetric, name, labels)
 
     # -- ingestion ---------------------------------------------------------
-    def ingest_scheduler_stats(self, stats, prefix: str = "scheduler") -> None:
-        """Mirror a :class:`~repro.core.scheduler.SchedulerStats` into
-        gauges, including the per-thread breakdowns."""
+    def set_gauges(self, values, held: dict) -> None:
+        """Set ``(name, thread or None, value)`` gauges via *held* handles."""
 
-        for key, value in stats.as_dict().items():
-            if isinstance(value, dict):
-                for thread, count in value.items():
-                    self.gauge(f"{prefix}.{key}", thread=thread).set(count)
-            else:
-                self.gauge(f"{prefix}.{key}").set(value)
+        for name, thread, value in values:
+            if (name, thread) not in held:
+                held[name, thread] = self.gauge(
+                    name, **({} if thread is None else {"thread": thread}))
+            held[name, thread].value = value
+
+    def ingest_scheduler_stats(self, stats, prefix="scheduler", held=None):
+        """Mirror a :class:`~repro.core.scheduler.SchedulerStats` into
+        gauges, including the per-thread breakdowns (*held*: handles)."""
+
+        self.set_gauges([
+            (f"{prefix}.{key}", thread, count)
+            for key, value in stats.as_dict().items()
+            for thread, count in (value.items() if isinstance(value, dict)
+                                  else ((None, value),))
+        ], {} if held is None else held)
 
     # -- introspection -----------------------------------------------------
     def __iter__(self) -> Iterator:

@@ -342,8 +342,10 @@ class ServeEngine:
                     "task": name,
                     "traceback": remote_traceback,
                 }
-            else:
-                job.error = failure.to_wire()
+            else:  # a ServeError, or the fleet failed (a dead dispatcher)
+                job.error = (failure if isinstance(failure, ServeError) else
+                             ServeError(f"the worker fleet failed: {failure!r}",
+                                        code="internal")).to_wire()
             tenant.m_failed.inc()
         job.seconds = perf_counter() - job._t0
         tenant.m_seconds.observe(job.seconds)

@@ -82,7 +82,7 @@ class FakeBackend(RemoteBackend):
         payload = ("def", task.name)
         if id(task.definition) in link.sent_defs:
             payload = None
-        return seq, payload, list(values)
+        return (seq, payload, list(values)), "landing"
 
     def fds(self, thread):
         return ()
@@ -100,7 +100,8 @@ class FakeBackend(RemoteBackend):
         seq, values = self.inflight.pop(0)
         return [(seq, err, 0.25, ["event"], [v * 2 for v in values])]
 
-    def _land(self, link, values, request, result):
+    def _land(self, link, values, landing, result):
+        assert landing == "landing"
         self.landed.append(result)
 
     def _revive(self, link):
@@ -129,12 +130,18 @@ def _counters(backend):
 def run_frame(backend, tasks, thread):
     """The dispatcher's part in one frame: send it, then read worker
     *thread*'s link until none of its records is in flight; yields
-    each ``(task, cause, duration)`` as it is settled."""
+    each ``(task, cause, duration)`` as it is settled (the
+    dispatcher's entry, which also names *thread* and that it ran)."""
 
-    yield from backend.send(thread, tasks)
+    def settled(entries):
+        for task, by, cause, duration, ran in entries:
+            assert (by, ran) == (thread, True)
+            yield task, cause, duration
+
+    yield from settled(backend.send(thread, tasks))
     links = backend.links
     while thread <= len(links) and links[thread - 1].pending:
-        yield from backend.receive(thread, None)
+        yield from settled(backend.receive(thread, None))
 
 
 def run(backend, task, thread):
@@ -318,8 +325,9 @@ class TestFramePolicy:
         loop.backend = SimpleNamespace(expected=lambda task, thread: expected)
         for _ in range(ready):
             loop.scheduler.push_new(_task())
-        first = loop.scheduler.pop(1)
-        rest = loop._pop_frame(first, 1, spare)
+        frame = [loop.scheduler.pop(1)]
+        loop._pop_frame(frame, 1, spare)
+        rest = frame[1:] or None
         assert loop._running == len(rest or ())
         assert loop.scheduler.ready_count == ready - 1 - len(rest or ())
         return rest

@@ -32,7 +32,13 @@ from repro.net import connect, recv_frame, send_frame
 from repro.obs.exposition import render_registry
 
 from .test_mp_runtime import _hold as hold  # a paused DispatchGate on rt
-from .test_mp_runtime import _barrier_within, _dispatcher_fault, slow_fill_t
+from .test_mp_runtime import (
+    _barrier_within,
+    _Counted,
+    _dispatcher_fault,
+    _record_frames,
+    slow_fill_t,
+)
 
 pytestmark = pytest.mark.dist
 
@@ -634,41 +640,66 @@ class TestOutputsRideHome:
             rt.barrier()
         assert np.array_equal(a, np.full((8, 8), 2.0))
 
+    @staticmethod
+    def _tile_round(rt, rng, fixed, batch=None):
+        """One ``cluster_tiles`` round: the 16-task mul -> accum tile
+        round on a fixed schedule (mul k on node k % 2, the accumulate
+        chain on node 0), submitted held (in *batch*, if given)."""
+
+        a, b = (part + list(rng.random((2, 48, 48))) for part in fixed)
+        c = [np.empty((48, 48)) for _ in range(8)]
+        acc = np.zeros((48, 48))
+        # Submission numbers 2k (mul k) and 2k + 1 (accum k).
+        pin(rt, lambda n: 0 if n % 2 else (n // 2) % 2)
+        with batch or hold(rt):
+            for x, y, z in zip(a, b, c):
+                mul_t(x, y, z)
+                accum_t(z, acc)
+        rt.barrier()
+        assert np.array_equal(acc, sum(x * y for x, y in zip(a, b)))
+        assert all(np.array_equal(z, x * y) for x, y, z in zip(a, b, c))
+
     def test_frames_pin(self, pair, monkeypatch):
-        """The counted pin CI's bench-gate runs: the warmed 16-task
-        mul -> accum tile round of ``cluster_tiles`` on a fixed schedule
-        (mul k on node k % 2, the accumulate chain on node 0) sends no
-        ``fetch``, one record and one reply per task plus the 2 evicts,
-        and moves exactly 18 tiles."""
+        """The counted pin CI's bench-gate runs: the warmed tile round
+        (:meth:`_tile_round`) sends no ``fetch``, one record and one
+        reply per task plus the 2 evicts, and moves exactly 18 tiles."""
 
         rng = np.random.default_rng(43)
         fixed = [list(rng.random((6, 48, 48))) for _ in range(2)]
-
-        def one_round(rt):
-            a, b = (part + list(rng.random((2, 48, 48))) for part in fixed)
-            c = [np.empty((48, 48)) for _ in range(8)]
-            acc = np.zeros((48, 48))
-            # Submission numbers 2k (mul k) and 2k + 1 (accum k).
-            pin(rt, lambda n: 0 if n % 2 else (n // 2) % 2)
-            with hold(rt):
-                for x, y, z in zip(a, b, c):
-                    mul_t(x, y, z)
-                    accum_t(z, acc)
-            rt.barrier()
-            assert np.array_equal(acc, sum(x * y for x, y in zip(a, b)))
-            assert all(np.array_equal(z, x * y) for x, y, z in zip(a, b, c))
-
         with cluster(pair) as rt:
-            one_round(rt)
+            self._tile_round(rt, rng, fixed)
             control, frames = count_traffic(rt, monkeypatch)
             before = moved(rt)
-            one_round(rt)
+            self._tile_round(rt, rng, fixed)
             # 4 fresh inputs out, 8 products home, 4 of them out again
             # to the accumulator's node, the accumulator out and home.
             assert moved(rt) - before == 18 * TILE
             assert control.count("fetch") == 0
             assert frames.count("record") == frames.count("reply") == 16
             assert len(frames) <= 34, frames   # + 2 evict
+
+    def test_cluster_task_call_pin(self, pair, monkeypatch):
+        """The counted pin CI's bench-gate runs: the warmed tile round
+        (:meth:`_tile_round`) costs the master — the main thread from
+        the first submission to the barrier's return, and the
+        dispatcher — exactly 1 154 Python-level calls (72.1 a task;
+        1 827 before the remote path was fused: residency lookups in one
+        lock section per task, inline hits and counters, held gauge
+        handles at the barrier).  Frames are sized by the fair share
+        alone (every body's expected time zero), so the count depends on
+        the program only.  A count, not a timing; it may only fall."""
+
+        rng = np.random.default_rng(43)
+        fixed = [list(rng.random((6, 48, 48))) for _ in range(2)]
+        counted = _Counted(monkeypatch, owner=True)
+        try:
+            with cluster(pair) as rt:
+                _record_frames(rt)
+                self._tile_round(rt, rng, fixed)
+                self._tile_round(rt, rng, fixed, counted.batch(rt, main=True))
+        finally:
+            counted.close()
+        assert counted.total == 1154, counted.per_task(16)
 
     def test_reads_pin(self, pair, monkeypatch):
         """The counted pin CI's bench-gate runs: 64 independent tasks

@@ -1,6 +1,7 @@
 """Tests for the dynamic task graph."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import EdgeKind, TaskGraph
 from repro.core.task import TaskDefinition, TaskInstance, TaskState, reset_task_ids
@@ -175,3 +176,39 @@ class TestAnalysis:
         g.add_dependency(a, b, EdgeKind.ANTI)
         assert list(g.edges()) == [(a.task_id, b.task_id, EdgeKind.ANTI)]
         assert g.stats.edges_by_kind[EdgeKind.ANTI] == 1
+
+
+class TestReaderPrune:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_inline_prune_equals_the_list_prune(self, data):
+        """``complete`` leaves a version's reader list as the list prune
+        (``Version.pending_readers``) would — also where it skips the
+        prune because the retiring task is every reader left — after
+        every retire, over random reader lists (a task reading the
+        version twice included) and retire orders."""
+
+        from repro.core.renaming import StorageKind, Version
+
+        reads = data.draw(st.lists(st.integers(0, 5), min_size=1,
+                                   max_size=12))
+        g = TaskGraph()
+        version = Version(None, 0, StorageKind.INITIAL)
+        tasks = [new_task("reader") for _ in range(6)]
+        for k in reads:
+            tasks[k].reads.append(("x", version))
+        version.readers = [tasks[k] for k in reads]
+        used = [task for task in tasks if task.reads]
+        for task in used:
+            g.add_task(task)
+        model, gone = list(version.readers), 0
+        for task in data.draw(st.permutations(used)):
+            g.complete(task)
+            for _ in task.reads:
+                gone += 1
+                if 2 * gone > len(model):
+                    model = [t for t in model
+                             if t.state is not TaskState.FINISHED]
+                    gone = 0
+            assert version.readers == model
+            assert version._gone == gone

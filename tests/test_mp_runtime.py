@@ -13,6 +13,7 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from multiprocessing.connection import Connection
@@ -653,6 +654,157 @@ def _record_frames(rt, known=True) -> list:
     return frames
 
 
+def _buffered(backend, link) -> int:
+    """Complete replies of *link* that the master has not read yet: in
+    its reader (a message it has begun) and in its pipe or socket."""
+
+    reader = getattr(link, "replies", None) or link.process._replies
+    sock = socket.socket(fileno=os.dup(backend.fds(link.slot)[0]))
+    try:
+        data = sock.recv(1 << 22, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+    except BlockingIOError:
+        data = b""
+    finally:
+        sock.close()
+    count = pos = 0
+    if reader._missing:  # the rest of a message the reader has begun
+        if len(data) < reader._missing:
+            return 0
+        count, pos = 1, reader._missing
+    else:
+        data = b"".join(reader._parts) + data
+    while len(data) - pos >= 4:
+        pos += 4 + int.from_bytes(data[pos:pos + 4], "big", signed=True)
+        if pos > len(data):
+            break
+        count += 1
+    return count
+
+
+#: Comprehensions: a call each before Python 3.12, inlined from it on
+#: (PEP 709), so a count that holds on both leaves them out.
+_INLINED = ("<listcomp>", "<dictcomp>", "<setcomp>")
+
+
+class _Counted:
+    """The Python-level calls of a remote backend's master threads while
+    a batch of ready tasks runs, as a count of the program alone.
+
+    Built before the runtime (its dispatcher makes its poller at start):
+    a blocking poll of the dispatcher returns only once the batch is
+    released, every record in flight has its reply buffered and, with
+    *owner*, the owner's thread waits again — so each wake-up reads
+    every reply of every frame the last turn sent, and the owner wakes
+    once per turn that completed tasks.  The poll wrapper and what it
+    calls are not counted."""
+
+    def __init__(self, monkeypatch, owner=False):
+        import collections
+        import select
+        import sys
+        from types import SimpleNamespace
+
+        from repro.core import execution
+
+        self.rt = None
+        self.owner = owner
+        self.released = threading.Event()
+        self.released.set()
+        self.inside = set()      # idents of threads in the poll wrapper
+        self.counting = set()    # idents of the threads counted
+        self.calls = collections.Counter()
+        counted, real = self, select.poll
+
+        class Poll:
+            def __init__(self):
+                poller = real()
+                self.register = poller.register
+                self.unregister = poller.unregister
+                self._poll = poller.poll
+
+            def poll(self, timeout=None):
+                if timeout is not None:
+                    return self._poll(timeout)
+                self._poll()
+                counted._settle()
+                return self._poll(0)
+
+        quiet = Poll.poll.__code__
+
+        def profile(frame, event, _arg):
+            ident = threading.get_ident()
+            if frame.f_code is quiet:
+                if event == "call":
+                    self.inside.add(ident)
+                elif event == "return":
+                    self.inside.discard(ident)
+            elif (event == "call" and ident in self.counting
+                    and ident not in self.inside
+                    and frame.f_code.co_name not in _INLINED):
+                self.calls[frame.f_code.co_qualname] += 1
+
+        monkeypatch.setattr(execution, "select", SimpleNamespace(
+            poll=Poll, POLLIN=select.POLLIN))
+        self._outer = threading.getprofile(), sys.getprofile()
+        threading.setprofile(profile)  # the dispatcher starts with it
+        sys.setprofile(profile)
+
+    def _settle(self) -> None:
+        self.released.wait()
+        rt = self.rt
+        if rt is None:  # no batch yet: free-running
+            return
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not (
+                all(_buffered(rt.backend, link) >= len(link.pending)
+                    for link in rt.backend.links)
+                and (not self.owner or rt._main_cv._waiters
+                     or not rt.graph._pending)):
+            time.sleep(0.0005)
+
+    @contextlib.contextmanager
+    def batch(self, rt, main=False):
+        """Count the dispatcher (and, if *main*, this thread) over what
+        the block submits, released at once when it ends, until the
+        barrier after it has returned; the calls counted."""
+
+        import gc
+
+        self.rt = rt
+        dispatcher = rt._loop._threads[0].ident
+        self.released.clear()
+        _await(lambda: dispatcher in self.inside, "the dispatcher to idle")
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        self.calls.clear()
+        self.counting = {dispatcher, threading.get_ident()} if main else {
+            dispatcher}
+        try:
+            yield self.calls
+            self.released.set()
+            rt.barrier()
+            _await(lambda: dispatcher in self.inside, "the dispatcher to idle")
+        finally:
+            self.counting = set()
+            self.released.set()
+            if collecting:
+                gc.enable()
+        self.total = sum(self.calls.values())
+
+    def per_task(self, tasks: int) -> str:
+        """The calls counted, per task, most frequent first."""
+
+        return ", ".join(f"{name} {count / tasks:.2f}"
+                         for name, count in self.calls.most_common())
+
+    def close(self) -> None:
+        import sys
+
+        threading.setprofile(self._outer[0])
+        sys.setprofile(self._outer[1])
+
+
 @pytest.fixture
 def master_sends(monkeypatch):
     """Counts this process's ``Connection.send_bytes`` calls."""
@@ -894,6 +1046,40 @@ class TestFrames:
                 monkeypatch.undo()
             assert all(cell[0] == 1 for cell in cells[8:])
         assert 0 < len(reads) < 64, len(reads)
+
+    def test_process_task_call_pin(self, monkeypatch):
+        """The counted pin CI's bench-gate runs: 64 ready tasks released
+        at once to one worker, in frames of 8, cost the dispatcher
+        exactly 798 Python-level calls (12.5 a task; 1 649 before the
+        remote path was fused).  Per task: the pops (``has_own``,
+        ``pop``, ``_select``), ``expected`` for 7 of 8, ``send``'s
+        ``resolve_call_values``, ``_encode`` with ``encode_values`` (a
+        memo hit, inline) and ``task_record``, and the domain's and the
+        graph's ``complete``; the rest is per frame or per wake-up.  A
+        count, not a timing; it may only fall."""
+
+        counted = _Counted(monkeypatch)
+        try:
+            with SharedArena() as arena:
+                one = arena.array(np.ones(4))
+                cells = [np.zeros(4) for _ in range(64)]
+                with SmpssRuntime(num_workers=1, backend="processes") as rt:
+                    frames = _record_frames(rt)
+                    # Definitions taught, histograms built, the heap
+                    # cells resident in the arena (no barrier: it would
+                    # send them home).
+                    for cell in cells:
+                        accum_t(one, cell)
+                    _await(lambda: rt.tasks_executed == 64, "the first round")
+                    del frames[:]
+                    with counted.batch(rt):
+                        for cell in cells:
+                            accum_t(one, cell)
+        finally:
+            counted.close()
+        assert [len(frame) for frame in frames] == [8] * 8
+        assert all(cell[0] == 2 for cell in cells)
+        assert counted.total == 798, counted.per_task(64)
 
     def test_master_threads_pin(self):
         """The counted pin CI's bench-gate runs: four worker processes

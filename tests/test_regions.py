@@ -346,19 +346,19 @@ def test_region_task_call_pin():
     1 000 back to back, and the count ends at its park.
 
     ``touch(data, lo, hi)`` on 1 000 fresh disjoint tiles (a new chain
-    each) costs 26.  17 on the main thread: the ``@css_task`` wrapper,
+    each) costs 25.  17 on the main thread: the ``@css_task`` wrapper,
     ``in_task_body``, ``submit``, ``instantiate``, the plan's one
     ``_resolve``, ``TaskInstance.__init__``, the domain's and the
     tracker's ``analyze``, ``add_task``, ``_analyze_region``, the one
     chain lookup ``overlapping`` with its index ``window``, the new
     chain's ``_Chain.__init__``, two ``Version.__init__`` (its initial
-    version and this write's), ``release`` and ``push_new``.  9 on the
+    version and this write's), ``release`` and ``push_new``.  8 on the
     worker: ``_execute``, the backend's ``run``,
     ``resolve_call_values``, the body, the domain's and the graph's
-    ``complete``, a reader prune, and the fused ``pop`` with its
-    ``_select``.  ``window(data, dest, lo, hi)`` on the same tiles once
-    they have run (a chain hit on ``data``, a new chain on ``dest``)
-    costs 30: its second clause adds a ``_resolve``, an
+    ``complete`` (whose prune of a version's one reader is inline), and
+    the fused ``pop`` with its ``_select``.  ``window(data, dest, lo,
+    hi)`` on the same tiles once they have run (a chain hit on
+    ``data``, a new chain on ``dest``) costs 29: its second clause adds a ``_resolve``, an
     ``_analyze_region``, an ``overlapping`` and a ``window``.  The
     edges and the chain rolls are written inline.  A count, not a
     timing (CI's bench-gate job); it may only fall.
@@ -408,9 +408,9 @@ def test_region_task_call_pin():
     # Outside the 1 000, as in test_task_call_pin: the submit lambda and
     # its list comprehension, the new datum (``TrackedDatum.__init__``,
     # ``adapter_for``), the held task's completion (the domain's and the
-    # graph's complete, a reader prune), the last task's pop that finds
-    # none, and the park (the condition's enter, a pop, its wait).
-    assert counts == [26 * 1000 + 11, 30 * 1000 + 11], counts
+    # graph's complete), the last task's pop that finds none, and the
+    # park (the condition's enter, a pop, its wait).
+    assert counts == [25 * 1000 + 10, 29 * 1000 + 10], counts
 
 
 # ---------------------------------------------------------------------------

@@ -461,9 +461,10 @@ def test_task_call_pin():
         if collecting:
             gc.enable()
     # Outside the 1 000: the held task's completion (the domain's and
-    # the graph's complete, a reader prune), the last task's pop that
-    # finds none, and the park (the condition's enter, a pop, its wait).
-    assert len(calls) == 25 * 1000 + 7, sorted(set(calls))
+    # the graph's complete; its one-reader prune is inline), the last
+    # task's pop that finds none, and the park (the condition's enter,
+    # a pop, its wait).
+    assert len(calls) == 25 * 1000 + 6, sorted(set(calls))
     assert all((a == 1.0).all() for a in arrays)
 
 

@@ -1206,6 +1206,43 @@ class TestEngineStartIsAllOrNothing:
 # ---------------------------------------------------------------------------
 
 class TestErrors:
+    @pytest.mark.mp
+    @pytest.mark.parametrize("where", ["_retire", "_pop_frame"])
+    def test_a_dying_dispatcher_fails_served_graphs_at_once(
+            self, where, monkeypatch):
+        """The processes fleet's one dispatcher dies (an exception in a
+        completion, or in a frame it has begun to pop): the graph fails
+        as a structured ``internal`` error within seconds, not at the
+        client's read timeout."""
+
+        from repro.core.execution import WorkerLoop
+
+        plain = getattr(WorkerLoop, where)
+        raised = []
+
+        def once(loop, *args):
+            if not raised:
+                raised.append(where)
+                raise RuntimeError("injected dispatcher fault")
+            return plain(loop, *args)
+
+        monkeypatch.setattr(WorkerLoop, where, once)
+        a = np.zeros(4)
+        d = ServeDaemon("tcp:127.0.0.1:0", workers=1, backend="processes")
+        try:
+            start = time.monotonic()
+            with pytest.raises(ServeError) as exc_info:
+                with connect(d.address, tenant="dying", timeout=10.0) as rt:
+                    for _ in range(8):
+                        bump_t(a)
+                    rt.barrier()
+            assert time.monotonic() - start < 5.0
+        finally:
+            d.close()
+        assert raised == [where]
+        assert exc_info.value.code == "internal"
+        assert "injected dispatcher fault" in str(exc_info.value)
+
     def test_task_failure_carries_remote_traceback(self, daemon):
         a = np.zeros(2)
         with connect(daemon.address, tenant="boom") as rt:
