@@ -150,6 +150,22 @@ def _simulate_cholesky_flat(n, m, machine: MachineConfig, library: str):
     )
 
 
+def _library_sweep(fig, threads, flops, smpss, threaded_time=None) -> None:
+    """Per library, the threaded BLAS (if *threaded_time*) and the SMPSs
+    Gflops over *threads*, then the peak: ``smpss(machine, library)``
+    simulates one point, ``threaded_time(t, library)`` times one."""
+
+    for library in ("goto", "mkl"):
+        name = library.capitalize()
+        if threaded_time is not None:
+            fig.add(f"Threaded {name}", [
+                flops / threaded_time(t, library) / 1e9 for t in threads])
+        fig.add(f"SMPSs + {name} tiles", [
+            smpss(ALTIX_32.with_cores(t), library).gflops(flops)
+            for t in threads])
+    fig.add("Peak", [ALTIX_32.core_peak_flops * t / 1e9 for t in threads])
+
+
 # ---------------------------------------------------------------------------
 # Figure 11 — Cholesky Gflops vs threads, vs threaded Goto/MKL
 # ---------------------------------------------------------------------------
@@ -166,20 +182,12 @@ def fig11_cholesky_scaling(
         "Gflops",
         list(threads),
     )
-    flops = n ** 3 / 3
-    for library in ("goto", "mkl"):
-        threaded = [
-            flops / forkjoin_cholesky_time(n, t, library, ALTIX_32.with_cores(t)) / 1e9
-            for t in threads
-        ]
-        fig.add(f"Threaded {library.capitalize()}", threaded)
-        smpss = []
-        for t in threads:
-            machine = ALTIX_32.with_cores(t)
-            res = _simulate_cholesky_flat(n, m, machine, library)
-            smpss.append(res.gflops(flops))
-        fig.add(f"SMPSs + {library.capitalize()} tiles", smpss)
-    fig.add("Peak", [ALTIX_32.core_peak_flops * t / 1e9 for t in threads])
+    _library_sweep(
+        fig, threads, n ** 3 / 3,
+        lambda machine, library: _simulate_cholesky_flat(
+            n, m, machine, library),
+        lambda t, library: forkjoin_cholesky_time(
+            n, t, library, ALTIX_32.with_cores(t)))
     fig.notes.append(
         "threaded MKL plateaus ~4 threads, threaded Goto ~10; SMPSs "
         "scales to 32 (the paper's headline result)"
@@ -203,26 +211,16 @@ def fig12_matmul_scaling(
         "Gflops",
         list(threads),
     )
-    flops = 2.0 * n ** 3
-    for library in ("goto", "mkl"):
-        threaded = [
-            flops / forkjoin_matmul_time(n, t, library, ALTIX_32.with_cores(t)) / 1e9
-            for t in threads
-        ]
-        fig.add(f"Threaded {library.capitalize()}", threaded)
-        smpss = []
-        for t in threads:
-            machine = ALTIX_32.with_cores(t)
-            cost = CostModel(machine, library=library, block_size=m)
-            a = np.empty((n, n), np.float32)
-            b = np.empty((n, n), np.float32)
-            c = np.empty((n, n), np.float32)
-            res = simulate_program(
-                matmul.matmul_flat, a, b, c, m, machine=machine, cost_model=cost
-            )
-            smpss.append(res.gflops(flops))
-        fig.add(f"SMPSs + {library.capitalize()} tiles", smpss)
-    fig.add("Peak", [ALTIX_32.core_peak_flops * t / 1e9 for t in threads])
+    def smpss(machine, library):
+        a, b, c = (np.empty((n, n), np.float32) for _ in range(3))
+        return simulate_program(
+            matmul.matmul_flat, a, b, c, m, machine=machine,
+            cost_model=CostModel(machine, library=library, block_size=m))
+
+    _library_sweep(
+        fig, threads, 2.0 * n ** 3, smpss,
+        lambda t, library: forkjoin_matmul_time(
+            n, t, library, ALTIX_32.with_cores(t)))
     fig.notes.append(
         "SMPSs shows the staircase response of a fixed block size "
         "(starvation at thread counts that do not divide the chains); "
@@ -249,22 +247,13 @@ def fig13_strassen_scaling(
         list(threads),
     )
     # "The Gflops figures have been calculated using Strassen's formula"
-    flops = strassen.strassen_flops(n_blocks, m)
-    for library in ("goto", "mkl"):
-        values = []
-        for t in threads:
-            machine = ALTIX_32.with_cores(t)
-            cost = CostModel(machine, library=library, block_size=m)
-            a = _sym_hyper(n_blocks)
-            b = _sym_hyper(n_blocks)
-            c = _sym_hyper(n_blocks)
-            res = simulate_program(
-                strassen.strassen_multiply, a, b, c,
-                machine=machine, cost_model=cost,
-            )
-            values.append(res.gflops(flops))
-        fig.add(f"SMPSs + {library.capitalize()} tiles", values)
-    fig.add("Peak", [ALTIX_32.core_peak_flops * t / 1e9 for t in threads])
+    def smpss(machine, library):
+        a, b, c = (_sym_hyper(n_blocks) for _ in range(3))
+        return simulate_program(
+            strassen.strassen_multiply, a, b, c, machine=machine,
+            cost_model=CostModel(machine, library=library, block_size=m))
+
+    _library_sweep(fig, threads, strassen.strassen_flops(n_blocks, m), smpss)
     fig.notes.append(
         "smoother than Figure 12 (less linearised graph allows more "
         "stealing) but lower Gflops: renaming allocations plus "

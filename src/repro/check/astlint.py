@@ -548,35 +548,27 @@ class _BodyScan(ast.NodeVisitor):
 
     # -- reads ---------------------------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if not isinstance(node.ctx, ast.Load):
-            self.generic_visit(node)
-            return
-        root, attrs = self._root(node)
-        if root is not None and id(root) not in self._handled:
-            self._handled.add(id(root))
-            if root.id in self.params:
-                kind = _READ
-                if attrs and all(a in _METADATA_ATTRS for a in attrs):
-                    kind = None  # metadata only: not a data read
-                if kind:
-                    self._emit(root.id, node, kind, f".{attrs[-1]}" if attrs else "")
-        # still visit subscript indices inside the chain
-        inner = node
-        while isinstance(inner, (ast.Subscript, ast.Attribute)):
-            if isinstance(inner, ast.Subscript):
-                self.visit(inner.slice)
-            inner = inner.value
+        self._visit_access(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
+        self._visit_access(node)
+
+    def _visit_access(self, node) -> None:
+        """A read through an attribute/subscript chain: one read of its
+        root parameter (none for metadata attributes only)."""
+
         if not isinstance(node.ctx, ast.Load):
             self.generic_visit(node)
             return
         root, attrs = self._root(node)
         if root is not None and id(root) not in self._handled:
             self._handled.add(id(root))
-            if root.id in self.params:
-                if not (attrs and all(a in _METADATA_ATTRS for a in attrs)):
-                    self._emit(root.id, node, _READ, "subscript")
+            if root.id in self.params and not (
+                    attrs and all(a in _METADATA_ATTRS for a in attrs)):
+                self._emit(root.id, node, _READ,
+                           "subscript" if isinstance(node, ast.Subscript)
+                           else f".{attrs[-1]}" if attrs else "")
+        # still visit subscript indices inside the chain
         inner = node
         while isinstance(inner, (ast.Subscript, ast.Attribute)):
             if isinstance(inner, ast.Subscript):

@@ -92,6 +92,9 @@ class _Unknown:
 
     __slots__ = ()
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<unknown>"
+
 
 UNKNOWN = _Unknown()
 
@@ -106,6 +109,9 @@ class _Intrinsic:
 
     def attr(self, attr: str) -> "_Intrinsic":
         return _Intrinsic(f"{self.name}.{attr}")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<intrinsic {self.name}>"
 
 
 class _RuntimeHandle:
@@ -1573,8 +1579,7 @@ class _Interp:
         if items is None:
             return UNKNOWN
         datum = self._new_datum("<list>", kind="list")
-        for i, v in enumerate(items):
-            datum.children[i] = v
+        datum.children.update(enumerate(items))
         return datum
 
     def _eval_SetComp(self, node, env):
@@ -1824,30 +1829,12 @@ class _Interp:
         if name == "arena_array" or (top == "arena"
                                      and last in ("zeros", "ones", "empty",
                                                   "array", "full")):
-            self._read_datums(args, node)
-            shape = self._shape_from(args[0]) if args else None
-            if shape is None and args and isinstance(args[0], Datum):
-                shape = args[0].shape
-            return self._new_datum("<arena array>", shape=shape)
-        if name == "HyperMatrix":
+            return self._new_array("<arena array>", args, node)
+        if name in ("HyperMatrix", "HyperMatrix.random_spd"):
             datum = self._new_datum("<hypermatrix>", kind="hyper")
-            if args:
-                n = _concrete_int(args[0])
-                if n is not None:
-                    datum.attrs["n"] = n
-            if len(args) > 1:
-                m = _concrete_int(args[1])
-                if m is not None:
-                    datum.attrs["m"] = m
-            return datum
-        if name == "HyperMatrix.random_spd":
-            datum = self._new_datum("<hypermatrix>", kind="hyper")
-            n = _concrete_int(args[0]) if args else None
-            m = _concrete_int(args[1]) if len(args) > 1 else None
-            if n is not None:
-                datum.attrs["n"] = n
-            if m is not None:
-                datum.attrs["m"] = m
+            for attr, arg in zip("nm", args):
+                if (value := _concrete_int(arg)) is not None:
+                    datum.attrs[attr] = value
             return datum
         if name == "Representant":
             self._read_datums(args, node)
@@ -1893,13 +1880,19 @@ class _Interp:
             self._sync()
         return _Intrinsic("recording")
 
+    def _new_array(self, label, args, node):
+        """An array constructor's result: shaped by its first argument
+        (a shape, or an array to copy), which it reads."""
+
+        self._read_datums(args, node)
+        shape = self._shape_from(args[0]) if args else None
+        if shape is None and args and isinstance(args[0], Datum):
+            shape = args[0].shape
+        return self._new_datum(label, shape=shape)
+
     def _call_numpy(self, name, last, args, kwargs, node):
         if last in _NP_CONSTRUCTORS:
-            self._read_datums(args, node)
-            shape = self._shape_from(args[0]) if args else None
-            if shape is None and args and isinstance(args[0], Datum):
-                shape = args[0].shape
-            return self._new_datum("<ndarray>", shape=shape)
+            return self._new_array("<ndarray>", args, node)
         if last == "default_rng":
             return _Intrinsic("numpy.rng")
         if ".rng." in name + "." and last in _RNG_METHODS \
@@ -1930,12 +1923,8 @@ class _Interp:
                 if arg0.shape:
                     return arg0.shape[0]
                 n = arg0.attrs.get("n")
-                if isinstance(n, int):
-                    return n
-                return UNKNOWN
-            if isinstance(arg0, (tuple, dict)):
-                return len(arg0)
-            if isinstance(arg0, str):
+                return n if isinstance(n, int) else UNKNOWN
+            if isinstance(arg0, (tuple, dict, str)):
                 return len(arg0)
             return UNKNOWN
         if last == "enumerate":
@@ -1966,8 +1955,7 @@ class _Interp:
                 except TypeError:
                     pass
             datum = self._new_datum("<list>", kind="list")
-            for i, v in enumerate(items):
-                datum.children[i] = v
+            datum.children.update(enumerate(items))
             return datum
         if last in _READER_BUILTINS:
             self._read_datums(list(args) + list(kwargs.values()), node)

@@ -98,15 +98,17 @@ class _GuardedView(np.ndarray):
         super().__setitem__(key, value)
 
 
-def _inplace(op_name: str, symbol: str):
-    base = getattr(np.ndarray, op_name)
+def _guarded(name: str, what: str):
+    """``np.ndarray.<name>``, refused (as *what*) on a read-only view."""
 
-    def method(self, other):
+    base = getattr(np.ndarray, name)
+
+    def method(self, *args, **kwargs):
         if not self.flags.writeable and self._css_param is not None:
-            self._violate(f"augmented assignment ({symbol})")
-        return base(self, other)
+            self._violate(what)
+        return base(self, *args, **kwargs)
 
-    method.__name__ = op_name
+    method.__name__ = name
     return method
 
 
@@ -117,23 +119,10 @@ for _name, _sym in [
     ("__ior__", "|="), ("__ixor__", "^="), ("__ilshift__", "<<="),
     ("__irshift__", ">>="),
 ]:
-    setattr(_GuardedView, _name, _inplace(_name, _sym))
-
-
-def _mutator(method_name: str):
-    base = getattr(np.ndarray, method_name)
-
-    def method(self, *args, **kwargs):
-        if not self.flags.writeable and self._css_param is not None:
-            self._violate(f"mutating method {method_name}()")
-        return base(self, *args, **kwargs)
-
-    method.__name__ = method_name
-    return method
-
-
+    setattr(_GuardedView, _name,
+            _guarded(_name, f"augmented assignment ({_sym})"))
 for _name in ("sort", "fill", "put", "partition", "resize"):
-    setattr(_GuardedView, _name, _mutator(_name))
+    setattr(_GuardedView, _name, _guarded(_name, f"mutating method {_name}()"))
 
 
 def guard_readonly(

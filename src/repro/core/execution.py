@@ -326,7 +326,8 @@ class WorkerLoop:
         scheduler = self.scheduler
         with self._sched_lock:
             if ran and self._task_metrics is not None:
-                # HistogramMetric.observe, inline: no call per task.
+                # HistogramMetric.observe, inline: no call per task (so
+                # not shared with the dispatcher's _turn through a call).
                 name = task.definition.name
                 hist = self._task_hists.get(name) or self._task_hist(name)
                 for hist, value in ((hist, duration), (self._m_ready_depth,
@@ -365,12 +366,12 @@ class WorkerLoop:
         barrier).  An exception escaping the loop: :meth:`_abort`."""
 
         backend, wake, current = self.backend, self._sched_cv, self._current
-        poller = select.poll()
-        poller.register(wake.fd, select.POLLIN)
         owner: dict = {}    # fd -> the thread index of its link
         watched: dict = {}  # thread index -> (generation, fds registered)
         done: list = []     # (task, thread, cause, duration, ran)
         try:
+            poller = select.poll()
+            poller.register(wake.fd, select.POLLIN)
             while (done := self._turn(done)) is not None:
                 moved = []
                 for link in backend.links:
@@ -449,15 +450,18 @@ class WorkerLoop:
         frames = self._frames = {}  # :meth:`_abort` strands them
         with self._sched_lock:
             if done and self._task_metrics is not None:
-                depth = scheduler._ready_count  # observe(), inline
+                depth = scheduler._ready_count
                 for task, _, _, duration, ran in done:
-                    name = task.definition.name
-                    for hist, value in ((
-                            self._task_hists.get(name) or self._task_hist(name),
-                            duration), (self._m_ready_depth, depth)) if ran else ():
-                        hist._raw.append(value)
-                        if len(hist._raw) >= hist._FOLD_AT:
-                            hist._fold()
+                    if ran:  # HistogramMetric.observe, inline as in _execute
+                        name = task.definition.name
+                        hist = (self._task_hists.get(name)
+                                or self._task_hist(name))
+                        for hist, value in ((hist, duration),
+                                            (self._m_ready_depth, depth)):
+                            raw = hist._raw
+                            raw.append(value)
+                            if len(raw) >= hist._FOLD_AT:
+                                hist._fold()
             self._running -= len(done)
             for thread, ready in released:
                 scheduler.push_ready_batch(ready, thread)

@@ -213,13 +213,9 @@ def _expr(ast: tuple, source: str) -> Expr:
     return Expr(source, fn, frozenset(names))
 
 
-class _ExprParser:
-    """Recursive-descent parser for the arithmetic subset."""
-
-    def __init__(self, tokens: Sequence[_Token], source: str, start: int = 0):
-        self.tokens = tokens
-        self.source = source
-        self.i = start
+class _Cursor:
+    """A position ``i`` in ``tokens``; running out is an error about
+    ``what`` is being parsed."""
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -227,32 +223,37 @@ class _ExprParser:
     def advance(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise PragmaError(f"unexpected end of expression in {self.source!r}")
+            raise PragmaError(f"unexpected end of {self.what}")
         self.i += 1
         return tok
+
+
+class _ExprParser(_Cursor):
+    """Recursive-descent parser for the arithmetic subset."""
+
+    def __init__(self, tokens: Sequence[_Token], source: str, start: int = 0):
+        self.tokens = tokens
+        self.source = source
+        self.i = start
+        self.what = f"expression in {source!r}"
 
     def parse(self) -> tuple:
         return self._additive()
 
     def _additive(self) -> tuple:
-        node = self._multiplicative()
-        while True:
-            tok = self.peek()
-            if tok and tok.kind == "SYM" and tok.text in "+-":
-                self.advance()
-                node = ("binop", tok.text, node, self._multiplicative())
-            else:
-                return node
+        return self._binops("+-", self._multiplicative)
 
     def _multiplicative(self) -> tuple:
-        node = self._unary()
-        while True:
-            tok = self.peek()
-            if tok and tok.kind == "SYM" and tok.text in "*/%":
-                self.advance()
-                node = ("binop", tok.text, node, self._unary())
-            else:
-                return node
+        return self._binops("*/%", self._unary)
+
+    def _binops(self, ops: str, operand) -> tuple:
+        """Left-associative *ops* between *operand* parses."""
+
+        node = operand()
+        while (tok := self.peek()) and tok.kind == "SYM" and tok.text in ops:
+            self.advance()
+            node = ("binop", tok.text, node, operand())
+        return node
 
     def _unary(self) -> tuple:
         tok = self.peek()
@@ -408,21 +409,12 @@ _DIRECTIONS = {
 }
 
 
-class _PragmaParser:
+class _PragmaParser(_Cursor):
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise PragmaError(f"unexpected end of pragma {self.text!r}")
-        self.i += 1
-        return tok
+        self.what = f"pragma {text!r}"
 
     def expect_sym(self, sym: str) -> None:
         tok = self.advance()

@@ -367,3 +367,9 @@ class Version:
         self.readers = still
         self._gone = 0
         return still
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"<Version {self.index} of {self.datum!r} kind={self.kind.value} "
+            f"producer={getattr(self.producer, 'task_id', None)}>"
+        )

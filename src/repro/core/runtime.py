@@ -320,27 +320,29 @@ class SmpssRuntime(ActiveRuntime):
         """Mirror runtime-owned aggregates into the metrics registry,
         through gauge handles held from the first sync on."""
 
-        m, held = self.metrics, self._gauges
-        m.ingest_scheduler_stats(self.scheduler.stats, held=held)
+        m = self.metrics
+        m.ingest_scheduler_stats(self.scheduler.stats, held=self._gauges)
         # Instantaneous control/occupancy gauges — the same numbers the
         # live dashboard snapshots, so `repro.obs report` and an attached
         # client read one source of truth.
         depths = self.scheduler.queue_depths()
-        gate, tracker, stats = self.scheduler.gate, self.tracker, self.graph.stats
-        m.set_gauges([(name, None, value) for name, value in (
-            ("tasks_executed", self._loop.tasks_executed),
-            ("scheduler.high_depth", depths["high"]),
-            ("scheduler.main_depth", depths["main"]),
-            ("scheduler.parked_workers", self._loop._parked),
-            ("scheduler.paused", int(gate.paused) if gate is not None else 0),
-            ("scheduler.step_budget", 0 if gate is None else gate.step_budget),
-            ("renaming.live_bytes", tracker.renamed_bytes),
-            ("renaming.total_buffers", tracker.total_renamed_buffers),
-            ("graph.total_tasks", stats.total_tasks),
-            ("graph.total_edges", stats.total_edges),
-            ("graph.renames", stats.renames),
-        )] + [("scheduler.ready_depth", idx, depth)
-              for idx, depth in enumerate(depths["locals"])], held)
+        gate = self.scheduler.gate
+        stats = self.graph.stats
+        m.set_gauges({
+            "tasks_executed": self.tasks_executed,
+            "scheduler.high_depth": depths["high"],
+            "scheduler.main_depth": depths["main"],
+            "scheduler.ready_depth": dict(enumerate(depths["locals"])),
+            "scheduler.parked_workers": self._parked,
+            "scheduler.paused": int(gate.paused) if gate is not None else 0,
+            "scheduler.step_budget":
+                gate.step_budget if gate is not None else 0,
+            "renaming.live_bytes": self.tracker.renamed_bytes,
+            "renaming.total_buffers": self.tracker.total_renamed_buffers,
+            "graph.total_tasks": stats.total_tasks,
+            "graph.total_edges": stats.total_edges,
+            "graph.renames": stats.renames,
+        }, self._gauges)
         dropped = self.tracer.dropped_events if self.tracer is not None else 0
         if dropped:
             m.gauge("trace.dropped_events").set(dropped)

@@ -176,6 +176,10 @@ class TaskDefinition:
         bound.apply_defaults()
         return dict(bound.arguments)
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        clauses = ", ".join(f"{p.direction.value}({p.name})" for p in self.params)
+        return f"TaskDefinition({self.name}: {clauses})"
+
 
 class TaskInstance:
     """One dynamic invocation of a task (a node of the task graph).

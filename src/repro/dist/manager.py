@@ -14,10 +14,13 @@ the scheduler's placement hook steers a ready task toward the node
 holding most of its input bytes (§VI's locality argument across
 address spaces).
 
-Failures follow :class:`~repro.core.backend.RemoteBackend`; what an
-agent's death does to its slots and its resident data (a current master
-copy re-ships, else :class:`~repro.dist.encoding.DistDataLossError`) is
-``docs/distributed.md``'s "Failure semantics".
+Failures follow :class:`~repro.core.backend.RemoteBackend` (one
+re-dispatch, then :class:`~repro.net.codec.WorkerLostError`).  A dead
+agent is counted once however many of its slots notice; its slots remap
+to surviving nodes (slot indices never change); resident data that died
+with it is re-shipped from the master copy when current, and otherwise
+raises :class:`~repro.dist.encoding.DistDataLossError` — run with
+``dist_write_through=True`` when agents are expected to die.
 """
 
 from __future__ import annotations
@@ -150,11 +153,12 @@ class ClusterBackend(RemoteBackend):
             self._by_name[node.name] = node
             node.slot_ids = list(range(slot, slot + node.slots))
             slot += node.slots
-            for gauges, name in ((self._g_resident, "node_resident_bytes"),
-                                 (self._g_tasks, "node_tasks"),
-                                 (self._g_alive, "node_alive")):
-                gauges[node.name] = metrics.gauge(f"dist.{name}",
-                                                  node=node.name)
+            self._g_resident[node.name] = metrics.gauge(
+                "dist.node_resident_bytes", node=node.name)
+            self._g_tasks[node.name] = metrics.gauge(
+                "dist.node_tasks", node=node.name)
+            self._g_alive[node.name] = metrics.gauge(
+                "dist.node_alive", node=node.name)
             self._g_alive[node.name].set(1)
         for node in self._nodes:
             for slot_id in node.slot_ids:
@@ -331,19 +335,18 @@ class ClusterBackend(RemoteBackend):
                 specs[pos] = (INLINE, storage)  # read-only copy is safe
                 continue
             tracked.append((pos, version, storage))
-        with residency.lock:
-            entries = []
-            for pos, version, storage in tracked:
-                root = version._root or version  # Version.storage_is_base
-                entries.append(residency.ensure(
-                    storage, root.kind is StorageKind.INITIAL))
+        storages = []
+        for pos, version, storage in tracked:
+            root = version._root or version  # Version.storage_is_base
+            storages.append((storage, root.kind is StorageKind.INITIAL))
         hits = 0
-        for (pos, version, storage), entry in zip(tracked, entries):
+        for (pos, version, storage), (entry, hit) in zip(
+                tracked, residency.lookup(storages, node.name)):
             if pos not in read_positions:
                 # A renamed OUTPUT's content is junk and one overwritten
                 # in place equally dead: ship the shape only.
                 specs[pos] = (FRESH, alloc_meta(storage))
-            elif entry.copies.get(node.name) == entry.version:
+            elif hit:
                 hits += 1  # current content on the node: a reference
                 specs[pos] = (RESIDENT, entry.key, entry.version)
             else:
@@ -454,7 +457,7 @@ class ClusterBackend(RemoteBackend):
 
         residency = self._residency
         for entry in residency.entries():
-            if entry.master_version != entry.version:  # master_current()
+            if not entry.master_current():
                 self._fetch_home(entry)
         for name, keys in residency.evict(residency.doomed()).items():
             self._control(name, {"k": "evict", "keys": keys}, reply=False)

@@ -14,18 +14,31 @@ storage buffer that has crossed to a node at least once, one
   holds the current bytes; dispatching there ships a reference instead
   of content (the ``dist.cache_hits`` path).
 
-Lifetimes — a user's ``ndarray`` is held by weak reference (its dead
-reference only queues its key, for :meth:`ResidencyMap.doomed` at the
-next barrier), everything else strongly until every barrier — and the
-adler32 checksum (:func:`~repro.dist.encoding.content_checksum`) that
-re-verifies survivors once per barrier generation are specified in
-``docs/distributed.md`` ("Datum residency").
+The map never keeps a user's array alive.  A user-owned ``ndarray``
+is held by **weak reference**: while the user keeps it, its remote
+copies give repeat submissions their bytes-moved win; once the user
+drops it, the weakref callback queues the entry's key (and does nothing
+else — the collector can fire it on any thread, even under this map's
+own lock) and :meth:`ResidencyMap.doomed` hands the entry to the next
+barrier for eviction here and on the agents.  Everything else — renamed
+buffers, which die with the barrier anyway, and ``bytearray``/``list``
+objects, which cannot be weakly referenced — is held strongly and
+evicted at every barrier.  Either way Python recycling an ``id()`` can
+never alias two objects onto one wire key: a strong entry pins its
+object, and a dead weak reference is identical to nothing.
 
-Locking: one reentrant lock, ``lock``.  The dispatch path takes it
-once per task around all its lookups (``ensure`` re-enters it) and
-once per commit; the placement hook takes it under the scheduler lock
-(lock order is always scheduler → residency, and network I/O never
-happens under either).
+Surviving entries are re-verified once per barrier generation with an
+adler32 content checksum (:func:`~repro.dist.encoding.content_checksum`):
+code mutating an array between barriers — legal, it is the user's
+object — invalidates the remote copies instead of silently reading
+stale bytes.
+
+Locking: one reentrant lock for the whole map.  The dispatch path
+takes it once per task for all of the task's lookups
+(:meth:`ResidencyMap.lookup`) and once per commit; the scheduler's
+placement hook takes it under the scheduler lock (lock order is
+always scheduler → residency, and network I/O never happens under
+either).
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ class ResidencyEntry:
         self.key = key
         self.oid = id(obj)
         #: User-owned ndarrays are only *referenced*; when one dies its
-        #: key is queued on *dead* and :attr:`obj` (``_ref()``) reads ``None``.
+        #: key is queued on *dead* and :attr:`obj` reads ``None``.
         self.weak = is_base and isinstance(obj, np.ndarray)
         self._ref = weakref.ref(obj, lambda _ref: dead.append(key)) \
             if self.weak else repeat(obj).__next__
@@ -88,6 +101,12 @@ class ResidencyEntry:
 
         return not (self.master_current() or self.holders())
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<ResidencyEntry {self.key} v{self.version} "
+            f"master=v{self.master_version} copies={self.copies}>"
+        )
+
 
 def _size_of(obj: Any) -> int:
     if isinstance(obj, np.ndarray):
@@ -104,7 +123,7 @@ class ResidencyMap:
 
     def __init__(self, sid: str):
         self.sid = sid
-        self.lock = threading.RLock()
+        self._lock = threading.RLock()
         self._by_id: dict[int, ResidencyEntry] = {}
         self._by_key: dict[str, ResidencyEntry] = {}
         self._serial = 0
@@ -118,7 +137,7 @@ class ResidencyMap:
     def ensure(self, obj: Any, is_base: bool) -> ResidencyEntry:
         """*obj*'s entry, made at first use, verified once a generation."""
 
-        with self.lock:
+        with self._lock:
             entry = self._by_id.get(id(obj))
             if entry is not None and entry._ref() is obj:
                 if entry.checked_gen != self.generation:
@@ -134,19 +153,31 @@ class ResidencyMap:
             self._by_key[entry.key] = entry
             return entry
 
+    def lookup(self, storages: list, node: str) -> list:
+        """``(entry, hit)`` for each ``(obj, is_base)`` of one task's
+        tracked *storages*, in one lock section: :meth:`ensure`'s entry
+        and whether *node* holds its current content."""
+
+        with self._lock:
+            found = []
+            for obj, is_base in storages:
+                entry = self.ensure(obj, is_base)
+                found.append((entry, node in entry.holders()))
+            return found
+
     def get(self, obj: Any) -> Optional[ResidencyEntry]:
-        with self.lock:
+        with self._lock:
             entry = self._by_id.get(id(obj))
             if entry is not None and entry._ref() is obj:
                 return entry
             return None
 
     def entries(self) -> list[ResidencyEntry]:
-        with self.lock:
+        with self._lock:
             return list(self._by_key.values())
 
     def __len__(self) -> int:
-        with self.lock:
+        with self._lock:
             return len(self._by_key)
 
     def verify(self, entry: ResidencyEntry) -> bool:
@@ -159,7 +190,7 @@ class ResidencyMap:
         are all older now), so the next dispatch re-ships current bytes.
         """
 
-        with self.lock:
+        with self._lock:
             if entry.checked_gen == self.generation:
                 return True
             entry.checked_gen = self.generation
@@ -174,7 +205,7 @@ class ResidencyMap:
             return False
 
     def record_copy(self, entry: ResidencyEntry, node: str) -> None:
-        with self.lock:
+        with self._lock:
             entry.copies[node] = entry.version
             # First content ship from a current master copy: remember
             # its checksum, or verify() would have nothing to compare
@@ -189,7 +220,7 @@ class ResidencyMap:
                      v_after: int, *, master_too: bool) -> None:
         """A task on *node* produced content version *v_after*."""
 
-        with self.lock:
+        with self._lock:
             obj = entry._ref()
             entry.version = v_after
             # Older copies elsewhere stay recorded (as stale): eviction
@@ -207,7 +238,7 @@ class ResidencyMap:
     def mark_master_current(self, entry: ResidencyEntry) -> None:
         """The master just obtained the current bytes (fetch/ship)."""
 
-        with self.lock:
+        with self._lock:
             entry.master_version = entry.version
             entry.checksum = content_checksum(entry._ref())
             entry.checked_gen = self.generation
@@ -218,7 +249,7 @@ class ResidencyMap:
         master was stale)."""
 
         lost: list[ResidencyEntry] = []
-        with self.lock:
+        with self._lock:
             for entry in self._by_key.values():
                 if entry.copies.pop(node, None) is None:
                     continue
@@ -231,7 +262,7 @@ class ResidencyMap:
         held one, and the weakly held ones whose object has died since
         the last call (see module docstring)."""
 
-        with self.lock:
+        with self._lock:
             keys = [self._dead.popleft() for _ in range(len(self._dead))]
             gone = [self._by_key[k] for k in keys if k in self._by_key]
             return gone + [e for e in self._by_key.values() if not e.weak]
@@ -241,7 +272,7 @@ class ResidencyMap:
         caller can tell each agent to drop its copies."""
 
         by_node: dict[str, list[str]] = {}
-        with self.lock:
+        with self._lock:
             for entry in entries:
                 if self._by_key.pop(entry.key, None) is None:
                     continue
@@ -256,11 +287,9 @@ class ResidencyMap:
         placement hook's question), or across every entry (telemetry)."""
 
         totals: dict[str, int] = {}
-        with self.lock:  # get() and holders(), inline
-            for entry in self._by_key.values() if objs is None else [
-                    entry for obj in objs if (entry := self._by_id.get(
-                        id(obj))) is not None and entry._ref() is obj]:
-                for node, held in entry.copies.items():
-                    if held == entry.version:
-                        totals[node] = totals.get(node, 0) + entry.nbytes
+        with self._lock:
+            for entry in (self._by_key.values() if objs is None
+                          else filter(None, map(self.get, objs))):
+                for node in entry.holders():
+                    totals[node] = totals.get(node, 0) + entry.nbytes
         return totals

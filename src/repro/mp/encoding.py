@@ -98,13 +98,17 @@ def encode_values(values: list, residency) -> tuple:
 
     memo, specs, inline = residency.memo, [], False
     for value in values:
-        hit = memo.get(id(value)) if type(value) is np.ndarray else None
-        wire = (hit[1] if hit is not None and hit[0]() is value
-                and not hit[2].pushes  # and the same shape, strides:
-                and (value.shape, value.strides) == hit[1][2::2]
-                else type(value) is np.ndarray and residency.handle(value))
-        specs.append((HANDLE, wire) if wire else (INLINE, value))
-        inline = inline or not wire
+        wire = None
+        if type(value) is np.ndarray:
+            # ArenaResidency.handle's memo: a hit needs no call.
+            hit = memo.get(id(value))
+            if (hit is not None and hit[0]() is value and not hit[2].pushes
+                    and value.shape == hit[1][2] and value.strides == hit[1][4]):
+                wire = hit[1]
+            else:
+                wire = residency.handle(value)
+        specs.append((INLINE, value) if wire is None else (HANDLE, wire))
+        inline = inline or wire is None
     return specs, inline
 
 

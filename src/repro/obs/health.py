@@ -571,6 +571,15 @@ class HealthMonitor:
                        details: dict) -> Optional[Finding]:
         """Record one finding (once per kind per anomaly episode)."""
 
+        finding = self._record(kind, severity, message, details)
+        if finding is not None:
+            self.dump(reason=kind, findings=[finding])
+        return finding
+
+    def _record(self, kind: str, severity: str, message: str,
+                details: dict) -> Optional[Finding]:
+        """Append a finding unless *kind* already has one this episode."""
+
         with self._lock:
             if kind in self._episode:
                 return None
@@ -585,7 +594,6 @@ class HealthMonitor:
             self.runtime.metrics.counter(
                 "health.findings_total", kind=kind
             ).inc()
-        self.dump(reason=kind, findings=[finding])
         return finding
 
     # ------------------------------------------------------------------
@@ -625,27 +633,11 @@ class HealthMonitor:
         """Feed from :func:`stalled_error`: the main thread proved a
         stall synchronously; record it and dump before the raise."""
 
-        with self._lock:
-            already = "hard_stall" in self._episode
-            self._episode.add("hard_stall")
-            if not already:
-                finding = Finding(
-                    kind="hard_stall",
-                    severity="critical",
-                    message=(
-                        "main thread found pending tasks with nothing "
-                        "ready or running (graph corruption?)"
-                    ),
-                    time=perf_counter(),
-                    details={"chains": chains},
-                )
-                self.findings.append(finding)
-                del self.findings[: -self.MAX_FINDINGS]
-                self._g_findings.set(len(self.findings))
-                self.runtime.metrics.counter(
-                    "health.findings_total", kind="hard_stall"
-                ).inc()
-        if not already:
+        finding = self._record(
+            "hard_stall", "critical",
+            "main thread found pending tasks with nothing ready or "
+            "running (graph corruption?)", {"chains": chains})
+        if finding is not None:
             # Not via self.dump(): the caller already holds the
             # scheduler lock, and the tracker lock is free to take —
             # but keep to the one-lock-at-a-time watchdog rule and

@@ -284,25 +284,29 @@ class MetricsRegistry:
         return self._get(HistogramMetric, name, labels)
 
     # -- ingestion ---------------------------------------------------------
-    def set_gauges(self, values, held: dict) -> None:
-        """Set ``(name, thread or None, value)`` gauges via *held* handles."""
+    def set_gauges(self, values: dict, held: dict) -> None:
+        """Set the gauges *values* names (``name -> value``, or ``name ->
+        {thread: value}`` for a per-thread breakdown) through the
+        handles *held* keeps, each looked up in the registry once."""
 
-        for name, thread, value in values:
-            if (name, thread) not in held:
-                held[name, thread] = self.gauge(
-                    name, **({} if thread is None else {"thread": thread}))
-            held[name, thread].value = value
+        for name, value in values.items():
+            by_thread = value if isinstance(value, dict) else {None: value}
+            for thread, number in by_thread.items():
+                gauge = held.get((name, thread))
+                if gauge is None:
+                    labels = {} if thread is None else {"thread": thread}
+                    gauge = held[name, thread] = self.gauge(name, **labels)
+                gauge.value = number
 
-    def ingest_scheduler_stats(self, stats, prefix="scheduler", held=None):
+    def ingest_scheduler_stats(self, stats, prefix: str = "scheduler",
+                               held: Optional[dict] = None) -> None:
         """Mirror a :class:`~repro.core.scheduler.SchedulerStats` into
-        gauges, including the per-thread breakdowns (*held*: handles)."""
+        gauges, including the per-thread breakdowns (through *held*'s
+        handles, as :meth:`set_gauges`, when given)."""
 
-        self.set_gauges([
-            (f"{prefix}.{key}", thread, count)
-            for key, value in stats.as_dict().items()
-            for thread, count in (value.items() if isinstance(value, dict)
-                                  else ((None, value),))
-        ], {} if held is None else held)
+        self.set_gauges({f"{prefix}.{key}": value
+                         for key, value in stats.as_dict().items()},
+                        {} if held is None else held)
 
     # -- introspection -----------------------------------------------------
     def __iter__(self) -> Iterator:

@@ -117,18 +117,19 @@ class SimulatedRuntime(ActiveRuntime):
     def _sync_metrics(self) -> None:
         """Mirror simulator aggregates into the metrics registry."""
 
-        vm, held = self.vm, {}
-        self.metrics.set_gauges([
-            ("sim.makespan_virtual_seconds", None,
-             max(self.main_clock, vm.last_finish)),
-            ("sim.tasks_submitted", None, self.tasks_submitted),
-            ("tasks_executed", None, vm.tasks_executed),
-            ("graph.renames", None, self.graph.stats.renames),
-        ] + [("sim.busy_virtual_seconds", core, busy)
-             for core, busy in enumerate(vm.busy_time)]
-          + [("sim.steal_virtual_seconds", core, steal)
-             for core, steal in enumerate(vm.steal_time) if steal], held)
-        self.metrics.ingest_scheduler_stats(self.scheduler.stats, held=held)
+        m = self.metrics
+        m.gauge("sim.makespan_virtual_seconds").set(
+            max(self.main_clock, self.vm.last_finish)
+        )
+        m.gauge("sim.tasks_submitted").set(self.tasks_submitted)
+        m.gauge("tasks_executed").set(self.vm.tasks_executed)
+        m.gauge("graph.renames").set(self.graph.stats.renames)
+        for core, busy in enumerate(self.vm.busy_time):
+            m.gauge("sim.busy_virtual_seconds", thread=core).set(busy)
+        for core, steal in enumerate(self.vm.steal_time):
+            if steal:
+                m.gauge("sim.steal_virtual_seconds", thread=core).set(steal)
+        m.ingest_scheduler_stats(self.scheduler.stats)
 
     @property
     def num_threads(self) -> int:

@@ -682,10 +682,10 @@ class TestOutputsRideHome:
         """The counted pin CI's bench-gate runs: the warmed tile round
         (:meth:`_tile_round`) costs the master — the main thread from
         the first submission to the barrier's return, and the
-        dispatcher — exactly 1 154 Python-level calls (72.1 a task;
-        1 827 before the remote path was fused: residency lookups in one
-        lock section per task, inline hits and counters, held gauge
-        handles at the barrier).  Frames are sized by the fair share
+        dispatcher — exactly 1 275 Python-level calls (79.7 a task;
+        1 827 before the remote path was fused: a task's residency
+        lookups in one lock section, ``ResidencyMap.lookup``, inline
+        counters, held gauge handles at the barrier).  Frames are sized by the fair share
         alone (every body's expected time zero), so the count depends on
         the program only.  A count, not a timing; it may only fall."""
 
@@ -699,7 +699,7 @@ class TestOutputsRideHome:
                 self._tile_round(rt, rng, fixed, counted.batch(rt, main=True))
         finally:
             counted.close()
-        assert counted.total == 1154, counted.per_task(16)
+        assert counted.total == 1275, counted.per_task(16)
 
     def test_reads_pin(self, pair, monkeypatch):
         """The counted pin CI's bench-gate runs: 64 independent tasks

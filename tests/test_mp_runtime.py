@@ -17,6 +17,7 @@ import socket
 import threading
 import time
 from multiprocessing.connection import Connection
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -600,6 +601,24 @@ class TestDispatcherDeath:
                 _barrier_within(rt)
         assert not rt._loop._threads[0].is_alive()
         assert all(not link.pending for link in rt.backend.links)
+
+    def test_a_dispatcher_that_cannot_poll_fails_the_barrier(self, monkeypatch):
+        # The fault comes before the dispatcher's first turn: the tasks
+        # released after it fail with it instead of waiting forever.
+        import select
+
+        from repro.core import execution
+
+        def refuse():
+            raise RuntimeError("injected poll fault")
+
+        monkeypatch.setattr(execution, "select", SimpleNamespace(
+            poll=refuse, POLLIN=select.POLLIN))
+        with pytest.raises(RuntimeError, match="injected poll fault"):
+            with SmpssRuntime(num_workers=1, backend="processes") as rt:
+                incr_t(np.zeros(2))
+                _barrier_within(rt)
+        assert not rt._loop._threads[0].is_alive()
 
     def test_a_turn_serves_own_lists_before_stealing(self):
         # The one ready task is on worker 2's list: worker 1, idle in the
